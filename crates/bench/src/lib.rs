@@ -1,8 +1,8 @@
 //! # quicsand-bench
 //!
 //! Experiment regeneration harness: one binary per paper table/figure
-//! (see `src/bin/`) plus Criterion performance benches (see
-//! `benches/`).
+//! (see `src/bin/`). Performance is measured by the standalone
+//! `benchmark/` package.
 //!
 //! Every binary accepts the `QUICSAND_SCALE` environment variable:
 //!
@@ -17,10 +17,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod report;
-
-pub use report::{scaled_file_name, tolerance_from_env, BenchReport, BENCH_SCHEMA_VERSION};
 
 use quicsand_core::{Analysis, AnalysisConfig};
 use quicsand_traffic::{Scenario, ScenarioConfig};
@@ -73,63 +69,6 @@ impl Scale {
             Scale::Test => "test",
             Scale::Demo => "demo",
             Scale::Paper => "paper",
-        }
-    }
-}
-
-/// The perf-ladder tier selected via `QUICSAND_BENCH_SCALE`
-/// (netbench-style: `test|medium|large`), orthogonal to the scenario
-/// [`Scale`]: `test` replays the materialized test scenario, while
-/// `medium` and `large` *stream* synthetic records through the
-/// pipeline without ever materializing the trace
-/// ([`quicsand_traffic::RecordStream`]), so memory stays constant at
-/// any record count. Each tier writes its own baseline file
-/// (`BENCH_<name>@<scale>.json`) and `bench_compare` gates tiers
-/// independently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BenchScale {
-    /// Materialized test-scenario replay (the default; CI bench-smoke).
-    Test,
-    /// 1M streamed records (CI scale-smoke).
-    Medium,
-    /// 10M streamed records (manual / nightly).
-    Large,
-}
-
-impl BenchScale {
-    /// Reads the tier from the environment (default: test).
-    pub fn from_env() -> BenchScale {
-        match std::env::var("QUICSAND_BENCH_SCALE").as_deref() {
-            Ok("medium") => BenchScale::Medium,
-            Ok("large") => BenchScale::Large,
-            _ => BenchScale::Test,
-        }
-    }
-
-    /// Streamed records at this tier; `None` means "replay the
-    /// materialized scenario instead".
-    pub fn stream_records(self) -> Option<u64> {
-        match self {
-            BenchScale::Test => None,
-            BenchScale::Medium => Some(1_000_000),
-            BenchScale::Large => Some(10_000_000),
-        }
-    }
-
-    /// The streaming generator configuration for this tier (its victim
-    /// pool — and so the generator's memory — is fixed regardless of
-    /// the record count).
-    pub fn stream_config(self) -> Option<quicsand_traffic::StreamConfig> {
-        self.stream_records()
-            .map(|records| quicsand_traffic::StreamConfig::new(0x5CA1_E000, records, 64))
-    }
-
-    /// Label for `BenchReport.scale` and per-tier baseline routing.
-    pub fn label(self) -> &'static str {
-        match self {
-            BenchScale::Test => "test",
-            BenchScale::Medium => "medium",
-            BenchScale::Large => "large",
         }
     }
 }
@@ -189,19 +128,6 @@ mod tests {
         c.validate();
         assert_eq!(c.days, 30);
         assert_eq!(c.quic_duration_median_secs, 255.0);
-    }
-
-    #[test]
-    fn bench_scale_tiers_stream_constant_victims() {
-        assert_eq!(BenchScale::Test.stream_records(), None);
-        assert!(BenchScale::Test.stream_config().is_none());
-        let medium = BenchScale::Medium.stream_config().unwrap();
-        let large = BenchScale::Large.stream_config().unwrap();
-        assert_eq!(medium.records, 1_000_000);
-        assert_eq!(large.records, 10_000_000);
-        // 10x the records, identical memory footprint.
-        assert_eq!(medium.victims, large.victims);
-        assert_eq!(BenchScale::Medium.label(), "medium");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use quicsand_sessions::multivector::{classify_multivector_with, MultiVectorRepor
 use quicsand_sessions::session::{
     link_migrations, MigrationLink, Session, SessionConfig, Sessionizer, SessionizerCounters,
 };
-use quicsand_telescope::parallel::{ingest_shard_with, partition_by_source};
+use quicsand_telescope::parallel::partition_by_source;
 pub use quicsand_telescope::PipelineStats;
 use quicsand_telescope::{
     Admitted, GuardConfig, HourlySeries, IngestStats, QuicObservation, ResearchFilter,
@@ -55,8 +55,8 @@ pub struct AnalysisConfig {
     /// Behavioural research-scanner detection: minimum unique targets.
     pub research_min_dsts: u64,
     /// Worker threads for the sharded ingest→sessionize stages.
-    /// `1` runs the single-threaded path; any value produces
-    /// byte-identical analysis products (the shard merge is
+    /// `1` runs the one shard inline on the caller's thread; any value
+    /// produces byte-identical analysis products (the shard merge is
     /// deterministic), so this only affects wall-clock time.
     pub threads: usize,
     /// Pre-classification ingest guard: duplicate suppression and
@@ -82,9 +82,9 @@ fn ms(since: Instant) -> f64 {
     since.elapsed().as_secs_f64() * 1_000.0
 }
 
-/// Deterministic session order shared by the sequential and parallel
-/// paths: `(start, src)` is unique per sessionizer (one source has at
-/// most one session starting at a given instant).
+/// Deterministic session order at any thread count: `(start, src)` is
+/// unique per sessionizer (one source has at most one session starting
+/// at a given instant).
 fn sort_sessions(sessions: &mut [Session]) {
     sessions.sort_by_key(|s| (s.start, s.src));
 }
@@ -151,7 +151,7 @@ pub struct Analysis {
 }
 
 /// Everything stages 1–3 produce; stages 4–5 are computed on top by
-/// [`Analysis::run`], identically for both execution paths.
+/// [`Analysis::run`].
 struct FrontendProducts {
     ingest: IngestStats,
     research_sources: HashSet<Ipv4Addr>,
@@ -171,14 +171,13 @@ struct FrontendProducts {
     /// Sessions still open when the end-of-run flush ran (the flush
     /// closes them; `SessionMetrics::add_final` accounts for that).
     sessions_open_at_flush: u64,
-    /// One `PipelineStats` per shard (a single entry sequentially) so
-    /// the stage-walltime histograms get one observation per shard.
+    /// One `PipelineStats` per shard so the stage-walltime histograms
+    /// get one observation per shard.
     shard_stats: Vec<PipelineStats>,
 }
 
-/// One worker's output in the parallel path. The `requests` /
-/// `responses` carry original record indices so the merge can restore
-/// exact capture order.
+/// One shard's output. The `requests` / `responses` carry original
+/// record indices so the merge can restore exact capture order.
 struct ShardProducts {
     ingest: IngestStats,
     research_sources: HashSet<Ipv4Addr>,
@@ -199,17 +198,12 @@ struct ShardProducts {
 impl Analysis {
     /// Runs the complete pipeline on a scenario.
     ///
-    /// With `config.threads > 1` stages 1–3 are sharded by
-    /// `hash(src) % threads` across scoped worker threads; the merge
-    /// is deterministic, so every analysis product is byte-identical
-    /// at any thread count (only [`Analysis::stats`] differs).
+    /// Stages 1–3 are sharded by `hash(src) % config.threads` (one
+    /// shard runs inline, more on scoped worker threads); the merge is
+    /// deterministic, so every analysis product is byte-identical at
+    /// any thread count (only [`Analysis::stats`] differs).
     pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> Analysis {
         let threads = config.threads.max(1);
-        let frontend = if threads == 1 {
-            Self::frontend_sequential(scenario, config)
-        } else {
-            Self::frontend_parallel(scenario, config, threads)
-        };
         let FrontendProducts {
             ingest,
             research_sources,
@@ -226,7 +220,7 @@ impl Analysis {
             session_counters,
             sessions_open_at_flush,
             shard_stats,
-        } = frontend;
+        } = Self::frontend(scenario, config, threads);
 
         // Deterministic session order regardless of close order or
         // shard interleaving.
@@ -386,21 +380,44 @@ impl Analysis {
         }
     }
 
-    /// Stages 1–3, single-threaded (the `threads == 1` path).
-    fn frontend_sequential(scenario: &Scenario, config: &AnalysisConfig) -> FrontendProducts {
+    /// Stages 1–3 over one shard's records, named by their capture
+    /// indices in capture order.
+    ///
+    /// Every product that the cross-shard merge must re-order carries
+    /// its original record index, tagged straight from
+    /// [`TelescopePipeline::admit`]. Guard state lives inside the
+    /// shard's pipeline; because shards partition records *by source*,
+    /// the guard, the research detection and the sessionizers each see
+    /// exactly the per-source record sequence an unsharded run sees.
+    fn run_shard(
+        scenario: &Scenario,
+        config: &AnalysisConfig,
+        indices: impl Iterator<Item = usize>,
+    ) -> ShardProducts {
         let mut stats = PipelineStats::default();
 
-        // 1. Ingest.
+        // 1. Ingest (this shard's records only).
         let ingest_start = Instant::now();
         let mut pipeline = TelescopePipeline::with_guard(config.guard);
-        pipeline.ingest_all(&scenario.records);
-        let (observations, baseline, ingest) = pipeline.finish();
+        let mut quic = Vec::new();
+        let mut baseline = Vec::new();
+        for index in indices {
+            match pipeline.admit(&scenario.records[index]) {
+                Admitted::Quic(obs) => quic.push((index, obs)),
+                Admitted::Baseline(record) => baseline.push(record),
+                Admitted::Dropped => {}
+            }
+        }
+        let (_, _, ingest) = pipeline.finish();
         stats.ingest_ms = ms(ingest_start);
 
         // 2. Sanitize: behavioural detection corroborated by PeeringDB.
+        // Research detection is a per-source aggregation, and sources
+        // never span shards, so the per-shard result is the global
+        // result restricted to this shard.
         let sanitize_start = Instant::now();
         let filter = ResearchFilter::detect_with_asdb(
-            &observations,
+            quic.iter().map(|(_, obs)| obs),
             &scenario.world.asdb,
             config.research_min_packets,
             config.research_min_dsts,
@@ -413,7 +430,7 @@ impl Analysis {
         let mut research_packets = 0u64;
         let mut requests = Vec::new();
         let mut responses = Vec::new();
-        for obs in observations {
+        for (index, obs) in quic {
             if filter.is_research(obs.src) {
                 research_packets += 1;
                 research_hourly.add(obs.ts);
@@ -422,17 +439,17 @@ impl Analysis {
             match obs.direction {
                 Direction::Request => {
                     request_hourly.add(obs.ts);
-                    requests.push(obs);
+                    requests.push((index, obs));
                 }
                 Direction::Response => {
                     response_hourly.add(obs.ts);
-                    responses.push(obs);
+                    responses.push((index, obs));
                 }
             }
         }
         stats.sanitize_ms = ms(sanitize_start);
 
-        // 3. Sessionize (observations are in capture order).
+        // 3. Sessionize this shard's per-source streams.
         let sessionize_start = Instant::now();
         let session_config = SessionConfig {
             timeout: config.session_timeout,
@@ -442,11 +459,11 @@ impl Analysis {
             skew_tolerance: config.guard.reorder_tolerance,
         };
         let mut request_sessionizer = Sessionizer::new(session_config);
-        for obs in &requests {
+        for (_, obs) in &requests {
             request_sessionizer.offer_keyed(obs.ts, obs.src, obs.dissected.client_cid_key());
         }
         let mut response_sessionizer = Sessionizer::new(session_config);
-        for obs in &responses {
+        for (_, obs) in &responses {
             response_sessionizer.offer(obs.ts, obs.src);
         }
         let mut common_sessionizer = Sessionizer::new(session_config);
@@ -466,8 +483,7 @@ impl Analysis {
         let common_sessions = common_sessionizer.finish();
         stats.sessionize_ms = ms(sessionize_start);
 
-        let shard_stats = vec![stats.clone()];
-        FrontendProducts {
+        ShardProducts {
             ingest,
             research_sources,
             research_hourly,
@@ -482,135 +498,38 @@ impl Analysis {
             stats,
             session_counters,
             sessions_open_at_flush,
-            shard_stats,
         }
     }
 
-    /// Stages 1–3 sharded by `hash(src) % threads` across scoped
-    /// worker threads.
+    /// Stages 1–3, sharded by `hash(src) % threads`: one shard runs
+    /// inline on the caller's thread, more run on scoped worker
+    /// threads.
     ///
-    /// Every per-source computation (dissection is per-packet;
-    /// research detection, sessionization and the hourly split are
-    /// per-source) sees exactly the packets it would see sequentially,
-    /// because a source's packets all land in one shard in capture
-    /// order. The merge restores capture order via the original record
-    /// indices, so the output equals the sequential path bit for bit.
-    fn frontend_parallel(
-        scenario: &Scenario,
-        config: &AnalysisConfig,
-        threads: usize,
-    ) -> FrontendProducts {
-        let records = &scenario.records;
-        let asdb = &scenario.world.asdb;
-        let session_config = SessionConfig {
-            timeout: config.session_timeout,
-            skew_tolerance: config.guard.reorder_tolerance,
+    /// A source's packets all land in one shard in capture order, and
+    /// the merge restores capture order via the original record
+    /// indices, so the output is bit-for-bit the same at every thread
+    /// count.
+    fn frontend(scenario: &Scenario, config: &AnalysisConfig, threads: usize) -> FrontendProducts {
+        let shards: Vec<ShardProducts> = if threads == 1 {
+            vec![Self::run_shard(scenario, config, 0..scenario.records.len())]
+        } else {
+            let buckets = partition_by_source(&scenario.records, threads);
+            crossbeam::thread::scope(|scope| {
+                let handles: Vec<_> = buckets
+                    .iter()
+                    .map(|bucket| {
+                        scope.spawn(move |_| {
+                            Self::run_shard(scenario, config, bucket.iter().copied())
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("analysis shard worker panicked"))
+                    .collect()
+            })
+            .expect("analysis scope panicked")
         };
-        let buckets = partition_by_source(records, threads);
-
-        let run_shard = |indices: &[usize]| -> ShardProducts {
-            let mut stats = PipelineStats::default();
-
-            // 1. Ingest (this shard's records only).
-            let ingest_start = Instant::now();
-            let shard = ingest_shard_with(records, indices, config.guard);
-            stats.ingest_ms = ms(ingest_start);
-
-            // 2. Sanitize. Research detection is a per-source
-            // aggregation, and sources never span shards, so the
-            // per-shard result is the global result restricted to
-            // this shard.
-            let sanitize_start = Instant::now();
-            let filter = ResearchFilter::detect_with_asdb(
-                &shard.quic,
-                asdb,
-                config.research_min_packets,
-                config.research_min_dsts,
-            );
-            let research_sources = filter.sources().clone();
-
-            let mut research_hourly = HourlySeries::new();
-            let mut request_hourly = HourlySeries::new();
-            let mut response_hourly = HourlySeries::new();
-            let mut research_packets = 0u64;
-            let mut requests = Vec::new();
-            let mut responses = Vec::new();
-            for (obs, index) in shard.quic.into_iter().zip(shard.quic_index) {
-                if filter.is_research(obs.src) {
-                    research_packets += 1;
-                    research_hourly.add(obs.ts);
-                    continue;
-                }
-                match obs.direction {
-                    Direction::Request => {
-                        request_hourly.add(obs.ts);
-                        requests.push((index, obs));
-                    }
-                    Direction::Response => {
-                        response_hourly.add(obs.ts);
-                        responses.push((index, obs));
-                    }
-                }
-            }
-            stats.sanitize_ms = ms(sanitize_start);
-
-            // 3. Sessionize this shard's per-source streams.
-            let sessionize_start = Instant::now();
-            let mut request_sessionizer = Sessionizer::new(session_config);
-            for (_, obs) in &requests {
-                request_sessionizer.offer_keyed(obs.ts, obs.src, obs.dissected.client_cid_key());
-            }
-            let mut response_sessionizer = Sessionizer::new(session_config);
-            for (_, obs) in &responses {
-                response_sessionizer.offer(obs.ts, obs.src);
-            }
-            let mut common_sessionizer = Sessionizer::new(session_config);
-            for record in &shard.baseline {
-                common_sessionizer.offer(record.ts, record.src);
-            }
-            stats.peak_open_sessions = request_sessionizer.peak_open_count()
-                + response_sessionizer.peak_open_count()
-                + common_sessionizer.peak_open_count();
-            let (session_counters, sessions_open_at_flush) = session_tally([
-                &request_sessionizer,
-                &response_sessionizer,
-                &common_sessionizer,
-            ]);
-            let request_sessions = request_sessionizer.finish();
-            let response_sessions = response_sessionizer.finish();
-            let common_sessions = common_sessionizer.finish();
-            stats.sessionize_ms = ms(sessionize_start);
-
-            ShardProducts {
-                ingest: shard.stats,
-                research_sources,
-                research_hourly,
-                request_hourly,
-                response_hourly,
-                research_packets,
-                requests,
-                responses,
-                request_sessions,
-                response_sessions,
-                common_sessions,
-                stats,
-                session_counters,
-                sessions_open_at_flush,
-            }
-        };
-
-        let run_shard = &run_shard;
-        let shards: Vec<ShardProducts> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .iter()
-                .map(|indices| scope.spawn(move |_| run_shard(indices)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("analysis shard worker panicked"))
-                .collect()
-        })
-        .expect("analysis scope panicked");
 
         // Deterministic merge.
         let mut ingest = IngestStats::default();

@@ -212,10 +212,8 @@ impl Histogram {
 
 /// Stage-walltime buckets (microseconds): 25 µs … 60 s, roughly
 /// 1.5–2.5× steps. Stage walltimes at current speeds cluster in the
-/// 50 µs – 100 ms band; the original decade-ish buckets were so wide
-/// there that p50 and p99 landed in the same bucket and reported the
-/// same interpolated value (`BENCH_shard_scaling.json` showed
-/// p50 == p99 for every stage).
+/// 50 µs – 100 ms band; decade-wide buckets there put p50 and p99 in
+/// the same bucket, so both reported the same interpolated value.
 pub const STAGE_WALLTIME_MICROS_BUCKETS: &[u64] = &[
     25, 50, 100, 150, 250, 400, 650, 1_000, 1_500, 2_500, 4_000, 6_500, 10_000, 15_000, 25_000,
     40_000, 65_000, 100_000, 150_000, 250_000, 400_000, 650_000, 1_000_000, 1_500_000, 2_500_000,

@@ -33,8 +33,8 @@ impl ResearchFilter {
     /// the period exceeds `min_packets` *and* that touched more than
     /// `min_unique_dsts` distinct telescope addresses. Both conditions
     /// are orders of magnitude above any non-sweep source.
-    pub fn detect(
-        observations: &[QuicObservation],
+    pub fn detect<'a>(
+        observations: impl IntoIterator<Item = &'a QuicObservation>,
         min_packets: u64,
         min_unique_dsts: u64,
     ) -> Self {
@@ -57,8 +57,8 @@ impl ResearchFilter {
     /// Detection with education-network corroboration: behavioural
     /// candidates are kept only if their origin AS is an education
     /// network — the cross-check the paper performs against PeeringDB.
-    pub fn detect_with_asdb(
-        observations: &[QuicObservation],
+    pub fn detect_with_asdb<'a>(
+        observations: impl IntoIterator<Item = &'a QuicObservation>,
         asdb: &AsDatabase,
         min_packets: u64,
         min_unique_dsts: u64,

@@ -68,12 +68,6 @@ pub struct ShardIngest {
     pub stats: IngestStats,
 }
 
-/// Runs the sequential ingest over one shard's record indices with the
-/// default [`GuardConfig`].
-pub fn ingest_shard(records: &[PacketRecord], indices: &[usize]) -> ShardIngest {
-    ingest_shard_with(records, indices, GuardConfig::default())
-}
-
 /// Runs the sequential ingest over one shard's record indices, tagging
 /// every product with its original capture index.
 ///
@@ -142,14 +136,6 @@ pub fn merge_shards(
 ///
 /// `threads <= 1` runs the exact sequential [`TelescopePipeline`]
 /// path. Output is byte-identical at any thread count.
-pub fn ingest_parallel(
-    records: &[PacketRecord],
-    threads: usize,
-) -> (Vec<QuicObservation>, Vec<PacketRecord>, IngestStats) {
-    ingest_parallel_with(records, threads, GuardConfig::default())
-}
-
-/// [`ingest_parallel`] with explicit guard thresholds.
 pub fn ingest_parallel_with(
     records: &[PacketRecord],
     threads: usize,
@@ -252,7 +238,8 @@ mod tests {
         sequential.ingest_all(&records);
         let (seq_quic, seq_baseline, seq_stats) = sequential.finish();
         for threads in [1usize, 2, 3, 8] {
-            let (quic, baseline, stats) = ingest_parallel(&records, threads);
+            let (quic, baseline, stats) =
+                ingest_parallel_with(&records, threads, GuardConfig::default());
             assert_eq!(quic, seq_quic, "quic mismatch at {threads} threads");
             assert_eq!(
                 baseline, seq_baseline,
@@ -268,7 +255,7 @@ mod tests {
         let buckets = partition_by_source(&records, 3);
         let shards: Vec<ShardIngest> = buckets
             .iter()
-            .map(|indices| ingest_shard(&records, indices))
+            .map(|indices| ingest_shard_with(&records, indices, GuardConfig::default()))
             .collect();
         let (quic, baseline, stats) = merge_shards(shards);
         assert!(quic.windows(2).all(|w| w[0].ts <= w[1].ts));

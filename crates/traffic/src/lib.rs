@@ -31,8 +31,8 @@
 //! * [`scenarios`] — the post-2021 workload tier: connection-migration
 //!   abuse, evolving aggressive scanners, version drift and Retry
 //!   amplification, layered on the baseline scenario.
-//! * [`streaming`] — constant-memory lazy record generation for the
-//!   benchmark scale ladder (10M+ records without materializing).
+//! * [`streaming`] — constant-memory lazy record generation (10M+
+//!   records without materializing).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

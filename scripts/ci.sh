@@ -3,11 +3,7 @@
 #
 #   scripts/ci.sh              # everything (what a PR must pass)
 #   scripts/ci.sh --quick      # skip the release build, run debug tests only
-#   scripts/ci.sh bench-smoke  # only the benchmark-regression gate
-#   scripts/ci.sh scale-smoke  # only the medium-tier streaming ladder gate
-#   scripts/ci.sh scale-smoke-large
-#                              # opt-in large tier (10M records); no-op
-#                              # unless QUICSAND_BENCH_SCALE=large
+#   scripts/ci.sh bench-smoke  # only the benchmark/ package gate
 #   scripts/ci.sh events-smoke # only the qlog export + forensic replay gate
 #   scripts/ci.sh scenario-smoke
 #                              # only the post-2021 scenario-tier gate
@@ -18,121 +14,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 bench_smoke() {
-  # Benchmark-regression gate: run the two bench binaries on the small
-  # deterministic workload, validate the schema of the fresh
-  # BENCH_*.json reports, and compare them against the committed
-  # baselines (default tolerance 20%; QUICSAND_BENCH_TOLERANCE
-  # overrides, QUICSAND_BENCH_SKIP_COMPARE=1 validates schema only —
-  # for hosts not comparable to the baseline machine).
-  echo "==> bench-smoke: BENCH_*.json regression gate"
-  local bench_dir
-  bench_dir="$(mktemp -d)"
-  # shellcheck disable=SC2064
-  trap "rm -rf '$bench_dir'" RETURN
-  for bench in shard_scaling live_throughput multi_source; do
-    # shard_scaling additionally carries an absolute ingest-stage floor
-    # (records / median ingest walltime at 1 thread): the zero-copy
-    # decode path must stay >= 3x the pre-zero-copy baseline of ~785k
-    # rec/s, regardless of the relative tolerance.
-    floor_args=()
-    [[ "$bench" == "shard_scaling" ]] && floor_args=(--ingest-floor-rps 2360000)
-    # The multi_source report comes from the multi_source_throughput
-    # bin (4-source/1-shard reference configuration).
-    bin="$bench"
-    [[ "$bench" == "multi_source" ]] && bin="multi_source_throughput"
-    # Up to 3 attempts: on a shared single-core runner one run can be
-    # inflated severalfold by unrelated load, so a gate failure is only
-    # real if no attempt passes.
-    attempts=3
-    for attempt in $(seq 1 $attempts); do
-      QUICSAND_SCALE=test QUICSAND_BENCH_DIR="$bench_dir" \
-        cargo run -q --release -p quicsand-bench --bin "$bin" >/dev/null
-      cargo run -q --release -p quicsand-bench --bin bench_compare -- \
-        --validate "BENCH_$bench.json" "$bench_dir/BENCH_$bench.json"
-      if [[ "${QUICSAND_BENCH_SKIP_COMPARE:-0}" == "1" ]]; then
-        break
-      fi
-      if cargo run -q --release -p quicsand-bench --bin bench_compare -- \
-        --baseline "BENCH_$bench.json" --current "$bench_dir/BENCH_$bench.json" \
-        "${floor_args[@]}"; then
-        break
-      elif [[ "$attempt" -eq "$attempts" ]]; then
-        echo "bench-smoke: $bench failed the gate on all $attempts attempts" >&2
-        exit 1
-      else
-        echo "bench-smoke: $bench attempt $attempt failed; retrying (noisy runner?)" >&2
-      fi
-    done
-  done
-  echo "bench-smoke: baselines validated, no regression beyond tolerance — OK"
-}
-
-scale_tier() {
-  # Streaming scale-ladder gate at one tier (records generated lazily —
-  # the trace is never materialized, so memory stays constant) through
-  # multi_source_throughput and shard_scaling. The multi-source run
-  # additionally asserts the fan-in tax: 4-source wall time must stay
-  # within 1.5x of single-source. Fresh per-tier reports are
-  # schema-validated and gated against the committed
-  # BENCH_<name>@<tier>.json baselines (same tolerance/skip knobs as
-  # bench-smoke).
-  local tier="$1" label="$2"
-  echo "==> scale-smoke: $tier-tier streaming ladder ($label)"
-  local scale_dir
-  scale_dir="$(mktemp -d)"
-  # shellcheck disable=SC2064
-  trap "rm -rf '$scale_dir'" RETURN
-  for bench in multi_source shard_scaling; do
-    bin="$bench"
-    [[ "$bench" == "multi_source" ]] && bin="multi_source_throughput"
-    ratio_env=()
-    [[ "$bench" == "multi_source" ]] && ratio_env=(QUICSAND_MULTI_RATIO_MAX=1.5)
-    attempts=3
-    for attempt in $(seq 1 $attempts); do
-      # The ratio assertion lives inside the bin, so a noisy-runner
-      # violation also lands in the retry loop instead of hard-failing.
-      if ! env "${ratio_env[@]}" QUICSAND_BENCH_SCALE="$tier" \
-        QUICSAND_BENCH_DIR="$scale_dir" \
-        cargo run -q --release -p quicsand-bench --bin "$bin" >/dev/null; then
-        if [[ "$attempt" -eq "$attempts" ]]; then
-          echo "scale-smoke: $bench run failed on all $attempts attempts" >&2
-          exit 1
-        fi
-        echo "scale-smoke: $bench attempt $attempt failed; retrying (noisy runner?)" >&2
-        continue
-      fi
-      cargo run -q --release -p quicsand-bench --bin bench_compare -- \
-        --validate "BENCH_$bench@$tier.json" "$scale_dir/BENCH_$bench@$tier.json"
-      if [[ "${QUICSAND_BENCH_SKIP_COMPARE:-0}" == "1" ]]; then
-        break
-      fi
-      if cargo run -q --release -p quicsand-bench --bin bench_compare -- \
-        --baseline "BENCH_$bench@$tier.json" \
-        --current "$scale_dir/BENCH_$bench@$tier.json"; then
-        break
-      elif [[ "$attempt" -eq "$attempts" ]]; then
-        echo "scale-smoke: $bench failed the gate on all $attempts attempts" >&2
-        exit 1
-      else
-        echo "scale-smoke: $bench attempt $attempt failed; retrying (noisy runner?)" >&2
-      fi
-    done
-  done
-  echo "scale-smoke: $tier tier streamed in constant memory, fan-in ratio <= 1.5x — OK"
-}
-
-scale_smoke() {
-  scale_tier medium "1M records"
-}
-
-scale_smoke_large() {
-  # The large rung (10M records) is opt-in: it takes long enough that
-  # it only runs when the environment explicitly asks for it.
-  if [[ "${QUICSAND_BENCH_SCALE:-}" != "large" ]]; then
-    echo "scale-smoke-large: skipped (set QUICSAND_BENCH_SCALE=large to opt in)"
-    return 0
-  fi
-  scale_tier large "10M records"
+  # benchmark/ is a standalone package outside the workspace, so the
+  # --workspace lanes never see it: format, lint and test it here. The
+  # test is the selftest over `run --quick` — correctness checks on
+  # every workload, no timing threshold.
+  echo "==> bench-smoke: benchmark/ fmt, clippy, selftest"
+  cargo fmt --check --manifest-path benchmark/Cargo.toml
+  cargo clippy --offline --manifest-path benchmark/Cargo.toml -- -D warnings
+  cargo test --release --offline --manifest-path benchmark/Cargo.toml
+  echo "bench-smoke: benchmark/ formatted, lint-clean, selftest green — OK"
 }
 
 events_smoke() {
@@ -140,8 +30,8 @@ events_smoke() {
   # trace, validate the RFC 7464 JSON-SEQ framing, then export every
   # closed alert as a forensic slice and replay each through a fresh
   # detector (--replay hard-fails on any verdict divergence). The
-  # bench lanes gate the complementary claim: the no-subscriber path
-  # the bench bins run must stay within bench_compare tolerances, so
+  # benchmark gates the complementary claim: `live_rps` times the
+  # no-subscriber path and `events.qlog.overhead_share` the export, so
   # event emission costs nothing when nobody listens.
   echo "==> events-smoke: qlog export + forensic replay gate"
   local events_dir profile
@@ -225,16 +115,6 @@ scenario_smoke() {
 
 if [[ "${1:-}" == "bench-smoke" ]]; then
   bench_smoke
-  exit 0
-fi
-
-if [[ "${1:-}" == "scale-smoke" ]]; then
-  scale_smoke
-  exit 0
-fi
-
-if [[ "${1:-}" == "scale-smoke-large" ]]; then
-  scale_smoke_large
   exit 0
 fi
 
@@ -367,11 +247,8 @@ events_smoke
 
 if [[ $quick -eq 0 ]]; then
   bench_smoke
-  scale_smoke
-  scale_smoke_large
 else
   echo "==> bench-smoke skipped (--quick)"
-  echo "==> scale-smoke skipped (--quick)"
 fi
 
 echo "CI green."

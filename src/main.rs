@@ -21,26 +21,112 @@ use quicsand_traffic::{Scenario, ScenarioConfig, ScenarioKind};
 use std::io::BufWriter;
 use std::process::ExitCode;
 
+type Command = fn(&[String]) -> Result<(), String>;
+
+/// Every subcommand with the flags it defines. Anything else that looks
+/// like a flag is rejected before the command runs, so a typo
+/// (`--thread 1`) fails instead of silently running with the default.
+const COMMANDS: &[(&str, Command, &[&str])] = &[
+    (
+        "generate",
+        cmd_generate,
+        &["--out", "--scale", "--seed", "--scenario"],
+    ),
+    (
+        "analyze",
+        cmd_analyze,
+        &[
+            "--threads",
+            "--verbose",
+            "--fault-profile",
+            "--fault-seed",
+            "--metrics-out",
+            "--events-out",
+            "--scale",
+            "--seed",
+        ],
+    ),
+    (
+        "metrics",
+        cmd_metrics,
+        &[
+            "--format",
+            "--threads",
+            "--fault-profile",
+            "--fault-seed",
+            "--stable-only",
+            "--scale",
+            "--seed",
+        ],
+    ),
+    (
+        "live",
+        cmd_live,
+        &[
+            "--input",
+            "--window",
+            "--weight",
+            "--escalate",
+            "--shards",
+            "--chunk",
+            "--source-rate",
+            "--source-queue",
+            "--source-batch",
+            "--max-victims",
+            "--evidence-ring",
+            "--checkpoint-every",
+            "--alert-format",
+            "--metrics-out",
+            "--events-out",
+            "--verbose",
+        ],
+    ),
+    (
+        "replay",
+        cmd_replay,
+        &["--pps", "--requests", "--workers", "--retry", "--adaptive"],
+    ),
+    ("export", cmd_export, &["--pcap"]),
+    (
+        "forensics",
+        cmd_forensics,
+        &[
+            "--out",
+            "--replay",
+            "--window",
+            "--weight",
+            "--shards",
+            "--chunk",
+            "--evidence-ring",
+        ],
+    ),
+    (
+        "experiments",
+        cmd_experiments,
+        &["--scale", "--seed", "--threads"],
+    ),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = match command.as_str() {
-        "generate" => cmd_generate(&args[1..]),
-        "analyze" => cmd_analyze(&args[1..]),
-        "live" => cmd_live(&args[1..]),
-        "replay" => cmd_replay(&args[1..]),
-        "experiments" => cmd_experiments(&args[1..]),
-        "export" => cmd_export(&args[1..]),
-        "metrics" => cmd_metrics(&args[1..]),
-        "forensics" => cmd_forensics(&args[1..]),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+    if matches!(command.as_str(), "--help" | "-h" | "help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let rest = &args[1..];
+    let result = match COMMANDS.iter().find(|(name, ..)| name == command) {
+        None => Err(format!("unknown command `{command}`\n{USAGE}")),
+        Some((_, run, flags)) => match rest
+            .iter()
+            .find(|a| a.starts_with("--") && !flags.contains(&a.as_str()))
+        {
+            Some(flag) => Err(format!("unknown flag `{flag}` for `{command}`")),
+            None => run(rest),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -70,7 +156,11 @@ USAGE:
     quicsand analyze <file.qscp> [--threads N] [--verbose]
                      [--fault-profile none|standard|aggressive] [--fault-seed N]
                      [--metrics-out <file>] [--events-out <file.qlog>]
+                     [--scale test|demo|paper] [--seed N]
         Run the sessionization + DoS-inference pipeline on a capture.
+        --scale and --seed name the `generate` preset the capture came
+        from, so AS/provider lookups see the same synthetic Internet
+        (default: test preset, its own seed).
         --threads shards ingest+sessionization by source across N
         workers (default: all cores); results are identical at any N.
         --verbose adds a per-stage walltime breakdown.
@@ -90,6 +180,7 @@ USAGE:
 
     quicsand metrics <file.qscp> [--format prometheus|json] [--threads N]
                      [--fault-profile ...] [--fault-seed N] [--stable-only]
+                     [--scale test|demo|paper] [--seed N]
         Run the same pipeline and print only the metrics registry to
         stdout — Prometheus text exposition by default, canonical JSON
         with --format json. --stable-only drops volatile series
@@ -157,7 +248,7 @@ USAGE:
         Validate a qlog file's RFC 7464 JSON-SEQ framing and header,
         and print a record/event summary.
 
-    quicsand experiments [--scale test|demo|paper] [--threads N]
+    quicsand experiments [--scale test|demo|paper] [--seed N] [--threads N]
         Regenerate every paper table/figure and print the reports.";
 
 /// Looks up the value following `name`.

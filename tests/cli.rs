@@ -134,6 +134,71 @@ fn invalid_threads_is_rejected() {
     assert!(stderr.contains("--threads"), "stderr: {stderr}");
 }
 
+/// Regression: a flag the subcommand does not define used to be
+/// ignored, so `--thread 1` ran with the default thread count.
+#[test]
+fn unknown_flag_is_rejected_and_named() {
+    for (line, typo) in [
+        (
+            "generate --out unknown-flag.qscp --scale test --bogus-flag 3",
+            "--bogus-flag",
+        ),
+        ("analyze whatever.qscp --thread 1", "--thread"),
+        ("live whatever.qscp --shard 2", "--shard"),
+    ] {
+        let output = Command::new(bin())
+            .args(line.split_whitespace())
+            .output()
+            .expect("run");
+        assert!(!output.status.success(), "`{line}` succeeded");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("error: unknown flag `{typo}`")),
+            "`{line}` stderr: {stderr}"
+        );
+    }
+    // Rejected before the command ran: nothing was written.
+    assert!(!std::path::Path::new("unknown-flag.qscp").exists());
+}
+
+/// Every `--flag` the usage text lists under a subcommand must get
+/// past the unknown-flag check (it may still fail for a missing value
+/// or capture path — that is a different error).
+#[test]
+fn every_flag_in_usage_is_accepted() {
+    let help = Command::new(bin()).arg("--help").output().expect("run");
+    let usage = String::from_utf8_lossy(&help.stdout).into_owned();
+    let mut command = None;
+    let mut listed = std::collections::BTreeSet::new();
+    for line in usage.lines() {
+        if let Some(synopsis) = line.strip_prefix("    quicsand ") {
+            command = synopsis.split_whitespace().next();
+        }
+        let Some(command) = command else { continue };
+        for (at, _) in line.match_indices("--") {
+            let flag: String = line[at..]
+                .chars()
+                .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                .collect();
+            if flag.len() > 2 {
+                listed.insert((command, flag));
+            }
+        }
+    }
+    assert!(listed.len() > 40, "usage parse found only {listed:?}");
+    for (command, flag) in listed {
+        let output = Command::new(bin())
+            .args([command, flag.as_str()])
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            !stderr.contains("unknown flag"),
+            "{command} {flag}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn replay_reports_availability() {
     let output = Command::new(bin())

@@ -59,39 +59,44 @@ fn check(report: &Report) -> Result<(), String> {
     Ok(())
 }
 
-/// All scenario-derived artifacts, regenerated at the fixed test seed
-/// on a single thread, must match their checked-in snapshots.
+/// All scenario-derived artifacts, regenerated at the fixed test seed,
+/// must match their checked-in snapshots — inline on one shard and
+/// through the cross-shard merge on two threads, against the same
+/// files.
 #[test]
 fn figures_match_golden_snapshots() {
     let config = ScenarioConfig::test();
     let scenario = Scenario::generate(&config);
-    let analysis = Analysis::run(
-        &scenario,
-        &AnalysisConfig {
-            threads: 1,
-            ..AnalysisConfig::default()
-        },
-    );
+    let mut drifted = Vec::new();
+    for threads in [1, 2] {
+        let analysis = Analysis::run(
+            &scenario,
+            &AnalysisConfig {
+                threads,
+                ..AnalysisConfig::default()
+            },
+        );
 
-    let reports = vec![
-        exp::fig02::run(&scenario, &analysis),
-        exp::fig03::run(&scenario, &analysis),
-        exp::fig04::run(&analysis),
-        exp::fig05::run(&scenario, &analysis),
-        exp::fig06::run(&analysis),
-        exp::fig07::run(&analysis),
-        exp::fig08::run(&analysis),
-        exp::fig09::run(&scenario, &analysis),
-        exp::fig10::run(&scenario, &analysis),
-        exp::fig11::run(&analysis),
-        exp::fig12::run(&analysis),
-        exp::fig13::run(&analysis),
-    ];
-
-    let drifted: Vec<String> = reports
-        .iter()
-        .filter_map(|report| check(report).err())
-        .collect();
+        let reports = vec![
+            exp::fig02::run(&scenario, &analysis),
+            exp::fig03::run(&scenario, &analysis),
+            exp::fig04::run(&analysis),
+            exp::fig05::run(&scenario, &analysis),
+            exp::fig06::run(&analysis),
+            exp::fig07::run(&analysis),
+            exp::fig08::run(&analysis),
+            exp::fig09::run(&scenario, &analysis),
+            exp::fig10::run(&scenario, &analysis),
+            exp::fig11::run(&analysis),
+            exp::fig12::run(&analysis),
+            exp::fig13::run(&analysis),
+        ];
+        drifted.extend(reports.iter().filter_map(|report| {
+            check(report)
+                .err()
+                .map(|drift| format!("threads={threads}: {drift}"))
+        }));
+    }
     assert!(
         drifted.is_empty(),
         "golden drift in {} artifact(s):\n{}",
