@@ -8,11 +8,21 @@
 //! the capture-layer differential test that replays every entry through
 //! both the legacy copying reader and the zero-copy decoder.
 
+use bytes::Bytes;
+use quicsand_wire::crypto::{seal, InitialSecrets, TAG_LEN};
+use quicsand_wire::header::{LongHeader, LongPacketType};
+use quicsand_wire::tls::{cipher_suite, ClientHello};
+use quicsand_wire::varint::write_varint;
+use quicsand_wire::{ConnectionId, Frame, Version};
+
 /// What a corpus entry must dissect to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorpusExpect {
     /// Must parse successfully.
     Ok,
+    /// Must parse successfully as one Initial with exactly this Client
+    /// Hello verdict.
+    ClientHello(bool),
     /// Must be rejected as an empty payload.
     Empty,
     /// Must be rejected as truncated.
@@ -77,7 +87,49 @@ fn minimal_retry(tag_bytes: usize) -> Vec<u8> {
     wire
 }
 
-/// The full adversarial corpus (40 entries).
+/// A client Initial whose tag verifies under the key any observer
+/// derives from its DCID, around an arbitrary `plaintext` — anyone can
+/// craft these, so what follows a valid tag is still hostile input.
+fn sealed_client_initial(plaintext: &[u8]) -> Vec<u8> {
+    let dcid = ConnectionId::from_u64(0x00c0_ffee);
+    let mut wire = Vec::new();
+    LongHeader {
+        ty: LongPacketType::Initial,
+        version: Version::V1,
+        dcid,
+        scid: ConnectionId::EMPTY,
+    }
+    .encode(&mut wire, 1)
+    .expect("pn_len 1 is legal");
+    wire.push(0x00); // token length
+    write_varint(&mut wire, (1 + plaintext.len() + TAG_LEN) as u64).expect("fits a varint");
+    let key = InitialSecrets::client_key(Version::V1, &dcid);
+    let sealed = seal(key, 0, &wire, plaintext);
+    wire.push(0x00); // packet number 0
+    wire.extend_from_slice(&sealed);
+    wire
+}
+
+/// A CRYPTO frame at offset 0 carrying a TLS Client Hello.
+fn client_hello_frame() -> Vec<u8> {
+    let hello = ClientHello {
+        random: [1u8; 32],
+        cipher_suites: vec![cipher_suite::AES_128_GCM_SHA256],
+        server_name: Some("example.org".into()),
+        alpn: vec!["h3".into()],
+        key_share: Bytes::from_static(&[2u8; 32]),
+    };
+    let mut frame = Vec::new();
+    Frame::Crypto {
+        offset: 0,
+        data: Bytes::from(hello.encode()),
+    }
+    .encode(&mut frame)
+    .expect("crypto frame encodes");
+    frame
+}
+
+/// The full adversarial corpus (45 entries).
 pub fn adversarial_corpus() -> Vec<CorpusEntry> {
     use CorpusExpect as E;
     let entry = |name, payload, expect| CorpusEntry {
@@ -324,6 +376,34 @@ pub fn adversarial_corpus() -> Vec<CorpusEntry> {
             },
             E::Ok,
         ),
+        // --- valid tag, hostile plaintext -------------------------
+        entry(
+            "opened initial, plaintext is padding only",
+            sealed_client_initial(&[0u8; 40]),
+            E::ClientHello(false),
+        ),
+        entry(
+            "opened initial, plaintext is a lone padding byte",
+            sealed_client_initial(&[0x00]),
+            E::ClientHello(false),
+        ),
+        entry(
+            "opened initial, padding before the client hello",
+            sealed_client_initial(&[vec![0u8; 11], client_hello_frame()].concat()),
+            E::ClientHello(true),
+        ),
+        entry(
+            "opened initial, padding run ends exactly at the buffer end",
+            sealed_client_initial(&[client_hello_frame(), vec![0u8; 13]].concat()),
+            E::ClientHello(true),
+        ),
+        entry(
+            // Every frame must decode: a Client Hello in front of a
+            // frame type outside the subset is not a Client Hello.
+            "opened initial, client hello then an unknown frame type",
+            sealed_client_initial(&[client_hello_frame(), vec![0x30, 0x01]].concat()),
+            E::ClientHello(false),
+        ),
     ]
 }
 
@@ -337,6 +417,11 @@ pub fn assert_expected(
     use crate::DissectError;
     match expect {
         CorpusExpect::Ok => assert!(result.is_ok(), "{name}: expected Ok, got {result:?}"),
+        CorpusExpect::ClientHello(verdict) => assert!(
+            matches!(result, Ok(d) if matches!(d.messages.as_slice(),
+                [m] if m.kind == crate::MessageKind::Initial && m.has_client_hello == verdict)),
+            "{name}: expected one Initial with has_client_hello == {verdict}, got {result:?}"
+        ),
         CorpusExpect::Empty => assert!(
             matches!(result, Err(DissectError::Empty)),
             "{name}: expected Empty, got {result:?}"
@@ -368,7 +453,7 @@ mod tests {
     #[test]
     fn corpus_entries_have_unique_names() {
         let corpus = adversarial_corpus();
-        assert_eq!(corpus.len(), 40);
+        assert_eq!(corpus.len(), 45);
         let mut names: Vec<_> = corpus.iter().map(|e| e.name).collect();
         names.sort_unstable();
         names.dedup();

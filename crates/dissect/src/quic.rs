@@ -16,11 +16,27 @@
 //! Server Hello reply — the §6 backscatter signature.
 
 use quicsand_wire::crypto::InitialSecrets;
-use quicsand_wire::packet::{parse_datagram, ParsedHeader};
+use quicsand_wire::header::LongPacketType;
+use quicsand_wire::packet::{walk_datagram, PacketView, ParsedHeader};
 use quicsand_wire::tls::{peek_handshake_type, HandshakeType};
 use quicsand_wire::{ConnectionId, Frame, Version, WireError};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::fmt;
+
+/// Per-thread buffers every dissection reuses, so that after warm-up
+/// dissecting allocates nothing but the returned messages.
+#[derive(Default)]
+struct Scratch {
+    /// Plaintext of the Initial being trial-decrypted.
+    plaintext: Vec<u8>,
+    /// Messages of the datagram in progress; cloned out at exact size.
+    messages: Vec<MessageMeta>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
 
 /// Typed dissection failure: *why* a UDP payload was rejected.
 ///
@@ -198,104 +214,97 @@ pub fn dissect_udp_payload(payload: &[u8]) -> Result<DissectedPacket, DissectErr
     if payload.is_empty() {
         return Err(DissectError::Empty);
     }
-    let parsed = parse_datagram(payload, 8).map_err(DissectError::from_wire)?;
-    if parsed.is_empty() {
-        return Err(DissectError::Truncated(WireError::UnexpectedEnd {
-            what: "datagram",
-        }));
-    }
-    let mut messages = Vec::with_capacity(parsed.len());
-    for (packet, aad) in &parsed {
-        let meta = match &packet.header {
-            ParsedHeader::Long {
-                ty,
-                version,
-                dcid,
-                scid,
-                ..
-            } => {
-                if let Version::Unknown(v) = version {
-                    return Err(DissectError::BadVersion(*v));
-                }
-                let kind = match ty {
-                    quicsand_wire::header::LongPacketType::Initial => MessageKind::Initial,
-                    quicsand_wire::header::LongPacketType::ZeroRtt => MessageKind::ZeroRtt,
-                    quicsand_wire::header::LongPacketType::Handshake => MessageKind::Handshake,
-                    quicsand_wire::header::LongPacketType::Retry => MessageKind::Retry,
-                };
-                let has_client_hello = kind == MessageKind::Initial
-                    && initial_carries_client_hello(packet, aad, *version, dcid);
-                MessageMeta {
-                    kind,
-                    version: Some(version.to_wire()),
-                    scid: Some(*scid),
-                    dcid: *dcid,
-                    has_client_hello,
-                    wire_len: packet.wire_len,
-                }
+    SCRATCH.with(|scratch| {
+        let Scratch {
+            plaintext,
+            messages,
+        } = &mut *scratch.borrow_mut();
+        messages.clear();
+        // A structural error anywhere in the datagram outranks an unknown
+        // version in an earlier packet (the quarantine taxonomy depends
+        // on that order), so the version verdict waits for the walk to
+        // reach the end.
+        let mut bad_version = None;
+        for packet in walk_datagram(payload, 8) {
+            let packet = packet.map_err(DissectError::from_wire)?;
+            if let Some(Version::Unknown(v)) = packet.header.version() {
+                bad_version.get_or_insert(v);
             }
-            ParsedHeader::Retry {
-                version,
-                dcid,
-                scid,
-                ..
-            } => {
-                if let Version::Unknown(v) = version {
-                    return Err(DissectError::BadVersion(*v));
-                }
-                MessageMeta {
-                    kind: MessageKind::Retry,
-                    version: Some(version.to_wire()),
-                    scid: Some(*scid),
-                    dcid: *dcid,
-                    has_client_hello: false,
-                    wire_len: packet.wire_len,
-                }
+            if bad_version.is_none() {
+                messages.push(message_meta(&packet, plaintext));
             }
-            ParsedHeader::VersionNegotiation { dcid, scid, .. } => MessageMeta {
-                kind: MessageKind::VersionNegotiation,
-                version: Some(0),
-                scid: Some(*scid),
-                dcid: *dcid,
-                has_client_hello: false,
-                wire_len: packet.wire_len,
-            },
-            ParsedHeader::Short { dcid, .. } => MessageMeta {
-                kind: MessageKind::OneRtt,
-                version: None,
-                scid: None,
-                dcid: *dcid,
-                has_client_hello: false,
-                wire_len: packet.wire_len,
-            },
-        };
-        messages.push(meta);
+        }
+        match bad_version {
+            Some(v) => Err(DissectError::BadVersion(v)),
+            None => Ok(DissectedPacket {
+                messages: messages.clone(),
+            }),
+        }
+    })
+}
+
+/// The metadata of one structurally valid packet of a known version.
+fn message_meta(packet: &PacketView<'_>, plaintext: &mut Vec<u8>) -> MessageMeta {
+    let header = &packet.header;
+    let kind = match header {
+        ParsedHeader::Long { ty, .. } => match ty {
+            LongPacketType::Initial => MessageKind::Initial,
+            LongPacketType::ZeroRtt => MessageKind::ZeroRtt,
+            LongPacketType::Handshake => MessageKind::Handshake,
+            LongPacketType::Retry => MessageKind::Retry,
+        },
+        ParsedHeader::Retry { .. } => MessageKind::Retry,
+        ParsedHeader::VersionNegotiation { .. } => MessageKind::VersionNegotiation,
+        ParsedHeader::Short { .. } => MessageKind::OneRtt,
+    };
+    let has_client_hello = match header {
+        ParsedHeader::Long {
+            ty: LongPacketType::Initial,
+            version,
+            dcid,
+            ..
+        } => initial_carries_client_hello(packet, *version, dcid, plaintext),
+        _ => false,
+    };
+    MessageMeta {
+        kind,
+        version: header.version().map(Version::to_wire),
+        scid: header.scid(),
+        dcid: header.dcid(),
+        has_client_hello,
+        wire_len: packet.wire_len,
     }
-    Ok(DissectedPacket { messages })
 }
 
 /// Attempts the passive Initial decryption and Client Hello detection.
 fn initial_carries_client_hello(
-    packet: &quicsand_wire::packet::ParsedPacket,
-    aad: &[u8],
+    packet: &PacketView<'_>,
     version: Version,
     dcid: &ConnectionId,
+    plaintext: &mut Vec<u8>,
 ) -> bool {
     // A passive observer derives the *client* Initial key from the DCID
     // in the packet itself. For client-sent Initials this succeeds; for
     // server replies it cannot (the server seals under keys derived from
     // the client's original DCID, not from the DCID of the reply).
-    let keys = InitialSecrets::derive(version, dcid);
-    let Ok((_, frames)) = packet.open(keys.client, None, aad) else {
+    let key = InitialSecrets::client_key(version, dcid);
+    if packet.open_into(key, None, plaintext).is_err() {
         return false;
-    };
-    frames.iter().any(|f| {
-        if let Frame::Crypto { data, .. } = f {
-            peek_handshake_type(data) == Ok(HandshakeType::ClientHello)
-        } else {
-            false
+    }
+    // Every frame must decode, not just those up to the first CRYPTO
+    // frame: Initial keys are public, so a valid tag over a Client Hello
+    // with a garbage tail is craftable and must stay `false`.
+    let mut client_hello = false;
+    for frame in Frame::walk(plaintext) {
+        match frame {
+            Ok(Frame::Crypto { data, .. }) => {
+                client_hello |= peek_handshake_type(data) == Ok(HandshakeType::ClientHello);
+            }
+            Ok(_) => {}
+            Err(_) => return false,
         }
-    })
+    }
+    client_hello
 }
 
 #[cfg(test)]

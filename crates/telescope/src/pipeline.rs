@@ -450,10 +450,16 @@ impl std::hash::BuildHasher for SourceMapHasherBuilder {
 /// The mixing function is a wyhash-style folded multiply over 8-byte
 /// little-endian lanes rather than byte-at-a-time FNV-1a: this hash runs
 /// once per record on the ingest hot path, where FNV's one multiply per
-/// *byte* was the single largest cost. The value is an internal
-/// fingerprint only — it feeds dedup decisions and checkpoint
-/// round-trips, never golden artifacts — so the function can change as
-/// long as it stays deterministic across platforms.
+/// *byte* was the single largest cost. A UDP payload goes through four
+/// independent lanes per 32-byte block, folded at the end, so a
+/// 1200-byte Initial is 38 overlapping rounds of multiplies instead of a
+/// chain of 150. The value is an internal fingerprint only — it feeds
+/// dedup decisions and checkpoint round-trips, never golden artifacts —
+/// so the function can change as long as it stays deterministic across
+/// platforms. It last changed with the four-lane payload fold: a
+/// checkpoint written by an older build resumes correctly, but its stored
+/// `last_hash` values no longer match, so one duplicate per source can
+/// slip through at the seam.
 pub fn record_hash(record: &PacketRecord) -> u64 {
     // Fixed-layout prefix: timestamp, addresses, transport tag + ports
     // packed into two words.
@@ -472,7 +478,18 @@ pub fn record_hash(record: &PacketRecord) -> u64 {
                 0x11 << 32 | u64::from(*src_port) << 16 | u64::from(*dst_port),
             );
             let bytes = payload.as_ref();
-            let mut chunks = bytes.chunks_exact(8);
+            // 32-byte blocks go through four independent lanes, so the
+            // multiplies of one block overlap instead of queueing behind
+            // each other; the lanes start apart and are folded in order.
+            let mut lanes = [hash, !hash, hash.rotate_left(21), hash.rotate_left(42)];
+            let mut blocks = bytes.chunks_exact(32);
+            for block in &mut blocks {
+                for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                    *lane = hash_mix(*lane, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+                }
+            }
+            hash = hash_mix(hash_mix(lanes[0], lanes[1]), hash_mix(lanes[2], lanes[3]));
+            let mut chunks = blocks.remainder().chunks_exact(8);
             for chunk in &mut chunks {
                 let lane = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
                 hash = hash_mix(hash, lane);

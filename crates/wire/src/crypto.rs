@@ -9,8 +9,8 @@
 //! * [`InitialSecrets::derive`] — per-connection keys from `(version,
 //!   client DCID)`, so any passive observer (our dissector) can recompute
 //!   the Initial keys, exactly as on the real wire;
-//! * [`seal`] / [`open`] — authenticated encryption with a 16-byte tag
-//!   over the header (AAD) and ciphertext.
+//! * [`seal`] / [`open_into`] — authenticated encryption with a 16-byte
+//!   tag over the header (AAD) and ciphertext.
 //!
 //! The substitution is documented in DESIGN.md §2; nothing here is
 //! cryptographically secure, and nothing needs to be.
@@ -50,20 +50,38 @@ pub struct InitialSecrets {
 }
 
 impl InitialSecrets {
-    /// Derives Initial keys from the client's first DCID, as any passive
-    /// observer of the Initial can (RFC 9001 §5.2 structure).
-    pub fn derive(version: Version, client_dcid: &ConnectionId) -> Self {
+    /// The derivation base key and the per-connection seed both
+    /// directional keys hang off.
+    fn seed(version: Version, client_dcid: &ConnectionId) -> (SipKey, u64) {
         let salt = initial_salt(version);
         let base = SipKey {
             k0: salt,
             k1: salt.rotate_left(17) ^ 0x6b65_795f_6261_7365,
         };
-        let seed = siphash24(base, client_dcid.as_slice());
+        (base, siphash24(base, client_dcid.as_slice()))
+    }
+
+    fn client_from(base: SipKey, seed: u64) -> SipKey {
+        SipKey {
+            k0: seed,
+            k1: siphash24(base, &seed.to_le_bytes()),
+        }
+    }
+
+    /// Derives only the client-to-server Initial key — the one key a
+    /// passive observer trial-decrypts with, once per candidate Initial.
+    /// Equal to `derive(..).client`.
+    pub fn client_key(version: Version, client_dcid: &ConnectionId) -> SipKey {
+        let (base, seed) = Self::seed(version, client_dcid);
+        Self::client_from(base, seed)
+    }
+
+    /// Derives Initial keys from the client's first DCID, as any passive
+    /// observer of the Initial can (RFC 9001 §5.2 structure).
+    pub fn derive(version: Version, client_dcid: &ConnectionId) -> Self {
+        let (base, seed) = Self::seed(version, client_dcid);
         InitialSecrets {
-            client: SipKey {
-                k0: seed,
-                k1: siphash24(base, &seed.to_le_bytes()),
-            },
+            client: Self::client_from(base, seed),
             server: SipKey {
                 k0: seed ^ 0x7365_7276_6572_0001,
                 k1: siphash24(base, &(seed ^ 1).to_le_bytes()),
@@ -111,12 +129,23 @@ pub fn seal(key: SipKey, packet_number: u64, header: &[u8], plaintext: &[u8]) ->
     out
 }
 
-/// Opens a sealed payload produced by [`seal`].
+/// Opens a sealed payload produced by [`seal`] into a caller-owned
+/// buffer: `out` is overwritten with the plaintext and keeps its
+/// capacity, so a dissector that trial-decrypts every candidate Initial
+/// does so without allocating. The tag is verified over the borrowed
+/// `header` and `sealed` before anything is written; on failure `out` is
+/// left as it was.
 ///
 /// # Errors
 /// [`WireError::AeadFailure`] if the tag does not verify or the input is
 /// shorter than a tag.
-pub fn open(key: SipKey, packet_number: u64, header: &[u8], sealed: &[u8]) -> WireResult<Vec<u8>> {
+pub fn open_into(
+    key: SipKey,
+    packet_number: u64,
+    header: &[u8],
+    sealed: &[u8],
+    out: &mut Vec<u8>,
+) -> WireResult<()> {
     if sealed.len() < TAG_LEN {
         return Err(WireError::AeadFailure);
     }
@@ -125,9 +154,10 @@ pub fn open(key: SipKey, packet_number: u64, header: &[u8], sealed: &[u8]) -> Wi
     if tag != expected {
         return Err(WireError::AeadFailure);
     }
-    let mut out = ciphertext.to_vec();
-    KeyStream::new(key, packet_number).apply(&mut out);
-    Ok(out)
+    out.clear();
+    out.extend_from_slice(ciphertext);
+    KeyStream::new(key, packet_number).apply(out);
+    Ok(())
 }
 
 fn compute_tag(key: SipKey, packet_number: u64, header: &[u8], ciphertext: &[u8]) -> [u8; 16] {
@@ -150,6 +180,13 @@ mod tests {
         ConnectionId::new(&[1, 2, 3, 4, 5, 6, 7, 8]).unwrap()
     }
 
+    fn open(key: SipKey, pn: u64, header: &[u8], sealed: &[u8]) -> WireResult<Vec<u8>> {
+        // Stale contents must not survive into the plaintext.
+        let mut out = b"stale".to_vec();
+        open_into(key, pn, header, sealed, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn derive_is_deterministic_and_directional() {
         let a = InitialSecrets::derive(Version::V1, &dcid());
@@ -158,6 +195,7 @@ mod tests {
         assert_ne!(a.client, a.server);
         assert_eq!(a.key(Direction::ClientToServer), a.client);
         assert_eq!(a.key(Direction::ServerToClient), a.server);
+        assert_eq!(InitialSecrets::client_key(Version::V1, &dcid()), a.client);
     }
 
     #[test]

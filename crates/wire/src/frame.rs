@@ -41,8 +41,12 @@ pub struct AckRange {
 }
 
 /// A decoded QUIC frame.
+///
+/// `D` is how the frame holds its byte strings: [`Bytes`] for the owned
+/// frames endpoints build and keep, `&[u8]` for a [`FrameRef`] that
+/// borrows them from the packet plaintext it was decoded from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
+pub enum Frame<D = Bytes> {
     /// A run of PADDING frames, coalesced (each PADDING frame is a single
     /// zero byte; runs are the norm because Initials are padded to
     /// 1200 bytes).
@@ -67,7 +71,7 @@ pub enum Frame {
         /// Offset of this chunk in the CRYPTO stream.
         offset: u64,
         /// The handshake bytes.
-        data: Bytes,
+        data: D,
     },
     /// NEW_TOKEN — a server-issued token the client may present in a
     /// *future* connection's Initial (RFC 9000 §19.7). This is the
@@ -75,7 +79,7 @@ pub enum Frame {
     /// alleviating the RETRY round-trip penalty.
     NewToken {
         /// The opaque token (non-empty).
-        token: Bytes,
+        token: D,
     },
     /// NEW_CONNECTION_ID — how servers hand out additional CIDs; the
     /// SCID-counting analysis of Fig. 9 observes their effect.
@@ -96,10 +100,62 @@ pub enum Frame {
         /// Frame type that triggered the error (0 if unknown).
         frame_type: u64,
         /// Human-readable reason phrase.
-        reason: Bytes,
+        reason: D,
     },
     /// HANDSHAKE_DONE — sent by servers at handshake confirmation.
     HandshakeDone,
+}
+
+/// A frame whose byte strings borrow from the plaintext it was decoded
+/// from — what [`Frame::walk`] yields, so a passive observer can inspect
+/// a packet's frames without copying its CRYPTO data.
+pub type FrameRef<'a> = Frame<&'a [u8]>;
+
+/// Length of the run of zero bytes at the front of `bytes`, scanned a
+/// word at a time: client Initials are padded to 1200 bytes, so this is
+/// most of what decoding one costs.
+fn zero_run(bytes: &[u8]) -> usize {
+    let words = bytes
+        .chunks_exact(8)
+        .take_while(|word| u64::from_ne_bytes((*word).try_into().expect("8 bytes")) == 0)
+        .count();
+    let scanned = words * 8;
+    scanned + bytes[scanned..].iter().take_while(|&&b| b == 0).count()
+}
+
+/// Splits `len` bytes off the front of `buf`.
+///
+/// # Errors
+/// [`WireError::LengthOutOfBounds`] if `buf` is shorter than `len`.
+pub(crate) fn take<'a>(buf: &mut &'a [u8], len: usize) -> WireResult<&'a [u8]> {
+    if buf.len() < len {
+        return Err(WireError::LengthOutOfBounds {
+            claimed: len,
+            available: buf.len(),
+        });
+    }
+    let (head, rest) = buf.split_at(len);
+    *buf = rest;
+    Ok(head)
+}
+
+/// Iterator over the frames of a packet plaintext; see [`Frame::walk`].
+#[derive(Debug, Clone)]
+pub struct Frames<'a>(&'a [u8]);
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = WireResult<FrameRef<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.0.is_empty() {
+            return None;
+        }
+        let frame = FrameRef::decode_borrowed(&mut self.0);
+        if frame.is_err() {
+            self.0 = &[];
+        }
+        Some(frame)
+    }
 }
 
 impl Frame {
@@ -196,23 +252,23 @@ impl Frame {
         }
         Ok(())
     }
+}
 
+impl<'a> FrameRef<'a> {
     /// Decodes a single frame from the front of `buf` (coalescing PADDING
-    /// runs into one frame).
+    /// runs into one frame), borrowing its byte strings from `buf`. This
+    /// is the one frame decoder; [`Frame::decode`] copies out of it.
     ///
     /// # Errors
     /// [`WireError::UnknownFrameType`] for types outside our subset and
     /// the usual truncation errors.
-    pub fn decode<B: Buf>(buf: &mut B) -> WireResult<Frame> {
+    pub fn decode_borrowed(buf: &mut &'a [u8]) -> WireResult<Self> {
         let ty = read_varint(buf)?;
         match ty {
             frame_type::PADDING => {
-                let mut len = 1usize;
-                while buf.remaining() > 0 && buf.chunk()[0] == 0 {
-                    buf.advance(1);
-                    len += 1;
-                }
-                Ok(Frame::Padding { len })
+                let run = zero_run(buf);
+                buf.advance(run);
+                Ok(Frame::Padding { len: 1 + run })
             }
             frame_type::PING => Ok(Frame::Ping),
             frame_type::ACK => {
@@ -258,13 +314,7 @@ impl Frame {
             frame_type::CRYPTO => {
                 let offset = read_varint(buf)?;
                 let len = read_varint(buf)? as usize;
-                if buf.remaining() < len {
-                    return Err(WireError::LengthOutOfBounds {
-                        claimed: len,
-                        available: buf.remaining(),
-                    });
-                }
-                let data = buf.copy_to_bytes(len);
+                let data = take(buf, len)?;
                 Ok(Frame::Crypto { offset, data })
             }
             frame_type::NEW_TOKEN => {
@@ -274,14 +324,8 @@ impl Frame {
                         what: "new_token token length",
                     });
                 }
-                if buf.remaining() < len {
-                    return Err(WireError::LengthOutOfBounds {
-                        claimed: len,
-                        available: buf.remaining(),
-                    });
-                }
                 Ok(Frame::NewToken {
-                    token: buf.copy_to_bytes(len),
+                    token: take(buf, len)?,
                 })
             }
             frame_type::NEW_CONNECTION_ID => {
@@ -311,13 +355,7 @@ impl Frame {
                 let error_code = read_varint(buf)?;
                 let ft = read_varint(buf)?;
                 let len = read_varint(buf)? as usize;
-                if buf.remaining() < len {
-                    return Err(WireError::LengthOutOfBounds {
-                        claimed: len,
-                        available: buf.remaining(),
-                    });
-                }
-                let reason = buf.copy_to_bytes(len);
+                let reason = take(buf, len)?;
                 Ok(Frame::ConnectionClose {
                     error_code,
                     frame_type: ft,
@@ -329,16 +367,84 @@ impl Frame {
         }
     }
 
+    /// Copies the borrowed byte strings into an owned [`Frame`].
+    pub fn into_owned(self) -> Frame {
+        match self {
+            Frame::Padding { len } => Frame::Padding { len },
+            Frame::Ping => Frame::Ping,
+            Frame::Ack {
+                largest,
+                delay,
+                ranges,
+            } => Frame::Ack {
+                largest,
+                delay,
+                ranges,
+            },
+            Frame::Crypto { offset, data } => Frame::Crypto {
+                offset,
+                data: Bytes::copy_from_slice(data),
+            },
+            Frame::NewToken { token } => Frame::NewToken {
+                token: Bytes::copy_from_slice(token),
+            },
+            Frame::NewConnectionId {
+                seq,
+                retire_prior_to,
+                cid,
+                reset_token,
+            } => Frame::NewConnectionId {
+                seq,
+                retire_prior_to,
+                cid,
+                reset_token,
+            },
+            Frame::ConnectionClose {
+                error_code,
+                frame_type,
+                reason,
+            } => Frame::ConnectionClose {
+                error_code,
+                frame_type,
+                reason: Bytes::copy_from_slice(reason),
+            },
+            Frame::HandshakeDone => Frame::HandshakeDone,
+        }
+    }
+}
+
+impl Frame {
+    /// Decodes a single frame from the front of `buf` (coalescing PADDING
+    /// runs into one frame). On error `buf` is left where it was.
+    ///
+    /// # Errors
+    /// [`WireError::UnknownFrameType`] for types outside our subset and
+    /// the usual truncation errors.
+    pub fn decode<B: Buf>(buf: &mut B) -> WireResult<Frame> {
+        // The vendored `Buf::chunk` is all the unread bytes, so the
+        // borrowed decoder sees the whole buffer.
+        let mut rest = buf.chunk();
+        let frame = FrameRef::decode_borrowed(&mut rest)?.into_owned();
+        let used = buf.remaining() - rest.len();
+        buf.advance(used);
+        Ok(frame)
+    }
+
+    /// Walks every frame in `plaintext` until it is exhausted or one
+    /// fails to decode, yielding borrowed frames without allocating for
+    /// anything but ACK ranges.
+    pub fn walk(plaintext: &[u8]) -> Frames<'_> {
+        Frames(plaintext)
+    }
+
     /// Decodes every frame in `buf` until it is exhausted.
     ///
     /// # Errors
     /// Propagates the first decode error.
-    pub fn decode_all(mut buf: &[u8]) -> WireResult<Vec<Frame>> {
-        let mut frames = Vec::new();
-        while !buf.is_empty() {
-            frames.push(Frame::decode(&mut buf)?);
-        }
-        Ok(frames)
+    pub fn decode_all(buf: &[u8]) -> WireResult<Vec<Frame>> {
+        Frame::walk(buf)
+            .map(|frame| frame.map(FrameRef::into_owned))
+            .collect()
     }
 
     /// Whether this frame is ack-eliciting (RFC 9002 §2): everything but
@@ -601,6 +707,63 @@ mod tests {
             }
             let frame = Frame::Ack { largest, delay: 0, ranges };
             prop_assert_eq!(roundtrip(&frame), frame);
+        }
+
+        #[test]
+        fn prop_padding_run_then_frame_agrees_across_buffers(
+            run in 1usize..=1500,
+            pick in 0usize..7,
+            data in proptest::collection::vec(any::<u8>(), 1..64),
+        ) {
+            let data = Bytes::from(data);
+            let next = match pick {
+                0 => Frame::Ping,
+                1 => Frame::Ack { largest: 9, delay: 1, ranges: vec![AckRange { start: 4, end: 9 }] },
+                2 => Frame::Crypto { offset: 3, data },
+                3 => Frame::NewToken { token: data },
+                4 => Frame::NewConnectionId {
+                    seq: 1,
+                    retire_prior_to: 0,
+                    cid: ConnectionId::from_u64(7),
+                    reset_token: [9; 16],
+                },
+                5 => Frame::ConnectionClose { error_code: 1, frame_type: 0, reason: data },
+                _ => Frame::HandshakeDone,
+            };
+            let mut wire = Vec::new();
+            Frame::Padding { len: run }.encode(&mut wire).unwrap();
+            next.encode(&mut wire).unwrap();
+
+            let mut slice = &wire[..];
+            let from_slice = (Frame::decode(&mut slice).unwrap(), Frame::decode(&mut slice).unwrap());
+            prop_assert!(slice.is_empty());
+            let mut bytes = Bytes::from(wire.clone());
+            let from_bytes = (Frame::decode(&mut bytes).unwrap(), Frame::decode(&mut bytes).unwrap());
+            prop_assert!(bytes.is_empty());
+            prop_assert_eq!(&from_slice, &from_bytes);
+            prop_assert_eq!(from_slice, (Frame::Padding { len: run }, next));
+        }
+
+        #[test]
+        fn prop_padding_scan_matches_bytewise_oracle(
+            run in 1usize..=1500,
+            align in 0usize..8,
+            stop in 1u8..=255,
+            stopped in any::<bool>(),
+        ) {
+            // `align` junk bytes in front shift where the run starts in
+            // the backing buffer; the run ends at a non-zero byte or at
+            // the end of the buffer.
+            let mut backing = vec![0xffu8; align];
+            backing.resize(align + run, 0);
+            if stopped {
+                backing.push(stop);
+            }
+            let wire = &backing[align..];
+            let oracle = wire.iter().take_while(|&&b| b == 0).count();
+            let mut slice = wire;
+            prop_assert_eq!(Frame::decode(&mut slice).unwrap(), Frame::Padding { len: oracle });
+            prop_assert_eq!(slice.len(), wire.len() - oracle);
         }
 
         #[test]

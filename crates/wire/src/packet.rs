@@ -2,12 +2,15 @@
 //!
 //! Parsing is deliberately split the way a telescope must split it:
 //!
-//! 1. [`parse_datagram`] — keyless structural parse of a UDP payload into
-//!    [`ParsedPacket`]s (QUIC supports coalescing several packets into
-//!    one datagram, and servers use this for the Initial+Handshake
-//!    flight the paper counts in §6).
-//! 2. [`ParsedPacket::open`] — decrypts and decodes frames, for
-//!    endpoints (or passive observers re-deriving Initial keys).
+//! 1. [`walk_datagram`] — keyless structural parse of a UDP payload into
+//!    borrowed [`PacketView`]s, without allocating (QUIC supports
+//!    coalescing several packets into one datagram, and servers use this
+//!    for the Initial+Handshake flight the paper counts in §6).
+//!    [`parse_datagram`] collects the same views into owned
+//!    [`ParsedPacket`]s for endpoints that keep them.
+//! 2. [`PacketView::open_into`] / [`ParsedPacket::open`] — verify and
+//!    decrypt, for passive observers re-deriving Initial keys (into a
+//!    reused buffer) and for endpoints (into decoded frames).
 //!
 //! One deliberate simplification: *header protection* (RFC 9001 §5.4) is
 //! not applied, so packet numbers are visible in cleartext. Wireshark
@@ -16,16 +19,16 @@
 //! see DESIGN.md §2.
 
 use crate::cid::ConnectionId;
-use crate::crypto::{open, seal, TAG_LEN};
+use crate::crypto::{open_into, seal, TAG_LEN};
 use crate::error::{WireError, WireResult};
-use crate::frame::Frame;
+use crate::frame::{take, Frame};
 use crate::header::{LongHeader, LongPacketType, ShortHeader, FIXED_BIT, FORM_BIT};
 use crate::pktnum::{decode_packet_number, read_packet_number, write_packet_number};
 use crate::retry::{compute_retry_tag, verify_retry_tag, RETRY_TAG_LEN};
 use crate::siphash::SipKey;
-use crate::varint::{read_varint, write_varint};
+use crate::varint::{read_varint, varint_len, write_varint};
 use crate::version::Version;
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
 
 /// Plaintext payload of a protected packet, as a frame sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,6 +162,12 @@ impl Packet {
     /// [`WireError::InvalidValue`] if a key is missing for a protected
     /// type, plus any frame encoding error.
     pub fn encode(&self, key: Option<SipKey>) -> WireResult<Vec<u8>> {
+        self.encode_min_size(key, 0)
+    }
+
+    /// [`encode`](Self::encode), with an Initial's plaintext padded so
+    /// the packet reaches `min_size` (other types ignore it).
+    fn encode_min_size(&self, key: Option<SipKey>, min_size: usize) -> WireResult<Vec<u8>> {
         match self {
             Packet::Initial {
                 version,
@@ -177,7 +186,7 @@ impl Packet {
                 let mut extra = Vec::with_capacity(token.len() + 2);
                 write_varint(&mut extra, token.len() as u64)?;
                 extra.extend_from_slice(token);
-                encode_protected(&hdr, &extra, *packet_number, payload, key)
+                encode_protected(&hdr, &extra, *packet_number, payload, key, min_size)
             }
             Packet::ZeroRtt {
                 version,
@@ -192,7 +201,7 @@ impl Packet {
                     dcid: *dcid,
                     scid: *scid,
                 };
-                encode_protected(&hdr, &[], *packet_number, payload, key)
+                encode_protected(&hdr, &[], *packet_number, payload, key, 0)
             }
             Packet::Handshake {
                 version,
@@ -207,7 +216,7 @@ impl Packet {
                     dcid: *dcid,
                     scid: *scid,
                 };
-                encode_protected(&hdr, &[], *packet_number, payload, key)
+                encode_protected(&hdr, &[], *packet_number, payload, key, 0)
             }
             Packet::Retry {
                 version,
@@ -278,36 +287,12 @@ impl Packet {
     /// # Errors
     /// As for [`Packet::encode`]; also if the packet is not an Initial.
     pub fn encode_padded(&self, key: Option<SipKey>, min_size: usize) -> WireResult<Vec<u8>> {
-        let Packet::Initial {
-            version,
-            dcid,
-            scid,
-            token,
-            packet_number,
-            payload,
-        } = self
-        else {
+        if !matches!(self, Packet::Initial { .. }) {
             return Err(WireError::InvalidValue {
                 what: "padding only defined for initial packets",
             });
-        };
-        let bare = self.encode(key)?;
-        if bare.len() >= min_size {
-            return Ok(bare);
         }
-        let mut frames = payload.frames.clone();
-        frames.push(Frame::Padding {
-            len: min_size - bare.len(),
-        });
-        Packet::Initial {
-            version: *version,
-            dcid: *dcid,
-            scid: *scid,
-            token: token.clone(),
-            packet_number: *packet_number,
-            payload: PacketPayload::new(frames),
-        }
-        .encode(key)
+        self.encode_min_size(key, min_size)
     }
 }
 
@@ -317,6 +302,7 @@ fn encode_protected(
     packet_number: u64,
     payload: &PacketPayload,
     key: Option<SipKey>,
+    min_size: usize,
 ) -> WireResult<Vec<u8>> {
     let key = key.ok_or(WireError::InvalidValue {
         what: "missing key for protected packet",
@@ -324,7 +310,16 @@ fn encode_protected(
     let mut out = Vec::with_capacity(1400);
     hdr.encode(&mut out, Packet::PN_LEN)?;
     out.extend_from_slice(extra_after_scid);
-    let plaintext = payload.encode()?;
+    let mut plaintext = payload.encode()?;
+    // PADDING makes up what the unpadded packet (with the Length varint
+    // its own body needs) falls short of `min_size`; when the padded body
+    // needs a wider Length the packet ends up a byte over, never under.
+    let bare_body = Packet::PN_LEN + plaintext.len() + TAG_LEN;
+    let bare_len_field = varint_len(bare_body as u64).ok_or(WireError::InvalidValue {
+        what: "packet length",
+    })?;
+    let padding = min_size.saturating_sub(out.len() + bare_len_field + bare_body);
+    plaintext.resize(plaintext.len() + padding, 0);
     // Length covers the packet number and the sealed payload.
     write_varint(
         &mut out,
@@ -338,8 +333,12 @@ fn encode_protected(
 }
 
 /// Structural (keyless) view of one packet from a datagram.
+///
+/// `D` holds the tokens and `V` the Version Negotiation list: owned
+/// (`Bytes`, `Vec<Version>`) in the [`ParsedPacket`]s endpoints keep,
+/// slices of the datagram in a [`HeaderView`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParsedHeader {
+pub enum ParsedHeader<D = Bytes, V = Vec<Version>> {
     /// Initial, 0-RTT or Handshake packet.
     Long {
         /// Packet type (never Retry here).
@@ -351,7 +350,7 @@ pub enum ParsedHeader {
         /// Source connection ID.
         scid: ConnectionId,
         /// Token (Initial packets only; empty otherwise).
-        token: Bytes,
+        token: D,
         /// Truncated packet number as read from the wire.
         truncated_pn: u64,
         /// Wire length of the packet number.
@@ -366,7 +365,7 @@ pub enum ParsedHeader {
         /// Source connection ID.
         scid: ConnectionId,
         /// Address-validation token.
-        token: Bytes,
+        token: D,
         /// Integrity tag (verify with [`verify_retry_tag`]).
         tag: [u8; RETRY_TAG_LEN],
     },
@@ -376,8 +375,9 @@ pub enum ParsedHeader {
         dcid: ConnectionId,
         /// Source connection ID.
         scid: ConnectionId,
-        /// Offered versions.
-        versions: Vec<Version>,
+        /// Offered versions (in a [`HeaderView`]: the raw list, four
+        /// big-endian bytes per version).
+        versions: V,
     },
     /// 1-RTT short-header packet.
     Short {
@@ -394,7 +394,11 @@ pub enum ParsedHeader {
     },
 }
 
-impl ParsedHeader {
+/// A [`ParsedHeader`] borrowing its token and version list from the
+/// datagram.
+pub type HeaderView<'a> = ParsedHeader<&'a [u8], &'a [u8]>;
+
+impl<D, V> ParsedHeader<D, V> {
     /// The long-header packet type, if any.
     pub fn long_type(&self) -> Option<LongPacketType> {
         match self {
@@ -434,6 +438,38 @@ impl ParsedHeader {
             | ParsedHeader::Short { dcid, .. } => *dcid,
         }
     }
+
+    /// Reconstructs the full packet number, verifies the tag over `aad`
+    /// and `sealed`, and decrypts into `plaintext`.
+    fn open_sealed(
+        &self,
+        key: SipKey,
+        largest_pn: Option<u64>,
+        aad: &[u8],
+        sealed: &[u8],
+        plaintext: &mut Vec<u8>,
+    ) -> WireResult<u64> {
+        let (truncated, pn_len) = match self {
+            ParsedHeader::Long {
+                truncated_pn,
+                pn_len,
+                ..
+            }
+            | ParsedHeader::Short {
+                truncated_pn,
+                pn_len,
+                ..
+            } => (*truncated_pn, *pn_len),
+            _ => {
+                return Err(WireError::InvalidValue {
+                    what: "open() on unprotected packet",
+                })
+            }
+        };
+        let pn = decode_packet_number(truncated, pn_len, largest_pn);
+        open_into(key, pn, aad, sealed, plaintext)?;
+        Ok(pn)
+    }
 }
 
 /// One structurally parsed packet plus its sealed payload.
@@ -464,35 +500,157 @@ impl ParsedPacket {
         largest_pn: Option<u64>,
         aad: &[u8],
     ) -> WireResult<(u64, Vec<Frame>)> {
-        let (truncated, pn_len) = match &self.header {
-            ParsedHeader::Long {
-                truncated_pn,
-                pn_len,
-                ..
-            }
-            | ParsedHeader::Short {
-                truncated_pn,
-                pn_len,
-                ..
-            } => (*truncated_pn, *pn_len),
-            _ => {
-                return Err(WireError::InvalidValue {
-                    what: "open() on unprotected packet",
-                })
-            }
-        };
-        let pn = decode_packet_number(truncated, pn_len, largest_pn);
-        let plaintext = open(key, pn, aad, &self.sealed)?;
-        let frames = Frame::decode_all(&plaintext)?;
-        Ok((pn, frames))
+        let mut plaintext = Vec::new();
+        let pn = self
+            .header
+            .open_sealed(key, largest_pn, aad, &self.sealed, &mut plaintext)?;
+        Ok((pn, Frame::decode_all(&plaintext)?))
     }
 }
 
-/// Parses all coalesced QUIC packets in a UDP datagram (keyless).
+/// One structurally parsed packet, borrowed from its datagram: what
+/// [`walk_datagram`] yields.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PacketView<'a> {
+    /// The keyless header view.
+    pub header: HeaderView<'a>,
+    /// The bytes the tag authenticates besides the payload: the header
+    /// through the Length field (empty for Retry and Version
+    /// Negotiation packets).
+    pub aad: &'a [u8],
+    /// Sealed payload (ciphertext plus tag); empty for Retry and Version
+    /// Negotiation packets.
+    pub sealed: &'a [u8],
+    /// Total wire length of this packet within the datagram.
+    pub wire_len: usize,
+}
+
+impl PacketView<'_> {
+    /// Verifies the tag in place and decrypts the payload into
+    /// `plaintext`, which is overwritten and keeps its capacity; walk the
+    /// result with [`Frame::walk`]. Returns the full packet number,
+    /// reconstructed as in [`ParsedPacket::open`].
+    ///
+    /// # Errors
+    /// [`WireError::AeadFailure`] on key mismatch; Retry/VN packets yield
+    /// [`WireError::InvalidValue`].
+    pub fn open_into(
+        &self,
+        key: SipKey,
+        largest_pn: Option<u64>,
+        plaintext: &mut Vec<u8>,
+    ) -> WireResult<u64> {
+        self.header
+            .open_sealed(key, largest_pn, self.aad, self.sealed, plaintext)
+    }
+
+    /// Copies the view into an owned packet plus the AAD bytes
+    /// [`ParsedPacket::open`] needs.
+    pub fn into_parsed(self) -> (ParsedPacket, Vec<u8>) {
+        let header = match self.header {
+            ParsedHeader::Long {
+                ty,
+                version,
+                dcid,
+                scid,
+                token,
+                truncated_pn,
+                pn_len,
+            } => ParsedHeader::Long {
+                ty,
+                version,
+                dcid,
+                scid,
+                token: Bytes::copy_from_slice(token),
+                truncated_pn,
+                pn_len,
+            },
+            ParsedHeader::Retry {
+                version,
+                dcid,
+                scid,
+                token,
+                tag,
+            } => ParsedHeader::Retry {
+                version,
+                dcid,
+                scid,
+                token: Bytes::copy_from_slice(token),
+                tag,
+            },
+            ParsedHeader::VersionNegotiation {
+                dcid,
+                scid,
+                versions,
+            } => ParsedHeader::VersionNegotiation {
+                dcid,
+                scid,
+                versions: versions
+                    .chunks_exact(4)
+                    .map(|v| Version::from_wire(u32::from_be_bytes(v.try_into().expect("4 bytes"))))
+                    .collect(),
+            },
+            ParsedHeader::Short {
+                dcid,
+                spin,
+                key_phase,
+                truncated_pn,
+                pn_len,
+            } => ParsedHeader::Short {
+                dcid,
+                spin,
+                key_phase,
+                truncated_pn,
+                pn_len,
+            },
+        };
+        let packet = ParsedPacket {
+            header,
+            sealed: Bytes::copy_from_slice(self.sealed),
+            wire_len: self.wire_len,
+        };
+        (packet, self.aad.to_vec())
+    }
+}
+
+/// Keyless iterator over the coalesced packets of a datagram; see
+/// [`walk_datagram`]. Stops after the first malformed packet.
+#[derive(Debug, Clone)]
+pub struct Packets<'a> {
+    rest: &'a [u8],
+    short_dcid_len: usize,
+}
+
+impl<'a> Iterator for Packets<'a> {
+    type Item = WireResult<PacketView<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let packet = parse_one(&mut self.rest, self.short_dcid_len);
+        if packet.is_err() {
+            self.rest = &[];
+        }
+        Some(packet)
+    }
+}
+
+/// Walks the coalesced QUIC packets of a UDP datagram (keyless),
+/// borrowing every view from `datagram` without allocating.
 ///
 /// `short_dcid_len` is the connection ID length assumed for short-header
 /// packets (endpoints know theirs; telescopes guess — the dissector
 /// passes 8 and treats failures as opaque).
+pub fn walk_datagram(datagram: &[u8], short_dcid_len: usize) -> Packets<'_> {
+    Packets {
+        rest: datagram,
+        short_dcid_len,
+    }
+}
+
+/// Parses all coalesced QUIC packets in a UDP datagram (keyless) into
+/// owned packets: [`walk_datagram`], collected.
 ///
 /// Returns the parsed packets together with the AAD bytes each needs for
 /// [`ParsedPacket::open`].
@@ -504,167 +662,118 @@ pub fn parse_datagram(
     short_dcid_len: usize,
 ) -> WireResult<Vec<(ParsedPacket, Vec<u8>)>> {
     let mut packets = Vec::new();
-    let mut rest = datagram;
-    while !rest.is_empty() {
-        let before = rest.len();
-        let (packet, aad) = parse_one(&mut rest, short_dcid_len)?;
-        debug_assert_eq!(packet.wire_len, before - rest.len());
-        let is_short = matches!(packet.header, ParsedHeader::Short { .. });
-        packets.push((packet, aad));
-        // A short-header packet has no length field and consumes the
-        // remainder of the datagram; same for Retry and VN (handled in
-        // parse_one by consuming everything).
-        if is_short {
-            break;
-        }
+    for view in walk_datagram(datagram, short_dcid_len) {
+        packets.push(view?.into_parsed());
     }
     Ok(packets)
 }
 
-fn parse_one(rest: &mut &[u8], short_dcid_len: usize) -> WireResult<(ParsedPacket, Vec<u8>)> {
+/// Parses the packet at the front of the non-empty `rest` and advances
+/// past it. A short-header packet has no length field and consumes the
+/// remainder of the datagram; so do Retry and Version Negotiation.
+fn parse_one<'a>(rest: &mut &'a [u8], short_dcid_len: usize) -> WireResult<PacketView<'a>> {
     let input = *rest;
-    if input.is_empty() {
-        return Err(WireError::UnexpectedEnd { what: "packet" });
-    }
+    let mut buf = input;
     if input[0] & FORM_BIT == 0 {
-        // Short header: consumes the rest of the datagram.
-        let mut buf = input;
-        let (hdr, _first) = ShortHeader::decode(&mut buf, short_dcid_len)?;
-        let pn_len = ((input[0] & 0b11) + 1) as usize;
-        let header_len = input.len() - buf.remaining();
-        let mut pn_buf = buf;
-        let truncated_pn = read_packet_number(&mut pn_buf, pn_len)?;
-        let aad = input[..header_len].to_vec();
-        let sealed = Bytes::copy_from_slice(pn_buf);
+        let (hdr, first) = ShortHeader::decode(&mut buf, short_dcid_len)?;
+        let pn_len = LongHeader::pn_len_from_first_byte(first);
+        let aad = &input[..input.len() - buf.len()];
+        let truncated_pn = read_packet_number(&mut buf, pn_len)?;
         *rest = &[];
-        return Ok((
-            ParsedPacket {
-                header: ParsedHeader::Short {
-                    dcid: hdr.dcid,
-                    spin: hdr.spin,
-                    key_phase: hdr.key_phase,
-                    truncated_pn,
-                    pn_len,
-                },
-                sealed,
-                wire_len: input.len(),
+        return Ok(PacketView {
+            header: ParsedHeader::Short {
+                dcid: hdr.dcid,
+                spin: hdr.spin,
+                key_phase: hdr.key_phase,
+                truncated_pn,
+                pn_len,
             },
             aad,
-        ));
+            sealed: buf,
+            wire_len: input.len(),
+        });
     }
 
-    let mut buf = input;
     let (hdr, first) = LongHeader::decode(&mut buf)?;
 
     if hdr.version == Version::Negotiation {
         // Version list until the end of the datagram.
-        let mut versions = Vec::new();
-        while buf.remaining() >= 4 {
-            versions.push(Version::from_wire(buf.get_u32()));
-        }
-        if buf.remaining() != 0 {
+        if !buf.chunks_exact(4).remainder().is_empty() {
             return Err(WireError::UnexpectedEnd {
                 what: "version list",
             });
         }
         *rest = &[];
-        return Ok((
-            ParsedPacket {
-                header: ParsedHeader::VersionNegotiation {
-                    dcid: hdr.dcid,
-                    scid: hdr.scid,
-                    versions,
-                },
-                sealed: Bytes::new(),
-                wire_len: input.len(),
+        return Ok(PacketView {
+            header: ParsedHeader::VersionNegotiation {
+                dcid: hdr.dcid,
+                scid: hdr.scid,
+                versions: buf,
             },
-            Vec::new(),
-        ));
+            aad: &[],
+            sealed: &[],
+            wire_len: input.len(),
+        });
     }
 
     if hdr.ty == LongPacketType::Retry {
         // Token is everything up to the final 16-byte tag.
-        let remaining = buf.remaining();
-        if remaining < RETRY_TAG_LEN {
+        let Some(token_len) = buf.len().checked_sub(RETRY_TAG_LEN) else {
             return Err(WireError::UnexpectedEnd { what: "retry tag" });
-        }
-        let token = Bytes::copy_from_slice(&buf.chunk()[..remaining - RETRY_TAG_LEN]);
-        let mut tag = [0u8; RETRY_TAG_LEN];
-        tag.copy_from_slice(&buf.chunk()[remaining - RETRY_TAG_LEN..]);
+        };
+        let (token, tag) = buf.split_at(token_len);
         *rest = &[];
-        return Ok((
-            ParsedPacket {
-                header: ParsedHeader::Retry {
-                    version: hdr.version,
-                    dcid: hdr.dcid,
-                    scid: hdr.scid,
-                    token,
-                    tag,
-                },
-                sealed: Bytes::new(),
-                wire_len: input.len(),
+        return Ok(PacketView {
+            header: ParsedHeader::Retry {
+                version: hdr.version,
+                dcid: hdr.dcid,
+                scid: hdr.scid,
+                token,
+                tag: tag.try_into().expect("16 bytes"),
             },
-            Vec::new(),
-        ));
+            aad: &[],
+            sealed: &[],
+            wire_len: input.len(),
+        });
     }
 
     // Initial: token length + token precede the Length field.
     let token = if hdr.ty == LongPacketType::Initial {
         let token_len = read_varint(&mut buf)? as usize;
-        if buf.remaining() < token_len {
-            return Err(WireError::LengthOutOfBounds {
-                claimed: token_len,
-                available: buf.remaining(),
-            });
-        }
-        Bytes::copy_from_slice(&buf.chunk()[..token_len])
+        take(&mut buf, token_len)?
     } else {
-        Bytes::new()
+        &[]
     };
-    if hdr.ty == LongPacketType::Initial {
-        buf.advance(token.len());
-    }
 
     let length = read_varint(&mut buf)? as usize;
-    if buf.remaining() < length {
-        return Err(WireError::LengthOutOfBounds {
-            claimed: length,
-            available: buf.remaining(),
-        });
-    }
+    // AAD is the header through the Length field (everything before the
+    // packet number), exactly what encode_protected used.
+    let aad = &input[..input.len() - buf.len()];
+    let body = take(&mut buf, length)?;
     let pn_len = LongHeader::pn_len_from_first_byte(first);
     if length < pn_len {
         return Err(WireError::InvalidValue {
             what: "length shorter than packet number",
         });
     }
-    // AAD is the header through the Length field (everything before the
-    // packet number), exactly what encode_protected used.
-    let header_len = input.len() - buf.remaining();
-    let aad = input[..header_len].to_vec();
-    let mut pn_buf = &buf.chunk()[..pn_len];
-    let truncated_pn = read_packet_number(&mut pn_buf, pn_len)?;
-    let sealed = Bytes::copy_from_slice(&buf.chunk()[pn_len..length]);
-    buf.advance(length);
+    let (mut pn_bytes, sealed) = body.split_at(pn_len);
+    let truncated_pn = read_packet_number(&mut pn_bytes, pn_len)?;
 
-    let wire_len = input.len() - buf.remaining();
-    *rest = &input[wire_len..];
-    Ok((
-        ParsedPacket {
-            header: ParsedHeader::Long {
-                ty: hdr.ty,
-                version: hdr.version,
-                dcid: hdr.dcid,
-                scid: hdr.scid,
-                token,
-                truncated_pn,
-                pn_len,
-            },
-            sealed,
-            wire_len,
+    *rest = buf;
+    Ok(PacketView {
+        header: ParsedHeader::Long {
+            ty: hdr.ty,
+            version: hdr.version,
+            dcid: hdr.dcid,
+            scid: hdr.scid,
+            token,
+            truncated_pn,
+            pn_len,
         },
         aad,
-    ))
+        sealed,
+        wire_len: input.len() - buf.len(),
+    })
 }
 
 /// Verifies a parsed Retry packet's integrity tag against the original
@@ -801,6 +910,45 @@ mod tests {
         let bare = sample_initial().encode(Some(key)).unwrap();
         let padded = sample_initial().encode_padded(Some(key), 10).unwrap();
         assert_eq!(bare, padded);
+    }
+
+    #[test]
+    fn encode_padded_equals_encoding_an_explicit_padding_frame() {
+        // The PADDING run is sized from the bare packet, so sealing once
+        // must give the bytes that sealing the bare packet, measuring it
+        // and sealing again with a Padding frame gave — also where the
+        // padded Length field needs a wider varint than the bare one.
+        let key = keys().key(Direction::ClientToServer);
+        for crypto_len in [0usize, 1, 20, 42, 43, 44, 45, 300] {
+            let frames = vec![Frame::Crypto {
+                offset: 0,
+                data: Bytes::from(vec![0xab; crypto_len]),
+            }];
+            let initial = |frames| Packet::Initial {
+                version: Version::V1,
+                dcid: ConnectionId::from_u64(0xabcd),
+                scid: ConnectionId::from_u64(0x1234),
+                token: Bytes::from_static(b"tok"),
+                packet_number: 2,
+                payload: PacketPayload::new(frames),
+            };
+            let bare = initial(frames.clone()).encode(Some(key)).unwrap();
+            for min_size in (0..140).chain([1200, 1201]) {
+                let expected = if bare.len() >= min_size {
+                    bare.clone()
+                } else {
+                    let mut padded = frames.clone();
+                    padded.push(Frame::Padding {
+                        len: min_size - bare.len(),
+                    });
+                    initial(padded).encode(Some(key)).unwrap()
+                };
+                let got = initial(frames.clone())
+                    .encode_padded(Some(key), min_size)
+                    .unwrap();
+                assert_eq!(got, expected, "crypto {crypto_len}, min_size {min_size}");
+            }
+        }
     }
 
     #[test]
