@@ -26,7 +26,9 @@ use quicsand_sessions::dos::{Attack, AttackProtocol, DosThresholds};
 use quicsand_sessions::multivector::MultiVectorClass;
 use quicsand_sessions::session::SessionConfig;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 
 /// Live-engine configuration.
@@ -64,44 +66,13 @@ impl Default for LiveConfig {
 
 /// One 1-minute slot of a victim's packet-arrival profile: how many
 /// packets landed in the slot plus the exact first and last arrival.
+/// A closed alert's profile is these rows sorted by minute bucket.
 ///
 /// The triple is what makes a closed alert *replayable*: re-synthesizing
 /// `count` packets between `first` and `last` (endpoints exact, middles
 /// evenly spaced) reproduces the session's start, end, packet count and
 /// per-minute maxima — and therefore the identical [`Attack`] record —
 /// when offered to a fresh detector (see [`crate::forensics`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MinuteCell {
-    /// Packets in this minute slot.
-    pub count: u64,
-    /// First arrival in the slot.
-    pub first: Timestamp,
-    /// Last arrival in the slot.
-    pub last: Timestamp,
-}
-
-impl MinuteCell {
-    fn seed(ts: Timestamp) -> Self {
-        MinuteCell {
-            count: 1,
-            first: ts,
-            last: ts,
-        }
-    }
-
-    fn absorb(&mut self, ts: Timestamp) {
-        self.count += 1;
-        if ts < self.first {
-            self.first = ts;
-        }
-        if ts > self.last {
-            self.last = ts;
-        }
-    }
-}
-
-/// One row of a closed alert's arrival profile: a [`MinuteCell`] keyed
-/// by its minute bucket, sorted by bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProfileCell {
     /// Minute bucket (`ts.minute_bucket()`).
@@ -112,6 +83,65 @@ pub struct ProfileCell {
     pub first: Timestamp,
     /// Last arrival in the slot.
     pub last: Timestamp,
+}
+
+impl ProfileCell {
+    /// The slot `ts` falls into, before `ts` itself is counted.
+    fn empty(ts: Timestamp) -> Self {
+        ProfileCell {
+            minute: ts.minute_bucket(),
+            count: 0,
+            first: ts,
+            last: ts,
+        }
+    }
+}
+
+/// Checkpoint shape of [`VictimState::minute_counts`]: the sorted cell
+/// vector is written as the `{minute: {count, first, last}}` map the
+/// format has always had, so old checkpoints resume and new ones are
+/// byte-identical to them (`tests/golden/checkpoint-v2.json`).
+mod minute_map {
+    use super::{ProfileCell, Timestamp};
+    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+    use std::collections::BTreeMap;
+
+    #[derive(Serialize, Deserialize)]
+    struct MinuteCell {
+        count: u64,
+        first: Timestamp,
+        last: Timestamp,
+    }
+
+    pub fn serialize<S: Serializer>(cells: &[ProfileCell], s: S) -> Result<S::Ok, S::Error> {
+        let map: BTreeMap<u64, MinuteCell> = cells
+            .iter()
+            .map(|cell| {
+                let slot = MinuteCell {
+                    count: cell.count,
+                    first: cell.first,
+                    last: cell.last,
+                };
+                (cell.minute, slot)
+            })
+            .collect();
+        map.serialize(s)
+    }
+
+    /// Going through the ordered map is what makes the vector sorted
+    /// and duplicate-free whatever the JSON says.
+    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Vec<ProfileCell>, D::Error> {
+        let map = BTreeMap::<u64, MinuteCell>::deserialize(d)?;
+        Ok(map
+            .into_iter()
+            .map(|(minute, slot)| ProfileCell {
+                minute,
+                count: slot.count,
+                first: slot.first,
+                last: slot.last,
+            })
+            .collect())
+    }
 }
 
 /// Where a victim's alert currently stands. Monotone: transitions only
@@ -134,8 +164,11 @@ struct VictimState {
     start: Timestamp,
     last: Timestamp,
     packet_count: u64,
-    minute_counts: HashMap<u64, MinuteCell>,
-    /// Cached `max(minute_counts.values().count)`; counts only grow, so
+    /// Arrival profile, sorted by minute bucket. Packets almost always
+    /// land in the newest slot, so a flat vector beats a map here.
+    #[serde(with = "minute_map")]
+    minute_counts: Vec<ProfileCell>,
+    /// Cached `max(minute_counts[..].count)`; counts only grow, so
     /// this is maintainable in O(1) per packet.
     max_minute: u64,
     phase: AlertPhase,
@@ -146,16 +179,51 @@ struct VictimState {
 }
 
 impl VictimState {
-    fn fresh(ts: Timestamp, capacity: usize) -> Self {
-        VictimState {
-            start: ts,
-            last: ts,
-            packet_count: 1,
-            minute_counts: HashMap::from([(ts.minute_bucket(), MinuteCell::seed(ts))]),
-            max_minute: 1,
+    /// The state of a session opened by `packet`.
+    fn fresh(packet: EvidencePacket, capacity: usize) -> Self {
+        let mut state = VictimState {
+            start: packet.ts,
+            last: packet.ts,
+            packet_count: 0,
+            minute_counts: Vec::with_capacity(1),
+            max_minute: 0,
             phase: AlertPhase::Quiet,
             evidence: Vec::with_capacity(capacity.min(64)),
             cursor: 0,
+        };
+        state.join(packet.ts);
+        state.push_evidence(packet, capacity);
+        state
+    }
+
+    /// Counts one more packet of the open session. Bounds only widen
+    /// (a late packet saturates to a zero gap, as in the batch path).
+    fn join(&mut self, ts: Timestamp) {
+        self.last = self.last.max(ts);
+        self.start = self.start.min(ts);
+        self.packet_count += 1;
+        let minute = ts.minute_bucket();
+        let cells = &mut self.minute_counts;
+        let at = match cells.last().map(|newest| newest.minute.cmp(&minute)) {
+            Some(Ordering::Equal) => cells.len() - 1,
+            // A tolerated late packet: an older slot, or a missing one.
+            Some(Ordering::Greater) => cells
+                .binary_search_by_key(&minute, |cell| cell.minute)
+                .unwrap_or_else(|at| {
+                    cells.insert(at, ProfileCell::empty(ts));
+                    at
+                }),
+            _ => {
+                cells.push(ProfileCell::empty(ts));
+                cells.len() - 1
+            }
+        };
+        let cell = &mut cells[at];
+        cell.count += 1;
+        cell.first = cell.first.min(ts);
+        cell.last = cell.last.max(ts);
+        if cell.count > self.max_minute {
+            self.max_minute = cell.count;
         }
     }
 
@@ -199,22 +267,6 @@ impl VictimState {
             max_pps: self.max_pps(),
         }
     }
-
-    /// The arrival profile, sorted by minute bucket.
-    fn profile(&self) -> Vec<ProfileCell> {
-        let mut profile: Vec<ProfileCell> = self
-            .minute_counts
-            .iter()
-            .map(|(&minute, cell)| ProfileCell {
-                minute,
-                count: cell.count,
-                first: cell.first,
-                last: cell.last,
-            })
-            .collect();
-        profile.sort_by_key(|cell| cell.minute);
-        profile
-    }
 }
 
 /// Detector counters — the live analogue of `IngestStats`.
@@ -252,6 +304,7 @@ impl LiveStats {
 }
 
 /// A closed qualifying session, before classification.
+#[derive(Debug, PartialEq)]
 struct ClosedAlert {
     attack: Attack,
     profile: Vec<ProfileCell>,
@@ -260,6 +313,7 @@ struct ClosedAlert {
 }
 
 /// What one channel emits for one offered packet (or sweep).
+#[derive(Debug, PartialEq)]
 enum ChannelEvent {
     Opened { at: Timestamp, victim: Ipv4Addr },
     Escalated { at: Timestamp, victim: Ipv4Addr },
@@ -286,7 +340,7 @@ struct ChannelSnapshot {
 }
 
 /// One detection channel (QUIC responses, or the TCP/ICMP baseline):
-/// per-victim sliding windows + LRU index + watermark machinery.
+/// per-victim sliding windows + activity index + watermark machinery.
 #[derive(Debug)]
 struct ChannelDetector {
     protocol: AttackProtocol,
@@ -295,14 +349,24 @@ struct ChannelDetector {
     session: SessionConfig,
     evidence_capacity: usize,
     max_victims: usize,
+    /// Keyed by attacker-chosen addresses, so this map stays on std's
+    /// randomly keyed SipHash: that is the HashDoS defence of this layer.
     states: HashMap<Ipv4Addr, VictimState>,
-    /// Last-activity index `(last, victim)`, kept in lockstep with
-    /// `states`: drives both O(log n) idle expiry and LRU eviction,
-    /// with the victim address as deterministic tie-break.
-    lru: BTreeSet<(Timestamp, Ipv4Addr)>,
+    /// Lazy last-activity index, a min-heap of `(key, victim)` holding
+    /// *exactly one entry per tracked victim* with `key <= last`. A
+    /// packet joining an open session does not touch it; the key is
+    /// brought up to the victim's actual `last` only when the entry
+    /// surfaces in a sweep or an eviction ([`Self::pop_idle`]). A
+    /// session that restarts in place after a gap keeps its entry: the
+    /// old key is still a lower bound.
+    lru: BinaryHeap<Reverse<(Timestamp, Ipv4Addr)>>,
     watermark: Timestamp,
     last_sweep: Timestamp,
     stats: LiveStats,
+    /// Index entries re-keyed so far (the model test bounds this by the
+    /// number of joins).
+    #[cfg(test)]
+    rekeys: u64,
 }
 
 impl ChannelDetector {
@@ -315,10 +379,12 @@ impl ChannelDetector {
             evidence_capacity: config.evidence_capacity,
             max_victims: config.max_victims.max(1),
             states: HashMap::new(),
-            lru: BTreeSet::new(),
+            lru: BinaryHeap::new(),
             watermark: Timestamp::EPOCH,
             last_sweep: Timestamp::EPOCH,
             stats: LiveStats::default(),
+            #[cfg(test)]
+            rekeys: 0,
         }
     }
 
@@ -341,49 +407,40 @@ impl ChannelDetector {
         if self.watermark.saturating_since(self.last_sweep) > self.session.timeout {
             self.expire(self.watermark, out);
         }
-        let evidence = EvidencePacket { ts, dst, bytes };
-        match self.states.get_mut(&victim) {
+        let packet = EvidencePacket { ts, dst, bytes };
+        let state = match self.states.get_mut(&victim) {
             Some(state) if ts.saturating_since(state.last) <= self.session.timeout => {
-                // Joins the open session: bounds only widen (late
-                // packets saturate to a zero gap, as in the batch path).
-                self.lru.remove(&(state.last, victim));
-                if ts > state.last {
-                    state.last = ts;
-                }
-                if ts < state.start {
-                    state.start = ts;
-                }
-                state.packet_count += 1;
-                let slot = state
-                    .minute_counts
-                    .entry(ts.minute_bucket())
-                    .and_modify(|cell| cell.absorb(ts))
-                    .or_insert_with(|| MinuteCell::seed(ts));
-                if slot.count > state.max_minute {
-                    state.max_minute = slot.count;
-                }
-                state.push_evidence(evidence, self.evidence_capacity);
-                self.lru.insert((state.last, victim));
-                self.transition(ts, victim, out);
+                state.join(ts);
+                state.push_evidence(packet, self.evidence_capacity);
+                state
             }
-            Some(_) => {
-                // Gap exceeded: close the old session, start fresh.
-                let state = self.states.remove(&victim).expect("state present");
-                self.lru.remove(&(state.last, victim));
-                self.close_state(victim, state, false, out);
-                self.insert_fresh(ts, victim, evidence, out);
+            Some(state) => {
+                // Gap exceeded: close the old session and start a fresh
+                // one in its place (and under its index entry).
+                let fresh = VictimState::fresh(packet, self.evidence_capacity);
+                let closed = std::mem::replace(state, fresh);
+                Self::close_state(self.protocol, &mut self.stats, victim, closed, false, out);
+                state
             }
-            None => {
-                self.insert_fresh(ts, victim, evidence, out);
-            }
-        }
+            None => return self.insert_fresh(packet, victim, out),
+        };
+        Self::transition(
+            state,
+            &self.thresholds,
+            &self.escalation,
+            &mut self.stats,
+            ts,
+            victim,
+            out,
+        );
     }
 
+    /// Tracks a new victim whose session `packet` opens, evicting under
+    /// the cap first, and transitions on the entry it just inserted.
     fn insert_fresh(
         &mut self,
-        ts: Timestamp,
+        packet: EvidencePacket,
         victim: Ipv4Addr,
-        evidence: EvidencePacket,
         out: &mut Vec<ChannelEvent>,
     ) {
         // Hard memory cap: evict the least-recently-active victim. Its
@@ -391,48 +448,54 @@ impl ChannelDetector {
         // new session starts, so the boundaries may differ from batch —
         // the one documented divergence, flagged on the event.
         while self.states.len() >= self.max_victims {
-            let entry = *self.lru.iter().next().expect("lru tracks states");
-            self.lru.remove(&entry);
-            let (_, evictee) = entry;
+            let evictee = self.pop_idle(|_| true).expect("index tracks states");
             let state = self.states.remove(&evictee).expect("evictee tracked");
             self.stats.evictions += 1;
-            self.close_state(evictee, state, true, out);
+            Self::close_state(self.protocol, &mut self.stats, evictee, state, true, out);
         }
-        let mut state = VictimState::fresh(ts, self.evidence_capacity);
-        state.push_evidence(evidence, self.evidence_capacity);
-        self.lru.insert((ts, victim));
-        self.states.insert(victim, state);
-        if self.states.len() > self.stats.peak_tracked {
-            self.stats.peak_tracked = self.states.len();
-        }
-        self.transition(ts, victim, out);
+        self.lru.push(Reverse((packet.ts, victim)));
+        self.stats.peak_tracked = self.stats.peak_tracked.max(self.states.len() + 1);
+        let at = packet.ts;
+        let state = self
+            .states
+            .entry(victim)
+            .or_insert(VictimState::fresh(packet, self.evidence_capacity));
+        Self::transition(
+            state,
+            &self.thresholds,
+            &self.escalation,
+            &mut self.stats,
+            at,
+            victim,
+            out,
+        );
     }
 
     /// Advances the victim's alert phase as far as the thresholds
     /// allow, emitting one event per transition. Monotone measures ⇒
     /// no reverse transitions, ever.
-    fn transition(&mut self, at: Timestamp, victim: Ipv4Addr, out: &mut Vec<ChannelEvent>) {
-        let state = self.states.get_mut(&victim).expect("victim tracked");
+    fn transition(
+        state: &mut VictimState,
+        thresholds: &DosThresholds,
+        escalation: &DosThresholds,
+        stats: &mut LiveStats,
+        at: Timestamp,
+        victim: Ipv4Addr,
+        out: &mut Vec<ChannelEvent>,
+    ) {
+        let (packets, duration, max_pps) = (state.packet_count, state.duration(), state.max_pps());
         if state.phase == AlertPhase::Quiet
-            && self.thresholds.matches_measures(
-                state.packet_count,
-                state.duration(),
-                state.max_pps(),
-            )
+            && thresholds.matches_measures(packets, duration, max_pps)
         {
             state.phase = AlertPhase::Open;
-            self.stats.opened += 1;
+            stats.opened += 1;
             out.push(ChannelEvent::Opened { at, victim });
         }
         if state.phase == AlertPhase::Open
-            && self.escalation.matches_measures(
-                state.packet_count,
-                state.duration(),
-                state.max_pps(),
-            )
+            && escalation.matches_measures(packets, duration, max_pps)
         {
             state.phase = AlertPhase::Escalated;
-            self.stats.escalated += 1;
+            stats.escalated += 1;
             out.push(ChannelEvent::Escalated { at, victim });
         }
     }
@@ -441,7 +504,8 @@ impl ChannelDetector {
     /// alerts, quiet ones vanish (exactly the sessions batch
     /// `detect_attacks` would filter out).
     fn close_state(
-        &mut self,
+        protocol: AttackProtocol,
+        stats: &mut LiveStats,
         victim: Ipv4Addr,
         state: VictimState,
         evicted: bool,
@@ -450,56 +514,82 @@ impl ChannelDetector {
         if state.phase == AlertPhase::Quiet {
             return;
         }
-        self.stats.closed += 1;
+        stats.closed += 1;
         out.push(ChannelEvent::Closed(ClosedAlert {
-            attack: state.as_attack(victim, self.protocol),
-            profile: state.profile(),
+            attack: state.as_attack(victim, protocol),
             evidence: state.evidence_chronological(),
+            profile: state.minute_counts,
             evicted,
         }));
     }
 
+    /// Pops the least-recently-active victim if its last activity is
+    /// `idle` (a predicate that holds for every earlier time too): the
+    /// exact minimum `(last, victim)` over all tracked victims, which is
+    /// what an eagerly maintained ordered set would hand out.
+    ///
+    /// A top entry whose key is stale is re-keyed to its victim's actual
+    /// `last` and sinks. Every other entry's actual `(last, victim)` is
+    /// ≥ its key ≥ the top's, so a top whose key *is* exact is the true
+    /// minimum, ties included; and if even the top's lower bound is not
+    /// idle, nobody is. A re-key happens only after a join advanced
+    /// `last` past the key, so index work is amortised O(log n) per
+    /// packet at worst and zero on the join path.
+    fn pop_idle(&mut self, idle: impl Fn(Timestamp) -> bool) -> Option<Ipv4Addr> {
+        loop {
+            let mut top = self.lru.peek_mut()?;
+            let Reverse((key, victim)) = *top;
+            if !idle(key) {
+                return None;
+            }
+            let last = self.states[&victim].last;
+            if last == key {
+                PeekMut::pop(top);
+                return Some(victim);
+            }
+            top.0 .0 = last;
+            #[cfg(test)]
+            {
+                self.rekeys += 1;
+            }
+        }
+    }
+
     /// Expires every victim idle past `timeout + skew_tolerance` as of
     /// `now`, in deterministic `(start, victim)` order — the exact
-    /// horizon and ordering of `Sessionizer::expire`. The LRU index
-    /// makes collection O(expired · log n) instead of a full scan.
+    /// horizon and ordering of `Sessionizer::expire`. The index makes
+    /// collection O((expired + re-keyed) · log n) instead of a full
+    /// scan.
     fn expire(&mut self, now: Timestamp, out: &mut Vec<ChannelEvent>) {
         let horizon = self.session.timeout.as_micros() + self.session.skew_tolerance.as_micros();
-        let expired: Vec<Ipv4Addr> = self
-            .lru
-            .iter()
-            .take_while(|(last, _)| now.saturating_since(*last).as_micros() > horizon)
-            .map(|(_, victim)| *victim)
-            .collect();
         self.last_sweep = now;
-        if expired.is_empty() {
-            return;
-        }
-        let mut ordered: Vec<(Timestamp, Ipv4Addr)> = expired
-            .iter()
-            .map(|victim| (self.states[victim].start, *victim))
-            .collect();
-        ordered.sort_unstable();
-        for (_, victim) in ordered {
+        let mut expired = Vec::new();
+        while let Some(victim) =
+            self.pop_idle(|last| now.saturating_since(last).as_micros() > horizon)
+        {
             let state = self.states.remove(&victim).expect("expired victim open");
-            self.lru.remove(&(state.last, victim));
-            self.close_state(victim, state, false, out);
+            expired.push((victim, state));
         }
+        self.close_in_order(expired, out);
     }
 
     /// Closes every remaining victim in `(start, victim)` order — the
     /// end-of-stream flush, mirroring `Sessionizer::finish`.
     fn flush(&mut self, out: &mut Vec<ChannelEvent>) {
-        let mut remaining: Vec<(Timestamp, Ipv4Addr)> = self
-            .states
-            .iter()
-            .map(|(victim, state)| (state.start, *victim))
-            .collect();
-        remaining.sort_unstable();
-        for (_, victim) in remaining {
-            let state = self.states.remove(&victim).expect("victim open");
-            self.lru.remove(&(state.last, victim));
-            self.close_state(victim, state, false, out);
+        self.lru.clear();
+        let remaining = self.states.drain().collect();
+        self.close_in_order(remaining, out);
+    }
+
+    /// Closes already-removed victims in `(start, victim)` order.
+    fn close_in_order(
+        &mut self,
+        mut closing: Vec<(Ipv4Addr, VictimState)>,
+        out: &mut Vec<ChannelEvent>,
+    ) {
+        closing.sort_unstable_by_key(|(victim, state)| (state.start, *victim));
+        for (victim, state) in closing {
+            Self::close_state(self.protocol, &mut self.stats, victim, state, false, out);
         }
     }
 
@@ -533,9 +623,16 @@ impl ChannelDetector {
         channel.last_sweep = snapshot.last_sweep;
         channel.stats = snapshot.stats;
         for entry in &snapshot.states {
-            channel.lru.insert((entry.state.last, entry.src));
             channel.states.insert(entry.src, entry.state.clone());
         }
+        // The index is derived from the restored *map* (exact keys), so
+        // the two cannot disagree even if the checkpoint repeats a
+        // victim.
+        channel.lru = channel
+            .states
+            .iter()
+            .map(|(victim, state)| Reverse((state.last, *victim)))
+            .collect();
         channel
     }
 
@@ -921,6 +1018,8 @@ fn plain_event(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn ip(last: u8) -> Ipv4Addr {
         Ipv4Addr::new(203, 0, 113, last)
@@ -1175,6 +1274,281 @@ mod tests {
         assert_eq!(resumed.closed_quic(), straight.closed_quic());
         assert_eq!(resumed.closed_common(), straight.closed_common());
         assert_eq!(resumed.stats(), straight.stats());
+    }
+
+    #[test]
+    fn restore_indexes_the_map_not_the_checkpoint_vector() {
+        // A hostile checkpoint that lists one victim twice, with two
+        // different `last` values: the map keeps one state, and the
+        // index must describe that map — not the vector — or the next
+        // sweep finds an entry for a victim that is already gone.
+        let mut d = LiveDetector::new(config());
+        d.offer_response(Timestamp::from_secs(10), ip(1), dst(), 60);
+        let mut snapshot = d.snapshot();
+        let mut twin = snapshot.quic.states[0].clone();
+        twin.state.last = Timestamp::from_secs(20);
+        snapshot.quic.states.push(twin);
+
+        let mut restored = LiveDetector::restore(config(), &snapshot);
+        assert_eq!(restored.tracked(), 1);
+        // A far-future packet sweeps the (quiet) victim out.
+        let events = restored.offer_response(Timestamp::from_secs(100_000), ip(2), dst(), 60);
+        assert!(events.is_empty(), "{events:?}");
+        assert_eq!(restored.tracked(), 1);
+    }
+
+    /// The deliberately naive reference for [`ChannelDetector`]: the
+    /// same semantics with no index and no caches — full scans for the
+    /// expired set and for the eviction minimum, ordered-map minute
+    /// slots, per-minute maximum recomputed from scratch, evidence kept
+    /// whole and trimmed at close.
+    struct Oracle {
+        config: LiveConfig,
+        states: BTreeMap<Ipv4Addr, OracleState>,
+        watermark: Timestamp,
+        last_sweep: Timestamp,
+        stats: LiveStats,
+        joins: u64,
+    }
+
+    struct OracleState {
+        start: Timestamp,
+        last: Timestamp,
+        packets: u64,
+        minutes: BTreeMap<u64, (u64, Timestamp, Timestamp)>,
+        phase: AlertPhase,
+        evidence: Vec<EvidencePacket>,
+    }
+
+    impl Oracle {
+        const PROTOCOL: AttackProtocol = AttackProtocol::Quic;
+
+        fn close(
+            &mut self,
+            victim: Ipv4Addr,
+            state: OracleState,
+            evicted: bool,
+            out: &mut Vec<ChannelEvent>,
+        ) {
+            if state.phase == AlertPhase::Quiet {
+                return;
+            }
+            self.stats.closed += 1;
+            let busiest = state.minutes.values().map(|slot| slot.0).max().unwrap_or(0);
+            let keep = state
+                .evidence
+                .len()
+                .saturating_sub(self.config.evidence_capacity);
+            out.push(ChannelEvent::Closed(ClosedAlert {
+                attack: Attack {
+                    victim,
+                    protocol: Self::PROTOCOL,
+                    start: state.start,
+                    end: state.last,
+                    packet_count: state.packets,
+                    max_pps: busiest as f64 / 60.0,
+                },
+                profile: state
+                    .minutes
+                    .iter()
+                    .map(|(&minute, &(count, first, last))| ProfileCell {
+                        minute,
+                        count,
+                        first,
+                        last,
+                    })
+                    .collect(),
+                evidence: state.evidence[keep..].to_vec(),
+                evicted,
+            }));
+        }
+
+        fn offer(&mut self, packet: EvidencePacket, victim: Ipv4Addr, out: &mut Vec<ChannelEvent>) {
+            let ts = packet.ts;
+            let session = self.config.session;
+            self.stats.events_in += 1;
+            self.watermark = self.watermark.max(ts);
+            if self.watermark.saturating_since(self.last_sweep) > session.timeout {
+                self.last_sweep = self.watermark;
+                let horizon = session.timeout.as_micros() + session.skew_tolerance.as_micros();
+                let mut expired: Vec<(Timestamp, Ipv4Addr)> = self
+                    .states
+                    .iter()
+                    .filter(|(_, s)| self.watermark.saturating_since(s.last).as_micros() > horizon)
+                    .map(|(victim, s)| (s.start, *victim))
+                    .collect();
+                expired.sort_unstable();
+                for (_, gone) in expired {
+                    let state = self.states.remove(&gone).expect("scanned");
+                    self.close(gone, state, false, out);
+                }
+            }
+            let joins = self
+                .states
+                .get(&victim)
+                .is_some_and(|s| ts.saturating_since(s.last) <= session.timeout);
+            if joins {
+                self.joins += 1;
+            } else {
+                if let Some(old) = self.states.remove(&victim) {
+                    self.close(victim, old, false, out);
+                }
+                while self.states.len() >= self.config.max_victims {
+                    let (_, evictee) = self
+                        .states
+                        .iter()
+                        .map(|(victim, s)| (s.last, *victim))
+                        .min()
+                        .expect("cap is at least one");
+                    let state = self.states.remove(&evictee).expect("scanned");
+                    self.stats.evictions += 1;
+                    self.close(evictee, state, true, out);
+                }
+                let fresh = OracleState {
+                    start: ts,
+                    last: ts,
+                    packets: 0,
+                    minutes: BTreeMap::new(),
+                    phase: AlertPhase::Quiet,
+                    evidence: Vec::new(),
+                };
+                self.states.insert(victim, fresh);
+                self.stats.peak_tracked = self.stats.peak_tracked.max(self.states.len());
+            }
+            let state = self.states.get_mut(&victim).expect("just ensured");
+            state.start = state.start.min(ts);
+            state.last = state.last.max(ts);
+            state.packets += 1;
+            let slot = state
+                .minutes
+                .entry(ts.minute_bucket())
+                .or_insert((0, ts, ts));
+            *slot = (slot.0 + 1, slot.1.min(ts), slot.2.max(ts));
+            state.evidence.push(packet);
+            let busiest = state.minutes.values().map(|slot| slot.0).max().unwrap_or(0);
+            let duration = state.last.saturating_since(state.start);
+            let max_pps = busiest as f64 / 60.0;
+            let base = self.config.thresholds;
+            let tier = base.scaled(self.config.escalation_weight);
+            if state.phase == AlertPhase::Quiet
+                && base.matches_measures(state.packets, duration, max_pps)
+            {
+                state.phase = AlertPhase::Open;
+                self.stats.opened += 1;
+                out.push(ChannelEvent::Opened { at: ts, victim });
+            }
+            if state.phase == AlertPhase::Open
+                && tier.matches_measures(state.packets, duration, max_pps)
+            {
+                state.phase = AlertPhase::Escalated;
+                self.stats.escalated += 1;
+                out.push(ChannelEvent::Escalated { at: ts, victim });
+            }
+        }
+
+        fn flush(&mut self, out: &mut Vec<ChannelEvent>) {
+            let mut remaining: Vec<(Timestamp, Ipv4Addr)> = self
+                .states
+                .iter()
+                .map(|(victim, s)| (s.start, *victim))
+                .collect();
+            remaining.sort_unstable();
+            for (_, victim) in remaining {
+                let state = self.states.remove(&victim).expect("scanned");
+                self.close(victim, state, false, out);
+            }
+        }
+    }
+
+    proptest! {
+        /// Model-based equivalence: the indexed detector and the naive
+        /// oracle see the same random stream — few victims, timestamps
+        /// that jitter backwards within the reorder tolerance and now
+        /// and then jump past the timeout, a victim cap from tight to
+        /// unbounded, one JSON checkpoint/restore somewhere in the
+        /// middle (exact index keys after it, stale ones before) — and
+        /// must emit the identical events and counters throughout.
+        #[test]
+        fn prop_channel_matches_a_naive_oracle(
+            steps in proptest::collection::vec((0u8..12, 0u64..20_000, 0u8..100), 1..400),
+            victims in 1u8..=12,
+            cap in 0usize..4,
+            checkpoint_at in 0usize..400,
+        ) {
+            const TOLERANCE_MS: u64 = 5_000;
+            const TIMEOUT_MS: u64 = 120_000;
+            let config = LiveConfig {
+                thresholds: DosThresholds {
+                    min_packets: 3.0,
+                    min_duration: Duration::from_secs(20),
+                    min_max_pps: 0.04,
+                },
+                session: SessionConfig {
+                    timeout: Duration::from_micros(TIMEOUT_MS * 1_000),
+                    skew_tolerance: Duration::from_micros(TOLERANCE_MS * 1_000),
+                },
+                escalation_weight: 2.0,
+                evidence_capacity: 3,
+                max_victims: [1, 2, 5, usize::MAX][cap],
+            };
+            let mut channel = ChannelDetector::new(Oracle::PROTOCOL, &config);
+            let mut oracle = Oracle {
+                config,
+                states: BTreeMap::new(),
+                watermark: Timestamp::EPOCH,
+                last_sweep: Timestamp::EPOCH,
+                stats: LiveStats::default(),
+                joins: 0,
+            };
+            let checkpoint_at = checkpoint_at % steps.len();
+            let mut rekeys = 0;
+            let mut now_ms = 1_000_000u64;
+            for (i, &(raw_victim, advance_ms, mode)) in steps.iter().enumerate() {
+                if i == checkpoint_at {
+                    let json = serde_json::to_string(&channel.snapshot()).unwrap();
+                    let parsed: ChannelSnapshot = serde_json::from_str(&json).unwrap();
+                    rekeys += channel.rekeys;
+                    channel = ChannelDetector::restore(Oracle::PROTOCOL, &config, &parsed);
+                }
+                let ts_ms = match mode {
+                    0..=74 => {
+                        now_ms += advance_ms;
+                        now_ms
+                    }
+                    75..=91 => now_ms - advance_ms % (TOLERANCE_MS + 1),
+                    _ => {
+                        now_ms += TIMEOUT_MS + TOLERANCE_MS + advance_ms;
+                        now_ms
+                    }
+                };
+                let packet = EvidencePacket {
+                    ts: Timestamp::from_micros(ts_ms * 1_000),
+                    dst: dst(),
+                    bytes: i as u64,
+                };
+                let victim = ip(raw_victim % victims);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                channel.offer(packet.ts, victim, packet.dst, packet.bytes, &mut got);
+                oracle.offer(packet, victim, &mut want);
+                prop_assert!(got == want, "step {i}: got {got:?}, want {want:?}");
+                prop_assert_eq!(channel.stats, oracle.stats);
+                // One index entry per tracked victim, keyed at or
+                // before its actual last activity.
+                prop_assert_eq!(channel.lru.len(), channel.states.len());
+                prop_assert!(channel.lru.iter().all(|Reverse((key, victim))| {
+                    channel.states.get(victim).is_some_and(|s| *key <= s.last)
+                }));
+            }
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            channel.flush(&mut got);
+            oracle.flush(&mut want);
+            prop_assert!(got == want, "flush: got {got:?}, want {want:?}");
+            prop_assert_eq!(channel.stats, oracle.stats);
+            prop_assert_eq!(channel.lru.len(), 0);
+            // Every re-key is paid for by a join since the key was set.
+            rekeys += channel.rekeys;
+            prop_assert!(rekeys <= oracle.joins, "{rekeys} re-keys > {} joins", oracle.joins);
+        }
     }
 
     #[test]

@@ -168,14 +168,14 @@ impl LiveEngine {
         let (events, chunk_ingest, chunk_detect) = if self.shards.len() == 1 {
             let (tagged, ingest_ms, detect_ms) = {
                 let shard = &mut self.shards[0];
-                let indices: Vec<usize> = (0..records.len()).collect();
+                let indices = 0..records.len();
                 if subscriber.enabled() {
                     let mut collector = VecSubscriber::new();
-                    let chunk = shard_chunk(shard, records, &indices, base, &mut collector);
+                    let chunk = shard_chunk(shard, records, indices, base, &mut collector);
                     collector.replay_into(subscriber);
                     chunk
                 } else {
-                    shard_chunk(shard, records, &indices, base, &mut NoopSubscriber)
+                    shard_chunk(shard, records, indices, base, &mut NoopSubscriber)
                 }
             };
             let events: Vec<LiveEvent> = tagged.into_iter().map(|(_, event)| event).collect();
@@ -184,6 +184,7 @@ impl LiveEngine {
             let buckets = partition_by_source(records, self.shards.len());
             let collect = subscriber.enabled();
             let worker = |shard: &mut Shard, indices: &[usize]| {
+                let indices = indices.iter().copied();
                 if collect {
                     let mut collector = VecSubscriber::new();
                     let chunk = shard_chunk(shard, records, indices, base, &mut collector);
@@ -372,6 +373,11 @@ impl LiveEngine {
     /// Rebuilds an engine from a checkpoint. The restored engine emits
     /// the exact same events for the rest of the stream as the
     /// snapshotted one would have (timing telemetry restarts at zero).
+    ///
+    /// Infallible, so it trusts its argument: a snapshot read from
+    /// outside the program goes through [`crate::parse_checkpoint`]
+    /// first, which rejects one with no shards (an engine that would
+    /// accept records and process none).
     pub fn restore(snapshot: &LiveSnapshot) -> Self {
         let registry = MetricsRegistry::new();
         let metrics = LiveMetrics::register(&registry);
@@ -506,14 +512,13 @@ impl LiveEngine {
 fn shard_chunk<S: Subscriber>(
     shard: &mut Shard,
     records: &[PacketRecord],
-    indices: &[usize],
+    indices: impl Iterator<Item = usize>,
     base: u64,
     subscriber: &mut S,
 ) -> ShardChunk {
     let admit_start = Instant::now();
     let admitted: Vec<(usize, Admitted)> = indices
-        .iter()
-        .map(|&i| {
+        .map(|i| {
             let meta = EventMeta::record(base + i as u64);
             (i, shard.pipeline.admit_with(&records[i], &meta, subscriber))
         })

@@ -30,8 +30,7 @@ pub mod multi;
 
 pub use alert::{EvidencePacket, LiveEvent, LiveEventKind};
 pub use detector::{
-    ClassifiedAttack, DetectorSnapshot, LiveConfig, LiveDetector, LiveStats, MinuteCell,
-    ProfileCell,
+    ClassifiedAttack, DetectorSnapshot, LiveConfig, LiveDetector, LiveStats, ProfileCell,
 };
 pub use engine::{LiveEngine, LiveSnapshot};
 pub use forensics::{

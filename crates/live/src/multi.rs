@@ -76,22 +76,32 @@ impl MultiSnapshot {
 /// the v1 format (a bare [`LiveSnapshot`]) which is mapped onto a
 /// `version: 1` snapshot with no cursor vector.
 pub fn parse_checkpoint(json: &str) -> Result<MultiSnapshot, String> {
-    match serde_json::from_str::<MultiSnapshot>(json) {
-        Ok(snapshot) if (1..=CHECKPOINT_SCHEMA_VERSION).contains(&snapshot.version) => Ok(snapshot),
-        Ok(snapshot) => Err(format!(
+    let snapshot = match serde_json::from_str::<MultiSnapshot>(json) {
+        Ok(snapshot) => snapshot,
+        Err(_) => MultiSnapshot {
+            version: 1,
+            engine: serde_json::from_str(json)
+                .map_err(|e| format!("neither a v2 nor a v1 checkpoint: {e}"))?,
+            cursors: Vec::new(),
+        },
+    };
+    if !(1..=CHECKPOINT_SCHEMA_VERSION).contains(&snapshot.version) {
+        return Err(format!(
             "unsupported checkpoint schema v{} (newest supported: v{CHECKPOINT_SCHEMA_VERSION})",
             snapshot.version
-        )),
-        Err(_) => {
-            let engine: LiveSnapshot = serde_json::from_str(json)
-                .map_err(|e| format!("neither a v2 nor a v1 checkpoint: {e}"))?;
-            Ok(MultiSnapshot {
-                version: 1,
-                engine,
-                cursors: Vec::new(),
-            })
-        }
+        ));
     }
+    require_shards(&snapshot.engine)?;
+    Ok(snapshot)
+}
+
+/// An engine restored from zero shards would accept every record,
+/// process none and still reconcile its (all-zero) counters: reject it.
+fn require_shards(engine: &LiveSnapshot) -> Result<(), String> {
+    if engine.shards() == 0 {
+        return Err("checkpoint field `shards` is empty: an engine has at least one shard".into());
+    }
+    Ok(())
 }
 
 fn to_samples(stats: &[SourceStats]) -> Vec<SourceSample> {
@@ -152,6 +162,7 @@ impl MultiSourceLive {
         config: &SourceSetConfig,
     ) -> Result<MultiSourceLive, String> {
         let cursors = snapshot.resume_cursors(factories.len())?;
+        require_shards(&snapshot.engine)?;
         let engine = LiveEngine::restore(&snapshot.engine);
         let set = SourceSet::resume(factories, config, &cursors);
         Ok(Self::attach(engine, set))
@@ -450,6 +461,45 @@ mod tests {
         let encoded = serde_json::to_string(&snapshot).unwrap();
         let error = parse_checkpoint(&encoded).expect_err("v3 rejected");
         assert!(error.contains("unsupported"), "{error}");
+    }
+
+    #[test]
+    fn zero_shard_checkpoints_are_rejected() {
+        // Strip the shard list out of an otherwise valid checkpoint.
+        fn without_shards(mut value: serde::Value) -> serde::Value {
+            if let serde::Value::Map(entries) = &mut value {
+                for (key, inner) in entries.iter_mut() {
+                    match key.as_str() {
+                        "shards" => *inner = serde::Value::Seq(Vec::new()),
+                        "engine" => *inner = without_shards(inner.clone()),
+                        _ => {}
+                    }
+                }
+            }
+            value
+        }
+        let records = trace(1, 30);
+        let parts = splits(&records, 1);
+        let set = SourceSet::spawn(factories(&parts), &SourceSetConfig::default());
+        let live = MultiSourceLive::new(LiveConfig::default(), GuardConfig::default(), 2, set);
+        let snapshot = live.snapshot();
+
+        let v2 = without_shards(serde::to_value(&snapshot).unwrap());
+        let v1 = without_shards(serde::to_value(&snapshot.engine).unwrap());
+        for value in [&v2, &v1] {
+            let error = parse_checkpoint(&serde_json::to_string(value).unwrap())
+                .expect_err("zero shards rejected");
+            assert!(error.contains("`shards`"), "{error}");
+        }
+
+        // A snapshot deserialized around `parse_checkpoint` is stopped
+        // at restore.
+        let hollow: MultiSnapshot = serde::from_value(v2).unwrap();
+        assert_eq!(hollow.engine.shards(), 0);
+        let error =
+            MultiSourceLive::restore(&hollow, factories(&parts), &SourceSetConfig::default())
+                .expect_err("zero shards rejected");
+        assert!(error.contains("`shards`"), "{error}");
     }
 
     #[test]

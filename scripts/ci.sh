@@ -201,6 +201,32 @@ echo "$live_out" | grep -E '^live: .* checkpoint\(s\) verified$' | grep -qv ' 0 
 closes="$(echo "$live_out" | grep -c ' CLOSE ')"
 echo "live-smoke: $closes closed alert(s), checkpoints verified, exit 0 — OK"
 
+echo "==> live-smoke: eviction leg (4-victim cap on the same capture)"
+# Under a cap the capture overflows, the engine must still exit 0, count
+# its evictions, and close the same alerts whatever the chunking and
+# whether or not it was checkpointed and restored on the way: a restored
+# engine's activity index holds exact keys, a running one stale ones,
+# and that difference must be invisible.
+evict_run() {
+  cargo run -q $profile_flag -- live "$smoke_dir/smoke.qscp" \
+    --shards 1 --max-victims 4 "$@" 2>/dev/null
+}
+evict_out="$(evict_run --chunk 1024)"
+echo "$evict_out" | grep -qE '^live: .* [1-9][0-9]* eviction\(s\)' || {
+  echo "live-smoke: --max-victims 4 reported no evictions" >&2
+  echo "$evict_out" | tail -5 >&2
+  exit 1
+}
+evict_closes="$(echo "$evict_out" | grep ' CLOSE ')"
+for variant in "--chunk 4096" "--chunk 1024 --checkpoint-every 20000"; do
+  # shellcheck disable=SC2086
+  [[ "$(evict_run $variant | grep ' CLOSE ')" == "$evict_closes" ]] || {
+    echo "live-smoke: CLOSE lines under eviction differ with $variant" >&2
+    exit 1
+  }
+done
+echo "live-smoke: $(echo "$evict_out" | grep -oE '[0-9]+ eviction\(s\)'), CLOSE lines chunk- and checkpoint-invariant — OK"
+
 echo "==> multi-source-smoke: the same capture through the multiplexer"
 # Splitting the ingest across feeds must be invisible: the same capture
 # plus an empty feed yields exactly the live-smoke alert count, the
