@@ -350,11 +350,13 @@ impl Analysis {
                     if obs.direction == Direction::Response
                         && !analysis.research_sources.contains(&obs.src)
                     {
-                        response_sessionizer.offer_with(obs.ts, obs.src, "quic", &meta, subscriber);
+                        response_sessionizer
+                            .offer_keyed_with(obs.ts, obs.src, None, "quic", &meta, subscriber);
                     }
                 }
                 Admitted::Baseline(rec) => {
-                    common_sessionizer.offer_with(rec.ts, rec.src, "tcp_icmp", &meta, subscriber);
+                    common_sessionizer
+                        .offer_keyed_with(rec.ts, rec.src, None, "tcp_icmp", &meta, subscriber);
                 }
                 Admitted::Dropped => {}
             }

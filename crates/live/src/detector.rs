@@ -2,11 +2,14 @@
 //! watermark-driven expiry, alert lifecycle, and online multi-vector
 //! classification.
 //!
-//! [`LiveDetector`] mirrors the batch pipeline's semantics exactly:
+//! [`LiveDetector`] has the batch pipeline's semantics:
 //!
-//! * session boundaries replicate `Sessionizer` (join while the
-//!   per-victim gap ≤ timeout, bounds widen for tolerated late packets,
-//!   expiry deferred by the skew tolerance, amortized idle sweep);
+//! * session boundaries are the batch `Sessionizer`'s by construction —
+//!   each channel is an adapter over the same
+//!   [`SessionTable`] (join while the per-victim gap ≤ timeout, bounds
+//!   widen for tolerated late packets, expiry deferred by the skew
+//!   tolerance, amortized idle sweep), with the alert phase and the
+//!   evidence ring as the window's payload;
 //! * an alert `Opened`/`Escalated` transition fires the moment the
 //!   victim's open session crosses the (scaled) `DosThresholds` — all
 //!   three measures are monotone non-decreasing within a session, so
@@ -25,10 +28,10 @@ use quicsand_net::{Duration, Timestamp};
 use quicsand_sessions::dos::{Attack, AttackProtocol, DosThresholds};
 use quicsand_sessions::multivector::MultiVectorClass;
 use quicsand_sessions::session::SessionConfig;
+pub use quicsand_sessions::window::ProfileCell;
+use quicsand_sessions::window::{CloseReason, Closed, Counted, SessionTable, Steps, Window};
 use serde::{Deserialize, Serialize};
-use std::cmp::{Ordering, Reverse};
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Live-engine configuration.
@@ -60,39 +63,6 @@ impl Default for LiveConfig {
             escalation_weight: 4.0,
             evidence_capacity: 16,
             max_victims: 65_536,
-        }
-    }
-}
-
-/// One 1-minute slot of a victim's packet-arrival profile: how many
-/// packets landed in the slot plus the exact first and last arrival.
-/// A closed alert's profile is these rows sorted by minute bucket.
-///
-/// The triple is what makes a closed alert *replayable*: re-synthesizing
-/// `count` packets between `first` and `last` (endpoints exact, middles
-/// evenly spaced) reproduces the session's start, end, packet count and
-/// per-minute maxima — and therefore the identical [`Attack`] record —
-/// when offered to a fresh detector (see [`crate::forensics`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProfileCell {
-    /// Minute bucket (`ts.minute_bucket()`).
-    pub minute: u64,
-    /// Packets in the slot.
-    pub count: u64,
-    /// First arrival in the slot.
-    pub first: Timestamp,
-    /// Last arrival in the slot.
-    pub last: Timestamp,
-}
-
-impl ProfileCell {
-    /// The slot `ts` falls into, before `ts` itself is counted.
-    fn empty(ts: Timestamp) -> Self {
-        ProfileCell {
-            minute: ts.minute_bucket(),
-            count: 0,
-            first: ts,
-            last: ts,
         }
     }
 }
@@ -157,20 +127,26 @@ enum AlertPhase {
     Escalated,
 }
 
-/// One victim's open sliding-window state — the live analogue of the
-/// sessionizer's `OpenSession`, plus the alert phase and evidence ring.
+/// Checkpoint shape of one open victim: its [`Window`] and
+/// [`AlertState`] side by side, field for field what the format has
+/// always had (the vendored serde has no `flatten`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct VictimState {
     start: Timestamp,
     last: Timestamp,
     packet_count: u64,
-    /// Arrival profile, sorted by minute bucket. Packets almost always
-    /// land in the newest slot, so a flat vector beats a map here.
     #[serde(with = "minute_map")]
     minute_counts: Vec<ProfileCell>,
-    /// Cached `max(minute_counts[..].count)`; counts only grow, so
-    /// this is maintainable in O(1) per packet.
     max_minute: u64,
+    phase: AlertPhase,
+    evidence: Vec<EvidencePacket>,
+    cursor: usize,
+}
+
+/// What a channel attaches to a victim's open [`Window`]: where its
+/// alert stands and the most recent packets seen.
+#[derive(Debug, Clone, PartialEq)]
+struct AlertState {
     phase: AlertPhase,
     /// Evidence ring, managed through `cursor`. Snapshots normalize it
     /// to chronological order (see [`ChannelDetector::snapshot`]).
@@ -178,61 +154,14 @@ struct VictimState {
     cursor: usize,
 }
 
-impl VictimState {
-    /// The state of a session opened by `packet`.
-    fn fresh(packet: EvidencePacket, capacity: usize) -> Self {
-        let mut state = VictimState {
-            start: packet.ts,
-            last: packet.ts,
-            packet_count: 0,
-            minute_counts: Vec::with_capacity(1),
-            max_minute: 0,
+impl AlertState {
+    /// The state of a session that has just opened.
+    fn fresh(capacity: usize) -> Self {
+        AlertState {
             phase: AlertPhase::Quiet,
             evidence: Vec::with_capacity(capacity.min(64)),
             cursor: 0,
-        };
-        state.join(packet.ts);
-        state.push_evidence(packet, capacity);
-        state
-    }
-
-    /// Counts one more packet of the open session. Bounds only widen
-    /// (a late packet saturates to a zero gap, as in the batch path).
-    fn join(&mut self, ts: Timestamp) {
-        self.last = self.last.max(ts);
-        self.start = self.start.min(ts);
-        self.packet_count += 1;
-        let minute = ts.minute_bucket();
-        let cells = &mut self.minute_counts;
-        let at = match cells.last().map(|newest| newest.minute.cmp(&minute)) {
-            Some(Ordering::Equal) => cells.len() - 1,
-            // A tolerated late packet: an older slot, or a missing one.
-            Some(Ordering::Greater) => cells
-                .binary_search_by_key(&minute, |cell| cell.minute)
-                .unwrap_or_else(|at| {
-                    cells.insert(at, ProfileCell::empty(ts));
-                    at
-                }),
-            _ => {
-                cells.push(ProfileCell::empty(ts));
-                cells.len() - 1
-            }
-        };
-        let cell = &mut cells[at];
-        cell.count += 1;
-        cell.first = cell.first.min(ts);
-        cell.last = cell.last.max(ts);
-        if cell.count > self.max_minute {
-            self.max_minute = cell.count;
         }
-    }
-
-    fn max_pps(&self) -> f64 {
-        self.max_minute as f64 / 60.0
-    }
-
-    fn duration(&self) -> Duration {
-        self.last.saturating_since(self.start)
     }
 
     fn push_evidence(&mut self, packet: EvidencePacket, capacity: usize) {
@@ -255,17 +184,6 @@ impl VictimState {
         out.extend_from_slice(&self.evidence[self.cursor..]);
         out.extend_from_slice(&self.evidence[..self.cursor]);
         out
-    }
-
-    fn as_attack(&self, victim: Ipv4Addr, protocol: AttackProtocol) -> Attack {
-        Attack {
-            victim,
-            protocol,
-            start: self.start,
-            end: self.last,
-            packet_count: self.packet_count,
-            max_pps: self.max_pps(),
-        }
     }
 }
 
@@ -339,34 +257,73 @@ struct ChannelSnapshot {
     states: Vec<VictimEntry>,
 }
 
-/// One detection channel (QUIC responses, or the TCP/ICMP baseline):
-/// per-victim sliding windows + activity index + watermark machinery.
+/// What one offered packet does to a channel's alerts: the [`Steps`] of
+/// [`ChannelDetector::offer`].
+struct Alerts<'a> {
+    protocol: AttackProtocol,
+    thresholds: &'a DosThresholds,
+    escalation: &'a DosThresholds,
+    evidence_capacity: usize,
+    /// The rest of the offered packet's evidence row.
+    dst: Ipv4Addr,
+    bytes: u64,
+    stats: &'a mut LiveStats,
+    out: &'a mut Vec<ChannelEvent>,
+}
+
+impl Steps<AlertState> for Alerts<'_> {
+    fn closed(&mut self, closed: Closed<AlertState>) {
+        ChannelDetector::close_state(self.protocol, self.stats, closed, self.out);
+    }
+
+    /// Records the packet as evidence and advances the victim's alert
+    /// phase as far as the thresholds allow, emitting one event per
+    /// transition. Monotone measures ⇒ no reverse transitions, ever.
+    #[inline]
+    fn counted(&mut self, counted: Counted<'_, AlertState>) {
+        let Counted {
+            at,
+            src: victim,
+            window,
+            payload: state,
+            ..
+        } = counted;
+        let packet = EvidencePacket {
+            ts: at,
+            dst: self.dst,
+            bytes: self.bytes,
+        };
+        state.push_evidence(packet, self.evidence_capacity);
+        let (packets, duration, max_pps) =
+            (window.packet_count, window.duration(), window.max_pps());
+        if state.phase == AlertPhase::Quiet
+            && self.thresholds.matches_measures(packets, duration, max_pps)
+        {
+            state.phase = AlertPhase::Open;
+            self.stats.opened += 1;
+            self.out.push(ChannelEvent::Opened { at, victim });
+        }
+        if state.phase == AlertPhase::Open
+            && self.escalation.matches_measures(packets, duration, max_pps)
+        {
+            state.phase = AlertPhase::Escalated;
+            self.stats.escalated += 1;
+            self.out.push(ChannelEvent::Escalated { at, victim });
+        }
+    }
+}
+
+/// One detection channel (QUIC responses, or the TCP/ICMP baseline): a
+/// [`SessionTable`] of per-victim windows capped at
+/// [`LiveConfig::max_victims`], each carrying its [`AlertState`].
 #[derive(Debug)]
 struct ChannelDetector {
     protocol: AttackProtocol,
     thresholds: DosThresholds,
     escalation: DosThresholds,
-    session: SessionConfig,
     evidence_capacity: usize,
-    max_victims: usize,
-    /// Keyed by attacker-chosen addresses, so this map stays on std's
-    /// randomly keyed SipHash: that is the HashDoS defence of this layer.
-    states: HashMap<Ipv4Addr, VictimState>,
-    /// Lazy last-activity index, a min-heap of `(key, victim)` holding
-    /// *exactly one entry per tracked victim* with `key <= last`. A
-    /// packet joining an open session does not touch it; the key is
-    /// brought up to the victim's actual `last` only when the entry
-    /// surfaces in a sweep or an eviction ([`Self::pop_idle`]). A
-    /// session that restarts in place after a gap keeps its entry: the
-    /// old key is still a lower bound.
-    lru: BinaryHeap<Reverse<(Timestamp, Ipv4Addr)>>,
-    watermark: Timestamp,
-    last_sweep: Timestamp,
+    table: SessionTable<AlertState>,
     stats: LiveStats,
-    /// Index entries re-keyed so far (the model test bounds this by the
-    /// number of joins).
-    #[cfg(test)]
-    rekeys: u64,
 }
 
 impl ChannelDetector {
@@ -375,22 +332,15 @@ impl ChannelDetector {
             protocol,
             thresholds: config.thresholds,
             escalation: config.thresholds.scaled(config.escalation_weight),
-            session: config.session,
             evidence_capacity: config.evidence_capacity,
-            max_victims: config.max_victims.max(1),
-            states: HashMap::new(),
-            lru: BinaryHeap::new(),
-            watermark: Timestamp::EPOCH,
-            last_sweep: Timestamp::EPOCH,
+            table: SessionTable::new(config.session, config.max_victims),
             stats: LiveStats::default(),
-            #[cfg(test)]
-            rekeys: 0,
         }
     }
 
-    /// Offers one packet attributed to `victim`. Emits sweep-driven
-    /// closes first (deterministic `(start, victim)` order), then this
-    /// packet's own transition, mirroring `Sessionizer::offer`.
+    /// Offers one packet attributed to `victim`. Emits the closes the
+    /// table reports first (sweep, then gap close or evictions), then
+    /// this packet's own transition.
     fn offer(
         &mut self,
         ts: Timestamp,
@@ -400,244 +350,133 @@ impl ChannelDetector {
         out: &mut Vec<ChannelEvent>,
     ) {
         self.stats.events_in += 1;
-        if ts > self.watermark {
-            self.watermark = ts;
-        }
-        // Amortized idle sweep, same trigger as the batch sessionizer.
-        if self.watermark.saturating_since(self.last_sweep) > self.session.timeout {
-            self.expire(self.watermark, out);
-        }
-        let packet = EvidencePacket { ts, dst, bytes };
-        let state = match self.states.get_mut(&victim) {
-            Some(state) if ts.saturating_since(state.last) <= self.session.timeout => {
-                state.join(ts);
-                state.push_evidence(packet, self.evidence_capacity);
-                state
-            }
-            Some(state) => {
-                // Gap exceeded: close the old session and start a fresh
-                // one in its place (and under its index entry).
-                let fresh = VictimState::fresh(packet, self.evidence_capacity);
-                let closed = std::mem::replace(state, fresh);
-                Self::close_state(self.protocol, &mut self.stats, victim, closed, false, out);
-                state
-            }
-            None => return self.insert_fresh(packet, victim, out),
+        let capacity = self.evidence_capacity;
+        let mut alerts = Alerts {
+            protocol: self.protocol,
+            thresholds: &self.thresholds,
+            escalation: &self.escalation,
+            evidence_capacity: capacity,
+            dst,
+            bytes,
+            stats: &mut self.stats,
+            out,
         };
-        Self::transition(
-            state,
-            &self.thresholds,
-            &self.escalation,
-            &mut self.stats,
-            ts,
-            victim,
-            out,
-        );
+        self.table
+            .offer(ts, victim, || AlertState::fresh(capacity), &mut alerts);
+        self.stats.peak_tracked = self.table.peak_open();
     }
 
-    /// Tracks a new victim whose session `packet` opens, evicting under
-    /// the cap first, and transitions on the entry it just inserted.
-    fn insert_fresh(
-        &mut self,
-        packet: EvidencePacket,
-        victim: Ipv4Addr,
-        out: &mut Vec<ChannelEvent>,
-    ) {
-        // Hard memory cap: evict the least-recently-active victim. Its
-        // session is force-closed *now*; if the victim speaks again a
-        // new session starts, so the boundaries may differ from batch —
-        // the one documented divergence, flagged on the event.
-        while self.states.len() >= self.max_victims {
-            let evictee = self.pop_idle(|_| true).expect("index tracks states");
-            let state = self.states.remove(&evictee).expect("evictee tracked");
-            self.stats.evictions += 1;
-            Self::close_state(self.protocol, &mut self.stats, evictee, state, true, out);
-        }
-        self.lru.push(Reverse((packet.ts, victim)));
-        self.stats.peak_tracked = self.stats.peak_tracked.max(self.states.len() + 1);
-        let at = packet.ts;
-        let state = self
-            .states
-            .entry(victim)
-            .or_insert(VictimState::fresh(packet, self.evidence_capacity));
-        Self::transition(
-            state,
-            &self.thresholds,
-            &self.escalation,
-            &mut self.stats,
-            at,
-            victim,
-            out,
-        );
-    }
-
-    /// Advances the victim's alert phase as far as the thresholds
-    /// allow, emitting one event per transition. Monotone measures ⇒
-    /// no reverse transitions, ever.
-    fn transition(
-        state: &mut VictimState,
-        thresholds: &DosThresholds,
-        escalation: &DosThresholds,
-        stats: &mut LiveStats,
-        at: Timestamp,
-        victim: Ipv4Addr,
-        out: &mut Vec<ChannelEvent>,
-    ) {
-        let (packets, duration, max_pps) = (state.packet_count, state.duration(), state.max_pps());
-        if state.phase == AlertPhase::Quiet
-            && thresholds.matches_measures(packets, duration, max_pps)
-        {
-            state.phase = AlertPhase::Open;
-            stats.opened += 1;
-            out.push(ChannelEvent::Opened { at, victim });
-        }
-        if state.phase == AlertPhase::Open
-            && escalation.matches_measures(packets, duration, max_pps)
-        {
-            state.phase = AlertPhase::Escalated;
-            stats.escalated += 1;
-            out.push(ChannelEvent::Escalated { at, victim });
-        }
-    }
-
-    /// Closes a removed state: qualifying sessions become `Closed`
-    /// alerts, quiet ones vanish (exactly the sessions batch
-    /// `detect_attacks` would filter out).
+    /// Closes a window the table gave up: qualifying sessions become
+    /// `Closed` alerts, quiet ones vanish (exactly the sessions batch
+    /// `detect_attacks` would filter out). An eviction is the one
+    /// documented divergence from batch, counted and flagged on the
+    /// event.
     fn close_state(
         protocol: AttackProtocol,
         stats: &mut LiveStats,
-        victim: Ipv4Addr,
-        state: VictimState,
-        evicted: bool,
+        closed: Closed<AlertState>,
         out: &mut Vec<ChannelEvent>,
     ) {
+        let Closed {
+            why,
+            src: victim,
+            window,
+            payload: state,
+            ..
+        } = closed;
+        let evicted = why == CloseReason::Evicted;
+        stats.evictions += u64::from(evicted);
         if state.phase == AlertPhase::Quiet {
             return;
         }
         stats.closed += 1;
         out.push(ChannelEvent::Closed(ClosedAlert {
-            attack: state.as_attack(victim, protocol),
+            attack: Attack {
+                victim,
+                protocol,
+                start: window.start,
+                end: window.last,
+                packet_count: window.packet_count,
+                max_pps: window.max_pps(),
+            },
             evidence: state.evidence_chronological(),
-            profile: state.minute_counts,
+            profile: window.profile,
             evicted,
         }));
     }
 
-    /// Pops the least-recently-active victim if its last activity is
-    /// `idle` (a predicate that holds for every earlier time too): the
-    /// exact minimum `(last, victim)` over all tracked victims, which is
-    /// what an eagerly maintained ordered set would hand out.
-    ///
-    /// A top entry whose key is stale is re-keyed to its victim's actual
-    /// `last` and sinks. Every other entry's actual `(last, victim)` is
-    /// ≥ its key ≥ the top's, so a top whose key *is* exact is the true
-    /// minimum, ties included; and if even the top's lower bound is not
-    /// idle, nobody is. A re-key happens only after a join advanced
-    /// `last` past the key, so index work is amortised O(log n) per
-    /// packet at worst and zero on the join path.
-    fn pop_idle(&mut self, idle: impl Fn(Timestamp) -> bool) -> Option<Ipv4Addr> {
-        loop {
-            let mut top = self.lru.peek_mut()?;
-            let Reverse((key, victim)) = *top;
-            if !idle(key) {
-                return None;
-            }
-            let last = self.states[&victim].last;
-            if last == key {
-                PeekMut::pop(top);
-                return Some(victim);
-            }
-            top.0 .0 = last;
-            #[cfg(test)]
-            {
-                self.rekeys += 1;
-            }
-        }
-    }
-
-    /// Expires every victim idle past `timeout + skew_tolerance` as of
-    /// `now`, in deterministic `(start, victim)` order — the exact
-    /// horizon and ordering of `Sessionizer::expire`. The index makes
-    /// collection O((expired + re-keyed) · log n) instead of a full
-    /// scan.
-    fn expire(&mut self, now: Timestamp, out: &mut Vec<ChannelEvent>) {
-        let horizon = self.session.timeout.as_micros() + self.session.skew_tolerance.as_micros();
-        self.last_sweep = now;
-        let mut expired = Vec::new();
-        while let Some(victim) =
-            self.pop_idle(|last| now.saturating_since(last).as_micros() > horizon)
-        {
-            let state = self.states.remove(&victim).expect("expired victim open");
-            expired.push((victim, state));
-        }
-        self.close_in_order(expired, out);
-    }
-
-    /// Closes every remaining victim in `(start, victim)` order — the
-    /// end-of-stream flush, mirroring `Sessionizer::finish`.
+    /// Closes every remaining victim at end of stream.
     fn flush(&mut self, out: &mut Vec<ChannelEvent>) {
-        self.lru.clear();
-        let remaining = self.states.drain().collect();
-        self.close_in_order(remaining, out);
-    }
-
-    /// Closes already-removed victims in `(start, victim)` order.
-    fn close_in_order(
-        &mut self,
-        mut closing: Vec<(Ipv4Addr, VictimState)>,
-        out: &mut Vec<ChannelEvent>,
-    ) {
-        closing.sort_unstable_by_key(|(victim, state)| (state.start, *victim));
-        for (victim, state) in closing {
-            Self::close_state(self.protocol, &mut self.stats, victim, state, false, out);
-        }
+        let (protocol, stats) = (self.protocol, &mut self.stats);
+        self.table
+            .flush(&mut |closed| Self::close_state(protocol, stats, closed, out));
     }
 
     fn snapshot(&self) -> ChannelSnapshot {
         let mut states: Vec<VictimEntry> = self
-            .states
+            .table
             .iter()
-            .map(|(src, state)| {
-                // Normalize the evidence ring to chronological order
-                // with cursor 0 (the oldest slot), so identical logical
-                // state snapshots identically regardless of history,
-                // and future overwrites keep hitting the oldest entry.
-                let mut state = state.clone();
-                state.evidence = state.evidence_chronological();
-                state.cursor = 0;
-                VictimEntry { src: *src, state }
+            .map(|(src, window, alert)| VictimEntry {
+                src,
+                state: VictimState {
+                    start: window.start,
+                    last: window.last,
+                    packet_count: window.packet_count,
+                    minute_counts: window.profile.clone(),
+                    max_minute: window.max_minute,
+                    phase: alert.phase,
+                    // Normalize the evidence ring to chronological
+                    // order with cursor 0 (the oldest slot), so
+                    // identical logical state snapshots identically
+                    // regardless of history, and future overwrites keep
+                    // hitting the oldest entry.
+                    evidence: alert.evidence_chronological(),
+                    cursor: 0,
+                },
             })
             .collect();
         states.sort_by_key(|entry| entry.src);
         ChannelSnapshot {
-            watermark: self.watermark,
-            last_sweep: self.last_sweep,
+            watermark: self.table.watermark(),
+            last_sweep: self.table.last_sweep(),
             stats: self.stats,
             states,
         }
     }
 
     fn restore(protocol: AttackProtocol, config: &LiveConfig, snapshot: &ChannelSnapshot) -> Self {
-        let mut channel = ChannelDetector::new(protocol, config);
-        channel.watermark = snapshot.watermark;
-        channel.last_sweep = snapshot.last_sweep;
-        channel.stats = snapshot.stats;
-        for entry in &snapshot.states {
-            channel.states.insert(entry.src, entry.state.clone());
+        let open = snapshot.states.iter().map(|entry| {
+            let state = &entry.state;
+            let window = Window {
+                start: state.start,
+                last: state.last,
+                packet_count: state.packet_count,
+                profile: state.minute_counts.clone(),
+                max_minute: state.max_minute,
+            };
+            let alert = AlertState {
+                phase: state.phase,
+                evidence: state.evidence.clone(),
+                cursor: state.cursor,
+            };
+            (entry.src, window, alert)
+        });
+        ChannelDetector {
+            table: SessionTable::restore(
+                config.session,
+                config.max_victims,
+                snapshot.watermark,
+                snapshot.last_sweep,
+                snapshot.stats.peak_tracked,
+                open,
+            ),
+            stats: snapshot.stats,
+            ..ChannelDetector::new(protocol, config)
         }
-        // The index is derived from the restored *map* (exact keys), so
-        // the two cannot disagree even if the checkpoint repeats a
-        // victim.
-        channel.lru = channel
-            .states
-            .iter()
-            .map(|(victim, state)| Reverse((state.last, *victim)))
-            .collect();
-        channel
     }
 
     fn tracked(&self) -> usize {
-        self.states.len()
+        self.table.len()
     }
 }
 
@@ -728,6 +567,27 @@ pub struct DetectorSnapshot {
     /// Evidence rings parallel to `closed_common`.
     common_evidence: Vec<Vec<EvidencePacket>>,
     reclassified: u64,
+}
+
+impl DetectorSnapshot {
+    /// Rejects an open victim whose evidence `cursor` points outside its
+    /// ring: [`AlertState`] indexes the ring at `cursor` on the next
+    /// packet and slices it there on the next close or snapshot.
+    pub(crate) fn require_cursors_in_ring(&self) -> Result<(), String> {
+        for (channel, snapshot) in [("quic", &self.quic), ("common", &self.common)] {
+            for VictimEntry { src, state } in &snapshot.states {
+                if state.cursor != 0 && state.cursor >= state.evidence.len() {
+                    return Err(format!(
+                        "checkpoint field `cursor` of {channel} victim {src} is {}, \
+                         outside its evidence ring of {} packet(s)",
+                        state.cursor,
+                        state.evidence.len()
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The streaming flood detector: a QUIC-response channel and a
@@ -961,8 +821,9 @@ impl LiveDetector {
         }
     }
 
-    /// Rebuilds a detector from a checkpoint (indices and LRU sets are
-    /// derived state and are reconstructed, not serialized).
+    /// Rebuilds a detector from a checkpoint (the correlation indices
+    /// and the tables' activity indexes are derived state and are
+    /// reconstructed, not serialized).
     pub fn restore(config: LiveConfig, snapshot: &DetectorSnapshot) -> Self {
         let mut quic_index: HashMap<Ipv4Addr, Vec<usize>> = HashMap::new();
         for (i, classified) in snapshot.closed_quic.iter().enumerate() {
@@ -1308,7 +1169,6 @@ mod tests {
         watermark: Timestamp,
         last_sweep: Timestamp,
         stats: LiveStats,
-        joins: u64,
     }
 
     struct OracleState {
@@ -1387,9 +1247,7 @@ mod tests {
                 .states
                 .get(&victim)
                 .is_some_and(|s| ts.saturating_since(s.last) <= session.timeout);
-            if joins {
-                self.joins += 1;
-            } else {
+            if !joins {
                 if let Some(old) = self.states.remove(&victim) {
                     self.close(victim, old, false, out);
                 }
@@ -1498,16 +1356,13 @@ mod tests {
                 watermark: Timestamp::EPOCH,
                 last_sweep: Timestamp::EPOCH,
                 stats: LiveStats::default(),
-                joins: 0,
             };
             let checkpoint_at = checkpoint_at % steps.len();
-            let mut rekeys = 0;
             let mut now_ms = 1_000_000u64;
             for (i, &(raw_victim, advance_ms, mode)) in steps.iter().enumerate() {
                 if i == checkpoint_at {
                     let json = serde_json::to_string(&channel.snapshot()).unwrap();
                     let parsed: ChannelSnapshot = serde_json::from_str(&json).unwrap();
-                    rekeys += channel.rekeys;
                     channel = ChannelDetector::restore(Oracle::PROTOCOL, &config, &parsed);
                 }
                 let ts_ms = match mode {
@@ -1532,22 +1387,13 @@ mod tests {
                 oracle.offer(packet, victim, &mut want);
                 prop_assert!(got == want, "step {i}: got {got:?}, want {want:?}");
                 prop_assert_eq!(channel.stats, oracle.stats);
-                // One index entry per tracked victim, keyed at or
-                // before its actual last activity.
-                prop_assert_eq!(channel.lru.len(), channel.states.len());
-                prop_assert!(channel.lru.iter().all(|Reverse((key, victim))| {
-                    channel.states.get(victim).is_some_and(|s| *key <= s.last)
-                }));
             }
             let (mut got, mut want) = (Vec::new(), Vec::new());
             channel.flush(&mut got);
             oracle.flush(&mut want);
             prop_assert!(got == want, "flush: got {got:?}, want {want:?}");
             prop_assert_eq!(channel.stats, oracle.stats);
-            prop_assert_eq!(channel.lru.len(), 0);
-            // Every re-key is paid for by a join since the key was set.
-            rekeys += channel.rekeys;
-            prop_assert!(rekeys <= oracle.joins, "{rekeys} re-keys > {} joins", oracle.joins);
+            prop_assert_eq!(channel.tracked(), 0);
         }
     }
 

@@ -76,6 +76,11 @@ impl LiveSnapshot {
     pub fn shards(&self) -> usize {
         self.shards.len()
     }
+
+    /// Each shard's detector checkpoint, in shard order.
+    pub(crate) fn detectors(&self) -> impl Iterator<Item = &DetectorSnapshot> {
+        self.shards.iter().map(|shard| &shard.detector)
+    }
 }
 
 /// The streaming flood-detection engine.
@@ -377,7 +382,8 @@ impl LiveEngine {
     /// Infallible, so it trusts its argument: a snapshot read from
     /// outside the program goes through [`crate::parse_checkpoint`]
     /// first, which rejects one with no shards (an engine that would
-    /// accept records and process none).
+    /// accept records and process none) or with an evidence cursor
+    /// outside its ring (a detector that would panic on its next close).
     pub fn restore(snapshot: &LiveSnapshot) -> Self {
         let registry = MetricsRegistry::new();
         let metrics = LiveMetrics::register(&registry);

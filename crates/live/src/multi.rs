@@ -92,6 +92,9 @@ pub fn parse_checkpoint(json: &str) -> Result<MultiSnapshot, String> {
         ));
     }
     require_shards(&snapshot.engine)?;
+    for detector in snapshot.engine.detectors() {
+        detector.require_cursors_in_ring()?;
+    }
     Ok(snapshot)
 }
 
@@ -500,6 +503,53 @@ mod tests {
             MultiSourceLive::restore(&hollow, factories(&parts), &SourceSetConfig::default())
                 .expect_err("zero shards rejected");
         assert!(error.contains("`shards`"), "{error}");
+    }
+
+    #[test]
+    fn evidence_cursor_outside_its_ring_is_rejected() {
+        // Point every open victim's cursor past its evidence in an
+        // otherwise valid checkpoint: restored, that detector panics on
+        // its next snapshot or qualifying close.
+        fn with_cursor(mut value: serde::Value, cursor: u64) -> serde::Value {
+            match &mut value {
+                serde::Value::Map(entries) => {
+                    for (key, inner) in entries.iter_mut() {
+                        *inner = match key.as_str() {
+                            "cursor" => serde::Value::U64(cursor),
+                            _ => with_cursor(inner.clone(), cursor),
+                        };
+                    }
+                }
+                serde::Value::Seq(items) => {
+                    for inner in items.iter_mut() {
+                        *inner = with_cursor(inner.clone(), cursor);
+                    }
+                }
+                _ => {}
+            }
+            value
+        }
+        let mut engine = LiveEngine::new(LiveConfig::default(), GuardConfig::default(), 1);
+        engine.offer_chunk(&[syn_ack(1_000_000, 1)]);
+        let snapshot = MultiSnapshot {
+            version: CHECKPOINT_SCHEMA_VERSION,
+            engine: engine.snapshot(),
+            cursors: vec![1],
+        };
+
+        let v2 = with_cursor(serde::to_value(&snapshot).unwrap(), 7);
+        let v1 = with_cursor(serde::to_value(&snapshot.engine).unwrap(), 7);
+        for value in [&v2, &v1] {
+            let error = parse_checkpoint(&serde_json::to_string(value).unwrap())
+                .expect_err("out-of-ring cursor rejected");
+            assert!(
+                error.contains("`cursor` of common victim 198.51.100.1 is 7"),
+                "{error}"
+            );
+        }
+        // A cursor inside the ring is what a running detector writes.
+        let inside = with_cursor(serde::to_value(&snapshot).unwrap(), 0);
+        parse_checkpoint(&serde_json::to_string(&inside).unwrap()).expect("cursor 0 parses");
     }
 
     #[test]

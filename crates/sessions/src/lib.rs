@@ -8,6 +8,9 @@
 //!   inactivity period between them is no longer than the timeout",
 //!   §5.1) plus the timeout-sweep used to pick the 5-minute knee
 //!   (Fig. 4).
+//! * [`window`] — the session-window state machine behind it, shared
+//!   with the live detector: open windows per source, idle sweep,
+//!   bounded eviction.
 //! * [`dos`] — DoS attack inference with the Moore et al. thresholds
 //!   (>25 packets, >60 s, >0.5 max pps over 1-minute slots) and the
 //!   threshold-weight sweep of Appendix B (Fig. 10).
@@ -25,6 +28,7 @@ pub mod dos;
 pub mod metrics;
 pub mod multivector;
 pub mod session;
+pub mod window;
 
 pub use cdf::Cdf;
 pub use dos::{detect_attacks, Attack, DosThresholds};
@@ -36,3 +40,4 @@ pub use multivector::{
 pub use session::{
     link_migrations, MigrationLink, Session, SessionConfig, Sessionizer, SessionizerCounters,
 };
+pub use window::{CloseReason, Closed, Counted, ProfileCell, SessionTable, Steps, Window};

@@ -8,9 +8,11 @@
 //!
 //! The [`Sessionizer`] is streaming: it consumes packets in time order
 //! and emits sessions as they close, so a month of telescope traffic
-//! never needs to sit in memory at once. An ablation bench compares this
-//! against batch grouping (DESIGN.md §3).
+//! never needs to sit in memory at once. The grouping rule itself lives
+//! in [`crate::window`]; this module turns closed windows into
+//! [`Session`]s, counts them and emits the `session_*` events.
 
+use crate::window::{CloseReason, Closed, Counted, ProfileCell, SessionTable, Steps};
 use quicsand_events::{
     EventMeta, NoopSubscriber, SessionClosed, SessionOpened, SessionWidened, Subscriber,
 };
@@ -58,9 +60,9 @@ pub struct Session {
     pub end: Timestamp,
     /// Total packets in the session.
     pub packet_count: u64,
-    /// Packets per 1-minute slot (minute bucket → count), the basis of
+    /// Packets per 1-minute slot, sorted by minute bucket: the basis of
     /// the max-pps intensity metric (§5.2).
-    pub minute_counts: HashMap<u64, u64>,
+    pub minute_counts: Vec<ProfileCell>,
     /// Connection-ID key observed on this session's packets (hash of
     /// the client's source CID), when the capture exposed one. Lets
     /// [`link_migrations`] re-join a flow that changed source address
@@ -78,8 +80,8 @@ impl Session {
     /// second — the intensity metric of §5.2 / Fig. 7(b).
     pub fn max_pps(&self) -> f64 {
         self.minute_counts
-            .values()
-            .map(|&c| c as f64 / 60.0)
+            .iter()
+            .map(|cell| cell.count as f64 / 60.0)
             .fold(0.0, f64::max)
     }
 
@@ -94,50 +96,18 @@ impl Session {
     }
 }
 
-#[derive(Debug, Clone)]
-struct OpenSession {
-    start: Timestamp,
-    last: Timestamp,
-    packet_count: u64,
-    minute_counts: HashMap<u64, u64>,
-    cid_key: Option<u64>,
-}
-
-impl OpenSession {
-    fn close(self, src: Ipv4Addr) -> Session {
-        Session {
-            src,
-            start: self.start,
-            end: self.last,
-            packet_count: self.packet_count,
-            minute_counts: self.minute_counts,
-            cid_key: self.cid_key,
-        }
-    }
-}
-
 /// Streaming sessionizer. Feed packets in non-decreasing time order;
 /// closed sessions are buffered and drained via [`Sessionizer::drain`] /
 /// [`Sessionizer::finish`].
 ///
-/// Memory is bounded by the number of *recently active* sources: the
-/// advancing packet-time watermark drives an idle-session sweep
-/// ([`Sessionizer::expire`]), so a source that goes silent is closed
-/// out and its state dropped even if it never sends again. Without
-/// this, one-shot sources (the overwhelming majority at a telescope)
-/// would accumulate in `open` for the whole capture.
+/// A [`SessionTable`] whose payload is the session's sticky connection-ID
+/// key, uncapped: memory is bounded by the table's idle sweep alone, so
+/// one-shot sources (the overwhelming majority at a telescope) do not
+/// accumulate for the whole capture.
 #[derive(Debug)]
 pub struct Sessionizer {
-    config: SessionConfig,
-    open: HashMap<Ipv4Addr, OpenSession>,
+    table: SessionTable<Option<u64>>,
     closed: Vec<Session>,
-    last_ts: Timestamp,
-    /// Watermark of the last idle sweep (amortizes [`Self::expire`] to
-    /// one scan of `open` per timeout interval).
-    last_sweep: Timestamp,
-    /// High-water mark of `open.len()` — surfaced in pipeline stats to
-    /// verify the memory bound.
-    peak_open: usize,
     /// Cumulative lifecycle counters, the sessionizer's contribution to
     /// the metrics layer.
     counters: SessionizerCounters,
@@ -148,12 +118,13 @@ pub struct Sessionizer {
 /// `opened` counts every fresh open-session insert (first packet of a
 /// source, or the packet after a timeout gap); `closed` counts every
 /// close the sessionizer has *buffered so far* — gap closes and idle
-/// expiries, but not the final flush, which [`Sessionizer::finish`]
-/// performs while consuming the sessionizer. Callers wanting totals
-/// read [`Sessionizer::counters`] and [`Sessionizer::open_count`]
-/// immediately before `finish()`: `closed + open_count` is the final
-/// session count, and equals `opened`. `expired` is the subset of
-/// `closed` released by the watermark sweep rather than a gap close.
+/// expiries; the final flush is never visible here, because
+/// [`Sessionizer::finish`] performs it while consuming the sessionizer.
+/// Callers wanting totals read [`Sessionizer::counters`] and
+/// [`Sessionizer::open_count`] immediately before `finish()`:
+/// `closed + open_count` is the final session count, and equals
+/// `opened`. `expired` is the subset of `closed` released by the
+/// watermark sweep rather than a gap close.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SessionizerCounters {
     /// Open-session inserts.
@@ -173,32 +144,132 @@ impl SessionizerCounters {
     }
 }
 
+/// Where a [`Sessionizer`] puts what its table reports: the closed
+/// buffer and counters, and the event stream.
+struct Sink<'a, S> {
+    closed: &'a mut Vec<Session>,
+    counters: &'a mut SessionizerCounters,
+    /// The connection-ID key of the packet being offered, if any.
+    cid_key: Option<u64>,
+    channel: &'a str,
+    meta: &'a EventMeta,
+    subscriber: &'a mut S,
+}
+
+impl<S: Subscriber> Steps<Option<u64>> for Sink<'_, S> {
+    /// Buffers one closed window as a [`Session`] and emits its
+    /// `session_closed` (flagged `expired` only for a sweep close).
+    fn closed(&mut self, closed: Closed<Option<u64>>) {
+        let Closed {
+            why,
+            at,
+            src,
+            window,
+            payload: cid_key,
+        } = closed;
+        let expired = why == CloseReason::Expired;
+        if self.subscriber.enabled() {
+            self.subscriber.on_session_closed(
+                self.meta,
+                &SessionClosed {
+                    at,
+                    src,
+                    channel: self.channel.to_string(),
+                    start: window.start,
+                    packet_count: window.packet_count,
+                    expired,
+                },
+            );
+        }
+        self.closed.push(Session {
+            src,
+            start: window.start,
+            end: window.last,
+            packet_count: window.packet_count,
+            minute_counts: window.profile,
+            cid_key,
+        });
+        self.counters.closed += 1;
+        self.counters.expired += u64::from(expired);
+    }
+
+    /// Counts and announces the offered packet: `session_opened` when it
+    /// opened its window, `session_widened` when it arrived late enough
+    /// to move the window's start backwards. The first key a session
+    /// sees sticks to it.
+    #[inline]
+    fn counted(&mut self, counted: Counted<'_, Option<u64>>) {
+        let Counted {
+            at,
+            src,
+            opened,
+            lead,
+            payload,
+            ..
+        } = counted;
+        if payload.is_none() {
+            *payload = self.cid_key;
+        }
+        self.counters.opened += u64::from(opened);
+        if !self.subscriber.enabled() {
+            return;
+        }
+        if opened {
+            self.subscriber.on_session_opened(
+                self.meta,
+                &SessionOpened {
+                    at,
+                    src,
+                    channel: self.channel.to_string(),
+                },
+            );
+        } else if lead > Duration::ZERO {
+            self.subscriber.on_session_widened(
+                self.meta,
+                &SessionWidened {
+                    at,
+                    src,
+                    channel: self.channel.to_string(),
+                    lead,
+                },
+            );
+        }
+    }
+}
+
 impl Sessionizer {
     /// Creates a sessionizer.
     pub fn new(config: SessionConfig) -> Self {
         Sessionizer {
-            config,
-            open: HashMap::new(),
+            table: SessionTable::new(config, usize::MAX),
             closed: Vec::new(),
-            last_ts: Timestamp::EPOCH,
-            last_sweep: Timestamp::EPOCH,
-            peak_open: 0,
             counters: SessionizerCounters::default(),
         }
     }
 
-    /// Offers one packet.
-    ///
-    /// Input is expected to be *approximately* time-ordered: the
-    /// watermark only advances (`max` of everything seen), and packets
-    /// lagging behind it are tolerated rather than panicking — the
-    /// ingest guard bounds the lag at its reorder tolerance, and
-    /// [`SessionConfig::skew_tolerance`] keeps the idle sweep from
-    /// expiring a session such a late packet would have joined. The
-    /// seed version asserted strict ordering and crashed whole runs on
-    /// one reordered record.
+    /// The table beside the sink its steps go to.
+    fn parts<'a, S>(
+        &'a mut self,
+        cid_key: Option<u64>,
+        channel: &'a str,
+        meta: &'a EventMeta,
+        subscriber: &'a mut S,
+    ) -> (&'a mut SessionTable<Option<u64>>, Sink<'a, S>) {
+        let sink = Sink {
+            closed: &mut self.closed,
+            counters: &mut self.counters,
+            cid_key,
+            channel,
+            meta,
+            subscriber,
+        };
+        (&mut self.table, sink)
+    }
+
+    /// Offers one packet (see [`SessionTable::offer`] for the ordering
+    /// contract on the input).
     pub fn offer(&mut self, ts: Timestamp, src: Ipv4Addr) {
-        self.offer_with(ts, src, "", &EventMeta::lifecycle(), &mut NoopSubscriber);
+        self.offer_keyed(ts, src, None);
     }
 
     /// [`Sessionizer::offer`] carrying an optional connection-ID key
@@ -214,32 +285,21 @@ impl Sessionizer {
         );
     }
 
-    /// [`Sessionizer::offer`] with typed event emission: fresh inserts
-    /// emit `session_opened`, backwards bounds-widening by an admissible
-    /// late packet emits `session_widened`, and gap closes (plus any
-    /// expiries released by the internal amortized sweep) emit
-    /// `session_closed`. `channel` labels which per-protocol sessionizer
-    /// this is (`quic` / `tcp_icmp`). With [`NoopSubscriber`] this
-    /// monomorphizes to exactly the subscriber-free path.
-    pub fn offer_with<S: Subscriber>(
-        &mut self,
-        ts: Timestamp,
-        src: Ipv4Addr,
-        channel: &str,
-        meta: &EventMeta,
-        subscriber: &mut S,
-    ) {
-        self.offer_keyed_with(ts, src, None, channel, meta, subscriber);
-    }
-
-    /// [`Sessionizer::offer_with`] carrying an optional connection-ID
-    /// key extracted from the packet. The first `Some` key a session
-    /// sees sticks to it (client CIDs are stable across address
-    /// changes), tagging the closed [`Session`] so [`link_migrations`]
-    /// can later re-join flows that migrated between source addresses.
-    /// Keys never alter session boundaries here — sessionization stays
-    /// strictly per source address, which is what keeps N-shard runs
-    /// (sharded by source) equivalent to 1-shard runs.
+    /// Offers one packet with typed event emission, carrying an optional
+    /// connection-ID key extracted from it: fresh inserts emit
+    /// `session_opened`, backwards bounds-widening by an admissible late
+    /// packet emits `session_widened`, and gap closes (plus any expiries
+    /// released by the table's amortized sweep) emit `session_closed`.
+    /// `channel` labels which per-protocol sessionizer this is (`quic` /
+    /// `tcp_icmp`). With [`NoopSubscriber`] this monomorphizes to exactly
+    /// the subscriber-free path.
+    ///
+    /// The first `Some` key a session sees sticks to it (client CIDs are
+    /// stable across address changes), tagging the closed [`Session`] so
+    /// [`link_migrations`] can later re-join flows that migrated between
+    /// source addresses. Keys never alter session boundaries here —
+    /// sessionization stays strictly per source address, which is what
+    /// keeps N-shard runs (sharded by source) equivalent to 1-shard runs.
     pub fn offer_keyed_with<S: Subscriber>(
         &mut self,
         ts: Timestamp,
@@ -249,116 +309,13 @@ impl Sessionizer {
         meta: &EventMeta,
         subscriber: &mut S,
     ) {
-        if ts > self.last_ts {
-            self.last_ts = ts;
-        }
-        // Amortized idle sweep: once the watermark has advanced a full
-        // timeout past the previous sweep, every session untouched
-        // since then is expired. Keeps `open` at O(sources active in
-        // the last 2·timeout window) at a cost of one scan per timeout
-        // interval.
-        if self.last_ts.saturating_since(self.last_sweep) > self.config.timeout {
-            self.expire_with(self.last_ts, channel, meta, subscriber);
-        }
-        let minute = ts.minute_bucket();
-        match self.open.get_mut(&src) {
-            Some(open) if ts.saturating_since(open.last) <= self.config.timeout => {
-                // A late packet (ts behind open.last) saturates to a
-                // zero gap and joins; bounds only widen.
-                if ts > open.last {
-                    open.last = ts;
-                }
-                if ts < open.start {
-                    if subscriber.enabled() {
-                        subscriber.on_session_widened(
-                            meta,
-                            &SessionWidened {
-                                at: ts,
-                                src,
-                                channel: channel.to_string(),
-                                lead: open.start.saturating_since(ts),
-                            },
-                        );
-                    }
-                    open.start = ts;
-                }
-                open.packet_count += 1;
-                *open.minute_counts.entry(minute).or_default() += 1;
-                if open.cid_key.is_none() {
-                    open.cid_key = cid_key;
-                }
-            }
-            Some(open) => {
-                // Gap exceeded: close and start fresh.
-                let closed = std::mem::replace(
-                    open,
-                    OpenSession {
-                        start: ts,
-                        last: ts,
-                        packet_count: 1,
-                        minute_counts: HashMap::from([(minute, 1)]),
-                        cid_key,
-                    },
-                );
-                let closed = closed.close(src);
-                if subscriber.enabled() {
-                    subscriber.on_session_closed(
-                        meta,
-                        &SessionClosed {
-                            at: ts,
-                            src,
-                            channel: channel.to_string(),
-                            start: closed.start,
-                            packet_count: closed.packet_count,
-                            expired: false,
-                        },
-                    );
-                    subscriber.on_session_opened(
-                        meta,
-                        &SessionOpened {
-                            at: ts,
-                            src,
-                            channel: channel.to_string(),
-                        },
-                    );
-                }
-                self.closed.push(closed);
-                self.counters.opened += 1;
-                self.counters.closed += 1;
-            }
-            None => {
-                self.open.insert(
-                    src,
-                    OpenSession {
-                        start: ts,
-                        last: ts,
-                        packet_count: 1,
-                        minute_counts: HashMap::from([(minute, 1)]),
-                        cid_key,
-                    },
-                );
-                if subscriber.enabled() {
-                    subscriber.on_session_opened(
-                        meta,
-                        &SessionOpened {
-                            at: ts,
-                            src,
-                            channel: channel.to_string(),
-                        },
-                    );
-                }
-                self.counters.opened += 1;
-            }
-        }
-        if self.open.len() > self.peak_open {
-            self.peak_open = self.open.len();
-        }
+        let (table, mut sink) = self.parts(cid_key, channel, meta, subscriber);
+        table.offer(ts, src, || cid_key, &mut sink);
     }
 
     /// Closes every open session whose source has been idle longer than
     /// the timeout as of the watermark `now`, moving them to the closed
-    /// buffer. Sessions are closed in deterministic `(start, src)`
-    /// order regardless of hash-map iteration order.
+    /// buffer (see [`SessionTable::expire`]).
     ///
     /// The produced sessions are identical to what a later gap-close
     /// (on the source's next packet) or [`Sessionizer::finish`] would
@@ -378,47 +335,8 @@ impl Sessionizer {
         meta: &EventMeta,
         subscriber: &mut S,
     ) {
-        // Defer expiry by the skew tolerance: a packet admitted while
-        // lagging `skew_tolerance` behind the watermark must still find
-        // its session open, whatever the sweep schedule. Micros
-        // arithmetic avoids an intermediate `Duration` overflow.
-        let horizon = self.config.timeout.as_micros() + self.config.skew_tolerance.as_micros();
-        let mut expired: Vec<Ipv4Addr> = self
-            .open
-            .iter()
-            .filter(|(_, open)| now.saturating_since(open.last).as_micros() > horizon)
-            .map(|(src, _)| *src)
-            .collect();
-        if expired.is_empty() {
-            self.last_sweep = now;
-            return;
-        }
-        // Deterministic close order (drain() exposes this ordering).
-        expired.sort_by_key(|src| {
-            let open = &self.open[src];
-            (open.start, *src)
-        });
-        for src in expired {
-            let open = self.open.remove(&src).expect("expired source is open");
-            let session = open.close(src);
-            if subscriber.enabled() {
-                subscriber.on_session_closed(
-                    meta,
-                    &SessionClosed {
-                        at: now,
-                        src,
-                        channel: channel.to_string(),
-                        start: session.start,
-                        packet_count: session.packet_count,
-                        expired: true,
-                    },
-                );
-            }
-            self.closed.push(session);
-            self.counters.closed += 1;
-            self.counters.expired += 1;
-        }
-        self.last_sweep = now;
+        let (table, mut sink) = self.parts(None, channel, meta, subscriber);
+        table.expire(now, &mut |closed| sink.closed(closed));
     }
 
     /// Takes the sessions closed so far, after first expiring every
@@ -427,19 +345,7 @@ impl Sessionizer {
     /// for its next packet (which may never come) or for
     /// [`Sessionizer::finish`].
     pub fn drain(&mut self) -> Vec<Session> {
-        self.expire(self.last_ts);
-        std::mem::take(&mut self.closed)
-    }
-
-    /// [`Sessionizer::drain`] with typed event emission for the expiry
-    /// sweep it performs.
-    pub fn drain_with<S: Subscriber>(
-        &mut self,
-        channel: &str,
-        meta: &EventMeta,
-        subscriber: &mut S,
-    ) -> Vec<Session> {
-        self.expire_with(self.last_ts, channel, meta, subscriber);
+        self.expire(self.table.watermark());
         std::mem::take(&mut self.closed)
     }
 
@@ -450,58 +356,30 @@ impl Sessionizer {
 
     /// [`Sessionizer::finish`] with typed event emission: the final
     /// flush emits `session_closed` (not `expired` — the stream ended)
-    /// for every still-open session, in output order.
+    /// for every still-open session, in `(start, src)` order.
     pub fn finish_with<S: Subscriber>(
         mut self,
         channel: &str,
         meta: &EventMeta,
         subscriber: &mut S,
     ) -> Vec<Session> {
-        let mut sessions = std::mem::take(&mut self.closed);
-        let mut flushed: Vec<Session> = self
-            .open
-            .drain()
-            .map(|(src, open)| open.close(src))
-            .collect();
-        // Deterministic output (and emission) order regardless of
-        // hash-map iteration.
-        flushed.sort_by_key(|s| (s.start, s.src));
-        if subscriber.enabled() {
-            for s in &flushed {
-                subscriber.on_session_closed(
-                    meta,
-                    &SessionClosed {
-                        at: s.end,
-                        src: s.src,
-                        channel: channel.to_string(),
-                        start: s.start,
-                        packet_count: s.packet_count,
-                        expired: false,
-                    },
-                );
-            }
-        }
-        sessions.extend(flushed);
-        sessions.sort_by_key(|s| (s.start, s.src));
-        sessions
+        let (table, mut sink) = self.parts(None, channel, meta, subscriber);
+        table.flush(&mut |closed| sink.closed(closed));
+        // The whole output in one order, not only the flushed tail.
+        self.closed.sort_by_key(|s| (s.start, s.src));
+        self.closed
     }
 
     /// Number of currently open sessions.
     pub fn open_count(&self) -> usize {
-        self.open.len()
+        self.table.len()
     }
 
     /// High-water mark of concurrently open sessions over the
     /// sessionizer's lifetime — the memory bound the idle sweep
     /// enforces.
     pub fn peak_open_count(&self) -> usize {
-        self.peak_open
-    }
-
-    /// Number of closed sessions currently buffered (i.e. what the next
-    /// [`Sessionizer::drain`] would return at minimum).
-    pub fn closed_count(&self) -> usize {
-        self.closed.len()
+        self.table.peak_open()
     }
 
     /// Cumulative lifecycle counters so far (see
@@ -537,6 +415,22 @@ pub struct MigrationLink {
     pub at: Timestamp,
     /// Silence between the halves (zero when they overlap).
     pub gap: Duration,
+}
+
+/// Folds the minute profile `from` into `into`, both sorted by minute:
+/// slots both have are summed and their arrival bounds widened.
+fn merge_profile(into: &mut Vec<ProfileCell>, from: &[ProfileCell]) {
+    for cell in from {
+        match into.binary_search_by_key(&cell.minute, |slot| slot.minute) {
+            Ok(at) => {
+                let slot = &mut into[at];
+                slot.count += cell.count;
+                slot.first = slot.first.min(cell.first);
+                slot.last = slot.last.max(cell.last);
+            }
+            Err(at) => into.insert(at, *cell),
+        }
+    }
 }
 
 /// Re-joins sessions whose flow migrated between source addresses.
@@ -595,9 +489,7 @@ pub fn link_migrations(sessions: &mut Vec<Session>, timeout: Duration) -> Vec<Mi
                 merged.end = merged.end.max(absorbed.end);
                 merged.start = merged.start.min(absorbed.start);
                 merged.packet_count += absorbed.packet_count;
-                for (minute, count) in absorbed.minute_counts.drain() {
-                    *merged.minute_counts.entry(minute).or_default() += count;
-                }
+                merge_profile(&mut merged.minute_counts, &absorbed.minute_counts);
                 dropped[next] = true;
             } else {
                 head = next;
@@ -631,7 +523,9 @@ pub fn timeout_sweep<I: IntoIterator<Item = (Timestamp, Ipv4Addr)>>(
         match last_seen.get_mut(&src) {
             Some(last) => {
                 gaps.push(ts.saturating_since(*last));
-                *last = ts;
+                // A tolerated late packet must not move `last` backwards
+                // (the sessionizer's bounds only widen).
+                *last = (*last).max(ts);
             }
             None => {
                 sources += 1;
@@ -924,7 +818,7 @@ mod tests {
         // A watermark in the past can never make a session idle.
         s.expire(Timestamp::from_secs(0));
         assert_eq!(s.open_count(), 1);
-        assert_eq!(s.closed_count(), 0);
+        assert!(s.drain().is_empty());
     }
 
     #[test]
@@ -1015,20 +909,62 @@ mod tests {
         let mut s = Sessionizer::new(cfg(10));
         let meta = EventMeta::lifecycle();
         // Fresh open, then a backwards widening by a late packet.
-        s.offer_with(Timestamp::from_secs(5), ip(1), "quic", &meta, &mut sub);
-        s.offer_with(Timestamp::from_secs(2), ip(1), "quic", &meta, &mut sub);
+        s.offer_keyed_with(
+            Timestamp::from_secs(5),
+            ip(1),
+            None,
+            "quic",
+            &meta,
+            &mut sub,
+        );
+        s.offer_keyed_with(
+            Timestamp::from_secs(2),
+            ip(1),
+            None,
+            "quic",
+            &meta,
+            &mut sub,
+        );
         // Second source; its t=15 packet triggers a sweep that ip(1)
         // survives (idle exactly the timeout), advancing last_sweep.
-        s.offer_with(Timestamp::from_secs(9), ip(2), "quic", &meta, &mut sub);
-        s.offer_with(Timestamp::from_secs(15), ip(2), "quic", &meta, &mut sub);
+        s.offer_keyed_with(
+            Timestamp::from_secs(9),
+            ip(2),
+            None,
+            "quic",
+            &meta,
+            &mut sub,
+        );
+        s.offer_keyed_with(
+            Timestamp::from_secs(15),
+            ip(2),
+            None,
+            "quic",
+            &meta,
+            &mut sub,
+        );
         // The watermark is within a timeout of the last sweep, so no
         // sweep runs here and ip(1)'s 20 s gap takes the gap-close
         // branch: close + fresh open.
-        s.offer_with(Timestamp::from_secs(25), ip(1), "quic", &meta, &mut sub);
+        s.offer_keyed_with(
+            Timestamp::from_secs(25),
+            ip(1),
+            None,
+            "quic",
+            &meta,
+            &mut sub,
+        );
         // Explicit sweep expires both remaining sessions.
         s.expire_with(Timestamp::from_secs(400), "quic", &meta, &mut sub);
         // Final flush of a still-open session.
-        s.offer_with(Timestamp::from_secs(401), ip(3), "quic", &meta, &mut sub);
+        s.offer_keyed_with(
+            Timestamp::from_secs(401),
+            ip(3),
+            None,
+            "quic",
+            &meta,
+            &mut sub,
+        );
         let sessions = s.finish_with("quic", &meta, &mut sub);
         assert_eq!(sessions.len(), 4);
 
@@ -1124,7 +1060,7 @@ mod tests {
         assert_eq!(migrated.packet_count, 4, "one session spans the move");
         assert_eq!(migrated.start, Timestamp::from_secs(0));
         assert_eq!(migrated.end, Timestamp::from_secs(20));
-        let slot_total: u64 = migrated.minute_counts.values().sum();
+        let slot_total: u64 = migrated.minute_counts.iter().map(|c| c.count).sum();
         assert_eq!(slot_total, 4);
     }
 
@@ -1221,6 +1157,12 @@ mod tests {
             for w in sessions.windows(2) {
                 prop_assert!((w[0].start, w[0].src) <= (w[1].start, w[1].src));
             }
+            // Folded profiles stay sorted, duplicate-free and complete.
+            for s in &sessions {
+                prop_assert!(s.minute_counts.windows(2).all(|w| w[0].minute < w[1].minute));
+                let slot_total: u64 = s.minute_counts.iter().map(|c| c.count).sum();
+                prop_assert_eq!(slot_total, s.packet_count);
+            }
         }
     }
 
@@ -1242,7 +1184,7 @@ mod tests {
             for s in &sessions {
                 prop_assert!(s.end >= s.start);
                 prop_assert!(s.packet_count >= 1);
-                let slot_total: u64 = s.minute_counts.values().sum();
+                let slot_total: u64 = s.minute_counts.iter().map(|c| c.count).sum();
                 prop_assert_eq!(slot_total, s.packet_count);
             }
         }

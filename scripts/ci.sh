@@ -201,6 +201,19 @@ echo "$live_out" | grep -E '^live: .* checkpoint\(s\) verified$' | grep -qv ' 0 
 closes="$(echo "$live_out" | grep -c ' CLOSE ')"
 echo "live-smoke: $closes closed alert(s), checkpoints verified, exit 0 — OK"
 
+echo "==> live-smoke: batch ≡ live leg (QUIC flood count on the same capture)"
+# Both frontends sit on one session table, so on a clean capture the
+# batch analysis and the sharded live run must count the same floods
+# (scenario-smoke compares only live against live).
+batch_floods="$(cargo run -q $profile_flag -- analyze "$smoke_dir/smoke.qscp" 2>/dev/null \
+  | sed -n 's/^QUIC floods: \([0-9][0-9]*\) against .*/\1/p')"
+live_floods="$(echo "$live_out" | sed -n 's/^live: \([0-9][0-9]*\) QUIC flood(s).*/\1/p')"
+if [[ -z "$batch_floods" || "$batch_floods" != "$live_floods" ]]; then
+  echo "live-smoke: analyze counts '${batch_floods:-none}' QUIC flood(s), live --shards 2 '${live_floods:-none}'" >&2
+  exit 1
+fi
+echo "live-smoke: $batch_floods QUIC flood(s) in both analyze and live --shards 2 — OK"
+
 echo "==> live-smoke: eviction leg (4-victim cap on the same capture)"
 # Under a cap the capture overflows, the engine must still exit 0, count
 # its evictions, and close the same alerts whatever the chunking and

@@ -5,21 +5,16 @@
 //! checkpoint. The only sanctioned divergence is memory-pressure
 //! eviction, which is exercised (and bounded) separately below.
 
-use quicsand_dissect::Direction;
+mod common;
+
+use common::{batch_reference, Verdict};
 use quicsand_live::{LiveConfig, LiveEngine, LiveEvent, LiveEventKind, LiveSnapshot};
-use quicsand_net::{Duration, PacketRecord, TcpFlags, Timestamp};
+use quicsand_net::{PacketRecord, TcpFlags, Timestamp};
 use quicsand_obs::{Histogram, MetricsRegistry};
-use quicsand_sessions::dos::AttackProtocol;
-use quicsand_sessions::{
-    classify_multivector, detect_attacks, Attack, DosMetrics, MultiVectorClass, SessionConfig,
-    Sessionizer,
-};
-use quicsand_telescope::{Admitted, GuardConfig, TelescopePipeline};
+use quicsand_sessions::{Attack, DosMetrics, SessionConfig};
+use quicsand_telescope::GuardConfig;
 use quicsand_traffic::{Scenario, ScenarioConfig};
 use std::net::Ipv4Addr;
-
-/// One QUIC attack's multi-vector verdict: (class, overlap share, gap).
-type Verdict = (MultiVectorClass, Option<f64>, Option<Duration>);
 
 /// The deterministic fig06-style scenario trace (capture order).
 fn scenario_records() -> Vec<PacketRecord> {
@@ -37,48 +32,6 @@ fn live_config(guard: &GuardConfig) -> LiveConfig {
         },
         ..LiveConfig::default()
     }
-}
-
-/// The offline reference: raw ingest guard → sessionize the Response
-/// and baseline channels → threshold detection → multi-vector
-/// classification, exactly as the batch analysis does (minus the
-/// two-pass research-scanner filter, which is inherently offline).
-fn batch_reference(
-    records: &[PacketRecord],
-    guard: GuardConfig,
-    config: &LiveConfig,
-) -> (Vec<Attack>, Vec<Attack>, Vec<Verdict>) {
-    let mut pipeline = TelescopePipeline::with_guard(guard);
-    let mut responses = Sessionizer::new(config.session);
-    let mut commons = Sessionizer::new(config.session);
-    for record in records {
-        match pipeline.admit(record) {
-            Admitted::Quic(obs) => {
-                if obs.direction == Direction::Response {
-                    responses.offer(obs.ts, obs.src);
-                }
-            }
-            Admitted::Baseline(record) => commons.offer(record.ts, record.src),
-            Admitted::Dropped => {}
-        }
-    }
-    let mut response_sessions = responses.finish();
-    let mut common_sessions = commons.finish();
-    response_sessions.sort_by_key(|s| (s.start, s.src));
-    common_sessions.sort_by_key(|s| (s.start, s.src));
-    let quic = detect_attacks(&response_sessions, AttackProtocol::Quic, &config.thresholds);
-    let common = detect_attacks(
-        &common_sessions,
-        AttackProtocol::TcpIcmp,
-        &config.thresholds,
-    );
-    let report = classify_multivector(&quic, &common);
-    let verdicts = report
-        .attacks
-        .iter()
-        .map(|c| (c.class, c.overlap_share, c.gap))
-        .collect();
-    (quic, common, verdicts)
 }
 
 /// Streams the trace through a fresh engine in `chunk`-sized batches.

@@ -235,22 +235,25 @@ proptest! {
     }
 
     /// The fast timeout sweep agrees with brute-force sessionization at
-    /// every timeout value.
+    /// every timeout value — also when packets arrive with timestamps
+    /// lagging up to the skew tolerance behind their arrival order.
     #[test]
     fn prop_sweep_equals_bruteforce(
-        raw in proptest::collection::vec((0u64..20_000, 0u8..5), 1..150),
+        raw in proptest::collection::vec((0u64..20_000, 0u8..5, 0u64..=300), 1..150),
     ) {
-        let mut packets: Vec<(Timestamp, Ipv4Addr)> = raw
+        let skew_tolerance = Duration::from_secs(300);
+        let mut arrivals = raw;
+        arrivals.sort_by_key(|(arrival, _, _)| *arrival);
+        let packets: Vec<(Timestamp, Ipv4Addr)> = arrivals
             .into_iter()
-            .map(|(s, src)| (Timestamp::from_secs(s), ip(src)))
+            .map(|(arrival, src, lag)| (Timestamp::from_secs(arrival.saturating_sub(lag)), ip(src)))
             .collect();
-        packets.sort_by_key(|(ts, _)| *ts);
         let timeouts: Vec<Duration> =
             [30u64, 120, 600, 3_600].iter().map(|s| Duration::from_secs(*s)).collect();
         let sweep = timeout_sweep(packets.iter().copied(), &timeouts);
         for (timeout, count) in sweep.counts {
             let direct =
-                sessionize(packets.iter().copied(), SessionConfig { timeout, skew_tolerance: Duration::ZERO }).len() as u64;
+                sessionize(packets.iter().copied(), SessionConfig { timeout, skew_tolerance }).len() as u64;
             prop_assert_eq!(count, direct, "timeout {}", timeout);
         }
     }

@@ -18,15 +18,16 @@
 //!   `VectorKind::MigrationAbuse` on the migration workload and
 //!   `VectorKind::RetryAmplification` on the Retry workload.
 
+mod common;
+
+use common::batch_reference;
 use proptest::prelude::*;
 use quicsand_core::{Analysis, AnalysisConfig};
-use quicsand_dissect::Direction;
 use quicsand_events::qlog::QlogWriter;
 use quicsand_live::{LiveConfig, LiveEngine, LiveSnapshot};
 use quicsand_net::PacketRecord;
-use quicsand_sessions::dos::AttackProtocol;
-use quicsand_sessions::{classify_multivector, detect_attacks, Attack, SessionConfig, Sessionizer};
-use quicsand_telescope::{Admitted, GuardConfig, TelescopePipeline};
+use quicsand_sessions::{Attack, SessionConfig};
+use quicsand_telescope::GuardConfig;
 use quicsand_traffic::{
     EvolvingScanConfig, EvolvingScanStream, Scenario, ScenarioConfig, ScenarioKind,
 };
@@ -201,43 +202,6 @@ fn live_config(guard: &GuardConfig) -> LiveConfig {
     }
 }
 
-/// The offline reference the live engine must reproduce (see
-/// `tests/live_equivalence.rs` for the rationale).
-fn batch_reference(
-    records: &[PacketRecord],
-    guard: GuardConfig,
-    config: &LiveConfig,
-) -> (Vec<Attack>, Vec<Attack>) {
-    let mut pipeline = TelescopePipeline::with_guard(guard);
-    let mut responses = Sessionizer::new(config.session);
-    let mut commons = Sessionizer::new(config.session);
-    for record in records {
-        match pipeline.admit(record) {
-            Admitted::Quic(obs) => {
-                if obs.direction == Direction::Response {
-                    responses.offer(obs.ts, obs.src);
-                }
-            }
-            Admitted::Baseline(record) => commons.offer(record.ts, record.src),
-            Admitted::Dropped => {}
-        }
-    }
-    let mut response_sessions = responses.finish();
-    let mut common_sessions = commons.finish();
-    response_sessions.sort_by_key(|s| (s.start, s.src));
-    common_sessions.sort_by_key(|s| (s.start, s.src));
-    let quic = detect_attacks(&response_sessions, AttackProtocol::Quic, &config.thresholds);
-    let common = detect_attacks(
-        &common_sessions,
-        AttackProtocol::TcpIcmp,
-        &config.thresholds,
-    );
-    // The report only matters for its side effects on verdicts, which
-    // closed_quic() re-derives; computing it keeps parity honest.
-    let _ = classify_multivector(&quic, &common);
-    (quic, common)
-}
-
 fn assert_engine_matches(engine: &LiveEngine, quic: &[Attack], common: &[Attack], context: &str) {
     let live_quic: Vec<Attack> = engine
         .closed_quic()
@@ -261,7 +225,7 @@ fn every_scenario_kind_is_live_batch_equivalent() {
         records.truncate(60_000);
         let guard = GuardConfig::default();
         let config = live_config(&guard);
-        let (batch_quic, batch_common) = batch_reference(&records, guard, &config);
+        let (batch_quic, batch_common, _) = batch_reference(&records, guard, &config);
         assert!(
             !batch_quic.is_empty(),
             "{kind}: trace must close QUIC alerts for parity to mean anything"
