@@ -394,4 +394,14 @@ mod tests {
         // Valid JSON-SEQ but not qlog: no header members.
         assert!(validate_qlog(&good).is_err());
     }
+
+    #[test]
+    fn a_record_of_hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let mut deep = vec![RECORD_SEPARATOR];
+        deep.resize(1_000_000, b'[');
+        deep.push(b'\n');
+        let error = parse_json_seq(&deep).expect_err("a megabyte of open brackets");
+        assert!(error.contains("record 1 is not valid JSON"), "{error}");
+        assert!(error.contains("nesting deeper than 128"), "{error}");
+    }
 }

@@ -29,7 +29,7 @@ use quicsand_telescope::{
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn ms(since: Instant) -> f64 {
     since.elapsed().as_secs_f64() * 1_000.0
@@ -334,10 +334,15 @@ impl LiveEngine {
         }
     }
 
-    /// Counts one written checkpoint of `bytes` serialized bytes.
-    pub fn record_checkpoint(&self, bytes: u64) {
-        self.metrics.checkpoints_total.inc();
+    /// Counts `count` written checkpoints: `bytes` serialized bytes and
+    /// `elapsed` wall time between them. A restored engine counts from
+    /// zero, so a process that carries on from one passes its run's
+    /// totals once after each restore.
+    pub fn record_checkpoint(&self, count: u64, bytes: u64, elapsed: Duration) {
+        self.metrics.checkpoints_total.add(count);
         self.metrics.checkpoint_bytes_total.add(bytes);
+        let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+        self.metrics.checkpoint_micros_total.add(micros);
     }
 
     /// The engine's metrics registry, for exposition.

@@ -40,6 +40,10 @@ pub struct LiveMetrics {
     /// `quicsand_live_checkpoint_bytes_total` — serialized checkpoint
     /// bytes written (volatile, same reason).
     pub checkpoint_bytes_total: Counter,
+    /// `quicsand_live_checkpoint_micros_total` — wall time spent cycling
+    /// checkpoints (volatile: wall clock). Over `checkpoints_total` it is
+    /// the mean cost of one checkpoint.
+    pub checkpoint_micros_total: Counter,
     /// Closed-attack distributions, shared family with batch detection.
     pub dos: DosMetrics,
 }
@@ -85,6 +89,11 @@ impl LiveMetrics {
             checkpoint_bytes_total: registry.counter(
                 "quicsand_live_checkpoint_bytes_total",
                 "Serialized checkpoint bytes written",
+                Stability::Volatile,
+            ),
+            checkpoint_micros_total: registry.counter(
+                "quicsand_live_checkpoint_micros_total",
+                "Wall microseconds spent writing and verifying checkpoints",
                 Stability::Volatile,
             ),
             dos: DosMetrics::register(registry),

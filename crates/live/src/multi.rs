@@ -75,22 +75,38 @@ impl MultiSnapshot {
 /// Parses a checkpoint of either schema: v2 [`MultiSnapshot`] JSON, or
 /// the v1 format (a bare [`LiveSnapshot`]) which is mapped onto a
 /// `version: 1` snapshot with no cursor vector.
+///
+/// The text is parsed once; a top-level `version` key is what makes it
+/// a [`MultiSnapshot`], and an error names the schema the file claims.
 pub fn parse_checkpoint(json: &str) -> Result<MultiSnapshot, String> {
-    let snapshot = match serde_json::from_str::<MultiSnapshot>(json) {
-        Ok(snapshot) => snapshot,
-        Err(_) => MultiSnapshot {
+    let value: serde::Value =
+        serde_json::from_str(json).map_err(|e| format!("checkpoint is not JSON: {e}"))?;
+    let snapshot = match value.get("version") {
+        Some(version) => {
+            let claimed = match version {
+                serde::Value::U64(n) => *n,
+                other => {
+                    return Err(format!(
+                        "checkpoint `version` must be an integer, got {}",
+                        other.kind()
+                    ))
+                }
+            };
+            if !(1..=u64::from(CHECKPOINT_SCHEMA_VERSION)).contains(&claimed) {
+                return Err(format!(
+                    "unsupported checkpoint schema v{claimed} \
+                     (newest supported: v{CHECKPOINT_SCHEMA_VERSION})"
+                ));
+            }
+            serde::from_value(value).map_err(|e| format!("invalid v{claimed} checkpoint: {e}"))?
+        }
+        None => MultiSnapshot {
             version: 1,
-            engine: serde_json::from_str(json)
-                .map_err(|e| format!("neither a v2 nor a v1 checkpoint: {e}"))?,
+            engine: serde::from_value(value)
+                .map_err(|e| format!("invalid v1 checkpoint (no `version` field): {e}"))?,
             cursors: Vec::new(),
         },
     };
-    if !(1..=CHECKPOINT_SCHEMA_VERSION).contains(&snapshot.version) {
-        return Err(format!(
-            "unsupported checkpoint schema v{} (newest supported: v{CHECKPOINT_SCHEMA_VERSION})",
-            snapshot.version
-        ));
-    }
     require_shards(&snapshot.engine)?;
     for detector in snapshot.engine.detectors() {
         detector.require_cursors_in_ring()?;
@@ -464,6 +480,53 @@ mod tests {
         let encoded = serde_json::to_string(&snapshot).unwrap();
         let error = parse_checkpoint(&encoded).expect_err("v3 rejected");
         assert!(error.contains("unsupported"), "{error}");
+    }
+
+    #[test]
+    fn a_damaged_field_is_blamed_on_the_schema_the_file_claims() {
+        // Drop `offered` from the engine of an otherwise valid checkpoint.
+        fn without_offered(mut value: serde::Value) -> serde::Value {
+            if let serde::Value::Map(entries) = &mut value {
+                entries.retain(|(key, _)| key != "offered");
+                for (key, inner) in entries.iter_mut() {
+                    if key == "engine" {
+                        *inner = without_offered(std::mem::replace(inner, serde::Value::Null));
+                    }
+                }
+            }
+            value
+        }
+        let mut engine = LiveEngine::new(LiveConfig::default(), GuardConfig::default(), 1);
+        engine.offer_chunk(&[syn_ack(1_000_000, 1)]);
+        let snapshot = MultiSnapshot {
+            version: CHECKPOINT_SCHEMA_VERSION,
+            engine: engine.snapshot(),
+            cursors: vec![1],
+        };
+        let missing = "missing field `offered` in struct LiveSnapshot";
+
+        let v2 = without_offered(serde::to_value(&snapshot).unwrap());
+        let error = parse_checkpoint(&serde_json::to_string(&v2).unwrap()).expect_err("damaged");
+        assert_eq!(error, format!("invalid v2 checkpoint: {missing}"));
+
+        let v1 = without_offered(serde::to_value(&snapshot.engine).unwrap());
+        let error = parse_checkpoint(&serde_json::to_string(&v1).unwrap()).expect_err("damaged");
+        assert_eq!(
+            error,
+            format!("invalid v1 checkpoint (no `version` field): {missing}")
+        );
+
+        let error = parse_checkpoint(r#"{"version":"2"}"#).expect_err("version is a string");
+        assert!(error.contains("`version` must be an integer"), "{error}");
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let error = parse_checkpoint(&open.repeat(1_000_000 / open.len()))
+                .expect_err("a megabyte of open brackets");
+            assert!(error.contains("nesting deeper than 128"), "{error}");
+        }
     }
 
     #[test]

@@ -154,6 +154,22 @@ echo "==> cargo clippy (ingest crates, zero-copy strict lane)"
 cargo clippy -p quicsand-net -p quicsand-dissect --all-targets -- \
   -D warnings -D clippy::redundant_clone -D clippy::needless_pass_by_value
 
+echo "==> serde_derive: generated deserialization moves, never clones"
+# A `.clone()`/`.cloned()` in the derive's emitted code is a deep copy of
+# a subtree per field per nesting level: what made a victim_churn
+# checkpoint 2.5 s. Everything below the banner is code generation.
+if sed -n '/^\/\/ Code generation/,$p' vendor/serde_derive/src/lib.rs | grep -n 'clone'; then
+  echo "serde_derive: the code generators must not emit or use clones" >&2
+  exit 1
+fi
+
+if [[ $quick -eq 0 ]]; then
+  echo "==> checkpoint allocation pin"
+  # The counts the move-only read side and the tree-free writer are
+  # held to, in the profile the checkpoint is measured in.
+  cargo test -q --release --test checkpoint_allocations
+fi
+
 echo "==> golden-figure regression suite"
 if [[ $quick -eq 0 ]]; then
   cargo test -q --release --test golden

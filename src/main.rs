@@ -634,6 +634,7 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     use quicsand_sessions::multivector::MultiVectorClass;
     use quicsand_sessions::SessionConfig;
     use quicsand_telescope::GuardConfig;
+    use std::time::Instant;
 
     // Feeds: the optional positional capture plus any number of
     // repeatable --input captures, merged in event-time order.
@@ -784,6 +785,7 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     let mut offered_at_checkpoint: u64 = 0;
     let mut checkpoints: u64 = 0;
     let mut checkpoint_bytes: u64 = 0;
+    let mut checkpoint_time = std::time::Duration::ZERO;
     while let Some(events) = live.pump_with(chunk, &mut sink) {
         for event in events {
             emit(&event);
@@ -797,37 +799,45 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
             // prove the round trip is lossless, and continue from the
             // restored copy — the rest of the run exercises the
             // multi-source resume path.
+            let started = Instant::now();
             let snapshot = live.snapshot();
             let encoded =
                 serde_json::to_string(&snapshot).map_err(|e| format!("checkpoint encode: {e}"))?;
+            let encoded_at = Instant::now();
             let decoded = parse_checkpoint(&encoded)?;
             let restored = MultiSourceLive::restore(&decoded, make_factories(), &set_config)?;
+            let restored_at = Instant::now();
             if restored.snapshot() != snapshot {
                 return Err(format!(
                     "checkpoint self-verification failed after {} records",
                     live.offered()
                 ));
             }
+            let verified_at = Instant::now();
             live = restored;
             checkpoints += 1;
             checkpoint_bytes += encoded.len() as u64;
+            checkpoint_time += verified_at - started;
             // restore() rebuilds the registry from the snapshot, which
             // carries no checkpoint telemetry — re-seed the cumulative
             // totals so the exported counters cover the whole run, not
             // just the stretch since the last resume.
-            live.engine().metrics().checkpoints_total.add(checkpoints);
             live.engine()
-                .metrics()
-                .checkpoint_bytes_total
-                .add(checkpoint_bytes);
+                .record_checkpoint(checkpoints, checkpoint_bytes, checkpoint_time);
             offered_at_checkpoint = live.offered();
             if verbose {
+                let ms = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1e3;
                 eprintln!(
-                    "checkpoint {} verified at {} records ({} bytes, {} source cursor(s))",
+                    "checkpoint {} verified at {} records ({} bytes, {} source cursor(s)) \
+                     in {:.1} ms: encode {:.1} / parse+restore {:.1} / verify {:.1}",
                     checkpoints,
                     live.offered(),
                     encoded.len(),
-                    snapshot.cursors.len()
+                    snapshot.cursors.len(),
+                    ms(started, verified_at),
+                    ms(started, encoded_at),
+                    ms(encoded_at, restored_at),
+                    ms(restored_at, verified_at),
                 );
             }
         }

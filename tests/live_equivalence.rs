@@ -299,16 +299,21 @@ fn live_metrics_equal_batch_metrics_including_across_checkpoints() {
         since += part.len();
         if since >= 15_000 {
             since = 0;
+            let started = std::time::Instant::now();
             let json = serde_json::to_string(&engine.snapshot()).expect("snapshot serializes");
             let parsed: LiveSnapshot = serde_json::from_str(&json).expect("snapshot parses");
             engine = LiveEngine::restore(&parsed);
-            engine.record_checkpoint(json.len() as u64);
+            engine.record_checkpoint(1, json.len() as u64, started.elapsed());
         }
     }
     let _ = engine.finish();
     assert!(
         engine.metrics().checkpoints_total.get() > 0,
         "checkpoint cadence never fired"
+    );
+    assert!(
+        engine.metrics().checkpoint_micros_total.get() > 0,
+        "a checkpoint cycle was counted without its cost"
     );
     assert_metrics_match_batch(
         &mut engine,
