@@ -12,12 +12,18 @@
 //! 5. **Correlate** — multi-vector classification of QUIC floods
 //!    against common floods.
 //!
+//! Stages 1–3 run per source shard through
+//! [`quicsand_telescope::parallel`] (`scatter` the records over
+//! `config.threads` shards, `admit_each` inside a shard, `gather` the
+//! observations back into capture order); stages 4–5 run once on the
+//! merged products.
+//!
 //! Every intermediate product is a public field so experiments (and
 //! downstream users) can compute whatever the paper did not.
 
 use crate::metrics::AnalysisMetrics;
 use quicsand_dissect::Direction;
-use quicsand_events::{EventMeta, SessionMigrated, Subscriber};
+use quicsand_events::{EventMeta, NoopSubscriber, SessionMigrated, Subscriber};
 use quicsand_net::Duration;
 use quicsand_obs::MetricsRegistry;
 use quicsand_sessions::dos::{detect_attacks, Attack, AttackProtocol, DosThresholds};
@@ -25,7 +31,7 @@ use quicsand_sessions::multivector::{classify_multivector_with, MultiVectorRepor
 use quicsand_sessions::session::{
     link_migrations, MigrationLink, Session, SessionConfig, Sessionizer, SessionizerCounters,
 };
-use quicsand_telescope::parallel::partition_by_source;
+use quicsand_telescope::parallel::{admit_each, gather, scatter, ShardRecords};
 pub use quicsand_telescope::PipelineStats;
 use quicsand_telescope::{
     Admitted, GuardConfig, HourlySeries, IngestStats, QuicObservation, ResearchFilter,
@@ -150,34 +156,9 @@ pub struct Analysis {
     pub metrics: AnalysisMetrics,
 }
 
-/// Everything stages 1–3 produce; stages 4–5 are computed on top by
-/// [`Analysis::run`].
-struct FrontendProducts {
-    ingest: IngestStats,
-    research_sources: HashSet<Ipv4Addr>,
-    research_hourly: HourlySeries,
-    request_hourly: HourlySeries,
-    response_hourly: HourlySeries,
-    research_packets: u64,
-    requests: Vec<QuicObservation>,
-    responses: Vec<QuicObservation>,
-    request_sessions: Vec<Session>,
-    response_sessions: Vec<Session>,
-    common_sessions: Vec<Session>,
-    stats: PipelineStats,
-    /// Sessionizer lifecycle counters, summed over every sessionizer
-    /// (read *before* `finish()`, which consumes the sessionizer).
-    session_counters: SessionizerCounters,
-    /// Sessions still open when the end-of-run flush ran (the flush
-    /// closes them; `SessionMetrics::add_final` accounts for that).
-    sessions_open_at_flush: u64,
-    /// One `PipelineStats` per shard so the stage-walltime histograms
-    /// get one observation per shard.
-    shard_stats: Vec<PipelineStats>,
-}
-
-/// One shard's output. The `requests` / `responses` carry original
-/// record indices so the merge can restore exact capture order.
+/// Stages 1–3 of one shard — or, after [`ShardProducts::absorb`], of
+/// several. `requests` / `responses` carry original record indices so
+/// [`gather`] can restore exact capture order.
 struct ShardProducts {
     ingest: IngestStats,
     research_sources: HashSet<Ipv4Addr>,
@@ -190,9 +171,36 @@ struct ShardProducts {
     request_sessions: Vec<Session>,
     response_sessions: Vec<Session>,
     common_sessions: Vec<Session>,
+    /// Stage walltimes: one shard's, or the slowest shard's per stage.
     stats: PipelineStats,
+    /// Sessionizer lifecycle counters, summed over every sessionizer
+    /// (read *before* `finish()`, which consumes the sessionizer).
     session_counters: SessionizerCounters,
+    /// Sessions still open when the end-of-run flush ran (the flush
+    /// closes them; `SessionMetrics::add_final` accounts for that).
     sessions_open_at_flush: u64,
+}
+
+impl ShardProducts {
+    /// Folds another shard in: counters and series are commutative
+    /// sums, lists concatenate (the caller orders them afterwards).
+    fn absorb(mut self, shard: ShardProducts) -> ShardProducts {
+        self.ingest.merge(&shard.ingest);
+        self.research_sources.extend(shard.research_sources);
+        self.research_hourly.merge(&shard.research_hourly);
+        self.request_hourly.merge(&shard.request_hourly);
+        self.response_hourly.merge(&shard.response_hourly);
+        self.research_packets += shard.research_packets;
+        self.requests.extend(shard.requests);
+        self.responses.extend(shard.responses);
+        self.request_sessions.extend(shard.request_sessions);
+        self.response_sessions.extend(shard.response_sessions);
+        self.common_sessions.extend(shard.common_sessions);
+        self.stats.max_stage(&shard.stats);
+        self.session_counters.merge(&shard.session_counters);
+        self.sessions_open_at_flush += shard.sessions_open_at_flush;
+        self
+    }
 }
 
 impl Analysis {
@@ -204,42 +212,43 @@ impl Analysis {
     /// any thread count (only [`Analysis::stats`] differs).
     pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> Analysis {
         let threads = config.threads.max(1);
-        let FrontendProducts {
-            ingest,
-            research_sources,
-            research_hourly,
-            request_hourly,
-            response_hourly,
-            research_packets,
-            requests,
-            responses,
-            mut request_sessions,
-            mut response_sessions,
-            mut common_sessions,
-            mut stats,
-            session_counters,
-            sessions_open_at_flush,
-            shard_stats,
-        } = Self::frontend(scenario, config, threads);
+        // Each shard builds its state inside `run_shard`; the slots only
+        // say how many shards there are.
+        let shards = scatter(&scenario.records, &mut vec![(); threads], |(), part| {
+            Self::run_shard(scenario, config, part)
+        });
+        // One `PipelineStats` per shard so the stage-walltime histograms
+        // get one observation per shard.
+        let shard_stats: Vec<PipelineStats> = shards.iter().map(|s| s.stats.clone()).collect();
+        let mut front = shards
+            .into_iter()
+            .reduce(ShardProducts::absorb)
+            .expect("scatter returns one result per shard, and there is at least one");
+        let requests = gather(front.requests);
+        let responses = gather(front.responses);
 
         // Deterministic session order regardless of close order or
         // shard interleaving.
-        sort_sessions(&mut request_sessions);
-        sort_sessions(&mut response_sessions);
-        sort_sessions(&mut common_sessions);
+        sort_sessions(&mut front.request_sessions);
+        sort_sessions(&mut front.response_sessions);
+        sort_sessions(&mut front.common_sessions);
+        let (ingest, mut stats) = (front.ingest, front.stats);
 
         // 3b. CID-keyed migration linking on the merged request
         // sessions. Running after the cross-shard merge keeps the pass
         // shard-invariant even though a migrating flow's addresses can
         // land in different shards.
-        let migrations = link_migrations(&mut request_sessions, config.session_timeout);
+        let migrations = link_migrations(&mut front.request_sessions, config.session_timeout);
 
         // 4. DoS inference.
         let detect_start = Instant::now();
-        let quic_attacks =
-            detect_attacks(&response_sessions, AttackProtocol::Quic, &config.thresholds);
+        let quic_attacks = detect_attacks(
+            &front.response_sessions,
+            AttackProtocol::Quic,
+            &config.thresholds,
+        );
         let common_attacks = detect_attacks(
-            &common_sessions,
+            &front.common_sessions,
             AttackProtocol::TcpIcmp,
             &config.thresholds,
         );
@@ -271,7 +280,7 @@ impl Analysis {
         metrics.ingest.add_stats(&ingest);
         metrics
             .sessions
-            .add_final(session_counters, sessions_open_at_flush);
+            .add_final(front.session_counters, front.sessions_open_at_flush);
         metrics.sessions.migrated_total.add(migrations.len() as u64);
         metrics.dos.observe_attacks(&quic_attacks);
         metrics.dos.observe_attacks(&common_attacks);
@@ -283,18 +292,18 @@ impl Analysis {
 
         Analysis {
             ingest,
-            research_sources,
-            research_hourly,
-            request_hourly,
-            response_hourly,
-            research_packets,
+            research_sources: front.research_sources,
+            research_hourly: front.research_hourly,
+            request_hourly: front.request_hourly,
+            response_hourly: front.response_hourly,
+            research_packets: front.research_packets,
             requests,
             responses,
-            request_sessions,
+            request_sessions: front.request_sessions,
             migrations,
-            response_sessions,
+            response_sessions: front.response_sessions,
             quic_attacks,
-            common_sessions,
+            common_sessions: front.common_sessions,
             common_attacks,
             multivector,
             stats,
@@ -343,24 +352,27 @@ impl Analysis {
         let mut pipeline = TelescopePipeline::with_guard(analysis.config.guard);
         let mut response_sessionizer = Sessionizer::new(session_config);
         let mut common_sessionizer = Sessionizer::new(session_config);
-        for (index, record) in scenario.records.iter().enumerate() {
-            let meta = EventMeta::record(index as u64);
-            match pipeline.admit_with(record, &meta, subscriber) {
+        admit_each(
+            &mut pipeline,
+            ShardRecords::whole(&scenario.records),
+            0,
+            subscriber,
+            |_, product, meta, subscriber| match product {
                 Admitted::Quic(obs) => {
                     if obs.direction == Direction::Response
                         && !analysis.research_sources.contains(&obs.src)
                     {
                         response_sessionizer
-                            .offer_keyed_with(obs.ts, obs.src, None, "quic", &meta, subscriber);
+                            .offer_keyed_with(obs.ts, obs.src, None, "quic", meta, subscriber);
                     }
                 }
                 Admitted::Baseline(rec) => {
                     common_sessionizer
-                        .offer_keyed_with(rec.ts, rec.src, None, "tcp_icmp", &meta, subscriber);
+                        .offer_keyed_with(rec.ts, rec.src, None, "tcp_icmp", meta, subscriber);
                 }
                 Admitted::Dropped => {}
-            }
-        }
+            },
+        );
         let meta = EventMeta::lifecycle();
         response_sessionizer.finish_with("quic", &meta, subscriber);
         common_sessionizer.finish_with("tcp_icmp", &meta, subscriber);
@@ -382,19 +394,18 @@ impl Analysis {
         }
     }
 
-    /// Stages 1–3 over one shard's records, named by their capture
-    /// indices in capture order.
+    /// Stages 1–3 over one shard's records.
     ///
     /// Every product that the cross-shard merge must re-order carries
-    /// its original record index, tagged straight from
-    /// [`TelescopePipeline::admit`]. Guard state lives inside the
-    /// shard's pipeline; because shards partition records *by source*,
-    /// the guard, the research detection and the sessionizers each see
-    /// exactly the per-source record sequence an unsharded run sees.
+    /// its original record index, tagged straight from [`admit_each`].
+    /// Guard state lives inside the shard's pipeline; because shards
+    /// partition records *by source*, the guard, the research detection
+    /// and the sessionizers each see exactly the per-source record
+    /// sequence an unsharded run sees.
     fn run_shard(
         scenario: &Scenario,
         config: &AnalysisConfig,
-        indices: impl Iterator<Item = usize>,
+        part: ShardRecords<'_>,
     ) -> ShardProducts {
         let mut stats = PipelineStats::default();
 
@@ -403,13 +414,17 @@ impl Analysis {
         let mut pipeline = TelescopePipeline::with_guard(config.guard);
         let mut quic = Vec::new();
         let mut baseline = Vec::new();
-        for index in indices {
-            match pipeline.admit(&scenario.records[index]) {
+        admit_each(
+            &mut pipeline,
+            part,
+            0,
+            &mut NoopSubscriber,
+            |index, product, _, _| match product {
                 Admitted::Quic(obs) => quic.push((index, obs)),
                 Admitted::Baseline(record) => baseline.push(record),
                 Admitted::Dropped => {}
-            }
-        }
+            },
+        );
         let (_, _, ingest) = pipeline.finish();
         stats.ingest_ms = ms(ingest_start);
 
@@ -500,94 +515,6 @@ impl Analysis {
             stats,
             session_counters,
             sessions_open_at_flush,
-        }
-    }
-
-    /// Stages 1–3, sharded by `hash(src) % threads`: one shard runs
-    /// inline on the caller's thread, more run on scoped worker
-    /// threads.
-    ///
-    /// A source's packets all land in one shard in capture order, and
-    /// the merge restores capture order via the original record
-    /// indices, so the output is bit-for-bit the same at every thread
-    /// count.
-    fn frontend(scenario: &Scenario, config: &AnalysisConfig, threads: usize) -> FrontendProducts {
-        let shards: Vec<ShardProducts> = if threads == 1 {
-            vec![Self::run_shard(scenario, config, 0..scenario.records.len())]
-        } else {
-            let buckets = partition_by_source(&scenario.records, threads);
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = buckets
-                    .iter()
-                    .map(|bucket| {
-                        scope.spawn(move |_| {
-                            Self::run_shard(scenario, config, bucket.iter().copied())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("analysis shard worker panicked"))
-                    .collect()
-            })
-            .expect("analysis scope panicked")
-        };
-
-        // Deterministic merge.
-        let mut ingest = IngestStats::default();
-        let mut research_sources = HashSet::new();
-        let mut research_hourly = HourlySeries::new();
-        let mut request_hourly = HourlySeries::new();
-        let mut response_hourly = HourlySeries::new();
-        let mut research_packets = 0u64;
-        let mut tagged_requests: Vec<(usize, QuicObservation)> = Vec::new();
-        let mut tagged_responses: Vec<(usize, QuicObservation)> = Vec::new();
-        let mut request_sessions = Vec::new();
-        let mut response_sessions = Vec::new();
-        let mut common_sessions = Vec::new();
-        let mut stats = PipelineStats::default();
-        let mut session_counters = SessionizerCounters::default();
-        let mut sessions_open_at_flush = 0u64;
-        let mut shard_stats = Vec::new();
-        for shard in shards {
-            ingest.merge(&shard.ingest);
-            research_sources.extend(shard.research_sources);
-            research_hourly.merge(&shard.research_hourly);
-            request_hourly.merge(&shard.request_hourly);
-            response_hourly.merge(&shard.response_hourly);
-            research_packets += shard.research_packets;
-            tagged_requests.extend(shard.requests);
-            tagged_responses.extend(shard.responses);
-            request_sessions.extend(shard.request_sessions);
-            response_sessions.extend(shard.response_sessions);
-            common_sessions.extend(shard.common_sessions);
-            stats.max_stage(&shard.stats);
-            session_counters.merge(&shard.session_counters);
-            sessions_open_at_flush += shard.sessions_open_at_flush;
-            shard_stats.push(shard.stats);
-        }
-        // Original record indices are unique → deterministic order.
-        tagged_requests.sort_unstable_by_key(|(index, _)| *index);
-        tagged_responses.sort_unstable_by_key(|(index, _)| *index);
-        let requests = tagged_requests.into_iter().map(|(_, obs)| obs).collect();
-        let responses = tagged_responses.into_iter().map(|(_, obs)| obs).collect();
-
-        FrontendProducts {
-            ingest,
-            research_sources,
-            research_hourly,
-            request_hourly,
-            response_hourly,
-            research_packets,
-            requests,
-            responses,
-            request_sessions,
-            response_sessions,
-            common_sessions,
-            stats,
-            session_counters,
-            sessions_open_at_flush,
-            shard_stats,
         }
     }
 

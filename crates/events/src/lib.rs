@@ -343,14 +343,6 @@ impl VecSubscriber {
         Self::default()
     }
 
-    /// Stable-sorts the collection by record index (record-tied events
-    /// first, in stream order; lifecycle events after, in emission
-    /// order) — the canonical order for cross-shard comparison.
-    pub fn sort_by_record_index(&mut self) {
-        self.events
-            .sort_by_key(|(meta, _)| meta.record_index.unwrap_or(u64::MAX));
-    }
-
     /// Drains the collection, re-dispatching every event into
     /// `subscriber` — how merged per-shard buffers reach the run's
     /// real subscriber.
@@ -405,14 +397,12 @@ mod tests {
                 protocol: "quic".into(),
             },
         );
-        assert_eq!(vec.events.len(), 3);
-        vec.sort_by_record_index();
         let names: Vec<&str> = vec.events.iter().map(|(_, e)| e.name()).collect();
         assert_eq!(
             names,
             [
-                "quicsand:session_opened",
                 "quicsand:wire_rejected",
+                "quicsand:session_opened",
                 "quicsand:alert_opened"
             ]
         );

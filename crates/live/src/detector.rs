@@ -26,7 +26,7 @@
 use crate::alert::{EvidencePacket, LiveEvent, LiveEventKind};
 use quicsand_net::{Duration, Timestamp};
 use quicsand_sessions::dos::{Attack, AttackProtocol, DosThresholds};
-use quicsand_sessions::multivector::MultiVectorClass;
+use quicsand_sessions::multivector::{self, MultiVectorClass};
 use quicsand_sessions::session::SessionConfig;
 pub use quicsand_sessions::window::ProfileCell;
 use quicsand_sessions::window::{CloseReason, Closed, Counted, SessionTable, Steps, Window};
@@ -533,18 +533,10 @@ impl ClassifiedAttack {
         self.verdict() != before
     }
 
-    /// The derived `(class, overlap_share, gap)` triple — exactly the
-    /// arithmetic of batch `classify_multivector` (§5.2 / Appendix C).
+    /// The derived `(class, overlap_share, gap)` triple — the batch
+    /// classifier's own [`multivector::verdict`] (§5.2 / Appendix C).
     pub fn verdict(&self) -> (MultiVectorClass, Option<f64>, Option<Duration>) {
-        if self.best_overlap >= Duration::from_secs(1) {
-            let quic_duration = self.attack.duration().as_secs_f64().max(1.0);
-            let share = (self.best_overlap.as_secs_f64() / quic_duration).min(1.0);
-            (MultiVectorClass::Concurrent, Some(share), None)
-        } else if let Some(gap) = self.min_gap {
-            (MultiVectorClass::Sequential, None, Some(gap))
-        } else {
-            (MultiVectorClass::Isolated, None, None)
-        }
+        multivector::verdict(&self.attack, self.best_overlap, self.min_gap)
     }
 
     /// The current class.

@@ -1,14 +1,15 @@
 //! The sharded live engine: guard/quarantine ingest feeding per-shard
 //! detectors, with deterministic event merge and checkpoint/restore.
 //!
-//! Records are partitioned by `hash(src) % N` — the same FNV sharding
-//! as the batch parallel path — so every per-source computation (the
-//! ingest guard, sessionization, threshold detection, *and* per-victim
-//! multi-vector correlation, since victim = source on both channels)
-//! sees exactly the packets it would see single-sharded. Events are
-//! tagged with the original record index and stable-merged, so the
-//! emitted event log is identical at any chunk size, and the closed
-//! alert set is identical at any shard count.
+//! Each chunk runs through [`quicsand_telescope::parallel`] — the one
+//! `hash(src) % N` scatter / admit / gather path the batch frontend
+//! uses — so every per-source computation (the ingest guard,
+//! sessionization, threshold detection, *and* per-victim multi-vector
+//! correlation, since victim = source on both channels) sees exactly
+//! the packets it would see single-sharded. Events are tagged with the
+//! original record index and gathered (a stable merge), so the emitted
+//! event log is identical at any chunk size, and the closed alert set
+//! is identical at any shard count.
 
 use crate::alert::{LiveEvent, LiveEventKind};
 use crate::detector::{ClassifiedAttack, DetectorSnapshot, LiveConfig, LiveDetector, LiveStats};
@@ -22,7 +23,7 @@ use quicsand_events::{
 use quicsand_net::PacketRecord;
 use quicsand_obs::MetricsRegistry;
 use quicsand_sessions::dos::Attack;
-use quicsand_telescope::parallel::partition_by_source;
+use quicsand_telescope::parallel::{admit_each, gather, scatter, ShardRecords};
 use quicsand_telescope::{
     Admitted, GuardConfig, IngestMetrics, IngestStats, PipelineSnapshot, PipelineStats,
     StageMetrics, TelescopePipeline,
@@ -150,15 +151,16 @@ impl LiveEngine {
 
     /// [`LiveEngine::offer_chunk`] with typed event emission.
     ///
-    /// When the subscriber is enabled, each shard worker collects its
+    /// When the subscriber is enabled, each shard collects its
     /// record-tied events (wire rejections, Retry / Version Negotiation
-    /// sightings) into a local buffer tagged with the record's absolute
-    /// stream index; the buffers are merged by that index and replayed
-    /// into `subscriber`, so the delivered stream is identical at any
-    /// shard count and chunk size. Alert lifecycle events are then
-    /// derived from the chunk's (already deterministic) [`LiveEvent`]
-    /// output. With [`NoopSubscriber`] the whole emission path
-    /// monomorphizes away and this *is* [`LiveEngine::offer_chunk`].
+    /// sightings) into a [`VecSubscriber`] tagged with the record's
+    /// absolute stream index; [`gather`] merges the buffers by that
+    /// index and they are replayed into `subscriber`, so the delivered
+    /// stream is identical at any shard count and chunk size. Alert
+    /// lifecycle events are then derived from the chunk's (already
+    /// deterministic) [`LiveEvent`] output. The collector type is chosen
+    /// here, once per chunk: with a disabled subscriber the shards run
+    /// on [`NoopSubscriber`], whose emission path monomorphizes away.
     pub fn offer_chunk_with<S: Subscriber>(
         &mut self,
         records: &[PacketRecord],
@@ -167,78 +169,56 @@ impl LiveEngine {
         if records.is_empty() {
             return Vec::new();
         }
+        let events = if subscriber.enabled() {
+            let (events, collectors) = self.scatter_chunk::<VecSubscriber>(records);
+            let record_tied = collectors
+                .into_iter()
+                .flat_map(|collector| collector.events)
+                .map(|(meta, event)| (meta.record_index, (meta, event)))
+                .collect();
+            let mut merged = VecSubscriber {
+                events: gather(record_tied),
+            };
+            merged.replay_into(subscriber);
+            emit_alert_events(&events, subscriber);
+            events
+        } else {
+            self.scatter_chunk::<NoopSubscriber>(records).0
+        };
+        self.observe_closed(&events);
+        self.sync_metrics();
+        events
+    }
+
+    /// One chunk through every shard ([`scatter`]: one shard inline, N
+    /// on scoped workers), each with a fresh `C` for its record-tied
+    /// events. Returns the chunk's [`LiveEvent`]s in capture order and
+    /// the shards' collectors.
+    fn scatter_chunk<C: Subscriber + Default + Send>(
+        &mut self,
+        records: &[PacketRecord],
+    ) -> (Vec<LiveEvent>, Vec<C>) {
         let base = self.offered;
         self.offered += records.len() as u64;
         self.stats.records = self.offered;
-        let (events, chunk_ingest, chunk_detect) = if self.shards.len() == 1 {
-            let (tagged, ingest_ms, detect_ms) = {
-                let shard = &mut self.shards[0];
-                let indices = 0..records.len();
-                if subscriber.enabled() {
-                    let mut collector = VecSubscriber::new();
-                    let chunk = shard_chunk(shard, records, indices, base, &mut collector);
-                    collector.replay_into(subscriber);
-                    chunk
-                } else {
-                    shard_chunk(shard, records, indices, base, &mut NoopSubscriber)
-                }
-            };
-            let events: Vec<LiveEvent> = tagged.into_iter().map(|(_, event)| event).collect();
-            (events, ingest_ms, detect_ms)
-        } else {
-            let buckets = partition_by_source(records, self.shards.len());
-            let collect = subscriber.enabled();
-            let worker = |shard: &mut Shard, indices: &[usize]| {
-                let indices = indices.iter().copied();
-                if collect {
-                    let mut collector = VecSubscriber::new();
-                    let chunk = shard_chunk(shard, records, indices, base, &mut collector);
-                    (chunk, collector)
-                } else {
-                    (
-                        shard_chunk(shard, records, indices, base, &mut NoopSubscriber),
-                        VecSubscriber::new(),
-                    )
-                }
-            };
-            let worker = &worker;
-            let results: Vec<(ShardChunk, VecSubscriber)> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(buckets.iter())
-                    .map(|(shard, indices)| scope.spawn(move |_| worker(shard, indices)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("live shard worker panicked"))
-                    .collect()
-            })
-            .expect("live scope panicked");
-
-            // Critical-path timing: the slowest shard bounds the chunk.
-            let mut chunk_ingest: f64 = 0.0;
-            let mut chunk_detect: f64 = 0.0;
-            let mut tagged: Vec<(usize, LiveEvent)> = Vec::new();
-            let mut merged = VecSubscriber::new();
-            for ((events, ingest_ms, detect_ms), collector) in results {
-                chunk_ingest = chunk_ingest.max(ingest_ms);
-                chunk_detect = chunk_detect.max(detect_ms);
-                tagged.extend(events);
-                merged.events.extend(collector.events);
-            }
-            if collect {
-                // Record indices are unique across shards, so the merge
-                // reproduces the single-shard emission order exactly.
-                merged.sort_by_record_index();
-                merged.replay_into(subscriber);
-            }
-            // Original record indices are unique; the stable sort keeps
-            // each record's own events in emission order.
-            tagged.sort_by_key(|(index, _)| *index);
-            let events: Vec<LiveEvent> = tagged.into_iter().map(|(_, event)| event).collect();
-            (events, chunk_ingest, chunk_detect)
-        };
+        let results = scatter(records, &mut self.shards, |shard, part| {
+            let mut collector = C::default();
+            (
+                shard_chunk(shard, records, part, base, &mut collector),
+                collector,
+            )
+        });
+        // Critical-path timing: the slowest shard bounds the chunk.
+        let mut chunk_ingest: f64 = 0.0;
+        let mut chunk_detect: f64 = 0.0;
+        let mut tagged: Vec<(usize, LiveEvent)> = Vec::new();
+        let mut collectors = Vec::with_capacity(results.len());
+        for ((events, ingest_ms, detect_ms), collector) in results {
+            chunk_ingest = chunk_ingest.max(ingest_ms);
+            chunk_detect = chunk_detect.max(detect_ms);
+            tagged.extend(events);
+            collectors.push(collector);
+        }
         self.stats.ingest_ms += chunk_ingest;
         self.stats.sessionize_ms += chunk_detect;
         // Detector offers are the live "sessionize" stage (incremental
@@ -247,12 +227,9 @@ impl LiveEngine {
         self.stages
             .sessionize_walltime
             .observe(to_micros(chunk_detect));
-        if subscriber.enabled() {
-            emit_alert_events(&events, subscriber);
-        }
-        self.observe_closed(&events);
-        self.sync_metrics();
-        events
+        // A record can emit several events; `gather` is stable, so they
+        // stay in emission order.
+        (gather(tagged), collectors)
     }
 
     /// Ends the stream: closes every open session on every shard and
@@ -353,11 +330,6 @@ impl LiveEngine {
     /// The live metric handles (counters reconcile at sync points).
     pub fn metrics(&self) -> &LiveMetrics {
         &self.metrics
-    }
-
-    /// The per-chunk stage walltime histograms and totals.
-    pub fn stage_metrics(&self) -> &StageMetrics {
-        &self.stages
     }
 
     /// Checkpoints the engine (guard state, open victims, closed-attack
@@ -523,39 +495,45 @@ impl LiveEngine {
 fn shard_chunk<S: Subscriber>(
     shard: &mut Shard,
     records: &[PacketRecord],
-    indices: impl Iterator<Item = usize>,
+    part: ShardRecords<'_>,
     base: u64,
     subscriber: &mut S,
 ) -> ShardChunk {
     let admit_start = Instant::now();
-    let admitted: Vec<(usize, Admitted)> = indices
-        .map(|i| {
-            let meta = EventMeta::record(base + i as u64);
-            (i, shard.pipeline.admit_with(&records[i], &meta, subscriber))
-        })
-        .collect();
+    // The detector needs only which records were admitted, and on which
+    // channel: an admitted product repeats its record's `ts`/`src`/`dst`,
+    // so nothing of it is kept (`true`: QUIC backscatter — the response
+    // source is the flood victim; requests are scan traffic, not flood
+    // evidence).
+    let mut offers: Vec<(usize, bool)> = Vec::with_capacity(part.len());
+    admit_each(
+        &mut shard.pipeline,
+        part,
+        base,
+        subscriber,
+        |index, product, _, _| match product {
+            Admitted::Quic(obs) if obs.direction == Direction::Response => {
+                offers.push((index, true))
+            }
+            Admitted::Baseline(_) => offers.push((index, false)),
+            Admitted::Quic(_) | Admitted::Dropped => {}
+        },
+    );
     let ingest_ms = ms(admit_start);
 
     let detect_start = Instant::now();
     let mut events: Vec<(usize, LiveEvent)> = Vec::new();
-    for (index, product) in admitted {
-        let emitted = match product {
-            Admitted::Quic(obs) if obs.direction == Direction::Response => {
-                // Backscatter: the response source is the flood victim.
-                let bytes = records[index].wire_size() as u64;
-                shard
-                    .detector
-                    .offer_response(obs.ts, obs.src, obs.dst, bytes)
-            }
-            // Requests are scan traffic, not flood evidence.
-            Admitted::Quic(_) => Vec::new(),
-            Admitted::Baseline(record) => {
-                let bytes = record.wire_size() as u64;
-                shard
-                    .detector
-                    .offer_baseline(record.ts, record.src, record.dst, bytes)
-            }
-            Admitted::Dropped => Vec::new(),
+    for (index, quic) in offers {
+        let record = &records[index];
+        let bytes = record.wire_size() as u64;
+        let emitted = if quic {
+            shard
+                .detector
+                .offer_response(record.ts, record.src, record.dst, bytes)
+        } else {
+            shard
+                .detector
+                .offer_baseline(record.ts, record.src, record.dst, bytes)
         };
         events.extend(emitted.into_iter().map(|event| (index, event)));
     }

@@ -287,12 +287,6 @@ impl MultiSourceLive {
         &self.engine
     }
 
-    /// Mutable engine access (e.g. re-seeding checkpoint counters after
-    /// a restore).
-    pub fn engine_mut(&mut self) -> &mut LiveEngine {
-        &mut self.engine
-    }
-
     /// Records offered to the engine so far.
     pub fn offered(&self) -> u64 {
         self.engine.offered()

@@ -15,8 +15,6 @@
 //!   stores and the analyses consume (pcap stand-in).
 //! * [`capture`] — a length-prefixed binary capture format with
 //!   streaming reader/writer, so scenarios can be persisted and replayed.
-//! * [`event`] — a discrete-event scheduler (binary heap of timed
-//!   events) used by the server model.
 //! * [`link`] — a rate-limited, lossy link model for the Table 1
 //!   testbed (client ↔ server over "Gigabit Ethernet").
 //! * [`l3`] — IPv4/UDP/TCP/ICMP header serialization with checksums,
@@ -39,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod capture;
-pub mod event;
 pub mod ip;
 pub mod l3;
 pub mod link;

@@ -167,6 +167,29 @@ impl MultiVectorReport {
     }
 }
 
+/// The `(class, overlap_share, gap)` verdict on one QUIC flood, given
+/// its longest overlap with any common flood on the same victim
+/// (`Duration::ZERO` when there is none) and the gap to the nearest one
+/// (`None` when the victim saw no common flood at all). The one place
+/// the §5.2 / Appendix C rule is written: the batch classifier below
+/// folds a victim's whole common-flood list into the two arguments, the
+/// live detector folds them in one flood at a time.
+pub fn verdict(
+    quic: &Attack,
+    best_overlap: Duration,
+    min_gap: Option<Duration>,
+) -> (MultiVectorClass, Option<f64>, Option<Duration>) {
+    if best_overlap >= Duration::from_secs(1) {
+        let quic_duration = quic.duration().as_secs_f64().max(1.0);
+        let share = (best_overlap.as_secs_f64() / quic_duration).min(1.0);
+        (MultiVectorClass::Concurrent, Some(share), None)
+    } else if let Some(gap) = min_gap {
+        (MultiVectorClass::Sequential, None, Some(gap))
+    } else {
+        (MultiVectorClass::Isolated, None, None)
+    }
+}
+
 /// Correlates QUIC floods with common-protocol floods (no packet-level
 /// vector evidence; every `kinds` list stays empty).
 pub fn classify_multivector(quic: &[Attack], common: &[Attack]) -> MultiVectorReport {
@@ -192,45 +215,20 @@ pub fn classify_multivector_with(
     let mut kind_counts: HashMap<String, usize> = HashMap::new();
     for (quic_index, q) in quic.iter().enumerate() {
         let kinds = signals.kinds_for(q.victim);
-        let result = match by_victim.get(&q.victim) {
-            None => CorrelatedAttack {
-                quic_index,
-                class: MultiVectorClass::Isolated,
-                overlap_share: None,
-                gap: None,
-                kinds,
-            },
-            Some(commons) => {
-                let best_overlap = commons
-                    .iter()
-                    .map(|c| q.overlap_with(c))
-                    .max()
-                    .unwrap_or(Duration::ZERO);
-                if best_overlap >= Duration::from_secs(1) {
-                    let quic_duration = q.duration().as_secs_f64().max(1.0);
-                    let share = (best_overlap.as_secs_f64() / quic_duration).min(1.0);
-                    CorrelatedAttack {
-                        quic_index,
-                        class: MultiVectorClass::Concurrent,
-                        overlap_share: Some(share),
-                        gap: None,
-                        kinds,
-                    }
-                } else {
-                    let gap = commons
-                        .iter()
-                        .map(|c| q.gap_to(c))
-                        .min()
-                        .unwrap_or(Duration::ZERO);
-                    CorrelatedAttack {
-                        quic_index,
-                        class: MultiVectorClass::Sequential,
-                        overlap_share: None,
-                        gap: Some(gap),
-                        kinds,
-                    }
-                }
-            }
+        let commons = by_victim.get(&q.victim).map_or(&[][..], Vec::as_slice);
+        let best_overlap = commons
+            .iter()
+            .map(|c| q.overlap_with(c))
+            .max()
+            .unwrap_or(Duration::ZERO);
+        let min_gap = commons.iter().map(|c| q.gap_to(c)).min();
+        let (class, overlap_share, gap) = verdict(q, best_overlap, min_gap);
+        let result = CorrelatedAttack {
+            quic_index,
+            class,
+            overlap_share,
+            gap,
+            kinds,
         };
         *class_counts
             .entry(result.class.label().to_string())

@@ -321,21 +321,14 @@ impl Sessionizer {
     /// (on the source's next packet) or [`Sessionizer::finish`] would
     /// emit — expiry only changes *when* state is released, never the
     /// session boundaries.
+    ///
+    /// No event-emitting twin: an explicit sweep only happens between
+    /// offers ([`Sessionizer::drain`]), where no subscriber is at hand;
+    /// the sweeps that emit `session_closed { expired }` run inside
+    /// [`Sessionizer::offer_keyed_with`].
     pub fn expire(&mut self, now: Timestamp) {
-        self.expire_with(now, "", &EventMeta::lifecycle(), &mut NoopSubscriber);
-    }
-
-    /// [`Sessionizer::expire`] with typed event emission: each expiry
-    /// emits a `session_closed` event flagged `expired` (at the sweep
-    /// watermark, in the same deterministic close order).
-    pub fn expire_with<S: Subscriber>(
-        &mut self,
-        now: Timestamp,
-        channel: &str,
-        meta: &EventMeta,
-        subscriber: &mut S,
-    ) {
-        let (table, mut sink) = self.parts(None, channel, meta, subscriber);
+        let (meta, mut subscriber) = (EventMeta::lifecycle(), NoopSubscriber);
+        let (table, mut sink) = self.parts(None, "", &meta, &mut subscriber);
         table.expire(now, &mut |closed| sink.closed(closed));
     }
 
@@ -954,9 +947,8 @@ mod tests {
             &meta,
             &mut sub,
         );
-        // Explicit sweep expires both remaining sessions.
-        s.expire_with(Timestamp::from_secs(400), "quic", &meta, &mut sub);
-        // Final flush of a still-open session.
+        // This packet's sweep expires both remaining sessions first;
+        // its own session is still open at the final flush.
         s.offer_keyed_with(
             Timestamp::from_secs(401),
             ip(3),

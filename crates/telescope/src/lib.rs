@@ -9,9 +9,10 @@
 //! 3. bin observations over time ([`binning`]) — the Figs. 2/3 hourly
 //!    series.
 //!
-//! For multi-core captures, [`parallel`] shards the ingest by
-//! `hash(src) % N` across scoped worker threads with a deterministic
-//! merge — byte-identical output at any thread count.
+//! [`parallel`] is the one sharded-run path (scatter by
+//! `hash(src) % N`, per-shard admit, gather by record index) the batch
+//! analysis and the live engine both run on — byte-identical output at
+//! any shard count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

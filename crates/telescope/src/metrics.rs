@@ -317,17 +317,11 @@ impl StageMetrics {
         }
     }
 
-    /// Records one shard's (or chunk's) stage walltimes into the
-    /// distribution histograms. Zero-length stages still count — a
-    /// too-fast-to-measure stage is an observation, not a gap.
-    pub fn observe_stages(&self, stats: &PipelineStats) {
-        self.observe_frontend(stats);
-        self.detect_walltime.observe(ms_to_micros(stats.detect_ms));
-    }
-
-    /// Records only the frontend stages (ingest/sanitize/sessionize) —
-    /// for batch shards, where detection runs once after the merge and
-    /// is observed separately via [`StageMetrics::observe_detect`].
+    /// Records one shard's frontend stage walltimes
+    /// (ingest/sanitize/sessionize) into the distribution histograms —
+    /// detection runs once after the merge and is observed separately
+    /// via [`StageMetrics::observe_detect`]. Zero-length stages still
+    /// count — a too-fast-to-measure stage is an observation, not a gap.
     pub fn observe_frontend(&self, stats: &PipelineStats) {
         self.ingest_walltime.observe(ms_to_micros(stats.ingest_ms));
         self.sanitize_walltime
@@ -449,7 +443,8 @@ mod tests {
             peak_open_sessions: 7,
             quarantined: 0,
         };
-        stages.observe_stages(&stats);
+        stages.observe_frontend(&stats);
+        stages.observe_detect(stats.detect_ms);
         stages.set_totals(&stats);
         assert_eq!(stages.ingest_walltime.sum(), 1_500);
         assert_eq!(stages.totals[3].get(), 3_000);

@@ -460,6 +460,7 @@ impl std::hash::BuildHasher for SourceMapHasherBuilder {
 /// checkpoint written by an older build resumes correctly, but its stored
 /// `last_hash` values no longer match, so one duplicate per source can
 /// slip through at the seam.
+#[inline]
 pub fn record_hash(record: &PacketRecord) -> u64 {
     // Fixed-layout prefix: timestamp, addresses, transport tag + ports
     // packed into two words.
@@ -623,6 +624,13 @@ impl TelescopePipeline {
     /// *unconditionally* (even for quarantined records), so the
     /// decision sequence for a source depends only on that source's
     /// record stream — the invariant behind N-shard ≡ 1-shard.
+    ///
+    /// `#[inline]` (with [`record_hash`]): every sharded caller reaches
+    /// this through the generic `admit_with`, which is instantiated in
+    /// *their* crate — without the hint the guard is an out-of-line
+    /// cross-crate call per record there, inlined only in this crate's
+    /// own `admit`.
+    #[inline]
     fn guard_check(&mut self, record: &PacketRecord) -> Option<IngestError> {
         let hash = record_hash(record);
         match self.guards.entry(record.src) {
@@ -841,18 +849,6 @@ impl TelescopePipeline {
         }
     }
 
-    /// Ingests one decoded batch, the hand-off unit produced by the
-    /// zero-copy capture reader. Equivalent to [`ingest_all`] over the
-    /// slice — batching changes the call granularity, never the
-    /// counters or the products.
-    ///
-    /// [`ingest_all`]: Self::ingest_all
-    pub fn ingest_batch(&mut self, batch: &[PacketRecord]) {
-        for record in batch {
-            self.ingest(record);
-        }
-    }
-
     /// The counters.
     pub fn stats(&self) -> &IngestStats {
         &self.stats
@@ -982,7 +978,7 @@ mod tests {
         streamed.ingest_all(&records);
         let mut batched = TelescopePipeline::new();
         for batch in records.chunks(2) {
-            batched.ingest_batch(batch);
+            batched.ingest_all(batch);
         }
         assert_eq!(batched.stats(), streamed.stats());
         assert_eq!(batched.finish().0, streamed.finish().0);

@@ -163,6 +163,22 @@ if sed -n '/^\/\/ Code generation/,$p' vendor/serde_derive/src/lib.rs | grep -n 
   exit 1
 fi
 
+echo "==> one sharded-run path: fan-out and partition live in telescope::parallel only"
+# scatter/gather/admit_each are the one place a record slice is split by
+# source, run per shard and put back in capture order; a second
+# `thread::scope` or `partition_by_source(` call in non-test code under
+# crates/ is a second copy of that decision.
+for needle in 'thread::scope' 'partition_by_source('; do
+  users="$(find crates -path '*/src/*' -name '*.rs' | sort | while read -r file; do
+    sed '/^#\[cfg(test)\]/,$d' "$file" | grep -v '^ *//' | grep -qF "$needle" && echo "$file"
+  done || true)"
+  if [[ "$users" != "crates/telescope/src/parallel.rs" ]]; then
+    echo "sharded-run pin: \`$needle\` must appear in crates/telescope/src/parallel.rs only, found in:" >&2
+    echo "${users:-nowhere}" >&2
+    exit 1
+  fi
+done
+
 if [[ $quick -eq 0 ]]; then
   echo "==> checkpoint allocation pin"
   # The counts the move-only read side and the tree-free writer are

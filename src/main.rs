@@ -23,21 +23,22 @@ use std::process::ExitCode;
 
 type Command = fn(&[String]) -> Result<(), String>;
 
-/// Every subcommand with the flags it defines. Anything else that looks
-/// like a flag is rejected before the command runs, so a typo
-/// (`--thread 1`) fails instead of silently running with the default.
-const COMMANDS: &[(&str, Command, &[&str])] = &[
+/// Every subcommand with the flags it defines: those followed by a value,
+/// then the bare switches. Anything else that looks like a flag is
+/// rejected before the command runs, so a typo (`--thread 1`) fails
+/// instead of silently running with the default.
+const COMMANDS: &[(&str, Command, &[&str], &[&str])] = &[
     (
         "generate",
         cmd_generate,
         &["--out", "--scale", "--seed", "--scenario"],
+        &[],
     ),
     (
         "analyze",
         cmd_analyze,
         &[
             "--threads",
-            "--verbose",
             "--fault-profile",
             "--fault-seed",
             "--metrics-out",
@@ -45,6 +46,7 @@ const COMMANDS: &[(&str, Command, &[&str])] = &[
             "--scale",
             "--seed",
         ],
+        &["--verbose"],
     ),
     (
         "metrics",
@@ -54,10 +56,10 @@ const COMMANDS: &[(&str, Command, &[&str])] = &[
             "--threads",
             "--fault-profile",
             "--fault-seed",
-            "--stable-only",
             "--scale",
             "--seed",
         ],
+        &["--stable-only"],
     ),
     (
         "live",
@@ -78,34 +80,44 @@ const COMMANDS: &[(&str, Command, &[&str])] = &[
             "--alert-format",
             "--metrics-out",
             "--events-out",
-            "--verbose",
         ],
+        &["--verbose"],
     ),
     (
         "replay",
         cmd_replay,
-        &["--pps", "--requests", "--workers", "--retry", "--adaptive"],
+        &["--pps", "--requests", "--workers", "--adaptive"],
+        &["--retry"],
     ),
-    ("export", cmd_export, &["--pcap"]),
+    ("export", cmd_export, &["--pcap"], &[]),
     (
         "forensics",
         cmd_forensics,
         &[
             "--out",
-            "--replay",
             "--window",
             "--weight",
             "--shards",
             "--chunk",
             "--evidence-ring",
         ],
+        &["--replay"],
     ),
     (
         "experiments",
         cmd_experiments,
         &["--scale", "--seed", "--threads"],
+        &[],
     ),
 ];
+
+/// Whether `flag` is followed by a value. A flag name means the same in
+/// every command that has it, so the lookup needs no command.
+fn takes_value(flag: &str) -> bool {
+    COMMANDS
+        .iter()
+        .any(|(_, _, valued, _)| valued.contains(&flag))
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -120,10 +132,9 @@ fn main() -> ExitCode {
     let rest = &args[1..];
     let result = match COMMANDS.iter().find(|(name, ..)| name == command) {
         None => Err(format!("unknown command `{command}`\n{USAGE}")),
-        Some((_, run, flags)) => match rest
-            .iter()
-            .find(|a| a.starts_with("--") && !flags.contains(&a.as_str()))
-        {
+        Some((_, run, valued, switches)) => match rest.iter().find(|a| {
+            a.starts_with("--") && !valued.contains(&a.as_str()) && !switches.contains(&a.as_str())
+        }) {
             Some(flag) => Err(format!("unknown flag `{flag}` for `{command}`")),
             None => run(rest),
         },
@@ -251,60 +262,75 @@ USAGE:
     quicsand experiments [--scale test|demo|paper] [--seed N] [--threads N]
         Regenerate every paper table/figure and print the reports.";
 
-/// Looks up the value following `name`.
-///
-/// `Ok(None)` when the flag is absent; an error when the flag is
-/// present but its value is missing or looks like another flag
-/// (`--out --scale` used to happily write a file named `--scale`).
-fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
+/// The value following the occurrence of `name` at `args[i]`: an error
+/// when it is missing or looks like another flag (`--out --scale` used
+/// to happily write a file named `--scale`).
+fn value_after<'a>(args: &'a [String], i: usize, name: &str) -> Result<&'a str, String> {
+    debug_assert!(takes_value(name), "{name} is not a valued flag in COMMANDS");
     match args.get(i + 1) {
         Some(value) if value.starts_with("--") => Err(format!(
             "flag {name} expects a value, but got the flag `{value}`"
         )),
-        Some(value) => Ok(Some(value.as_str())),
+        Some(value) => Ok(value.as_str()),
         None => Err(format!("flag {name} is missing its value")),
     }
+}
+
+/// Looks up the value following `name`: `Ok(None)` when the flag is
+/// absent, an error when it is present without a usable value.
+fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    args.iter()
+        .position(|a| a == name)
+        .map(|i| value_after(args, i, name))
+        .transpose()
 }
 
 /// Collects every value of a repeatable flag (`--input a --input b`),
 /// with the same flag-shaped-value rejection as [`flag_value`].
 fn flag_values<'a>(args: &'a [String], name: &str) -> Result<Vec<&'a str>, String> {
-    let mut values = Vec::new();
-    for (i, arg) in args.iter().enumerate() {
-        if arg != name {
-            continue;
-        }
-        match args.get(i + 1) {
-            Some(value) if value.starts_with("--") => {
-                return Err(format!(
-                    "flag {name} expects a value, but got the flag `{value}`"
-                ))
-            }
-            Some(value) => values.push(value.as_str()),
-            None => return Err(format!("flag {name} is missing its value")),
-        }
-    }
-    Ok(values)
+    args.iter()
+        .enumerate()
+        .filter(|(_, arg)| *arg == name)
+        .map(|(i, _)| value_after(args, i, name))
+        .collect()
 }
 
+/// Parses the value of `name` when the flag is given, rejecting one that
+/// does not parse as `T` or lies below `min`. The message is
+/// ``invalid {name} `{value}`{hint}``, or with no `hint` just
+/// `invalid {name}` (`replay`'s wording).
+fn flag_parsed<T: std::str::FromStr + PartialOrd>(
+    args: &[String],
+    name: &str,
+    min: Option<T>,
+    hint: Option<&str>,
+) -> Result<Option<T>, String> {
+    flag_value(args, name)?
+        .map(|v| {
+            v.parse::<T>()
+                .ok()
+                .filter(|n| min.as_ref().is_none_or(|min| n >= min))
+                .ok_or_else(|| match hint {
+                    Some(hint) => format!("invalid {name} `{v}`{hint}"),
+                    None => format!("invalid {name}"),
+                })
+        })
+        .transpose()
+}
+
+/// The hint shared by the count-valued flags.
+const AT_LEAST_ONE: &str = " (want an integer >= 1)";
+
 fn has_flag(args: &[String], name: &str) -> bool {
+    debug_assert!(!takes_value(name), "{name} is a valued flag in COMMANDS");
     args.iter().any(|a| a == name)
 }
 
 /// Builds the `AnalysisConfig`, honouring `--threads N`.
 fn analysis_config(args: &[String]) -> Result<AnalysisConfig, String> {
     let mut config = AnalysisConfig::default();
-    if let Some(threads) = flag_value(args, "--threads")? {
-        config.threads = threads
-            .parse::<usize>()
-            .ok()
-            .filter(|&t| t >= 1)
-            .ok_or(format!(
-                "invalid --threads `{threads}` (want an integer >= 1)"
-            ))?;
+    if let Some(threads) = flag_parsed(args, "--threads", Some(1), Some(AT_LEAST_ONE))? {
+        config.threads = threads;
     }
     Ok(config)
 }
@@ -323,13 +349,8 @@ fn fault_plan(args: &[String]) -> Result<Option<FaultPlan>, String> {
         return Ok(None);
     };
     let profile: FaultProfile = profile.parse()?;
-    let seed: u64 = seed
-        .map(|s| {
-            s.parse()
-                .map_err(|_| format!("invalid --fault-seed `{s}` (want a u64)"))
-        })
-        .transpose()?
-        .unwrap_or(0xF4017);
+    let seed: u64 =
+        flag_parsed(args, "--fault-seed", None, Some(" (want a u64)"))?.unwrap_or(0xF4017);
     Ok(Some(FaultPlan::new(profile, seed)))
 }
 
@@ -397,11 +418,12 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// First positional argument: not a flag, and not a flag's value.
+/// First positional argument: not a flag, and not the value of a flag
+/// that takes one (a switch such as `--verbose` has none to skip).
 fn positional(args: &[String]) -> Option<&String> {
     args.iter()
         .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && (*i == 0 || !args[*i - 1].starts_with("--")))
+        .find(|(i, a)| !a.starts_with("--") && (*i == 0 || !takes_value(&args[*i - 1])))
         .map(|(_, a)| a)
 }
 
@@ -646,83 +668,27 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     if inputs.is_empty() {
         return Err("live requires a capture path (positional or --input <file>)".into());
     }
-    let window: u64 = flag_value(args, "--window")?
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("invalid --window `{v}` (minutes)"))
-        })
-        .transpose()?
-        .unwrap_or(5);
-    let weight: f64 = flag_value(args, "--weight")?
-        .map(|v| v.parse().map_err(|_| format!("invalid --weight `{v}`")))
-        .transpose()?
-        .unwrap_or(1.0);
-    let escalate: f64 = flag_value(args, "--escalate")?
-        .map(|v| v.parse().map_err(|_| format!("invalid --escalate `{v}`")))
-        .transpose()?
+    let window: u64 = flag_parsed(args, "--window", None, Some(" (minutes)"))?.unwrap_or(5);
+    let weight: f64 = flag_parsed(args, "--weight", None, Some(""))?.unwrap_or(1.0);
+    let escalate: f64 = flag_parsed(args, "--escalate", None, Some(""))?
         .unwrap_or(LiveConfig::default().escalation_weight);
-    let shards: usize = flag_value(args, "--shards")?
-        .map(|v| v.parse().map_err(|_| format!("invalid --shards `{v}`")))
-        .transpose()?
-        .unwrap_or(1);
-    let chunk: usize = flag_value(args, "--chunk")?
-        .map(|v| {
-            v.parse::<usize>()
-                .ok()
-                .filter(|&c| c >= 1)
-                .ok_or(format!("invalid --chunk `{v}` (want an integer >= 1)"))
-        })
-        .transpose()?
-        .unwrap_or(1024);
-    let max_victims: usize = flag_value(args, "--max-victims")?
-        .map(|v| {
-            v.parse::<usize>()
-                .ok()
-                .filter(|&m| m >= 1)
-                .ok_or(format!("invalid --max-victims `{v}`"))
-        })
-        .transpose()?
+    let shards: usize = flag_parsed(args, "--shards", None, Some(""))?.unwrap_or(1);
+    let chunk: usize = flag_parsed(args, "--chunk", Some(1), Some(AT_LEAST_ONE))?.unwrap_or(1024);
+    let max_victims: usize = flag_parsed(args, "--max-victims", Some(1), Some(""))?
         .unwrap_or(LiveConfig::default().max_victims);
-    let evidence_ring: usize = flag_value(args, "--evidence-ring")?
-        .map(|v| {
-            v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or(format!(
-                "invalid --evidence-ring `{v}` (want an integer >= 1)"
-            ))
-        })
-        .transpose()?
+    let evidence_ring: usize = flag_parsed(args, "--evidence-ring", Some(1), Some(AT_LEAST_ONE))?
         .unwrap_or(LiveConfig::default().evidence_capacity);
-    let checkpoint_every: Option<u64> = flag_value(args, "--checkpoint-every")?
-        .map(|v| {
-            v.parse::<u64>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or(format!("invalid --checkpoint-every `{v}`"))
-        })
-        .transpose()?;
-    let source_queue: usize = flag_value(args, "--source-queue")?
-        .map(|v| {
-            v.parse::<usize>().ok().filter(|&q| q >= 1).ok_or(format!(
-                "invalid --source-queue `{v}` (want an integer >= 1)"
-            ))
-        })
-        .transpose()?
+    let checkpoint_every: Option<u64> = flag_parsed(args, "--checkpoint-every", Some(1), Some(""))?;
+    let source_queue: usize = flag_parsed(args, "--source-queue", Some(1), Some(AT_LEAST_ONE))?
         .unwrap_or(SourceSetConfig::default().queue_capacity);
-    let source_batch: usize = flag_value(args, "--source-batch")?
-        .map(|v| {
-            v.parse::<usize>().ok().filter(|&b| b >= 1).ok_or(format!(
-                "invalid --source-batch `{v}` (want an integer >= 1)"
-            ))
-        })
-        .transpose()?
+    let source_batch: usize = flag_parsed(args, "--source-batch", Some(1), Some(AT_LEAST_ONE))?
         .unwrap_or(SourceSetConfig::default().batch_records);
-    let source_rate: Option<u64> = flag_value(args, "--source-rate")?
-        .map(|v| {
-            v.parse::<u64>()
-                .ok()
-                .filter(|&r| r >= 1)
-                .ok_or(format!("invalid --source-rate `{v}` (want records/s >= 1)"))
-        })
-        .transpose()?;
+    let source_rate: Option<u64> = flag_parsed(
+        args,
+        "--source-rate",
+        Some(1),
+        Some(" (want records/s >= 1)"),
+    )?;
     let json = match flag_value(args, "--alert-format")?.unwrap_or("text") {
         "text" => false,
         "json" => true,
@@ -908,14 +874,8 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         .ok_or("replay requires --pps <rate>")?
         .parse()
         .map_err(|_| "invalid --pps")?;
-    let requests: u64 = flag_value(args, "--requests")?
-        .map(|v| v.parse().map_err(|_| "invalid --requests"))
-        .transpose()?
-        .unwrap_or(pps * 300 + 1);
-    let workers: usize = flag_value(args, "--workers")?
-        .map(|v| v.parse().map_err(|_| "invalid --workers"))
-        .transpose()?
-        .unwrap_or(4);
+    let requests: u64 = flag_parsed(args, "--requests", None, None)?.unwrap_or(pps * 300 + 1);
+    let workers: usize = flag_parsed(args, "--workers", None, None)?.unwrap_or(4);
     let retry_policy = if let Some(threshold) = flag_value(args, "--adaptive")? {
         RetryPolicy::Adaptive {
             occupancy_threshold: threshold.parse().map_err(|_| "invalid --adaptive")?,
@@ -995,37 +955,11 @@ fn cmd_forensics(args: &[String]) -> Result<(), String> {
         .unwrap_or("forensics")
         .to_string();
     let replay = has_flag(args, "--replay");
-    let window: u64 = flag_value(args, "--window")?
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("invalid --window `{v}` (minutes)"))
-        })
-        .transpose()?
-        .unwrap_or(5);
-    let weight: f64 = flag_value(args, "--weight")?
-        .map(|v| v.parse().map_err(|_| format!("invalid --weight `{v}`")))
-        .transpose()?
-        .unwrap_or(1.0);
-    let shards: usize = flag_value(args, "--shards")?
-        .map(|v| v.parse().map_err(|_| format!("invalid --shards `{v}`")))
-        .transpose()?
-        .unwrap_or(1);
-    let chunk: usize = flag_value(args, "--chunk")?
-        .map(|v| {
-            v.parse::<usize>()
-                .ok()
-                .filter(|&c| c >= 1)
-                .ok_or(format!("invalid --chunk `{v}` (want an integer >= 1)"))
-        })
-        .transpose()?
-        .unwrap_or(1024);
-    let evidence_ring: usize = flag_value(args, "--evidence-ring")?
-        .map(|v| {
-            v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or(format!(
-                "invalid --evidence-ring `{v}` (want an integer >= 1)"
-            ))
-        })
-        .transpose()?
+    let window: u64 = flag_parsed(args, "--window", None, Some(" (minutes)"))?.unwrap_or(5);
+    let weight: f64 = flag_parsed(args, "--weight", None, Some(""))?.unwrap_or(1.0);
+    let shards: usize = flag_parsed(args, "--shards", None, Some(""))?.unwrap_or(1);
+    let chunk: usize = flag_parsed(args, "--chunk", Some(1), Some(AT_LEAST_ONE))?.unwrap_or(1024);
+    let evidence_ring: usize = flag_parsed(args, "--evidence-ring", Some(1), Some(AT_LEAST_ONE))?
         .unwrap_or(LiveConfig::default().evidence_capacity);
 
     let guard = GuardConfig::default();

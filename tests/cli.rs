@@ -199,6 +199,50 @@ fn every_flag_in_usage_is_accepted() {
     }
 }
 
+/// Regression: a switch directly before the capture path used to
+/// swallow it as its "value" (`analyze --verbose cap.qscp` failed with
+/// `requires a capture path`). Only flags that take a value skip a word.
+#[test]
+fn boolean_flag_before_the_capture_path() {
+    let dir = std::env::temp_dir().join("quicsand-cli-switch-first");
+    std::fs::create_dir_all(&dir).unwrap();
+    let empty = dir.join("empty.qscp");
+    std::fs::write(&empty, b"").unwrap();
+    let path = empty.to_str().unwrap();
+    let out = dir.join("slices");
+
+    for command in [
+        vec!["analyze", "--verbose", path],
+        vec!["metrics", "--stable-only", path],
+        vec!["live", "--verbose", path],
+        vec![
+            "forensics",
+            "--replay",
+            path,
+            "--out",
+            out.to_str().unwrap(),
+        ],
+    ] {
+        let switch_first = Command::new(bin()).args(&command).output().expect("run");
+        let stderr = String::from_utf8_lossy(&switch_first.stderr);
+        assert!(
+            !stderr.contains("requires a capture path"),
+            "{command:?}: {stderr}"
+        );
+        // The same words with the path first (which always worked) must
+        // end the same way — whatever the command makes of an empty
+        // capture.
+        let mut reordered = command.clone();
+        reordered.swap(1, 2);
+        let path_first = Command::new(bin()).args(&reordered).output().expect("run");
+        assert_eq!(switch_first.status.code(), path_first.status.code());
+        if command[0] == "live" {
+            assert!(switch_first.status.success(), "live: {stderr}");
+        }
+    }
+    std::fs::remove_file(&empty).ok();
+}
+
 #[test]
 fn replay_reports_availability() {
     let output = Command::new(bin())
