@@ -1,22 +1,32 @@
 //! The end-to-end measurement pipeline (§4 + §5.1/§5.2 mechanics).
 //!
-//! [`Analysis::run`] executes, in order:
+//! The pipeline is a streaming fold: an [`AnalysisDriver`] takes the
+//! capture as any sequence of record slices ([`AnalysisDriver::offer`])
+//! and [`AnalysisDriver::finish`] turns what it kept into an
+//! [`Analysis`]. State persists between slices, records do not:
 //!
-//! 1. **Ingest** — port filter + dissection ([`quicsand_telescope`]).
+//! 1. **Ingest** — port filter + dissection ([`quicsand_telescope`]),
+//!    inside `offer`. An admitted TCP/ICMP record goes straight from the
+//!    admit loop into its shard's baseline sessionizer and is gone; only
+//!    the admitted QUIC observations are kept, because the next stage
+//!    needs all of them at once.
 //! 2. **Sanitize** — behavioural research-scanner detection corroborated
 //!    with the AS database; research traffic is split off (Fig. 2).
-//! 3. **Sessionize** — requests and responses separately, 5-minute
-//!    timeout (Fig. 4 default).
+//! 3. **Sessionize** — QUIC requests and responses separately, 5-minute
+//!    timeout (Fig. 4 default); the TCP/ICMP channel was already
+//!    sessionized in stage 1.
 //! 4. **Infer DoS** — Moore et al. thresholds on response sessions
 //!    (QUIC) and on TCP/ICMP baseline sessions.
 //! 5. **Correlate** — multi-vector classification of QUIC floods
 //!    against common floods.
 //!
 //! Stages 1–3 run per source shard through
-//! [`quicsand_telescope::parallel`] (`scatter` the records over
-//! `config.threads` shards, `admit_each` inside a shard, `gather` the
-//! observations back into capture order); stages 4–5 run once on the
-//! merged products.
+//! [`quicsand_telescope::parallel`] (`scatter` each slice over
+//! `config.threads` persistent shards, `admit_each` inside a shard,
+//! `gather` the observations back into capture order by stream
+//! position); stages 4–5 run once on the merged products. How the
+//! capture is cut into slices changes no product: [`Analysis::run`] is
+//! the driver fed one slice, the CLI feeds it `read_batch` chunks.
 //!
 //! Every intermediate product is a public field so experiments (and
 //! downstream users) can compute whatever the paper did not.
@@ -24,7 +34,8 @@
 use crate::metrics::AnalysisMetrics;
 use quicsand_dissect::Direction;
 use quicsand_events::{EventMeta, NoopSubscriber, SessionMigrated, Subscriber};
-use quicsand_net::Duration;
+use quicsand_intel::AsDatabase;
+use quicsand_net::{Duration, PacketRecord};
 use quicsand_obs::MetricsRegistry;
 use quicsand_sessions::dos::{detect_attacks, Attack, AttackProtocol, DosThresholds};
 use quicsand_sessions::multivector::{classify_multivector_with, MultiVectorReport, VectorSignals};
@@ -69,6 +80,18 @@ pub struct AnalysisConfig {
     /// backwards-timestamp quarantine thresholds. Per-source, so the
     /// guard's decisions are also thread-count-invariant.
     pub guard: GuardConfig,
+}
+
+impl AnalysisConfig {
+    fn session(&self) -> SessionConfig {
+        SessionConfig {
+            timeout: self.session_timeout,
+            // Late packets admitted by the ingest guard lag at most its
+            // reorder tolerance behind the watermark; the sessionizer's
+            // deferred expiry must cover exactly that.
+            skew_tolerance: self.guard.reorder_tolerance,
+        }
+    }
 }
 
 impl Default for AnalysisConfig {
@@ -157,7 +180,7 @@ pub struct Analysis {
 }
 
 /// Stages 1–3 of one shard — or, after [`ShardProducts::absorb`], of
-/// several. `requests` / `responses` carry original record indices so
+/// several. `requests` / `responses` carry stream positions so
 /// [`gather`] can restore exact capture order.
 struct ShardProducts {
     ingest: IngestStats,
@@ -166,8 +189,8 @@ struct ShardProducts {
     request_hourly: HourlySeries,
     response_hourly: HourlySeries,
     research_packets: u64,
-    requests: Vec<(usize, QuicObservation)>,
-    responses: Vec<(usize, QuicObservation)>,
+    requests: Vec<(u64, QuicObservation)>,
+    responses: Vec<(u64, QuicObservation)>,
     request_sessions: Vec<Session>,
     response_sessions: Vec<Session>,
     common_sessions: Vec<Session>,
@@ -203,22 +226,190 @@ impl ShardProducts {
     }
 }
 
-impl Analysis {
-    /// Runs the complete pipeline on a scenario.
-    ///
-    /// Stages 1–3 are sharded by `hash(src) % config.threads` (one
-    /// shard runs inline, more on scoped worker threads); the merge is
-    /// deterministic, so every analysis product is byte-identical at
-    /// any thread count (only [`Analysis::stats`] differs).
-    pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> Analysis {
-        let threads = config.threads.max(1);
-        // Each shard builds its state inside `run_shard`; the slots only
-        // say how many shards there are.
-        let shards = scatter(&scenario.records, &mut vec![(); threads], |(), part| {
-            Self::run_shard(scenario, config, part)
+/// One source shard's state, alive from the first
+/// [`AnalysisDriver::offer`] to [`AnalysisDriver::finish`].
+///
+/// Guard state lives inside the shard's pipeline; because shards
+/// partition records *by source*, the guard, the research detection and
+/// the sessionizers each see exactly the per-source record sequence an
+/// unsharded, unsliced run sees.
+struct Shard {
+    pipeline: TelescopePipeline,
+    /// The TCP/ICMP baseline channel, fed from inside the admit loop.
+    common: Sessionizer,
+    /// Every admitted QUIC observation with its stream position — the
+    /// one per-record product kept: research detection needs a source's
+    /// whole history before any of its packets can be sessionized.
+    quic: Vec<(u64, QuicObservation)>,
+    /// Admit-loop wall time, summed over every `offer`.
+    ingest_ms: f64,
+}
+
+impl Shard {
+    /// Stage 1 over this shard's part of one offered slice. `base` is
+    /// the stream position of the slice's first record.
+    fn admit(&mut self, part: ShardRecords<'_>, base: u64) {
+        let start = Instant::now();
+        admit_each(
+            &mut self.pipeline,
+            part,
+            base,
+            &mut NoopSubscriber,
+            |index, product, _, _| match product {
+                Admitted::Quic(obs) => self.quic.push((base + index as u64, obs)),
+                Admitted::Baseline(record) => self.common.offer(record.ts, record.src),
+                Admitted::Dropped => {}
+            },
+        );
+        self.ingest_ms += ms(start);
+    }
+
+    /// Stages 2–3 over what the shard kept, once the stream has ended.
+    fn finish(self, asdb: &AsDatabase, config: &AnalysisConfig) -> ShardProducts {
+        let mut stats = PipelineStats {
+            ingest_ms: self.ingest_ms,
+            ..PipelineStats::default()
+        };
+        let (_, _, ingest) = self.pipeline.finish();
+
+        // 2. Sanitize: behavioural detection corroborated by PeeringDB.
+        // Research detection is a per-source aggregation, and sources
+        // never span shards, so the per-shard result is the global
+        // result restricted to this shard.
+        let sanitize_start = Instant::now();
+        let filter = ResearchFilter::detect_with_asdb(
+            self.quic.iter().map(|(_, obs)| obs),
+            asdb,
+            config.research_min_packets,
+            config.research_min_dsts,
+        );
+        let research_sources = filter.sources().clone();
+
+        let mut research_hourly = HourlySeries::new();
+        let mut request_hourly = HourlySeries::new();
+        let mut response_hourly = HourlySeries::new();
+        let mut research_packets = 0u64;
+        let mut requests = Vec::new();
+        let mut responses = Vec::new();
+        for (position, obs) in self.quic {
+            if filter.is_research(obs.src) {
+                research_packets += 1;
+                research_hourly.add(obs.ts);
+                continue;
+            }
+            match obs.direction {
+                Direction::Request => {
+                    request_hourly.add(obs.ts);
+                    requests.push((position, obs));
+                }
+                Direction::Response => {
+                    response_hourly.add(obs.ts);
+                    responses.push((position, obs));
+                }
+            }
+        }
+        stats.sanitize_ms = ms(sanitize_start);
+
+        // 3. Sessionize this shard's two QUIC channels.
+        let sessionize_start = Instant::now();
+        let mut request_sessionizer = Sessionizer::new(config.session());
+        for (_, obs) in &requests {
+            request_sessionizer.offer_keyed(obs.ts, obs.src, obs.dissected.client_cid_key());
+        }
+        let mut response_sessionizer = Sessionizer::new(config.session());
+        for (_, obs) in &responses {
+            response_sessionizer.offer(obs.ts, obs.src);
+        }
+        stats.peak_open_sessions = request_sessionizer.peak_open_count()
+            + response_sessionizer.peak_open_count()
+            + self.common.peak_open_count();
+        let (session_counters, sessions_open_at_flush) =
+            session_tally([&request_sessionizer, &response_sessionizer, &self.common]);
+        let request_sessions = request_sessionizer.finish();
+        let response_sessions = response_sessionizer.finish();
+        let common_sessions = self.common.finish();
+        stats.sessionize_ms = ms(sessionize_start);
+
+        ShardProducts {
+            ingest,
+            research_sources,
+            research_hourly,
+            request_hourly,
+            response_hourly,
+            research_packets,
+            requests,
+            responses,
+            request_sessions,
+            response_sessions,
+            common_sessions,
+            stats,
+            session_counters,
+            sessions_open_at_flush,
+        }
+    }
+}
+
+/// The batch pipeline as a streaming fold over record slices: per-shard
+/// state persists from one [`offer`](Self::offer) to the next, the
+/// records do not. [`finish`](Self::finish) yields the [`Analysis`].
+///
+/// Stages 1–3 are sharded by `hash(src) % config.threads` (one shard
+/// runs inline, more on scoped worker threads); the merge is
+/// deterministic, so every analysis product is byte-identical at any
+/// thread count and however the capture is cut into slices (only
+/// [`Analysis::stats`] differs).
+pub struct AnalysisDriver<'a> {
+    asdb: &'a AsDatabase,
+    config: AnalysisConfig,
+    shards: Vec<Shard>,
+    /// Records offered so far: the stream position of the next slice's
+    /// first record.
+    offered: u64,
+}
+
+impl<'a> AnalysisDriver<'a> {
+    /// An empty run: `config.threads` shards, nothing offered. `asdb`
+    /// corroborates research-scanner candidates at `finish`.
+    pub fn new(asdb: &'a AsDatabase, config: &AnalysisConfig) -> Self {
+        let shards = (0..config.threads.max(1))
+            .map(|_| Shard {
+                pipeline: TelescopePipeline::with_guard(config.guard),
+                common: Sessionizer::new(config.session()),
+                quic: Vec::new(),
+                ingest_ms: 0.0,
+            })
+            .collect();
+        AnalysisDriver {
+            asdb,
+            config: *config,
+            shards,
+            offered: 0,
+        }
+    }
+
+    /// Ingests the next slice of the capture (stage 1 on every shard).
+    pub fn offer(&mut self, records: &[PacketRecord]) {
+        let base = self.offered;
+        self.offered += records.len() as u64;
+        scatter(records, &mut self.shards, |shard, part| {
+            shard.admit(part, base)
+        });
+    }
+
+    /// Ends the stream: stages 2–3 per shard (each on its own worker),
+    /// then the merge and stages 4–5.
+    pub fn finish(self) -> Analysis {
+        let (asdb, config, threads) = (self.asdb, self.config, self.shards.len());
+        // An empty slice makes `scatter` the bare fan-out; each slot is
+        // visited once and gives its shard up by value.
+        let mut slots: Vec<Option<Shard>> = self.shards.into_iter().map(Some).collect();
+        let shards = scatter(&[], &mut slots, |slot, _| {
+            let shard = slot.take().expect("scatter visits each shard once");
+            shard.finish(asdb, &config)
         });
         // One `PipelineStats` per shard so the stage-walltime histograms
-        // get one observation per shard.
+        // get one observation per shard per run, however many slices
+        // were offered.
         let shard_stats: Vec<PipelineStats> = shards.iter().map(|s| s.stats.clone()).collect();
         let mut front = shards
             .into_iter()
@@ -307,79 +498,68 @@ impl Analysis {
             common_attacks,
             multivector,
             stats,
-            config: *config,
+            config,
             registry,
             metrics,
         }
     }
+}
 
-    /// [`Analysis::run`], additionally mirroring the run as a typed
-    /// event stream: per-record wire rejections and Retry/VN sightings
-    /// plus the session lifecycle of the flood-relevant channels
-    /// (`quic` responses and the `tcp_icmp` baseline).
-    ///
-    /// The events come from a dedicated single-threaded forensic
-    /// re-pass over the capture — never from the sharded workers — so
-    /// the stream is byte-identical at every `config.threads`, and a
-    /// disabled subscriber (`enabled() == false`) skips the re-pass
-    /// entirely: `run_with` then costs exactly what [`Analysis::run`]
-    /// does.
-    pub fn run_with<S: Subscriber>(
-        scenario: &Scenario,
-        config: &AnalysisConfig,
-        subscriber: &mut S,
-    ) -> Analysis {
-        let analysis = Self::run(scenario, config);
-        if subscriber.enabled() {
-            Self::emit_events(scenario, &analysis, subscriber);
-        }
-        analysis
-    }
+/// The forensic event re-pass ([`Analysis::event_replay`]), fed the
+/// capture again in any slicing once the analysis is there: a fresh
+/// guard+dissect pipeline replays the capture record by record (each
+/// event tagged with its stream position), and the admitted
+/// flood-relevant streams drive event-emitting sessionizers. Research
+/// scanners are excluded using the already computed
+/// [`Analysis::research_sources`], so the sessions traced here are
+/// exactly the `response_sessions` / `common_sessions` the detector
+/// consumed. Single-threaded by construction — never the sharded
+/// workers — so the stream is byte-identical at every `config.threads`.
+pub struct EventReplay<'a> {
+    analysis: &'a Analysis,
+    pipeline: TelescopePipeline,
+    responses: Sessionizer,
+    commons: Sessionizer,
+    offered: u64,
+}
 
-    /// The forensic event re-pass behind [`Analysis::run_with`]: a
-    /// fresh guard+dissect pipeline replays the capture record by
-    /// record (each event tagged with its absolute record index), and
-    /// the admitted flood-relevant streams drive event-emitting
-    /// sessionizers. Research scanners are excluded using the already
-    /// computed [`Analysis::research_sources`], so the sessions traced
-    /// here are exactly the `response_sessions` / `common_sessions` the
-    /// detector consumed.
-    fn emit_events<S: Subscriber>(scenario: &Scenario, analysis: &Analysis, subscriber: &mut S) {
-        let session_config = SessionConfig {
-            timeout: analysis.config.session_timeout,
-            skew_tolerance: analysis.config.guard.reorder_tolerance,
-        };
-        let mut pipeline = TelescopePipeline::with_guard(analysis.config.guard);
-        let mut response_sessionizer = Sessionizer::new(session_config);
-        let mut common_sessionizer = Sessionizer::new(session_config);
+impl EventReplay<'_> {
+    /// Replays the next slice of the capture the analysis was run on.
+    pub fn offer<S: Subscriber>(&mut self, records: &[PacketRecord], subscriber: &mut S) {
+        let base = self.offered;
+        self.offered += records.len() as u64;
+        let (analysis, responses, commons) =
+            (self.analysis, &mut self.responses, &mut self.commons);
         admit_each(
-            &mut pipeline,
-            ShardRecords::whole(&scenario.records),
-            0,
+            &mut self.pipeline,
+            ShardRecords::whole(records),
+            base,
             subscriber,
             |_, product, meta, subscriber| match product {
                 Admitted::Quic(obs) => {
                     if obs.direction == Direction::Response
                         && !analysis.research_sources.contains(&obs.src)
                     {
-                        response_sessionizer
-                            .offer_keyed_with(obs.ts, obs.src, None, "quic", meta, subscriber);
+                        responses.offer_keyed_with(obs.ts, obs.src, None, "quic", meta, subscriber);
                     }
                 }
                 Admitted::Baseline(rec) => {
-                    common_sessionizer
-                        .offer_keyed_with(rec.ts, rec.src, None, "tcp_icmp", meta, subscriber);
+                    commons.offer_keyed_with(rec.ts, rec.src, None, "tcp_icmp", meta, subscriber);
                 }
                 Admitted::Dropped => {}
             },
         );
+    }
+
+    /// Ends the replay: flushes the still-open sessions, then mirrors
+    /// each migration link — a deterministic post-pass product of the
+    /// batch run (the request channel is not re-sessionized here) — as a
+    /// typed lifecycle event.
+    pub fn finish<S: Subscriber>(self, subscriber: &mut S) {
         let meta = EventMeta::lifecycle();
-        response_sessionizer.finish_with("quic", &meta, subscriber);
-        common_sessionizer.finish_with("tcp_icmp", &meta, subscriber);
-        // Migration links are a deterministic post-pass product of the
-        // batch run (the request channel is not re-sessionized here);
-        // mirror each link as a typed lifecycle event.
-        for link in &analysis.migrations {
+        self.responses.finish_with("quic", &meta, subscriber);
+        self.commons.finish_with("tcp_icmp", &meta, subscriber);
+        for link in &self.analysis.migrations {
             subscriber.on_session_migrated(
                 &meta,
                 &SessionMigrated {
@@ -393,128 +573,29 @@ impl Analysis {
             );
         }
     }
+}
 
-    /// Stages 1–3 over one shard's records.
-    ///
-    /// Every product that the cross-shard merge must re-order carries
-    /// its original record index, tagged straight from [`admit_each`].
-    /// Guard state lives inside the shard's pipeline; because shards
-    /// partition records *by source*, the guard, the research detection
-    /// and the sessionizers each see exactly the per-source record
-    /// sequence an unsharded run sees.
-    fn run_shard(
-        scenario: &Scenario,
-        config: &AnalysisConfig,
-        part: ShardRecords<'_>,
-    ) -> ShardProducts {
-        let mut stats = PipelineStats::default();
+impl Analysis {
+    /// Runs the complete pipeline on a scenario: an [`AnalysisDriver`]
+    /// fed the whole capture as one slice.
+    pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> Analysis {
+        let mut driver = AnalysisDriver::new(&scenario.world.asdb, config);
+        driver.offer(&scenario.records);
+        driver.finish()
+    }
 
-        // 1. Ingest (this shard's records only).
-        let ingest_start = Instant::now();
-        let mut pipeline = TelescopePipeline::with_guard(config.guard);
-        let mut quic = Vec::new();
-        let mut baseline = Vec::new();
-        admit_each(
-            &mut pipeline,
-            part,
-            0,
-            &mut NoopSubscriber,
-            |index, product, _, _| match product {
-                Admitted::Quic(obs) => quic.push((index, obs)),
-                Admitted::Baseline(record) => baseline.push(record),
-                Admitted::Dropped => {}
-            },
-        );
-        let (_, _, ingest) = pipeline.finish();
-        stats.ingest_ms = ms(ingest_start);
-
-        // 2. Sanitize: behavioural detection corroborated by PeeringDB.
-        // Research detection is a per-source aggregation, and sources
-        // never span shards, so the per-shard result is the global
-        // result restricted to this shard.
-        let sanitize_start = Instant::now();
-        let filter = ResearchFilter::detect_with_asdb(
-            quic.iter().map(|(_, obs)| obs),
-            &scenario.world.asdb,
-            config.research_min_packets,
-            config.research_min_dsts,
-        );
-        let research_sources = filter.sources().clone();
-
-        let mut research_hourly = HourlySeries::new();
-        let mut request_hourly = HourlySeries::new();
-        let mut response_hourly = HourlySeries::new();
-        let mut research_packets = 0u64;
-        let mut requests = Vec::new();
-        let mut responses = Vec::new();
-        for (index, obs) in quic {
-            if filter.is_research(obs.src) {
-                research_packets += 1;
-                research_hourly.add(obs.ts);
-                continue;
-            }
-            match obs.direction {
-                Direction::Request => {
-                    request_hourly.add(obs.ts);
-                    requests.push((index, obs));
-                }
-                Direction::Response => {
-                    response_hourly.add(obs.ts);
-                    responses.push((index, obs));
-                }
-            }
-        }
-        stats.sanitize_ms = ms(sanitize_start);
-
-        // 3. Sessionize this shard's per-source streams.
-        let sessionize_start = Instant::now();
-        let session_config = SessionConfig {
-            timeout: config.session_timeout,
-            // Late packets admitted by the ingest guard lag at most its
-            // reorder tolerance behind the watermark; the sessionizer's
-            // deferred expiry must cover exactly that.
-            skew_tolerance: config.guard.reorder_tolerance,
-        };
-        let mut request_sessionizer = Sessionizer::new(session_config);
-        for (_, obs) in &requests {
-            request_sessionizer.offer_keyed(obs.ts, obs.src, obs.dissected.client_cid_key());
-        }
-        let mut response_sessionizer = Sessionizer::new(session_config);
-        for (_, obs) in &responses {
-            response_sessionizer.offer(obs.ts, obs.src);
-        }
-        let mut common_sessionizer = Sessionizer::new(session_config);
-        for record in &baseline {
-            common_sessionizer.offer(record.ts, record.src);
-        }
-        stats.peak_open_sessions = request_sessionizer.peak_open_count()
-            + response_sessionizer.peak_open_count()
-            + common_sessionizer.peak_open_count();
-        let (session_counters, sessions_open_at_flush) = session_tally([
-            &request_sessionizer,
-            &response_sessionizer,
-            &common_sessionizer,
-        ]);
-        let request_sessions = request_sessionizer.finish();
-        let response_sessions = response_sessionizer.finish();
-        let common_sessions = common_sessionizer.finish();
-        stats.sessionize_ms = ms(sessionize_start);
-
-        ShardProducts {
-            ingest,
-            research_sources,
-            research_hourly,
-            request_hourly,
-            response_hourly,
-            research_packets,
-            requests,
-            responses,
-            request_sessions,
-            response_sessions,
-            common_sessions,
-            stats,
-            session_counters,
-            sessions_open_at_flush,
+    /// Starts the forensic event re-pass over the capture this analysis
+    /// was run on: the run mirrored as a typed event stream — per-record
+    /// wire rejections and Retry/VN sightings plus the session lifecycle
+    /// of the flood-relevant channels (`quic` responses and the
+    /// `tcp_icmp` baseline).
+    pub fn event_replay(&self) -> EventReplay<'_> {
+        EventReplay {
+            analysis: self,
+            pipeline: TelescopePipeline::with_guard(self.config.guard),
+            responses: Sessionizer::new(self.config.session()),
+            commons: Sessionizer::new(self.config.session()),
+            offered: 0,
         }
     }
 
@@ -760,20 +841,159 @@ mod tests {
         }
     }
 
+    /// ~6 300 records, small enough to offer one at a time on eight
+    /// shards: a QUIC flood with a concurrent TCP flood on the same
+    /// victim, an ICMP flood, a research scanner and a commercial one,
+    /// background SYN-ACKs whose sessions open and close all along the
+    /// timeline (so every slice boundary cuts through open sessions),
+    /// every 11th record doubled and one timestamp far in the past.
+    fn sliced_capture() -> Vec<PacketRecord> {
+        use quicsand_intel::Provider;
+        use quicsand_net::{IcmpKind, TcpFlags, Timestamp};
+        use quicsand_traffic::backscatter::BackscatterBuilder;
+        use quicsand_traffic::research::research_probe_payload;
+        use quicsand_wire::Version;
+
+        let at = |millis: u64| Timestamp::from_micros(millis * 1_000);
+        let sink = |i: u64| Ipv4Addr::new(128, (i >> 8) as u8, i as u8, 9);
+        let victim = Ipv4Addr::new(142, 250, 0, 1);
+        let mut backscatter = BackscatterBuilder::new(Provider::Google, Version::V1.to_wire(), 5);
+        let mut records = Vec::new();
+        for i in 0..300 {
+            let payload = backscatter.respond().datagrams[0].clone();
+            let ts = at(100_000 + i * 500);
+            records.push(PacketRecord::udp(ts, victim, sink(i), 443, 40_000, payload));
+        }
+        for i in 0..400 {
+            let ts = at(120_000 + i * 250);
+            records.push(PacketRecord::tcp(
+                ts,
+                victim,
+                sink(i),
+                443,
+                50_000,
+                TcpFlags::SYN_ACK,
+            ));
+        }
+        for i in 0..200 {
+            let src = Ipv4Addr::new(203, 0, 113, 7);
+            let ts = at(600_000 + i * 500);
+            records.push(PacketRecord::icmp(ts, src, sink(i), IcmpKind::EchoReply));
+        }
+        for (src, probes) in [
+            (Ipv4Addr::new(138, 246, 253, 13), 120),
+            (Ipv4Addr::new(10, 9, 8, 7), 60),
+        ] {
+            for i in 0..probes {
+                let ts = at(50_000 + i * 9_000);
+                let payload = research_probe_payload(i);
+                records.push(PacketRecord::udp(ts, src, sink(i), 40_000, 443, payload));
+            }
+        }
+        for source in 0..235u64 {
+            let src = Ipv4Addr::from(0x0B00_0000 + source as u32 * 13);
+            for packet in 0..20 {
+                // Two ten-packet sessions, 400 s apart.
+                let ts = at(source * 4_000 + (packet / 10) * 400_000 + packet * 1_500);
+                records.push(PacketRecord::tcp(
+                    ts,
+                    src,
+                    sink(packet),
+                    443,
+                    50_000,
+                    TcpFlags::SYN_ACK,
+                ));
+            }
+        }
+        records.sort_by_key(|r| r.ts);
+        for i in (0..records.len()).step_by(11).rev() {
+            records.insert(i, records[i].clone());
+        }
+        let late = records
+            .iter()
+            .rposition(|r| r.src == victim)
+            .expect("the victim sent records");
+        records[late].ts = Timestamp::EPOCH;
+        assert!(records.len() > 4096 + 1000, "{} records", records.len());
+        records
+    }
+
+    #[test]
+    fn slicing_the_capture_does_not_change_any_product() {
+        let records = sliced_capture();
+        let world = quicsand_intel::SyntheticInternet::build(&Default::default());
+        let run = |threads: usize, chunk: usize| {
+            let config = AnalysisConfig {
+                threads,
+                research_min_packets: 50,
+                research_min_dsts: 40,
+                ..AnalysisConfig::default()
+            };
+            let mut driver = AnalysisDriver::new(&world.asdb, &config);
+            for slice in records.chunks(chunk) {
+                driver.offer(slice);
+            }
+            let analysis = driver.finish();
+            analysis
+                .verify_metrics()
+                .unwrap_or_else(|e| panic!("{threads} shards, slices of {chunk}: {e:?}"));
+            analysis
+        };
+        let whole = run(1, usize::MAX);
+        assert_eq!(
+            whole.research_sources,
+            HashSet::from([Ipv4Addr::new(138, 246, 253, 13)])
+        );
+        assert_eq!(whole.quic_attacks.len(), 1);
+        assert_eq!(whole.common_attacks.len(), 2);
+        assert_eq!(whole.multivector.class_counts.get("concurrent"), Some(&1));
+        assert!(whole.ingest.quarantine.duplicate > 500);
+        assert!(whole.ingest.quarantine.total() > whole.ingest.quarantine.duplicate);
+        assert!(whole.common_sessions.len() > 2 * 235);
+        let stable = whole.registry.render_prometheus(true);
+
+        for threads in [1usize, 2, 3, 8] {
+            for chunk in [usize::MAX, 1, 7, 4096] {
+                let sliced = run(threads, chunk);
+                let at = format!("{threads} shards, slices of {chunk}");
+                assert_eq!(sliced.ingest, whole.ingest, "{at}");
+                assert_eq!(sliced.research_sources, whole.research_sources, "{at}");
+                assert_eq!(sliced.requests, whole.requests, "{at}");
+                assert_eq!(sliced.responses, whole.responses, "{at}");
+                assert_eq!(sliced.request_sessions, whole.request_sessions, "{at}");
+                assert_eq!(sliced.response_sessions, whole.response_sessions, "{at}");
+                assert_eq!(sliced.common_sessions, whole.common_sessions, "{at}");
+                assert_eq!(sliced.quic_attacks, whole.quic_attacks, "{at}");
+                assert_eq!(sliced.common_attacks, whole.common_attacks, "{at}");
+                assert_eq!(sliced.multivector, whole.multivector, "{at}");
+                assert_eq!(sliced.registry.render_prometheus(true), stable, "{at}");
+                assert_eq!(sliced.stats.threads, threads);
+                // Stage walltimes: one observation per shard per run,
+                // however many slices the shard admitted.
+                let stages = &sliced.metrics.stages;
+                assert_eq!(stages.ingest_walltime.count(), threads as u64, "{at}");
+                assert_eq!(stages.sessionize_walltime.count(), threads as u64, "{at}");
+                assert_eq!(stages.detect_walltime.count(), 1, "{at}");
+            }
+        }
+    }
+
     #[test]
     fn event_repass_mirrors_sessions_and_ignores_thread_count() {
         use quicsand_events::{Event, VecSubscriber};
         let scenario = Scenario::generate(&ScenarioConfig::test());
         let run = |threads: usize| {
             let mut events = VecSubscriber::new();
-            let analysis = Analysis::run_with(
+            let analysis = Analysis::run(
                 &scenario,
                 &AnalysisConfig {
                     threads,
                     ..AnalysisConfig::default()
                 },
-                &mut events,
             );
+            let mut replay = analysis.event_replay();
+            replay.offer(&scenario.records, &mut events);
+            replay.finish(&mut events);
             (analysis, events)
         };
         let (sequential, events) = run(1);
@@ -801,6 +1021,17 @@ mod tests {
         assert_eq!(
             events, parallel_events,
             "the forensic re-pass is single-threaded by construction"
+        );
+
+        let mut sliced_events = VecSubscriber::new();
+        let mut replay = sequential.event_replay();
+        for slice in scenario.records.chunks(4096) {
+            replay.offer(slice, &mut sliced_events);
+        }
+        replay.finish(&mut sliced_events);
+        assert_eq!(
+            events, sliced_events,
+            "slicing the re-pass changes no event"
         );
     }
 

@@ -37,6 +37,6 @@ pub mod metrics;
 pub mod plot;
 pub mod report;
 
-pub use analysis::{default_threads, Analysis, AnalysisConfig, PipelineStats};
+pub use analysis::{default_threads, Analysis, AnalysisConfig, AnalysisDriver, PipelineStats};
 pub use metrics::AnalysisMetrics;
 pub use report::{Finding, Report};

@@ -22,10 +22,12 @@
 
 mod events;
 mod export;
+mod process;
 mod registry;
 mod source;
 
 pub use events::EventsMetrics;
+pub use process::{peak_rss_bytes, publish_peak_rss};
 pub use registry::{
     Counter, Gauge, Histogram, MetricKind, MetricsRegistry, Sample, Stability,
     ATTACK_DURATION_MICROS_BUCKETS, ATTACK_PACKETS_BUCKETS, STAGE_WALLTIME_MICROS_BUCKETS,

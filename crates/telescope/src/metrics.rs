@@ -240,7 +240,8 @@ impl IngestMetrics {
 }
 
 /// Stage-timing metrics over [`PipelineStats`]: walltime histograms
-/// (one observation per shard in batch mode, per chunk in live mode)
+/// (one observation per shard per run in batch mode — however many
+/// slices the run was offered in — and per chunk in live mode)
 /// plus end-of-run total gauges. All `Volatile` except the peak-session
 /// high-water mark, which is a pure function of the trace.
 #[derive(Debug, Clone)]
@@ -271,7 +272,8 @@ impl StageMetrics {
     pub fn register(registry: &MetricsRegistry) -> Self {
         const HIST_NAME: &str = "quicsand_stage_walltime_micros";
         const HIST_HELP: &str =
-            "Per-shard (batch) or per-chunk (live) stage wall time, microseconds";
+            "Per-shard (batch) or per-chunk (live) stage wall time, microseconds; \
+             batch ingest includes TCP/ICMP sessionization, batch sessionize is the QUIC channels";
         let hist = |stage: &'static str| {
             registry.histogram_with(
                 HIST_NAME,
@@ -282,7 +284,8 @@ impl StageMetrics {
             )
         };
         const TOTAL_NAME: &str = "quicsand_stage_total_micros";
-        const TOTAL_HELP: &str = "Whole-run stage wall time, microseconds";
+        const TOTAL_HELP: &str = "Whole-run stage wall time, microseconds; \
+             batch ingest includes TCP/ICMP sessionization, batch sessionize is the QUIC channels";
         let total = |stage: &'static str| {
             registry.gauge_with(
                 TOTAL_NAME,

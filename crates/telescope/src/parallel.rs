@@ -123,9 +123,11 @@ pub fn scatter<S: Send, R: Send>(
 /// index. Events are tagged `EventMeta::record(base + index)` — `base`
 /// is the stream position of the slice's first record — and the sink
 /// gets the same tag and subscriber, for callers that emit further
-/// record-tied events of their own. A sink, not a returned vector: a
-/// batch run keeps only what it admits, so no per-record buffer exists
-/// at any shard count.
+/// record-tied events of their own. A caller whose products outlive the
+/// slice (the batch run's QUIC observations) tags them `base + index`
+/// too, so [`gather`] orders them across calls as well as across shards.
+/// A sink, not a returned vector: a batch run keeps only what it admits,
+/// so no per-record buffer exists at any shard count.
 ///
 /// Guard state (per-source watermarks, duplicate hashes) lives inside
 /// the shard's pipeline; because shards partition records *by source*,
@@ -166,7 +168,8 @@ fn admit_indices<S: Subscriber>(
 }
 
 /// Restores capture order over the concatenation (in any order) of the
-/// shards' `(record index, item)` lists, regardless of thread
+/// shards' `(record index, item)` lists — slice indices within one
+/// call, stream positions across calls — regardless of thread
 /// scheduling: sorts by index and strips the tags.
 ///
 /// The sort must be *stable*. A record may yield several items (the live

@@ -347,13 +347,19 @@ pub struct PipelineStats {
     /// Records ingested.
     pub records: u64,
     /// Ingest stage (guard + classify + dissect) wall time, ms. In the
-    /// parallel path this is the slowest shard (critical path).
+    /// parallel path this is the slowest shard (critical path), each
+    /// shard's time summed over every slice it was offered. In batch
+    /// mode it includes sessionizing the TCP/ICMP channel, which happens
+    /// inside the admit loop.
     pub ingest_ms: f64,
     /// Sanitize stage (research-scanner detection + split) wall time,
     /// ms. Zero in live mode (sanitization is inherently two-pass).
     pub sanitize_ms: f64,
-    /// Sessionization wall time, ms. In live mode: time spent in
-    /// incremental detector offers (sessionize + threshold checks).
+    /// Sessionization wall time, ms. In batch mode: the two QUIC
+    /// channels (requests, responses) and the end-of-stream flush of all
+    /// three — the TCP/ICMP channel's offers are in `ingest_ms`. In live
+    /// mode: time spent in incremental detector offers (sessionize +
+    /// threshold checks).
     pub sessionize_ms: f64,
     /// DoS inference + multi-vector correlation wall time, ms. In live
     /// mode: the end-of-stream flush (expiry + final correlation).
@@ -388,7 +394,10 @@ impl PipelineStats {
         self.peak_open_sessions += other.peak_open_sessions;
     }
 
-    /// One-line per-stage walltime summary (the `--verbose` line).
+    /// One-line per-stage walltime summary (the `--verbose` line). In
+    /// batch mode `ingest` contains the TCP/ICMP channel's sessionization
+    /// and `sessionize` covers the two QUIC channels only (see the
+    /// fields).
     pub fn stage_summary(&self) -> String {
         format!(
             "stages: ingest {:.1}ms / sanitize {:.1}ms / sessionize {:.1}ms / detect {:.1}ms",

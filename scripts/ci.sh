@@ -7,6 +7,9 @@
 #   scripts/ci.sh events-smoke # only the qlog export + forensic replay gate
 #   scripts/ci.sh scenario-smoke
 #                              # only the post-2021 scenario-tier gate
+#   scripts/ci.sh rss-smoke [quicsand-binary]
+#                              # only the analyze peak-RSS gate (on another
+#                              # build's binary when one is named)
 #
 # The repo vendors all third-party dependencies (vendor/), so this runs
 # without network access.
@@ -113,6 +116,50 @@ scenario_smoke() {
   echo "scenario-smoke: all 4 kinds generate, analyze, stream shard-invariantly, export valid qlog — OK"
 }
 
+rss_smoke() {
+  # `analyze` streams the capture: what stays resident is the capture
+  # arena and the QUIC observations, never a decoded copy of the capture.
+  # The process's own peak-RSS gauge (Linux VmHWM) must therefore stay
+  # below arena + one decoded copy — capture bytes + 56 B per record; a
+  # build that materialises the records once lands near the bound, one
+  # that also buffers the admitted TCP/ICMP records (as builds before the
+  # streaming fold did) well above it.
+  echo "==> rss-smoke: analyze peak RSS below capture + one decoded copy"
+  local rss_dir profile bytes records peak bound
+  local -a run
+  profile="${profile_flag---release}"
+  rss_dir="$(mktemp -d)"
+  # shellcheck disable=SC2064
+  trap "rm -rf '$rss_dir'" RETURN
+  cargo run -q $profile -- generate --out "$rss_dir/ref.qscp" --scale test --seed 7 >/dev/null 2>&1
+  if [[ -n "${1:-}" ]]; then run=("$1"); else run=(cargo run -q $profile --); fi
+  records="$("${run[@]}" analyze "$rss_dir/ref.qscp" --scale test --seed 7 \
+    --metrics-out "$rss_dir/metrics.json" 2>/dev/null \
+    | sed -n 's/^ingest: \([0-9][0-9]*\) records.*/\1/p')"
+  bytes="$(wc -c <"$rss_dir/ref.qscp")"
+  # Canonical JSON: one series per line.
+  peak="$(sed -n '/"quicsand_process_peak_rss_bytes"/s/.*"value": \([0-9][0-9]*\).*/\1/p' \
+    "$rss_dir/metrics.json")"
+  if [[ -z "$records" ]]; then
+    echo "rss-smoke: analyze printed no ingest line" >&2
+    exit 1
+  fi
+  if [[ -z "$peak" ]]; then
+    if [[ -r /proc/self/status ]]; then
+      echo "rss-smoke: no quicsand_process_peak_rss_bytes gauge in --metrics-out" >&2
+      exit 1
+    fi
+    echo "rss-smoke: no /proc/self/status on this platform, gauge not registered — skipped"
+    return
+  fi
+  bound=$((bytes + 56 * records))
+  if ((peak >= bound)); then
+    echo "rss-smoke: peak RSS $peak B >= bound $bound B ($bytes capture bytes + 56 B x $records records)" >&2
+    exit 1
+  fi
+  echo "rss-smoke: peak RSS $peak B < bound $bound B ($bytes capture bytes + 56 B x $records records) — OK"
+}
+
 if [[ "${1:-}" == "bench-smoke" ]]; then
   bench_smoke
   exit 0
@@ -125,6 +172,11 @@ fi
 
 if [[ "${1:-}" == "scenario-smoke" ]]; then
   scenario_smoke
+  exit 0
+fi
+
+if [[ "${1:-}" == "rss-smoke" ]]; then
+  rss_smoke "${2:-}"
   exit 0
 fi
 
@@ -170,11 +222,29 @@ echo "==> one sharded-run path: fan-out and partition live in telescope::paralle
 # crates/ is a second copy of that decision.
 for needle in 'thread::scope' 'partition_by_source('; do
   users="$(find crates -path '*/src/*' -name '*.rs' | sort | while read -r file; do
-    sed '/^#\[cfg(test)\]/,$d' "$file" | grep -v '^ *//' | grep -qF "$needle" && echo "$file"
+    # Not `grep -q`: leaving at the first match can SIGPIPE the writers,
+    # and under pipefail that reads as "no match".
+    sed '/^#\[cfg(test)\]/,$d' "$file" | grep -v '^ *//' | grep -F "$needle" >/dev/null && echo "$file"
   done || true)"
   if [[ "$users" != "crates/telescope/src/parallel.rs" ]]; then
     echo "sharded-run pin: \`$needle\` must appear in crates/telescope/src/parallel.rs only, found in:" >&2
     echo "${users:-nowhere}" >&2
+    exit 1
+  fi
+done
+
+echo "==> streaming batch path: no decoded-capture vector comes back"
+# The CLI feeds the pipeline `read_batch` slices and the pipeline keeps
+# only QUIC observations; a `read_to_end` in the CLI or a record vector
+# in the analysis is the copy this pins out.
+nontest_code() { sed '/^#\[cfg(test)\]/,$d' "$1" | grep -v '^ *//'; }
+if nontest_code src/main.rs | grep -n 'read_to_end'; then
+  echo "streaming pin: src/main.rs must not call read_to_end" >&2
+  exit 1
+fi
+for needle in 'Vec<PacketRecord>' 'baseline.push'; do
+  if nontest_code crates/core/src/analysis.rs | grep -nF "$needle"; then
+    echo "streaming pin: \`$needle\` in non-test code of crates/core/src/analysis.rs" >&2
     exit 1
   fi
 done
@@ -184,6 +254,10 @@ if [[ $quick -eq 0 ]]; then
   # The counts the move-only read side and the tree-free writer are
   # held to, in the profile the checkpoint is measured in.
   cargo test -q --release --test checkpoint_allocations
+  echo "==> analysis allocation pin"
+  # Bytes allocated by Analysis::run on a TCP/ICMP capture follow its
+  # sources and minutes, not its packet count.
+  cargo test -q --release --test analysis_allocations
 fi
 
 echo "==> golden-figure regression suite"
@@ -313,6 +387,8 @@ for family in quicsand_ingest_records_total quicsand_detect_attacks_total \
   }
 done
 echo "metrics-smoke: exposition complete, counters reconcile, exit 0 — OK"
+
+rss_smoke
 
 events_smoke
 

@@ -8,13 +8,14 @@
 //! quicsand experiments [--scale test|demo|paper]
 //! ```
 
-use quicsand_core::{Analysis, AnalysisConfig};
+use quicsand_core::{Analysis, AnalysisConfig, AnalysisDriver};
 use quicsand_events::qlog::QlogWriter;
 use quicsand_events::Subscriber;
 use quicsand_faults::{FaultPlan, FaultProfile};
 use quicsand_net::capture::CaptureWriter;
-use quicsand_net::ZeroCopyCaptureReader;
-use quicsand_obs::EventsMetrics;
+use quicsand_net::zerocopy::BULK_BATCH;
+use quicsand_net::{PacketRecord, ZeroCopyCaptureReader};
+use quicsand_obs::{publish_peak_rss, EventsMetrics};
 use quicsand_sessions::multivector::MultiVectorClass;
 use quicsand_sessions::Cdf;
 use quicsand_traffic::{Scenario, ScenarioConfig, ScenarioKind};
@@ -427,12 +428,44 @@ fn positional(args: &[String]) -> Option<&String> {
         .map(|(_, a)| a)
 }
 
-/// Loads the capture at the positional path, applies any requested
-/// fault plan, runs the batch pipeline, and verifies that the exported
-/// metrics reconcile with the pipeline stats — shared by `analyze` and
+/// Streams the rest of `reader` to `sink` in slices of `batch` records —
+/// through `plan`, record by record, when fault injection was asked for
+/// — and returns how many records were read. Nothing outlives its slice.
+fn stream_capture(
+    mut reader: ZeroCopyCaptureReader,
+    batch: usize,
+    mut plan: Option<&mut FaultPlan>,
+    mut sink: impl FnMut(&[PacketRecord]),
+) -> Result<u64, String> {
+    let mut faulted = Vec::new();
+    loop {
+        let decoded = reader
+            .read_batch(batch)
+            .map_err(|e| format!("read records: {e}"))?;
+        if decoded.is_empty() {
+            return Ok(reader.records_read());
+        }
+        match plan.as_deref_mut() {
+            None => sink(decoded.records()),
+            Some(plan) => {
+                faulted.clear();
+                for record in decoded.records() {
+                    plan.corrupt_into(record, &mut faulted);
+                }
+                sink(&faulted);
+            }
+        }
+    }
+}
+
+/// Streams the capture at the positional path through the batch
+/// pipeline in [`BULK_BATCH`]-record slices, applying any requested
+/// fault plan on the way, and verifies that the exported metrics
+/// reconcile with the pipeline stats — shared by `analyze` and
 /// `metrics`. Progress goes to stderr so stdout stays clean for the
-/// caller's own output. A disabled `subscriber` (the `--events-out`
-/// flag absent) skips the event re-pass entirely.
+/// caller's own output. An enabled `subscriber` (`--events-out`) gets
+/// the forensic event re-pass, from a second reader over the same
+/// arena; a disabled one skips it entirely.
 fn run_pipeline<S: Subscriber>(
     args: &[String],
     command: &str,
@@ -440,25 +473,33 @@ fn run_pipeline<S: Subscriber>(
 ) -> Result<Analysis, String> {
     // Validate flags before touching the filesystem.
     let mut analysis_cfg = analysis_config(args)?;
-    let plan = fault_plan(args)?;
-    let path = positional(args).ok_or(format!("{command} requires a capture path"))?;
-    // Zero-copy load: the capture is pulled into one arena and decoded
-    // in place, so UDP payloads are views rather than per-record copies.
-    let mut reader =
-        ZeroCopyCaptureReader::from_path(path).map_err(|e| format!("read {path}: {e}"))?;
-    let mut records = reader
-        .read_to_end()
-        .map_err(|e| format!("read records: {e}"))?;
-    eprintln!("loaded {} records; running pipeline...", records.len());
-
-    let fault_summary = plan.map(|mut plan| {
+    let mut plan = fault_plan(args)?;
+    if let Some(plan) = &plan {
         // The injector computes jitter/reorder deltas against the same
         // guard thresholds the pipeline will enforce.
         analysis_cfg.guard = plan.profile().guard;
-        records = plan.apply_all(&records);
-        *plan.summary()
+    }
+    let path = positional(args).ok_or(format!("{command} requires a capture path"))?;
+    let config = scale_config(args)?;
+    // Zero-copy load: the capture is pulled into one arena and decoded
+    // in place, so UDP payloads are views rather than per-record copies.
+    let reader = ZeroCopyCaptureReader::from_path(path).map_err(|e| format!("read {path}: {e}"))?;
+    // The world is rebuilt deterministically; AS/provider lookups for a
+    // *foreign* capture will classify unknown sources as `other`.
+    let world = quicsand_intel::SyntheticInternet::build(&quicsand_intel::TopologyConfig {
+        seed: config.seed,
+        servers_per_provider: (config.victim_pool * 2).max(48),
+        ..quicsand_intel::TopologyConfig::default()
     });
-    if let Some(summary) = &fault_summary {
+
+    eprintln!("streaming {path} through the pipeline...");
+    let mut driver = AnalysisDriver::new(&world.asdb, &analysis_cfg);
+    let records = stream_capture(reader.clone(), BULK_BATCH, plan.as_mut(), |slice| {
+        driver.offer(slice)
+    })?;
+    let analysis = driver.finish();
+    eprintln!("analyzed {records} records");
+    if let Some(summary) = plan.as_ref().map(FaultPlan::summary) {
         let breakdown: Vec<String> = summary
             .as_table()
             .iter()
@@ -477,33 +518,16 @@ fn run_pipeline<S: Subscriber>(
             }
         );
     }
-
-    // The world is rebuilt deterministically; AS/provider lookups for a
-    // *foreign* capture will classify unknown sources as `other`.
-    let config = scale_config(args)?;
-    let world = quicsand_intel::SyntheticInternet::build(&quicsand_intel::TopologyConfig {
-        seed: config.seed,
-        servers_per_provider: (config.victim_pool * 2).max(48),
-        ..quicsand_intel::TopologyConfig::default()
-    });
-    let scenario = Scenario {
-        world,
-        records,
-        truth: quicsand_traffic::GroundTruth {
-            plan: quicsand_traffic::floods::AttackPlan {
-                quic: vec![],
-                common: vec![],
-                victims: vec![],
-            },
-            research_packets: 0,
-            request_packets: 0,
-            response_packets: 0,
-            common_packets: 0,
-            garbage_packets: 0,
-        },
-        config,
-    };
-    let analysis = Analysis::run_with(&scenario, &analysis_cfg, subscriber);
+    if subscriber.enabled() {
+        // A plan is a pure function of (profile, seed) and its input, so
+        // a fresh one hands the re-pass the very stream the run saw.
+        let mut replan = plan.map(|plan| FaultPlan::new(*plan.profile(), plan.seed()));
+        let mut replay = analysis.event_replay();
+        stream_capture(reader, BULK_BATCH, replan.as_mut(), |slice| {
+            replay.offer(slice, subscriber)
+        })?;
+        replay.finish(subscriber);
+    }
     // Hard invariant: every exported counter equals the corresponding
     // stats field, at any thread count. A mismatch is a bug, not noise.
     analysis
@@ -560,8 +584,22 @@ fn finish_events_out(
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let vantage: Vec<String> = positional(args).cloned().into_iter().collect();
     let mut sink = events_out_writer(args, "quicsand analyze", &vantage)?;
-    let analysis = run_pipeline(args, "analyze", &mut sink)?;
+    let analysis = match run_pipeline(args, "analyze", &mut sink) {
+        Ok(analysis) => analysis,
+        Err(error) => {
+            // A qlog has no trailer: the header-only file of a failed
+            // run would read as a finished run without events.
+            drop(sink);
+            if let Some(path) = flag_value(args, "--events-out")? {
+                if std::fs::symlink_metadata(path).is_ok_and(|meta| meta.is_file()) {
+                    std::fs::remove_file(path).ok();
+                }
+            }
+            return Err(error);
+        }
+    };
     finish_events_out(args, sink, &analysis.registry)?;
+    let peak_rss = publish_peak_rss(&analysis.registry);
     write_metrics_out(args, &analysis.registry)?;
 
     let stats = &analysis.ingest;
@@ -594,7 +632,10 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     if has_flag(args, "--verbose") {
         // Keep the `pipeline:` prefix: walltime lines are excluded from
         // cross-thread determinism comparisons by that prefix.
-        println!("pipeline: {}", pipeline.stage_summary());
+        let peak_rss = peak_rss.map_or(String::new(), |bytes| {
+            format!("; peak RSS {:.1} MiB", bytes as f64 / 1_048_576.0)
+        });
+        println!("pipeline: {}{peak_rss}", pipeline.stage_summary());
     }
     println!(
         "sanitized: {} requests / {} responses after removing {} research packets from {} scanner(s)",
@@ -639,6 +680,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let stable_only = has_flag(args, "--stable-only");
     let format = flag_value(args, "--format")?.unwrap_or("prometheus");
     let analysis = run_pipeline(args, "metrics", &mut quicsand_events::NoopSubscriber)?;
+    publish_peak_rss(&analysis.registry);
     let rendered = match format {
         "prometheus" => analysis.registry.render_prometheus(stable_only),
         "json" => analysis.registry.render_json(stable_only),
@@ -817,6 +859,7 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     // counters and the cursor/offered conservation check.
     live.verify_metrics()
         .map_err(|e| format!("live metrics reconciliation failed: {}", e.join("; ")))?;
+    publish_peak_rss(live.engine().registry());
     write_metrics_out(args, live.engine().registry())?;
 
     let stats = live.live_stats();
@@ -972,20 +1015,14 @@ fn cmd_forensics(args: &[String]) -> Result<(), String> {
         evidence_capacity: evidence_ring,
         ..LiveConfig::default()
     };
-    let mut reader =
-        ZeroCopyCaptureReader::from_path(path).map_err(|e| format!("read {path}: {e}"))?;
-    let records = reader
-        .read_to_end()
-        .map_err(|e| format!("read records: {e}"))?;
-    eprintln!(
-        "loaded {} records; running the live engine...",
-        records.len()
-    );
+    let reader = ZeroCopyCaptureReader::from_path(path).map_err(|e| format!("read {path}: {e}"))?;
+    eprintln!("streaming {path} through the live engine...");
     let mut engine = LiveEngine::new(config, guard, shards);
-    for part in records.chunks(chunk.max(1)) {
-        engine.offer_chunk(part);
-    }
+    let records = stream_capture(reader, chunk, None, |slice| {
+        engine.offer_chunk(slice);
+    })?;
     engine.finish();
+    eprintln!("analyzed {records} records");
 
     let slices = engine.alert_slices();
     if slices.is_empty() {

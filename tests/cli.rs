@@ -476,3 +476,86 @@ fn live_without_any_input_is_rejected() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("--input"), "stderr: {stderr}");
 }
+
+/// A capture cut mid-record fails the same way whether the cut is met
+/// while the first batch is decoded or after batches were already
+/// analysed: non-zero exit, `read records:` on stderr, nothing on stdout,
+/// no `--metrics-out`, and no `--events-out` file that could pass for a
+/// finished run. A cut exactly on a record boundary is a clean end of
+/// stream and succeeds.
+#[test]
+fn a_capture_cut_mid_record_fails_cleanly_wherever_the_cut_is() {
+    use quicsand_net::zerocopy::BULK_BATCH;
+    use quicsand_net::ZeroCopyCaptureReader;
+
+    let dir = std::env::temp_dir().join("quicsand-cli-cut");
+    std::fs::create_dir_all(&dir).unwrap();
+    let capture = dir.join("whole.qscp");
+    let generate = Command::new(bin())
+        .args(["generate", "--out", capture.to_str().unwrap()])
+        .output()
+        .expect("run generate");
+    assert!(generate.status.success());
+    let bytes = std::fs::read(&capture).unwrap();
+    // Byte offset of the boundary after `records` records.
+    let boundary_after = |records: usize| {
+        let mut reader = ZeroCopyCaptureReader::from_bytes(bytes.clone()).unwrap();
+        assert_eq!(reader.read_batch(records).unwrap().len(), records);
+        bytes.len() - reader.remaining_bytes()
+    };
+    let second_batch = BULK_BATCH + 1_000;
+    let cut = dir.join("cut.qscp");
+    let metrics = dir.join("cut-metrics.json");
+    let qlog = dir.join("cut.qlog");
+    let slices = dir.join("cut-slices");
+    let run = |command: &[&str]| {
+        Command::new(bin())
+            .arg(command[0])
+            .arg(&cut)
+            .args(&command[1..])
+            .output()
+            .expect("run on the cut capture")
+    };
+
+    for (records, into_record) in [(1_000, 5), (second_batch, 5), (second_batch, 0)] {
+        std::fs::write(&cut, &bytes[..boundary_after(records) + into_record]).unwrap();
+        std::fs::remove_file(&metrics).ok();
+        let analyze = run(&[
+            "analyze",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+            "--events-out",
+            qlog.to_str().unwrap(),
+        ]);
+        let stdout = String::from_utf8_lossy(&analyze.stdout);
+        if into_record == 0 {
+            assert!(analyze.status.success(), "a boundary cut is a clean EOF");
+            assert!(
+                stdout.contains(&format!("ingest: {records} records")),
+                "stdout: {stdout}"
+            );
+            assert!(metrics.exists() && qlog.exists());
+            continue;
+        }
+        let at = format!("cut {into_record} bytes into record {records}");
+        let failed = |output: &std::process::Output, what: &str| {
+            assert!(!output.status.success(), "{what}, {at}: succeeded");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(
+                stderr.contains("error: read records:"),
+                "{what}, {at}: {stderr}"
+            );
+            assert!(output.stdout.is_empty(), "{what}, {at}: wrote to stdout");
+        };
+        failed(&analyze, "analyze");
+        assert!(!metrics.exists(), "{at}: --metrics-out was written");
+        assert!(!qlog.exists(), "{at}: --events-out was left behind");
+        failed(&run(&["metrics"]), "metrics");
+        failed(
+            &run(&["forensics", "--out", slices.to_str().unwrap()]),
+            "forensics",
+        );
+        assert!(!slices.exists(), "{at}: forensics exported slices");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -10,14 +10,18 @@ thread_local! {
     /// Allocations made by this thread (the test harness's other threads
     /// must not leak into the count).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread asked for: an allocation's size, or what a
+    /// reallocation grew by. Frees are not subtracted.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
 
 impl CountingAllocator {
-    fn count() {
+    fn count(bytes: usize) {
         // `try_with`: a thread that is tearing down still allocates.
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
     }
 }
 
@@ -26,7 +30,7 @@ impl CountingAllocator {
 // allocator state and never allocates (a `const` thread-local `Cell`).
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size());
         // SAFETY: `layout` is the caller's, passed through as is.
         unsafe { System.alloc(layout) }
     }
@@ -37,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count();
+        Self::count(new_size.saturating_sub(layout.size()));
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -48,8 +52,18 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Runs `f` and returns its value with the number of allocations (and
 /// reallocations) this thread made meanwhile.
+#[allow(dead_code)] // each including binary uses one of the two
 pub fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let value = f();
     (value, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its value with the bytes this thread allocated
+/// meanwhile.
+#[allow(dead_code)]
+pub fn bytes_allocated_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let value = f();
+    (value, BYTES.with(Cell::get) - before)
 }

@@ -280,14 +280,16 @@ fn migration_events_reach_the_qlog_stream() {
     let (mut writer, buffer) =
         QlogWriter::to_buffer("scenario conformance", &["migration-abuse".to_string()])
             .expect("buffer-backed qlog writer");
-    let analysis = Analysis::run_with(
+    let analysis = Analysis::run(
         &scenario,
         &AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::default()
         },
-        &mut writer,
     );
+    let mut replay = analysis.event_replay();
+    replay.offer(&scenario.records, &mut writer);
+    replay.finish(&mut writer);
     let (events, _) = writer.finish().expect("finish qlog");
     assert!(events > 0, "scenario must emit events");
 
