@@ -435,7 +435,7 @@ impl ChannelDetector {
                 },
             })
             .collect();
-        states.sort_by_key(|entry| entry.src);
+        states.sort_unstable_by_key(|entry| entry.src);
         ChannelSnapshot {
             watermark: self.table.watermark(),
             last_sweep: self.table.last_sweep(),
@@ -577,6 +577,21 @@ impl DetectorSnapshot {
                     ));
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Rejects a `closed` counter that disagrees with the closed attacks
+    /// listed beside it: the restored engine re-observes the lists, and
+    /// `LiveMetrics::verify` holds the two to each other.
+    pub(crate) fn require_closed_listed(&self) -> Result<(), String> {
+        let counted = u128::from(self.quic.stats.closed) + u128::from(self.common.stats.closed);
+        let listed = self.closed_quic.len() + self.closed_common.len();
+        if counted != listed as u128 {
+            return Err(format!(
+                "checkpoint field `closed` counts {counted} alert(s), \
+                 but {listed} closed attack(s) are listed"
+            ));
         }
         Ok(())
     }

@@ -82,6 +82,11 @@ impl LiveSnapshot {
     pub(crate) fn detectors(&self) -> impl Iterator<Item = &DetectorSnapshot> {
         self.shards.iter().map(|shard| &shard.detector)
     }
+
+    /// Each shard's ingest counters, in shard order.
+    pub(crate) fn ingest_stats(&self) -> impl Iterator<Item = &IngestStats> {
+        self.shards.iter().map(|shard| &shard.pipeline.stats)
+    }
 }
 
 /// The streaming flood-detection engine.
@@ -359,8 +364,10 @@ impl LiveEngine {
     /// Infallible, so it trusts its argument: a snapshot read from
     /// outside the program goes through [`crate::parse_checkpoint`]
     /// first, which rejects one with no shards (an engine that would
-    /// accept records and process none) or with an evidence cursor
-    /// outside its ring (a detector that would panic on its next close).
+    /// accept records and process none), with an evidence cursor outside
+    /// its ring (a detector that would panic on its next close) or with
+    /// counters that contradict each other (an engine that would fail
+    /// its own [`LiveEngine::verify_metrics`]).
     pub fn restore(snapshot: &LiveSnapshot) -> Self {
         let registry = MetricsRegistry::new();
         let metrics = LiveMetrics::register(&registry);

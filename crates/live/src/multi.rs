@@ -72,19 +72,45 @@ impl MultiSnapshot {
     }
 }
 
+/// The top-level `version` of a checkpoint, whatever its type, and
+/// nothing else of it: every other entry is read past (and checked as
+/// JSON on the way), as is a text that is no object at all.
+struct VersionProbe(Option<serde::Value>);
+
+impl<'de> Deserialize<'de> for VersionProbe {
+    fn deserialize<D: serde::Deserializer<'de>>(mut d: D) -> Result<Self, D::Error> {
+        use serde::Access;
+        if d.peek()? != serde::Kind::Map {
+            return d.skip().map(|()| VersionProbe(None));
+        }
+        let mut version = None;
+        let mut entries = d.map("map")?;
+        while let Some(key) = entries.key()? {
+            if key == "version" && version.is_none() {
+                version = Some(entries.value()?);
+            } else {
+                entries.skip()?;
+            }
+        }
+        Ok(VersionProbe(version))
+    }
+}
+
 /// Parses a checkpoint of either schema: v2 [`MultiSnapshot`] JSON, or
 /// the v1 format (a bare [`LiveSnapshot`]) which is mapped onto a
 /// `version: 1` snapshot with no cursor vector.
 ///
-/// The text is parsed once; a top-level `version` key is what makes it
-/// a [`MultiSnapshot`], and an error names the schema the file claims.
+/// A top-level `version` key is what makes the text a [`MultiSnapshot`],
+/// so it is read twice: once past everything but that key, then
+/// straight into the type of the schema it claims — which an error
+/// names.
 pub fn parse_checkpoint(json: &str) -> Result<MultiSnapshot, String> {
-    let value: serde::Value =
+    let VersionProbe(version) =
         serde_json::from_str(json).map_err(|e| format!("checkpoint is not JSON: {e}"))?;
-    let snapshot = match value.get("version") {
+    let snapshot = match version {
         Some(version) => {
             let claimed = match version {
-                serde::Value::U64(n) => *n,
+                serde::Value::U64(n) => n,
                 other => {
                     return Err(format!(
                         "checkpoint `version` must be an integer, got {}",
@@ -98,18 +124,27 @@ pub fn parse_checkpoint(json: &str) -> Result<MultiSnapshot, String> {
                      (newest supported: v{CHECKPOINT_SCHEMA_VERSION})"
                 ));
             }
-            serde::from_value(value).map_err(|e| format!("invalid v{claimed} checkpoint: {e}"))?
+            serde_json::from_str(json)
+                .map_err(|e| format!("invalid v{claimed} checkpoint: {}", e.message()))?
         }
         None => MultiSnapshot {
             version: 1,
-            engine: serde::from_value(value)
-                .map_err(|e| format!("invalid v1 checkpoint (no `version` field): {e}"))?,
+            engine: serde_json::from_str(json).map_err(|e| {
+                format!(
+                    "invalid v1 checkpoint (no `version` field): {}",
+                    e.message()
+                )
+            })?,
             cursors: Vec::new(),
         },
     };
     require_shards(&snapshot.engine)?;
+    for stats in snapshot.engine.ingest_stats() {
+        stats.require_dissect_rejects_counted()?;
+    }
     for detector in snapshot.engine.detectors() {
         detector.require_cursors_in_ring()?;
+        detector.require_closed_listed()?;
     }
     Ok(snapshot)
 }
@@ -607,6 +642,41 @@ mod tests {
         // A cursor inside the ring is what a running detector writes.
         let inside = with_cursor(serde::to_value(&snapshot).unwrap(), 0);
         parse_checkpoint(&serde_json::to_string(&inside).unwrap()).expect("cursor 0 parses");
+    }
+
+    #[test]
+    fn counters_a_running_engine_cannot_hold_are_rejected() {
+        // Found by `tests/checkpoint_robustness.rs`: one flipped bit in a
+        // digit (`0` -> `2`, `1` -> `3`) leaves valid JSON of the right
+        // types, and the engine restored from it failed its own
+        // `verify_metrics` ("dissect total 2 != quic_false_positives 0",
+        // "attack observations 1 != closed alerts 3").
+        let mut engine = LiveEngine::new(LiveConfig::default(), GuardConfig::default(), 1);
+        engine.offer_chunk(&[syn_ack(1_000_000, 1)]);
+        let snapshot = MultiSnapshot {
+            version: CHECKPOINT_SCHEMA_VERSION,
+            engine: engine.snapshot(),
+            cursors: vec![1],
+        };
+        let sound = serde_json::to_string(&snapshot).unwrap();
+        parse_checkpoint(&sound).expect("as written");
+        for (field, damaged, blamed) in [
+            (
+                "\"not_quic\":0",
+                "\"not_quic\":2",
+                "`quic_false_positives` is 0",
+            ),
+            (
+                "\"quic_false_positives\":0",
+                "\"quic_false_positives\":2",
+                "`quic_false_positives` is 2",
+            ),
+            ("\"closed\":0", "\"closed\":2", "`closed` counts 2 alert(s)"),
+        ] {
+            assert!(sound.contains(field), "{field}");
+            let error = parse_checkpoint(&sound.replacen(field, damaged, 1)).expect_err(damaged);
+            assert!(error.contains(blamed), "{damaged}: {error}");
+        }
     }
 
     #[test]

@@ -772,11 +772,15 @@ pub struct CaptureFileFactory {
 
 impl SourceFactory for CaptureFileFactory {
     fn open(&mut self) -> Result<DynSource, CaptureError> {
-        let data = std::fs::read(&self.path)?;
-        if data.is_empty() {
+        let meta = std::fs::metadata(&self.path)?;
+        if meta.is_file() && meta.len() == 0 {
             return Ok(Box::new(MemoryStream::new(Vec::new())) as DynSource);
         }
-        Ok(Box::new(crate::zerocopy::ZeroCopyCaptureReader::from_bytes(data)?) as DynSource)
+        // Read straight into the arena: a `Vec` on the way would be a
+        // second copy of the capture while it loads.
+        Ok(Box::new(crate::zerocopy::ZeroCopyCaptureReader::from_path(
+            &self.path,
+        )?) as DynSource)
     }
 
     fn label(&self) -> String {

@@ -252,6 +252,32 @@ pub struct IngestStats {
 }
 
 impl IngestStats {
+    /// Rejects counters read from outside the program that a running
+    /// pipeline cannot hold: every dissector reject is counted once as a
+    /// false positive and once under its kind, and
+    /// `IngestMetrics::verify` holds a restored engine to that.
+    pub fn require_dissect_rejects_counted(&self) -> Result<(), String> {
+        let q = &self.quarantine;
+        let by_kind = [
+            q.empty_payload,
+            q.truncated,
+            q.bad_version,
+            q.bad_cid,
+            q.not_quic,
+        ]
+        .into_iter()
+        .map(u128::from)
+        .sum::<u128>();
+        if by_kind != u128::from(self.quic_false_positives) {
+            return Err(format!(
+                "checkpoint field `quic_false_positives` is {}, \
+                 but its dissector reject counters add up to {by_kind}",
+                self.quic_false_positives
+            ));
+        }
+        Ok(())
+    }
+
     /// Merges another shard's counters into this one (field-wise sum).
     pub fn merge(&mut self, other: &IngestStats) {
         self.total += other.total;
@@ -605,7 +631,7 @@ impl TelescopePipeline {
                 last_hash: g.last_hash,
             })
             .collect();
-        guards.sort_by_key(|e| e.src);
+        guards.sort_unstable_by_key(|e| e.src);
         PipelineSnapshot {
             guard: self.guard,
             guards,

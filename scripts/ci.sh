@@ -8,8 +8,8 @@
 #   scripts/ci.sh scenario-smoke
 #                              # only the post-2021 scenario-tier gate
 #   scripts/ci.sh rss-smoke [quicsand-binary]
-#                              # only the analyze peak-RSS gate (on another
-#                              # build's binary when one is named)
+#                              # only the analyze + live peak-RSS gate (on
+#                              # another build's binary when one is named)
 #
 # The repo vendors all third-party dependencies (vendor/), so this runs
 # without network access.
@@ -117,15 +117,17 @@ scenario_smoke() {
 }
 
 rss_smoke() {
-  # `analyze` streams the capture: what stays resident is the capture
-  # arena and the QUIC observations, never a decoded copy of the capture.
-  # The process's own peak-RSS gauge (Linux VmHWM) must therefore stay
-  # below arena + one decoded copy — capture bytes + 56 B per record; a
-  # build that materialises the records once lands near the bound, one
-  # that also buffers the admitted TCP/ICMP records (as builds before the
-  # streaming fold did) well above it.
-  echo "==> rss-smoke: analyze peak RSS below capture + one decoded copy"
-  local rss_dir profile bytes records peak bound
+  # `analyze` and `live` stream the capture: what stays resident is the
+  # capture arena and the QUIC observations (or the detector state),
+  # never a decoded copy of the capture and never a second arena. The
+  # process's own peak-RSS gauge (Linux VmHWM) must therefore stay below
+  # arena + one decoded copy — capture bytes + 56 B per record; a build
+  # that materialises the records once lands near the bound, one that
+  # also buffers the admitted TCP/ICMP records (as `analyze` did before
+  # the streaming fold) or reads the file into a `Vec` before copying it
+  # into the arena (as `live` did) well above it.
+  echo "==> rss-smoke: analyze and live peak RSS below capture + one decoded copy"
+  local rss_dir profile bytes records peak bound command
   local -a run
   profile="${profile_flag---release}"
   rss_dir="$(mktemp -d)"
@@ -133,31 +135,35 @@ rss_smoke() {
   trap "rm -rf '$rss_dir'" RETURN
   cargo run -q $profile -- generate --out "$rss_dir/ref.qscp" --scale test --seed 7 >/dev/null 2>&1
   if [[ -n "${1:-}" ]]; then run=("$1"); else run=(cargo run -q $profile --); fi
-  records="$("${run[@]}" analyze "$rss_dir/ref.qscp" --scale test --seed 7 \
-    --metrics-out "$rss_dir/metrics.json" 2>/dev/null \
-    | sed -n 's/^ingest: \([0-9][0-9]*\) records.*/\1/p')"
   bytes="$(wc -c <"$rss_dir/ref.qscp")"
-  # Canonical JSON: one series per line.
-  peak="$(sed -n '/"quicsand_process_peak_rss_bytes"/s/.*"value": \([0-9][0-9]*\).*/\1/p' \
-    "$rss_dir/metrics.json")"
+  records="$("${run[@]}" analyze "$rss_dir/ref.qscp" --scale test --seed 7 \
+    --metrics-out "$rss_dir/analyze.json" 2>/dev/null \
+    | sed -n 's/^ingest: \([0-9][0-9]*\) records.*/\1/p')"
   if [[ -z "$records" ]]; then
     echo "rss-smoke: analyze printed no ingest line" >&2
     exit 1
   fi
-  if [[ -z "$peak" ]]; then
-    if [[ -r /proc/self/status ]]; then
-      echo "rss-smoke: no quicsand_process_peak_rss_bytes gauge in --metrics-out" >&2
+  "${run[@]}" live "$rss_dir/ref.qscp" --shards 2 \
+    --metrics-out "$rss_dir/live.json" >/dev/null 2>&1
+  bound=$((bytes + 56 * records))
+  for command in analyze live; do
+    # Canonical JSON: one series per line.
+    peak="$(sed -n '/"quicsand_process_peak_rss_bytes"/s/.*"value": \([0-9][0-9]*\).*/\1/p' \
+      "$rss_dir/$command.json")"
+    if [[ -z "$peak" ]]; then
+      if [[ -r /proc/self/status ]]; then
+        echo "rss-smoke: no quicsand_process_peak_rss_bytes gauge in $command --metrics-out" >&2
+        exit 1
+      fi
+      echo "rss-smoke: no /proc/self/status on this platform, gauge not registered — skipped"
+      return
+    fi
+    if ((peak >= bound)); then
+      echo "rss-smoke: $command peak RSS $peak B >= bound $bound B ($bytes capture bytes + 56 B x $records records)" >&2
       exit 1
     fi
-    echo "rss-smoke: no /proc/self/status on this platform, gauge not registered — skipped"
-    return
-  fi
-  bound=$((bytes + 56 * records))
-  if ((peak >= bound)); then
-    echo "rss-smoke: peak RSS $peak B >= bound $bound B ($bytes capture bytes + 56 B x $records records)" >&2
-    exit 1
-  fi
-  echo "rss-smoke: peak RSS $peak B < bound $bound B ($bytes capture bytes + 56 B x $records records) — OK"
+    echo "rss-smoke: $command peak RSS $peak B < bound $bound B ($bytes capture bytes + 56 B x $records records) — OK"
+  done
 }
 
 if [[ "${1:-}" == "bench-smoke" ]]; then
@@ -206,12 +212,26 @@ echo "==> cargo clippy (ingest crates, zero-copy strict lane)"
 cargo clippy -p quicsand-net -p quicsand-dissect --all-targets -- \
   -D warnings -D clippy::redundant_clone -D clippy::needless_pass_by_value
 
-echo "==> serde_derive: generated deserialization moves, never clones"
-# A `.clone()`/`.cloned()` in the derive's emitted code is a deep copy of
-# a subtree per field per nesting level: what made a victim_churn
-# checkpoint 2.5 s. Everything below the banner is code generation.
-if sed -n '/^\/\/ Code generation/,$p' vendor/serde_derive/src/lib.rs | grep -n 'clone'; then
-  echo "serde_derive: the code generators must not emit or use clones" >&2
+nontest_code() { sed '/^#\[cfg(test)\]/,$d' "$1" | grep -v '^ *//'; }
+
+echo "==> serde: typed reads pull from the source, no tree and no clone on the way"
+# A `Value` between the text and the type it is read into is an
+# allocation per key and per node, built to be torn down (what made a
+# victim_churn checkpoint cycle 800 ms), and a `.clone()` in the emitted
+# code a deep copy per field per nesting level (2.5 s, before that).
+# Everything below the banner is code generation.
+if sed -n '/^\/\/ Code generation/,$p' vendor/serde_derive/src/lib.rs \
+  | grep -nE 'take_value|Value::|clone'; then
+  echo "serde_derive: the code generators must not emit or use a tree or a clone" >&2
+  exit 1
+fi
+if nontest_code vendor/serde/src/lib.rs | grep -n 'fn take('; then
+  echo "serde: Value::take is the tree-walking read side; it stays deleted" >&2
+  exit 1
+fi
+if nontest_code crates/live/src/multi.rs \
+  | grep -nE 'serde_json::from_str::<serde::Value>|: serde::Value ='; then
+  echo "live::multi: a checkpoint is read into its types, not into a tree first" >&2
   exit 1
 fi
 
@@ -237,7 +257,6 @@ echo "==> streaming batch path: no decoded-capture vector comes back"
 # The CLI feeds the pipeline `read_batch` slices and the pipeline keeps
 # only QUIC observations; a `read_to_end` in the CLI or a record vector
 # in the analysis is the copy this pins out.
-nontest_code() { sed '/^#\[cfg(test)\]/,$d' "$1" | grep -v '^ *//'; }
 if nontest_code src/main.rs | grep -n 'read_to_end'; then
   echo "streaming pin: src/main.rs must not call read_to_end" >&2
   exit 1
@@ -251,8 +270,8 @@ done
 
 if [[ $quick -eq 0 ]]; then
   echo "==> checkpoint allocation pin"
-  # The counts the move-only read side and the tree-free writer are
-  # held to, in the profile the checkpoint is measured in.
+  # The counts the tree-free reader and the tree-free writer are held
+  # to, in the profile the checkpoint is measured in.
   cargo test -q --release --test checkpoint_allocations
   echo "==> analysis allocation pin"
   # Bytes allocated by Analysis::run on a TCP/ICMP capture follow its
