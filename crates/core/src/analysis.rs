@@ -32,7 +32,7 @@
 //! downstream users) can compute whatever the paper did not.
 
 use crate::metrics::AnalysisMetrics;
-use quicsand_dissect::Direction;
+use quicsand_dissect::{Direction, MessageKinds};
 use quicsand_events::{EventMeta, NoopSubscriber, SessionMigrated, Subscriber};
 use quicsand_intel::AsDatabase;
 use quicsand_net::{Duration, PacketRecord};
@@ -509,7 +509,9 @@ impl<'a> AnalysisDriver<'a> {
 /// capture again in any slicing once the analysis is there: a fresh
 /// guard+dissect pipeline replays the capture record by record (each
 /// event tagged with its stream position), and the admitted
-/// flood-relevant streams drive event-emitting sessionizers. Research
+/// flood-relevant streams drive event-emitting sessionizers. It reads
+/// only a QUIC record's direction and message kinds, so payloads are
+/// checked ([`MessageKinds`]), not dissected again. Research
 /// scanners are excluded using the already computed
 /// [`Analysis::research_sources`], so the sessions traced here are
 /// exactly the `response_sessions` / `common_sessions` the detector
@@ -535,7 +537,7 @@ impl EventReplay<'_> {
             ShardRecords::whole(records),
             base,
             subscriber,
-            |_, product, meta, subscriber| match product {
+            |_, product: Admitted<MessageKinds>, meta, subscriber| match product {
                 Admitted::Quic(obs) => {
                     if obs.direction == Direction::Response
                         && !analysis.research_sources.contains(&obs.src)

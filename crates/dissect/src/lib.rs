@@ -8,11 +8,16 @@
 //!    request (scan); source 443 ⇒ response (backscatter). The two sets
 //!    are disjoint by construction.
 //! 2. **Payload dissection** ([`quic`]): a Wireshark-dissector stand-in
-//!    that structurally parses the UDP payload as (coalesced) QUIC
-//!    packets, extracts versions, connection IDs and message types, and
-//!    — like Wireshark — derives Initial keys from the destination
-//!    connection ID to detect whether an Initial carries an unencrypted
-//!    TLS Client Hello (the §6 backscatter-validity heuristic).
+//!    with one structural walk over the UDP payload's (coalesced) QUIC
+//!    packets and two extractions over it, chosen by the caller's type
+//!    ([`Extraction`]). [`dissect_udp_payload`] extracts versions,
+//!    connection IDs and message types and — like Wireshark — derives
+//!    Initial keys from the destination connection ID to detect whether
+//!    an Initial carries an unencrypted TLS Client Hello (the §6
+//!    backscatter-validity heuristic); the batch figures read all of it.
+//!    [`check_udp_payload`] returns only the [`MessageKinds`] bitset,
+//!    with no trial decryption and no allocation: what the live detector
+//!    needs. Both accept and reject exactly the same payloads.
 //! 3. **Aggregation** ([`stats`]): message-type mixes, SCID counting and
 //!    RETRY presence, feeding Figs. 9 and the §6 discussion.
 
@@ -28,5 +33,8 @@ pub mod stats;
 pub use classify::{classify_record, Classification, Direction};
 pub use corpus::{adversarial_corpus, CorpusEntry, CorpusExpect};
 pub use metrics::DissectMetrics;
-pub use quic::{dissect_udp_payload, DissectError, DissectedPacket, MessageKind, MessageMeta};
+pub use quic::{
+    check_udp_payload, dissect_udp_payload, DissectError, DissectedPacket, Extraction, MessageKind,
+    MessageKinds, MessageMeta,
+};
 pub use stats::MessageMixStats;

@@ -5,6 +5,14 @@
 //! versions, connection IDs, message types — and whether an Initial
 //! carries an *unencrypted* TLS Client Hello.
 //!
+//! One walk decides whether a payload is QUIC; what it extracts is the
+//! caller's choice of type ([`Extraction`]). [`dissect_udp_payload`]
+//! builds the full [`DissectedPacket`] for the batch figures;
+//! [`check_udp_payload`] returns only the [`MessageKinds`] — all the
+//! live detector reads besides the port-derived direction — and skips
+//! the trial decryption below, which costs a keyed tag over every
+//! Initial. Same walk, same verdict, same [`DissectError`].
+//!
 //! The Client Hello check works exactly as it does for Wireshark on the
 //! real wire: Initial keys are derivable by any passive observer from
 //! the packet's destination connection ID, **but only for
@@ -17,7 +25,7 @@
 
 use quicsand_wire::crypto::InitialSecrets;
 use quicsand_wire::header::LongPacketType;
-use quicsand_wire::packet::{walk_datagram, PacketView, ParsedHeader};
+use quicsand_wire::packet::{walk_datagram, HeaderView, PacketView, ParsedHeader};
 use quicsand_wire::tls::{peek_handshake_type, HandshakeType};
 use quicsand_wire::{ConnectionId, Frame, Version, WireError};
 use serde::{Deserialize, Serialize};
@@ -161,9 +169,14 @@ pub struct DissectedPacket {
 }
 
 impl DissectedPacket {
+    /// The set of message kinds present.
+    pub fn kinds(&self) -> MessageKinds {
+        self.messages.iter().map(|m| m.kind).collect()
+    }
+
     /// Whether any message is a Retry (the paper captured none).
     pub fn has_retry(&self) -> bool {
-        self.messages.iter().any(|m| m.kind == MessageKind::Retry)
+        self.kinds().contains(MessageKind::Retry)
     }
 
     /// The first version announced by any long header.
@@ -204,6 +217,107 @@ impl DissectedPacket {
     }
 }
 
+/// The set of [`MessageKind`]s a datagram carries — what the live path
+/// extracts: one byte, `Copy`, built without trial decryption, without
+/// the scratch buffers and without allocating.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct MessageKinds(u8);
+
+impl MessageKinds {
+    /// Whether a message of `kind` is present.
+    pub fn contains(self, kind: MessageKind) -> bool {
+        self.0 & Self::bit(kind) != 0
+    }
+
+    fn insert(&mut self, kind: MessageKind) {
+        self.0 |= Self::bit(kind);
+    }
+
+    fn bit(kind: MessageKind) -> u8 {
+        1 << kind as u8
+    }
+}
+
+impl FromIterator<MessageKind> for MessageKinds {
+    fn from_iter<I: IntoIterator<Item = MessageKind>>(kinds: I) -> Self {
+        let mut set = MessageKinds::default();
+        for kind in kinds {
+            set.insert(kind);
+        }
+        set
+    }
+}
+
+/// What an admit caller extracts from a UDP payload the dissector
+/// accepts, chosen by the caller's type: the batch path keeps the full
+/// [`DissectedPacket`] (the figures read its connection IDs and Client
+/// Hello verdicts), the live path only the [`MessageKinds`]. Both come
+/// from the same walk, so they accept and reject exactly the same
+/// payloads with the same [`DissectError`].
+pub trait Extraction: Sized {
+    /// Validates `payload` as QUIC and extracts `Self` from it.
+    ///
+    /// # Errors
+    /// The payload's [`DissectError`].
+    fn extract(payload: &[u8]) -> Result<Self, DissectError>;
+
+    /// The message kinds present (Retry / Version Negotiation events
+    /// read these on every path).
+    fn kinds(&self) -> MessageKinds;
+}
+
+impl Extraction for DissectedPacket {
+    fn extract(payload: &[u8]) -> Result<Self, DissectError> {
+        dissect_udp_payload(payload)
+    }
+
+    fn kinds(&self) -> MessageKinds {
+        DissectedPacket::kinds(self)
+    }
+}
+
+impl Extraction for MessageKinds {
+    #[inline]
+    fn extract(payload: &[u8]) -> Result<Self, DissectError> {
+        check_udp_payload(payload)
+    }
+
+    fn kinds(&self) -> MessageKinds {
+        *self
+    }
+}
+
+/// The one structural walk behind every extraction: hands `visit` each
+/// packet of a known version with its kind, and decides the verdict.
+///
+/// An empty payload is [`DissectError::Empty`]. A structural error
+/// anywhere in the datagram outranks an unknown version in an earlier
+/// packet (the quarantine taxonomy depends on that order), so the
+/// version verdict waits for the walk to reach the end; packets after
+/// the first unknown version are not visited.
+fn walk(
+    payload: &[u8],
+    mut visit: impl FnMut(&PacketView<'_>, MessageKind),
+) -> Result<(), DissectError> {
+    if payload.is_empty() {
+        return Err(DissectError::Empty);
+    }
+    let mut bad_version = None;
+    for packet in walk_datagram(payload, 8) {
+        let packet = packet.map_err(DissectError::from_wire)?;
+        if let Some(Version::Unknown(v)) = packet.header.version() {
+            bad_version.get_or_insert(v);
+        }
+        if bad_version.is_none() {
+            visit(&packet, message_kind(&packet.header));
+        }
+    }
+    match bad_version {
+        Some(v) => Err(DissectError::BadVersion(v)),
+        None => Ok(()),
+    }
+}
+
 /// Dissects a UDP payload as QUIC.
 ///
 /// # Errors
@@ -211,42 +325,37 @@ impl DissectedPacket {
 /// the caller (telescope pipeline) counts these as non-QUIC false
 /// positives of the port filter and quarantines them per error kind.
 pub fn dissect_udp_payload(payload: &[u8]) -> Result<DissectedPacket, DissectError> {
-    if payload.is_empty() {
-        return Err(DissectError::Empty);
-    }
     SCRATCH.with(|scratch| {
         let Scratch {
             plaintext,
             messages,
         } = &mut *scratch.borrow_mut();
         messages.clear();
-        // A structural error anywhere in the datagram outranks an unknown
-        // version in an earlier packet (the quarantine taxonomy depends
-        // on that order), so the version verdict waits for the walk to
-        // reach the end.
-        let mut bad_version = None;
-        for packet in walk_datagram(payload, 8) {
-            let packet = packet.map_err(DissectError::from_wire)?;
-            if let Some(Version::Unknown(v)) = packet.header.version() {
-                bad_version.get_or_insert(v);
-            }
-            if bad_version.is_none() {
-                messages.push(message_meta(&packet, plaintext));
-            }
-        }
-        match bad_version {
-            Some(v) => Err(DissectError::BadVersion(v)),
-            None => Ok(DissectedPacket {
-                messages: messages.clone(),
-            }),
-        }
+        walk(payload, |packet, kind| {
+            messages.push(message_meta(packet, kind, plaintext));
+        })?;
+        Ok(DissectedPacket {
+            messages: messages.clone(),
+        })
     })
 }
 
-/// The metadata of one structurally valid packet of a known version.
-fn message_meta(packet: &PacketView<'_>, plaintext: &mut Vec<u8>) -> MessageMeta {
-    let header = &packet.header;
-    let kind = match header {
+/// Validates a UDP payload as QUIC and returns the message kinds it
+/// carries — [`dissect_udp_payload`]'s verdict without its extraction:
+/// no Initial is trial-decrypted and nothing is allocated.
+///
+/// # Errors
+/// Exactly the [`DissectError`] [`dissect_udp_payload`] returns.
+#[inline]
+pub fn check_udp_payload(payload: &[u8]) -> Result<MessageKinds, DissectError> {
+    let mut kinds = MessageKinds::default();
+    walk(payload, |_, kind| kinds.insert(kind))?;
+    Ok(kinds)
+}
+
+/// The message type of one structurally valid packet.
+fn message_kind(header: &HeaderView<'_>) -> MessageKind {
+    match header {
         ParsedHeader::Long { ty, .. } => match ty {
             LongPacketType::Initial => MessageKind::Initial,
             LongPacketType::ZeroRtt => MessageKind::ZeroRtt,
@@ -256,7 +365,16 @@ fn message_meta(packet: &PacketView<'_>, plaintext: &mut Vec<u8>) -> MessageMeta
         ParsedHeader::Retry { .. } => MessageKind::Retry,
         ParsedHeader::VersionNegotiation { .. } => MessageKind::VersionNegotiation,
         ParsedHeader::Short { .. } => MessageKind::OneRtt,
-    };
+    }
+}
+
+/// The metadata of one structurally valid packet of a known version.
+fn message_meta(
+    packet: &PacketView<'_>,
+    kind: MessageKind,
+    plaintext: &mut Vec<u8>,
+) -> MessageMeta {
+    let header = &packet.header;
     let has_client_hello = match header {
         ParsedHeader::Long {
             ty: LongPacketType::Initial,

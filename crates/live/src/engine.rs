@@ -15,7 +15,7 @@ use crate::alert::{LiveEvent, LiveEventKind};
 use crate::detector::{ClassifiedAttack, DetectorSnapshot, LiveConfig, LiveDetector, LiveStats};
 use crate::forensics::AlertSlice;
 use crate::metrics::LiveMetrics;
-use quicsand_dissect::Direction;
+use quicsand_dissect::{Direction, MessageKinds};
 use quicsand_events::{
     AlertClosed, AlertEscalated, AlertOpened, AlertReclassified, EventMeta, NoopSubscriber,
     Subscriber, VecSubscriber,
@@ -43,6 +43,11 @@ fn to_micros(ms: f64) -> u64 {
 /// One shard's chunk output: record-index-tagged events plus the wall
 /// milliseconds its admit and detect phases took.
 type ShardChunk = (Vec<(usize, LiveEvent)>, f64, f64);
+
+/// Admitted records the detector is handed at a time: the admit loop
+/// fills a buffer this long and the detector drains it, so a chunk of
+/// any length costs one buffer of fixed size.
+const OFFER_BATCH: usize = 1024;
 
 /// One shard: its slice of the ingest guard plus its detector.
 #[derive(Debug)]
@@ -494,11 +499,12 @@ impl LiveEngine {
     }
 }
 
-/// Processes one shard's slice of a chunk: admit everything through the
-/// ingest guard first (timed as ingest), then drive the detector (timed
-/// as the live "sessionize+detect" stage). The split is observational
-/// only — pipeline and detector are independent state machines, so
-/// phase order cannot change any decision.
+/// Processes one shard's slice of a chunk: admit through the ingest
+/// guard (timed as ingest), handing the detector every [`OFFER_BATCH`]
+/// admitted records in turn (timed as the live "sessionize+detect"
+/// stage). The split is observational only — pipeline and detector are
+/// independent state machines and the detector sees the admitted records
+/// in order, so where the batches fall cannot change any decision.
 fn shard_chunk<S: Subscriber>(
     shard: &mut Shard,
     records: &[PacketRecord],
@@ -506,45 +512,57 @@ fn shard_chunk<S: Subscriber>(
     base: u64,
     subscriber: &mut S,
 ) -> ShardChunk {
-    let admit_start = Instant::now();
+    let start = Instant::now();
+    let Shard { pipeline, detector } = shard;
     // The detector needs only which records were admitted, and on which
     // channel: an admitted product repeats its record's `ts`/`src`/`dst`,
-    // so nothing of it is kept (`true`: QUIC backscatter — the response
-    // source is the flood victim; requests are scan traffic, not flood
-    // evidence).
-    let mut offers: Vec<(usize, bool)> = Vec::with_capacity(part.len());
+    // so a QUIC payload is checked, not dissected, and nothing of the
+    // product is kept (`true`: QUIC backscatter — the response source is
+    // the flood victim; requests are scan traffic, not flood evidence).
+    let mut offers: Vec<(usize, bool)> = Vec::with_capacity(part.len().min(OFFER_BATCH));
+    let mut events: Vec<(usize, LiveEvent)> = Vec::new();
+    let mut detect_ms = 0.0;
     admit_each(
-        &mut shard.pipeline,
+        pipeline,
         part,
         base,
         subscriber,
-        |index, product, _, _| match product {
-            Admitted::Quic(obs) if obs.direction == Direction::Response => {
-                offers.push((index, true))
+        |index, product: Admitted<MessageKinds>, _, _| {
+            let quic = match product {
+                Admitted::Quic(obs) if obs.direction == Direction::Response => true,
+                Admitted::Baseline(_) => false,
+                Admitted::Quic(_) | Admitted::Dropped => return,
+            };
+            offers.push((index, quic));
+            if offers.len() == OFFER_BATCH {
+                detect_ms += detect(detector, records, &mut offers, &mut events);
             }
-            Admitted::Baseline(_) => offers.push((index, false)),
-            Admitted::Quic(_) | Admitted::Dropped => {}
         },
     );
-    let ingest_ms = ms(admit_start);
+    detect_ms += detect(detector, records, &mut offers, &mut events);
+    (events, ms(start) - detect_ms, detect_ms)
+}
 
-    let detect_start = Instant::now();
-    let mut events: Vec<(usize, LiveEvent)> = Vec::new();
-    for (index, quic) in offers {
+/// Drains `offers` into the detector, tagging what it emits with the
+/// record index; returns the wall milliseconds it took.
+fn detect(
+    detector: &mut LiveDetector,
+    records: &[PacketRecord],
+    offers: &mut Vec<(usize, bool)>,
+    events: &mut Vec<(usize, LiveEvent)>,
+) -> f64 {
+    let start = Instant::now();
+    for (index, quic) in offers.drain(..) {
         let record = &records[index];
         let bytes = record.wire_size() as u64;
         let emitted = if quic {
-            shard
-                .detector
-                .offer_response(record.ts, record.src, record.dst, bytes)
+            detector.offer_response(record.ts, record.src, record.dst, bytes)
         } else {
-            shard
-                .detector
-                .offer_baseline(record.ts, record.src, record.dst, bytes)
+            detector.offer_baseline(record.ts, record.src, record.dst, bytes)
         };
         events.extend(emitted.into_iter().map(|event| (index, event)));
     }
-    (events, ingest_ms, ms(detect_start))
+    ms(start)
 }
 
 /// Translates the merged, deterministic [`LiveEvent`] stream into the

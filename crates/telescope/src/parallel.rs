@@ -19,6 +19,7 @@
 //! shards identically everywhere.
 
 use crate::pipeline::{Admitted, GuardConfig, IngestStats, QuicObservation, TelescopePipeline};
+use quicsand_dissect::Extraction;
 use quicsand_events::{EventMeta, NoopSubscriber, Subscriber};
 use quicsand_net::PacketRecord;
 use std::net::Ipv4Addr;
@@ -133,12 +134,19 @@ pub fn scatter<S: Send, R: Send>(
 /// the shard's pipeline; because shards partition records *by source*,
 /// the guard sees exactly the same per-source record sequence as a
 /// sequential run, so quarantine decisions are shard-count-invariant.
-pub fn admit_each<S: Subscriber>(
+///
+/// `D` is what an admitted QUIC payload's dissection extracts, chosen by
+/// the sink's parameter type: the batch run keeps whole
+/// [`DissectedPacket`](quicsand_dissect::DissectedPacket)s, a caller
+/// that reads only the direction takes
+/// [`MessageKinds`](quicsand_dissect::MessageKinds) and skips the Client
+/// Hello trial decryption. Counters and events do not depend on `D`.
+pub fn admit_each<D: Extraction, S: Subscriber>(
     pipeline: &mut TelescopePipeline,
     part: ShardRecords<'_>,
     base: u64,
     subscriber: &mut S,
-    sink: impl FnMut(usize, Admitted, &EventMeta, &mut S),
+    sink: impl FnMut(usize, Admitted<D>, &EventMeta, &mut S),
 ) {
     // Whole slice or index list: chosen once per shard, not per record,
     // and each arm is its own loop over a concrete iterator.
@@ -152,13 +160,13 @@ pub fn admit_each<S: Subscriber>(
     }
 }
 
-fn admit_indices<S: Subscriber>(
+fn admit_indices<D: Extraction, S: Subscriber>(
     pipeline: &mut TelescopePipeline,
     records: &[PacketRecord],
     indices: impl Iterator<Item = usize>,
     base: u64,
     subscriber: &mut S,
-    mut sink: impl FnMut(usize, Admitted, &EventMeta, &mut S),
+    mut sink: impl FnMut(usize, Admitted<D>, &EventMeta, &mut S),
 ) {
     for index in indices {
         let meta = EventMeta::record(base + index as u64);
@@ -401,7 +409,7 @@ mod tests {
             ShardRecords::whole(&records),
             1_000,
             &mut events,
-            |index, _, meta, _| seen.push((index, meta.record_index)),
+            |index, _: Admitted, meta, _| seen.push((index, meta.record_index)),
         );
         assert_eq!(seen.len(), records.len());
         assert!(seen

@@ -8,7 +8,7 @@
 //! the common-protocols baseline.
 
 use quicsand_dissect::{
-    classify_record, dissect_udp_payload, Classification, Direction, DissectError, DissectedPacket,
+    classify_record, Classification, Direction, DissectError, DissectedPacket, Extraction,
     MessageKind,
 };
 use quicsand_events::{
@@ -21,9 +21,11 @@ use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
-/// One validated QUIC packet observation.
+/// One validated QUIC packet observation, carrying what the admit
+/// caller chose to extract from its payload ([`Extraction`]): the full
+/// [`DissectedPacket`] unless the caller names another type.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QuicObservation {
+pub struct QuicObservation<D = DissectedPacket> {
     /// Capture time.
     pub ts: Timestamp,
     /// Source address (scanner for requests, victim for responses).
@@ -36,18 +38,21 @@ pub struct QuicObservation {
     pub dst_port: u16,
     /// Request (to 443) or response (from 443).
     pub direction: Direction,
-    /// The dissected QUIC messages.
-    pub dissected: DissectedPacket,
+    /// The dissected QUIC messages (or, for a caller that extracts
+    /// less, only what it extracted).
+    pub dissected: D,
 }
 
 /// Outcome of streaming one record through
 /// [`TelescopePipeline::admit`]: the validated product is handed to
 /// the caller instead of being buffered, so an unbounded stream can be
 /// processed in constant memory (modulo per-source guard state).
+/// `D` is what a QUIC payload's dissection extracts, as in
+/// [`QuicObservation`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum Admitted {
+pub enum Admitted<D = DissectedPacket> {
     /// A validated QUIC packet (request or response).
-    Quic(QuicObservation),
+    Quic(QuicObservation<D>),
     /// A TCP/ICMP record passed through to the common-protocols
     /// baseline.
     Baseline(PacketRecord),
@@ -728,18 +733,19 @@ impl TelescopePipeline {
         )
     }
 
-    /// [`admit`](Self::admit) with typed-event emission: quarantine
-    /// decisions surface as `wire_rejected`, dissected Retry / Version
-    /// Negotiation packets as their observation events. With
-    /// [`NoopSubscriber`] this monomorphizes to exactly
+    /// [`admit`](Self::admit) with typed-event emission and the
+    /// extraction `D` of the caller's choosing: quarantine decisions
+    /// surface as `wire_rejected`, dissected Retry / Version Negotiation
+    /// packets as their observation events. With [`NoopSubscriber`] and
+    /// [`DissectedPacket`] this monomorphizes to exactly
     /// [`admit`](Self::admit) — the subscriber-free hot path carries no
     /// event code.
-    pub fn admit_with<S: Subscriber>(
+    pub fn admit_with<D: Extraction, S: Subscriber>(
         &mut self,
         record: &PacketRecord,
         meta: &EventMeta,
         subscriber: &mut S,
-    ) -> Admitted {
+    ) -> Admitted<D> {
         self.admit_classified_with(record, classify_record(record), meta, subscriber)
     }
 
@@ -747,15 +753,21 @@ impl TelescopePipeline {
     /// [`admit_with`]: guard → classification → dissection, with every
     /// quarantine and Retry/VN sighting mirrored to `subscriber`.
     ///
+    /// A QUIC candidate's payload becomes a `D` ([`Extraction`]): every
+    /// extraction accepts and rejects the same payloads, so the counters,
+    /// the quarantine decisions and the emitted events are the same
+    /// whatever `D` the caller picks — only what the admitted product
+    /// carries differs.
+    ///
     /// [`admit_classified`]: Self::admit_classified
     /// [`admit_with`]: Self::admit_with
-    pub fn admit_classified_with<S: Subscriber>(
+    pub fn admit_classified_with<D: Extraction, S: Subscriber>(
         &mut self,
         record: &PacketRecord,
         classification: Classification,
         meta: &EventMeta,
         subscriber: &mut S,
-    ) -> Admitted {
+    ) -> Admitted<D> {
         self.stats.total += 1;
         if let Some(error) = self.guard_check(record) {
             self.stats.quarantine.record(&error);
@@ -799,11 +811,12 @@ impl TelescopePipeline {
                         return Admitted::Dropped;
                     }
                 };
-                match dissect_udp_payload(payload) {
+                match D::extract(payload) {
                     Ok(dissected) => {
                         self.stats.quic_valid += 1;
                         if subscriber.enabled() {
-                            if dissected.has_retry() {
+                            let kinds = dissected.kinds();
+                            if kinds.contains(MessageKind::Retry) {
                                 subscriber.on_retry_observed(
                                     meta,
                                     &RetryObserved {
@@ -813,11 +826,7 @@ impl TelescopePipeline {
                                     },
                                 );
                             }
-                            if dissected
-                                .messages
-                                .iter()
-                                .any(|m| m.kind == MessageKind::VersionNegotiation)
-                            {
+                            if kinds.contains(MessageKind::VersionNegotiation) {
                                 subscriber.on_version_negotiation(
                                     meta,
                                     &VersionNegotiationObserved {

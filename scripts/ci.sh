@@ -253,6 +253,24 @@ for needle in 'thread::scope' 'partition_by_source('; do
   fi
 done
 
+echo "==> live path: QUIC payloads are checked, not dissected, over one walk"
+# The live engine reads a QUIC record's direction and message kinds only,
+# so it admits with `MessageKinds` (`check_udp_payload`: no Client Hello
+# trial decryption, no allocation); a `dissect_udp_payload` or
+# `DissectedPacket` in its non-test code brings both back. The two
+# extractions share the dissector's one structural walk.
+for needle in 'dissect_udp_payload' 'DissectedPacket'; do
+  if nontest_code crates/live/src/engine.rs | grep -nF "$needle"; then
+    echo "live pin: \`$needle\` in non-test code of crates/live/src/engine.rs" >&2
+    exit 1
+  fi
+done
+walks="$(nontest_code crates/dissect/src/quic.rs | { grep -oF 'walk_datagram(' || true; } | wc -l)"
+if [[ "$walks" -ne 1 ]]; then
+  echo "dissect pin: $walks \`walk_datagram(\` call(s) in non-test code of crates/dissect/src/quic.rs, want exactly 1" >&2
+  exit 1
+fi
+
 echo "==> streaming batch path: no decoded-capture vector comes back"
 # The CLI feeds the pipeline `read_batch` slices and the pipeline keeps
 # only QUIC observations; a `read_to_end` in the CLI or a record vector
@@ -277,6 +295,10 @@ if [[ $quick -eq 0 ]]; then
   # Bytes allocated by Analysis::run on a TCP/ICMP capture follow its
   # sources and minutes, not its packet count.
   cargo test -q --release --test analysis_allocations
+  echo "==> live allocation pin"
+  # Bytes allocated by LiveEngine::offer_chunk over QUIC backscatter
+  # follow its victims and minutes, not its packet count.
+  cargo test -q --release --test live_allocations
 fi
 
 echo "==> golden-figure regression suite"

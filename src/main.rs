@@ -632,10 +632,11 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     if has_flag(args, "--verbose") {
         // Keep the `pipeline:` prefix: walltime lines are excluded from
         // cross-thread determinism comparisons by that prefix.
-        let peak_rss = peak_rss.map_or(String::new(), |bytes| {
-            format!("; peak RSS {:.1} MiB", bytes as f64 / 1_048_576.0)
-        });
-        println!("pipeline: {}{peak_rss}", pipeline.stage_summary());
+        println!(
+            "pipeline: {}{}",
+            pipeline.stage_summary(),
+            peak_rss_suffix(peak_rss)
+        );
     }
     println!(
         "sanitized: {} requests / {} responses after removing {} research packets from {} scanner(s)",
@@ -674,6 +675,14 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         analysis.quic_attacks.len()
     );
     Ok(())
+}
+
+/// The `; peak RSS X MiB` tail of a `--verbose` stage line; empty where
+/// the platform reports no peak RSS.
+fn peak_rss_suffix(peak_rss: Option<u64>) -> String {
+    peak_rss.map_or(String::new(), |bytes| {
+        format!("; peak RSS {:.1} MiB", bytes as f64 / 1_048_576.0)
+    })
 }
 
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
@@ -859,7 +868,7 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     // counters and the cursor/offered conservation check.
     live.verify_metrics()
         .map_err(|e| format!("live metrics reconciliation failed: {}", e.join("; ")))?;
-    publish_peak_rss(live.engine().registry());
+    let peak_rss = publish_peak_rss(live.engine().registry());
     write_metrics_out(args, live.engine().registry())?;
 
     let stats = live.live_stats();
@@ -899,11 +908,12 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     if verbose {
         let pipeline = live.engine().pipeline_stats();
         println!(
-            "live: {} shard(s), {:.0} records/s ingest; {}; peak tracked victims {}",
+            "live: {} shard(s), {:.0} records/s ingest; {}; peak tracked victims {}{}",
             shards.max(1),
             pipeline.ingest_records_per_sec(),
             pipeline.stage_summary(),
-            stats.peak_tracked
+            stats.peak_tracked,
+            peak_rss_suffix(peak_rss)
         );
     }
     Ok(())

@@ -559,3 +559,35 @@ fn a_capture_cut_mid_record_fails_cleanly_wherever_the_cut_is() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `live --verbose` ends its stage line with the process's peak resident
+/// set, as `analyze --verbose` does, wherever the platform reports one.
+#[test]
+fn live_verbose_stage_line_reports_peak_rss() {
+    let dir = std::env::temp_dir().join("quicsand-cli-live-rss");
+    std::fs::create_dir_all(&dir).unwrap();
+    let empty = dir.join("empty.qscp");
+    std::fs::write(&empty, b"").unwrap();
+    let output = Command::new(bin())
+        .args(["live", empty.to_str().unwrap(), "--verbose"])
+        .output()
+        .expect("run live --verbose");
+    assert!(output.status.success());
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stage_line = stdout
+        .lines()
+        .find(|l| l.starts_with("live: 1 shard(s)") && l.contains("stages: ingest"))
+        .unwrap_or_else(|| panic!("no stage line in: {stdout}"));
+    if quicsand_obs::peak_rss_bytes().is_some() {
+        let mib = stage_line
+            .split("; peak RSS ")
+            .nth(1)
+            .and_then(|tail| tail.strip_suffix(" MiB"))
+            .unwrap_or_else(|| panic!("no `; peak RSS X MiB` tail: {stage_line}"));
+        let mib: f64 = mib.parse().expect("peak RSS is a number");
+        assert!(mib > 0.0, "{stage_line}");
+    } else {
+        assert!(!stage_line.contains("peak RSS"), "{stage_line}");
+    }
+    std::fs::remove_file(&empty).ok();
+}

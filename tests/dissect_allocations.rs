@@ -6,9 +6,10 @@
 //! owns the process's global allocator, hence its own file) and pins that
 //! property directly instead of through a timing threshold: after
 //! warm-up, dissecting allocates the returned `messages` vector and
-//! nothing else.
+//! nothing else. Checking — the live path's extraction, which keeps only
+//! the message kinds — allocates nothing at all, warm-up or not.
 
-use quicsand_dissect::dissect_udp_payload;
+use quicsand_dissect::{check_udp_payload, dissect_udp_payload, MessageKind};
 use quicsand_intel::Provider;
 use quicsand_traffic::backscatter::BackscatterBuilder;
 use quicsand_traffic::research::research_probe_payload;
@@ -44,4 +45,23 @@ fn dissecting_allocates_only_the_returned_messages() {
     assert_eq!(dissected.messages.len(), 2, "initial + handshake");
     assert!(!dissected.messages[0].has_client_hello);
     assert_eq!(allocations, 1, "coalesced backscatter datagram");
+}
+
+#[test]
+fn checking_allocates_nothing_even_cold() {
+    let client_initial = research_probe_payload(7);
+    let backscatter =
+        BackscatterBuilder::new(Provider::Google, Version::Draft29.to_wire(), 7).respond();
+    let backscatter = &backscatter.datagrams[0];
+
+    // No warm-up: the check touches no per-thread scratch to grow.
+    let (kinds, allocations) = allocations_during(|| check_udp_payload(&client_initial));
+    let kinds = kinds.expect("client initial checks");
+    assert!(kinds.contains(MessageKind::Initial));
+    assert_eq!(allocations, 0, "padded client initial");
+
+    let (kinds, allocations) = allocations_during(|| check_udp_payload(backscatter));
+    let kinds = kinds.expect("backscatter checks");
+    assert!(kinds.contains(MessageKind::Initial) && kinds.contains(MessageKind::Handshake));
+    assert_eq!(allocations, 0, "coalesced backscatter datagram");
 }

@@ -11,11 +11,16 @@
 //! generators, the adversarial corpus and the fault injector produce,
 //! and for every truncation and bit flip of the two packet shapes the
 //! telescope sees most.
+//!
+//! Over the same payloads, `check_udp_payload` — the live path's
+//! extraction, the same walk without the trial decryption — must return
+//! exactly the dissection's message kinds, and exactly its
+//! `DissectError` when it rejects.
 
 use quicsand_dissect::corpus::adversarial_corpus;
 use quicsand_dissect::{
-    classify_record, dissect_udp_payload, Classification, DissectError, DissectedPacket,
-    MessageKind, MessageMeta,
+    check_udp_payload, classify_record, dissect_udp_payload, Classification, DissectError,
+    DissectedPacket, MessageKind, MessageMeta,
 };
 use quicsand_faults::{FaultPlan, FaultProfile};
 use quicsand_net::PacketRecord;
@@ -99,6 +104,12 @@ fn assert_same_verdict(what: &str, payload: &[u8]) {
         got,
         want,
         "{what}: verdicts differ on a {}-byte payload",
+        payload.len()
+    );
+    assert_eq!(
+        check_udp_payload(payload),
+        got.map(|d| d.kinds()),
+        "{what}: the check and the dissection differ on a {}-byte payload",
         payload.len()
     );
 }
