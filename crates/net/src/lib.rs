@@ -27,7 +27,7 @@
 //!   feed the live detection engine from a capture replay or an
 //!   in-memory scenario.
 //! * [`zerocopy`] — arena-backed batched capture decoding: records
-//!   decoded against one file-sized buffer through a checked cursor,
+//!   decoded against one file-sized buffer, one bounds check per record,
 //!   UDP payloads handed out as zero-copy views (the ingest hot path).
 //! * [`multi`] — N concurrent sources behind bounded backpressure
 //!   queues, merged into one deterministic watermark-aligned stream
@@ -56,4 +56,4 @@ pub use multi::{
 pub use record::{IcmpKind, PacketRecord, TcpFlags, Transport};
 pub use stream::{MemoryStream, StreamSource};
 pub use time::{Duration, Timestamp};
-pub use zerocopy::{DecoderBuffer, RecordBatch, ZeroCopyCaptureReader};
+pub use zerocopy::{RecordBatch, ZeroCopyCaptureReader};

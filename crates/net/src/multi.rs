@@ -776,8 +776,6 @@ impl SourceFactory for CaptureFileFactory {
         if meta.is_file() && meta.len() == 0 {
             return Ok(Box::new(MemoryStream::new(Vec::new())) as DynSource);
         }
-        // Read straight into the arena: a `Vec` on the way would be a
-        // second copy of the capture while it loads.
         Ok(Box::new(crate::zerocopy::ZeroCopyCaptureReader::from_path(
             &self.path,
         )?) as DynSource)

@@ -38,8 +38,9 @@ pub trait StreamSource {
                     // Surface the partial chunk now; the error is lost
                     // unless the underlying reader re-reports it, so
                     // only readers with sticky errors should rely on
-                    // this. CaptureReader stops permanently on error,
-                    // which next_record maps to stream end.
+                    // this. `ZeroCopyCaptureReader` re-reports it;
+                    // `CaptureReader` has consumed the cut record and
+                    // ends the stream instead.
                     break;
                 }
                 None => break,

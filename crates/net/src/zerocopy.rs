@@ -9,10 +9,11 @@
 //!
 //! This module decodes records against a single immutable arena instead:
 //!
-//! * the file is read **once** into one [`Bytes`] allocation (the arena);
-//! * [`DecoderBuffer`] is a typed cursor over that arena — every read is
-//!   bounds-checked and returns [`CaptureError::Truncated`] instead of
-//!   panicking, in the style of s2n-codec's checked splits;
+//! * the file is read **once**, and the read buffer itself becomes the
+//!   arena — [`Bytes::from`] takes a `Vec` over, it does not copy it;
+//! * a record is decoded with one bounds check on its 17-byte fixed
+//!   prefix and one on its transport tail; a short or malformed record is
+//!   a typed [`CaptureError`], never a panic;
 //! * UDP payloads are handed out as [`Bytes::slice`] windows into the
 //!   arena (reference-count bump + offset pair, no copy, no allocation);
 //! * [`ZeroCopyCaptureReader::read_batch`] drains records in batches so
@@ -29,6 +30,10 @@
 //! * zero bytes remaining at a record boundary → clean end of stream;
 //! * a record cut anywhere after its first byte — including inside the
 //!   timestamp — → [`CaptureError::Truncated`].
+//!
+//! The cursor never stops inside a record: it moves only past a record
+//! that decoded whole, so an error is sticky — every later read reports
+//! it again, and none reports a clean end of stream after it.
 
 use crate::capture::{
     decode_flags, decode_icmp, CaptureError, FORMAT_VERSION, MAGIC, MAX_UDP_PAYLOAD, TAG_ICMP,
@@ -54,108 +59,19 @@ pub const DEFAULT_BATCH: usize = 4096;
 /// a slice has to be long enough for that to be noise: 65 536 records
 /// take 6–60 ms to admit (0.1–1 µs each), three orders of magnitude more
 /// than a spawn. It also has to stay small next to the capture arena:
-/// 65 536 decoded records are 3.5 MiB (56 B each), whatever the capture
+/// 65 536 decoded records are 3 MiB (48 B each), whatever the capture
 /// size. [`DEFAULT_BATCH`] is sized for the live engine's alert latency
 /// instead, and would pay the fan-out sixteen times as often.
 pub const BULK_BATCH: usize = 65_536;
 
-/// A checked little-endian cursor over an immutable byte arena.
-///
-/// All reads advance the cursor; any read past the end returns
-/// [`CaptureError::Truncated`] — never a panic. Slices split off the
-/// buffer are zero-copy [`Bytes`] windows into the backing arena.
-///
-/// (The vendored `bytes::Buf` trait is *big*-endian and panics on
-/// underflow, so the capture format's little-endian checked reads are
-/// implemented here instead.)
-#[derive(Debug, Clone)]
-pub struct DecoderBuffer {
-    arena: Bytes,
-    offset: usize,
-}
-
-impl DecoderBuffer {
-    /// Wraps an arena in a cursor positioned at its start.
-    pub fn new(arena: Bytes) -> Self {
-        DecoderBuffer { arena, offset: 0 }
-    }
-
-    /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
-        self.arena.len() - self.offset
-    }
-
-    /// Whether the cursor is at the end of the arena.
-    pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    /// Current byte offset from the start of the arena.
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
-
-    /// Borrows the next `len` bytes without advancing.
-    fn peek(&self, len: usize) -> Result<&[u8], CaptureError> {
-        self.arena
-            .as_slice()
-            .get(self.offset..self.offset + len)
-            .ok_or(CaptureError::Truncated)
-    }
-
-    /// Reads one byte.
-    ///
-    /// # Errors
-    /// [`CaptureError::Truncated`] at end of arena.
-    pub fn read_u8(&mut self) -> Result<u8, CaptureError> {
-        let b = self.peek(1)?[0];
-        self.offset += 1;
-        Ok(b)
-    }
-
-    /// Reads a little-endian `u16`.
-    ///
-    /// # Errors
-    /// [`CaptureError::Truncated`] if fewer than 2 bytes remain.
-    pub fn read_u16_le(&mut self) -> Result<u16, CaptureError> {
-        let v = u16::from_le_bytes(self.peek(2)?.try_into().expect("2 bytes"));
-        self.offset += 2;
-        Ok(v)
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    /// [`CaptureError::Truncated`] if fewer than 4 bytes remain.
-    pub fn read_u32_le(&mut self) -> Result<u32, CaptureError> {
-        let v = u32::from_le_bytes(self.peek(4)?.try_into().expect("4 bytes"));
-        self.offset += 4;
-        Ok(v)
-    }
-
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    /// [`CaptureError::Truncated`] if fewer than 8 bytes remain.
-    pub fn read_u64_le(&mut self) -> Result<u64, CaptureError> {
-        let v = u64::from_le_bytes(self.peek(8)?.try_into().expect("8 bytes"));
-        self.offset += 8;
-        Ok(v)
-    }
-
-    /// Splits off the next `len` bytes as a zero-copy view of the arena.
-    ///
-    /// # Errors
-    /// [`CaptureError::Truncated`] if fewer than `len` bytes remain.
-    pub fn split_slice(&mut self, len: usize) -> Result<Bytes, CaptureError> {
-        if self.remaining() < len {
-            return Err(CaptureError::Truncated);
-        }
-        let slice = self.arena.slice(self.offset..self.offset + len);
-        self.offset += len;
-        Ok(slice)
-    }
-}
+/// A record's fixed prefix: timestamp (8), source (4), destination (4),
+/// transport tag (1).
+const PREFIX: usize = 17;
+/// What follows a UDP prefix before the payload: two ports and the
+/// payload length.
+const UDP_HEAD: usize = 8;
+/// What follows a TCP prefix: two ports and the flags byte.
+const TCP_TAIL: usize = 5;
 
 /// A batch of decoded records, ready for sharded hand-off.
 ///
@@ -201,7 +117,9 @@ impl RecordBatch {
 /// second copy of it.
 #[derive(Debug, Clone)]
 pub struct ZeroCopyCaptureReader {
-    buf: DecoderBuffer,
+    arena: Bytes,
+    /// Where the next record starts: always a record boundary.
+    offset: usize,
     records_read: u64,
 }
 
@@ -214,85 +132,105 @@ impl ZeroCopyCaptureReader {
     /// [`CaptureError::BadMagic`] / [`CaptureError::BadVersion`] for a
     /// corrupt header — the same taxonomy as `CaptureReader::new`.
     pub fn from_bytes(data: impl Into<Bytes>) -> Result<Self, CaptureError> {
-        let mut buf = DecoderBuffer::new(data.into());
-        let mut magic = [0u8; 4];
-        magic.copy_from_slice(buf.peek(4)?);
-        buf.offset += 4;
-        if &magic != MAGIC {
+        let arena = data.into();
+        // Field by field, so a short header is judged on what it has.
+        let field = |at: usize, len: usize| arena.get(at..at + len).ok_or(CaptureError::Truncated);
+        if field(0, 4)? != MAGIC {
             return Err(CaptureError::BadMagic);
         }
-        let version = buf.read_u16_le()?;
+        let version = u16::from_le_bytes(field(4, 2)?.try_into().expect("2 bytes"));
         if version != FORMAT_VERSION {
             return Err(CaptureError::BadVersion(version));
         }
-        buf.read_u16_le()?; // reserved
+        field(6, 2)?; // reserved
         Ok(ZeroCopyCaptureReader {
-            buf,
+            arena,
+            offset: 8,
             records_read: 0,
         })
     }
 
-    /// Reads a capture file into a single arena and opens it.
+    /// Reads a capture file and opens it; the read buffer is the arena.
     ///
     /// # Errors
     /// [`CaptureError::Io`] if the file cannot be read; header errors as
     /// in [`from_bytes`](Self::from_bytes).
     pub fn from_path(path: impl AsRef<Path>) -> Result<Self, CaptureError> {
-        let mut file = std::fs::File::open(path)?;
-        // No size (a pipe) means no size hint; the read is still whole.
-        let size = file.metadata().map_or(0, |meta| meta.len());
-        let size = usize::try_from(size).unwrap_or(0);
-        Self::from_bytes(Bytes::read_from(&mut file, size)?)
+        Self::from_bytes(std::fs::read(path)?)
     }
 
     /// Decodes the next record, or `Ok(None)` at a clean end of stream.
     ///
+    /// The record is bounds-checked twice — its fixed prefix, then its
+    /// transport tail — and the cursor moves only once it has decoded, so
+    /// an error leaves the reader where it was and the next call reports
+    /// it again.
+    ///
     /// # Errors
     /// [`CaptureError::Truncated`] for a record cut at any byte offset
     /// (including mid-timestamp); the other `CaptureError` variants for
-    /// structurally invalid records.
+    /// structurally invalid records, in field order: an unknown tag
+    /// before an oversized length before a cut payload.
     pub fn read_record(&mut self) -> Result<Option<PacketRecord>, CaptureError> {
-        if self.buf.is_empty() {
+        let rest = self.arena.get(self.offset..).unwrap_or_default();
+        if rest.is_empty() {
             return Ok(None);
         }
-        let ts = Timestamp::from_micros(self.buf.read_u64_le()?);
-        let src = Ipv4Addr::from(self.buf.read_u32_le()?.to_be_bytes());
-        let dst = Ipv4Addr::from(self.buf.read_u32_le()?.to_be_bytes());
-        let tag = self.buf.read_u8()?;
-        let transport = match tag {
+        let Some((prefix, tail)) = rest.split_first_chunk::<PREFIX>() else {
+            return Err(CaptureError::Truncated);
+        };
+        let [t0, t1, t2, t3, t4, t5, t6, t7, s0, s1, s2, s3, d0, d1, d2, d3, tag] = *prefix;
+        let (transport, tail_len) = match tag {
             TAG_UDP => {
-                let src_port = self.buf.read_u16_le()?;
-                let dst_port = self.buf.read_u16_le()?;
-                let len = self.buf.read_u32_le()?;
+                let Some((&[p0, p1, q0, q1, l0, l1, l2, l3], body)) =
+                    tail.split_first_chunk::<UDP_HEAD>()
+                else {
+                    return Err(CaptureError::Truncated);
+                };
+                let len = u32::from_le_bytes([l0, l1, l2, l3]);
                 if len as usize > MAX_UDP_PAYLOAD {
                     return Err(CaptureError::OversizedPayload(len));
                 }
-                Transport::Udp {
-                    src_port,
-                    dst_port,
-                    payload: self.buf.split_slice(len as usize)?,
+                let len = len as usize;
+                if body.len() < len {
+                    return Err(CaptureError::Truncated);
                 }
+                let start = self.offset + PREFIX + UDP_HEAD;
+                let udp = Transport::Udp {
+                    src_port: u16::from_le_bytes([p0, p1]),
+                    dst_port: u16::from_le_bytes([q0, q1]),
+                    payload: self.arena.slice(start..start + len),
+                };
+                (udp, UDP_HEAD + len)
             }
             TAG_TCP => {
-                let src_port = self.buf.read_u16_le()?;
-                let dst_port = self.buf.read_u16_le()?;
-                let flags = decode_flags(self.buf.read_u8()?);
-                Transport::Tcp {
-                    src_port,
-                    dst_port,
-                    flags,
-                }
+                let Some(&[p0, p1, q0, q1, flags]) = tail.first_chunk::<TCP_TAIL>() else {
+                    return Err(CaptureError::Truncated);
+                };
+                let tcp = Transport::Tcp {
+                    src_port: u16::from_le_bytes([p0, p1]),
+                    dst_port: u16::from_le_bytes([q0, q1]),
+                    flags: decode_flags(flags),
+                };
+                (tcp, TCP_TAIL)
             }
-            TAG_ICMP => Transport::Icmp {
-                kind: decode_icmp(self.buf.read_u8()?)?,
-            },
+            TAG_ICMP => {
+                let Some(&kind) = tail.first() else {
+                    return Err(CaptureError::Truncated);
+                };
+                let kind = decode_icmp(kind)?;
+                (Transport::Icmp { kind }, 1)
+            }
             other => return Err(CaptureError::BadTag(other)),
         };
+        self.offset += PREFIX + tail_len;
         self.records_read += 1;
         Ok(Some(PacketRecord {
-            ts,
-            src,
-            dst,
+            ts: Timestamp::from_micros(u64::from_le_bytes([t0, t1, t2, t3, t4, t5, t6, t7])),
+            // Addresses are stored as little-endian `u32`s of the
+            // big-endian address: the octets come reversed.
+            src: Ipv4Addr::new(s3, s2, s1, s0),
+            dst: Ipv4Addr::new(d3, d2, d1, d0),
             transport,
         }))
     }
@@ -307,7 +245,7 @@ impl ZeroCopyCaptureReader {
     /// # Errors
     /// As [`read_record`](Self::read_record).
     pub fn read_batch(&mut self, max: usize) -> Result<RecordBatch, CaptureError> {
-        let mut records = Vec::with_capacity(max.min(self.buf.remaining() / 17 + 1));
+        let mut records = Vec::with_capacity(max.min(self.remaining_bytes() / PREFIX + 1));
         while records.len() < max {
             match self.read_record()? {
                 Some(record) => records.push(record),
@@ -332,10 +270,14 @@ impl ZeroCopyCaptureReader {
 
     /// Bytes not yet decoded.
     pub fn remaining_bytes(&self) -> usize {
-        self.buf.remaining()
+        self.arena.len() - self.offset
     }
 }
 
+/// Yields `Err` again after an error (see [`read_record`]): stop at the
+/// first one.
+///
+/// [`read_record`]: ZeroCopyCaptureReader::read_record
 impl Iterator for ZeroCopyCaptureReader {
     type Item = Result<PacketRecord, CaptureError>;
 
@@ -344,25 +286,11 @@ impl Iterator for ZeroCopyCaptureReader {
     }
 }
 
+/// Errors are sticky, so the default `pull_chunk` hands a partial chunk
+/// over and reports the error on the next call.
 impl StreamSource for ZeroCopyCaptureReader {
     fn next_record(&mut self) -> Option<Result<PacketRecord, CaptureError>> {
         self.read_record().transpose()
-    }
-
-    fn pull_chunk(&mut self, max: usize) -> Result<Vec<PacketRecord>, CaptureError> {
-        let mut chunk = Vec::with_capacity(max.min(self.buf.remaining() / 17 + 1));
-        while chunk.len() < max {
-            match self.read_record() {
-                Ok(Some(record)) => chunk.push(record),
-                Ok(None) => break,
-                Err(error) if chunk.is_empty() => return Err(error),
-                // Truncation does not consume the cursor past the cut,
-                // so the error re-surfaces on the next (empty) pull —
-                // the sticky-error contract `pull_chunk` documents.
-                Err(_) => break,
-            }
-        }
-        Ok(chunk)
     }
 }
 
@@ -423,17 +351,20 @@ mod tests {
     fn payloads_are_views_into_the_arena_not_copies() {
         let bytes = to_bytes(&samples()).unwrap();
         let before = bytes.clone();
+        let arena = bytes.as_ptr();
         let mut reader = ZeroCopyCaptureReader::from_bytes(bytes).unwrap();
         let first = reader.read_record().unwrap().unwrap();
         let Transport::Udp { payload, .. } = &first.transport else {
             panic!("first sample is UDP");
         };
-        // The payload window must alias the arena: same bytes, and the
-        // arena outlives the reader through the payload's refcount.
+        // The payload window must alias the buffer the reader was given:
+        // same bytes, same address, and the arena outlives the reader
+        // through the payload's refcount.
         assert_eq!(payload.as_slice(), b"\xc3payload");
         drop(reader);
         // Header (8) + fixed record prefix (25) precede the payload.
         assert_eq!(payload.as_slice(), &before[33..41]);
+        assert_eq!(payload.as_ptr(), arena.wrapping_add(33));
     }
 
     #[test]
@@ -478,7 +409,13 @@ mod tests {
         let mut bad_version = to_bytes(&[]).unwrap();
         bad_version[4] = 99;
         assert!(matches!(
-            ZeroCopyCaptureReader::from_bytes(bad_version),
+            ZeroCopyCaptureReader::from_bytes(bad_version.clone()),
+            Err(CaptureError::BadVersion(99))
+        ));
+        // Judged field by field: a bad version is reported even when the
+        // reserved bytes after it are missing.
+        assert!(matches!(
+            ZeroCopyCaptureReader::from_bytes(bad_version[..6].to_vec()),
             Err(CaptureError::BadVersion(99))
         ));
     }
@@ -501,15 +438,52 @@ mod tests {
     }
 
     #[test]
-    fn decoder_buffer_checked_reads_never_panic() {
-        let mut buf = DecoderBuffer::new(Bytes::from(vec![1, 2, 3]));
-        assert_eq!(buf.read_u16_le().unwrap(), 0x0201);
-        assert!(matches!(buf.read_u32_le(), Err(CaptureError::Truncated)));
-        assert!(matches!(buf.read_u64_le(), Err(CaptureError::Truncated)));
-        assert!(matches!(buf.split_slice(2), Err(CaptureError::Truncated)));
-        assert_eq!(buf.read_u8().unwrap(), 3);
-        assert!(buf.is_empty());
-        assert!(matches!(buf.read_u8(), Err(CaptureError::Truncated)));
-        assert_eq!(buf.offset(), 3);
+    fn errors_follow_field_order_like_the_legacy_reader() {
+        // An unknown tag is reported before the tail it would announce is
+        // found missing, an unknown ICMP kind whatever follows it.
+        let cases = [
+            (9, &[][..], "BadTag(9)"),
+            (TAG_ICMP, &[77, 1, 2][..], "BadValue(\"icmp kind\")"),
+        ];
+        for (tag, tail, want) in cases {
+            let mut bytes = to_bytes(&[]).unwrap();
+            bytes.extend_from_slice(&[0; 16]);
+            bytes.push(tag);
+            bytes.extend_from_slice(tail);
+            let legacy = from_bytes(&bytes).unwrap_err();
+            let mut reader = ZeroCopyCaptureReader::from_bytes(bytes).unwrap();
+            assert_eq!(format!("{legacy:?}"), want);
+            assert_eq!(format!("{:?}", reader.read_record().unwrap_err()), want);
+        }
+    }
+
+    #[test]
+    fn reads_never_panic_and_never_stop_inside_a_record() {
+        let bytes = to_bytes(&samples()).unwrap();
+        for cut in 8..bytes.len() {
+            let mut reader = ZeroCopyCaptureReader::from_bytes(bytes[..cut].to_vec()).unwrap();
+            let mut decoded = 0u64;
+            let error = loop {
+                match reader.read_record() {
+                    Ok(Some(_)) => decoded += 1,
+                    Ok(None) => break None,
+                    Err(error) => break Some(error),
+                }
+            };
+            let Some(error) = error else { continue };
+            // The cursor stayed at the start of the cut record: the same
+            // error again, the same bytes left, nothing more decoded.
+            let left = reader.remaining_bytes();
+            assert!(left > 0, "cut {cut}: an error left no bytes behind");
+            for _ in 0..3 {
+                assert_eq!(
+                    format!("{:?}", reader.read_record().unwrap_err()),
+                    format!("{error:?}"),
+                    "cut {cut}"
+                );
+                assert_eq!(reader.remaining_bytes(), left, "cut {cut}");
+            }
+            assert_eq!(reader.records_read(), decoded);
+        }
     }
 }

@@ -141,12 +141,14 @@ pub fn scatter<S: Send, R: Send>(
 /// that reads only the direction takes
 /// [`MessageKinds`](quicsand_dissect::MessageKinds) and skips the Client
 /// Hello trial decryption. Counters and events do not depend on `D`.
-pub fn admit_each<D: Extraction, S: Subscriber>(
+/// A baseline product borrows its record from the slice; only a sink
+/// that keeps it clones it.
+pub fn admit_each<'r, D: Extraction, S: Subscriber>(
     pipeline: &mut TelescopePipeline,
-    part: ShardRecords<'_>,
+    part: ShardRecords<'r>,
     base: u64,
     subscriber: &mut S,
-    sink: impl FnMut(usize, Admitted<D>, &EventMeta, &mut S),
+    sink: impl FnMut(usize, Admitted<'r, D>, &EventMeta, &mut S),
 ) {
     // Whole slice or index list: chosen once per shard, not per record,
     // and each arm is its own loop over a concrete iterator.
@@ -160,13 +162,13 @@ pub fn admit_each<D: Extraction, S: Subscriber>(
     }
 }
 
-fn admit_indices<D: Extraction, S: Subscriber>(
+fn admit_indices<'r, D: Extraction, S: Subscriber>(
     pipeline: &mut TelescopePipeline,
-    records: &[PacketRecord],
+    records: &'r [PacketRecord],
     indices: impl Iterator<Item = usize>,
     base: u64,
     subscriber: &mut S,
-    mut sink: impl FnMut(usize, Admitted<D>, &EventMeta, &mut S),
+    mut sink: impl FnMut(usize, Admitted<'r, D>, &EventMeta, &mut S),
 ) {
     for index in indices {
         let meta = EventMeta::record(base + index as u64);
@@ -211,7 +213,7 @@ fn ingest_shard(part: ShardRecords<'_>, guard: GuardConfig) -> ShardIngest {
         &mut NoopSubscriber,
         |index, product, _, _| match product {
             Admitted::Quic(obs) => shard.quic.push((index, obs)),
-            Admitted::Baseline(record) => shard.baseline.push((index, record)),
+            Admitted::Baseline(record) => shard.baseline.push((index, record.clone())),
             Admitted::Dropped => {}
         },
     );
@@ -380,7 +382,7 @@ mod tests {
                     &mut NoopSubscriber,
                     |index, product, _, _| match product {
                         Admitted::Quic(obs) => quic.push((index, obs)),
-                        Admitted::Baseline(record) => baseline.push((index, record)),
+                        Admitted::Baseline(record) => baseline.push((index, record.clone())),
                         Admitted::Dropped => {}
                     },
                 );

@@ -48,14 +48,15 @@ pub struct QuicObservation<D = DissectedPacket> {
 /// the caller instead of being buffered, so an unbounded stream can be
 /// processed in constant memory (modulo per-source guard state).
 /// `D` is what a QUIC payload's dissection extracts, as in
-/// [`QuicObservation`].
+/// [`QuicObservation`]; `'r` is the borrow of the admitted record.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Admitted<D = DissectedPacket> {
+pub enum Admitted<'r, D = DissectedPacket> {
     /// A validated QUIC packet (request or response).
     Quic(QuicObservation<D>),
     /// A TCP/ICMP record passed through to the common-protocols
-    /// baseline.
-    Baseline(PacketRecord),
+    /// baseline: the caller's own record, not a copy — a caller that
+    /// keeps it past the slice clones it.
+    Baseline(&'r PacketRecord),
     /// Quarantined or out of scope; the reason is counted in
     /// [`IngestStats`].
     Dropped,
@@ -655,7 +656,7 @@ impl TelescopePipeline {
     /// decision with the batch path. Counters advance identically to
     /// [`ingest`](Self::ingest); only the destination of the admitted
     /// record differs.
-    pub fn admit(&mut self, record: &PacketRecord) -> Admitted {
+    pub fn admit<'r>(&mut self, record: &'r PacketRecord) -> Admitted<'r> {
         self.admit_classified(record, classify_record(record))
     }
 
@@ -712,7 +713,7 @@ impl TelescopePipeline {
     pub fn ingest_classified(&mut self, record: &PacketRecord, classification: Classification) {
         match self.admit_classified(record, classification) {
             Admitted::Quic(obs) => self.quic.push(obs),
-            Admitted::Baseline(record) => self.baseline.push(record),
+            Admitted::Baseline(record) => self.baseline.push(record.clone()),
             Admitted::Dropped => {}
         }
     }
@@ -720,11 +721,11 @@ impl TelescopePipeline {
     /// [`admit`](Self::admit) under an externally supplied
     /// classification — the shared guard/quarantine/dissection core of
     /// both execution modes.
-    pub fn admit_classified(
+    pub fn admit_classified<'r>(
         &mut self,
-        record: &PacketRecord,
+        record: &'r PacketRecord,
         classification: Classification,
-    ) -> Admitted {
+    ) -> Admitted<'r> {
         self.admit_classified_with(
             record,
             classification,
@@ -740,12 +741,12 @@ impl TelescopePipeline {
     /// [`DissectedPacket`] this monomorphizes to exactly
     /// [`admit`](Self::admit) — the subscriber-free hot path carries no
     /// event code.
-    pub fn admit_with<D: Extraction, S: Subscriber>(
+    pub fn admit_with<'r, D: Extraction, S: Subscriber>(
         &mut self,
-        record: &PacketRecord,
+        record: &'r PacketRecord,
         meta: &EventMeta,
         subscriber: &mut S,
-    ) -> Admitted<D> {
+    ) -> Admitted<'r, D> {
         self.admit_classified_with(record, classify_record(record), meta, subscriber)
     }
 
@@ -761,13 +762,13 @@ impl TelescopePipeline {
     ///
     /// [`admit_classified`]: Self::admit_classified
     /// [`admit_with`]: Self::admit_with
-    pub fn admit_classified_with<D: Extraction, S: Subscriber>(
+    pub fn admit_classified_with<'r, D: Extraction, S: Subscriber>(
         &mut self,
-        record: &PacketRecord,
+        record: &'r PacketRecord,
         classification: Classification,
         meta: &EventMeta,
         subscriber: &mut S,
-    ) -> Admitted<D> {
+    ) -> Admitted<'r, D> {
         self.stats.total += 1;
         if let Some(error) = self.guard_check(record) {
             self.stats.quarantine.record(&error);
@@ -869,11 +870,11 @@ impl TelescopePipeline {
             }
             Classification::Tcp => {
                 self.stats.tcp += 1;
-                Admitted::Baseline(record.clone())
+                Admitted::Baseline(record)
             }
             Classification::Icmp => {
                 self.stats.icmp += 1;
-                Admitted::Baseline(record.clone())
+                Admitted::Baseline(record)
             }
             Classification::OtherUdp => {
                 self.stats.other_udp += 1;

@@ -121,11 +121,11 @@ rss_smoke() {
   # capture arena and the QUIC observations (or the detector state),
   # never a decoded copy of the capture and never a second arena. The
   # process's own peak-RSS gauge (Linux VmHWM) must therefore stay below
-  # arena + one decoded copy — capture bytes + 56 B per record; a build
-  # that materialises the records once lands near the bound, one that
-  # also buffers the admitted TCP/ICMP records (as `analyze` did before
-  # the streaming fold) or reads the file into a `Vec` before copying it
-  # into the arena (as `live` did) well above it.
+  # arena + one decoded copy — capture bytes + 48 B per record (the size
+  # of a `PacketRecord`); a build that materialises the records once
+  # lands near the bound, one that also buffers the admitted TCP/ICMP
+  # records (as `analyze` did before the streaming fold) or copies the
+  # read buffer into the arena instead of taking it over well above it.
   echo "==> rss-smoke: analyze and live peak RSS below capture + one decoded copy"
   local rss_dir profile bytes records peak bound command
   local -a run
@@ -145,7 +145,7 @@ rss_smoke() {
   fi
   "${run[@]}" live "$rss_dir/ref.qscp" --shards 2 \
     --metrics-out "$rss_dir/live.json" >/dev/null 2>&1
-  bound=$((bytes + 56 * records))
+  bound=$((bytes + 48 * records))
   for command in analyze live; do
     # Canonical JSON: one series per line.
     peak="$(sed -n '/"quicsand_process_peak_rss_bytes"/s/.*"value": \([0-9][0-9]*\).*/\1/p' \
@@ -159,10 +159,10 @@ rss_smoke() {
       return
     fi
     if ((peak >= bound)); then
-      echo "rss-smoke: $command peak RSS $peak B >= bound $bound B ($bytes capture bytes + 56 B x $records records)" >&2
+      echo "rss-smoke: $command peak RSS $peak B >= bound $bound B ($bytes capture bytes + 48 B x $records records)" >&2
       exit 1
     fi
-    echo "rss-smoke: $command peak RSS $peak B < bound $bound B ($bytes capture bytes + 56 B x $records records) — OK"
+    echo "rss-smoke: $command peak RSS $peak B < bound $bound B ($bytes capture bytes + 48 B x $records records) — OK"
   done
 }
 
@@ -285,6 +285,21 @@ for needle in 'Vec<PacketRecord>' 'baseline.push'; do
     exit 1
   fi
 done
+
+echo "==> one copy of the capture, none of a record: the arena takes the read buffer over, admit borrows"
+# `Bytes::from(Vec)` takes the vector over, so a file read into a `Vec` is
+# the arena; a `read_from` beside it is the workaround for a copying
+# `From`, and means the copy is back. A baseline product that clones its
+# record copies every TCP/ICMP record the admit loop sees, only for its
+# caller to read two fields of it; the callers that keep one clone it.
+if nontest_code vendor/bytes/src/lib.rs | grep -n 'fn read_from'; then
+  echo "bytes pin: \`fn read_from\` in non-test code of vendor/bytes/src/lib.rs" >&2
+  exit 1
+fi
+if nontest_code crates/telescope/src/pipeline.rs | grep -nF 'Baseline(record.clone())'; then
+  echo "admit pin: \`Baseline(record.clone())\` in non-test code of crates/telescope/src/pipeline.rs" >&2
+  exit 1
+fi
 
 if [[ $quick -eq 0 ]]; then
   echo "==> checkpoint allocation pin"

@@ -13,12 +13,14 @@
 //! * a cut exactly at a record boundary → clean end of stream, with
 //!   every preceding record decoded;
 //! * a cut anywhere inside a record — including mid-timestamp —
-//!   → `Truncated`.
+//!   → `Truncated`;
+//! * for the zero-copy reader, that error is sticky: every later pull
+//!   reports it again, through every pull interface.
 
 use bytes::Bytes;
 use quicsand_net::capture::{from_bytes, to_bytes, CaptureError};
 use quicsand_net::zerocopy::ZeroCopyCaptureReader;
-use quicsand_net::{IcmpKind, PacketRecord, TcpFlags, Timestamp};
+use quicsand_net::{IcmpKind, PacketRecord, StreamSource, TcpFlags, Timestamp};
 use std::net::Ipv4Addr;
 
 /// One record of every transport, so the sweep crosses every field kind
@@ -155,4 +157,76 @@ fn valid_prefix_is_delivered_before_the_truncation_error() {
     }
     assert!(matches!(legacy.next(), Some(Err(CaptureError::Truncated))));
     assert!(matches!(zero.read_record(), Err(CaptureError::Truncated)));
+}
+
+/// Every way of pulling records from the zero-copy reader sees a cut the
+/// same way: the records before it, then `Truncated`, then `Truncated`
+/// again — never a clean end of stream after the error. A reader whose
+/// cursor stopped wherever a field read failed got this wrong at field
+/// boundaries (8, 12, 16, 17, 21 or 25 bytes into a UDP record): the
+/// error was reported once and the next pull read a clean end, so a
+/// `pull_chunk` consumer — which takes the good records first and the
+/// error on its next call — never saw it.
+#[test]
+fn a_cut_is_reported_again_by_every_pull_interface() {
+    let records = samples();
+    let bytes = to_bytes(&records).unwrap();
+    let boundaries = record_boundaries(&records);
+    for cut in 8..=bytes.len() {
+        let open = || ZeroCopyCaptureReader::from_bytes(bytes[..cut].to_vec()).unwrap();
+        // Records that fit before the cut; a cut on a boundary is a clean
+        // end, and stays one.
+        let complete = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
+        let want = &records[..complete];
+        let clean = boundaries.contains(&cut);
+        let tail = |result: &Result<usize, CaptureError>| match result {
+            Ok(0) => clean,
+            Err(CaptureError::Truncated) => !clean,
+            _ => false,
+        };
+
+        let mut reader = open();
+        if !want.is_empty() {
+            assert_eq!(
+                reader.pull_chunk(64).unwrap(),
+                want,
+                "pull_chunk, cut {cut}"
+            );
+        }
+        for _ in 0..2 {
+            let next = reader.pull_chunk(64).map(|chunk| chunk.len());
+            assert!(
+                tail(&next),
+                "pull_chunk after the records, cut {cut}: {next:?}"
+            );
+        }
+
+        let mut reader = open();
+        for record in want {
+            assert_eq!(&reader.next_record().unwrap().unwrap(), record, "cut {cut}");
+        }
+        for _ in 0..2 {
+            let next = reader
+                .next_record()
+                .transpose()
+                .map(|r| usize::from(r.is_some()));
+            assert!(
+                tail(&next),
+                "next_record after the records, cut {cut}: {next:?}"
+            );
+        }
+
+        let mut reader = open();
+        for record in want {
+            let batch = reader.read_batch(1).unwrap();
+            assert_eq!(batch.records(), std::slice::from_ref(record), "cut {cut}");
+        }
+        for _ in 0..2 {
+            let next = reader.read_batch(64).map(|batch| batch.len());
+            assert!(
+                tail(&next),
+                "read_batch after the records, cut {cut}: {next:?}"
+            );
+        }
+    }
 }
