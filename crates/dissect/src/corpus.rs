@@ -5,8 +5,9 @@
 //! reserved-bit violations, bogus versions — each annotated with the
 //! *typed error* (or success) it must dissect to. The corpus backs two
 //! test suites: the dissector's own typed-error conformance test, and
-//! the capture-layer differential test that replays every entry through
-//! both the legacy copying reader and the zero-copy decoder.
+//! the capture round-trip test that writes every entry to a capture,
+//! reads it back and dissects each payload as a view into the reader's
+//! arena.
 
 use bytes::Bytes;
 use quicsand_wire::crypto::{seal, InitialSecrets, TAG_LEN};

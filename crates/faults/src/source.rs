@@ -87,27 +87,22 @@ impl<F: SourceFactory> SourceFactory for FlakyFactory<F> {
             inner,
             fail_at,
             position: 0,
-            dead: false,
         }))
     }
 }
 
 /// A session that reports an injected I/O failure when it reaches its
-/// planned absolute position, then stays dead.
+/// planned absolute position, then stays dead: the position no longer
+/// advances, so every later pull reports the same failure.
 struct FlakySource {
     inner: DynSource,
     fail_at: Option<u64>,
     position: u64,
-    dead: bool,
 }
 
 impl StreamSource for FlakySource {
     fn next_record(&mut self) -> Option<Result<PacketRecord, CaptureError>> {
-        if self.dead {
-            return None;
-        }
         if self.fail_at == Some(self.position) {
-            self.dead = true;
             return Some(Err(CaptureError::Io(std::io::Error::new(
                 std::io::ErrorKind::ConnectionReset,
                 "injected source failure",
@@ -159,8 +154,10 @@ mod tests {
         for _ in 0..7 {
             assert!(matches!(session.next_record(), Some(Ok(_))));
         }
-        assert!(matches!(session.next_record(), Some(Err(_))));
-        assert!(session.next_record().is_none(), "stays dead");
+        for _ in 0..3 {
+            let error = session.next_record().unwrap().unwrap_err();
+            assert!(error.to_string().contains("injected source failure"));
+        }
         // The next session dies strictly later: guaranteed progress.
         let mut session = factory.open().unwrap();
         for _ in 0..30 {
@@ -176,6 +173,19 @@ mod tests {
         }
         assert_eq!(n, 100);
         assert_eq!(factory.opens(), 3);
+    }
+
+    #[test]
+    fn a_chunked_pull_hands_over_the_records_then_the_failure() {
+        let records: Vec<_> = (0..100).map(record).collect();
+        let plan = FlakyPlan { points: vec![7] };
+        let mut session = FlakyFactory::new(memory_factory(records.clone()), plan)
+            .open()
+            .unwrap();
+        assert_eq!(session.pull_chunk(64).unwrap(), records[..7]);
+        for _ in 0..2 {
+            assert!(session.pull_chunk(64).is_err(), "the failure is not an end");
+        }
     }
 
     #[test]

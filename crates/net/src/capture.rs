@@ -4,7 +4,8 @@
 //! lets the experiment harness generate once and analyze many times,
 //! just like the paper works from a fixed April 2021 trace. The format
 //! is deliberately simple: a magic header followed by length-delimited
-//! records.
+//! records. [`CaptureWriter`] writes it; the one reader is
+//! [`ZeroCopyCaptureReader`].
 //!
 //! ```text
 //! file   := "QSCP" u16:version u16:reserved record*
@@ -16,11 +17,9 @@
 //! All integers little-endian.
 
 use crate::record::{IcmpKind, PacketRecord, TcpFlags, Transport};
-use crate::time::Timestamp;
-use bytes::Bytes;
+use crate::zerocopy::ZeroCopyCaptureReader;
 use std::fmt;
-use std::io::{self, Read, Write};
-use std::net::Ipv4Addr;
+use std::io::{self, Write};
 
 /// File magic.
 pub const MAGIC: &[u8; 4] = b"QSCP";
@@ -170,137 +169,6 @@ impl<W: Write> CaptureWriter<W> {
     }
 }
 
-/// Streaming capture reader; iterate to obtain records.
-pub struct CaptureReader<R: Read> {
-    inner: R,
-}
-
-impl<R: Read> CaptureReader<R> {
-    /// Creates a reader, validating the file header.
-    ///
-    /// # Errors
-    /// [`CaptureError`] on IO failure or bad header.
-    pub fn new(mut inner: R) -> Result<Self, CaptureError> {
-        let mut magic = [0u8; 4];
-        inner.read_exact(&mut magic).map_err(map_truncation)?;
-        if &magic != MAGIC {
-            return Err(CaptureError::BadMagic);
-        }
-        let mut ver = [0u8; 2];
-        inner.read_exact(&mut ver).map_err(map_truncation)?;
-        let version = u16::from_le_bytes(ver);
-        if version != FORMAT_VERSION {
-            return Err(CaptureError::BadVersion(version));
-        }
-        let mut reserved = [0u8; 2];
-        inner.read_exact(&mut reserved).map_err(map_truncation)?;
-        Ok(CaptureReader { inner })
-    }
-
-    /// Reads the leading timestamp of the next record, distinguishing a
-    /// clean end of stream (zero bytes available at a record boundary)
-    /// from a record cut mid-timestamp (some but not all of the 8 bytes
-    /// present), which must be reported as [`CaptureError::Truncated`]
-    /// — `read_exact`'s `UnexpectedEof` conflates the two.
-    fn read_ts(&mut self) -> Result<Option<u64>, CaptureError> {
-        let mut ts_buf = [0u8; 8];
-        let mut filled = 0;
-        while filled < ts_buf.len() {
-            match self.inner.read(&mut ts_buf[filled..]) {
-                Ok(0) if filled == 0 => return Ok(None),
-                Ok(0) => return Err(CaptureError::Truncated),
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(Some(u64::from_le_bytes(ts_buf)))
-    }
-
-    fn read_record(&mut self) -> Result<Option<PacketRecord>, CaptureError> {
-        let ts = match self.read_ts()? {
-            Some(micros) => Timestamp::from_micros(micros),
-            None => return Ok(None),
-        };
-        let src = Ipv4Addr::from(self.read_u32()?);
-        let dst = Ipv4Addr::from(self.read_u32()?);
-        let tag = self.read_u8()?;
-        let transport = match tag {
-            TAG_UDP => {
-                let src_port = self.read_u16()?;
-                let dst_port = self.read_u16()?;
-                let len = self.read_u32()?;
-                if len as usize > MAX_UDP_PAYLOAD {
-                    return Err(CaptureError::OversizedPayload(len));
-                }
-                let mut payload = vec![0u8; len as usize];
-                self.inner
-                    .read_exact(&mut payload)
-                    .map_err(map_truncation)?;
-                Transport::Udp {
-                    src_port,
-                    dst_port,
-                    payload: Bytes::from(payload),
-                }
-            }
-            TAG_TCP => {
-                let src_port = self.read_u16()?;
-                let dst_port = self.read_u16()?;
-                let flags = decode_flags(self.read_u8()?);
-                Transport::Tcp {
-                    src_port,
-                    dst_port,
-                    flags,
-                }
-            }
-            TAG_ICMP => Transport::Icmp {
-                kind: decode_icmp(self.read_u8()?)?,
-            },
-            other => return Err(CaptureError::BadTag(other)),
-        };
-        Ok(Some(PacketRecord {
-            ts,
-            src,
-            dst,
-            transport,
-        }))
-    }
-
-    fn read_u8(&mut self) -> Result<u8, CaptureError> {
-        let mut b = [0u8; 1];
-        self.inner.read_exact(&mut b).map_err(map_truncation)?;
-        Ok(b[0])
-    }
-
-    fn read_u16(&mut self) -> Result<u16, CaptureError> {
-        let mut b = [0u8; 2];
-        self.inner.read_exact(&mut b).map_err(map_truncation)?;
-        Ok(u16::from_le_bytes(b))
-    }
-
-    fn read_u32(&mut self) -> Result<u32, CaptureError> {
-        let mut b = [0u8; 4];
-        self.inner.read_exact(&mut b).map_err(map_truncation)?;
-        Ok(u32::from_le_bytes(b))
-    }
-}
-
-fn map_truncation(e: io::Error) -> CaptureError {
-    if e.kind() == io::ErrorKind::UnexpectedEof {
-        CaptureError::Truncated
-    } else {
-        CaptureError::Io(e)
-    }
-}
-
-impl<R: Read> Iterator for CaptureReader<R> {
-    type Item = Result<PacketRecord, CaptureError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.read_record().transpose()
-    }
-}
-
 fn encode_flags(flags: TcpFlags) -> u8 {
     (flags.syn as u8) | (flags.ack as u8) << 1 | (flags.rst as u8) << 2 | (flags.fin as u8) << 3
 }
@@ -350,12 +218,15 @@ pub fn to_bytes(records: &[PacketRecord]) -> io::Result<Vec<u8>> {
 /// # Errors
 /// [`CaptureError`] on malformed input.
 pub fn from_bytes(data: &[u8]) -> Result<Vec<PacketRecord>, CaptureError> {
-    CaptureReader::new(data)?.collect()
+    ZeroCopyCaptureReader::from_bytes(data.to_vec())?.read_to_end()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::Timestamp;
+    use bytes::Bytes;
+    use std::net::Ipv4Addr;
 
     fn samples() -> Vec<PacketRecord> {
         vec![
@@ -525,7 +396,7 @@ mod tests {
     #[test]
     fn streaming_iteration() {
         let bytes = to_bytes(&samples()).unwrap();
-        let reader = CaptureReader::new(&bytes[..]).unwrap();
+        let reader = ZeroCopyCaptureReader::from_bytes(bytes).unwrap();
         let mut count = 0;
         for record in reader {
             record.unwrap();

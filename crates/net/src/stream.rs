@@ -1,25 +1,28 @@
 //! Unbounded record sources for the live engine.
 //!
-//! The batch pipeline slurps a whole capture into a `Vec`; the live
-//! engine instead pulls records one at a time from a [`StreamSource`],
-//! so a stream has no inherent end (a replayed capture simply runs
-//! dry). Two adapters are provided: every [`CaptureReader`] is a
-//! source (file replay), and [`MemoryStream`] replays an in-memory
-//! record vector (e.g. a `traffic` scenario) without cloning it up
-//! front.
+//! The batch pipeline reads a capture in slices; the live engine
+//! instead pulls records from a [`StreamSource`], so a stream has no
+//! inherent end (a replayed capture simply runs dry). The capture
+//! reader, [`crate::ZeroCopyCaptureReader`], is a source (file replay), and
+//! [`MemoryStream`] replays an in-memory record vector (e.g. a
+//! `traffic` scenario) without cloning it up front.
 
-use crate::capture::{CaptureError, CaptureReader};
+use crate::capture::CaptureError;
 use crate::record::PacketRecord;
-use std::io::Read;
 
 /// A pull-based, possibly unbounded stream of packet records.
 ///
 /// `None` means the source is exhausted (a finite replay ended); a
 /// live capture source would simply block in `next_record` until
 /// traffic arrives.
+///
+/// Errors are sticky: once `next_record` has returned `Some(Err(_))`,
+/// every later call returns the same error again, never a record and
+/// never `None`. A consumer that stops early therefore cannot mistake a
+/// failed source for a finished one.
 pub trait StreamSource {
-    /// Pulls the next record. `Some(Err(_))` reports a corrupt record;
-    /// callers decide whether to stop or skip.
+    /// Pulls the next record. `Some(Err(_))` reports a corrupt record or
+    /// a failed source, and repeats on every later call.
     fn next_record(&mut self) -> Option<Result<PacketRecord, CaptureError>>;
 
     /// Pulls up to `max` records into a chunk (for batched hand-off to
@@ -31,28 +34,12 @@ pub trait StreamSource {
         while chunk.len() < max {
             match self.next_record() {
                 Some(Ok(record)) => chunk.push(record),
-                Some(Err(error)) => {
-                    if chunk.is_empty() {
-                        return Err(error);
-                    }
-                    // Surface the partial chunk now; the error is lost
-                    // unless the underlying reader re-reports it, so
-                    // only readers with sticky errors should rely on
-                    // this. `ZeroCopyCaptureReader` re-reports it;
-                    // `CaptureReader` has consumed the cut record and
-                    // ends the stream instead.
-                    break;
-                }
-                None => break,
+                Some(Err(error)) if chunk.is_empty() => return Err(error),
+                // The error is sticky: the next call reports it.
+                Some(Err(_)) | None => break,
             }
         }
         Ok(chunk)
-    }
-}
-
-impl<R: Read> StreamSource for CaptureReader<R> {
-    fn next_record(&mut self) -> Option<Result<PacketRecord, CaptureError>> {
-        self.next()
     }
 }
 
@@ -142,21 +129,14 @@ mod tests {
 
     #[test]
     fn capture_reader_is_a_stream_source() {
-        use crate::capture::{CaptureReader, CaptureWriter};
-        let mut buf = Vec::new();
-        {
-            let mut writer = CaptureWriter::new(&mut buf).unwrap();
-            for i in 0..5 {
-                writer.write(&record(i)).unwrap();
-            }
-            writer.finish().unwrap();
-        }
-        let mut reader = CaptureReader::new(buf.as_slice()).unwrap();
-        let mut n = 0;
+        use crate::capture::to_bytes;
+        use crate::zerocopy::ZeroCopyCaptureReader;
+        let records: Vec<_> = (0..5).map(record).collect();
+        let mut reader = ZeroCopyCaptureReader::from_bytes(to_bytes(&records).unwrap()).unwrap();
+        let mut out = Vec::new();
         while let Some(r) = StreamSource::next_record(&mut reader) {
-            r.unwrap();
-            n += 1;
+            out.push(r.unwrap());
         }
-        assert_eq!(n, 5);
+        assert_eq!(out, records);
     }
 }

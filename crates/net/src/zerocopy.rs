@@ -1,13 +1,11 @@
-//! Zero-copy batched capture decoding.
+//! Zero-copy batched capture decoding: the one `QSCP` reader.
 //!
-//! [`crate::capture::CaptureReader`] is a streaming reader over any
-//! `Read`: it allocates a fresh `Vec` for every UDP payload and copies
-//! each record's bytes out of the IO buffer. That is the right shape for
-//! unbounded pipes, but for capture *files* — the dominant case, replayed
-//! many times per generation — the whole file fits in memory and the
-//! per-record copies are pure overhead.
+//! Capture files are replayed many times per generation and fit in
+//! memory, so a reader that copied each record's bytes out of an IO
+//! buffer, and allocated a fresh `Vec` per UDP payload, would pay for
+//! copies nothing needs.
 //!
-//! This module decodes records against a single immutable arena instead:
+//! This module decodes records against a single immutable arena:
 //!
 //! * the file is read **once**, and the read buffer itself becomes the
 //!   arena — [`Bytes::from`] takes a `Vec` over, it does not copy it;
@@ -24,7 +22,7 @@
 //! argument); the decoding discipline is identical to what a mapped
 //! buffer would use.
 //!
-//! ## Truncation contract (shared with `CaptureReader`)
+//! ## Truncation contract
 //!
 //! * fewer than 8 header bytes → [`CaptureError::Truncated`];
 //! * zero bytes remaining at a record boundary → clean end of stream;
@@ -105,12 +103,11 @@ impl RecordBatch {
     }
 }
 
-/// Arena-backed capture decoder: the zero-copy counterpart of
-/// [`crate::capture::CaptureReader`].
+/// Arena-backed capture decoder for the `QSCP` format that
+/// [`crate::capture::CaptureWriter`] writes.
 ///
-/// Decodes the same `QSCP` format with the same error taxonomy and the
-/// same truncation contract, but UDP payloads are O(1) [`Bytes`] views
-/// into a single file-sized arena instead of per-record heap copies.
+/// UDP payloads are O(1) [`Bytes`] views into a single file-sized arena
+/// instead of per-record heap copies.
 ///
 /// Cloning is O(1): the clone shares the arena and reads on from the
 /// same position independently — a second pass over a capture costs no
@@ -130,7 +127,7 @@ impl ZeroCopyCaptureReader {
     /// # Errors
     /// [`CaptureError::Truncated`] for fewer than 8 header bytes,
     /// [`CaptureError::BadMagic`] / [`CaptureError::BadVersion`] for a
-    /// corrupt header — the same taxonomy as `CaptureReader::new`.
+    /// corrupt header, judged field by field.
     pub fn from_bytes(data: impl Into<Bytes>) -> Result<Self, CaptureError> {
         let arena = data.into();
         // Field by field, so a short header is judged on what it has.
@@ -239,8 +236,7 @@ impl ZeroCopyCaptureReader {
     ///
     /// An empty batch signals a clean end of stream. A decode error after
     /// some records of the batch already decoded is reported immediately
-    /// — the partial batch is discarded, matching the legacy reader's
-    /// fail-on-first-error iteration.
+    /// — the partial batch is discarded.
     ///
     /// # Errors
     /// As [`read_record`](Self::read_record).
@@ -297,7 +293,7 @@ impl StreamSource for ZeroCopyCaptureReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::{from_bytes, to_bytes, CaptureReader};
+    use crate::capture::to_bytes;
     use crate::record::{IcmpKind, TcpFlags};
 
     fn samples() -> Vec<PacketRecord> {
@@ -333,18 +329,6 @@ mod tests {
                 Bytes::new(),
             ),
         ]
-    }
-
-    #[test]
-    fn decodes_identically_to_the_legacy_reader() {
-        let bytes = to_bytes(&samples()).unwrap();
-        let legacy = from_bytes(&bytes).unwrap();
-        let zero = ZeroCopyCaptureReader::from_bytes(bytes)
-            .unwrap()
-            .read_to_end()
-            .unwrap();
-        assert_eq!(legacy, zero);
-        assert_eq!(zero, samples());
     }
 
     #[test]
@@ -385,9 +369,9 @@ mod tests {
     }
 
     #[test]
-    fn header_taxonomy_matches_legacy() {
+    fn header_errors_are_typed_field_by_field() {
         // Short header → Truncated, bad magic → BadMagic, bad version →
-        // BadVersion; identical to `CaptureReader::new`.
+        // BadVersion.
         for cut in 0..8 {
             let bytes = to_bytes(&[]).unwrap();
             let result = ZeroCopyCaptureReader::from_bytes(bytes[..cut].to_vec());
@@ -395,10 +379,6 @@ mod tests {
                 matches!(result, Err(CaptureError::Truncated)),
                 "header cut at {cut}"
             );
-            assert!(matches!(
-                CaptureReader::new(&bytes[..cut]),
-                Err(CaptureError::Truncated)
-            ));
         }
         let mut bad_magic = to_bytes(&[]).unwrap();
         bad_magic[0] = b'X';
@@ -438,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn errors_follow_field_order_like_the_legacy_reader() {
+    fn errors_follow_field_order() {
         // An unknown tag is reported before the tail it would announce is
         // found missing, an unknown ICMP kind whatever follows it.
         let cases = [
@@ -450,9 +430,7 @@ mod tests {
             bytes.extend_from_slice(&[0; 16]);
             bytes.push(tag);
             bytes.extend_from_slice(tail);
-            let legacy = from_bytes(&bytes).unwrap_err();
             let mut reader = ZeroCopyCaptureReader::from_bytes(bytes).unwrap();
-            assert_eq!(format!("{legacy:?}"), want);
             assert_eq!(format!("{:?}", reader.read_record().unwrap_err()), want);
         }
     }

@@ -657,7 +657,7 @@ impl TelescopePipeline {
     /// [`ingest`](Self::ingest); only the destination of the admitted
     /// record differs.
     pub fn admit<'r>(&mut self, record: &'r PacketRecord) -> Admitted<'r> {
-        self.admit_classified(record, classify_record(record))
+        self.admit_with(record, &EventMeta::lifecycle(), &mut NoopSubscriber)
     }
 
     /// Runs the pre-classification guard: duplicate suppression and
@@ -706,32 +706,22 @@ impl TelescopePipeline {
     /// Ingests one record under an externally supplied classification.
     ///
     /// This is the panic-free buffering wrapper of
-    /// [`admit_classified`](Self::admit_classified): guard rejections
-    /// (duplicates, backwards timestamps) and dissection failures are
-    /// counted per kind in [`IngestStats::quarantine`] and dropped
-    /// rather than crashing the whole run.
+    /// [`admit_classified_with`](Self::admit_classified_with): guard
+    /// rejections (duplicates, backwards timestamps) and dissection
+    /// failures are counted per kind in [`IngestStats::quarantine`] and
+    /// dropped rather than crashing the whole run.
     pub fn ingest_classified(&mut self, record: &PacketRecord, classification: Classification) {
-        match self.admit_classified(record, classification) {
-            Admitted::Quic(obs) => self.quic.push(obs),
-            Admitted::Baseline(record) => self.baseline.push(record.clone()),
-            Admitted::Dropped => {}
-        }
-    }
-
-    /// [`admit`](Self::admit) under an externally supplied
-    /// classification — the shared guard/quarantine/dissection core of
-    /// both execution modes.
-    pub fn admit_classified<'r>(
-        &mut self,
-        record: &'r PacketRecord,
-        classification: Classification,
-    ) -> Admitted<'r> {
-        self.admit_classified_with(
+        let admitted = self.admit_classified_with(
             record,
             classification,
             &EventMeta::lifecycle(),
             &mut NoopSubscriber,
-        )
+        );
+        match admitted {
+            Admitted::Quic(obs) => self.quic.push(obs),
+            Admitted::Baseline(record) => self.baseline.push(record.clone()),
+            Admitted::Dropped => {}
+        }
     }
 
     /// [`admit`](Self::admit) with typed-event emission and the
@@ -750,9 +740,9 @@ impl TelescopePipeline {
         self.admit_classified_with(record, classify_record(record), meta, subscriber)
     }
 
-    /// The shared core behind both [`admit_classified`] and
-    /// [`admit_with`]: guard → classification → dissection, with every
-    /// quarantine and Retry/VN sighting mirrored to `subscriber`.
+    /// The shared core behind [`admit_with`] and
+    /// [`ingest_classified`]: guard → classification → dissection, with
+    /// every quarantine and Retry/VN sighting mirrored to `subscriber`.
     ///
     /// A QUIC candidate's payload becomes a `D` ([`Extraction`]): every
     /// extraction accepts and rejects the same payloads, so the counters,
@@ -760,8 +750,8 @@ impl TelescopePipeline {
     /// whatever `D` the caller picks — only what the admitted product
     /// carries differs.
     ///
-    /// [`admit_classified`]: Self::admit_classified
     /// [`admit_with`]: Self::admit_with
+    /// [`ingest_classified`]: Self::ingest_classified
     pub fn admit_classified_with<'r, D: Extraction, S: Subscriber>(
         &mut self,
         record: &'r PacketRecord,

@@ -35,18 +35,16 @@
 
 use crate::config::ScenarioConfig;
 use crate::scenario::Scenario;
+use crate::streaming::{member_source, splitmix, Flow, FlowMerge, Pool};
 use bytes::Bytes;
-use quicsand_net::capture::CaptureError;
 use quicsand_net::rng::{exponential, poisson, substream};
-use quicsand_net::{Duration, Ipv4Prefix, PacketRecord, StreamSource, Timestamp};
+use quicsand_net::{Duration, Ipv4Prefix, PacketRecord, Timestamp};
 use quicsand_wire::crypto::InitialSecrets;
 use quicsand_wire::packet::{Packet, PacketPayload};
 use quicsand_wire::tls::{cipher_suite, ClientHello};
 use quicsand_wire::{ConnectionId, Frame, Version, MIN_INITIAL_SIZE, QUIC_PORT};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
@@ -449,28 +447,23 @@ fn version_drift(config: &ScenarioConfig) -> Scenario {
 /// and coverage widens from one epoch to the next.
 const SCAN_EPOCHS: u64 = 4;
 
-/// Parameters of an [`EvolvingScanStream`].
+/// Where and over what horizon an [`EvolvingScanStream`]'s scanners
+/// probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvolvingScanConfig {
-    /// Base seed; the same seed always yields the same stream.
-    pub seed: u64,
-    /// Total records across the whole scanner pool (all shards).
-    pub records: u64,
-    /// Scanner sources — the constant that bounds memory.
-    pub scanners: u32,
-    /// How many feeds the scanner pool is partitioned into.
-    pub shards: u32,
-    /// Which partition this stream yields (`scanner % shards`).
-    pub shard_index: u32,
+pub struct ScanSchedule {
     /// Where probes land — every record's destination stays inside.
-    pub telescope: Ipv4Prefix,
+    telescope: Ipv4Prefix,
     /// The schedule horizon the epochs divide.
-    pub horizon_secs: u64,
+    horizon_secs: u64,
 }
+
+/// Parameters of an [`EvolvingScanStream`]: a pool of scanners.
+pub type EvolvingScanConfig = Pool<ScanSchedule>;
 
 impl EvolvingScanConfig {
     /// An unsharded stream of `records` probes from `scanners` sources
-    /// over `horizon_secs`, aimed at `telescope`.
+    /// (`1..=MAX_POOL_MEMBERS`) over `horizon_secs`, aimed at
+    /// `telescope`.
     pub fn new(
         seed: u64,
         records: u64,
@@ -478,110 +471,78 @@ impl EvolvingScanConfig {
         telescope: Ipv4Prefix,
         horizon_secs: u64,
     ) -> Self {
-        EvolvingScanConfig {
-            seed,
-            records,
-            scanners: scanners.max(1),
-            shards: 1,
-            shard_index: 0,
+        let schedule = ScanSchedule {
             telescope,
             horizon_secs: horizon_secs.max(SCAN_EPOCHS),
-        }
-    }
-
-    /// This configuration restricted to one feed of an `n`-way
-    /// partition.
-    pub fn shard(self, n: u32, index: u32) -> Self {
-        assert!(index < n.max(1), "shard index out of range");
-        EvolvingScanConfig {
-            shards: n.max(1),
-            shard_index: index,
-            ..self
-        }
-    }
-
-    /// Records this (possibly sharded) stream will yield.
-    pub fn shard_records(&self) -> u64 {
-        (0..self.scanners)
-            .filter(|s| s % self.shards == self.shard_index)
-            .map(|s| self.scanner_budget(s))
-            .sum()
-    }
-
-    /// The global pool's budget for scanner `s`: an even split with
-    /// the remainder going to the lowest ids.
-    fn scanner_budget(&self, s: u32) -> u64 {
-        let base = self.records / u64::from(self.scanners);
-        let extra = u64::from(u64::from(s) < self.records % u64::from(self.scanners));
-        base + extra
+        };
+        Pool::with_model(seed, records, scanners, schedule)
     }
 
     /// Base inter-probe gap in microseconds for the first epoch; later
     /// epochs divide it by the epoch multiplier.
     fn base_gap_us(&self) -> u64 {
-        let per_scanner = (self.records / u64::from(self.scanners)).max(1);
-        ((self.horizon_secs * 1_000_000 * 2) / per_scanner).max(1_000)
+        let per_scanner = (self.records / u64::from(self.members)).max(1);
+        ((self.model.horizon_secs * 1_000_000 * 2) / per_scanner).max(1_000)
     }
 }
 
-/// `splitmix64` step (same allocation-free rng the record stream
-/// uses).
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// A lazily generated, time-sorted stream of evolving scan probes; see
+/// the module docs for the longitudinal model and `crate::streaming`
+/// for the memory bound.
+pub type EvolvingScanStream = FlowMerge<ScannerFlow>;
 
-/// One scanner's fixed-size generation state.
+/// One scanner's [`Flow`]: probes from `100.72.0.0/16`.
 #[derive(Debug, Clone)]
-struct ScannerFlow {
+pub struct ScannerFlow {
     src: Ipv4Addr,
     /// The scanner's (stable) probe datagram.
     payload: Bytes,
     src_port: u16,
     next_ts: Timestamp,
-    remaining: u64,
     rng: u64,
-    telescope: Ipv4Prefix,
-    horizon_secs: u64,
+    schedule: ScanSchedule,
     base_gap_us: u64,
 }
 
 impl ScannerFlow {
-    fn new(config: &EvolvingScanConfig, s: u32) -> Self {
-        let mut probe_rng = substream(config.seed ^ u64::from(s), "evolving-scan-probe");
-        // The SCID is stable per scanner: aggressive scanners reuse
-        // connection contexts across probes.
-        let scid = ConnectionId::from_u64(config.seed ^ (u64::from(s) << 17));
-        ScannerFlow {
-            src: Ipv4Addr::new(100, 72, (s >> 8) as u8, s as u8),
-            payload: probe_with(&mut probe_rng, Version::V1, scid),
-            src_port: 1_024 + (s % 60_000) as u16,
-            next_ts: Timestamp::from_micros(u64::from(s).wrapping_mul(611_953) % 5_000_000),
-            remaining: config.scanner_budget(s),
-            rng: config.seed ^ (u64::from(s).wrapping_mul(0xA24B_AED4_963E_E407)),
-            telescope: config.telescope,
-            horizon_secs: config.horizon_secs,
-            base_gap_us: config.base_gap_us(),
-        }
-    }
-
     /// The longitudinal epoch `next_ts` falls in (clamped to the last
     /// epoch once the schedule horizon is exhausted).
     fn epoch(&self) -> u64 {
-        ((self.next_ts.as_secs() * SCAN_EPOCHS) / self.horizon_secs).min(SCAN_EPOCHS - 1)
+        ((self.next_ts.as_secs() * SCAN_EPOCHS) / self.schedule.horizon_secs).min(SCAN_EPOCHS - 1)
+    }
+}
+
+impl Flow for ScannerFlow {
+    type Model = ScanSchedule;
+
+    fn new(pool: &EvolvingScanConfig, s: u32) -> Self {
+        let mut probe_rng = substream(pool.seed ^ u64::from(s), "evolving-scan-probe");
+        // The SCID is stable per scanner: aggressive scanners reuse
+        // connection contexts across probes.
+        let scid = ConnectionId::from_u64(pool.seed ^ (u64::from(s) << 17));
+        ScannerFlow {
+            src: member_source([100, 72], s),
+            payload: probe_with(&mut probe_rng, Version::V1, scid),
+            src_port: 1_024 + (s % 60_000) as u16,
+            next_ts: Timestamp::from_micros(u64::from(s).wrapping_mul(611_953) % 5_000_000),
+            rng: pool.member_rng(s),
+            schedule: pool.model,
+            base_gap_us: pool.base_gap_us(),
+        }
     }
 
-    /// Emits the record at `next_ts` and advances the flow.
+    fn next_ts(&self) -> Timestamp {
+        self.next_ts
+    }
+
     fn emit(&mut self) -> PacketRecord {
         let word = splitmix(&mut self.rng);
         let epoch = self.epoch();
         // Coverage widens with the epoch: early probes confine
         // themselves to the telescope's low end, later sweeps span it.
-        let span = (self.telescope.size() * (epoch + 1)) / SCAN_EPOCHS;
-        let dst = self.telescope.nth(word % span.max(1));
+        let telescope = self.schedule.telescope;
+        let span = (telescope.size() * (epoch + 1)) / SCAN_EPOCHS;
+        let dst = telescope.nth(word % span.max(1));
         let record = PacketRecord::udp(
             self.next_ts,
             self.src,
@@ -590,82 +551,11 @@ impl ScannerFlow {
             QUIC_PORT,
             self.payload.clone(),
         );
-        self.remaining -= 1;
         // Cadence accelerates with the epoch; jitter keeps per-scanner
         // timestamps strictly increasing.
         let step = self.base_gap_us / (epoch + 1) + word % 1_000;
         self.next_ts += Duration::from_micros(step.max(1));
         record
-    }
-}
-
-/// A lazily generated, time-sorted stream of evolving scan probes; see
-/// the module docs for the longitudinal model and the memory bound.
-#[derive(Debug)]
-pub struct EvolvingScanStream {
-    flows: Vec<ScannerFlow>,
-    /// One `(next timestamp, flow slot)` entry per scanner with budget
-    /// left — the whole cross-scanner merge state.
-    heap: BinaryHeap<Reverse<(Timestamp, u32)>>,
-    remaining: u64,
-}
-
-impl EvolvingScanStream {
-    /// Builds the stream for `config` (honoring its shard selection).
-    pub fn new(config: &EvolvingScanConfig) -> Self {
-        let flows: Vec<ScannerFlow> = (0..config.scanners)
-            .filter(|s| s % config.shards == config.shard_index)
-            .map(|s| ScannerFlow::new(config, s))
-            .collect();
-        let heap = flows
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.remaining > 0)
-            .map(|(slot, f)| Reverse((f.next_ts, slot as u32)))
-            .collect();
-        let remaining = flows.iter().map(|f| f.remaining).sum();
-        EvolvingScanStream {
-            flows,
-            heap,
-            remaining,
-        }
-    }
-
-    /// Records not yet yielded.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Live merge entries — never exceeds the scanner count, whatever
-    /// the record budget (the memory-bound witness).
-    pub fn merge_width(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-impl Iterator for EvolvingScanStream {
-    type Item = PacketRecord;
-
-    fn next(&mut self) -> Option<PacketRecord> {
-        let Reverse((_, slot)) = self.heap.pop()?;
-        let flow = &mut self.flows[slot as usize];
-        let record = flow.emit();
-        if flow.remaining > 0 {
-            self.heap.push(Reverse((flow.next_ts, slot)));
-        }
-        self.remaining -= 1;
-        Some(record)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = usize::try_from(self.remaining).ok();
-        (n.unwrap_or(usize::MAX), n)
-    }
-}
-
-impl StreamSource for EvolvingScanStream {
-    fn next_record(&mut self) -> Option<Result<PacketRecord, CaptureError>> {
-        self.next().map(Ok)
     }
 }
 
@@ -701,10 +591,6 @@ fn evolving_scanners(config: &ScenarioConfig) -> Scenario {
 mod tests {
     use super::*;
     use quicsand_dissect::{classify_record, dissect_udp_payload, Classification, Direction};
-
-    fn key(r: &PacketRecord) -> (u64, u32, Option<u16>) {
-        (r.ts.0, u32::from(r.src), r.transport.src_port())
-    }
 
     #[test]
     fn labels_roundtrip() {
@@ -838,49 +724,11 @@ mod tests {
     }
 
     #[test]
-    fn evolving_stream_is_deterministic_sorted_and_bounded() {
-        let telescope = quicsand_net::ip::telescope_prefix();
-        let config = EvolvingScanConfig::new(9, 20_000, 16, telescope, 86_400 * 14);
-        let a: Vec<_> = EvolvingScanStream::new(&config).collect();
-        let b: Vec<_> = EvolvingScanStream::new(&config).collect();
-        assert_eq!(a.len(), 20_000);
-        assert_eq!(a, b);
-        assert!(a.windows(2).all(|w| w[0].ts <= w[1].ts));
-        let mut stream = EvolvingScanStream::new(&config);
-        let mut max_width = 0;
-        while stream.next().is_some() {
-            max_width = max_width.max(stream.merge_width());
-        }
-        assert!(max_width <= 16, "merge width {max_width} exceeds scanners");
-        assert_eq!(stream.remaining(), 0);
-    }
-
-    #[test]
-    fn evolving_stream_shards_partition_exactly() {
-        let telescope = quicsand_net::ip::telescope_prefix();
-        let config = EvolvingScanConfig::new(3, 15_000, 24, telescope, 86_400 * 14);
-        let full: Vec<_> = EvolvingScanStream::new(&config).collect();
-        let mut union: Vec<PacketRecord> = Vec::new();
-        let mut budgets = 0u64;
-        for index in 0..3 {
-            let shard = config.shard(3, index);
-            budgets += shard.shard_records();
-            let part: Vec<_> = EvolvingScanStream::new(&shard).collect();
-            assert!(part.windows(2).all(|w| w[0].ts <= w[1].ts));
-            union.extend(part);
-        }
-        assert_eq!(budgets, 15_000, "budgets conserve the record count");
-        let mut full = full;
-        union.sort_by_key(key);
-        full.sort_by_key(key);
-        assert_eq!(union, full, "shards partition the stream");
-    }
-
-    #[test]
     fn evolving_stream_cadence_accelerates() {
         let telescope = quicsand_net::ip::telescope_prefix();
         let config = EvolvingScanConfig::new(5, 8_000, 1, telescope, 86_400 * 28);
         let records: Vec<_> = EvolvingScanStream::new(&config).collect();
+        assert!(records.iter().all(|r| telescope.contains(r.dst)));
         let quarter = records.len() / 4;
         let gap = |slice: &[PacketRecord]| {
             slice

@@ -301,6 +301,23 @@ if nontest_code crates/telescope/src/pipeline.rs | grep -nF 'Baseline(record.clo
   exit 1
 fi
 
+echo "==> one implementation per input job: one capture reader, one flow-merge core"
+# `ZeroCopyCaptureReader` is the one QSCP decoder; a second reader is a
+# second copy of the format's error contract, held to the first only by
+# tests. The lazy trace models are flows merged by `traffic::streaming`;
+# a heap or a splitmix beside it is a second copy of that machine.
+if grep -rnF 'struct CaptureReader' crates; then
+  echo "capture pin: \`struct CaptureReader\` under crates/; ZeroCopyCaptureReader is the one reader" >&2
+  exit 1
+fi
+for file in crates/traffic/src/*.rs; do
+  [[ "$file" == crates/traffic/src/streaming.rs ]] && continue
+  if nontest_code "$file" | grep -nE 'BinaryHeap|fn splitmix'; then
+    echo "generator pin: \`BinaryHeap\` or \`fn splitmix\` in non-test code of $file; the flow merge lives in streaming.rs" >&2
+    exit 1
+  fi
+done
+
 if [[ $quick -eq 0 ]]; then
   echo "==> checkpoint allocation pin"
   # The counts the tree-free reader and the tree-free writer are held

@@ -1,12 +1,15 @@
 //! A capture written to disk and re-read must analyze identically:
 //! the persistence path is how real deployments would feed the tool.
+//! The writer is the reference for the one reader: whatever it wrote,
+//! the reader decodes back unchanged.
 
 use quicsand_core::{Analysis, AnalysisConfig};
-use quicsand_net::capture::{self, CaptureReader, CaptureWriter};
-use quicsand_net::{PacketRecord, Timestamp};
+use quicsand_dissect::corpus::{adversarial_corpus, assert_expected};
+use quicsand_net::capture::{self, CaptureWriter};
+use quicsand_net::{PacketRecord, Timestamp, ZeroCopyCaptureReader};
 use quicsand_traffic::{Scenario, ScenarioConfig};
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 use std::net::Ipv4Addr;
 
 #[test]
@@ -37,9 +40,11 @@ fn file_roundtrip_preserves_analysis() {
         .sync_all()
         .unwrap();
 
-    // Read streaming.
-    let reader = CaptureReader::new(BufReader::new(File::open(&path).unwrap())).unwrap();
-    let records: Vec<_> = reader.map(|r| r.unwrap()).collect();
+    // Read back.
+    let records = ZeroCopyCaptureReader::from_path(&path)
+        .unwrap()
+        .read_to_end()
+        .unwrap();
     assert_eq!(records, scenario.records);
 
     // Analyses agree.
@@ -136,4 +141,37 @@ fn hostile_declared_length_is_rejected() {
         capture::from_bytes(&bytes),
         Err(capture::CaptureError::OversizedPayload(u32::MAX))
     ));
+}
+
+/// The adversarial dissection corpus replayed through the capture layer:
+/// one UDP record per entry, each from its own source, decoded back
+/// unchanged, and each payload — now a view into the reader's arena —
+/// dissects to the entry's typed outcome.
+#[test]
+fn adversarial_corpus_roundtrips_and_dissects_over_arena_views() {
+    let records: Vec<PacketRecord> = adversarial_corpus()
+        .into_iter()
+        .enumerate()
+        .map(|(i, entry)| {
+            PacketRecord::udp(
+                Timestamp::from_micros(1_000 + i as u64),
+                Ipv4Addr::new(10, 99, (i / 256) as u8, (i % 256) as u8),
+                Ipv4Addr::new(128, 0, 0, 7),
+                40_000 + i as u16,
+                443,
+                entry.payload.into(),
+            )
+        })
+        .collect();
+    let bytes = capture::to_bytes(&records).unwrap();
+    let decoded = ZeroCopyCaptureReader::from_bytes(bytes)
+        .unwrap()
+        .read_to_end()
+        .unwrap();
+    assert_eq!(decoded, records);
+    for (record, entry) in decoded.iter().zip(adversarial_corpus()) {
+        let payload = record.udp_payload().expect("corpus records are UDP");
+        let result = quicsand_dissect::dissect_udp_payload(payload);
+        assert_expected(entry.name, entry.expect, &result);
+    }
 }

@@ -1,24 +1,20 @@
 //! Truncation regression tests: a capture cut at *any* byte offset must
-//! be reported as [`CaptureError::Truncated`] by both the legacy
-//! streaming reader and the zero-copy decoder — never silently accepted
-//! as a shorter capture.
-//!
-//! The pre-fix `CaptureReader::read_record` mapped every `UnexpectedEof`
-//! on the timestamp read to a clean end of stream, so a file cut 1–7
-//! bytes into a record's timestamp silently dropped those trailing
-//! bytes. The exhaustive sweeps below fail on those semantics and pin
-//! the corrected contract for both readers:
+//! be reported as [`CaptureError::Truncated`] — never silently accepted
+//! as a shorter capture. What each cut must read as is worked out from
+//! the record boundaries the writer produces:
 //!
 //! * fewer than 8 header bytes → `Truncated`;
 //! * a cut exactly at a record boundary → clean end of stream, with
 //!   every preceding record decoded;
-//! * a cut anywhere inside a record — including mid-timestamp —
+//! * a cut anywhere inside a record — including mid-timestamp, which a
+//!   streaming reader once swallowed as a clean end of stream —
 //!   → `Truncated`;
-//! * for the zero-copy reader, that error is sticky: every later pull
-//!   reports it again, through every pull interface.
+//! * that error is sticky: every later pull reports it again, through
+//!   every pull interface.
 
 use bytes::Bytes;
-use quicsand_net::capture::{from_bytes, to_bytes, CaptureError};
+use quicsand_faults::{FaultPlan, FaultProfile};
+use quicsand_net::capture::{to_bytes, CaptureError};
 use quicsand_net::zerocopy::ZeroCopyCaptureReader;
 use quicsand_net::{IcmpKind, PacketRecord, StreamSource, TcpFlags, Timestamp};
 use std::net::Ipv4Addr;
@@ -71,51 +67,39 @@ fn record_boundaries(records: &[PacketRecord]) -> Vec<usize> {
     boundaries
 }
 
-fn decode_zero(bytes: &[u8]) -> Result<Vec<PacketRecord>, CaptureError> {
+fn decode(bytes: &[u8]) -> Result<Vec<PacketRecord>, CaptureError> {
     ZeroCopyCaptureReader::from_bytes(bytes.to_vec())?.read_to_end()
 }
 
 #[test]
-fn truncation_at_every_byte_offset_is_detected_by_both_readers() {
+fn truncation_at_every_byte_offset_is_detected() {
     let records = samples();
     let bytes = to_bytes(&records).unwrap();
     let boundaries = record_boundaries(&records);
     assert_eq!(*boundaries.last().unwrap(), bytes.len());
 
     for cut in 0..=bytes.len() {
-        let cut_bytes = &bytes[..cut];
-        let legacy = from_bytes(cut_bytes);
-        let zero = decode_zero(cut_bytes);
+        let decoded = decode(&bytes[..cut]);
         if let Some(complete) = boundaries.iter().position(|&b| b == cut) {
-            // Clean prefix: both readers decode exactly the records
-            // that fit.
-            let want = &records[..complete];
+            // Clean prefix: exactly the records that fit.
             assert_eq!(
-                legacy.as_deref().expect("legacy reader, boundary cut"),
-                want,
-                "legacy reader at boundary {cut}"
-            );
-            assert_eq!(
-                zero.as_deref().expect("zero-copy reader, boundary cut"),
-                want,
-                "zero-copy reader at boundary {cut}"
+                decoded.as_deref().expect("boundary cut"),
+                &records[..complete],
+                "boundary {cut}"
             );
         } else {
-            // Mid-header or mid-record: both readers must say so.
+            // Mid-header or mid-record: the reader must say so.
             assert!(
-                matches!(legacy, Err(CaptureError::Truncated)),
-                "legacy reader must report the cut at byte {cut}, got {legacy:?}"
-            );
-            assert!(
-                matches!(zero, Err(CaptureError::Truncated)),
-                "zero-copy reader must report the cut at byte {cut}, got {zero:?}"
+                matches!(decoded, Err(CaptureError::Truncated)),
+                "the cut at byte {cut} must be reported, got {decoded:?}"
             );
         }
     }
 }
 
-/// The specific pre-fix bug: 1–7 trailing bytes of a timestamp were
-/// swallowed as a clean end of stream, silently dropping data.
+/// The specific bug a streaming reader once had: 1–7 trailing bytes of a
+/// timestamp were swallowed as a clean end of stream, silently dropping
+/// data.
 #[test]
 fn mid_timestamp_truncation_is_not_a_clean_eof() {
     let records = samples();
@@ -125,41 +109,70 @@ fn mid_timestamp_truncation_is_not_a_clean_eof() {
     for &boundary in &boundaries[..boundaries.len() - 1] {
         for extra in 1..8 {
             let cut = boundary + extra;
-            let legacy = from_bytes(&bytes[..cut]);
+            let decoded = decode(&bytes[..cut]);
             assert!(
-                matches!(legacy, Err(CaptureError::Truncated)),
+                matches!(decoded, Err(CaptureError::Truncated)),
                 "cut {extra} bytes into a timestamp (offset {cut}) must be \
-                 Truncated, got {legacy:?}"
-            );
-            let zero = decode_zero(&bytes[..cut]);
-            assert!(
-                matches!(zero, Err(CaptureError::Truncated)),
-                "zero-copy decoder at offset {cut}: got {zero:?}"
+                 Truncated, got {decoded:?}"
             );
         }
     }
 }
 
 /// Records decoded *before* the cut are still delivered by the
-/// streaming interface, so a consumer sees the valid prefix and then
-/// the typed error — not a silently shortened capture.
+/// record-at-a-time interface, so a consumer sees the valid prefix and
+/// then the typed error — not a silently shortened capture.
 #[test]
 fn valid_prefix_is_delivered_before_the_truncation_error() {
     let records = samples();
     let bytes = to_bytes(&records).unwrap();
     let boundaries = record_boundaries(&records);
     let cut = boundaries[2] + 3; // inside the third record
-    let mut legacy = quicsand_net::capture::CaptureReader::new(&bytes[..cut]).unwrap();
-    let mut zero = ZeroCopyCaptureReader::from_bytes(bytes[..cut].to_vec()).unwrap();
+    let mut reader = ZeroCopyCaptureReader::from_bytes(bytes[..cut].to_vec()).unwrap();
     for want in &records[..2] {
-        assert_eq!(legacy.next().unwrap().unwrap(), *want);
-        assert_eq!(zero.read_record().unwrap().unwrap(), *want);
+        assert_eq!(reader.read_record().unwrap().unwrap(), *want);
     }
-    assert!(matches!(legacy.next(), Some(Err(CaptureError::Truncated))));
-    assert!(matches!(zero.read_record(), Err(CaptureError::Truncated)));
+    assert!(matches!(reader.read_record(), Err(CaptureError::Truncated)));
 }
 
-/// Every way of pulling records from the zero-copy reader sees a cut the
+/// A 20k-record faulted stream — duplicates, reorders, corrupt and
+/// truncated payloads — round-trips unchanged, and a cut at any of a
+/// spread of offsets reads as exactly the records before it when it
+/// falls on a record boundary, and as `Truncated` when it does not.
+#[test]
+fn a_faulted_20k_stream_roundtrips_and_reads_every_cut_as_its_prefix() {
+    let scenario = quicsand_traffic::Scenario::generate(&quicsand_traffic::ScenarioConfig::test());
+    let clean: Vec<PacketRecord> = scenario.records.into_iter().take(20_000).collect();
+    assert!(clean.len() >= 20_000, "need the full record volume");
+    let faulted = FaultPlan::new(FaultProfile::standard(), 0xD1FF).apply_all(&clean);
+
+    let bytes = to_bytes(&faulted).unwrap();
+    assert_eq!(decode(&bytes).unwrap(), faulted);
+
+    let boundaries = record_boundaries(&faulted);
+    let mid = boundaries[boundaries.len() / 2];
+    let cuts = [
+        9,
+        100,
+        1_001,
+        mid,
+        mid + 1,
+        bytes.len() / 2,
+        bytes.len() - 1,
+    ];
+    for cut in cuts {
+        let decoded = decode(&bytes[..cut]);
+        match boundaries.iter().position(|&b| b == cut) {
+            Some(complete) => assert_eq!(decoded.unwrap(), faulted[..complete], "cut {cut}"),
+            None => assert!(
+                matches!(decoded, Err(CaptureError::Truncated)),
+                "cut {cut}: {decoded:?}"
+            ),
+        }
+    }
+}
+
+/// Every way of pulling records from the reader sees a cut the
 /// same way: the records before it, then `Truncated`, then `Truncated`
 /// again — never a clean end of stream after the error. A reader whose
 /// cursor stopped wherever a field read failed got this wrong at field

@@ -12,6 +12,9 @@ use quicsand_sessions::session::{sessionize, timeout_sweep, SessionConfig, Sessi
 use quicsand_telescope::{
     ingest_parallel_with, shard_of, IngestMetrics, IngestStats, TelescopePipeline,
 };
+use quicsand_traffic::scenarios::ScannerFlow;
+use quicsand_traffic::streaming::{Flow, FlowMerge, Pool, VictimFlow};
+use quicsand_traffic::{EvolvingScanConfig, StreamConfig};
 use quicsand_wire::crypto::InitialSecrets;
 use quicsand_wire::packet::{parse_datagram, Packet, PacketPayload};
 use quicsand_wire::{ConnectionId, Frame, Version};
@@ -577,55 +580,76 @@ proptest! {
     }
 }
 
-proptest! {
-    /// The evolving-scan budget arithmetic: for any pool shape, the
-    /// per-shard record budgets partition the configured total exactly
-    /// — the pure-function core of the stream's shard contract.
-    #[test]
-    fn prop_evolving_budgets_partition_exactly(
-        seed in any::<u64>(),
-        records in 0u64..50_000,
-        scanners in 1u32..64,
-        shards in 1u32..9,
-    ) {
-        let telescope = quicsand_net::ip::telescope_prefix();
-        let config = quicsand_traffic::EvolvingScanConfig::new(
-            seed, records, scanners, telescope, 86_400 * 7,
-        );
-        let total: u64 = (0..shards)
-            .map(|i| config.shard(shards, i).shard_records())
-            .sum();
-        prop_assert_eq!(total, records, "shard budgets must sum to the total");
-        prop_assert_eq!(config.shard_records(), records, "unsharded budget is the total");
-    }
+/// The flow-merge pool contract, for any model: the stream is a pure
+/// function of its pool, time-sorted, exactly `records` long with every
+/// shard's budget summing to that, never holds more merge entries than
+/// members, reads the same through `StreamSource::pull_chunk` as through
+/// `Iterator`, and its `shard(n, i)` restrictions partition it exactly.
+fn check_pool_contract<F: Flow>(
+    pool: Pool<F::Model>,
+    records: u64,
+    members: u32,
+    shards: u32,
+) -> Result<Vec<PacketRecord>, TestCaseError>
+where
+    F::Model: Copy,
+{
+    use quicsand_net::StreamSource;
+    let full: Vec<PacketRecord> = FlowMerge::<F>::new(&pool).collect();
+    prop_assert_eq!(&FlowMerge::<F>::new(&pool).collect::<Vec<_>>(), &full);
+    prop_assert_eq!(full.len() as u64, records, "budget honored exactly");
+    prop_assert_eq!(pool.shard_records(), records);
+    prop_assert!(full.windows(2).all(|w| w[0].ts <= w[1].ts), "time-sorted");
 
-    /// The evolving-scan stream's batch and streaming faces agree:
-    /// collecting the iterator and draining the `StreamSource`
-    /// interface yield the identical record sequence, with monotone
-    /// timestamps, for any seed.
-    #[test]
-    fn prop_evolving_stream_source_equals_iterator(
-        seed in any::<u64>(),
-        records in 1u64..2_000,
-        scanners in 1u32..12,
-    ) {
-        use quicsand_net::StreamSource;
-        let telescope = quicsand_net::ip::telescope_prefix();
-        let config = quicsand_traffic::EvolvingScanConfig::new(
-            seed, records, scanners, telescope, 86_400 * 7,
-        );
-        let batch: Vec<PacketRecord> =
-            quicsand_traffic::EvolvingScanStream::new(&config).collect();
-        let mut streamed = Vec::new();
-        let mut source = quicsand_traffic::EvolvingScanStream::new(&config);
-        while let Some(record) = source.next_record() {
-            streamed.push(record.expect("stream never errors"));
+    let mut stream = FlowMerge::<F>::new(&pool);
+    let mut pulled = Vec::new();
+    loop {
+        prop_assert!(stream.merge_width() <= members as usize);
+        let chunk = stream.pull_chunk(97).expect("a generator never fails");
+        if chunk.is_empty() {
+            break;
         }
-        prop_assert_eq!(&streamed, &batch, "streaming face equals batch face");
-        prop_assert!(
-            batch.windows(2).all(|w| w[0].ts <= w[1].ts),
-            "timestamps stay monotone"
-        );
-        prop_assert_eq!(batch.len() as u64, records, "budget honored exactly");
+        pulled.extend(chunk);
+    }
+    prop_assert_eq!(stream.remaining(), 0);
+    prop_assert_eq!(&pulled, &full, "streaming face equals iterator face");
+
+    // Per-member timestamps strictly increase and members have distinct
+    // sources, so (ts, src) identifies a record.
+    let key = |r: &PacketRecord| (r.ts, r.src);
+    let mut union = Vec::new();
+    let mut budgets = 0;
+    for index in 0..shards {
+        let shard = pool.shard(shards, index);
+        budgets += shard.shard_records();
+        let part: Vec<PacketRecord> = FlowMerge::<F>::new(&shard).collect();
+        prop_assert_eq!(part.len() as u64, shard.shard_records());
+        prop_assert!(part.windows(2).all(|w| w[0].ts <= w[1].ts), "shard sorted");
+        union.extend(part);
+    }
+    prop_assert_eq!(budgets, records, "shard budgets conserve the total");
+    let mut sorted = full.clone();
+    union.sort_by_key(key);
+    sorted.sort_by_key(key);
+    prop_assert_eq!(union, sorted, "shards partition the stream exactly");
+    Ok(full)
+}
+
+proptest! {
+    /// Both lazy trace models — SYN-ACK flood victims and evolving
+    /// scanners — hold the shared pool contract for any pool shape.
+    #[test]
+    fn prop_flow_merge_streams_hold_the_pool_contract(
+        seed in any::<u64>(),
+        records in 0u64..3_000,
+        members in 1u32..24,
+        shards in 1u32..6,
+    ) {
+        let victims = StreamConfig::new(seed, records, members);
+        check_pool_contract::<VictimFlow>(victims, records, members, shards)?;
+        let telescope = quicsand_net::ip::telescope_prefix();
+        let scans = EvolvingScanConfig::new(seed, records, members, telescope, 86_400 * 7);
+        let probes = check_pool_contract::<ScannerFlow>(scans, records, members, shards)?;
+        prop_assert!(probes.iter().all(|r| telescope.contains(r.dst)), "dst in telescope");
     }
 }
