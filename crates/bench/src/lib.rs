@@ -47,7 +47,7 @@ impl Scale {
         match self {
             Scale::Test => ScenarioConfig::test(),
             Scale::Paper => ScenarioConfig::paper_month(),
-            Scale::Demo => demo_config(),
+            Scale::Demo => ScenarioConfig::demo(),
         }
     }
 
@@ -70,25 +70,6 @@ impl Scale {
             Scale::Demo => "demo",
             Scale::Paper => "paper",
         }
-    }
-}
-
-/// The demo preset: 30 days like the paper, event counts reduced ~4x,
-/// distribution parameters identical.
-pub fn demo_config() -> ScenarioConfig {
-    ScenarioConfig {
-        seed: 0x2021_0401,
-        days: 30,
-        research_scans_per_project: 6,
-        research_packets_per_scan: 25_000,
-        research_scan_duration_hours: 10,
-        request_sessions: 5_000,
-        quic_attacks: 800,
-        victim_pool: 110,
-        common_attacks: 2_400,
-        misconfig_sessions: 2_000,
-        garbage_udp443_packets: 500,
-        ..ScenarioConfig::paper_month()
     }
 }
 
@@ -123,14 +104,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn demo_config_is_valid_and_month_long() {
-        let c = demo_config();
-        c.validate();
-        assert_eq!(c.days, 30);
-        assert_eq!(c.quic_duration_median_secs, 255.0);
-    }
-
-    #[test]
     fn scale_parsing_defaults_to_demo() {
         // Environment-independent check of the mapping.
         assert_eq!(Scale::Test.scenario_config(), ScenarioConfig::test());
@@ -138,7 +111,7 @@ mod tests {
             Scale::Paper.scenario_config(),
             ScenarioConfig::paper_month()
         );
-        assert_eq!(Scale::Demo.scenario_config(), demo_config());
+        assert_eq!(Scale::Demo.scenario_config(), ScenarioConfig::demo());
         assert!(Scale::Paper.tab01_factor() == 1.0);
     }
 }

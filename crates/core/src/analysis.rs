@@ -174,8 +174,9 @@ pub struct Analysis {
     /// [`render_prometheus`](quicsand_obs::MetricsRegistry::render_prometheus)
     /// or [`render_json`](quicsand_obs::MetricsRegistry::render_json).
     pub registry: Arc<MetricsRegistry>,
-    /// Handles to the published metric families (already reconciled
-    /// with the stats fields above — see [`Analysis::verify_metrics`]).
+    /// Handles to the published metric families (published from the
+    /// products above; [`Analysis::verify_metrics`] checks the
+    /// identities between independently counted ones).
     pub metrics: AnalysisMetrics,
 }
 
@@ -464,11 +465,11 @@ impl<'a> AnalysisDriver<'a> {
         stats.quarantined = ingest.quarantine.total();
 
         // Publish everything into a fresh per-run registry at this
-        // single-threaded tail: counters are exact deltas of the merged
-        // stats, so they reconcile by construction at any thread count.
+        // single-threaded tail: counters catch up to the merged stats,
+        // so they equal them by construction at any thread count.
         let registry = MetricsRegistry::new();
         let metrics = AnalysisMetrics::register(&registry);
-        metrics.ingest.add_stats(&ingest);
+        metrics.ingest.publish(&ingest);
         metrics
             .sessions
             .add_final(front.session_counters, front.sessions_open_at_flush);
@@ -601,66 +602,38 @@ impl Analysis {
         }
     }
 
-    /// The reconciliation invariant, checked end to end: every exported
-    /// counter equals the corresponding public product exactly —
-    /// ingest/quarantine/dissect counters against [`Analysis::ingest`],
-    /// session lifecycle counters against the session lists, attack
-    /// counters against the attack lists, and the peak-sessions gauge
-    /// against [`Analysis::stats`]. Returns the mismatch list on
-    /// failure. Holds at any thread count.
+    /// Checks the identities between quantities the run counts
+    /// independently of each other: every dissector reject in
+    /// [`Analysis::ingest`] is counted under its kind, and the
+    /// sessionizers' lifecycle counters match the session lists. Every
+    /// other series is published straight from the product it mirrors.
+    /// Returns the mismatch list on failure. Holds at any thread count.
     pub fn verify_metrics(&self) -> Result<(), Vec<String>> {
-        let mut errors = self
-            .metrics
+        let mut errors: Vec<String> = self
             .ingest
-            .verify(&self.ingest)
+            .require_dissect_rejects_counted()
             .err()
-            .unwrap_or_default();
-        let mut check = |name: &str, counter: u64, expected: u64| {
-            if counter != expected {
-                errors.push(format!("{name}: counter {counter} != expected {expected}"));
-            }
-        };
-        let sessions = self.metrics.sessions.clone();
+            .into_iter()
+            .collect();
         // Each migration link folded two closed sessions into one, so
         // the sessionizer lifecycle counters exceed the final session
         // count by exactly the migration count.
-        let migrated = self.migrations.len() as u64;
-        let total_sessions = (self.request_sessions.len()
+        let listed = (self.request_sessions.len()
             + self.response_sessions.len()
-            + self.common_sessions.len()) as u64
-            + migrated;
-        check(
-            "sessions_opened",
-            sessions.opened_total.get(),
-            total_sessions,
-        );
-        check(
-            "sessions_closed",
-            sessions.closed_total.get(),
-            total_sessions,
-        );
-        check("sessions_migrated", sessions.migrated_total.get(), migrated);
-        let dos = &self.metrics.dos;
-        check(
-            "attacks_quic",
-            dos.attacks_quic.get(),
-            self.quic_attacks.len() as u64,
-        );
-        check(
-            "attacks_common",
-            dos.attacks_common.get(),
-            self.common_attacks.len() as u64,
-        );
-        check(
-            "attack_duration_observations",
-            dos.duration_quic.count() + dos.duration_common.count(),
-            (self.quic_attacks.len() + self.common_attacks.len()) as u64,
-        );
-        check(
-            "peak_open_sessions",
-            self.metrics.stages.peak_open_sessions.get(),
-            self.stats.peak_open_sessions as u64,
-        );
+            + self.common_sessions.len()
+            + self.migrations.len()) as u64;
+        let sessions = &self.metrics.sessions;
+        for (name, counter) in [
+            ("sessions_opened", &sessions.opened_total),
+            ("sessions_closed", &sessions.closed_total),
+        ] {
+            if counter.get() != listed {
+                errors.push(format!(
+                    "{name}: counter {} != listed sessions + migrations {listed}",
+                    counter.get()
+                ));
+            }
+        }
         if errors.is_empty() {
             Ok(())
         } else {

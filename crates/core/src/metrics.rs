@@ -3,10 +3,11 @@
 //! [`Analysis::run`](crate::Analysis::run) creates one fresh
 //! [`MetricsRegistry`] per run (never process-global, so tests and
 //! embedded callers stay hermetic) and publishes every stage's counters
-//! into it at the single-threaded merge point. Counters therefore
-//! reconcile exactly with the public stats structs at any thread count
-//! — [`AnalysisMetrics::verify`] checks that invariant and is called by
-//! the CLI before any export.
+//! into it at the single-threaded merge point, each from the product it
+//! mirrors, so they equal the public stats structs at any thread count.
+//! [`Analysis::verify_metrics`](crate::Analysis::verify_metrics) checks
+//! what publishing cannot guarantee (identities between independently
+//! counted quantities) and is called by the CLI before any export.
 
 use quicsand_obs::MetricsRegistry;
 use quicsand_sessions::{DosMetrics, SessionMetrics};

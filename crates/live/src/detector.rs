@@ -583,7 +583,7 @@ impl DetectorSnapshot {
 
     /// Rejects a `closed` counter that disagrees with the closed attacks
     /// listed beside it: the restored engine re-observes the lists, and
-    /// `LiveMetrics::verify` holds the two to each other.
+    /// `LiveEngine::verify_metrics` holds the two to each other.
     pub(crate) fn require_closed_listed(&self) -> Result<(), String> {
         let counted = u128::from(self.quic.stats.closed) + u128::from(self.common.stats.closed);
         let listed = self.closed_quic.len() + self.closed_common.len();

@@ -108,10 +108,6 @@ pub struct LiveEngine {
     metrics: LiveMetrics,
     ingest_metrics: IngestMetrics,
     stages: StageMetrics,
-    /// Stats readings at the last metrics sync — the counters hold
-    /// exactly these values, and each sync publishes the delta.
-    synced_ingest: IngestStats,
-    synced_live: LiveStats,
 }
 
 impl LiveEngine {
@@ -142,8 +138,6 @@ impl LiveEngine {
             metrics,
             ingest_metrics,
             stages,
-            synced_ingest: IngestStats::default(),
-            synced_live: LiveStats::default(),
         }
     }
 
@@ -286,33 +280,36 @@ impl LiveEngine {
         }
     }
 
-    /// Publishes the stats-to-counter deltas accumulated since the last
-    /// sync. Called at every chunk boundary (and by restore/finish), so
-    /// exported counters reconcile exactly with
+    /// Publishes the current stats readings: every counter catches up
+    /// to its field. Called at every chunk boundary (and by
+    /// restore/finish), so exported counters equal
     /// [`LiveEngine::ingest_stats`]/[`LiveEngine::live_stats`] whenever
     /// the engine is at rest.
-    pub fn sync_metrics(&mut self) {
-        let ingest_now = self.ingest_stats();
-        self.ingest_metrics
-            .add_delta(&self.synced_ingest, &ingest_now);
-        self.synced_ingest = ingest_now;
-        let live_now = self.live_stats();
-        self.metrics.add_delta(&self.synced_live, &live_now);
-        self.synced_live = live_now;
+    pub fn sync_metrics(&self) {
+        self.ingest_metrics.publish(&self.ingest_stats());
+        self.metrics.publish(&self.live_stats());
         self.metrics.tracked.set(self.tracked() as u64);
         self.stages.set_totals(&self.stats);
     }
 
-    /// Checks the reconciliation invariant: every exported counter
-    /// equals its stats field. Returns the mismatches on failure.
+    /// Publishes the current readings, then checks the identities
+    /// between quantities the engine counts independently of each other:
+    /// every dissector reject is counted under its kind, and every
+    /// closed alert was observed into the attack distributions. Returns
+    /// the mismatches on failure.
     pub fn verify_metrics(&mut self) -> Result<(), Vec<String>> {
         self.sync_metrics();
         let mut errors = Vec::new();
-        if let Err(e) = self.ingest_metrics.verify(&self.ingest_stats()) {
-            errors.extend(e);
+        if let Err(e) = self.ingest_stats().require_dissect_rejects_counted() {
+            errors.push(e);
         }
-        if let Err(e) = self.metrics.verify(&self.live_stats()) {
-            errors.extend(e);
+        let dos = &self.metrics.dos;
+        let observed = dos.attacks_quic.get() + dos.attacks_common.get();
+        let closed = self.live_stats().closed;
+        if observed != closed {
+            errors.push(format!(
+                "attack observations {observed} != closed alerts {closed}"
+            ));
         }
         if errors.is_empty() {
             Ok(())
@@ -378,7 +375,7 @@ impl LiveEngine {
         let metrics = LiveMetrics::register(&registry);
         let ingest_metrics = IngestMetrics::register(&registry);
         let stages = StageMetrics::register(&registry);
-        let mut engine = LiveEngine {
+        let engine = LiveEngine {
             config: snapshot.config,
             guard: snapshot.guard,
             offered: snapshot.offered,
@@ -399,15 +396,14 @@ impl LiveEngine {
             metrics,
             ingest_metrics,
             stages,
-            synced_ingest: IngestStats::default(),
-            synced_live: LiveStats::default(),
         };
         // Re-seed the fresh registry from the restored state: counters
-        // from the snapshot's stats (sync from zero cursors publishes
-        // them whole), attack distributions by re-observing the closed
-        // sets the snapshot carries — bucket counts are pure functions
-        // of the attack set, so a checkpoint/restore cycle leaves every
-        // stable metric exactly where an uninterrupted run would.
+        // from the snapshot's stats (the first publish into a fresh
+        // registry carries them whole), attack distributions by
+        // re-observing the closed sets the snapshot carries — bucket
+        // counts are pure functions of the attack set, so a
+        // checkpoint/restore cycle leaves every stable metric exactly
+        // where an uninterrupted run would.
         for shard in &engine.shards {
             for classified in shard.detector.closed_quic() {
                 engine.metrics.dos.observe_attack(&classified.attack);

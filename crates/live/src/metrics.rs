@@ -1,12 +1,13 @@
 //! Metric bundle for the live engine: alert lifecycle, memory-cap
 //! evictions, and checkpoint volume.
 //!
-//! Counters mirror [`LiveStats`](crate::LiveStats) field for field and
-//! are published as deltas at chunk boundaries by the engine, so they
-//! reconcile exactly at any shard count. Attack distributions reuse the
-//! batch [`DosMetrics`] family — same names, buckets, and units — which
-//! is what makes live histogram totals directly comparable with a batch
-//! `analyze` over the same trace.
+//! Counters mirror [`LiveStats`](crate::LiveStats) field for field: the
+//! engine hands the merged reading to [`LiveMetrics::publish`] at chunk
+//! boundaries, which makes each counter catch up to its field, so they
+//! agree by construction at any shard count. Attack distributions reuse
+//! the batch [`DosMetrics`] family — same names, buckets, and units —
+//! which is what makes live histogram totals directly comparable with a
+//! batch `analyze` over the same trace.
 
 use crate::detector::LiveStats;
 use quicsand_obs::{Counter, Gauge, MetricsRegistry, Stability};
@@ -100,58 +101,20 @@ impl LiveMetrics {
         }
     }
 
-    /// Publishes the difference `now - prev` of two readings of the
-    /// merged detector stats (panics if a monotone field regressed).
-    pub fn add_delta(&self, prev: &LiveStats, now: &LiveStats) {
-        self.events_total
-            .add(delta(prev.events_in, now.events_in, "events_in"));
-        self.opened.add(delta(prev.opened, now.opened, "opened"));
-        self.escalated
-            .add(delta(prev.escalated, now.escalated, "escalated"));
-        self.closed.add(delta(prev.closed, now.closed, "closed"));
-        self.reclassified
-            .add(delta(prev.reclassified, now.reclassified, "reclassified"));
-        self.evictions
-            .add(delta(prev.evictions, now.evictions, "evictions"));
-        self.peak_tracked.set(now.peak_tracked as u64);
-    }
-
-    /// The reconciliation invariant: every counter equals its
-    /// [`LiveStats`] field exactly (valid at sync points).
-    pub fn verify(&self, stats: &LiveStats) -> Result<(), Vec<String>> {
-        let mut errors = Vec::new();
-        let mut check = |name: &str, counter: u64, field: u64| {
-            if counter != field {
-                errors.push(format!("{name}: counter {counter} != stats {field}"));
-            }
-        };
-        check("events_in", self.events_total.get(), stats.events_in);
-        check("opened", self.opened.get(), stats.opened);
-        check("escalated", self.escalated.get(), stats.escalated);
-        check("closed", self.closed.get(), stats.closed);
-        check("reclassified", self.reclassified.get(), stats.reclassified);
-        check("evictions", self.evictions.get(), stats.evictions);
-        check(
-            "peak_tracked",
-            self.peak_tracked.get(),
-            stats.peak_tracked as u64,
-        );
-        let observed = self.dos.attacks_quic.get() + self.dos.attacks_common.get();
-        if observed != stats.closed {
-            errors.push(format!(
-                "attack observations {observed} != closed alerts {}",
-                stats.closed
-            ));
+    /// Publishes a reading of the merged detector stats: counters catch
+    /// up to their fields (panicking if one went backwards), the peak
+    /// gauge takes its field.
+    pub fn publish(&self, stats: &LiveStats) {
+        for (counter, value, what) in [
+            (&self.events_total, stats.events_in, "events_in"),
+            (&self.opened, stats.opened, "opened"),
+            (&self.escalated, stats.escalated, "escalated"),
+            (&self.closed, stats.closed, "closed"),
+            (&self.reclassified, stats.reclassified, "reclassified"),
+            (&self.evictions, stats.evictions, "evictions"),
+        ] {
+            counter.catch_up(value, what);
         }
-        if errors.is_empty() {
-            Ok(())
-        } else {
-            Err(errors)
-        }
+        self.peak_tracked.set(stats.peak_tracked as u64);
     }
-}
-
-fn delta(prev: u64, now: u64, what: &str) -> u64 {
-    now.checked_sub(prev)
-        .unwrap_or_else(|| panic!("monotone live stats regressed: {what} {now} < {prev}"))
 }

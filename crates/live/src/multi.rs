@@ -179,7 +179,6 @@ pub struct MultiSourceLive {
     engine: LiveEngine,
     set: SourceSet,
     source_metrics: SourceSetMetrics,
-    synced_sources: Vec<SourceSample>,
     exhausted: bool,
 }
 
@@ -191,12 +190,11 @@ impl MultiSourceLive {
 
     /// Couples an engine (fresh or restored) to a source set and
     /// registers the per-source families on its registry. The first
-    /// sync publishes the set's resume cursors whole, so counters cover
+    /// publish carries the set's resume cursors whole, so counters cover
     /// the full run even after a restore.
     fn attach(engine: LiveEngine, set: SourceSet) -> Self {
         let source_metrics = SourceSetMetrics::register(engine.registry(), set.len());
-        let mut live = MultiSourceLive {
-            synced_sources: vec![SourceSample::default(); set.len()],
+        let live = MultiSourceLive {
             engine,
             set,
             source_metrics,
@@ -222,12 +220,9 @@ impl MultiSourceLive {
         Ok(Self::attach(engine, set))
     }
 
-    /// Publishes per-source deltas against a fresh stats reading.
-    fn sync_sources(&mut self) {
-        let samples = to_samples(&self.set.stats());
-        self.source_metrics
-            .add_delta(&self.synced_sources, &samples);
-        self.synced_sources = samples;
+    /// Publishes a fresh reading of every feed's stats.
+    fn sync_sources(&self) {
+        self.source_metrics.publish(&to_samples(&self.set.stats()));
     }
 
     /// Pulls up to `chunk` merged records and offers them to the
@@ -290,19 +285,12 @@ impl MultiSourceLive {
         }
     }
 
-    /// The reconciliation invariant, extended with the per-source
-    /// counters: engine counters equal engine stats, source counters
-    /// equal source stats, and the cursors conserve records —
-    /// `sum(delivered) == offered`.
+    /// The engine's [`LiveEngine::verify_metrics`], after publishing a
+    /// fresh per-source reading, plus record conservation across the
+    /// feeds: `sum(delivered) == offered`.
     pub fn verify_metrics(&mut self) -> Result<(), Vec<String>> {
         let mut errors = self.engine.verify_metrics().err().unwrap_or_default();
-        let samples = to_samples(&self.set.stats());
-        self.source_metrics
-            .add_delta(&self.synced_sources, &samples);
-        self.synced_sources = samples.clone();
-        if let Err(e) = self.source_metrics.verify(&samples) {
-            errors.extend(e);
-        }
+        self.sync_sources();
         let delivered = self.set.delivered_total();
         if delivered != self.engine.offered() {
             errors.push(format!(

@@ -70,6 +70,22 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
+
+    /// Publishes `value`, the latest reading of the monotone stats field
+    /// `what` this counter mirrors, by adding what the counter lacks of
+    /// it. The counter is its own cursor: publishing a reading twice
+    /// changes nothing. Meant for one publisher at a time (a barrier,
+    /// not the hot path).
+    ///
+    /// # Panics
+    /// When `value` is below the counter: the field went backwards.
+    pub fn catch_up(&self, value: u64, what: &str) {
+        let published = self.get();
+        let lacking = value
+            .checked_sub(published)
+            .unwrap_or_else(|| panic!("monotone stats regressed: {what} {value} < {published}"));
+        self.add(lacking);
+    }
 }
 
 /// Last-write-wins (or high-water / accumulating) gauge over `u64`.
@@ -482,6 +498,24 @@ mod tests {
         clone.inc();
         assert_eq!(c.get(), 4);
         assert_eq!(registry.sample("t_total", &[]), Some(Sample::Counter(4)));
+    }
+
+    #[test]
+    fn catch_up_adds_only_what_the_counter_lacks() {
+        let c = Counter::detached();
+        c.catch_up(5, "field");
+        c.catch_up(5, "field");
+        assert_eq!(c.get(), 5, "a reading published twice counts once");
+        c.catch_up(9, "field");
+        assert_eq!(c.get(), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "monotone stats regressed: field 3 < 9")]
+    fn catch_up_panics_when_the_field_went_backwards() {
+        let c = Counter::detached();
+        c.catch_up(9, "field");
+        c.catch_up(3, "field");
     }
 
     #[test]

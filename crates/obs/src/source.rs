@@ -9,10 +9,11 @@
 //! *stable* exposition stays byte-identical at any source count — the
 //! invariant the multi-source equivalence suite asserts.
 //!
-//! The bundle follows the workspace's delta-sync convention: the owner
-//! keeps plain [`SourceSample`] readings, publishes differences at sync
-//! barriers via [`SourceSetMetrics::add_delta`], and can prove
-//! counter/stats agreement at rest with [`SourceSetMetrics::verify`].
+//! The owner reads plain [`SourceSample`]s and hands each reading to
+//! [`SourceSetMetrics::publish`] at its sync barriers: every counter
+//! catches up to its field ([`Counter::catch_up`]) and every gauge takes
+//! its field's value, so after a publish the series equal the reading
+//! by construction.
 
 use crate::registry::{Counter, Gauge, MetricsRegistry, Stability};
 use std::collections::BTreeMap;
@@ -149,85 +150,21 @@ impl SourceSetMetrics {
         }
     }
 
-    /// Publishes the per-feed deltas between two sample readings
-    /// (counters advance by the difference, gauges take the new value).
+    /// Publishes one reading per feed: counters catch up to their
+    /// fields, gauges take theirs.
     ///
     /// # Panics
-    /// When either slice disagrees with the registered feed count.
-    pub fn add_delta(&self, prev: &[SourceSample], now: &[SourceSample]) {
-        assert_eq!(prev.len(), self.feeds.len(), "one prev sample per feed");
-        assert_eq!(now.len(), self.feeds.len(), "one new sample per feed");
-        for ((feed, prev), now) in self.feeds.iter().zip(prev).zip(now) {
-            feed.records.add(now.delivered - prev.delivered);
-            feed.batches.add(now.batches - prev.batches);
-            feed.reconnects.add(now.reconnects - prev.reconnects);
-            feed.drops.add(now.drops - prev.drops);
-            feed.queue_depth.set(now.queue_depth);
-            feed.queue_peak.set(now.queue_peak);
-        }
-    }
-
-    /// Checks that every exported handle equals the corresponding
-    /// sample field; returns the mismatches on failure.
-    pub fn verify(&self, samples: &[SourceSample]) -> Result<(), Vec<String>> {
-        let mut errors = Vec::new();
-        if samples.len() != self.feeds.len() {
-            return Err(vec![format!(
-                "source sample count {} != registered feeds {}",
-                samples.len(),
-                self.feeds.len()
-            )]);
-        }
-        if self.sources.get() != self.feeds.len() as u64 {
-            errors.push(format!(
-                "quicsand_sources {} != feed count {}",
-                self.sources.get(),
-                self.feeds.len()
-            ));
-        }
-        for (index, (feed, sample)) in self.feeds.iter().zip(samples).enumerate() {
-            let mut check = |name: &str, got: u64, want: u64| {
-                if got != want {
-                    errors.push(format!(
-                        "{name}{{source=\"{index}\"}} {got} != stats {want}"
-                    ));
-                }
-            };
-            check(
-                "quicsand_source_records_total",
-                feed.records.get(),
-                sample.delivered,
-            );
-            check(
-                "quicsand_source_batches_total",
-                feed.batches.get(),
-                sample.batches,
-            );
-            check(
-                "quicsand_source_reconnects_total",
-                feed.reconnects.get(),
-                sample.reconnects,
-            );
-            check(
-                "quicsand_source_drops_total",
-                feed.drops.get(),
-                sample.drops,
-            );
-            check(
-                "quicsand_source_queue_depth",
-                feed.queue_depth.get(),
-                sample.queue_depth,
-            );
-            check(
-                "quicsand_source_queue_peak",
-                feed.queue_peak.get(),
-                sample.queue_peak,
-            );
-        }
-        if errors.is_empty() {
-            Ok(())
-        } else {
-            Err(errors)
+    /// When the slice disagrees with the registered feed count, or a
+    /// counted field went backwards since the last publish.
+    pub fn publish(&self, samples: &[SourceSample]) {
+        assert_eq!(samples.len(), self.feeds.len(), "one sample per feed");
+        for (feed, sample) in self.feeds.iter().zip(samples) {
+            feed.records.catch_up(sample.delivered, "delivered");
+            feed.batches.catch_up(sample.batches, "batches");
+            feed.reconnects.catch_up(sample.reconnects, "reconnects");
+            feed.drops.catch_up(sample.drops, "drops");
+            feed.queue_depth.set(sample.queue_depth);
+            feed.queue_peak.set(sample.queue_peak);
         }
     }
 }
@@ -246,11 +183,26 @@ mod tests {
         assert!(std::ptr::eq(big, source_label(123)));
     }
 
+    /// Every series of `metrics`, in sample-field order, per feed.
+    fn series(metrics: &SourceSetMetrics) -> Vec<SourceSample> {
+        metrics
+            .feeds
+            .iter()
+            .map(|feed| SourceSample {
+                delivered: feed.records.get(),
+                batches: feed.batches.get(),
+                reconnects: feed.reconnects.get(),
+                drops: feed.drops.get(),
+                queue_depth: feed.queue_depth.get(),
+                queue_peak: feed.queue_peak.get(),
+            })
+            .collect()
+    }
+
     #[test]
-    fn delta_sync_reconciles() {
+    fn republishing_a_reading_changes_no_series() {
         let registry = MetricsRegistry::new();
         let metrics = SourceSetMetrics::register(&registry, 2);
-        let zero = [SourceSample::default(); 2];
         let mid = [
             SourceSample {
                 delivered: 10,
@@ -266,8 +218,11 @@ mod tests {
                 ..SourceSample::default()
             },
         ];
-        metrics.add_delta(&zero, &mid);
-        metrics.verify(&mid).expect("mid sync reconciles");
+        metrics.publish(&mid);
+        assert_eq!(series(&metrics), mid);
+        let rendered = registry.render_prometheus(false);
+        metrics.publish(&mid);
+        assert_eq!(registry.render_prometheus(false), rendered);
         let end = [
             SourceSample {
                 delivered: 25,
@@ -284,17 +239,15 @@ mod tests {
                 ..SourceSample::default()
             },
         ];
-        metrics.add_delta(&mid, &end);
-        metrics.verify(&end).expect("end sync reconciles");
-        metrics.verify(&mid).expect_err("stale samples mismatch");
+        metrics.publish(&end);
+        assert_eq!(series(&metrics), end);
     }
 
     #[test]
     fn per_source_series_are_volatile_only() {
         let registry = MetricsRegistry::new();
         let metrics = SourceSetMetrics::register(&registry, 3);
-        metrics.add_delta(
-            &[SourceSample::default(); 3],
+        metrics.publish(
             &[SourceSample {
                 delivered: 5,
                 queue_peak: 2,

@@ -25,7 +25,7 @@ pub mod pipeline;
 
 pub use binning::HourlySeries;
 pub use filter::ResearchFilter;
-pub use metrics::{IngestMetrics, QuarantineMetrics, StageMetrics};
+pub use metrics::{IngestMetrics, StageMetrics};
 pub use parallel::{ingest_parallel_with, shard_of};
 pub use pipeline::{
     record_hash, Admitted, GuardConfig, IngestError, IngestStats, PipelineSnapshot, PipelineStats,

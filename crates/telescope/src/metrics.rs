@@ -1,12 +1,12 @@
 //! Metric bundles for the ingest pipeline and its stage timings.
 //!
-//! Counters mirror [`IngestStats`]/[`QuarantineStats`] field for field.
-//! The pipeline keeps its plain (non-atomic) stats structs on the hot
-//! path and callers publish *deltas* into these shared handles at
-//! deterministic barriers — shard merge in batch mode, chunk end in
-//! live mode. That keeps per-record overhead at zero while making the
-//! reconciliation invariant (`counter == stats field`, exactly, at any
-//! shard count) hold by construction at every export point.
+//! Counters mirror [`IngestStats`] field for field. The pipeline keeps
+//! its plain (non-atomic) stats structs on the hot path, and callers
+//! hand a reading to [`IngestMetrics::publish`] at deterministic
+//! barriers (shard merge in batch mode, chunk end in live mode), which
+//! makes every counter catch up to its field. Per-record overhead stays
+//! at zero, and `counter == stats field` holds by construction at every
+//! export point, at any shard count.
 
 use crate::pipeline::{IngestStats, PipelineStats, QuarantineStats};
 use quicsand_dissect::DissectMetrics;
@@ -34,63 +34,13 @@ pub struct IngestMetrics {
     pub other_udp: Counter,
     /// `{class="ambiguous"}` == [`IngestStats::ambiguous`].
     pub ambiguous: Counter,
-    /// Per-kind quarantine counters, one per [`QuarantineStats`] field.
-    pub quarantined: QuarantineMetrics,
+    /// `quicsand_ingest_quarantined_total{kind="..."}`, one counter per
+    /// [`QuarantineStats`] field, in [`QuarantineStats::as_table`] order
+    /// and under its kind labels.
+    pub quarantined: [Counter; 9],
     /// Per-[`quicsand_dissect::DissectError`]-kind rejection counters —
     /// the dissector-originated subset of the quarantine taxonomy.
     pub dissect: DissectMetrics,
-}
-
-/// One counter per [`QuarantineStats`] field, registered under
-/// `quicsand_ingest_quarantined_total{kind="..."}` with the same kind
-/// labels `QuarantineStats::as_table` prints.
-#[derive(Debug, Clone)]
-#[allow(missing_docs)] // field meanings documented on QuarantineStats
-pub struct QuarantineMetrics {
-    pub truncated: Counter,
-    pub bad_version: Counter,
-    pub bad_cid: Counter,
-    pub not_quic: Counter,
-    pub empty_payload: Counter,
-    pub duplicate: Counter,
-    pub reordered: Counter,
-    pub clock_skew: Counter,
-    pub transport_mismatch: Counter,
-}
-
-impl QuarantineMetrics {
-    fn register(registry: &MetricsRegistry) -> Self {
-        const NAME: &str = "quicsand_ingest_quarantined_total";
-        const HELP: &str = "Records the ingest guard or dissector quarantined, by kind";
-        let kind =
-            |k: &'static str| registry.counter_with(NAME, HELP, Stability::Stable, &[("kind", k)]);
-        QuarantineMetrics {
-            truncated: kind("truncated"),
-            bad_version: kind("bad-version"),
-            bad_cid: kind("bad-cid"),
-            not_quic: kind("not-quic"),
-            empty_payload: kind("empty-payload"),
-            duplicate: kind("duplicate"),
-            reordered: kind("reordered"),
-            clock_skew: kind("clock-skew"),
-            transport_mismatch: kind("transport-mismatch"),
-        }
-    }
-
-    /// `(counter, stats field)` pairs in `as_table` order.
-    fn pairs<'a>(&'a self, stats: &'a QuarantineStats) -> [(&'a Counter, u64); 9] {
-        [
-            (&self.truncated, stats.truncated),
-            (&self.bad_version, stats.bad_version),
-            (&self.bad_cid, stats.bad_cid),
-            (&self.not_quic, stats.not_quic),
-            (&self.empty_payload, stats.empty_payload),
-            (&self.duplicate, stats.duplicate),
-            (&self.reordered, stats.reordered),
-            (&self.clock_skew, stats.clock_skew),
-            (&self.transport_mismatch, stats.transport_mismatch),
-        ]
-    }
 }
 
 impl IngestMetrics {
@@ -98,6 +48,8 @@ impl IngestMetrics {
     pub fn register(registry: &MetricsRegistry) -> Self {
         const CLASS_NAME: &str = "quicsand_ingest_classified_total";
         const CLASS_HELP: &str = "Records classified by the ingest pipeline, by class";
+        const KIND_NAME: &str = "quicsand_ingest_quarantined_total";
+        const KIND_HELP: &str = "Records the ingest guard or dissector quarantined, by kind";
         let class = |c: &'static str| {
             registry.counter_with(CLASS_NAME, CLASS_HELP, Stability::Stable, &[("class", c)])
         };
@@ -114,127 +66,51 @@ impl IngestMetrics {
             icmp: class("icmp"),
             other_udp: class("other_udp"),
             ambiguous: class("ambiguous"),
-            quarantined: QuarantineMetrics::register(registry),
+            quarantined: QuarantineStats::default().as_table().map(|(kind, _)| {
+                registry.counter_with(KIND_NAME, KIND_HELP, Stability::Stable, &[("kind", kind)])
+            }),
             dissect: DissectMetrics::register(registry),
         }
     }
 
-    /// Publishes the difference `now - prev` into the counters. `prev`
-    /// must be an earlier reading of the same monotone stats (panics on
-    /// regression — that would mean the stats themselves went
-    /// backwards).
-    pub fn add_delta(&self, prev: &IngestStats, now: &IngestStats) {
-        self.records_total
-            .add(delta(prev.total, now.total, "total"));
-        self.quic_candidates.add(delta(
-            prev.quic_candidates,
-            now.quic_candidates,
-            "quic_candidates",
-        ));
-        self.quic_valid
-            .add(delta(prev.quic_valid, now.quic_valid, "quic_valid"));
-        self.quic_false_positives.add(delta(
-            prev.quic_false_positives,
-            now.quic_false_positives,
-            "quic_false_positives",
-        ));
-        self.tcp.add(delta(prev.tcp, now.tcp, "tcp"));
-        self.icmp.add(delta(prev.icmp, now.icmp, "icmp"));
-        self.other_udp
-            .add(delta(prev.other_udp, now.other_udp, "other_udp"));
-        self.ambiguous
-            .add(delta(prev.ambiguous, now.ambiguous, "ambiguous"));
-        let prev_q = &prev.quarantine;
-        let now_q = &now.quarantine;
-        for ((counter, prev_v), (_, now_v)) in self
-            .quarantined
-            .pairs(prev_q)
-            .iter()
-            .zip(self.quarantined.pairs(now_q).iter())
-        {
-            counter.add(delta(*prev_v, *now_v, "quarantine kind"));
-        }
-        // The dissector-originated quarantine kinds feed the per-kind
-        // dissect counters one-to-one.
-        self.dissect
-            .empty
-            .add(delta(prev_q.empty_payload, now_q.empty_payload, "empty"));
-        self.dissect
-            .truncated
-            .add(delta(prev_q.truncated, now_q.truncated, "truncated"));
-        self.dissect
-            .bad_version
-            .add(delta(prev_q.bad_version, now_q.bad_version, "bad_version"));
-        self.dissect
-            .bad_cid
-            .add(delta(prev_q.bad_cid, now_q.bad_cid, "bad_cid"));
-        self.dissect
-            .not_quic
-            .add(delta(prev_q.not_quic, now_q.not_quic, "not_quic"));
-    }
-
-    /// Publishes a full stats struct (delta from zero).
-    pub fn add_stats(&self, stats: &IngestStats) {
-        self.add_delta(&IngestStats::default(), stats);
-    }
-
-    /// The reconciliation invariant: every counter equals its stats
-    /// field exactly. Returns the list of mismatches on failure.
-    pub fn verify(&self, stats: &IngestStats) -> Result<(), Vec<String>> {
-        let mut errors = Vec::new();
-        let mut check = |name: &str, counter: &Counter, field: u64| {
-            if counter.get() != field {
-                errors.push(format!(
-                    "{name}: counter {} != stats {field}",
-                    counter.get()
-                ));
-            }
-        };
-        check("total", &self.records_total, stats.total);
-        check(
-            "quic_candidates",
-            &self.quic_candidates,
-            stats.quic_candidates,
-        );
-        check("quic_valid", &self.quic_valid, stats.quic_valid);
-        check(
-            "quic_false_positives",
-            &self.quic_false_positives,
-            stats.quic_false_positives,
-        );
-        check("tcp", &self.tcp, stats.tcp);
-        check("icmp", &self.icmp, stats.icmp);
-        check("other_udp", &self.other_udp, stats.other_udp);
-        check("ambiguous", &self.ambiguous, stats.ambiguous);
-        for ((counter, field), (label, _)) in self
-            .quarantined
-            .pairs(&stats.quarantine)
-            .iter()
-            .zip(stats.quarantine.as_table().iter())
-        {
-            check(&format!("quarantine[{label}]"), counter, *field);
-        }
+    /// Publishes a reading of the (monotone) stats: every counter
+    /// catches up to its field, so publishing the same reading twice
+    /// changes nothing.
+    ///
+    /// # Panics
+    /// When a field is below its counter: the stats went backwards.
+    pub fn publish(&self, stats: &IngestStats) {
         let q = &stats.quarantine;
-        check("dissect[empty]", &self.dissect.empty, q.empty_payload);
-        check("dissect[truncated]", &self.dissect.truncated, q.truncated);
-        check(
-            "dissect[bad_version]",
-            &self.dissect.bad_version,
-            q.bad_version,
-        );
-        check("dissect[bad_cid]", &self.dissect.bad_cid, q.bad_cid);
-        check("dissect[not_quic]", &self.dissect.not_quic, q.not_quic);
-        if self.dissect.total() != stats.quic_false_positives {
-            errors.push(format!(
-                "dissect total {} != quic_false_positives {}",
-                self.dissect.total(),
-                stats.quic_false_positives
-            ));
-        }
-        if errors.is_empty() {
-            Ok(())
-        } else {
-            Err(errors)
+        let d = &self.dissect;
+        let fields = [
+            (&self.records_total, stats.total, "total"),
+            (
+                &self.quic_candidates,
+                stats.quic_candidates,
+                "quic_candidates",
+            ),
+            (&self.quic_valid, stats.quic_valid, "quic_valid"),
+            (
+                &self.quic_false_positives,
+                stats.quic_false_positives,
+                "quic_false_positives",
+            ),
+            (&self.tcp, stats.tcp, "tcp"),
+            (&self.icmp, stats.icmp, "icmp"),
+            (&self.other_udp, stats.other_udp, "other_udp"),
+            (&self.ambiguous, stats.ambiguous, "ambiguous"),
+            // The dissector-originated quarantine kinds feed the per-kind
+            // dissect counters one-to-one.
+            (&d.empty, q.empty_payload, "dissect empty"),
+            (&d.truncated, q.truncated, "dissect truncated"),
+            (&d.bad_version, q.bad_version, "dissect bad_version"),
+            (&d.bad_cid, q.bad_cid, "dissect bad_cid"),
+            (&d.not_quic, q.not_quic, "dissect not_quic"),
+        ];
+        let kinds = self.quarantined.iter().zip(q.as_table());
+        let kinds = kinds.map(|(counter, (kind, value))| (counter, value, kind));
+        for (counter, value, what) in fields.into_iter().chain(kinds) {
+            counter.catch_up(value, what);
         }
     }
 }
@@ -359,11 +235,6 @@ fn ms_to_micros(ms: f64) -> u64 {
     (ms * 1_000.0).round().max(0.0) as u64
 }
 
-fn delta(prev: u64, now: u64, what: &str) -> u64 {
-    now.checked_sub(prev)
-        .unwrap_or_else(|| panic!("monotone stats regressed: {what} {now} < {prev}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,23 +261,9 @@ mod tests {
         stats
     }
 
-    #[test]
-    fn add_stats_then_verify_round_trips() {
-        let registry = MetricsRegistry::new();
-        let metrics = IngestMetrics::register(&registry);
-        let stats = faked_stats();
-        metrics.add_stats(&stats);
-        metrics.verify(&stats).expect("counters reconcile");
-    }
-
-    #[test]
-    fn delta_publishing_accumulates_exactly() {
-        let registry = MetricsRegistry::new();
-        let metrics = IngestMetrics::register(&registry);
-        let mut cursor = IngestStats::default();
-        let stats = faked_stats();
-        // Publish in two installments through an intermediate reading.
-        let mid = IngestStats {
+    /// An earlier reading of the same stream as [`faked_stats`].
+    fn mid_stats() -> IngestStats {
+        IngestStats {
             total: 50,
             tcp: 20,
             quarantine: QuarantineStats {
@@ -414,22 +271,52 @@ mod tests {
                 ..QuarantineStats::default()
             },
             ..IngestStats::default()
-        };
-        metrics.add_delta(&cursor, &mid);
-        cursor = mid;
-        metrics.add_delta(&cursor, &stats);
-        metrics.verify(&stats).expect("two-step delta reconciles");
+        }
     }
 
     #[test]
-    fn verify_catches_divergence() {
+    fn publish_sets_every_series_to_its_field() {
         let registry = MetricsRegistry::new();
         let metrics = IngestMetrics::register(&registry);
         let stats = faked_stats();
-        metrics.add_stats(&stats);
-        metrics.records_total.inc(); // sabotage
-        let errors = metrics.verify(&stats).unwrap_err();
-        assert!(errors.iter().any(|e| e.starts_with("total")), "{errors:?}");
+        metrics.publish(&stats);
+        assert_eq!(metrics.records_total.get(), stats.total);
+        assert_eq!(metrics.quic_false_positives.get(), 10);
+        let kinds = metrics.quarantined.iter().map(Counter::get);
+        assert!(kinds.eq(stats.quarantine.as_table().map(|(_, field)| field)));
+        let d = &metrics.dissect;
+        assert_eq!(
+            [d.empty.get(), d.truncated.get(), d.not_quic.get()],
+            [1, 5, 4]
+        );
+        let text = registry.render_prometheus(true);
+        for series in [
+            "quicsand_ingest_classified_total{class=\"icmp\"} 10",
+            "quicsand_ingest_quarantined_total{kind=\"duplicate\"} 1",
+            "quicsand_dissect_rejected_total{kind=\"truncated\"} 5",
+        ] {
+            assert!(text.contains(series), "{series}:\n{text}");
+        }
+    }
+
+    #[test]
+    fn republishing_the_same_stats_changes_no_series() {
+        let registry = MetricsRegistry::new();
+        let metrics = IngestMetrics::register(&registry);
+        metrics.publish(&mid_stats());
+        metrics.publish(&faked_stats());
+        let once = registry.render_prometheus(false);
+        metrics.publish(&faked_stats());
+        assert_eq!(registry.render_prometheus(false), once);
+        assert_eq!(metrics.records_total.get(), 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "monotone stats regressed: total 50 < 100")]
+    fn a_regressed_reading_panics() {
+        let metrics = IngestMetrics::register(&MetricsRegistry::new());
+        metrics.publish(&faked_stats());
+        metrics.publish(&mid_stats());
     }
 
     #[test]

@@ -260,8 +260,9 @@ pub struct IngestStats {
 impl IngestStats {
     /// Rejects counters read from outside the program that a running
     /// pipeline cannot hold: every dissector reject is counted once as a
-    /// false positive and once under its kind, and
-    /// `IngestMetrics::verify` holds a restored engine to that.
+    /// false positive and once under its kind. The checkpoint reader
+    /// rejects a snapshot that breaks this, and the batch and live
+    /// `verify_metrics` hold their merged stats to it.
     pub fn require_dissect_rejects_counted(&self) -> Result<(), String> {
         let q = &self.quarantine;
         let by_kind = [

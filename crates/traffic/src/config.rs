@@ -171,6 +171,21 @@ impl ScenarioConfig {
         }
     }
 
+    /// The demo preset: 30 days like the paper, event counts reduced ~4x,
+    /// distribution parameters identical.
+    pub fn demo() -> Self {
+        ScenarioConfig {
+            research_packets_per_scan: 25_000,
+            request_sessions: 5_000,
+            quic_attacks: 800,
+            victim_pool: 110,
+            common_attacks: 2_400,
+            misconfig_sessions: 2_000,
+            garbage_udp443_packets: 500,
+            ..Self::paper_month()
+        }
+    }
+
     /// The sub-sampling factor of the research component relative to
     /// full fidelity (2^23 packets per sweep). Fig. 2 rescales research
     /// counts by this factor when reporting shares.
@@ -223,6 +238,14 @@ mod tests {
     fn presets_validate() {
         ScenarioConfig::test().validate();
         ScenarioConfig::paper_month().validate();
+    }
+
+    #[test]
+    fn demo_config_is_valid_and_month_long() {
+        let c = ScenarioConfig::demo();
+        c.validate();
+        assert_eq!(c.days, 30);
+        assert_eq!(c.quic_duration_median_secs, 255.0);
     }
 
     #[test]

@@ -318,6 +318,25 @@ for file in crates/traffic/src/*.rs; do
   fi
 done
 
+echo "==> counters catch up to the stats they mirror: no delta cursors, no mirror checks"
+# A metric bundle publishes a stats reading with one `publish`: each
+# counter catches up to its field (`Counter::catch_up`) and is its own
+# cursor. A `synced_*` reading kept beside the counters is a third copy
+# of the counts; an `add_delta` or a field-by-field `verify` is a second
+# copy of the field pairing, held to the first only by a check.
+for file in crates/live/src/engine.rs crates/live/src/multi.rs; do
+  if nontest_code "$file" | grep -nF 'synced_'; then
+    echo "metrics pin: \`synced_\` in non-test code of $file" >&2
+    exit 1
+  fi
+done
+for file in crates/telescope/src/metrics.rs crates/live/src/metrics.rs crates/obs/src/source.rs; do
+  if nontest_code "$file" | grep -nE 'fn add_delta|fn verify\('; then
+    echo "metrics pin: \`fn add_delta\` or \`fn verify(\` in non-test code of $file" >&2
+    exit 1
+  fi
+done
+
 if [[ $quick -eq 0 ]]; then
   echo "==> checkpoint allocation pin"
   # The counts the tree-free reader and the tree-free writer are held
@@ -447,9 +466,9 @@ echo "$multi_out" | grep -E '^live: .* checkpoint\(s\) verified$' | grep -qv ' 0
 echo "multi-source-smoke: $multi_closes closed alert(s) across 2 feeds, checkpoints verified — OK"
 
 echo "==> metrics-smoke: exposition + reconciliation on the same capture"
-# `quicsand metrics` re-runs the pipeline with the exported counters
-# verified against the stats structs (a mismatch exits nonzero), and
-# the Prometheus rendering must carry the core families.
+# `quicsand metrics` re-runs the pipeline and checks `verify_metrics`
+# (a broken identity exits nonzero), and the Prometheus rendering must
+# carry the core families.
 metrics_out="$(cargo run -q $profile_flag -- metrics "$smoke_dir/smoke.qscp" \
   --scale test --seed 7 --threads 2 2>/dev/null)"
 for family in quicsand_ingest_records_total quicsand_detect_attacks_total \

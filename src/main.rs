@@ -297,30 +297,39 @@ fn flag_values<'a>(args: &'a [String], name: &str) -> Result<Vec<&'a str>, Strin
 }
 
 /// Parses the value of `name` when the flag is given, rejecting one that
-/// does not parse as `T` or lies below `min`. The message is
-/// ``invalid {name} `{value}`{hint}``, or with no `hint` just
-/// `invalid {name}` (`replay`'s wording).
+/// does not parse as `T` or lies below `min` with
+/// ``invalid {name} `{value}`{hint}``.
 fn flag_parsed<T: std::str::FromStr + PartialOrd>(
     args: &[String],
     name: &str,
     min: Option<T>,
-    hint: Option<&str>,
+    hint: &str,
 ) -> Result<Option<T>, String> {
     flag_value(args, name)?
         .map(|v| {
             v.parse::<T>()
                 .ok()
                 .filter(|n| min.as_ref().is_none_or(|min| n >= min))
-                .ok_or_else(|| match hint {
-                    Some(hint) => format!("invalid {name} `{v}`{hint}"),
-                    None => format!("invalid {name}"),
-                })
+                .ok_or_else(|| format!("invalid {name} `{v}`{hint}"))
         })
         .transpose()
 }
 
 /// The hint shared by the count-valued flags.
 const AT_LEAST_ONE: &str = " (want an integer >= 1)";
+
+/// Parses a threshold weight (`--weight`, `--escalate`), `default` when
+/// the flag is absent. The detection thresholds are multiplied by it, so
+/// only a finite weight above zero means anything: NaN or infinity would
+/// let no session qualify, zero or less every one.
+fn weight_flag(args: &[String], name: &str, default: f64) -> Result<f64, String> {
+    flag_value(args, name)?.map_or(Ok(default), |v| {
+        v.parse::<f64>()
+            .ok()
+            .filter(|w| w.is_finite() && *w > 0.0)
+            .ok_or_else(|| format!("invalid {name} `{v}` (want a finite number > 0)"))
+    })
+}
 
 fn has_flag(args: &[String], name: &str) -> bool {
     debug_assert!(!takes_value(name), "{name} is a valued flag in COMMANDS");
@@ -330,7 +339,7 @@ fn has_flag(args: &[String], name: &str) -> bool {
 /// Builds the `AnalysisConfig`, honouring `--threads N`.
 fn analysis_config(args: &[String]) -> Result<AnalysisConfig, String> {
     let mut config = AnalysisConfig::default();
-    if let Some(threads) = flag_parsed(args, "--threads", Some(1), Some(AT_LEAST_ONE))? {
+    if let Some(threads) = flag_parsed(args, "--threads", Some(1), AT_LEAST_ONE)? {
         config.threads = threads;
     }
     Ok(config)
@@ -350,28 +359,14 @@ fn fault_plan(args: &[String]) -> Result<Option<FaultPlan>, String> {
         return Ok(None);
     };
     let profile: FaultProfile = profile.parse()?;
-    let seed: u64 =
-        flag_parsed(args, "--fault-seed", None, Some(" (want a u64)"))?.unwrap_or(0xF4017);
+    let seed: u64 = flag_parsed(args, "--fault-seed", None, " (want a u64)")?.unwrap_or(0xF4017);
     Ok(Some(FaultPlan::new(profile, seed)))
 }
 
 fn scale_config(args: &[String]) -> Result<ScenarioConfig, String> {
     let mut config = match flag_value(args, "--scale")?.unwrap_or("test") {
         "test" => ScenarioConfig::test(),
-        "demo" => {
-            // The demo preset mirrors quicsand-bench's.
-            ScenarioConfig {
-                days: 30,
-                research_packets_per_scan: 25_000,
-                request_sessions: 5_000,
-                quic_attacks: 800,
-                victim_pool: 110,
-                common_attacks: 2_400,
-                misconfig_sessions: 2_000,
-                garbage_udp443_packets: 500,
-                ..ScenarioConfig::paper_month()
-            }
-        }
+        "demo" => ScenarioConfig::demo(),
         "paper" => ScenarioConfig::paper_month(),
         other => return Err(format!("unknown scale `{other}`")),
     };
@@ -719,27 +714,22 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     if inputs.is_empty() {
         return Err("live requires a capture path (positional or --input <file>)".into());
     }
-    let window: u64 = flag_parsed(args, "--window", None, Some(" (minutes)"))?.unwrap_or(5);
-    let weight: f64 = flag_parsed(args, "--weight", None, Some(""))?.unwrap_or(1.0);
-    let escalate: f64 = flag_parsed(args, "--escalate", None, Some(""))?
-        .unwrap_or(LiveConfig::default().escalation_weight);
-    let shards: usize = flag_parsed(args, "--shards", None, Some(""))?.unwrap_or(1);
-    let chunk: usize = flag_parsed(args, "--chunk", Some(1), Some(AT_LEAST_ONE))?.unwrap_or(1024);
-    let max_victims: usize = flag_parsed(args, "--max-victims", Some(1), Some(""))?
+    let window: u64 = flag_parsed(args, "--window", None, " (minutes)")?.unwrap_or(5);
+    let weight = weight_flag(args, "--weight", 1.0)?;
+    let escalate = weight_flag(args, "--escalate", LiveConfig::default().escalation_weight)?;
+    let shards: usize = flag_parsed(args, "--shards", None, "")?.unwrap_or(1);
+    let chunk: usize = flag_parsed(args, "--chunk", Some(1), AT_LEAST_ONE)?.unwrap_or(1024);
+    let max_victims: usize = flag_parsed(args, "--max-victims", Some(1), "")?
         .unwrap_or(LiveConfig::default().max_victims);
-    let evidence_ring: usize = flag_parsed(args, "--evidence-ring", Some(1), Some(AT_LEAST_ONE))?
+    let evidence_ring: usize = flag_parsed(args, "--evidence-ring", Some(1), AT_LEAST_ONE)?
         .unwrap_or(LiveConfig::default().evidence_capacity);
-    let checkpoint_every: Option<u64> = flag_parsed(args, "--checkpoint-every", Some(1), Some(""))?;
-    let source_queue: usize = flag_parsed(args, "--source-queue", Some(1), Some(AT_LEAST_ONE))?
+    let checkpoint_every: Option<u64> = flag_parsed(args, "--checkpoint-every", Some(1), "")?;
+    let source_queue: usize = flag_parsed(args, "--source-queue", Some(1), AT_LEAST_ONE)?
         .unwrap_or(SourceSetConfig::default().queue_capacity);
-    let source_batch: usize = flag_parsed(args, "--source-batch", Some(1), Some(AT_LEAST_ONE))?
+    let source_batch: usize = flag_parsed(args, "--source-batch", Some(1), AT_LEAST_ONE)?
         .unwrap_or(SourceSetConfig::default().batch_records);
-    let source_rate: Option<u64> = flag_parsed(
-        args,
-        "--source-rate",
-        Some(1),
-        Some(" (want records/s >= 1)"),
-    )?;
+    let source_rate: Option<u64> =
+        flag_parsed(args, "--source-rate", Some(1), " (want records/s >= 1)")?;
     let json = match flag_value(args, "--alert-format")?.unwrap_or("text") {
         "text" => false,
         "json" => true,
@@ -923,12 +913,11 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     use quicsand_server::model::{RetryPolicy, ServerConfig};
     use quicsand_server::replay::{replay_flood, ReplayConfig};
 
-    let pps: u64 = flag_value(args, "--pps")?
-        .ok_or("replay requires --pps <rate>")?
-        .parse()
-        .map_err(|_| "invalid --pps")?;
-    let requests: u64 = flag_parsed(args, "--requests", None, None)?.unwrap_or(pps * 300 + 1);
-    let workers: usize = flag_parsed(args, "--workers", None, None)?.unwrap_or(4);
+    let pps: u64 =
+        flag_parsed(args, "--pps", Some(1), AT_LEAST_ONE)?.ok_or("replay requires --pps <rate>")?;
+    let requests: u64 =
+        flag_parsed(args, "--requests", Some(1), AT_LEAST_ONE)?.unwrap_or(pps * 300 + 1);
+    let workers: usize = flag_parsed(args, "--workers", Some(1), AT_LEAST_ONE)?.unwrap_or(4);
     let retry_policy = if let Some(threshold) = flag_value(args, "--adaptive")? {
         RetryPolicy::Adaptive {
             occupancy_threshold: threshold.parse().map_err(|_| "invalid --adaptive")?,
@@ -1008,11 +997,11 @@ fn cmd_forensics(args: &[String]) -> Result<(), String> {
         .unwrap_or("forensics")
         .to_string();
     let replay = has_flag(args, "--replay");
-    let window: u64 = flag_parsed(args, "--window", None, Some(" (minutes)"))?.unwrap_or(5);
-    let weight: f64 = flag_parsed(args, "--weight", None, Some(""))?.unwrap_or(1.0);
-    let shards: usize = flag_parsed(args, "--shards", None, Some(""))?.unwrap_or(1);
-    let chunk: usize = flag_parsed(args, "--chunk", Some(1), Some(AT_LEAST_ONE))?.unwrap_or(1024);
-    let evidence_ring: usize = flag_parsed(args, "--evidence-ring", Some(1), Some(AT_LEAST_ONE))?
+    let window: u64 = flag_parsed(args, "--window", None, " (minutes)")?.unwrap_or(5);
+    let weight = weight_flag(args, "--weight", 1.0)?;
+    let shards: usize = flag_parsed(args, "--shards", None, "")?.unwrap_or(1);
+    let chunk: usize = flag_parsed(args, "--chunk", Some(1), AT_LEAST_ONE)?.unwrap_or(1024);
+    let evidence_ring: usize = flag_parsed(args, "--evidence-ring", Some(1), AT_LEAST_ONE)?
         .unwrap_or(LiveConfig::default().evidence_capacity);
 
     let guard = GuardConfig::default();

@@ -465,6 +465,70 @@ fn invalid_evidence_ring_is_rejected() {
     assert!(stderr.contains("--evidence-ring"), "stderr: {stderr}");
 }
 
+/// Regression: the threshold weights took any float, so `--weight NaN`
+/// or `inf` silently detected nothing, `--escalate NaN` never escalated,
+/// and `--weight -1` flagged every session like `0` — all with exit 0.
+#[test]
+fn non_positive_or_non_finite_weights_are_rejected() {
+    let dir = std::env::temp_dir().join("quicsand-cli-weights");
+    std::fs::create_dir_all(&dir).unwrap();
+    let empty = dir.join("empty.qscp");
+    std::fs::write(&empty, b"").unwrap();
+    let path = empty.to_str().unwrap();
+    let out = dir.join("slices");
+    let out = out.to_str().unwrap();
+    for (command, flag) in [
+        (&["live", path][..], "--weight"),
+        (&["live", path], "--escalate"),
+        (&["forensics", path, "--out", out], "--weight"),
+    ] {
+        for value in ["NaN", "inf", "-inf", "-1", "0"] {
+            let output = Command::new(bin())
+                .args(command)
+                .args([flag, value])
+                .output()
+                .expect("run");
+            let command = command[0];
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(
+                output.status.code(),
+                Some(1),
+                "{command} {flag} {value}: {stderr}"
+            );
+            assert!(
+                stderr.contains(&format!(
+                    "invalid {flag} `{value}` (want a finite number > 0)"
+                )),
+                "{command} {flag} {value}: {stderr}"
+            );
+        }
+    }
+    std::fs::remove_file(&empty).ok();
+}
+
+/// Regression: `replay --pps 0` and `--workers 0` panicked, and
+/// `--requests 0` reported `availability 0%` from a 0/0 division.
+#[test]
+fn zero_replay_counts_are_rejected() {
+    for (flag, line) in [
+        ("--pps", "replay --pps 0"),
+        ("--workers", "replay --pps 10 --workers 0"),
+        ("--requests", "replay --pps 10 --requests 0"),
+    ] {
+        let output = Command::new(bin())
+            .args(line.split_whitespace())
+            .output()
+            .expect("run replay");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "`{line}`: {stderr}");
+        assert!(
+            stderr.contains(&format!("invalid {flag} `0` (want an integer >= 1)")),
+            "`{line}`: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "`{line}` printed a result");
+    }
+}
+
 /// `live` with no capture path at all still fails loudly.
 #[test]
 fn live_without_any_input_is_rejected() {

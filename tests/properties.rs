@@ -86,9 +86,9 @@ fn fault_quarantine_oracle_is_exact_across_shard_counts() {
 }
 
 /// The metric⇄stats reconciliation invariant over a faulted ≥20k-record
-/// stream: every obs counter published from `IngestStats` (and, through
-/// the full pipeline, every session/attack counter) equals the
-/// corresponding stats field — exactly, at 1, 2 and 8 shards — and the
+/// stream: the merged `IngestStats` keep their dissect-reject identity
+/// and publish to the same exposition, byte for byte, at 1, 2 and 8
+/// shards; through the full pipeline `verify_metrics` holds and the
 /// *stable* metric subset is byte-identical across shard counts.
 #[test]
 fn metrics_reconcile_with_stats_across_shard_counts() {
@@ -101,18 +101,20 @@ fn metrics_reconcile_with_stats_across_shard_counts() {
     let faulted = plan.apply_all(&clean);
     assert!(plan.summary().total_injected() > 0, "profile must inject");
 
-    // (a) Ingest layer: a fresh registry fed the merged stats must
-    // reconcile field for field at every shard count, and the rendered
-    // exposition must agree byte for byte across shard counts.
+    // (a) Ingest layer: the merged stats must count every dissector
+    // reject under its kind at every shard count, and a fresh registry
+    // they are published to must render the same exposition byte for
+    // byte across shard counts.
     let mut rendered: Option<String> = None;
     for threads in [1usize, 2, 8] {
         let (_, _, stats) = ingest_parallel_with(&faulted, threads, guard);
+        stats
+            .require_dissect_rejects_counted()
+            .unwrap_or_else(|e| panic!("{threads} shard(s): {e}"));
         let registry = MetricsRegistry::new();
         let metrics = IngestMetrics::register(&registry);
-        metrics.add_stats(&stats);
-        metrics
-            .verify(&stats)
-            .unwrap_or_else(|e| panic!("{threads} shard(s): {e:?}"));
+        metrics.publish(&stats);
+        assert_eq!(metrics.records_total.get(), stats.total);
         let text = registry.render_prometheus(false);
         match &rendered {
             None => rendered = Some(text),
@@ -123,8 +125,8 @@ fn metrics_reconcile_with_stats_across_shard_counts() {
         }
     }
 
-    // (b) Whole pipeline on the faulted capture: every family
-    // reconciles (`verify_metrics` is exhaustive) and the stable metric
+    // (b) Whole pipeline on the faulted capture: `verify_metrics` holds
+    // at every thread count and the stable metric
     // subset — counters and attack histograms, not walltimes — is
     // byte-identical at any thread count.
     scenario.records = faulted;
