@@ -9,7 +9,10 @@
 //!   [`SessionTable`] (join while the per-victim gap ≤ timeout, bounds
 //!   widen for tolerated late packets, expiry deferred by the skew
 //!   tolerance, amortized idle sweep), with the alert phase and the
-//!   evidence ring as the window's payload;
+//!   evidence ring as the window's payload — a ring that stays
+//!   unallocated until the session is within `evidence_capacity`
+//!   packets of the thresholds' packet floor, since no earlier packet
+//!   can be emitted;
 //! * an alert `Opened`/`Escalated` transition fires the moment the
 //!   victim's open session crosses the (scaled) `DosThresholds` — all
 //!   three measures are monotone non-decreasing within a session, so
@@ -46,8 +49,8 @@ pub struct LiveConfig {
     /// (Appendix-B style). An open alert escalates when its session
     /// crosses `thresholds.scaled(escalation_weight)`.
     pub escalation_weight: f64,
-    /// Evidence packets retained per open alert (a ring buffer of the
-    /// most recent packets).
+    /// Evidence packets carried by every alert that closes: its
+    /// session's last this many packets, kept in a ring buffer.
     pub evidence_capacity: usize,
     /// Hard cap on tracked victims per channel: inserting a new victim
     /// beyond this evicts the least-recently-active one. Bounds memory
@@ -144,7 +147,7 @@ struct VictimState {
 }
 
 /// What a channel attaches to a victim's open [`Window`]: where its
-/// alert stands and the most recent packets seen.
+/// alert stands and the most recent packets a close could emit.
 #[derive(Debug, Clone, PartialEq)]
 struct AlertState {
     phase: AlertPhase,
@@ -155,11 +158,12 @@ struct AlertState {
 }
 
 impl AlertState {
-    /// The state of a session that has just opened.
-    fn fresh(capacity: usize) -> Self {
+    /// The state of a session that has just opened: no ring yet, most
+    /// sessions never qualify.
+    fn fresh() -> Self {
         AlertState {
             phase: AlertPhase::Quiet,
-            evidence: Vec::with_capacity(capacity.min(64)),
+            evidence: Vec::new(),
             cursor: 0,
         }
     }
@@ -169,6 +173,9 @@ impl AlertState {
             return;
         }
         if self.evidence.len() < capacity {
+            if self.evidence.capacity() == 0 {
+                self.evidence.reserve_exact(capacity.min(64));
+            }
             self.evidence.push(packet);
         } else {
             self.evidence[self.cursor] = packet;
@@ -264,6 +271,8 @@ struct Alerts<'a> {
     thresholds: &'a DosThresholds,
     escalation: &'a DosThresholds,
     evidence_capacity: usize,
+    /// See [`ChannelDetector::evidence_from`].
+    evidence_from: u64,
     /// The rest of the offered packet's evidence row.
     dst: Ipv4Addr,
     bytes: u64,
@@ -276,9 +285,10 @@ impl Steps<AlertState> for Alerts<'_> {
         ChannelDetector::close_state(self.protocol, self.stats, closed, self.out);
     }
 
-    /// Records the packet as evidence and advances the victim's alert
-    /// phase as far as the thresholds allow, emitting one event per
-    /// transition. Monotone measures ⇒ no reverse transitions, ever.
+    /// Records the packet as evidence (once a close could emit it) and
+    /// advances the victim's alert phase as far as the thresholds allow,
+    /// emitting one event per transition. Monotone measures ⇒ no reverse
+    /// transitions, ever.
     #[inline]
     fn counted(&mut self, counted: Counted<'_, AlertState>) {
         let Counted {
@@ -288,12 +298,14 @@ impl Steps<AlertState> for Alerts<'_> {
             payload: state,
             ..
         } = counted;
-        let packet = EvidencePacket {
-            ts: at,
-            dst: self.dst,
-            bytes: self.bytes,
-        };
-        state.push_evidence(packet, self.evidence_capacity);
+        if window.packet_count > self.evidence_from {
+            let packet = EvidencePacket {
+                ts: at,
+                dst: self.dst,
+                bytes: self.bytes,
+            };
+            state.push_evidence(packet, self.evidence_capacity);
+        }
         let (packets, duration, max_pps) =
             (window.packet_count, window.duration(), window.max_pps());
         if state.phase == AlertPhase::Quiet
@@ -322,6 +334,12 @@ struct ChannelDetector {
     thresholds: DosThresholds,
     escalation: DosThresholds,
     evidence_capacity: usize,
+    /// Arrivals up to this one are never recorded as evidence. A session
+    /// that closes as an alert crossed the base thresholds, so it has at
+    /// least [`DosThresholds::qualifying_packets`] arrivals and its last
+    /// `evidence_capacity` all come after these. A ring restored with
+    /// earlier entries has them overwritten before any close emits them.
+    evidence_from: u64,
     table: SessionTable<AlertState>,
     stats: LiveStats,
 }
@@ -333,6 +351,10 @@ impl ChannelDetector {
             thresholds: config.thresholds,
             escalation: config.thresholds.scaled(config.escalation_weight),
             evidence_capacity: config.evidence_capacity,
+            evidence_from: config
+                .thresholds
+                .qualifying_packets()
+                .saturating_sub(config.evidence_capacity as u64),
             table: SessionTable::new(config.session, config.max_victims),
             stats: LiveStats::default(),
         }
@@ -350,19 +372,18 @@ impl ChannelDetector {
         out: &mut Vec<ChannelEvent>,
     ) {
         self.stats.events_in += 1;
-        let capacity = self.evidence_capacity;
         let mut alerts = Alerts {
             protocol: self.protocol,
             thresholds: &self.thresholds,
             escalation: &self.escalation,
-            evidence_capacity: capacity,
+            evidence_capacity: self.evidence_capacity,
+            evidence_from: self.evidence_from,
             dst,
             bytes,
             stats: &mut self.stats,
             out,
         };
-        self.table
-            .offer(ts, victim, || AlertState::fresh(capacity), &mut alerts);
+        self.table.offer(ts, victim, AlertState::fresh, &mut alerts);
         self.stats.peak_tracked = self.table.peak_open();
     }
 
@@ -562,12 +583,22 @@ pub struct DetectorSnapshot {
 }
 
 impl DetectorSnapshot {
-    /// Rejects an open victim whose evidence `cursor` points outside its
-    /// ring: [`AlertState`] indexes the ring at `cursor` on the next
-    /// packet and slices it there on the next close or snapshot.
-    pub(crate) fn require_cursors_in_ring(&self) -> Result<(), String> {
+    /// Rejects an open victim whose evidence ring a detector with ring
+    /// `capacity` cannot have written. [`AlertState`] appends while the
+    /// ring holds fewer than `capacity` packets and overwrites slot
+    /// `cursor` after, so a longer ring keeps its stale tail and closes
+    /// out of order. A `cursor` outside the ring panics the next close
+    /// or snapshot, which slice the ring there.
+    pub(crate) fn require_sound_rings(&self, capacity: usize) -> Result<(), String> {
         for (channel, snapshot) in [("quic", &self.quic), ("common", &self.common)] {
             for VictimEntry { src, state } in &snapshot.states {
+                if state.evidence.len() > capacity {
+                    return Err(format!(
+                        "checkpoint field `evidence` of {channel} victim {src} holds {} \
+                         packet(s), more than `evidence_capacity` {capacity}",
+                        state.evidence.len()
+                    ));
+                }
                 if state.cursor != 0 && state.cursor >= state.evidence.len() {
                     return Err(format!(
                         "checkpoint field `cursor` of {channel} victim {src} is {}, \
@@ -1332,12 +1363,16 @@ mod tests {
         /// and then jump past the timeout, a victim cap from tight to
         /// unbounded, one JSON checkpoint/restore somewhere in the
         /// middle (exact index keys after it, stale ones before) — and
-        /// must emit the identical events and counters throughout.
+        /// must emit the identical events and counters throughout. The
+        /// evidence ring is 1, 3 or 8 packets against a packet floor of
+        /// 4, so the detector skips the first 3, 1 or no arrivals; the
+        /// oracle keeps every arrival and takes the tail.
         #[test]
         fn prop_channel_matches_a_naive_oracle(
             steps in proptest::collection::vec((0u8..12, 0u64..20_000, 0u8..100), 1..400),
             victims in 1u8..=12,
             cap in 0usize..4,
+            ring in 0usize..3,
             checkpoint_at in 0usize..400,
         ) {
             const TOLERANCE_MS: u64 = 5_000;
@@ -1353,7 +1388,7 @@ mod tests {
                     skew_tolerance: Duration::from_micros(TOLERANCE_MS * 1_000),
                 },
                 escalation_weight: 2.0,
-                evidence_capacity: 3,
+                evidence_capacity: [1, 3, 8][ring],
                 max_victims: [1, 2, 5, usize::MAX][cap],
             };
             let mut channel = ChannelDetector::new(Oracle::PROTOCOL, &config);

@@ -367,7 +367,9 @@ impl LiveEngine {
     /// outside the program goes through [`crate::parse_checkpoint`]
     /// first, which rejects one with no shards (an engine that would
     /// accept records and process none), with an evidence cursor outside
-    /// its ring (a detector that would panic on its next close) or with
+    /// its ring (a detector that would panic on its next close), with a
+    /// ring longer than `evidence_capacity` (one that would close with
+    /// its evidence out of order) or with
     /// counters that contradict each other (an engine that would fail
     /// its own [`LiveEngine::verify_metrics`]).
     pub fn restore(snapshot: &LiveSnapshot) -> Self {

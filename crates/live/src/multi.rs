@@ -143,7 +143,7 @@ pub fn parse_checkpoint(json: &str) -> Result<MultiSnapshot, String> {
         stats.require_dissect_rejects_counted()?;
     }
     for detector in snapshot.engine.detectors() {
-        detector.require_cursors_in_ring()?;
+        detector.require_sound_rings(snapshot.engine.config.evidence_capacity)?;
         detector.require_closed_listed()?;
     }
     Ok(snapshot)

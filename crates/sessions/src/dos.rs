@@ -73,6 +73,23 @@ impl DosThresholds {
             && duration > self.min_duration
             && max_pps > self.min_max_pps
     }
+
+    /// The fewest packets for which the packet clause of
+    /// [`Self::matches_measures`] holds: a session with fewer never
+    /// qualifies, whatever its duration and rate (26 for Moore). A lower
+    /// bound, exact below 2^53 packets. The live detector uses it to
+    /// skip packets no qualifying session can end with, so an
+    /// under-estimate only records more evidence and an over-estimate
+    /// would lose some. `u64::MAX` when no count qualifies (a NaN
+    /// threshold, or one no `u64` exceeds).
+    pub fn qualifying_packets(&self) -> u64 {
+        match self.min_packets {
+            m if m.is_nan() => u64::MAX,
+            m if m < 0.0 => 0,
+            // `as` saturates: a threshold past `u64::MAX` yields it.
+            m => (m.floor() as u64).saturating_add(1),
+        }
+    }
 }
 
 impl Default for DosThresholds {
@@ -297,6 +314,39 @@ mod tests {
         assert!(!strict.matches(&mild));
         // Weight 1 is the default.
         assert_eq!(DosThresholds::weighted(1.0), DosThresholds::moore());
+    }
+
+    #[test]
+    fn qualifying_packets_is_where_the_packet_clause_starts_to_hold() {
+        for (min_packets, want) in [
+            (f64::NAN, u64::MAX),
+            (-1.0, 0),
+            (0.0, 1),
+            (3.0, 4),
+            (12.5, 13),
+            (25.0, 26),
+            (1e30, u64::MAX),
+        ] {
+            // Only the packet clause can fail.
+            let thresholds = DosThresholds {
+                min_packets,
+                min_duration: Duration::ZERO,
+                min_max_pps: 0.0,
+            };
+            let holds = |packets| {
+                thresholds.matches_measures(packets, Duration::from_secs(1), f64::INFINITY)
+            };
+            let q = thresholds.qualifying_packets();
+            assert_eq!(q, want, "min_packets {min_packets}");
+            for packets in (0..40).chain([q.saturating_sub(1), q, u64::MAX]) {
+                assert_eq!(
+                    holds(packets),
+                    packets >= q && q != u64::MAX,
+                    "min_packets {min_packets}, {packets} packet(s)"
+                );
+            }
+        }
+        assert_eq!(DosThresholds::moore().qualifying_packets(), 26);
     }
 
     #[test]

@@ -271,6 +271,16 @@ if [[ "$walks" -ne 1 ]]; then
   exit 1
 fi
 
+echo "==> live detector: a victim's evidence ring waits for evidence a close could emit"
+# Every spoofed source is a tracked victim and almost none qualifies, so
+# `AlertState::fresh` allocates nothing: the ring reserves its capacity on
+# its first push, and the detector pushes only packets that can end up in
+# a closed alert. A `with_capacity` in `fresh` is a ring per victim again.
+if nontest_code crates/live/src/detector.rs | sed -n '/fn fresh(/,/^    }/p' | grep -n 'with_capacity'; then
+  echo "evidence pin: \`AlertState::fresh\` calls \`with_capacity\` in crates/live/src/detector.rs" >&2
+  exit 1
+fi
+
 echo "==> streaming batch path: no decoded-capture vector comes back"
 # The CLI feeds the pipeline `read_batch` slices and the pipeline keeps
 # only QUIC observations; a `read_to_end` in the CLI or a record vector

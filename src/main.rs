@@ -227,9 +227,9 @@ USAGE:
         from the restored copy — proving the checkpoint is lossless
         mid-run. --metrics-out writes the engine's metrics registry as
         canonical JSON after the run (stable series survive
-        checkpoint/restore unchanged). --evidence-ring sets the
-        per-alert evidence ring capacity (most recent packets kept as
-        replayable forensics; default 16). --events-out writes the
+        checkpoint/restore unchanged). --evidence-ring N keeps the
+        last N packets of every alert that closes as replayable
+        forensics (default 16). --events-out writes the
         typed event stream (wire rejections, Retry/VN sightings,
         alert lifecycle) as qlog 0.4 JSON-SEQ with one vantage entry
         per feed; record-tied events are identical at any --shards

@@ -1,11 +1,20 @@
 //! Checkpoint format golden: "old checkpoints still resume".
 //!
 //! `tests/golden/checkpoint-v2.json` is the schema-v2 checkpoint the
-//! detector wrote *before* its per-victim state was restructured
-//! (PR 14: lazy expiry heap, flat minute profile). The current code
-//! must write the byte-identical file at the same record of the same
-//! trace, and restoring the file and replaying the remainder must emit
-//! exactly the uncheckpointed run's events.
+//! detector writes at a fixed record of a fixed trace, and the current
+//! code must write it byte for byte. Restructuring the per-victim state
+//! (lazy expiry heap, flat minute profile) left it byte-identical. It
+//! changed once since, in content and not in shape: an evidence ring now
+//! starts filling only once its session is within `evidence_capacity`
+//! packets of the base thresholds' packet floor, because no earlier
+//! packet can be in a closed alert's evidence. So the two one-packet
+//! victims (198.51.100.113 and .114) hold `"evidence":[]` where they held
+//! their one packet. No field was added, removed or retyped, and a ring
+//! that holds such early packets still restores and has them overwritten
+//! before any close could emit them. That is why this is no schema
+//! change. `tests/golden/checkpoint-v2-full-rings.json` is the file as
+//! written before, and proves it: both files must restore losslessly and
+//! replay the remainder to exactly the uncheckpointed run's events.
 //!
 //! The trace is small and hand-built to put every shape the format can
 //! take into the snapshot: a capped channel (`max_victims: 4`) that has
@@ -14,8 +23,9 @@
 //! that opens a slot *earlier* than any the victim had, and closed
 //! alerts (evicted and not) with their profiles and evidence rings.
 //!
-//! Re-bless only for an intentional format change (which then needs a
-//! schema version bump):
+//! Re-bless only for an intentional change to what is written. A change
+//! of shape needs a schema version bump; a change of content, like the
+//! one above, keeps the old file as a resume fixture:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test checkpoint_golden
@@ -33,8 +43,10 @@ use std::path::PathBuf;
 const CHUNK: usize = 64;
 const CHUNKS_BEFORE_CHECKPOINT: usize = 9;
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/checkpoint-v2.json")
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
 }
 
 fn victim(last: u8) -> Ipv4Addr {
@@ -146,10 +158,11 @@ fn checkpoint_bytes_and_resume_match_the_golden() {
     let mut rendered = serde_json::to_string(&live.snapshot()).expect("snapshot serializes");
     rendered.push('\n');
 
+    let path = golden_path("checkpoint-v2.json");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path(), &rendered).expect("write checkpoint golden");
+        std::fs::write(&path, &rendered).expect("write checkpoint golden");
     }
-    let golden = std::fs::read_to_string(golden_path()).expect(
+    let golden = std::fs::read_to_string(&path).expect(
         "tests/golden/checkpoint-v2.json (UPDATE_GOLDEN=1 cargo test --test checkpoint_golden)",
     );
 
@@ -169,20 +182,26 @@ fn checkpoint_bytes_and_resume_match_the_golden() {
         rendered == golden,
         "checkpoint at record {} is not byte-identical to {} ({} vs {} bytes)",
         CHUNK * CHUNKS_BEFORE_CHECKPOINT,
-        golden_path().display(),
+        path.display(),
         rendered.len(),
         golden.len()
     );
 
-    // Resume from the *file*, not from the snapshot in memory.
-    let parsed = parse_checkpoint(golden.trim_end()).expect("golden parses");
-    assert_eq!(parsed.version, 2);
-    let mut restored =
-        MultiSourceLive::restore(&parsed, feed(&records), &SourceSetConfig::default())
-            .expect("golden restores");
-    assert_eq!(restored.snapshot(), parsed, "restore is lossless");
-    events.extend(drain(&mut restored));
-    assert_eq!(events, straight_events, "resumed run diverged");
-    assert_eq!(restored.live_stats(), straight_stats);
-    restored.verify_metrics().expect("restored run reconciles");
+    // Resume from each *file*, not from the snapshot in memory.
+    for name in ["checkpoint-v2.json", "checkpoint-v2-full-rings.json"] {
+        let text = std::fs::read_to_string(golden_path(name)).expect(name);
+        let parsed = parse_checkpoint(text.trim_end()).expect(name);
+        assert_eq!(parsed.version, 2);
+        let mut restored =
+            MultiSourceLive::restore(&parsed, feed(&records), &SourceSetConfig::default())
+                .expect(name);
+        assert_eq!(restored.snapshot(), parsed, "{name}: restore is lossless");
+        let mut resumed = events.clone();
+        resumed.extend(drain(&mut restored));
+        assert_eq!(resumed, straight_events, "{name}: resumed run diverged");
+        assert_eq!(restored.live_stats(), straight_stats, "{name}");
+        restored
+            .verify_metrics()
+            .unwrap_or_else(|errors| panic!("{name}: restored run unreconciled: {errors:?}"));
+    }
 }

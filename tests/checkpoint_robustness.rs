@@ -99,6 +99,28 @@ fn edit_struct(tree: &mut Value, pick: usize, edit: impl FnOnce(&mut Vec<(String
     edit(entries, depth);
 }
 
+/// An open victim's evidence ring longer than the `evidence_capacity`
+/// beside it is no ring a detector writes: restored, it has only its
+/// first slots overwritten and closes with its packets out of order.
+#[test]
+fn a_ring_longer_than_its_capacity_is_refused() {
+    for golden in [
+        include_str!("golden/checkpoint-v2.json"),
+        include_str!("golden/checkpoint-v2-full-rings.json"),
+    ] {
+        let golden = golden.trim_end();
+        read(golden).expect("as written");
+        let shrunk = golden.replacen("\"evidence_capacity\":16", "\"evidence_capacity\":4", 1);
+        assert_ne!(shrunk, golden);
+        let error = read(&shrunk).expect_err("a 16-packet ring at capacity 4");
+        assert_eq!(
+            error,
+            "checkpoint field `evidence` of common victim 198.51.100.1 holds 16 packet(s), \
+             more than `evidence_capacity` 4"
+        );
+    }
+}
+
 /// `depth` arrays around a `0`.
 fn nest(depth: usize) -> Value {
     (0..depth).fold(Value::U64(0), |inner, _| Value::Seq(vec![inner]))

@@ -8,11 +8,13 @@
 //! allocator, hence its own file) and pins that: over backscatter from a
 //! fixed set of victims, what `offer_chunk` allocates follows the victims
 //! and minutes, and four times the packets allocate exactly the same
-//! bytes.
+//! bytes. It pins, too, that a victim far below the packet threshold
+//! costs no evidence ring: no packet of it could be in an alert's
+//! evidence, so the ring's capacity cannot change what it allocates.
 
 use quicsand_intel::Provider;
 use quicsand_live::{LiveConfig, LiveEngine, LiveEventKind};
-use quicsand_net::{PacketRecord, Timestamp};
+use quicsand_net::{PacketRecord, TcpFlags, Timestamp};
 use quicsand_telescope::GuardConfig;
 use quicsand_traffic::backscatter::BackscatterBuilder;
 use quicsand_wire::Version;
@@ -79,5 +81,42 @@ fn live_backscatter_allocates_by_victims_and_minutes_not_by_packets() {
         dense, sparse,
         "4x the packets from the same victims over the same minutes allocated {dense} bytes, \
          not the {sparse} of the sparse capture"
+    );
+}
+
+#[test]
+fn sub_threshold_victims_allocate_no_evidence_ring() {
+    // Spoofed churn: 4 096 sources, one SYN-ACK each, 1 ms apart.
+    let records: Vec<PacketRecord> = (0..4_096u32)
+        .map(|source| {
+            PacketRecord::tcp(
+                Timestamp::from_micros(u64::from(source) * 1_000),
+                Ipv4Addr::from(0x0B00_0000 + source),
+                Ipv4Addr::new(10, 0, (source >> 8) as u8, source as u8),
+                443,
+                50_000,
+                TcpFlags::SYN_ACK,
+            )
+        })
+        .collect();
+    let measure = |evidence_capacity: usize| {
+        let config = LiveConfig {
+            evidence_capacity,
+            ..LiveConfig::default()
+        };
+        let mut engine = LiveEngine::new(config, GuardConfig::default(), 1);
+        let (events, bytes) = bytes_allocated_during(|| engine.offer_chunk(&records));
+        assert!(events.is_empty(), "{events:?}");
+        assert_eq!(engine.tracked(), records.len());
+        bytes
+    };
+    // Warm-up: anything the process initialises once.
+    measure(16);
+    let narrow = measure(1);
+    let wide = measure(16);
+    assert_eq!(
+        wide, narrow,
+        "4 096 one-packet victims allocated {wide} bytes at a 16-packet evidence ring, \
+         not the {narrow} of a 1-packet ring"
     );
 }
