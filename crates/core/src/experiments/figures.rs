@@ -1,9 +1,9 @@
 //! SVG figure builders: the paper's plots as actual plots.
 //!
 //! Each builder turns the analysis products into a [`PlotSpec`];
-//! `render_figures` in `quicsand-bench` writes them to disk. Shapes
-//! mirror the paper's presentation (hourly series, CDFs with log-scaled
-//! x axes, share bars).
+//! `quicsand experiments --out <dir>` writes them to `<dir>/figures/`.
+//! Shapes mirror the paper's presentation (hourly series, CDFs with
+//! log-scaled x axes, share bars).
 
 use crate::analysis::Analysis;
 use crate::plot::PlotSpec;

@@ -1,4 +1,4 @@
-//! One runner per paper artifact.
+//! One runner per paper artifact, and the [`CATALOG`] that names them.
 //!
 //! | module | paper artifact |
 //! |--------|----------------|
@@ -20,6 +20,9 @@
 //! | [`adaptive_retry`] | §6 proposal — adaptive RETRY deployment |
 //! | [`mitigation`] | §5.2 insight — port vs QUIC-specific filtering |
 //! | [`figures`] | SVG builders for every plot |
+//!
+//! [`CATALOG`] is the one list of the artifacts: `quicsand experiments`
+//! and the golden and end-to-end suites all run what it names.
 
 pub mod adaptive_retry;
 pub mod fig02;
@@ -39,3 +42,97 @@ pub mod mitigation;
 pub mod msgmix;
 pub mod sec3_amplification;
 pub mod tab01;
+
+use crate::analysis::Analysis;
+use crate::report::Report;
+use quicsand_traffic::Scenario;
+
+/// How a [`CATALOG`] entry computes its report.
+#[derive(Debug, Clone, Copy)]
+pub enum Runner {
+    /// From the generated scenario and its analysis.
+    Scenario(fn(&Scenario, &Analysis) -> Report),
+    /// On its own. The argument is Table 1's request factor: `tab01`
+    /// replays that share of the paper's request counts, and the others
+    /// have nothing to scale.
+    Standalone(fn(f64) -> Report),
+}
+
+/// One paper artifact: its report id and how to compute it.
+#[derive(Debug, Clone, Copy)]
+pub struct Entry {
+    /// The id of the report it returns, and the name it is selected by.
+    pub id: &'static str,
+    /// How the report is computed.
+    pub runner: Runner,
+}
+
+const fn scenario(id: &'static str, run: fn(&Scenario, &Analysis) -> Report) -> Entry {
+    Entry {
+        id,
+        runner: Runner::Scenario(run),
+    }
+}
+
+const fn standalone(id: &'static str, run: fn(f64) -> Report) -> Entry {
+    Entry {
+        id,
+        runner: Runner::Standalone(run),
+    }
+}
+
+/// Every paper artifact, in report order: the scenario-derived ones
+/// first, then those that stand alone.
+pub static CATALOG: &[Entry] = &[
+    scenario("fig02", fig02::run),
+    scenario("fig03", fig03::run),
+    scenario("fig04", |_, analysis| fig04::run(analysis)),
+    scenario("fig05", fig05::run),
+    scenario("fig06", |_, analysis| fig06::run(analysis)),
+    scenario("fig07", |_, analysis| fig07::run(analysis)),
+    scenario("fig08", |_, analysis| fig08::run(analysis)),
+    scenario("fig09", fig09::run),
+    scenario("fig10", fig10::run),
+    scenario("fig11", |_, analysis| fig11::run(analysis)),
+    scenario("fig12", |_, analysis| fig12::run(analysis)),
+    scenario("fig13", |_, analysis| fig13::run(analysis)),
+    scenario("msgmix", |_, analysis| msgmix::run(analysis)),
+    standalone("tab01", tab01::run),
+    standalone("sec3_amplification", |_| sec3_amplification::run()),
+    standalone("adaptive_retry", |_| adaptive_retry::run()),
+    standalone("mitigation", |_| mitigation::run()),
+];
+
+/// The entries `ids` name, in catalog order; the whole catalog when
+/// `ids` is empty.
+///
+/// # Errors
+/// An id the catalog does not hold, with the list of valid ones.
+pub fn select<S: AsRef<str>>(ids: &[S]) -> Result<Vec<&'static Entry>, String> {
+    if let Some(unknown) = ids
+        .iter()
+        .map(AsRef::as_ref)
+        .find(|id| CATALOG.iter().all(|entry| entry.id != *id))
+    {
+        let valid: Vec<&str> = CATALOG.iter().map(|entry| entry.id).collect();
+        return Err(format!(
+            "unknown experiment `{unknown}` (valid: {})",
+            valid.join(", ")
+        ));
+    }
+    Ok(CATALOG
+        .iter()
+        .filter(|entry| ids.is_empty() || ids.iter().any(|id| id.as_ref() == entry.id))
+        .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_empty_selection_is_the_whole_catalog() {
+        let ids: Vec<&str> = select::<&str>(&[]).unwrap().iter().map(|e| e.id).collect();
+        assert_eq!(ids, CATALOG.iter().map(|e| e.id).collect::<Vec<_>>());
+    }
+}

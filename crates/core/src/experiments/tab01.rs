@@ -1,10 +1,10 @@
 //! Table 1 — local server tests: flood volume vs service availability,
 //! with and without RETRY.
 //!
-//! Reproduces the paper's 9 rows. The default run scales the request
-//! counts down (the mechanism — state-table exhaustion at a 60 s hold
-//! and the stateless RETRY bypass — is rate-driven, not count-driven);
-//! `run_full` replays the exact paper counts.
+//! Reproduces the paper's 9 rows. [`run`] scales the request counts by a
+//! factor (the mechanism — state-table exhaustion at a 60 s hold and the
+//! stateless RETRY bypass — is rate-driven, not count-driven); a factor
+//! of 1 replays the exact paper counts.
 
 use crate::report::Report;
 use quicsand_server::model::ServerConfig;
@@ -30,7 +30,9 @@ pub fn run_row(pps: u64, retry: bool, workers: usize, requests: u64, seed: u64) 
     )
 }
 
-fn run_with_scale(scale: f64) -> Report {
+/// Runs the table with the paper's request counts scaled by `scale`
+/// (at least 1 000 per row); the rates (pps) are the paper's.
+pub fn run(scale: f64) -> Report {
     let mut report = Report::new(
         "tab01",
         "Local QUIC server under Initial floods: service availability (Table 1)",
@@ -74,23 +76,13 @@ fn run_with_scale(scale: f64) -> Report {
     report
 }
 
-/// Runs the table with scaled-down request counts (fast).
-pub fn run_scaled(scale: f64) -> Report {
-    run_with_scale(scale)
-}
-
-/// Runs the table with the paper's exact request counts.
-pub fn run_full() -> Report {
-    run_with_scale(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn scaled_table_reproduces_the_shape() {
-        let report = run_scaled(0.05);
+        let report = run(0.05);
         assert_eq!(report.rows.len(), 9);
         let avail = |i: usize| -> u64 { report.rows[i][5].trim_end_matches('%').parse().unwrap() };
         // Row 0: 10 pps / 4 workers -> fine.
@@ -111,7 +103,7 @@ mod tests {
 
     #[test]
     fn findings_cover_all_rows() {
-        let report = run_scaled(0.02);
+        let report = run(0.02);
         assert_eq!(report.findings.len(), 9);
         assert!(report.notes[0].contains("scaled"));
     }

@@ -4,6 +4,7 @@
 //! end-to-end.
 //!
 //! ```no_run
+//! use quicsand_core::experiments::{select, Runner};
 //! use quicsand_core::{Analysis, AnalysisConfig};
 //! use quicsand_traffic::{Scenario, ScenarioConfig};
 //!
@@ -11,9 +12,10 @@
 //! let scenario = Scenario::generate(&ScenarioConfig::test());
 //! // 2. Run the paper's measurement pipeline on it.
 //! let analysis = Analysis::run(&scenario, &AnalysisConfig::default());
-//! // 3. Regenerate any table or figure.
-//! let report = quicsand_core::experiments::fig07::run(&analysis);
-//! println!("{}", report.render());
+//! // 3. Regenerate any table or figure the catalog names.
+//! if let Runner::Scenario(run) = select(&["fig07"]).unwrap()[0].runner {
+//!     println!("{}", run(&scenario, &analysis).render());
+//! }
 //! ```
 //!
 //! Modules:
@@ -21,8 +23,9 @@
 //! * [`analysis`] — the §4/§5 pipeline: ingest → sanitize → sessionize
 //!   → DoS inference → multi-vector correlation, all products exposed.
 //! * [`experiments`] — one runner per paper artifact (Figs. 2–13,
-//!   Table 1, the §6 message-mix analysis), each returning a
-//!   [`report::Report`].
+//!   Table 1, the §3 amplification factors, the §6 message-mix analysis
+//!   and two extensions), each returning a [`report::Report`], and the
+//!   catalog that lists them.
 //! * [`report`] — the uniform report structure with text and JSON
 //!   rendering, including paper-vs-measured findings.
 //! * [`plot`] — dependency-free SVG rendering for the figure builders

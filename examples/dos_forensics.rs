@@ -8,7 +8,7 @@
 //! cargo run --release --example dos_forensics
 //! ```
 
-use quicsand_core::experiments::fig11;
+use quicsand_core::experiments::{select, Runner};
 use quicsand_core::{Analysis, AnalysisConfig};
 use quicsand_sessions::dos::attacks_per_victim;
 use quicsand_sessions::multivector::MultiVectorClass;
@@ -98,5 +98,7 @@ fn main() {
     }
 
     println!("\n=== Showcase victim timeline (Fig. 11) ===");
-    println!("{}", fig11::run(&analysis).render());
+    if let Runner::Scenario(run) = select(&["fig11"]).expect("catalog id")[0].runner {
+        println!("{}", run(&scenario, &analysis).render());
+    }
 }

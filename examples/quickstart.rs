@@ -76,5 +76,5 @@ fn main() {
     println!("RETRY packets observed in backscatter: {retries} (defence not deployed)");
 
     println!("\nReproduce every figure/table with:");
-    println!("  cargo run --release -p quicsand-bench --bin all_experiments");
+    println!("  cargo run --release -- experiments --scale demo");
 }

@@ -7,6 +7,8 @@
 #   scripts/ci.sh events-smoke # only the qlog export + forensic replay gate
 #   scripts/ci.sh scenario-smoke
 #                              # only the post-2021 scenario-tier gate
+#   scripts/ci.sh experiments-smoke
+#                              # only the paper-artifact runner gate
 #   scripts/ci.sh rss-smoke [quicsand-binary]
 #                              # only the analyze + live peak-RSS gate (on
 #                              # another build's binary when one is named)
@@ -116,6 +118,40 @@ scenario_smoke() {
   echo "scenario-smoke: all 4 kinds generate, analyze, stream shard-invariantly, export valid qlog — OK"
 }
 
+experiments_smoke() {
+  # The one experiment runner over the whole catalog at the test scale:
+  # EXPERIMENTS.md must hold findings for every catalog id, and figures/
+  # one SVG per `figures::all` plot. Both lists are read from the source,
+  # not from the runner's own output.
+  echo "==> experiments-smoke: every paper artifact regenerates"
+  local exp_dir profile ids id want got
+  profile="${profile_flag---release}"
+  exp_dir="$(mktemp -d)"
+  # shellcheck disable=SC2064
+  trap "rm -rf '$exp_dir'" RETURN
+  ids="$(sed -n 's/^    \(scenario\|standalone\)("\([a-z0-9_]*\)",.*/\2/p' \
+    crates/core/src/experiments/mod.rs)"
+  want="$(sed -n '/^pub fn all(/,/^}/p' crates/core/src/experiments/figures.rs \
+    | { grep -oF '".to_string()' || true; } | wc -l)"
+  if [[ -z "$ids" || "$want" -eq 0 ]]; then
+    echo "experiments-smoke: could not read the catalog ids or the figure list" >&2
+    exit 1
+  fi
+  cargo run -q $profile -- experiments --scale test --out "$exp_dir" >/dev/null 2>&1
+  for id in $ids; do
+    grep -q "^| $id | " "$exp_dir/EXPERIMENTS.md" || {
+      echo "experiments-smoke: no findings for \`$id\` in EXPERIMENTS.md" >&2
+      exit 1
+    }
+  done
+  got="$(find "$exp_dir/figures" -name '*.svg' | wc -l)"
+  if [[ "$got" -ne "$want" ]]; then
+    echo "experiments-smoke: $got SVG figure(s) written, figures::all has $want" >&2
+    exit 1
+  fi
+  echo "experiments-smoke: findings for all $(echo "$ids" | wc -w) catalog ids, $got SVG figures — OK"
+}
+
 rss_smoke() {
   # `analyze` and `live` stream the capture: what stays resident is the
   # capture arena and the QUIC observations (or the detector state),
@@ -178,6 +214,11 @@ fi
 
 if [[ "${1:-}" == "scenario-smoke" ]]; then
   scenario_smoke
+  exit 0
+fi
+
+if [[ "${1:-}" == "experiments-smoke" ]]; then
+  experiments_smoke
   exit 0
 fi
 
@@ -327,6 +368,24 @@ for file in crates/traffic/src/*.rs; do
     exit 1
   fi
 done
+
+echo "==> one experiment runner: the catalog is the only list of artifact runners"
+# `experiments::CATALOG` maps every artifact id to its runner, and
+# `quicsand experiments` runs it; a `figNN::run(` call anywhere else is a
+# second list to keep in step by hand (tests/determinism.rs compares two
+# runs of one figure, which is no list). The `quicsand-bench` crate held
+# two more, behind three environment variables.
+if [[ -e crates/bench ]]; then
+  echo "runner pin: crates/bench exists; \`quicsand experiments\` is the one runner" >&2
+  exit 1
+fi
+callers="$(grep -rlE --include='*.rs' --exclude-dir=target --exclude-dir=.git 'fig[0-9]{2}::run\(' . \
+  | sed 's|^\./||' | grep -vE '^(crates/core/src/experiments/|tests/determinism\.rs$)' || true)"
+if [[ -n "$callers" ]]; then
+  echo "runner pin: \`figNN::run(\` outside crates/core/src/experiments/ and tests/determinism.rs, in:" >&2
+  echo "$callers" >&2
+  exit 1
+fi
 
 echo "==> counters catch up to the stats they mirror: no delta cursors, no mirror checks"
 # A metric bundle publishes a stats reading with one `publish`: each
@@ -493,6 +552,8 @@ echo "metrics-smoke: exposition complete, counters reconcile, exit 0 — OK"
 rss_smoke
 
 events_smoke
+
+experiments_smoke
 
 if [[ $quick -eq 0 ]]; then
   bench_smoke

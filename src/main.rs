@@ -5,7 +5,7 @@
 //! quicsand analyze <capture.qscp> [--threads N] [--verbose]
 //! quicsand live <capture.qscp> [--shards N] [--checkpoint-every N] [--alert-format text|json]
 //! quicsand replay --pps 1000 [--requests 300001] [--workers 4] [--retry|--adaptive 0.5]
-//! quicsand experiments [--scale test|demo|paper]
+//! quicsand experiments [--scale test|demo|paper] [--out <dir>] [<id>...]
 //! ```
 
 use quicsand_core::{Analysis, AnalysisConfig, AnalysisDriver};
@@ -107,7 +107,7 @@ const COMMANDS: &[(&str, Command, &[&str], &[&str])] = &[
     (
         "experiments",
         cmd_experiments,
-        &["--scale", "--seed", "--threads"],
+        &["--scale", "--seed", "--threads", "--out"],
         &[],
     ),
 ];
@@ -157,6 +157,8 @@ USAGE:
                       [--scenario migration-abuse|evolving-scanners|
                                   version-drift|retry-amplification]
         Generate a synthetic telescope capture and write it to disk.
+        --seed takes decimal or 0x-prefixed hex (the form seeds are
+        printed in), as every seed flag does.
         --scenario layers a post-2021 workload variant on top of the
         baseline: connection-migration abuse (stable-CID flows that
         switch source address mid-session), evolving aggressive
@@ -261,7 +263,16 @@ USAGE:
         and print a record/event summary.
 
     quicsand experiments [--scale test|demo|paper] [--seed N] [--threads N]
-        Regenerate every paper table/figure and print the reports.";
+                         [--out <dir>] [<id>...]
+        Regenerate every paper table/figure and print the reports, in
+        catalog order: fig02 ... fig13, msgmix, tab01,
+        sec3_amplification, adaptive_retry, mitigation. Named ids run
+        only those (still in catalog order); tab01 and the three after
+        it need no scenario, so a selection of them generates none.
+        Table 1 replays 2 % of the paper's request counts at --scale
+        test and all of them otherwise. --out writes the findings of
+        the run to <dir>/EXPERIMENTS.md and the SVGs of the selected
+        figures to <dir>/figures/, from the same scenario.";
 
 /// The value following the occurrence of `name` at `args[i]`: an error
 /// when it is missing or looks like another flag (`--out --scale` used
@@ -351,7 +362,7 @@ fn analysis_config(args: &[String]) -> Result<AnalysisConfig, String> {
 /// profile is rejected rather than silently ignored.
 fn fault_plan(args: &[String]) -> Result<Option<FaultPlan>, String> {
     let profile = flag_value(args, "--fault-profile")?;
-    let seed = flag_value(args, "--fault-seed")?;
+    let seed = seed_flag(args, "--fault-seed")?;
     let Some(profile) = profile else {
         if seed.is_some() {
             return Err("--fault-seed requires --fault-profile".into());
@@ -359,26 +370,42 @@ fn fault_plan(args: &[String]) -> Result<Option<FaultPlan>, String> {
         return Ok(None);
     };
     let profile: FaultProfile = profile.parse()?;
-    let seed: u64 = flag_parsed(args, "--fault-seed", None, " (want a u64)")?.unwrap_or(0xF4017);
-    Ok(Some(FaultPlan::new(profile, seed)))
+    Ok(Some(FaultPlan::new(profile, seed.unwrap_or(0xF4017))))
 }
 
-fn scale_config(args: &[String]) -> Result<ScenarioConfig, String> {
-    let mut config = match flag_value(args, "--scale")?.unwrap_or("test") {
+/// Parses a seed flag, written in decimal or as the `0x…` hex the CLI
+/// prints seeds in.
+fn seed_flag(args: &[String], name: &str) -> Result<Option<u64>, String> {
+    flag_value(args, name)?
+        .map(|v| {
+            match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+                Some(hex) => u64::from_str_radix(hex, 16),
+                None => v.parse(),
+            }
+            .map_err(|_| format!("invalid {name} `{v}` (want a u64, decimal or 0x hex)"))
+        })
+        .transpose()
+}
+
+/// The `--scale` preset's name (default `test`) and its scenario, with
+/// `--seed` applied.
+fn scale_config(args: &[String]) -> Result<(&str, ScenarioConfig), String> {
+    let scale = flag_value(args, "--scale")?.unwrap_or("test");
+    let mut config = match scale {
         "test" => ScenarioConfig::test(),
         "demo" => ScenarioConfig::demo(),
         "paper" => ScenarioConfig::paper_month(),
         other => return Err(format!("unknown scale `{other}`")),
     };
-    if let Some(seed) = flag_value(args, "--seed")? {
-        config.seed = seed.parse().map_err(|_| format!("invalid seed `{seed}`"))?;
+    if let Some(seed) = seed_flag(args, "--seed")? {
+        config.seed = seed;
     }
-    Ok(config)
+    Ok((scale, config))
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     let out = flag_value(args, "--out")?.ok_or("generate requires --out <file>")?;
-    let config = scale_config(args)?;
+    let (_, config) = scale_config(args)?;
     let kind = flag_value(args, "--scenario")?
         .map(|s| s.parse::<ScenarioKind>().map_err(|e| e.to_string()))
         .transpose()?;
@@ -414,13 +441,18 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// First positional argument: not a flag, and not the value of a flag
-/// that takes one (a switch such as `--verbose` has none to skip).
-fn positional(args: &[String]) -> Option<&String> {
+/// The positional arguments: neither flags nor the value of a flag that
+/// takes one (a switch such as `--verbose` has none to skip).
+fn positionals(args: &[String]) -> impl Iterator<Item = &String> {
     args.iter()
         .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && (*i == 0 || !takes_value(&args[*i - 1])))
+        .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || !takes_value(&args[*i - 1])))
         .map(|(_, a)| a)
+}
+
+/// The first positional argument.
+fn positional(args: &[String]) -> Option<&String> {
+    positionals(args).next()
 }
 
 /// Streams the rest of `reader` to `sink` in slices of `batch` records —
@@ -475,7 +507,7 @@ fn run_pipeline<S: Subscriber>(
         analysis_cfg.guard = plan.profile().guard;
     }
     let path = positional(args).ok_or(format!("{command} requires a capture path"))?;
-    let config = scale_config(args)?;
+    let (_, config) = scale_config(args)?;
     // Zero-copy load: the capture is pulled into one arena and decoded
     // in place, so UDP payloads are views rather than per-record copies.
     let reader = ZeroCopyCaptureReader::from_path(path).map_err(|e| format!("read {path}: {e}"))?;
@@ -1064,29 +1096,105 @@ fn cmd_forensics(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_experiments(args: &[String]) -> Result<(), String> {
-    use quicsand_core::experiments as exp;
-    let config = scale_config(args)?;
-    eprintln!("generating scenario (seed {:#x})...", config.seed);
-    let scenario = Scenario::generate(&config);
-    let analysis = Analysis::run(&scenario, &analysis_config(args)?);
-    let reports = vec![
-        exp::fig02::run(&scenario, &analysis),
-        exp::fig03::run(&scenario, &analysis),
-        exp::fig04::run(&analysis),
-        exp::fig05::run(&scenario, &analysis),
-        exp::fig06::run(&analysis),
-        exp::fig07::run(&analysis),
-        exp::fig08::run(&analysis),
-        exp::fig09::run(&scenario, &analysis),
-        exp::fig10::run(&scenario, &analysis),
-        exp::fig11::run(&analysis),
-        exp::fig12::run(&analysis),
-        exp::fig13::run(&analysis),
-        exp::msgmix::run(&analysis),
-        exp::sec3_amplification::run(),
-    ];
-    for report in reports {
+    use quicsand_core::experiments::{figures, select, Runner};
+    use quicsand_core::plot::render_svg;
+
+    let (scale, config) = scale_config(args)?;
+    let analysis_cfg = analysis_config(args)?;
+    let out = flag_value(args, "--out")?;
+    let ids: Vec<&String> = positionals(args).collect();
+    let entries = select(&ids)?;
+    // Table 1's saturation mechanics need the paper's full run lengths
+    // (the 60 s state hold bites only once the table fills), so only the
+    // test preset scales its replays down.
+    let tab01_factor = if scale == "test" { 0.02 } else { 1.0 };
+
+    // Generated on the first entry that needs it, and never for a
+    // selection of standalone entries.
+    let mut data: Option<(Scenario, Analysis)> = None;
+    let mut reports = Vec::with_capacity(entries.len());
+    for entry in &entries {
+        let report = match entry.runner {
+            Runner::Scenario(run) => {
+                let (scenario, analysis) = data.get_or_insert_with(|| {
+                    eprintln!(
+                        "generating scenario (scale {scale}, seed {:#x})...",
+                        config.seed
+                    );
+                    let scenario = Scenario::generate(&config);
+                    let analysis = Analysis::run(&scenario, &analysis_cfg);
+                    (scenario, analysis)
+                });
+                run(scenario, analysis)
+            }
+            Runner::Standalone(run) => run(tab01_factor),
+        };
         println!("{}", report.render());
+        reports.push(report);
+    }
+
+    let Some(dir) = out else { return Ok(()) };
+    let path = format!("{dir}/EXPERIMENTS.md");
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
+    std::fs::write(&path, experiments_markdown(&reports, scale, config.seed))
+        .map_err(|e| format!("write {path}: {e}"))?;
+    eprintln!("wrote {path}");
+    if let Some((scenario, analysis)) = &data {
+        let figures_dir = format!("{dir}/figures");
+        std::fs::create_dir_all(&figures_dir).map_err(|e| format!("create {figures_dir}: {e}"))?;
+        // A figure's file stem starts with the id of the report it draws.
+        for (stem, spec) in figures::all(scenario, analysis)
+            .into_iter()
+            .filter(|(stem, _)| entries.iter().any(|entry| stem.starts_with(entry.id)))
+        {
+            let path = format!("{figures_dir}/{stem}.svg");
+            std::fs::write(&path, render_svg(&spec)).map_err(|e| format!("write {path}: {e}"))?;
+            eprintln!("wrote {path}");
+        }
     }
     Ok(())
+}
+
+/// EXPERIMENTS.md: every report's findings as one paper-vs-measured
+/// table, then every report's notes.
+fn experiments_markdown(reports: &[quicsand_core::Report], scale: &str, seed: u64) -> String {
+    use quicsand_core::experiments::CATALOG;
+    use std::fmt::Write as _;
+
+    let mut md = String::new();
+    let _ = writeln!(md, "# Experiments: paper vs measured\n");
+    let _ = writeln!(
+        md,
+        "Generated by `quicsand experiments` at scale `{scale}` (seed {seed:#x})."
+    );
+    let _ = writeln!(
+        md,
+        "Regenerate with `cargo run --release -- experiments --scale {scale} --seed {seed:#x} --out .`.\n"
+    );
+    let _ = writeln!(
+        md,
+        "Absolute event counts at non-`paper` scales are intentionally smaller; \
+         distribution *shapes* (orderings, knees, medians ratios, shares) are \
+         the reproduction targets. Sub-sampled components are noted per \
+         experiment.\n"
+    );
+    let _ = writeln!(md, "| experiment | metric | paper | measured |");
+    let _ = writeln!(md, "|---|---|---|---|");
+    for report in reports {
+        md.push_str(&report.findings_markdown());
+    }
+    let _ = writeln!(md, "\n## Notes\n");
+    for report in reports {
+        for note in &report.notes {
+            let _ = writeln!(md, "- **{}**: {}", report.id, note);
+        }
+    }
+    let ids: Vec<&str> = CATALOG.iter().map(|entry| entry.id).collect();
+    let _ = writeln!(
+        md,
+        "\nPer-experiment regeneration: `cargo run --release -- experiments --scale {scale} <{}>`; \
+         the SVG figures are written beside this file, under `figures/`.",
+        ids.join("|")
+    );
+    md
 }

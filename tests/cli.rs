@@ -655,3 +655,126 @@ fn live_verbose_stage_line_reports_peak_rss() {
     }
     std::fs::remove_file(&empty).ok();
 }
+
+/// `generate` prints its seed in hex, so `--seed` takes hex too: the
+/// same seed written either way writes the same capture.
+#[test]
+fn hex_and_decimal_seeds_generate_the_same_capture() {
+    let dir = std::env::temp_dir().join("quicsand-cli-hex-seed");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut captures = Vec::new();
+    for seed in ["0x2a", "42"] {
+        let capture = dir.join(format!("seed-{seed}.qscp"));
+        let output = Command::new(bin())
+            .args([
+                "generate",
+                "--out",
+                capture.to_str().unwrap(),
+                "--seed",
+                seed,
+            ])
+            .output()
+            .expect("run generate");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "--seed {seed}: {stderr}");
+        assert!(stderr.contains("seed 0x2a"), "--seed {seed}: {stderr}");
+        captures.push(std::fs::read(&capture).unwrap());
+    }
+    assert!(captures[0] == captures[1], "hex and decimal seeds differ");
+    let output = Command::new(bin())
+        .args(["generate", "--out", "unused.qscp", "--seed", "0xbadg"])
+        .output()
+        .expect("run generate");
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("invalid --seed `0xbadg`"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The ids of the reports in `experiments` stdout, from their headers.
+fn report_ids(stdout: &[u8]) -> Vec<String> {
+    String::from_utf8_lossy(stdout)
+        .lines()
+        .filter_map(|line| line.strip_prefix("== "))
+        .filter_map(|header| header.split_whitespace().next())
+        .map(str::to_string)
+        .collect()
+}
+
+/// Named ids run in catalog order whatever order they are given in, and
+/// `--out` writes the findings of exactly those reports plus the SVGs of
+/// the selected figures.
+#[test]
+fn experiments_runs_the_selected_ids_in_catalog_order() {
+    let dir = std::env::temp_dir().join("quicsand-cli-experiments");
+    std::fs::remove_dir_all(&dir).ok();
+    let output = Command::new(bin())
+        .args(["experiments", "--scale", "test", "tab01", "fig07"])
+        .args(["--threads", "1", "--out", dir.to_str().unwrap()])
+        .output()
+        .expect("run experiments");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "{stderr}");
+    assert!(stderr.contains("generating scenario"), "{stderr}");
+    assert_eq!(report_ids(&output.stdout), ["fig07", "tab01"]);
+
+    let markdown = std::fs::read_to_string(dir.join("EXPERIMENTS.md")).unwrap();
+    let mut blocks: Vec<&str> = markdown
+        .lines()
+        .filter_map(|line| line.strip_prefix("| "))
+        .filter_map(|row| row.split(" | ").next())
+        .filter(|id| *id != "experiment")
+        .collect();
+    blocks.dedup();
+    assert_eq!(blocks, ["fig07", "tab01"], "{markdown}");
+    let mut svgs: Vec<String> = std::fs::read_dir(dir.join("figures"))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    svgs.sort();
+    assert_eq!(svgs, ["fig07a_durations.svg", "fig07b_intensities.svg"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A selection of standalone entries never generates the scenario.
+#[test]
+fn experiments_without_scenario_entries_generate_no_scenario() {
+    let output = Command::new(bin())
+        .args(["experiments", "sec3_amplification"])
+        .output()
+        .expect("run experiments");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "{stderr}");
+    assert!(!stderr.contains("generating scenario"), "{stderr}");
+    assert_eq!(report_ids(&output.stdout), ["sec3_amplification"]);
+}
+
+/// An unknown id or scale fails before any work, and an unknown id's
+/// error lists every valid one.
+#[test]
+fn experiments_rejects_unknown_ids_and_scales() {
+    let output = Command::new(bin())
+        .args(["experiments", "fig07", "fig99"])
+        .output()
+        .expect("run experiments");
+    assert!(!output.status.success());
+    assert!(output.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown experiment `fig99`"), "{stderr}");
+    for entry in quicsand_core::experiments::CATALOG {
+        assert!(
+            stderr.contains(entry.id),
+            "{} not listed: {stderr}",
+            entry.id
+        );
+    }
+
+    let output = Command::new(bin())
+        .args(["experiments", "--scale", "papr", "tab01"])
+        .output()
+        .expect("run experiments");
+    assert!(!output.status.success());
+    assert!(output.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown scale `papr`"), "{stderr}");
+}

@@ -1,8 +1,10 @@
 //! Golden-figure regression tests.
 //!
-//! Every paper artifact (fig02–fig13 + tab01) is regenerated from a
+//! Every paper artifact in the experiment catalog is regenerated from a
 //! fixed seed and compared byte-for-byte against a checked-in JSON
-//! snapshot under `tests/golden/`. Reports carry no wall-clock timings,
+//! snapshot under `tests/golden/` — all but `adaptive_retry` (~9 s in
+//! release) and `mitigation` (~0.7 s), which are left out to hold the
+//! Tier-1 wall time. Reports carry no wall-clock timings,
 //! so the snapshots are stable across machines; any drift means an
 //! intentional algorithm change (re-bless) or an accidental regression
 //! (fix it).
@@ -13,7 +15,8 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden
 //! ```
 
-use quicsand_core::{experiments as exp, Analysis, AnalysisConfig, Report};
+use quicsand_core::experiments::{Runner, CATALOG};
+use quicsand_core::{Analysis, AnalysisConfig, Report};
 use quicsand_traffic::{Scenario, ScenarioConfig};
 use std::path::PathBuf;
 
@@ -59,10 +62,10 @@ fn check(report: &Report) -> Result<(), String> {
     Ok(())
 }
 
-/// All scenario-derived artifacts, regenerated at the fixed test seed,
-/// must match their checked-in snapshots — inline on one shard and
-/// through the cross-shard merge on two threads, against the same
-/// files.
+/// Every scenario-derived artifact of the catalog, regenerated at the
+/// fixed test seed, must match its checked-in snapshot — inline on one
+/// shard and through the cross-shard merge on two threads, against the
+/// same files.
 #[test]
 fn figures_match_golden_snapshots() {
     let config = ScenarioConfig::test();
@@ -76,23 +79,12 @@ fn figures_match_golden_snapshots() {
                 ..AnalysisConfig::default()
             },
         );
-
-        let reports = vec![
-            exp::fig02::run(&scenario, &analysis),
-            exp::fig03::run(&scenario, &analysis),
-            exp::fig04::run(&analysis),
-            exp::fig05::run(&scenario, &analysis),
-            exp::fig06::run(&analysis),
-            exp::fig07::run(&analysis),
-            exp::fig08::run(&analysis),
-            exp::fig09::run(&scenario, &analysis),
-            exp::fig10::run(&scenario, &analysis),
-            exp::fig11::run(&analysis),
-            exp::fig12::run(&analysis),
-            exp::fig13::run(&analysis),
-        ];
-        drifted.extend(reports.iter().filter_map(|report| {
-            check(report)
+        let reports = CATALOG.iter().filter_map(|entry| match entry.runner {
+            Runner::Scenario(run) => Some(run(&scenario, &analysis)),
+            Runner::Standalone(_) => None,
+        });
+        drifted.extend(reports.filter_map(|report| {
+            check(&report)
                 .err()
                 .map(|drift| format!("threads={threads}: {drift}"))
         }));
@@ -210,13 +202,46 @@ fn events_qlog_matches_golden_snapshot() {
     }
 }
 
+/// The catalog's standalone artifacts skipped here, with the reason.
+const SLOW: [&str; 2] = [
+    // ~9 s in release: a retry-policy sweep across flood rates.
+    "adaptive_retry",
+    // ~0.7 s in release: two filters against two flood source models.
+    "mitigation",
+];
+
+/// Runs the catalog's standalone entry `id` at Table 1's golden request
+/// factor, 0.01.
+fn standalone(id: &str) -> Report {
+    let entry = CATALOG
+        .iter()
+        .find(|entry| entry.id == id)
+        .expect("catalog id");
+    match entry.runner {
+        Runner::Standalone(run) => run(0.01),
+        Runner::Scenario(_) => panic!("{id} needs the scenario"),
+    }
+}
+
 /// Table 1 (server resiliency replay) at the standard sub-sampled
 /// scale must match its snapshot: the replay model is seeded, so any
 /// drift is a behavior change in the server model, not noise.
 #[test]
 fn tab01_matches_golden_snapshot() {
-    let report = exp::tab01::run_scaled(0.01);
-    if let Err(drift) = check(&report) {
+    if let Err(drift) = check(&standalone("tab01")) {
         panic!("{drift}");
     }
+}
+
+/// Every other standalone artifact of the catalog but the [`SLOW`] ones
+/// must match its snapshot too; each is seeded or closed-form.
+#[test]
+fn standalone_artifacts_match_golden_snapshots() {
+    let drifted: Vec<String> = CATALOG
+        .iter()
+        .filter(|entry| matches!(entry.runner, Runner::Standalone(_)))
+        .filter(|entry| entry.id != "tab01" && !SLOW.contains(&entry.id))
+        .filter_map(|entry| check(&standalone(entry.id)).err())
+        .collect();
+    assert!(drifted.is_empty(), "golden drift:\n{}", drifted.join("\n"));
 }
