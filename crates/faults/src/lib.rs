@@ -10,8 +10,9 @@
 //! and the only way to prove that is to generate such traffic on
 //! demand, reproducibly.
 //!
-//! [`FaultPlan`] wraps any [`PacketRecord`] stream and injects a
-//! seeded, configurable mix of faults. Every fault is tagged with a
+//! [`FaultPlan`] takes any [`PacketRecord`] stream record by record
+//! ([`FaultPlan::corrupt_into`]) and injects a seeded, configurable mix
+//! of faults. Every fault is tagged with a
 //! [`FaultKind`] that maps onto exactly one quarantine counter of the
 //! hardened ingest pipeline
 //! ([`quicsand_telescope::QuarantineStats`]), so tests can assert not
@@ -44,7 +45,7 @@ use quicsand_telescope::{GuardConfig, QuarantineStats};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
@@ -318,18 +319,6 @@ impl FaultPlan {
         out
     }
 
-    /// Wraps a record iterator; the injector yields the faulted stream.
-    pub fn wrap<I: IntoIterator<Item = PacketRecord>>(
-        self,
-        records: I,
-    ) -> FaultInjector<I::IntoIter> {
-        FaultInjector {
-            plan: self,
-            inner: records.into_iter(),
-            queue: VecDeque::new(),
-        }
-    }
-
     fn emit(&mut self, record: PacketRecord, out: &mut Vec<PacketRecord>) {
         self.note_emitted(&record);
         out.push(record);
@@ -538,43 +527,6 @@ fn set_udp_payload(record: &mut PacketRecord, bytes: Bytes) {
     }
 }
 
-/// Iterator adapter produced by [`FaultPlan::wrap`]: yields the
-/// faulted stream record by record.
-#[derive(Debug)]
-pub struct FaultInjector<I> {
-    plan: FaultPlan,
-    inner: I,
-    queue: VecDeque<PacketRecord>,
-}
-
-impl<I> FaultInjector<I> {
-    /// Injection counts so far.
-    pub fn summary(&self) -> &FaultSummary {
-        self.plan.summary()
-    }
-
-    /// Unwraps the plan (for its final summary).
-    pub fn into_plan(self) -> FaultPlan {
-        self.plan
-    }
-}
-
-impl<I: Iterator<Item = PacketRecord>> Iterator for FaultInjector<I> {
-    type Item = PacketRecord;
-
-    fn next(&mut self) -> Option<PacketRecord> {
-        loop {
-            if let Some(record) = self.queue.pop_front() {
-                return Some(record);
-            }
-            let record = self.inner.next()?;
-            let mut out = Vec::with_capacity(2);
-            self.plan.corrupt_into(&record, &mut out);
-            self.queue.extend(out);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,16 +568,6 @@ mod tests {
         let out_c = FaultPlan::new(FaultProfile::standard(), 43).apply_all(&records);
         assert_eq!(out_a, out_b, "same seed must reproduce byte-identically");
         assert_ne!(out_a, out_c, "different seed must differ");
-    }
-
-    #[test]
-    fn iterator_wrap_equals_apply_all() {
-        let records = capture(300);
-        let mut plan = FaultPlan::new(FaultProfile::aggressive(), 99);
-        let batch = plan.apply_all(&records);
-        let injector = FaultPlan::new(FaultProfile::aggressive(), 99).wrap(records.clone());
-        let streamed: Vec<PacketRecord> = injector.collect();
-        assert_eq!(batch, streamed);
     }
 
     #[test]

@@ -2,15 +2,13 @@
 //! checksums.
 //!
 //! The simulation's [`PacketRecord`] keeps
-//! parsed metadata; this module lowers records to actual IPv4 packets
-//! (and parses them back), so captures can be exported to libpcap and
-//! inspected with standard tooling (the paper's methodology leans on
-//! Wireshark dissection, §4.1).
+//! parsed metadata; this module lowers records to actual IPv4 packets,
+//! so captures can be exported to libpcap and inspected with standard
+//! tooling (the paper's methodology leans on Wireshark dissection,
+//! §4.1). Parsing packets back is test-only: the reference the encoder
+//! is checked against.
 
-use crate::record::{IcmpKind, PacketRecord, TcpFlags, Transport};
-use crate::time::Timestamp;
-use bytes::Bytes;
-use std::fmt;
+use crate::record::{IcmpKind, PacketRecord, Transport};
 use std::net::Ipv4Addr;
 
 /// IPv4 protocol numbers.
@@ -19,29 +17,6 @@ mod proto {
     pub const TCP: u8 = 6;
     pub const UDP: u8 = 17;
 }
-
-/// Errors from parsing raw IPv4 packets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum L3Error {
-    /// Packet shorter than its headers claim.
-    Truncated(&'static str),
-    /// Not IPv4 or an unsupported header layout.
-    Unsupported(&'static str),
-    /// A checksum failed verification.
-    BadChecksum(&'static str),
-}
-
-impl fmt::Display for L3Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            L3Error::Truncated(what) => write!(f, "truncated {what}"),
-            L3Error::Unsupported(what) => write!(f, "unsupported {what}"),
-            L3Error::BadChecksum(what) => write!(f, "bad checksum in {what}"),
-        }
-    }
-}
-
-impl std::error::Error for L3Error {}
 
 /// RFC 1071 Internet checksum over `data` (with an optional seed for
 /// pseudo-header folding).
@@ -154,104 +129,142 @@ pub fn encode_ipv4(record: &PacketRecord) -> Vec<u8> {
     packet
 }
 
-/// Parses a raw IPv4 packet back into a record (checksums verified).
-///
-/// # Errors
-/// [`L3Error`] describing the first problem.
-pub fn decode_ipv4(ts: Timestamp, packet: &[u8]) -> Result<PacketRecord, L3Error> {
-    if packet.len() < 20 {
-        return Err(L3Error::Truncated("ipv4 header"));
-    }
-    if packet[0] >> 4 != 4 {
-        return Err(L3Error::Unsupported("ip version"));
-    }
-    let ihl = usize::from(packet[0] & 0x0f) * 4;
-    if ihl < 20 || packet.len() < ihl {
-        return Err(L3Error::Truncated("ipv4 options"));
-    }
-    if internet_checksum(&packet[..ihl], 0) != 0 {
-        return Err(L3Error::BadChecksum("ipv4 header"));
-    }
-    let total_len = usize::from(u16::from_be_bytes([packet[2], packet[3]]));
-    if packet.len() < total_len {
-        return Err(L3Error::Truncated("ipv4 payload"));
-    }
-    let protocol = packet[9];
-    let src = Ipv4Addr::new(packet[12], packet[13], packet[14], packet[15]);
-    let dst = Ipv4Addr::new(packet[16], packet[17], packet[18], packet[19]);
-    let body = &packet[ihl..total_len];
+/// The decoding half: parses raw IPv4 packets back into records, the
+/// reference the encoder and the pcap writer are tested against.
+#[cfg(test)]
+pub(crate) mod decode {
+    use super::*;
+    use crate::record::TcpFlags;
+    use crate::time::Timestamp;
+    use bytes::Bytes;
+    use std::fmt;
 
-    let transport = match protocol {
-        proto::UDP => {
-            if body.len() < 8 {
-                return Err(L3Error::Truncated("udp header"));
-            }
-            let src_port = u16::from_be_bytes([body[0], body[1]]);
-            let dst_port = u16::from_be_bytes([body[2], body[3]]);
-            let len = usize::from(u16::from_be_bytes([body[4], body[5]]));
-            if len < 8 || body.len() < len {
-                return Err(L3Error::Truncated("udp payload"));
-            }
-            let seed = pseudo_header_seed(src, dst, proto::UDP, len as u16);
-            if internet_checksum(&body[..len], seed) != 0 {
-                return Err(L3Error::BadChecksum("udp"));
-            }
-            Transport::Udp {
-                src_port,
-                dst_port,
-                payload: Bytes::copy_from_slice(&body[8..len]),
-            }
-        }
-        proto::TCP => {
-            if body.len() < 20 {
-                return Err(L3Error::Truncated("tcp header"));
-            }
-            let seed = pseudo_header_seed(src, dst, proto::TCP, body.len() as u16);
-            if internet_checksum(body, seed) != 0 {
-                return Err(L3Error::BadChecksum("tcp"));
-            }
-            let flag_bits = body[13];
-            Transport::Tcp {
-                src_port: u16::from_be_bytes([body[0], body[1]]),
-                dst_port: u16::from_be_bytes([body[2], body[3]]),
-                flags: TcpFlags {
-                    fin: flag_bits & 0x01 != 0,
-                    syn: flag_bits & 0x02 != 0,
-                    rst: flag_bits & 0x04 != 0,
-                    ack: flag_bits & 0x10 != 0,
-                },
-            }
-        }
-        proto::ICMP => {
-            if body.len() < 8 {
-                return Err(L3Error::Truncated("icmp header"));
-            }
-            if internet_checksum(body, 0) != 0 {
-                return Err(L3Error::BadChecksum("icmp"));
-            }
-            let kind = match (body[0], body[1]) {
-                (8, _) => IcmpKind::EchoRequest,
-                (0, _) => IcmpKind::EchoReply,
-                (3, _) => IcmpKind::DestUnreachable,
-                (11, _) => IcmpKind::TtlExceeded,
-                _ => return Err(L3Error::Unsupported("icmp type")),
-            };
-            Transport::Icmp { kind }
-        }
-        _ => return Err(L3Error::Unsupported("ip protocol")),
-    };
+    /// Errors from parsing raw IPv4 packets.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum L3Error {
+        /// Packet shorter than its headers claim.
+        Truncated(&'static str),
+        /// Not IPv4 or an unsupported header layout.
+        Unsupported(&'static str),
+        /// A checksum failed verification.
+        BadChecksum(&'static str),
+    }
 
-    Ok(PacketRecord {
-        ts,
-        src,
-        dst,
-        transport,
-    })
+    impl fmt::Display for L3Error {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                L3Error::Truncated(what) => write!(f, "truncated {what}"),
+                L3Error::Unsupported(what) => write!(f, "unsupported {what}"),
+                L3Error::BadChecksum(what) => write!(f, "bad checksum in {what}"),
+            }
+        }
+    }
+
+    impl std::error::Error for L3Error {}
+
+    /// Parses a raw IPv4 packet back into a record (checksums verified).
+    ///
+    /// # Errors
+    /// [`L3Error`] describing the first problem.
+    pub fn decode_ipv4(ts: Timestamp, packet: &[u8]) -> Result<PacketRecord, L3Error> {
+        if packet.len() < 20 {
+            return Err(L3Error::Truncated("ipv4 header"));
+        }
+        if packet[0] >> 4 != 4 {
+            return Err(L3Error::Unsupported("ip version"));
+        }
+        let ihl = usize::from(packet[0] & 0x0f) * 4;
+        if ihl < 20 || packet.len() < ihl {
+            return Err(L3Error::Truncated("ipv4 options"));
+        }
+        if internet_checksum(&packet[..ihl], 0) != 0 {
+            return Err(L3Error::BadChecksum("ipv4 header"));
+        }
+        let total_len = usize::from(u16::from_be_bytes([packet[2], packet[3]]));
+        if packet.len() < total_len {
+            return Err(L3Error::Truncated("ipv4 payload"));
+        }
+        let protocol = packet[9];
+        let src = Ipv4Addr::new(packet[12], packet[13], packet[14], packet[15]);
+        let dst = Ipv4Addr::new(packet[16], packet[17], packet[18], packet[19]);
+        let body = &packet[ihl..total_len];
+
+        let transport = match protocol {
+            proto::UDP => {
+                if body.len() < 8 {
+                    return Err(L3Error::Truncated("udp header"));
+                }
+                let src_port = u16::from_be_bytes([body[0], body[1]]);
+                let dst_port = u16::from_be_bytes([body[2], body[3]]);
+                let len = usize::from(u16::from_be_bytes([body[4], body[5]]));
+                if len < 8 || body.len() < len {
+                    return Err(L3Error::Truncated("udp payload"));
+                }
+                let seed = pseudo_header_seed(src, dst, proto::UDP, len as u16);
+                if internet_checksum(&body[..len], seed) != 0 {
+                    return Err(L3Error::BadChecksum("udp"));
+                }
+                Transport::Udp {
+                    src_port,
+                    dst_port,
+                    payload: Bytes::copy_from_slice(&body[8..len]),
+                }
+            }
+            proto::TCP => {
+                if body.len() < 20 {
+                    return Err(L3Error::Truncated("tcp header"));
+                }
+                let seed = pseudo_header_seed(src, dst, proto::TCP, body.len() as u16);
+                if internet_checksum(body, seed) != 0 {
+                    return Err(L3Error::BadChecksum("tcp"));
+                }
+                let flag_bits = body[13];
+                Transport::Tcp {
+                    src_port: u16::from_be_bytes([body[0], body[1]]),
+                    dst_port: u16::from_be_bytes([body[2], body[3]]),
+                    flags: TcpFlags {
+                        fin: flag_bits & 0x01 != 0,
+                        syn: flag_bits & 0x02 != 0,
+                        rst: flag_bits & 0x04 != 0,
+                        ack: flag_bits & 0x10 != 0,
+                    },
+                }
+            }
+            proto::ICMP => {
+                if body.len() < 8 {
+                    return Err(L3Error::Truncated("icmp header"));
+                }
+                if internet_checksum(body, 0) != 0 {
+                    return Err(L3Error::BadChecksum("icmp"));
+                }
+                let kind = match (body[0], body[1]) {
+                    (8, _) => IcmpKind::EchoRequest,
+                    (0, _) => IcmpKind::EchoReply,
+                    (3, _) => IcmpKind::DestUnreachable,
+                    (11, _) => IcmpKind::TtlExceeded,
+                    _ => return Err(L3Error::Unsupported("icmp type")),
+                };
+                Transport::Icmp { kind }
+            }
+            _ => return Err(L3Error::Unsupported("ip protocol")),
+        };
+
+        Ok(PacketRecord {
+            ts,
+            src,
+            dst,
+            transport,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::decode::{decode_ipv4, L3Error};
     use super::*;
+    use crate::record::TcpFlags;
+    use crate::time::Timestamp;
+    use bytes::Bytes;
     use proptest::prelude::*;
 
     fn ip(a: u8, b: u8) -> Ipv4Addr {

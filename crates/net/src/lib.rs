@@ -19,8 +19,8 @@
 //!   testbed (client ↔ server over "Gigabit Ethernet").
 //! * [`l3`] — IPv4/UDP/TCP/ICMP header serialization with checksums,
 //!   so records can be lowered to real wire bytes.
-//! * [`pcap`] — classic libpcap export/import (LINKTYPE_RAW), opening
-//!   every capture in Wireshark — the paper's §4.1 dissection tool.
+//! * [`pcap`] — classic libpcap export (LINKTYPE_RAW), opening every
+//!   capture in Wireshark — the paper's §4.1 dissection tool.
 //! * [`rng`] — seed-splitting helpers so every subsystem gets an
 //!   independent, reproducible ChaCha stream.
 //! * [`stream`] — pull-based [`stream::StreamSource`] adapters that

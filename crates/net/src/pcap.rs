@@ -1,17 +1,16 @@
-//! Classic libpcap export/import (LINKTYPE_RAW: raw IPv4 packets).
+//! Classic libpcap export (LINKTYPE_RAW: raw IPv4 packets).
 //!
 //! Lets any capture produced by this project be opened in Wireshark —
 //! whose dissectors are exactly the tool the paper's methodology builds
-//! on (§4.1) — and lets pcaps of raw-IP captures be ingested back.
+//! on (§4.1). Export is the one pcap job; the reader in the tests reads
+//! the writer's output back.
 //!
 //! Format: the classic (non-ng) container, microsecond timestamps,
 //! little-endian magic `0xa1b2c3d4`, linktype 101 (RAW).
 
-use crate::l3::{decode_ipv4, encode_ipv4, L3Error};
+use crate::l3::encode_ipv4;
 use crate::record::PacketRecord;
-use crate::time::Timestamp;
-use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Classic pcap magic (microsecond resolution, our byte order).
 pub const PCAP_MAGIC: u32 = 0xa1b2_c3d4;
@@ -19,41 +18,6 @@ pub const PCAP_MAGIC: u32 = 0xa1b2_c3d4;
 pub const LINKTYPE_RAW: u32 = 101;
 /// Snap length written into the global header.
 pub const SNAPLEN: u32 = 65_535;
-
-/// Errors from reading a pcap stream.
-#[derive(Debug)]
-pub enum PcapError {
-    /// Underlying IO failure.
-    Io(io::Error),
-    /// Bad magic (or an unsupported pcap flavour).
-    BadMagic(u32),
-    /// Unsupported link type.
-    BadLinkType(u32),
-    /// A packet body failed to parse as IPv4.
-    BadPacket(L3Error),
-    /// Record header cut short.
-    Truncated,
-}
-
-impl fmt::Display for PcapError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PcapError::Io(e) => write!(f, "io error: {e}"),
-            PcapError::BadMagic(m) => write!(f, "bad pcap magic {m:#010x}"),
-            PcapError::BadLinkType(t) => write!(f, "unsupported linktype {t}"),
-            PcapError::BadPacket(e) => write!(f, "bad packet: {e}"),
-            PcapError::Truncated => write!(f, "truncated pcap record"),
-        }
-    }
-}
-
-impl std::error::Error for PcapError {}
-
-impl From<io::Error> for PcapError {
-    fn from(e: io::Error) -> Self {
-        PcapError::Io(e)
-    }
-}
 
 /// Writes records as a classic pcap stream.
 pub struct PcapWriter<W: Write> {
@@ -110,63 +74,6 @@ impl<W: Write> PcapWriter<W> {
     }
 }
 
-/// Reads a classic pcap stream of raw IPv4 packets.
-pub struct PcapReader<R: Read> {
-    inner: R,
-}
-
-impl<R: Read> PcapReader<R> {
-    /// Creates the reader, validating the global header.
-    ///
-    /// # Errors
-    /// [`PcapError`] on bad magic/linktype or IO failure.
-    pub fn new(mut inner: R) -> Result<Self, PcapError> {
-        let mut header = [0u8; 24];
-        inner.read_exact(&mut header)?;
-        let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-        if magic != PCAP_MAGIC {
-            return Err(PcapError::BadMagic(magic));
-        }
-        let linktype = u32::from_le_bytes(header[20..24].try_into().expect("4 bytes"));
-        if linktype != LINKTYPE_RAW {
-            return Err(PcapError::BadLinkType(linktype));
-        }
-        Ok(PcapReader { inner })
-    }
-
-    fn read_record(&mut self) -> Result<Option<PacketRecord>, PcapError> {
-        let mut header = [0u8; 16];
-        match self.inner.read_exact(&mut header) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e.into()),
-        }
-        let secs = u32::from_le_bytes(header[0..4].try_into().expect("4"));
-        let micros = u32::from_le_bytes(header[4..8].try_into().expect("4"));
-        let incl = u32::from_le_bytes(header[8..12].try_into().expect("4")) as usize;
-        let mut packet = vec![0u8; incl];
-        self.inner.read_exact(&mut packet).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                PcapError::Truncated
-            } else {
-                PcapError::Io(e)
-            }
-        })?;
-        let ts = Timestamp::from_micros(u64::from(secs) * 1_000_000 + u64::from(micros));
-        decode_ipv4(ts, &packet)
-            .map(Some)
-            .map_err(PcapError::BadPacket)
-    }
-}
-
-impl<R: Read> Iterator for PcapReader<R> {
-    type Item = Result<PacketRecord, PcapError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.read_record().transpose()
-    }
-}
-
 /// Serializes records to in-memory pcap bytes.
 ///
 /// # Errors
@@ -179,17 +86,117 @@ pub fn to_pcap_bytes(records: &[PacketRecord]) -> io::Result<Vec<u8>> {
     writer.finish()
 }
 
-/// Parses in-memory pcap bytes.
-///
-/// # Errors
-/// [`PcapError`] on malformed input.
-pub fn from_pcap_bytes(data: &[u8]) -> Result<Vec<PacketRecord>, PcapError> {
-    PcapReader::new(data)?.collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::l3::decode::{decode_ipv4, L3Error};
+    use crate::time::Timestamp;
+    use std::fmt;
+    use std::io::Read;
+
+    // The import half: reads back what the writer wrote, the reference
+    // the writer is tested against.
+
+    /// Errors from reading a pcap stream.
+    #[derive(Debug)]
+    pub enum PcapError {
+        /// Underlying IO failure.
+        Io(io::Error),
+        /// Bad magic (or an unsupported pcap flavour).
+        BadMagic(u32),
+        /// Unsupported link type.
+        BadLinkType(u32),
+        /// A packet body failed to parse as IPv4.
+        BadPacket(L3Error),
+        /// Record header cut short.
+        Truncated,
+    }
+
+    impl fmt::Display for PcapError {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                PcapError::Io(e) => write!(f, "io error: {e}"),
+                PcapError::BadMagic(m) => write!(f, "bad pcap magic {m:#010x}"),
+                PcapError::BadLinkType(t) => write!(f, "unsupported linktype {t}"),
+                PcapError::BadPacket(e) => write!(f, "bad packet: {e}"),
+                PcapError::Truncated => write!(f, "truncated pcap record"),
+            }
+        }
+    }
+
+    impl std::error::Error for PcapError {}
+
+    impl From<io::Error> for PcapError {
+        fn from(e: io::Error) -> Self {
+            PcapError::Io(e)
+        }
+    }
+
+    /// Reads a classic pcap stream of raw IPv4 packets.
+    pub struct PcapReader<R: Read> {
+        inner: R,
+    }
+
+    impl<R: Read> PcapReader<R> {
+        /// Creates the reader, validating the global header.
+        ///
+        /// # Errors
+        /// [`PcapError`] on bad magic/linktype or IO failure.
+        pub fn new(mut inner: R) -> Result<Self, PcapError> {
+            let mut header = [0u8; 24];
+            inner.read_exact(&mut header)?;
+            let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
+            if magic != PCAP_MAGIC {
+                return Err(PcapError::BadMagic(magic));
+            }
+            let linktype = u32::from_le_bytes(header[20..24].try_into().expect("4 bytes"));
+            if linktype != LINKTYPE_RAW {
+                return Err(PcapError::BadLinkType(linktype));
+            }
+            Ok(PcapReader { inner })
+        }
+
+        fn read_record(&mut self) -> Result<Option<PacketRecord>, PcapError> {
+            let mut header = [0u8; 16];
+            match self.inner.read_exact(&mut header) {
+                Ok(()) => {}
+                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+                Err(e) => return Err(e.into()),
+            }
+            let secs = u32::from_le_bytes(header[0..4].try_into().expect("4"));
+            let micros = u32::from_le_bytes(header[4..8].try_into().expect("4"));
+            let incl = u32::from_le_bytes(header[8..12].try_into().expect("4")) as usize;
+            let mut packet = vec![0u8; incl];
+            self.inner.read_exact(&mut packet).map_err(|e| {
+                if e.kind() == io::ErrorKind::UnexpectedEof {
+                    PcapError::Truncated
+                } else {
+                    PcapError::Io(e)
+                }
+            })?;
+            let ts = Timestamp::from_micros(u64::from(secs) * 1_000_000 + u64::from(micros));
+            decode_ipv4(ts, &packet)
+                .map(Some)
+                .map_err(PcapError::BadPacket)
+        }
+    }
+
+    impl<R: Read> Iterator for PcapReader<R> {
+        type Item = Result<PacketRecord, PcapError>;
+
+        fn next(&mut self) -> Option<Self::Item> {
+            self.read_record().transpose()
+        }
+    }
+
+    /// Parses in-memory pcap bytes.
+    ///
+    /// # Errors
+    /// [`PcapError`] on malformed input.
+    pub fn from_pcap_bytes(data: &[u8]) -> Result<Vec<PacketRecord>, PcapError> {
+        PcapReader::new(data)?.collect()
+    }
+
     use crate::record::{IcmpKind, TcpFlags};
     use bytes::Bytes;
     use std::net::Ipv4Addr;

@@ -113,14 +113,6 @@ impl Scenario {
             config: config.clone(),
         }
     }
-
-    /// Serializes the capture to the binary capture format.
-    ///
-    /// # Errors
-    /// Propagates IO errors (none for in-memory sinks in practice).
-    pub fn capture_bytes(&self) -> std::io::Result<Vec<u8>> {
-        quicsand_net::capture::to_bytes(&self.records)
-    }
 }
 
 /// Sprinkles malformed UDP/443 packets (DNS-oid/NTP-oid payloads that
@@ -248,7 +240,7 @@ mod tests {
     #[test]
     fn capture_roundtrips_through_format() {
         let s = scenario();
-        let bytes = s.capture_bytes().unwrap();
+        let bytes = quicsand_net::capture::to_bytes(&s.records).unwrap();
         let back = quicsand_net::capture::from_bytes(&bytes).unwrap();
         assert_eq!(back.len(), s.records.len());
         assert_eq!(back[0], s.records[0]);

@@ -31,13 +31,14 @@ bench_smoke() {
 }
 
 events_smoke() {
-  # Typed-event export gate: emit the qlog event stream on a reference
-  # trace, validate the RFC 7464 JSON-SEQ framing, then export every
-  # closed alert as a forensic slice and replay each through a fresh
-  # detector (--replay hard-fails on any verdict divergence). The
-  # benchmark gates the complementary claim: `live_rps` times the
-  # no-subscriber path and `events.qlog.overhead_share` the export, so
-  # event emission costs nothing when nobody listens.
+  # Typed-event export gate: one live run on a reference trace emits the
+  # qlog event stream, exports every closed alert as a forensic slice and
+  # replays each through a fresh detector (--replay hard-fails on any
+  # verdict divergence); then the RFC 7464 JSON-SEQ framing of the
+  # stream and of one slice is validated. The benchmark gates the
+  # complementary claim: `live_rps` times the no-subscriber path and
+  # `events.qlog.overhead_share` the export, so event emission costs
+  # nothing when nobody listens.
   echo "==> events-smoke: qlog export + forensic replay gate"
   local events_dir profile
   profile="${profile_flag---release}"
@@ -46,7 +47,8 @@ events_smoke() {
   trap "rm -rf '$events_dir'" RETURN
   cargo run -q $profile -- generate --out "$events_dir/ref.qscp" --scale test --seed 7
   events_out="$(cargo run -q $profile -- live "$events_dir/ref.qscp" \
-    --shards 2 --events-out "$events_dir/ref.qlog" 2>&1)"
+    --shards 2 --events-out "$events_dir/ref.qlog" \
+    --forensics-out "$events_dir/slices" --replay 2>&1)"
   echo "$events_out" | grep -qE '^events: [1-9][0-9]* event\(s\)' || {
     echo "events-smoke: live --events-out reported no events" >&2
     echo "$events_out" | tail -5 >&2
@@ -57,8 +59,8 @@ events_smoke() {
     echo "events-smoke: exported qlog failed framing validation" >&2
     exit 1
   }
-  forensics_out="$(cargo run -q $profile -- forensics "$events_dir/ref.qscp" \
-    --out "$events_dir/slices" --replay 2>&1)"
+  # The slice lines of the same run.
+  forensics_out="$events_out"
   echo "$forensics_out" | grep -qE '^forensics: [1-9][0-9]* alert slice\(s\) exported' || {
     echo "events-smoke: no alert slices exported" >&2
     echo "$forensics_out" | tail -5 >&2
@@ -368,6 +370,15 @@ for file in crates/traffic/src/*.rs; do
     exit 1
   fi
 done
+
+echo "==> one live front end: alert slices come from the live run's own engine"
+# `live --forensics-out` writes the slices from the engine that raised the
+# alerts. A `LiveEngine::new(` in the CLI is a second driver loop beside
+# `MultiSourceLive`, with a failure contract of its own.
+if grep -nF 'LiveEngine::new(' src/main.rs; then
+  echo "live front-end pin: \`LiveEngine::new(\` in src/main.rs; \`live\` is the one engine driver" >&2
+  exit 1
+fi
 
 echo "==> one experiment runner: the catalog is the only list of artifact runners"
 # `experiments::CATALOG` maps every artifact id to its runner, and

@@ -3,7 +3,7 @@
 //! ```text
 //! quicsand generate --out capture.qscp [--scale test|demo|paper] [--seed N]
 //! quicsand analyze <capture.qscp> [--threads N] [--verbose]
-//! quicsand live <capture.qscp> [--shards N] [--checkpoint-every N] [--alert-format text|json]
+//! quicsand live <capture.qscp> [--shards N] [--checkpoint-every N] [--forensics-out <dir>]
 //! quicsand replay --pps 1000 [--requests 300001] [--workers 4] [--retry|--adaptive 0.5]
 //! quicsand experiments [--scale test|demo|paper] [--out <dir>] [<id>...]
 //! ```
@@ -23,21 +23,26 @@ use std::io::BufWriter;
 use std::process::ExitCode;
 
 type Command = fn(&[String]) -> Result<(), String>;
+type Flags = &'static [&'static str];
 
-/// Every subcommand with the flags it defines: those followed by a value,
-/// then the bare switches. Anything else that looks like a flag is
-/// rejected before the command runs, so a typo (`--thread 1`) fails
-/// instead of silently running with the default.
-const COMMANDS: &[(&str, Command, &[&str], &[&str])] = &[
+/// Every subcommand with how many positional arguments it takes, then
+/// the flags it defines: those followed by a value, then the bare
+/// switches. Anything else that looks like a flag, and any positional
+/// past the command's count, is rejected before the command runs, so a
+/// typo (`--thread 1`) or a stray word fails instead of silently running
+/// with the default.
+const COMMANDS: &[(&str, Command, usize, Flags, Flags)] = &[
     (
         "generate",
         cmd_generate,
+        0,
         &["--out", "--scale", "--seed", "--scenario"],
         &[],
     ),
     (
         "analyze",
         cmd_analyze,
+        1,
         &[
             "--threads",
             "--fault-profile",
@@ -52,6 +57,7 @@ const COMMANDS: &[(&str, Command, &[&str], &[&str])] = &[
     (
         "metrics",
         cmd_metrics,
+        1,
         &[
             "--format",
             "--threads",
@@ -65,6 +71,7 @@ const COMMANDS: &[(&str, Command, &[&str], &[&str])] = &[
     (
         "live",
         cmd_live,
+        1,
         &[
             "--input",
             "--window",
@@ -81,32 +88,23 @@ const COMMANDS: &[(&str, Command, &[&str], &[&str])] = &[
             "--alert-format",
             "--metrics-out",
             "--events-out",
+            "--forensics-out",
         ],
-        &["--verbose"],
+        &["--verbose", "--replay"],
     ),
     (
         "replay",
         cmd_replay,
+        0,
         &["--pps", "--requests", "--workers", "--adaptive"],
         &["--retry"],
     ),
-    ("export", cmd_export, &["--pcap"], &[]),
-    (
-        "forensics",
-        cmd_forensics,
-        &[
-            "--out",
-            "--window",
-            "--weight",
-            "--shards",
-            "--chunk",
-            "--evidence-ring",
-        ],
-        &["--replay"],
-    ),
+    ("export", cmd_export, 1, &["--pcap"], &[]),
+    ("forensics", cmd_forensics, 2, &[], &[]),
     (
         "experiments",
         cmd_experiments,
+        usize::MAX,
         &["--scale", "--seed", "--threads", "--out"],
         &[],
     ),
@@ -117,7 +115,7 @@ const COMMANDS: &[(&str, Command, &[&str], &[&str])] = &[
 fn takes_value(flag: &str) -> bool {
     COMMANDS
         .iter()
-        .any(|(_, _, valued, _)| valued.contains(&flag))
+        .any(|(_, _, _, valued, _)| valued.contains(&flag))
 }
 
 fn main() -> ExitCode {
@@ -133,12 +131,25 @@ fn main() -> ExitCode {
     let rest = &args[1..];
     let result = match COMMANDS.iter().find(|(name, ..)| name == command) {
         None => Err(format!("unknown command `{command}`\n{USAGE}")),
-        Some((_, run, valued, switches)) => match rest.iter().find(|a| {
-            a.starts_with("--") && !valued.contains(&a.as_str()) && !switches.contains(&a.as_str())
-        }) {
-            Some(flag) => Err(format!("unknown flag `{flag}` for `{command}`")),
-            None => run(rest),
-        },
+        Some((_, run, arity, valued, switches)) => {
+            let unknown = rest.iter().find(|a| {
+                a.starts_with("--")
+                    && !valued.contains(&a.as_str())
+                    && !switches.contains(&a.as_str())
+            });
+            match (unknown, positionals(rest).nth(*arity)) {
+                (Some(flag), _) => Err(format!("unknown flag `{flag}` for `{command}`")),
+                (None, Some(extra)) => Err(format!(
+                    "unexpected argument `{extra}` for `{command}`{}",
+                    if valued.contains(&"--input") {
+                        " (add each further feed with --input <file>)"
+                    } else {
+                        ""
+                    }
+                )),
+                (None, None) => run(rest),
+            }
+        }
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -207,7 +218,7 @@ USAGE:
                   [--max-victims N] [--evidence-ring N]
                   [--checkpoint-every N] [--alert-format text|json]
                   [--metrics-out <file>] [--events-out <file.qlog>]
-                  [--verbose]
+                  [--forensics-out <dir> [--replay]] [--verbose]
         Stream one or more captures through the live flood-detection
         engine and print alert lifecycle events (OPEN / ESCALATE /
         CLOSE / RECLASSIFY) as they fire. Each --input adds a feed;
@@ -215,10 +226,14 @@ USAGE:
         event-time order, so alerts are identical to a single merged
         capture at any source count. An empty feed is drained and
         counted, not fatal; a feed that fails mid-run reconnects and
-        resumes. --window sets the sessionization timeout; --weight
-        scales the Moore thresholds; --escalate sets the escalation
-        tier multiplier; --shards runs per-source detector shards
-        (alerts are identical at any N); --source-rate paces each feed
+        resumes. A feed abandoned after its reconnects (a capture cut
+        mid-record) fails the run after the summary, and the run
+        leaves no output file: no --metrics-out, no --forensics-out,
+        and the --events-out file removed. --window sets the
+        sessionization timeout in minutes (>= 1); --weight scales the
+        Moore thresholds; --escalate sets the escalation tier
+        multiplier; --shards runs per-source detector shards (alerts
+        are identical at any N); --source-rate paces each feed
         (records/s); --source-queue bounds each feed's queue (records);
         --source-batch sets the per-feed transfer batch target
         (records; batches never change the merged order);
@@ -237,30 +252,28 @@ USAGE:
         per feed; record-tied events are identical at any --shards
         and every event's timestamp comes from the trace, and an
         unwritable path fails before any feed is opened.
+        --forensics-out exports every closed QUIC alert as a
+        self-contained replayable qlog slice, <dir>/alert-<i>.qlog:
+        config, per-minute arrival profile, evidence ring, and the
+        correlated common-channel floods. --replay feeds each exported
+        slice back through a fresh detector and fails unless it
+        reproduces the identical closed alert and multi-vector verdict.
 
     quicsand replay --pps <rate> [--requests N] [--workers N]
                     [--retry | --adaptive <occupancy>]
         Flood the local QUIC server model (Table 1 style) and report
-        service availability.
+        service availability. --retry always answers with a Retry;
+        --adaptive only once a worker's connection table is at least
+        <occupancy> full (a fraction in [0, 1]).
 
     quicsand export <file.qscp> --pcap <file.pcap>
         Convert a capture to classic libpcap (raw-IP linktype) for
         inspection in Wireshark.
 
-    quicsand forensics <file.qscp> [--out <dir>] [--replay]
-                       [--window MINS] [--weight W] [--shards N]
-                       [--chunk N] [--evidence-ring N]
-        Run the live engine over a capture and export every closed
-        QUIC alert as a self-contained replayable qlog slice
-        (alert-<i>.qlog under --out, default `forensics/`): config,
-        per-minute arrival profile, evidence ring, and the correlated
-        common-channel floods. --replay feeds each exported slice
-        back through a fresh detector and fails unless it reproduces
-        the identical closed alert and multi-vector verdict.
-
     quicsand forensics check <file.qlog>
         Validate a qlog file's RFC 7464 JSON-SEQ framing and header,
-        and print a record/event summary.
+        and print a record/event summary; it reads the event streams
+        of `analyze` and `live` and the alert slices of `live` alike.
 
     quicsand experiments [--scale test|demo|paper] [--seed N] [--threads N]
                          [--out <dir>] [<id>...]
@@ -308,38 +321,39 @@ fn flag_values<'a>(args: &'a [String], name: &str) -> Result<Vec<&'a str>, Strin
 }
 
 /// Parses the value of `name` when the flag is given, rejecting one that
-/// does not parse as `T` or lies below `min` with
-/// ``invalid {name} `{value}`{hint}``.
-fn flag_parsed<T: std::str::FromStr + PartialOrd>(
+/// does not parse as `T` or that `valid` refuses with
+/// ``invalid {name} `{value}` (want {want})``.
+fn flag_parsed<T: std::str::FromStr>(
     args: &[String],
     name: &str,
-    min: Option<T>,
-    hint: &str,
+    valid: fn(&T) -> bool,
+    want: &str,
 ) -> Result<Option<T>, String> {
     flag_value(args, name)?
         .map(|v| {
             v.parse::<T>()
                 .ok()
-                .filter(|n| min.as_ref().is_none_or(|min| n >= min))
-                .ok_or_else(|| format!("invalid {name} `{v}`{hint}"))
+                .filter(valid)
+                .ok_or_else(|| format!("invalid {name} `{v}` (want {want})"))
         })
         .transpose()
 }
 
-/// The hint shared by the count-valued flags.
-const AT_LEAST_ONE: &str = " (want an integer >= 1)";
+/// Parses a count flag: an integer of at least one.
+fn count_flag<T: std::str::FromStr + PartialOrd + From<u8>>(
+    args: &[String],
+    name: &str,
+) -> Result<Option<T>, String> {
+    flag_parsed(args, name, |n| *n >= T::from(1), "an integer >= 1")
+}
 
 /// Parses a threshold weight (`--weight`, `--escalate`), `default` when
 /// the flag is absent. The detection thresholds are multiplied by it, so
 /// only a finite weight above zero means anything: NaN or infinity would
 /// let no session qualify, zero or less every one.
 fn weight_flag(args: &[String], name: &str, default: f64) -> Result<f64, String> {
-    flag_value(args, name)?.map_or(Ok(default), |v| {
-        v.parse::<f64>()
-            .ok()
-            .filter(|w| w.is_finite() && *w > 0.0)
-            .ok_or_else(|| format!("invalid {name} `{v}` (want a finite number > 0)"))
-    })
+    let valid = |w: &f64| w.is_finite() && *w > 0.0;
+    Ok(flag_parsed(args, name, valid, "a finite number > 0")?.unwrap_or(default))
 }
 
 fn has_flag(args: &[String], name: &str) -> bool {
@@ -350,7 +364,7 @@ fn has_flag(args: &[String], name: &str) -> bool {
 /// Builds the `AnalysisConfig`, honouring `--threads N`.
 fn analysis_config(args: &[String]) -> Result<AnalysisConfig, String> {
     let mut config = AnalysisConfig::default();
-    if let Some(threads) = flag_parsed(args, "--threads", Some(1), AT_LEAST_ONE)? {
+    if let Some(threads) = count_flag(args, "--threads")? {
         config.threads = threads;
     }
     Ok(config)
@@ -527,21 +541,16 @@ fn run_pipeline<S: Subscriber>(
     let analysis = driver.finish();
     eprintln!("analyzed {records} records");
     if let Some(summary) = plan.as_ref().map(FaultPlan::summary) {
-        let breakdown: Vec<String> = summary
-            .as_table()
-            .iter()
-            .filter(|(_, count)| *count > 0)
-            .map(|(label, count)| format!("{label} {count}"))
-            .collect();
+        let breakdown = nonzero_rows(&summary.as_table());
         eprintln!(
             "fault injection: {} -> {} records, {} fault(s): {}",
             summary.input_records,
             summary.emitted_records,
             summary.total_injected(),
             if breakdown.is_empty() {
-                "none".into()
+                "none"
             } else {
-                breakdown.join(", ")
+                &breakdown
             }
         );
     }
@@ -563,6 +572,16 @@ fn run_pipeline<S: Subscriber>(
     Ok(analysis)
 }
 
+/// `label count` for every non-zero row of a counter table, comma-joined.
+fn nonzero_rows(table: &[(&str, u64)]) -> String {
+    let rows: Vec<String> = table
+        .iter()
+        .filter(|(_, count)| *count > 0)
+        .map(|(label, count)| format!("{label} {count}"))
+        .collect();
+    rows.join(", ")
+}
+
 /// Writes the full (volatile included) canonical-JSON metrics dump when
 /// `--metrics-out <file>` was given.
 fn write_metrics_out(
@@ -577,55 +596,57 @@ fn write_metrics_out(
     Ok(())
 }
 
-/// Opens the qlog writer when `--events-out <path>` was given —
-/// creating the file (and failing on an unwritable path) before any
-/// heavy work starts. `None` keeps the zero-cost disabled path.
-fn events_out_writer(
-    args: &[String],
-    title: &str,
-    vantage: &[String],
-) -> Result<Option<QlogWriter>, String> {
-    flag_value(args, "--events-out")?
-        .map(|path| QlogWriter::create(path, title, vantage))
-        .transpose()
+/// The `--events-out` qlog of a run; `writer` is `None` without the
+/// flag, the zero-cost disabled path. A qlog has no trailer, so the file
+/// of a run that fails (header only, or cut short) would read as a
+/// finished run: dropped before [`EventsOut::finish`], the guard removes
+/// it. This is the one cleanup of a failed `analyze` or `live`.
+struct EventsOut<'a> {
+    writer: Option<QlogWriter>,
+    path: Option<&'a str>,
 }
 
-/// Finishes an open qlog writer: flushes, publishes the event/byte
-/// totals on `registry`, and reports the write on stderr.
-fn finish_events_out(
-    args: &[String],
-    sink: Option<QlogWriter>,
-    registry: &quicsand_obs::MetricsRegistry,
-) -> Result<(), String> {
-    let Some(writer) = sink else {
-        return Ok(());
-    };
-    let (events, bytes) = writer.finish()?;
-    EventsMetrics::register(registry).add_totals(events, bytes);
-    // The flag was present, so the path parses; unwrap via expect.
-    let path = flag_value(args, "--events-out")?.expect("writer implies the flag");
-    eprintln!("events: {events} event(s), {bytes} bytes -> {path}");
-    Ok(())
+impl<'a> EventsOut<'a> {
+    /// Creates the file when `--events-out <path>` was given, failing on
+    /// an unwritable path before any heavy work starts.
+    fn create(args: &'a [String], title: &str, vantage: &[String]) -> Result<Self, String> {
+        let path = flag_value(args, "--events-out")?;
+        let writer = path
+            .map(|path| QlogWriter::create(path, title, vantage))
+            .transpose()?;
+        Ok(EventsOut { writer, path })
+    }
+
+    /// Flushes the file, publishes the event/byte totals on `registry`,
+    /// and reports the write on stderr.
+    fn finish(mut self, registry: &quicsand_obs::MetricsRegistry) -> Result<(), String> {
+        let (Some(writer), Some(path)) = (self.writer.take(), self.path) else {
+            return Ok(());
+        };
+        let (events, bytes) = writer.finish()?;
+        EventsMetrics::register(registry).add_totals(events, bytes);
+        eprintln!("events: {events} event(s), {bytes} bytes -> {path}");
+        Ok(())
+    }
+}
+
+impl Drop for EventsOut<'_> {
+    fn drop(&mut self) {
+        if let (Some(writer), Some(path)) = (self.writer.take(), self.path) {
+            drop(writer);
+            // Only a regular file: a path such as /dev/null stays.
+            if std::fs::symlink_metadata(path).is_ok_and(|meta| meta.is_file()) {
+                std::fs::remove_file(path).ok();
+            }
+        }
+    }
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let vantage: Vec<String> = positional(args).cloned().into_iter().collect();
-    let mut sink = events_out_writer(args, "quicsand analyze", &vantage)?;
-    let analysis = match run_pipeline(args, "analyze", &mut sink) {
-        Ok(analysis) => analysis,
-        Err(error) => {
-            // A qlog has no trailer: the header-only file of a failed
-            // run would read as a finished run without events.
-            drop(sink);
-            if let Some(path) = flag_value(args, "--events-out")? {
-                if std::fs::symlink_metadata(path).is_ok_and(|meta| meta.is_file()) {
-                    std::fs::remove_file(path).ok();
-                }
-            }
-            return Err(error);
-        }
-    };
-    finish_events_out(args, sink, &analysis.registry)?;
+    let mut events = EventsOut::create(args, "quicsand analyze", &vantage)?;
+    let analysis = run_pipeline(args, "analyze", &mut events.writer)?;
+    events.finish(&analysis.registry)?;
     let peak_rss = publish_peak_rss(&analysis.registry);
     write_metrics_out(args, &analysis.registry)?;
 
@@ -640,14 +661,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         stats.quarantine.total()
     );
     if stats.quarantine.total() > 0 {
-        let breakdown: Vec<String> = stats
-            .quarantine
-            .as_table()
-            .iter()
-            .filter(|(_, count)| *count > 0)
-            .map(|(label, count)| format!("{label} {count}"))
-            .collect();
-        println!("quarantine: {}", breakdown.join(", "));
+        println!("quarantine: {}", nonzero_rows(&stats.quarantine.as_table()));
     }
     let pipeline = &analysis.stats;
     println!(
@@ -731,7 +745,6 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     use quicsand_net::multi::{capture_file_factory, SourceFactory, SourceSet, SourceSetConfig};
     use quicsand_net::Duration;
     use quicsand_sessions::dos::DosThresholds;
-    use quicsand_sessions::multivector::MultiVectorClass;
     use quicsand_sessions::SessionConfig;
     use quicsand_telescope::GuardConfig;
     use std::time::Instant;
@@ -746,27 +759,35 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     if inputs.is_empty() {
         return Err("live requires a capture path (positional or --input <file>)".into());
     }
-    let window: u64 = flag_parsed(args, "--window", None, " (minutes)")?.unwrap_or(5);
+    // Minutes, counted by the trace clock in u64 microseconds.
+    let valid = |mins: &u64| *mins >= 1 && mins.checked_mul(60_000_000).is_some();
+    let want = "minutes >= 1 whose microseconds fit in a u64";
+    let window: u64 = flag_parsed(args, "--window", valid, want)?.unwrap_or(5);
     let weight = weight_flag(args, "--weight", 1.0)?;
     let escalate = weight_flag(args, "--escalate", LiveConfig::default().escalation_weight)?;
-    let shards: usize = flag_parsed(args, "--shards", None, "")?.unwrap_or(1);
-    let chunk: usize = flag_parsed(args, "--chunk", Some(1), AT_LEAST_ONE)?.unwrap_or(1024);
-    let max_victims: usize = flag_parsed(args, "--max-victims", Some(1), "")?
-        .unwrap_or(LiveConfig::default().max_victims);
-    let evidence_ring: usize = flag_parsed(args, "--evidence-ring", Some(1), AT_LEAST_ONE)?
-        .unwrap_or(LiveConfig::default().evidence_capacity);
-    let checkpoint_every: Option<u64> = flag_parsed(args, "--checkpoint-every", Some(1), "")?;
-    let source_queue: usize = flag_parsed(args, "--source-queue", Some(1), AT_LEAST_ONE)?
-        .unwrap_or(SourceSetConfig::default().queue_capacity);
-    let source_batch: usize = flag_parsed(args, "--source-batch", Some(1), AT_LEAST_ONE)?
-        .unwrap_or(SourceSetConfig::default().batch_records);
+    let shards: usize = count_flag(args, "--shards")?.unwrap_or(1);
+    let chunk: usize = count_flag(args, "--chunk")?.unwrap_or(1024);
+    let max_victims: usize =
+        count_flag(args, "--max-victims")?.unwrap_or(LiveConfig::default().max_victims);
+    let evidence_ring: usize =
+        count_flag(args, "--evidence-ring")?.unwrap_or(LiveConfig::default().evidence_capacity);
+    let checkpoint_every: Option<u64> = count_flag(args, "--checkpoint-every")?;
+    let source_queue: usize =
+        count_flag(args, "--source-queue")?.unwrap_or(SourceSetConfig::default().queue_capacity);
+    let source_batch: usize =
+        count_flag(args, "--source-batch")?.unwrap_or(SourceSetConfig::default().batch_records);
     let source_rate: Option<u64> =
-        flag_parsed(args, "--source-rate", Some(1), " (want records/s >= 1)")?;
+        flag_parsed(args, "--source-rate", |r| *r >= 1, "records/s >= 1")?;
     let json = match flag_value(args, "--alert-format")?.unwrap_or("text") {
         "text" => false,
         "json" => true,
         other => return Err(format!("unknown --alert-format `{other}` (want text|json)")),
     };
+    let forensics_out = flag_value(args, "--forensics-out")?;
+    let replay = has_flag(args, "--replay");
+    if replay && forensics_out.is_none() {
+        return Err("--replay requires --forensics-out <dir>".into());
+    }
     let verbose = has_flag(args, "--verbose");
 
     let guard = GuardConfig::default();
@@ -785,7 +806,7 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     // The qlog sink (when requested) is created first: an unwritable
     // --events-out path must fail before any feed is opened. The
     // vantage metadata carries one label per feed.
-    let mut sink = events_out_writer(args, "quicsand live", &inputs)?;
+    let mut events_out = EventsOut::create(args, "quicsand live", &inputs)?;
     // A bad path or corrupt header is still a hard, immediate error —
     // only *mid-run* source failures are tolerated (reconnect/abandon).
     // An empty capture opens as an instantly-EOF feed, not an error.
@@ -825,7 +846,7 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     let mut checkpoints: u64 = 0;
     let mut checkpoint_bytes: u64 = 0;
     let mut checkpoint_time = std::time::Duration::ZERO;
-    while let Some(events) = live.pump_with(chunk, &mut sink) {
+    while let Some(events) = live.pump_with(chunk, &mut events_out.writer) {
         for event in events {
             emit(&event);
         }
@@ -881,17 +902,10 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    for event in live.finish_with(&mut sink) {
+    for event in live.finish_with(&mut events_out.writer) {
         emit(&event);
     }
-    finish_events_out(args, sink, live.engine().registry())?;
-    // Hard invariant: live counters reconcile with the merged detector
-    // stats at this (finished) sync point — including the per-source
-    // counters and the cursor/offered conservation check.
-    live.verify_metrics()
-        .map_err(|e| format!("live metrics reconciliation failed: {}", e.join("; ")))?;
     let peak_rss = publish_peak_rss(live.engine().registry());
-    write_metrics_out(args, live.engine().registry())?;
 
     let stats = live.live_stats();
     let ingest = live.ingest_stats();
@@ -931,13 +945,77 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
         let pipeline = live.engine().pipeline_stats();
         println!(
             "live: {} shard(s), {:.0} records/s ingest; {}; peak tracked victims {}{}",
-            shards.max(1),
+            shards,
             pipeline.ingest_records_per_sec(),
             pipeline.stage_summary(),
             stats.peak_tracked,
             peak_rss_suffix(peak_rss)
         );
     }
+    // An abandoned feed delivered only part of its capture: the lines
+    // above report what was read, but the run fails like a cut capture
+    // in `analyze`, and `events_out` removes its file on the way out.
+    if let Some((path, source)) = inputs.iter().zip(&sources).find(|(_, s)| s.dead) {
+        return Err(format!(
+            "read records: feed {path} abandoned after {} reconnect(s)",
+            source.reconnects
+        ));
+    }
+    events_out.finish(live.engine().registry())?;
+    // Hard invariant: live counters reconcile with the merged detector
+    // stats at this (finished) sync point — including the per-source
+    // counters and the cursor/offered conservation check.
+    live.verify_metrics()
+        .map_err(|e| format!("live metrics reconciliation failed: {}", e.join("; ")))?;
+    if let Some(dir) = forensics_out {
+        write_alert_slices(&live.engine().alert_slices(), dir, replay)?;
+    }
+    write_metrics_out(args, live.engine().registry())
+}
+
+/// Writes every closed QUIC alert as a self-contained qlog slice,
+/// `<dir>/alert-<i>.qlog`. With `replay`, each written slice alone must
+/// reproduce the identical closed alert and multi-vector verdict in a
+/// fresh detector.
+fn write_alert_slices(
+    slices: &[quicsand_live::AlertSlice],
+    dir: &str,
+    replay: bool,
+) -> Result<(), String> {
+    use quicsand_live::{parse_slice_qlog, replay_slice};
+
+    if slices.is_empty() {
+        println!("forensics: no closed QUIC alerts; nothing to export to {dir}");
+        return Ok(());
+    }
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
+    for slice in slices {
+        let bytes = slice.to_qlog()?;
+        let file = format!("{dir}/alert-{}.qlog", slice.alert_index);
+        std::fs::write(&file, &bytes).map_err(|e| format!("write {file}: {e}"))?;
+        if replay {
+            // `replay_slice` errors on any divergence.
+            let (parsed, packets) = parse_slice_qlog(&bytes).map_err(|e| format!("{file}: {e}"))?;
+            replay_slice(&parsed, &packets)
+                .map_err(|e| format!("{file}: replay contract violated: {e}"))?;
+        }
+        println!(
+            "wrote {file} (victim {}, {} packet(s), {} common flood(s), class {})",
+            slice.victim,
+            slice.quic.attack.packet_count,
+            slice.commons.len(),
+            slice.class.label()
+        );
+    }
+    println!(
+        "forensics: {} alert slice(s) exported to {dir}{}",
+        slices.len(),
+        if replay {
+            format!(", {} replay(s) verified", slices.len())
+        } else {
+            String::new()
+        }
+    );
     Ok(())
 }
 
@@ -945,19 +1023,18 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     use quicsand_server::model::{RetryPolicy, ServerConfig};
     use quicsand_server::replay::{replay_flood, ReplayConfig};
 
-    let pps: u64 =
-        flag_parsed(args, "--pps", Some(1), AT_LEAST_ONE)?.ok_or("replay requires --pps <rate>")?;
-    let requests: u64 =
-        flag_parsed(args, "--requests", Some(1), AT_LEAST_ONE)?.unwrap_or(pps * 300 + 1);
-    let workers: usize = flag_parsed(args, "--workers", Some(1), AT_LEAST_ONE)?.unwrap_or(4);
-    let retry_policy = if let Some(threshold) = flag_value(args, "--adaptive")? {
-        RetryPolicy::Adaptive {
-            occupancy_threshold: threshold.parse().map_err(|_| "invalid --adaptive")?,
-        }
-    } else if has_flag(args, "--retry") {
-        RetryPolicy::Always
-    } else {
-        RetryPolicy::Off
+    let pps: u64 = count_flag(args, "--pps")?.ok_or("replay requires --pps <rate>")?;
+    let requests: u64 = count_flag(args, "--requests")?.unwrap_or(pps * 300 + 1);
+    let workers: usize = count_flag(args, "--workers")?.unwrap_or(4);
+    let in_unit = |x: &f64| (0.0..=1.0).contains(x);
+    let adaptive = flag_parsed(args, "--adaptive", in_unit, "an occupancy in [0, 1]")?;
+    let retry_policy = match (adaptive, has_flag(args, "--retry")) {
+        (Some(_), true) => return Err("--adaptive and --retry are exclusive".into()),
+        (Some(occupancy_threshold), false) => RetryPolicy::Adaptive {
+            occupancy_threshold,
+        },
+        (None, true) => RetryPolicy::Always,
+        (None, false) => RetryPolicy::Off,
     };
 
     eprintln!("replaying {requests} Initials at {pps} pps against {workers} worker(s)...");
@@ -1006,91 +1083,21 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
 
 fn cmd_forensics(args: &[String]) -> Result<(), String> {
     use quicsand_events::qlog::validate_qlog;
-    use quicsand_live::{parse_slice_qlog, replay_slice, LiveConfig, LiveEngine};
-    use quicsand_net::Duration;
-    use quicsand_sessions::dos::DosThresholds;
-    use quicsand_sessions::SessionConfig;
-    use quicsand_telescope::GuardConfig;
 
-    // `forensics check <file.qlog>`: framing/header validation only.
-    if args.first().map(String::as_str) == Some("check") {
-        let path = positional(&args[1..]).ok_or("forensics check requires a qlog path")?;
-        let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-        let summary = validate_qlog(&bytes).map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "{path}: valid qlog JSON-SEQ ({} record(s), {} event(s))",
-            summary.records, summary.events
-        );
-        return Ok(());
-    }
-
-    let path = positional(args).ok_or("forensics requires a capture path")?;
-    let out_dir = flag_value(args, "--out")?
-        .unwrap_or("forensics")
-        .to_string();
-    let replay = has_flag(args, "--replay");
-    let window: u64 = flag_parsed(args, "--window", None, " (minutes)")?.unwrap_or(5);
-    let weight = weight_flag(args, "--weight", 1.0)?;
-    let shards: usize = flag_parsed(args, "--shards", None, "")?.unwrap_or(1);
-    let chunk: usize = flag_parsed(args, "--chunk", Some(1), AT_LEAST_ONE)?.unwrap_or(1024);
-    let evidence_ring: usize = flag_parsed(args, "--evidence-ring", Some(1), AT_LEAST_ONE)?
-        .unwrap_or(LiveConfig::default().evidence_capacity);
-
-    let guard = GuardConfig::default();
-    let config = LiveConfig {
-        thresholds: DosThresholds::moore().scaled(weight),
-        session: SessionConfig {
-            timeout: Duration::from_mins(window),
-            skew_tolerance: guard.reorder_tolerance,
-        },
-        evidence_capacity: evidence_ring,
-        ..LiveConfig::default()
+    // Framing/header validation only; slices come from `live`.
+    let path = match args {
+        [check, path] if check == "check" => path,
+        _ => {
+            return Err("forensics takes `check <file.qlog>`; \
+                 alert slices are exported by `live --forensics-out <dir>`"
+                .into())
+        }
     };
-    let reader = ZeroCopyCaptureReader::from_path(path).map_err(|e| format!("read {path}: {e}"))?;
-    eprintln!("streaming {path} through the live engine...");
-    let mut engine = LiveEngine::new(config, guard, shards);
-    let records = stream_capture(reader, chunk, None, |slice| {
-        engine.offer_chunk(slice);
-    })?;
-    engine.finish();
-    eprintln!("analyzed {records} records");
-
-    let slices = engine.alert_slices();
-    if slices.is_empty() {
-        println!("no closed QUIC alerts in {path}; nothing to export");
-        return Ok(());
-    }
-    std::fs::create_dir_all(&out_dir).map_err(|e| format!("create {out_dir}: {e}"))?;
-    let mut replayed = 0usize;
-    for slice in &slices {
-        let bytes = slice.to_qlog()?;
-        let file = format!("{out_dir}/alert-{}.qlog", slice.alert_index);
-        std::fs::write(&file, &bytes).map_err(|e| format!("write {file}: {e}"))?;
-        if replay {
-            // The replay contract: the exported slice alone must
-            // reproduce the identical closed alert and verdict in a
-            // fresh detector. `replay_slice` errors on any divergence.
-            let (parsed, packets) = parse_slice_qlog(&bytes).map_err(|e| format!("{file}: {e}"))?;
-            replay_slice(&parsed, &packets)
-                .map_err(|e| format!("{file}: replay contract violated: {e}"))?;
-            replayed += 1;
-        }
-        println!(
-            "wrote {file} (victim {}, {} packet(s), {} common flood(s), class {})",
-            slice.victim,
-            slice.quic.attack.packet_count,
-            slice.commons.len(),
-            slice.class.label()
-        );
-    }
+    let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
+    let summary = validate_qlog(&bytes).map_err(|e| format!("{path}: {e}"))?;
     println!(
-        "forensics: {} alert slice(s) exported to {out_dir}{}",
-        slices.len(),
-        if replay {
-            format!(", {replayed} replay(s) verified")
-        } else {
-            String::new()
-        }
+        "{path}: valid qlog JSON-SEQ ({} record(s), {} event(s))",
+        summary.records, summary.events
     );
     Ok(())
 }

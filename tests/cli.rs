@@ -216,10 +216,10 @@ fn boolean_flag_before_the_capture_path() {
         vec!["metrics", "--stable-only", path],
         vec!["live", "--verbose", path],
         vec![
-            "forensics",
+            "live",
             "--replay",
             path,
-            "--out",
+            "--forensics-out",
             out.to_str().unwrap(),
         ],
     ] {
@@ -475,12 +475,9 @@ fn non_positive_or_non_finite_weights_are_rejected() {
     let empty = dir.join("empty.qscp");
     std::fs::write(&empty, b"").unwrap();
     let path = empty.to_str().unwrap();
-    let out = dir.join("slices");
-    let out = out.to_str().unwrap();
     for (command, flag) in [
-        (&["live", path][..], "--weight"),
+        (&["live", path], "--weight"),
         (&["live", path], "--escalate"),
-        (&["forensics", path, "--out", out], "--weight"),
     ] {
         for value in ["NaN", "inf", "-inf", "-1", "0"] {
             let output = Command::new(bin())
@@ -543,10 +540,12 @@ fn live_without_any_input_is_rejected() {
 
 /// A capture cut mid-record fails the same way whether the cut is met
 /// while the first batch is decoded or after batches were already
-/// analysed: non-zero exit, `read records:` on stderr, nothing on stdout,
-/// no `--metrics-out`, and no `--events-out` file that could pass for a
-/// finished run. A cut exactly on a record boundary is a clean end of
-/// stream and succeeds.
+/// analysed: non-zero exit, `read records:` on stderr, no `--metrics-out`,
+/// no `--forensics-out` slices, and no `--events-out` file that could pass
+/// for a finished run. `analyze` and `metrics` print nothing on stdout;
+/// `live` has streamed the alerts that fired before the cut, and its
+/// summary. A cut exactly on a record boundary is a clean end of stream
+/// and succeeds.
 #[test]
 fn a_capture_cut_mid_record_fails_cleanly_wherever_the_cut_is() {
     use quicsand_net::zerocopy::BULK_BATCH;
@@ -609,17 +608,30 @@ fn a_capture_cut_mid_record_fails_cleanly_wherever_the_cut_is() {
                 stderr.contains("error: read records:"),
                 "{what}, {at}: {stderr}"
             );
+        };
+        let printed_nothing = |output: &std::process::Output, what: &str| {
             assert!(output.stdout.is_empty(), "{what}, {at}: wrote to stdout");
         };
         failed(&analyze, "analyze");
+        printed_nothing(&analyze, "analyze");
         assert!(!metrics.exists(), "{at}: --metrics-out was written");
         assert!(!qlog.exists(), "{at}: --events-out was left behind");
-        failed(&run(&["metrics"]), "metrics");
-        failed(
-            &run(&["forensics", "--out", slices.to_str().unwrap()]),
-            "forensics",
-        );
-        assert!(!slices.exists(), "{at}: forensics exported slices");
+        let metrics_run = run(&["metrics"]);
+        failed(&metrics_run, "metrics");
+        printed_nothing(&metrics_run, "metrics");
+        let live = run(&[
+            "live",
+            "--forensics-out",
+            slices.to_str().unwrap(),
+            "--events-out",
+            qlog.to_str().unwrap(),
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ]);
+        failed(&live, "live");
+        assert!(!slices.exists(), "{at}: live exported slices");
+        assert!(!qlog.exists(), "{at}: live left --events-out behind");
+        assert!(!metrics.exists(), "{at}: live wrote --metrics-out");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -777,4 +789,254 @@ fn experiments_rejects_unknown_ids_and_scales() {
     assert!(output.stdout.is_empty());
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown scale `papr`"), "{stderr}");
+}
+
+/// Regression: `--window 0` ran with a zero timeout and reported no QUIC
+/// flood, a window whose microseconds overflow wrapped around (or
+/// panicked in a debug build), and `--shards 0` silently ran one shard.
+#[test]
+fn live_count_flags_reject_values_that_cannot_run() {
+    let dir = std::env::temp_dir().join("quicsand-cli-live-counts");
+    std::fs::create_dir_all(&dir).unwrap();
+    let empty = dir.join("empty.qscp");
+    std::fs::write(&empty, b"").unwrap();
+    let window = "(want minutes >= 1 whose microseconds fit in a u64)";
+    let count = "(want an integer >= 1)";
+    for (flag, value, want) in [
+        ("--window", "0", window),
+        ("--window", "307445734562", window),
+        ("--window", "18446744073709551615", window),
+        ("--shards", "0", count),
+        ("--max-victims", "0", count),
+        ("--checkpoint-every", "0", count),
+    ] {
+        let output = Command::new(bin())
+            .arg("live")
+            .arg(&empty)
+            .args([flag, value])
+            .output()
+            .expect("run live");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(
+            stderr.contains(&format!("invalid {flag} `{value}` {want}")),
+            "{flag} {value}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{flag} {value} ran");
+    }
+    // The longest window that fits still runs.
+    let output = Command::new(bin())
+        .arg("live")
+        .arg(&empty)
+        .args(["--window", "307445734561"])
+        .output()
+        .expect("run live");
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Regression: `--adaptive NaN`, `1.5` or `inf` behaved as no Retry at
+/// all and `-1` as `--retry`; given together with `--retry`, adaptive
+/// silently won.
+#[test]
+fn replay_adaptive_takes_an_occupancy_in_the_unit_interval() {
+    for value in ["NaN", "1.5", "inf", "-1"] {
+        let output = Command::new(bin())
+            .args(["replay", "--pps", "10", "--adaptive", value])
+            .output()
+            .expect("run replay");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{value}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "invalid --adaptive `{value}` (want an occupancy in [0, 1])"
+            )),
+            "{value}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "--adaptive {value} ran");
+    }
+    let output = Command::new(bin())
+        .args(["replay", "--pps", "10", "--adaptive", "0.5", "--retry"])
+        .output()
+        .expect("run replay");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--adaptive and --retry are exclusive"),
+        "{stderr}"
+    );
+    let output = Command::new(bin())
+        .args(["replay", "--pps", "10", "--requests", "200"])
+        .args(["--adaptive", "1"])
+        .output()
+        .expect("run replay");
+    assert!(output.status.success());
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("requests 200"), "{stdout}");
+}
+
+/// Regression: a positional past a command's own was dropped, so
+/// `live a.qscp b.qscp` ran one feed and `analyze cap.qscp bogus`
+/// ignored the extra word.
+#[test]
+fn stray_positionals_are_rejected_and_named() {
+    for (line, extra, hint) in [
+        ("live a.qscp b.qscp", "b.qscp", "--input <file>"),
+        ("analyze cap.qscp bogus", "bogus", ""),
+        ("export cap.qscp bogus --pcap stray.pcap", "bogus", ""),
+        ("forensics check a.qlog b.qlog", "b.qlog", ""),
+    ] {
+        let output = Command::new(bin())
+            .args(line.split_whitespace())
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let command = line.split_whitespace().next().unwrap();
+        assert_eq!(output.status.code(), Some(1), "`{line}`: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "error: unexpected argument `{extra}` for `{command}`"
+            )) && stderr.contains(hint),
+            "`{line}`: {stderr}"
+        );
+    }
+    assert!(!std::path::Path::new("stray.pcap").exists());
+}
+
+/// `--replay` checks the slices `--forensics-out` writes; alone it has
+/// nothing to check.
+#[test]
+fn live_replay_requires_forensics_out() {
+    let dir = std::env::temp_dir().join("quicsand-cli-replay-alone");
+    std::fs::create_dir_all(&dir).unwrap();
+    let empty = dir.join("empty.qscp");
+    std::fs::write(&empty, b"").unwrap();
+    let output = Command::new(bin())
+        .arg("live")
+        .arg(&empty)
+        .arg("--replay")
+        .output()
+        .expect("run live");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--replay requires --forensics-out <dir>"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Regression: a missing input failed after `--events-out` was created,
+/// leaving a header-only qlog that reads as a finished run without
+/// events.
+#[test]
+fn live_on_a_missing_input_leaves_no_events_out() {
+    let dir = std::env::temp_dir().join("quicsand-cli-live-missing");
+    std::fs::create_dir_all(&dir).unwrap();
+    let qlog = dir.join("missing.qlog");
+    std::fs::remove_file(&qlog).ok();
+    let output = Command::new(bin())
+        .arg("live")
+        .arg(dir.join("missing.qscp"))
+        .arg("--events-out")
+        .arg(&qlog)
+        .output()
+        .expect("run live");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: read "), "{stderr}");
+    assert!(!qlog.exists(), "--events-out was left behind");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `live --forensics-out` writes byte-identical slices at any shard
+/// count, chunk size and checkpoint cadence, and from a capture split
+/// into two feeds; `--replay` verifies every slice of every run.
+#[test]
+fn forensics_out_slices_are_identical_across_shards_chunks_checkpoints_and_feeds() {
+    use quicsand_net::capture::to_bytes;
+    use quicsand_traffic::{Scenario, ScenarioConfig};
+    use std::collections::BTreeMap;
+    use std::path::PathBuf;
+
+    let dir = std::env::temp_dir().join("quicsand-cli-forensics-out");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let records = Scenario::generate(&ScenarioConfig {
+        research_packets_per_scan: 300,
+        request_sessions: 40,
+        quic_attacks: 20,
+        victim_pool: 10,
+        common_attacks: 15,
+        misconfig_sessions: 30,
+        garbage_udp443_packets: 10,
+        ..ScenarioConfig::test()
+    })
+    .records;
+    let whole = dir.join("whole.qscp");
+    std::fs::write(&whole, to_bytes(&records).unwrap()).unwrap();
+    // The same capture split by record parity into two feeds.
+    let (even, odd): (Vec<_>, Vec<_>) = records.iter().enumerate().partition(|(i, _)| i % 2 == 0);
+    let feed = |name: &str, half: Vec<(usize, &quicsand_net::PacketRecord)>| {
+        let records: Vec<_> = half.into_iter().map(|(_, r)| r.clone()).collect();
+        let path = dir.join(name);
+        std::fs::write(&path, to_bytes(&records).unwrap()).unwrap();
+        path
+    };
+    let (even, odd) = (feed("even.qscp", even), feed("odd.qscp", odd));
+
+    let slices = |name: &str, feeds: &[&PathBuf], flags: &[&str]| {
+        let out = dir.join(name);
+        let mut command = Command::new(bin());
+        command.arg("live");
+        for feed in feeds {
+            command.arg("--input").arg(feed);
+        }
+        let output = command
+            .args(flags)
+            .arg("--forensics-out")
+            .arg(&out)
+            .arg("--replay")
+            .output()
+            .expect("run live");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{name}: {stderr}");
+        let files: BTreeMap<String, Vec<u8>> = std::fs::read_dir(&out)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                let name = entry.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(entry.path()).unwrap())
+            })
+            .collect();
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let n = files.len();
+        assert!(
+            stdout.contains(&format!(
+                "forensics: {n} alert slice(s) exported to {}, {n} replay(s) verified",
+                out.display()
+            )),
+            "{name}: {stdout}"
+        );
+        files
+    };
+    let reference = slices("shards-1", &[&whole], &["--shards", "1"]);
+    assert!(!reference.is_empty(), "no closed QUIC alert to export");
+    let every = (records.len() / 3).to_string();
+    for (name, feeds, flags) in [
+        ("shards-2", &[&whole][..], &["--shards", "2"][..]),
+        ("chunk-7", &[&whole], &["--chunk", "7"]),
+        ("checkpoints", &[&whole], &["--checkpoint-every", &every]),
+        ("two-feeds", &[&even, &odd], &["--shards", "2"]),
+    ] {
+        assert!(
+            slices(name, feeds, flags) == reference,
+            "{name}: slices differ from --shards 1 on the whole capture"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
