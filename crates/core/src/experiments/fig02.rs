@@ -4,12 +4,14 @@
 //! from two universities". The hourly series shows periodic full-sweep
 //! spikes from TUM/RWTH dwarfing everything else.
 
+use super::Plot;
 use crate::analysis::Analysis;
+use crate::plot::PlotSpec;
 use crate::report::{fmt_percent, Report};
 use quicsand_traffic::Scenario;
 
-/// Runs the experiment.
-pub fn run(scenario: &Scenario, analysis: &Analysis) -> Report {
+/// Runs the experiment; plots the hourly series.
+pub fn run(scenario: &Scenario, analysis: &Analysis) -> (Report, Vec<Plot>) {
     let mut report = Report::new(
         "fig02",
         "QUIC traffic at the telescope: research scanners vs other sources (packets/hour)",
@@ -18,10 +20,13 @@ pub fn run(scenario: &Scenario, analysis: &Analysis) -> Report {
 
     let hours = u64::from(scenario.config.days) * 24;
     let other_total = (analysis.requests.len() + analysis.responses.len()) as u64;
+    let (mut research_series, mut other_series) = (Vec::new(), Vec::new());
     for hour in 0..hours {
         let research = analysis.research_hourly.get(hour);
         let other = analysis.request_hourly.get(hour) + analysis.response_hourly.get(hour);
         report.push_row([hour.to_string(), research.to_string(), other.to_string()]);
+        research_series.push((hour as f64, research as f64));
+        other_series.push((hour as f64, other as f64));
     }
 
     // The generated research component is sub-sampled; rescale for the
@@ -42,7 +47,14 @@ pub fn run(scenario: &Scenario, analysis: &Analysis) -> Report {
     report.push_note(&format!(
         "research component generated at 1/{factor:.0} sub-sampling; share rescaled accordingly"
     ));
-    report
+    let plot = PlotSpec::line(
+        "QUIC packets at the telescope (research scanner bias)",
+        "hour",
+        "packets/hour",
+    )
+    .with_series("research", research_series)
+    .with_series("other", other_series);
+    (report, vec![("fig02_research_bias", plot)])
 }
 
 #[cfg(test)]
@@ -55,7 +67,7 @@ mod tests {
     fn research_dominates_after_rescaling() {
         let scenario = Scenario::generate(&ScenarioConfig::test());
         let analysis = Analysis::run(&scenario, &AnalysisConfig::default());
-        let report = run(&scenario, &analysis);
+        let (report, _) = run(&scenario, &analysis);
         assert_eq!(report.rows.len(), 48); // 2 days
         let share: f64 = report.findings[0]
             .measured

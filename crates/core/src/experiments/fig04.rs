@@ -4,14 +4,16 @@
 //! to ~5 minutes and picks that knee; the `timeout = ∞` floor is one
 //! session per source.
 
+use super::Plot;
 use crate::analysis::Analysis;
+use crate::plot::PlotSpec;
 use crate::report::Report;
 use quicsand_net::{Duration, Timestamp};
 use quicsand_sessions::session::timeout_sweep;
 use std::net::Ipv4Addr;
 
-/// Runs the experiment.
-pub fn run(analysis: &Analysis) -> Report {
+/// Runs the experiment; plots the sweep over its `timeout = ∞` floor.
+pub fn run(analysis: &Analysis) -> (Report, Vec<Plot>) {
     let mut report = Report::new(
         "fig04",
         "Number of sessions vs session timeout (sanitized QUIC traffic)",
@@ -30,8 +32,11 @@ pub fn run(analysis: &Analysis) -> Report {
 
     let timeouts: Vec<Duration> = (1..=60).map(Duration::from_mins).collect();
     let sweep = timeout_sweep(stream, &timeouts);
+    let mut points = Vec::with_capacity(sweep.counts.len());
     for (timeout, count) in &sweep.counts {
-        report.push_row([(timeout.as_secs() / 60).to_string(), count.to_string()]);
+        let minutes = timeout.as_secs() / 60;
+        report.push_row([minutes.to_string(), count.to_string()]);
+        points.push((minutes as f64, *count as f64));
     }
 
     // 2 % per-minute marginal reduction: the "significant reduction"
@@ -60,7 +65,15 @@ pub fn run(analysis: &Analysis) -> Report {
         "significant",
         &format!("{first} -> {at_five}"),
     );
-    report
+    let floor = sweep.infinity_floor as f64;
+    let plot = PlotSpec::line(
+        "Sessions vs inactivity timeout",
+        "timeout [min]",
+        "sessions",
+    )
+    .with_series("sessions", points)
+    .with_series("timeout = inf", vec![(1.0, floor), (60.0, floor)]);
+    (report, vec![("fig04_timeout_knee", plot)])
 }
 
 #[cfg(test)]
@@ -73,7 +86,7 @@ mod tests {
     fn sweep_decreases_and_knee_is_early() {
         let scenario = Scenario::generate(&ScenarioConfig::test());
         let analysis = Analysis::run(&scenario, &AnalysisConfig::default());
-        let report = run(&analysis);
+        let (report, _) = run(&analysis);
         assert_eq!(report.rows.len(), 60);
         let counts: Vec<u64> = report.rows.iter().map(|r| r[1].parse().unwrap()).collect();
         for w in counts.windows(2) {

@@ -4,7 +4,9 @@
 //! networks; response sessions are received almost exclusively from
 //! content networks.
 
+use super::Plot;
 use crate::analysis::Analysis;
+use crate::plot::PlotSpec;
 use crate::report::{fmt_percent, Report};
 use quicsand_intel::NetworkType;
 use quicsand_sessions::session::Session;
@@ -24,8 +26,8 @@ fn type_shares(sessions: &[Session], scenario: &Scenario) -> Vec<(NetworkType, f
         .collect()
 }
 
-/// Runs the experiment.
-pub fn run(scenario: &Scenario, analysis: &Analysis) -> Report {
+/// Runs the experiment; plots the network-type shares.
+pub fn run(scenario: &Scenario, analysis: &Analysis) -> (Report, Vec<Plot>) {
     let mut report = Report::new(
         "fig05",
         "Source network types of sessions (PeeringDB mapping)",
@@ -34,12 +36,15 @@ pub fn run(scenario: &Scenario, analysis: &Analysis) -> Report {
 
     let request_shares = type_shares(&analysis.request_sessions, scenario);
     let response_shares = type_shares(&analysis.response_sessions, scenario);
-    for ((ty, req), (_, resp)) in request_shares.iter().zip(&response_shares) {
+    let (mut request_bars, mut response_bars) = (Vec::new(), Vec::new());
+    for (i, ((ty, req), (_, resp))) in request_shares.iter().zip(&response_shares).enumerate() {
         report.push_row([
             ty.label().to_string(),
             fmt_percent(*req),
             fmt_percent(*resp),
         ]);
+        request_bars.push((i as f64, *req));
+        response_bars.push((i as f64, *resp));
     }
 
     let eyeball_req = request_shares
@@ -95,7 +100,15 @@ pub fn run(scenario: &Scenario, analysis: &Analysis) -> Report {
             fmt_percent(share("DZ"))
         ),
     );
-    report
+    let plot = PlotSpec::bar(
+        "Source network types of sessions",
+        "network type",
+        "share of sessions",
+    )
+    .with_categories(NetworkType::ALL.iter().map(|t| t.label()))
+    .with_series("requests", request_bars)
+    .with_series("responses", response_bars);
+    (report, vec![("fig05_network_types", plot)])
 }
 
 #[cfg(test)]
@@ -108,7 +121,7 @@ mod tests {
     fn network_types_match_paper_pattern() {
         let scenario = Scenario::generate(&ScenarioConfig::test());
         let analysis = Analysis::run(&scenario, &AnalysisConfig::default());
-        let report = run(&scenario, &analysis);
+        let (report, _) = run(&scenario, &analysis);
         let pct = |s: &str| -> f64 { s.trim_end_matches('%').parse().unwrap() };
         assert!(pct(&report.findings[0].measured) > 80.0, "eyeball requests");
         assert!(
@@ -124,7 +137,7 @@ mod tests {
         config.request_sessions = 1_000;
         let scenario = Scenario::generate(&config);
         let analysis = Analysis::run(&scenario, &AnalysisConfig::default());
-        let report = run(&scenario, &analysis);
+        let (report, _) = run(&scenario, &analysis);
         let countries = &report.findings[4].measured;
         // BD must lead with roughly a third.
         let bd: f64 = countries

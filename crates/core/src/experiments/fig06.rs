@@ -4,20 +4,23 @@
 //! victims attacked only once, heavy tail (last 5 data points
 //! highlighted).
 
+use super::Plot;
 use crate::analysis::Analysis;
+use crate::plot::PlotSpec;
 use crate::report::{fmt_percent, Report};
 use quicsand_sessions::dos::attacks_per_victim;
 use quicsand_sessions::Cdf;
 
-/// Runs the experiment.
-pub fn run(analysis: &Analysis) -> Report {
+/// Runs the experiment; plots the CDF its rows list.
+pub fn run(analysis: &Analysis) -> (Report, Vec<Plot>) {
     let mut report = Report::new("fig06", "CDF of number of attacks per QUIC flood victim")
         .with_columns(["attacks per victim", "CDF"]);
 
     let counts = attacks_per_victim(&analysis.quic_attacks);
     let samples: Vec<f64> = counts.values().map(|&c| c as f64).collect();
     let cdf = Cdf::new(samples);
-    for (x, y) in cdf.points() {
+    let points = cdf.points();
+    for (x, y) in &points {
         report.push_row([format!("{x:.0}"), format!("{y:.4}")]);
     }
 
@@ -42,7 +45,14 @@ pub fn run(analysis: &Analysis) -> Report {
         "long tail",
         &top5.join(", "),
     );
-    report
+    let plot = PlotSpec::step(
+        "Attacks per QUIC flood victim (CDF)",
+        "attacks per victim",
+        "CDF",
+    )
+    .with_log_x()
+    .with_series("victims", points);
+    (report, vec![("fig06_victim_cdf", plot)])
 }
 
 #[cfg(test)]
@@ -55,7 +65,7 @@ mod tests {
     fn half_of_victims_attacked_once_with_heavy_tail() {
         let scenario = Scenario::generate(&ScenarioConfig::test());
         let analysis = Analysis::run(&scenario, &AnalysisConfig::default());
-        let report = run(&analysis);
+        let (report, _) = run(&analysis);
         let once: f64 = report.findings[2]
             .measured
             .trim_end_matches('%')

@@ -4,12 +4,14 @@
 //! median intensity is ~1 max pps for both; the telescope's 1/512 share
 //! extrapolates to 512 × max pps Internet-wide.
 
+use super::Plot;
 use crate::analysis::Analysis;
+use crate::plot::PlotSpec;
 use crate::report::{fmt_f64, Report};
 use quicsand_sessions::Cdf;
 
-/// Runs the experiment.
-pub fn run(analysis: &Analysis) -> Report {
+/// Runs the experiment; plots the duration (a) and intensity (b) CDFs.
+pub fn run(analysis: &Analysis) -> (Report, Vec<Plot>) {
     let mut report = Report::new(
         "fig07",
         "Flood durations (a) and intensities (b): QUIC vs TCP/ICMP (CDF quantiles)",
@@ -89,7 +91,21 @@ pub fn run(analysis: &Analysis) -> Report {
     report.push_note(
         "TCP/ICMP population generated as a documented sub-sample; distribution shapes preserved",
     );
-    report
+    let durations = PlotSpec::step("Flood durations (CDF)", "duration [s]", "CDF")
+        .with_log_x()
+        .with_series("QUIC", quic_durations.points())
+        .with_series("TCP/ICMP", common_durations.points());
+    let intensities = PlotSpec::step("Flood intensities (CDF)", "max pps", "CDF")
+        .with_log_x()
+        .with_series("QUIC", quic_pps.points())
+        .with_series("TCP/ICMP", common_pps.points());
+    (
+        report,
+        vec![
+            ("fig07a_durations", durations),
+            ("fig07b_intensities", intensities),
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -102,7 +118,7 @@ mod tests {
     fn quic_shorter_but_similar_intensity() {
         let scenario = Scenario::generate(&ScenarioConfig::test());
         let analysis = Analysis::run(&scenario, &AnalysisConfig::default());
-        let report = run(&analysis);
+        let (report, _) = run(&analysis);
         let quic_median: f64 = report.findings[0]
             .measured
             .split(' ')

@@ -4,18 +4,21 @@
 //! in parallel to a TCP/ICMP attack (overlap share 100 %); the mean
 //! overlap is 95 % of the QUIC attack's duration.
 
+use super::Plot;
 use crate::analysis::Analysis;
+use crate::plot::PlotSpec;
 use crate::report::{fmt_percent, Report};
 use quicsand_sessions::Cdf;
 
-/// Runs the experiment.
-pub fn run(analysis: &Analysis) -> Report {
+/// Runs the experiment; plots the CDF its rows list.
+pub fn run(analysis: &Analysis) -> (Report, Vec<Plot>) {
     let mut report = Report::new("fig12", "CDF of overlap share for concurrent QUIC attacks")
         .with_columns(["overlap share", "CDF"]);
 
     let shares = analysis.multivector.overlap_shares();
     let cdf = Cdf::new(shares.clone());
-    for (x, y) in cdf.points() {
+    let points = cdf.points();
+    for (x, y) in &points {
         report.push_row([format!("{x:.3}"), format!("{y:.4}")]);
     }
 
@@ -31,7 +34,13 @@ pub fn run(analysis: &Analysis) -> Report {
         shares.iter().sum::<f64>() / shares.len() as f64
     };
     report.push_finding("mean overlap share", "95%", &fmt_percent(mean));
-    report
+    let plot = PlotSpec::step(
+        "Overlap of concurrent QUIC attacks (CDF)",
+        "overlap share of attack time",
+        "CDF",
+    )
+    .with_series("concurrent attacks", points);
+    (report, vec![("fig12_overlap", plot)])
 }
 
 #[cfg(test)]
@@ -44,7 +53,7 @@ mod tests {
     fn most_concurrent_attacks_fully_overlap() {
         let scenario = Scenario::generate(&ScenarioConfig::test());
         let analysis = Analysis::run(&scenario, &AnalysisConfig::default());
-        let report = run(&analysis);
+        let (report, _) = run(&analysis);
         let full: f64 = report.findings[0]
             .measured
             .trim_end_matches('%')

@@ -19,10 +19,12 @@
 //! | [`sec3_amplification`] | §3 — amplification factors (QUIC vs NTP/DNS) |
 //! | [`adaptive_retry`] | §6 proposal — adaptive RETRY deployment |
 //! | [`mitigation`] | §5.2 insight — port vs QUIC-specific filtering |
-//! | [`figures`] | SVG builders for every plot |
 //!
 //! [`CATALOG`] is the one list of the artifacts: `quicsand experiments`
-//! and the golden and end-to-end suites all run what it names.
+//! and the golden and end-to-end suites all run what it names. A figure
+//! runner returns its [`Plot`]s beside its report, built from the same
+//! values as its rows, and `quicsand experiments --out <dir>` writes each
+//! to `<dir>/figures/<stem>.svg`.
 
 pub mod adaptive_retry;
 pub mod fig02;
@@ -37,21 +39,25 @@ pub mod fig10;
 pub mod fig11;
 pub mod fig12;
 pub mod fig13;
-pub mod figures;
 pub mod mitigation;
 pub mod msgmix;
 pub mod sec3_amplification;
 pub mod tab01;
 
 use crate::analysis::Analysis;
+use crate::plot::PlotSpec;
 use crate::report::Report;
 use quicsand_traffic::Scenario;
+
+/// One figure: the file stem it is written under, and its plot.
+pub type Plot = (&'static str, PlotSpec);
 
 /// How a [`CATALOG`] entry computes its report.
 #[derive(Debug, Clone, Copy)]
 pub enum Runner {
-    /// From the generated scenario and its analysis.
-    Scenario(fn(&Scenario, &Analysis) -> Report),
+    /// From the generated scenario and its analysis, with the plots the
+    /// report draws (none for a table-only artifact).
+    Scenario(fn(&Scenario, &Analysis) -> (Report, Vec<Plot>)),
     /// On its own. The argument is Table 1's request factor: `tab01`
     /// replays that share of the paper's request counts, and the others
     /// have nothing to scale.
@@ -67,7 +73,7 @@ pub struct Entry {
     pub runner: Runner,
 }
 
-const fn scenario(id: &'static str, run: fn(&Scenario, &Analysis) -> Report) -> Entry {
+const fn scenario(id: &'static str, run: fn(&Scenario, &Analysis) -> (Report, Vec<Plot>)) -> Entry {
     Entry {
         id,
         runner: Runner::Scenario(run),
@@ -91,12 +97,14 @@ pub static CATALOG: &[Entry] = &[
     scenario("fig06", |_, analysis| fig06::run(analysis)),
     scenario("fig07", |_, analysis| fig07::run(analysis)),
     scenario("fig08", |_, analysis| fig08::run(analysis)),
-    scenario("fig09", fig09::run),
+    scenario("fig09", |scenario, analysis| {
+        (fig09::run(scenario, analysis), Vec::new())
+    }),
     scenario("fig10", fig10::run),
-    scenario("fig11", |_, analysis| fig11::run(analysis)),
+    scenario("fig11", |_, analysis| (fig11::run(analysis), Vec::new())),
     scenario("fig12", |_, analysis| fig12::run(analysis)),
     scenario("fig13", |_, analysis| fig13::run(analysis)),
-    scenario("msgmix", |_, analysis| msgmix::run(analysis)),
+    scenario("msgmix", |_, analysis| (msgmix::run(analysis), Vec::new())),
     standalone("tab01", tab01::run),
     standalone("sec3_amplification", |_| sec3_amplification::run()),
     standalone("adaptive_retry", |_| adaptive_retry::run()),
@@ -129,6 +137,56 @@ pub fn select<S: AsRef<str>>(ids: &[S]) -> Result<Vec<&'static Entry>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::AnalysisConfig;
+    use crate::plot::{render_svg, PlotKind};
+    use quicsand_traffic::ScenarioConfig;
+
+    /// Every plot the catalog's runners return, at the test scale.
+    fn plots() -> &'static [Plot] {
+        static CELL: std::sync::OnceLock<Vec<Plot>> = std::sync::OnceLock::new();
+        CELL.get_or_init(|| {
+            let scenario = Scenario::generate(&ScenarioConfig::test());
+            let analysis = Analysis::run(&scenario, &AnalysisConfig::default());
+            CATALOG
+                .iter()
+                .filter_map(|entry| match entry.runner {
+                    Runner::Scenario(run) => Some(run(&scenario, &analysis).1),
+                    Runner::Standalone(_) => None,
+                })
+                .flatten()
+                .collect()
+        })
+    }
+
+    #[test]
+    fn every_figure_renders_nonempty_svg() {
+        let plots = plots();
+        assert_eq!(plots.len(), 11);
+        let mut stems = std::collections::HashSet::new();
+        for (stem, spec) in plots {
+            assert!(stems.insert(*stem), "duplicate stem {stem}");
+            let svg = render_svg(spec);
+            assert!(svg.starts_with("<svg"), "{stem} renders");
+            assert!(svg.len() > 500, "{stem} has content: {} bytes", svg.len());
+            assert!(
+                !spec.series.iter().all(|s| s.points.is_empty()),
+                "{stem} has data"
+            );
+        }
+    }
+
+    #[test]
+    fn cdf_figures_end_at_one() {
+        for (stem, spec) in plots() {
+            if spec.kind != PlotKind::Step {
+                continue;
+            }
+            for series in &spec.series {
+                let last = series.points.last().expect("a CDF has points").1;
+                assert!((last - 1.0).abs() < 1e-9, "{stem} ends at {last}");
+            }
+        }
+    }
 
     #[test]
     fn an_empty_selection_is_the_whole_catalog() {

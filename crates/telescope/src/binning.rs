@@ -44,12 +44,6 @@ impl HourlySeries {
         self.counts.values().sum()
     }
 
-    /// `(hour, count)` rows for every hour in `0..hours`, including
-    /// empty ones (plots need the zeros).
-    pub fn dense(&self, hours: u64) -> Vec<(u64, u64)> {
-        (0..hours).map(|h| (h, self.get(h))).collect()
-    }
-
     /// Mean count per hour-of-day (0–23) over a measurement period of
     /// `hours` hours — the Fig. 3 insert profile.
     ///
@@ -131,14 +125,6 @@ mod tests {
         assert_eq!(a.get(1), 1);
         assert_eq!(a.get(2), 4);
         assert_eq!(a.total(), 10);
-    }
-
-    #[test]
-    fn dense_includes_zeros() {
-        let mut s = HourlySeries::new();
-        s.add(Timestamp::from_secs(3_600));
-        let rows = s.dense(3);
-        assert_eq!(rows, vec![(0, 0), (1, 1), (2, 0)]);
     }
 
     #[test]

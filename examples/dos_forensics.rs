@@ -99,6 +99,8 @@ fn main() {
 
     println!("\n=== Showcase victim timeline (Fig. 11) ===");
     if let Runner::Scenario(run) = select(&["fig11"]).expect("catalog id")[0].runner {
-        println!("{}", run(&scenario, &analysis).render());
+        // Fig. 11 is a table: its runner returns no plots.
+        let (report, _plots) = run(&scenario, &analysis);
+        println!("{}", report.render());
     }
 }

@@ -122,21 +122,21 @@ scenario_smoke() {
 
 experiments_smoke() {
   # The one experiment runner over the whole catalog at the test scale:
-  # EXPERIMENTS.md must hold findings for every catalog id, and figures/
-  # one SVG per `figures::all` plot. Both lists are read from the source,
-  # not from the runner's own output.
+  # EXPERIMENTS.md must hold findings for every catalog id (read from the
+  # source, not from the runner's own output), and figures/ exactly the
+  # SVGs pinned under tests/golden/, byte for byte.
   echo "==> experiments-smoke: every paper artifact regenerates"
-  local exp_dir profile ids id want got
+  runner_pin
+  local exp_dir profile ids id written pinned stem
   profile="${profile_flag---release}"
   exp_dir="$(mktemp -d)"
   # shellcheck disable=SC2064
   trap "rm -rf '$exp_dir'" RETURN
   ids="$(sed -n 's/^    \(scenario\|standalone\)("\([a-z0-9_]*\)",.*/\2/p' \
     crates/core/src/experiments/mod.rs)"
-  want="$(sed -n '/^pub fn all(/,/^}/p' crates/core/src/experiments/figures.rs \
-    | { grep -oF '".to_string()' || true; } | wc -l)"
-  if [[ -z "$ids" || "$want" -eq 0 ]]; then
-    echo "experiments-smoke: could not read the catalog ids or the figure list" >&2
+  pinned="$(find tests/golden -name '*.svg' -printf '%f\n' | sort)"
+  if [[ -z "$ids" || -z "$pinned" ]]; then
+    echo "experiments-smoke: could not read the catalog ids or the SVG goldens" >&2
     exit 1
   fi
   cargo run -q $profile -- experiments --scale test --out "$exp_dir" >/dev/null 2>&1
@@ -146,12 +146,48 @@ experiments_smoke() {
       exit 1
     }
   done
-  got="$(find "$exp_dir/figures" -name '*.svg' | wc -l)"
-  if [[ "$got" -ne "$want" ]]; then
-    echo "experiments-smoke: $got SVG figure(s) written, figures::all has $want" >&2
+  written="$({ find "$exp_dir/figures" -name '*.svg' -printf '%f\n' 2>/dev/null || true; } | sort)"
+  if [[ "$written" != "$pinned" ]]; then
+    echo "experiments-smoke: the SVGs written (<) are not the SVG goldens (>):" >&2
+    diff <(echo "$written") <(echo "$pinned") >&2 || true
     exit 1
   fi
-  echo "experiments-smoke: findings for all $(echo "$ids" | wc -w) catalog ids, $got SVG figures — OK"
+  for stem in $written; do
+    cmp "$exp_dir/figures/$stem" "tests/golden/$stem" >&2 || {
+      echo "experiments-smoke: figures/$stem differs from tests/golden/$stem" >&2
+      exit 1
+    }
+  done
+  echo "experiments-smoke: findings for all $(echo "$ids" | wc -w) catalog ids," \
+    "$(echo "$written" | wc -l) SVG figures identical to tests/golden — OK"
+}
+
+runner_pin() {
+  echo "==> one experiment runner: the catalog is the only list of artifact runners"
+  # `experiments::CATALOG` maps every artifact id to its runner, and
+  # `quicsand experiments` runs it; a `figNN::run(` call anywhere else is
+  # a second list to keep in step by hand (tests/determinism.rs compares
+  # two runs of one figure, which is no list). The `quicsand-bench` crate
+  # held two more, behind three environment variables. A figure runner
+  # returns its plots with its report: `experiments::figures` derived
+  # every plotted figure a second time from the same analysis.
+  if [[ -e crates/bench ]]; then
+    echo "runner pin: crates/bench exists; \`quicsand experiments\` is the one runner" >&2
+    exit 1
+  fi
+  local callers
+  callers="$(grep -rlE --include='*.rs' --exclude-dir=target --exclude-dir=.git 'fig[0-9]{2}::run\(' . \
+    | sed 's|^\./||' | grep -vE '^(crates/core/src/experiments/|tests/determinism\.rs$)' || true)"
+  if [[ -n "$callers" ]]; then
+    echo "runner pin: \`figNN::run(\` outside crates/core/src/experiments/ and tests/determinism.rs, in:" >&2
+    echo "$callers" >&2
+    exit 1
+  fi
+  if [[ -e crates/core/src/experiments/figures.rs ]] \
+    || grep -rnF --include='*.rs' --exclude-dir=target --exclude-dir=.git 'figures::all' .; then
+    echo "runner pin: \`experiments::figures\` is back; each figure runner returns its own plots" >&2
+    exit 1
+  fi
 }
 
 rss_smoke() {
@@ -377,24 +413,6 @@ echo "==> one live front end: alert slices come from the live run's own engine"
 # `MultiSourceLive`, with a failure contract of its own.
 if grep -nF 'LiveEngine::new(' src/main.rs; then
   echo "live front-end pin: \`LiveEngine::new(\` in src/main.rs; \`live\` is the one engine driver" >&2
-  exit 1
-fi
-
-echo "==> one experiment runner: the catalog is the only list of artifact runners"
-# `experiments::CATALOG` maps every artifact id to its runner, and
-# `quicsand experiments` runs it; a `figNN::run(` call anywhere else is a
-# second list to keep in step by hand (tests/determinism.rs compares two
-# runs of one figure, which is no list). The `quicsand-bench` crate held
-# two more, behind three environment variables.
-if [[ -e crates/bench ]]; then
-  echo "runner pin: crates/bench exists; \`quicsand experiments\` is the one runner" >&2
-  exit 1
-fi
-callers="$(grep -rlE --include='*.rs' --exclude-dir=target --exclude-dir=.git 'fig[0-9]{2}::run\(' . \
-  | sed 's|^\./||' | grep -vE '^(crates/core/src/experiments/|tests/determinism\.rs$)' || true)"
-if [[ -n "$callers" ]]; then
-  echo "runner pin: \`figNN::run(\` outside crates/core/src/experiments/ and tests/determinism.rs, in:" >&2
-  echo "$callers" >&2
   exit 1
 fi
 

@@ -596,14 +596,38 @@ fn write_metrics_out(
     Ok(())
 }
 
+/// An output file that only a finished run may leave behind. A qlog or
+/// a pcap has no trailer, so the file of a run that fails (header only,
+/// or cut short) would read as a finished one: dropped before
+/// [`OutputGuard::keep`], the guard removes it. This is the one cleanup
+/// of a failed `analyze`, `live` or `export`.
+struct OutputGuard<'a>(Option<&'a str>);
+
+impl OutputGuard<'_> {
+    /// The run finished: the file stays.
+    fn keep(mut self) {
+        self.0 = None;
+    }
+}
+
+impl Drop for OutputGuard<'_> {
+    fn drop(&mut self) {
+        // Only a regular file: a path such as /dev/null stays.
+        if let Some(path) = self
+            .0
+            .filter(|path| std::fs::symlink_metadata(path).is_ok_and(|meta| meta.is_file()))
+        {
+            std::fs::remove_file(path).ok();
+        }
+    }
+}
+
 /// The `--events-out` qlog of a run; `writer` is `None` without the
-/// flag, the zero-cost disabled path. A qlog has no trailer, so the file
-/// of a run that fails (header only, or cut short) would read as a
-/// finished run: dropped before [`EventsOut::finish`], the guard removes
-/// it. This is the one cleanup of a failed `analyze` or `live`.
+/// flag, the zero-cost disabled path. The writer is declared first, so
+/// a failed run closes it before its guard removes the file.
 struct EventsOut<'a> {
     writer: Option<QlogWriter>,
-    path: Option<&'a str>,
+    file: OutputGuard<'a>,
 }
 
 impl<'a> EventsOut<'a> {
@@ -614,31 +638,24 @@ impl<'a> EventsOut<'a> {
         let writer = path
             .map(|path| QlogWriter::create(path, title, vantage))
             .transpose()?;
-        Ok(EventsOut { writer, path })
+        Ok(EventsOut {
+            writer,
+            file: OutputGuard(path),
+        })
     }
 
     /// Flushes the file, publishes the event/byte totals on `registry`,
     /// and reports the write on stderr.
-    fn finish(mut self, registry: &quicsand_obs::MetricsRegistry) -> Result<(), String> {
-        let (Some(writer), Some(path)) = (self.writer.take(), self.path) else {
+    fn finish(self, registry: &quicsand_obs::MetricsRegistry) -> Result<(), String> {
+        let EventsOut { writer, file } = self;
+        let (Some(writer), Some(path)) = (writer, file.0) else {
             return Ok(());
         };
         let (events, bytes) = writer.finish()?;
+        file.keep();
         EventsMetrics::register(registry).add_totals(events, bytes);
         eprintln!("events: {events} event(s), {bytes} bytes -> {path}");
         Ok(())
-    }
-}
-
-impl Drop for EventsOut<'_> {
-    fn drop(&mut self) {
-        if let (Some(writer), Some(path)) = (self.writer.take(), self.path) {
-            drop(writer);
-            // Only a regular file: a path such as /dev/null stays.
-            if std::fs::symlink_metadata(path).is_ok_and(|meta| meta.is_file()) {
-                std::fs::remove_file(path).ok();
-            }
-        }
     }
 }
 
@@ -1067,6 +1084,8 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
     let reader =
         ZeroCopyCaptureReader::from_path(input).map_err(|e| format!("read {input}: {e}"))?;
     let out = std::fs::File::create(output).map_err(|e| format!("create {output}: {e}"))?;
+    // Declared before the writer, so it is dropped after it.
+    let file = OutputGuard(Some(output));
     let mut writer = quicsand_net::pcap::PcapWriter::new(BufWriter::new(out))
         .map_err(|e| format!("write pcap header: {e}"))?;
     for record in reader {
@@ -1077,6 +1096,7 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
     }
     let written = writer.written();
     writer.finish().map_err(|e| format!("flush: {e}"))?;
+    file.keep();
     println!("wrote {written} packets to {output} (libpcap, raw-IP linktype)");
     Ok(())
 }
@@ -1103,7 +1123,7 @@ fn cmd_forensics(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_experiments(args: &[String]) -> Result<(), String> {
-    use quicsand_core::experiments::{figures, select, Runner};
+    use quicsand_core::experiments::{select, Runner};
     use quicsand_core::plot::render_svg;
 
     let (scale, config) = scale_config(args)?;
@@ -1120,6 +1140,7 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
     // selection of standalone entries.
     let mut data: Option<(Scenario, Analysis)> = None;
     let mut reports = Vec::with_capacity(entries.len());
+    let mut plots = Vec::new();
     for entry in &entries {
         let report = match entry.runner {
             Runner::Scenario(run) => {
@@ -1132,7 +1153,9 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
                     let analysis = Analysis::run(&scenario, &analysis_cfg);
                     (scenario, analysis)
                 });
-                run(scenario, analysis)
+                let (report, drawn) = run(scenario, analysis);
+                plots.extend(drawn);
+                report
             }
             Runner::Standalone(run) => run(tab01_factor),
         };
@@ -1146,18 +1169,14 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
     std::fs::write(&path, experiments_markdown(&reports, scale, config.seed))
         .map_err(|e| format!("write {path}: {e}"))?;
     eprintln!("wrote {path}");
-    if let Some((scenario, analysis)) = &data {
-        let figures_dir = format!("{dir}/figures");
+    let figures_dir = format!("{dir}/figures");
+    if !plots.is_empty() {
         std::fs::create_dir_all(&figures_dir).map_err(|e| format!("create {figures_dir}: {e}"))?;
-        // A figure's file stem starts with the id of the report it draws.
-        for (stem, spec) in figures::all(scenario, analysis)
-            .into_iter()
-            .filter(|(stem, _)| entries.iter().any(|entry| stem.starts_with(entry.id)))
-        {
-            let path = format!("{figures_dir}/{stem}.svg");
-            std::fs::write(&path, render_svg(&spec)).map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
+    }
+    for (stem, spec) in &plots {
+        let path = format!("{figures_dir}/{stem}.svg");
+        std::fs::write(&path, render_svg(spec)).map_err(|e| format!("write {path}: {e}"))?;
+        eprintln!("wrote {path}");
     }
     Ok(())
 }

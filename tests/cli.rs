@@ -571,6 +571,7 @@ fn a_capture_cut_mid_record_fails_cleanly_wherever_the_cut_is() {
     let metrics = dir.join("cut-metrics.json");
     let qlog = dir.join("cut.qlog");
     let slices = dir.join("cut-slices");
+    let pcap = dir.join("cut.pcap");
     let run = |command: &[&str]| {
         Command::new(bin())
             .arg(command[0])
@@ -598,6 +599,10 @@ fn a_capture_cut_mid_record_fails_cleanly_wherever_the_cut_is() {
                 "stdout: {stdout}"
             );
             assert!(metrics.exists() && qlog.exists());
+            let export = run(&["export", "--pcap", pcap.to_str().unwrap()]);
+            assert!(export.status.success(), "a boundary cut exports");
+            assert!(pcap.exists());
+            std::fs::remove_file(&pcap).unwrap();
             continue;
         }
         let at = format!("cut {into_record} bytes into record {records}");
@@ -632,6 +637,15 @@ fn a_capture_cut_mid_record_fails_cleanly_wherever_the_cut_is() {
         assert!(!slices.exists(), "{at}: live exported slices");
         assert!(!qlog.exists(), "{at}: live left --events-out behind");
         assert!(!metrics.exists(), "{at}: live wrote --metrics-out");
+        // A pcap has no trailer either: a cut one reads as a whole capture.
+        let export = run(&["export", "--pcap", pcap.to_str().unwrap()]);
+        assert!(!export.status.success(), "export, {at}: succeeded");
+        let stderr = String::from_utf8_lossy(&export.stderr);
+        assert!(
+            stderr.contains("error: read record:"),
+            "export, {at}: {stderr}"
+        );
+        assert!(!pcap.exists(), "{at}: export left a partial pcap");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -745,6 +759,25 @@ fn experiments_runs_the_selected_ids_in_catalog_order() {
         .collect();
     svgs.sort();
     assert_eq!(svgs, ["fig07a_durations.svg", "fig07b_intensities.svg"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A selection of figures without plots writes its findings and no
+/// `figures/` directory.
+#[test]
+fn experiments_without_plots_write_no_figures_directory() {
+    let dir = std::env::temp_dir().join("quicsand-cli-experiments-plotless");
+    std::fs::remove_dir_all(&dir).ok();
+    let output = Command::new(bin())
+        .args(["experiments", "--scale", "test", "fig09", "msgmix"])
+        .args(["--out", dir.to_str().unwrap()])
+        .output()
+        .expect("run experiments");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "{stderr}");
+    assert_eq!(report_ids(&output.stdout), ["fig09", "msgmix"]);
+    assert!(dir.join("EXPERIMENTS.md").is_file());
+    assert!(!dir.join("figures").exists(), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

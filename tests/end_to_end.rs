@@ -29,7 +29,7 @@ fn every_experiment_produces_a_report() {
         .filter(|entry| !SLOW.contains(&entry.id))
         .map(|entry| {
             let report = match entry.runner {
-                Runner::Scenario(run) => run(scenario, analysis),
+                Runner::Scenario(run) => run(scenario, analysis).0,
                 Runner::Standalone(run) => run(0.01),
             };
             assert_eq!(report.id, entry.id, "a report carries its catalog id");

@@ -4,7 +4,8 @@
 //! fixed seed and compared byte-for-byte against a checked-in JSON
 //! snapshot under `tests/golden/` — all but `adaptive_retry` (~9 s in
 //! release) and `mitigation` (~0.7 s), which are left out to hold the
-//! Tier-1 wall time. Reports carry no wall-clock timings,
+//! Tier-1 wall time — and every plot a runner returns against its SVG,
+//! `tests/golden/<stem>.svg`. Reports carry no wall-clock timings,
 //! so the snapshots are stable across machines; any drift means an
 //! intentional algorithm change (re-bless) or an accidental regression
 //! (fix it).
@@ -16,6 +17,7 @@
 //! ```
 
 use quicsand_core::experiments::{Runner, CATALOG};
+use quicsand_core::plot::render_svg;
 use quicsand_core::{Analysis, AnalysisConfig, Report};
 use quicsand_traffic::{Scenario, ScenarioConfig};
 use std::path::PathBuf;
@@ -63,9 +65,9 @@ fn check(report: &Report) -> Result<(), String> {
 }
 
 /// Every scenario-derived artifact of the catalog, regenerated at the
-/// fixed test seed, must match its checked-in snapshot — inline on one
-/// shard and through the cross-shard merge on two threads, against the
-/// same files.
+/// fixed test seed, must match its checked-in snapshot, and each of its
+/// plots its SVG — inline on one shard and through the cross-shard merge
+/// on two threads, against the same files.
 #[test]
 fn figures_match_golden_snapshots() {
     let config = ScenarioConfig::test();
@@ -79,15 +81,21 @@ fn figures_match_golden_snapshots() {
                 ..AnalysisConfig::default()
             },
         );
-        let reports = CATALOG.iter().filter_map(|entry| match entry.runner {
-            Runner::Scenario(run) => Some(run(&scenario, &analysis)),
-            Runner::Standalone(_) => None,
-        });
-        drifted.extend(reports.filter_map(|report| {
-            check(&report)
-                .err()
-                .map(|drift| format!("threads={threads}: {drift}"))
-        }));
+        for entry in CATALOG {
+            let Runner::Scenario(run) = entry.runner else {
+                continue;
+            };
+            let (report, plots) = run(&scenario, &analysis);
+            let svgs = plots
+                .iter()
+                .map(|(stem, spec)| check_text(&format!("{stem}.svg"), &render_svg(spec)));
+            drifted.extend(
+                std::iter::once(check(&report))
+                    .chain(svgs)
+                    .filter_map(Result::err)
+                    .map(|drift| format!("threads={threads}: {drift}")),
+            );
+        }
     }
     assert!(
         drifted.is_empty(),
