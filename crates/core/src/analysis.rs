@@ -7,14 +7,21 @@
 //!
 //! 1. **Ingest** — port filter + dissection ([`quicsand_telescope`]),
 //!    inside `offer`. An admitted TCP/ICMP record goes straight from the
-//!    admit loop into its shard's baseline sessionizer and is gone; only
-//!    the admitted QUIC observations are kept, because the next stage
-//!    needs all of them at once.
+//!    admit loop into its shard's baseline sessionizer and is gone; an
+//!    admitted QUIC observation goes on to stages 2–3 in the same loop.
 //! 2. **Sanitize** — behavioural research-scanner detection corroborated
-//!    with the AS database; research traffic is split off (Fig. 2).
+//!    with the AS database; research traffic is split off (Fig. 2). Only
+//!    a source in an education network can be flagged, and the AS
+//!    database is there from the start, so any other source's packets
+//!    are sanitized traffic from its first one. An education source's
+//!    packets are held until it crosses both thresholds — a research
+//!    scanner from then on, its packets counted and dropped — or the
+//!    stream ends below them, when `finish` sanitizes what it held.
 //! 3. **Sessionize** — QUIC requests and responses separately, 5-minute
-//!    timeout (Fig. 4 default); the TCP/ICMP channel was already
-//!    sessionized in stage 1.
+//!    timeout (Fig. 4 default), as each sanitized packet arrives; every
+//!    response session carries an [`AttackTally`] the packet is folded
+//!    into, kept only if the session closes as an attack. The TCP/ICMP
+//!    channel was already sessionized in stage 1.
 //! 4. **Infer DoS** — Moore et al. thresholds on response sessions
 //!    (QUIC) and on TCP/ICMP baseline sessions.
 //! 5. **Correlate** — multi-vector classification of QUIC floods
@@ -22,35 +29,38 @@
 //!
 //! Stages 1–3 run per source shard through
 //! [`quicsand_telescope::parallel`] (`scatter` each slice over
-//! `config.threads` persistent shards, `admit_each` inside a shard,
-//! `gather` the observations back into capture order by stream
-//! position); stages 4–5 run once on the merged products. How the
-//! capture is cut into slices changes no product: [`Analysis::run`] is
-//! the driver fed one slice, the CLI feeds it `read_batch` chunks.
+//! `config.threads` persistent shards, `admit_each` inside a shard);
+//! stages 4–5 run once on the merged products. What a run holds is
+//! per-source, per-session and per-attack state plus one `(ts, src)`
+//! arrival per sanitized QUIC packet (Fig. 4's input), never the packets
+//! themselves — bar those of education sources still below the research
+//! thresholds. How the capture is cut into slices changes no product:
+//! [`Analysis::run`] is the driver fed one slice, the CLI feeds it
+//! `read_batch` chunks.
 //!
 //! Every intermediate product is a public field so experiments (and
 //! downstream users) can compute whatever the paper did not.
 
 use crate::metrics::AnalysisMetrics;
-use quicsand_dissect::{Direction, MessageKinds};
+use quicsand_dissect::stats::VictimResourceStats;
+use quicsand_dissect::{Direction, MessageKinds, MessageMixStats};
 use quicsand_events::{EventMeta, NoopSubscriber, SessionMigrated, Subscriber};
-use quicsand_intel::AsDatabase;
-use quicsand_net::{Duration, PacketRecord};
+use quicsand_intel::{AsDatabase, NetworkType};
+use quicsand_net::{Duration, PacketRecord, Timestamp};
 use quicsand_obs::MetricsRegistry;
 use quicsand_sessions::dos::{detect_attacks, Attack, AttackProtocol, DosThresholds};
 use quicsand_sessions::multivector::{classify_multivector_with, MultiVectorReport, VectorSignals};
 use quicsand_sessions::session::{
-    link_migrations, MigrationLink, Session, SessionConfig, Sessionizer, SessionizerCounters,
+    link_migrations, MigrationLink, Session, SessionConfig, Sessionizer, SessionizerCounters, Tally,
 };
-use quicsand_telescope::parallel::{admit_each, gather, scatter, ShardRecords};
+use quicsand_telescope::parallel::{admit_each, scatter, ShardRecords};
 pub use quicsand_telescope::PipelineStats;
 use quicsand_telescope::{
-    Admitted, GuardConfig, HourlySeries, IngestStats, QuicObservation, ResearchFilter,
-    TelescopePipeline,
+    Admitted, GuardConfig, HourlySeries, IngestStats, QuicObservation, TelescopePipeline,
 };
 use quicsand_traffic::Scenario;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Instant;
@@ -118,16 +128,35 @@ fn sort_sessions(sessions: &mut [Session]) {
     sessions.sort_by_key(|s| (s.start, s.src));
 }
 
-/// Reads the lifecycle counters and still-open counts of the three
-/// channel sessionizers — must run *before* `finish()` consumes them.
-fn session_tally(sessionizers: [&Sessionizer; 3]) -> (SessionizerCounters, u64) {
-    let mut counters = SessionizerCounters::default();
-    let mut open = 0u64;
-    for sessionizer in sessionizers {
-        counters.merge(&sessionizer.counters());
-        open += sessionizer.open_count() as u64;
+/// What the analysis keeps of one QUIC flood's backscatter: the Fig. 9
+/// resource proxies, the §6 message mix and the versions announced.
+/// Every open response session carries one, each of its packets folded
+/// in as it arrives; it is kept only if the session closes as an attack.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct AttackTally {
+    /// Packets, spoofed client addresses and ports, server SCIDs.
+    pub resources: VictimResourceStats,
+    /// Messages per kind and Initials carrying a Client Hello.
+    pub messages: MessageMixStats,
+    /// Datagrams per QUIC version (a datagram's first long-header
+    /// version), in first-seen order.
+    pub versions: Vec<(u32, u64)>,
+}
+
+impl AttackTally {
+    /// Folds one backscatter datagram in. Allocates only when the
+    /// session sees a client address, port, SCID or version it had not
+    /// seen before, never per packet.
+    pub fn add(&mut self, obs: &QuicObservation) {
+        self.resources.add(&obs.dissected, obs.dst, obs.dst_port);
+        self.messages.add(&obs.dissected);
+        if let Some(version) = obs.dissected.version() {
+            match self.versions.iter_mut().find(|(v, _)| *v == version) {
+                Some((_, count)) => *count += 1,
+                None => self.versions.push((version, 1)),
+            }
+        }
     }
-    (counters, open)
 }
 
 /// All pipeline products.
@@ -145,10 +174,18 @@ pub struct Analysis {
     pub response_hourly: HourlySeries,
     /// Research packet total (before sanitization).
     pub research_packets: u64,
-    /// Sanitized request observations.
-    pub requests: Vec<QuicObservation>,
-    /// Sanitized response observations.
-    pub responses: Vec<QuicObservation>,
+    /// Sanitized request packets.
+    pub request_packets: u64,
+    /// Sanitized response packets.
+    pub response_packets: u64,
+    /// Sanitized responses whose long headers all carry a zero-length
+    /// DCID — the §5.2 backscatter validity check (Fig. 9).
+    pub empty_dcid_responses: u64,
+    /// Sources of sanitized responses that carried a Retry.
+    pub retry_victims: HashSet<Ipv4Addr>,
+    /// `(ts, src)` of every sanitized packet, requests and responses,
+    /// sorted: the Fig. 4 timeout sweep's input.
+    pub arrivals: Vec<(Timestamp, Ipv4Addr)>,
     /// Request sessions (after CID-keyed migration linking: a flow that
     /// changed source address mid-session is one session here).
     pub request_sessions: Vec<Session>,
@@ -158,6 +195,9 @@ pub struct Analysis {
     pub response_sessions: Vec<Session>,
     /// Detected QUIC floods.
     pub quic_attacks: Vec<Attack>,
+    /// What each QUIC flood's packets added up to, index-aligned with
+    /// [`Analysis::quic_attacks`].
+    pub attack_tallies: Vec<AttackTally>,
     /// TCP/ICMP baseline sessions.
     pub common_sessions: Vec<Session>,
     /// Detected TCP/ICMP floods.
@@ -180,20 +220,195 @@ pub struct Analysis {
     pub metrics: AnalysisMetrics,
 }
 
-/// Stages 1–3 of one shard — or, after [`ShardProducts::absorb`], of
-/// several. `requests` / `responses` carry stream positions so
-/// [`gather`] can restore exact capture order.
-struct ShardProducts {
-    ingest: IngestStats,
-    research_sources: HashSet<Ipv4Addr>,
-    research_hourly: HourlySeries,
+/// The sanitized QUIC traffic of a shard, counted packet by packet.
+#[derive(Default)]
+struct Sanitized {
     request_hourly: HourlySeries,
     response_hourly: HourlySeries,
-    research_packets: u64,
-    requests: Vec<(u64, QuicObservation)>,
-    responses: Vec<(u64, QuicObservation)>,
+    request_packets: u64,
+    response_packets: u64,
+    empty_dcid_responses: u64,
+    retry_victims: HashSet<Ipv4Addr>,
+    /// In admit order; sorted once, after the shards merge.
+    arrivals: Vec<(Timestamp, Ipv4Addr)>,
+}
+
+impl Sanitized {
+    /// Counts one sanitized packet and hands it to its channel's
+    /// sessionizer.
+    fn fold(&mut self, obs: &QuicObservation, channels: &mut Channels) {
+        self.arrivals.push((obs.ts, obs.src));
+        match obs.direction {
+            Direction::Request => {
+                self.request_hourly.add(obs.ts);
+                self.request_packets += 1;
+                let key = obs.dissected.client_cid_key();
+                channels.requests.offer_keyed(obs.ts, obs.src, key);
+            }
+            Direction::Response => {
+                self.response_hourly.add(obs.ts);
+                self.response_packets += 1;
+                self.empty_dcid_responses += u64::from(obs.dissected.all_dcids_empty());
+                if obs.dissected.has_retry() {
+                    self.retry_victims.insert(obs.src);
+                }
+                let tally = |tally: &mut AttackTally| tally.add(obs);
+                channels.responses.offer_tallied(obs.ts, obs.src, tally);
+            }
+        }
+    }
+
+    /// Adds another shard's counts.
+    fn absorb(&mut self, other: Sanitized) {
+        self.request_hourly.merge(&other.request_hourly);
+        self.response_hourly.merge(&other.response_hourly);
+        self.request_packets += other.request_packets;
+        self.response_packets += other.response_packets;
+        self.empty_dcid_responses += other.empty_dcid_responses;
+        self.retry_victims.extend(other.retry_victims);
+        self.arrivals.extend(other.arrivals);
+    }
+}
+
+/// The two sanitized QUIC channels' sessionizers: requests keyed by the
+/// client's connection ID, responses tallied per attack.
+struct Channels {
+    requests: Sessionizer,
+    responses: Sessionizer<AttackTally>,
+}
+
+impl Channels {
+    fn new(config: &AnalysisConfig) -> Self {
+        Channels {
+            requests: Sessionizer::new(config.session()),
+            responses: Sessionizer::tallying(config.session(), config.thresholds),
+        }
+    }
+}
+
+/// What a shard knows of a QUIC source's origin, resolved from the AS
+/// database once, at the source's first packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// Outside every education network: never a research scanner.
+    Other,
+    /// An education network still below the research thresholds: its
+    /// packets wait in [`QuicFold::candidates`].
+    Candidate,
+    /// A research scanner.
+    Research,
+}
+
+/// An education source the research filter could still flag.
+#[derive(Default)]
+struct Candidate {
+    /// Distinct destinations, counted up to `research_min_dsts + 1`.
+    dsts: HashSet<Ipv4Addr>,
+    /// Every packet so far, with its stream position.
+    packets: Vec<(u64, QuicObservation)>,
+}
+
+/// The research scanners of a shard and their traffic (Fig. 2).
+#[derive(Default)]
+struct Research {
+    sources: HashSet<Ipv4Addr>,
+    hourly: HourlySeries,
+    packets: u64,
+}
+
+impl Research {
+    fn count(&mut self, ts: Timestamp) {
+        self.hourly.add(ts);
+        self.packets += 1;
+    }
+
+    /// Adds another shard's.
+    fn absorb(&mut self, other: Research) {
+        self.sources.extend(other.sources);
+        self.hourly.merge(&other.hourly);
+        self.packets += other.packets;
+    }
+}
+
+/// Stages 2–3 of one shard's QUIC traffic, folded in the admit loop.
+struct QuicFold {
+    origins: HashMap<Ipv4Addr, Origin>,
+    candidates: HashMap<Ipv4Addr, Candidate>,
+    research: Research,
+    sanitized: Sanitized,
+    channels: Channels,
+}
+
+impl QuicFold {
+    fn new(config: &AnalysisConfig) -> Self {
+        QuicFold {
+            origins: HashMap::new(),
+            candidates: HashMap::new(),
+            research: Research::default(),
+            sanitized: Sanitized::default(),
+            channels: Channels::new(config),
+        }
+    }
+
+    /// Sanitizes, sessionizes and tallies one admitted observation, or
+    /// holds it while its source could still turn out a research
+    /// scanner. `position` is its place in the stream.
+    fn admit(
+        &mut self,
+        position: u64,
+        obs: QuicObservation,
+        asdb: &AsDatabase,
+        config: &AnalysisConfig,
+    ) {
+        let origin =
+            *self
+                .origins
+                .entry(obs.src)
+                .or_insert_with(|| match asdb.network_type(obs.src) {
+                    NetworkType::Education => Origin::Candidate,
+                    _ => Origin::Other,
+                });
+        match origin {
+            Origin::Other => self.sanitized.fold(&obs, &mut self.channels),
+            Origin::Research => self.research.count(obs.ts),
+            Origin::Candidate => self.hold(position, obs, config),
+        }
+    }
+
+    /// Holds a candidate's packet. The moment the source has sent more
+    /// than `research_min_packets` packets to more than
+    /// `research_min_dsts` destinations it is a research scanner for
+    /// good — both measures only grow — and what it held is counted as
+    /// research traffic and dropped.
+    fn hold(&mut self, position: u64, obs: QuicObservation, config: &AnalysisConfig) {
+        let src = obs.src;
+        let candidate = self.candidates.entry(src).or_default();
+        if candidate.dsts.len() as u64 <= config.research_min_dsts {
+            candidate.dsts.insert(obs.dst);
+        }
+        candidate.packets.push((position, obs));
+        if candidate.packets.len() as u64 > config.research_min_packets
+            && candidate.dsts.len() as u64 > config.research_min_dsts
+        {
+            let held = self.candidates.remove(&src).expect("held above").packets;
+            for (_, obs) in &held {
+                self.research.count(obs.ts);
+            }
+            self.research.sources.insert(src);
+            self.origins.insert(src, Origin::Research);
+        }
+    }
+}
+
+/// Stages 1–3 of one shard — or, after [`ShardProducts::absorb`], of
+/// several.
+struct ShardProducts {
+    ingest: IngestStats,
+    research: Research,
+    sanitized: Sanitized,
     request_sessions: Vec<Session>,
     response_sessions: Vec<Session>,
+    attack_tallies: Vec<Tally<AttackTally>>,
     common_sessions: Vec<Session>,
     /// Stage walltimes: one shard's, or the slowest shard's per stage.
     stats: PipelineStats,
@@ -210,15 +425,11 @@ impl ShardProducts {
     /// sums, lists concatenate (the caller orders them afterwards).
     fn absorb(mut self, shard: ShardProducts) -> ShardProducts {
         self.ingest.merge(&shard.ingest);
-        self.research_sources.extend(shard.research_sources);
-        self.research_hourly.merge(&shard.research_hourly);
-        self.request_hourly.merge(&shard.request_hourly);
-        self.response_hourly.merge(&shard.response_hourly);
-        self.research_packets += shard.research_packets;
-        self.requests.extend(shard.requests);
-        self.responses.extend(shard.responses);
+        self.research.absorb(shard.research);
+        self.sanitized.absorb(shard.sanitized);
         self.request_sessions.extend(shard.request_sessions);
         self.response_sessions.extend(shard.response_sessions);
+        self.attack_tallies.extend(shard.attack_tallies);
         self.common_sessions.extend(shard.common_sessions);
         self.stats.max_stage(&shard.stats);
         self.session_counters.merge(&shard.session_counters);
@@ -238,115 +449,119 @@ struct Shard {
     pipeline: TelescopePipeline,
     /// The TCP/ICMP baseline channel, fed from inside the admit loop.
     common: Sessionizer,
-    /// Every admitted QUIC observation with its stream position — the
-    /// one per-record product kept: research detection needs a source's
-    /// whole history before any of its packets can be sessionized.
-    quic: Vec<(u64, QuicObservation)>,
+    /// The QUIC channels, fed from inside the admit loop.
+    quic: QuicFold,
     /// Admit-loop wall time, summed over every `offer`.
     ingest_ms: f64,
 }
 
 impl Shard {
-    /// Stage 1 over this shard's part of one offered slice. `base` is
+    /// Stages 1–3 over this shard's part of one offered slice. `base` is
     /// the stream position of the slice's first record.
-    fn admit(&mut self, part: ShardRecords<'_>, base: u64) {
+    fn admit(
+        &mut self,
+        part: ShardRecords<'_>,
+        base: u64,
+        asdb: &AsDatabase,
+        config: &AnalysisConfig,
+    ) {
         let start = Instant::now();
+        let (common, quic) = (&mut self.common, &mut self.quic);
         admit_each(
             &mut self.pipeline,
             part,
             base,
             &mut NoopSubscriber,
             |index, product, _, _| match product {
-                Admitted::Quic(obs) => self.quic.push((base + index as u64, obs)),
-                Admitted::Baseline(record) => self.common.offer(record.ts, record.src),
+                Admitted::Quic(obs) => quic.admit(base + index as u64, obs, asdb, config),
+                Admitted::Baseline(record) => common.offer(record.ts, record.src),
                 Admitted::Dropped => {}
             },
         );
         self.ingest_ms += ms(start);
     }
 
-    /// Stages 2–3 over what the shard kept, once the stream has ended.
-    fn finish(self, asdb: &AsDatabase, config: &AnalysisConfig) -> ShardProducts {
+    /// Ends the shard's stream: sanitizes what its education sources
+    /// below the research thresholds still hold, then closes every
+    /// session.
+    fn finish(self, config: &AnalysisConfig) -> ShardProducts {
         let mut stats = PipelineStats {
             ingest_ms: self.ingest_ms,
             ..PipelineStats::default()
         };
         let (_, _, ingest) = self.pipeline.finish();
+        let QuicFold {
+            candidates,
+            research,
+            mut sanitized,
+            channels,
+            ..
+        } = self.quic;
 
-        // 2. Sanitize: behavioural detection corroborated by PeeringDB.
-        // Research detection is a per-source aggregation, and sources
-        // never span shards, so the per-shard result is the global
-        // result restricted to this shard.
+        // 2. Sanitize the held packets, in stream order, through a
+        // sessionizer pair of their own. Sessions are per source, and
+        // these sources sent nothing else, so the sessions are the ones
+        // a single pair would have built — for the reason sharding by
+        // source is exact.
         let sanitize_start = Instant::now();
-        let filter = ResearchFilter::detect_with_asdb(
-            self.quic.iter().map(|(_, obs)| obs),
-            asdb,
-            config.research_min_packets,
-            config.research_min_dsts,
-        );
-        let research_sources = filter.sources().clone();
-
-        let mut research_hourly = HourlySeries::new();
-        let mut request_hourly = HourlySeries::new();
-        let mut response_hourly = HourlySeries::new();
-        let mut research_packets = 0u64;
-        let mut requests = Vec::new();
-        let mut responses = Vec::new();
-        for (position, obs) in self.quic {
-            if filter.is_research(obs.src) {
-                research_packets += 1;
-                research_hourly.add(obs.ts);
-                continue;
-            }
-            match obs.direction {
-                Direction::Request => {
-                    request_hourly.add(obs.ts);
-                    requests.push((position, obs));
-                }
-                Direction::Response => {
-                    response_hourly.add(obs.ts);
-                    responses.push((position, obs));
-                }
-            }
+        let mut held: Vec<(u64, QuicObservation)> = candidates
+            .into_values()
+            .flat_map(|candidate| candidate.packets)
+            .collect();
+        held.sort_unstable_by_key(|(position, _)| *position);
+        let mut late = Channels::new(config);
+        for (_, obs) in held {
+            sanitized.fold(&obs, &mut late);
         }
         stats.sanitize_ms = ms(sanitize_start);
 
-        // 3. Sessionize this shard's two QUIC channels.
+        // 3. Close this shard's sessions.
         let sessionize_start = Instant::now();
-        let mut request_sessionizer = Sessionizer::new(config.session());
-        for (_, obs) in &requests {
-            request_sessionizer.offer_keyed(obs.ts, obs.src, obs.dissected.client_cid_key());
+        let mut lifecycle = Lifecycle::default();
+        for pair in [&channels, &late] {
+            lifecycle.add(&pair.requests);
+            lifecycle.add(&pair.responses);
         }
-        let mut response_sessionizer = Sessionizer::new(config.session());
-        for (_, obs) in &responses {
-            response_sessionizer.offer(obs.ts, obs.src);
-        }
-        stats.peak_open_sessions = request_sessionizer.peak_open_count()
-            + response_sessionizer.peak_open_count()
-            + self.common.peak_open_count();
-        let (session_counters, sessions_open_at_flush) =
-            session_tally([&request_sessionizer, &response_sessionizer, &self.common]);
-        let request_sessions = request_sessionizer.finish();
-        let response_sessions = response_sessionizer.finish();
+        lifecycle.add(&self.common);
+        let mut request_sessions = channels.requests.finish();
+        request_sessions.extend(late.requests.finish());
+        let (mut response_sessions, mut attack_tallies) = channels.responses.finish_tallied();
+        let (late_sessions, late_tallies) = late.responses.finish_tallied();
+        response_sessions.extend(late_sessions);
+        attack_tallies.extend(late_tallies);
         let common_sessions = self.common.finish();
         stats.sessionize_ms = ms(sessionize_start);
+        stats.peak_open_sessions = lifecycle.peak_open;
 
         ShardProducts {
             ingest,
-            research_sources,
-            research_hourly,
-            request_hourly,
-            response_hourly,
-            research_packets,
-            requests,
-            responses,
+            research,
+            sanitized,
             request_sessions,
             response_sessions,
+            attack_tallies,
             common_sessions,
             stats,
-            session_counters,
-            sessions_open_at_flush,
+            session_counters: lifecycle.counters,
+            sessions_open_at_flush: lifecycle.open,
         }
+    }
+}
+
+/// Lifecycle counters, still-open sessions and open-session peaks,
+/// summed over sessionizers — read before `finish()` consumes them.
+#[derive(Default)]
+struct Lifecycle {
+    counters: SessionizerCounters,
+    open: u64,
+    peak_open: usize,
+}
+
+impl Lifecycle {
+    fn add<T: Default>(&mut self, sessionizer: &Sessionizer<T>) {
+        self.counters.merge(&sessionizer.counters());
+        self.open += sessionizer.open_count() as u64;
+        self.peak_open += sessionizer.peak_open_count();
     }
 }
 
@@ -370,13 +585,14 @@ pub struct AnalysisDriver<'a> {
 
 impl<'a> AnalysisDriver<'a> {
     /// An empty run: `config.threads` shards, nothing offered. `asdb`
-    /// corroborates research-scanner candidates at `finish`.
+    /// tells which sources are in education networks, the only ones a
+    /// research scanner is accepted from.
     pub fn new(asdb: &'a AsDatabase, config: &AnalysisConfig) -> Self {
         let shards = (0..config.threads.max(1))
             .map(|_| Shard {
                 pipeline: TelescopePipeline::with_guard(config.guard),
                 common: Sessionizer::new(config.session()),
-                quic: Vec::new(),
+                quic: QuicFold::new(config),
                 ingest_ms: 0.0,
             })
             .collect();
@@ -388,25 +604,27 @@ impl<'a> AnalysisDriver<'a> {
         }
     }
 
-    /// Ingests the next slice of the capture (stage 1 on every shard).
+    /// Ingests the next slice of the capture (stages 1–3 on every
+    /// shard).
     pub fn offer(&mut self, records: &[PacketRecord]) {
         let base = self.offered;
         self.offered += records.len() as u64;
+        let (asdb, config) = (self.asdb, &self.config);
         scatter(records, &mut self.shards, |shard, part| {
-            shard.admit(part, base)
+            shard.admit(part, base, asdb, config)
         });
     }
 
-    /// Ends the stream: stages 2–3 per shard (each on its own worker),
-    /// then the merge and stages 4–5.
+    /// Ends the stream: each shard's end of stages 2–3 (each on its own
+    /// worker), then the merge and stages 4–5.
     pub fn finish(self) -> Analysis {
-        let (asdb, config, threads) = (self.asdb, self.config, self.shards.len());
+        let (config, threads) = (self.config, self.shards.len());
         // An empty slice makes `scatter` the bare fan-out; each slot is
         // visited once and gives its shard up by value.
         let mut slots: Vec<Option<Shard>> = self.shards.into_iter().map(Some).collect();
         let shards = scatter(&[], &mut slots, |slot, _| {
             let shard = slot.take().expect("scatter visits each shard once");
-            shard.finish(asdb, &config)
+            shard.finish(&config)
         });
         // One `PipelineStats` per shard so the stage-walltime histograms
         // get one observation per shard per run, however many slices
@@ -416,14 +634,15 @@ impl<'a> AnalysisDriver<'a> {
             .into_iter()
             .reduce(ShardProducts::absorb)
             .expect("scatter returns one result per shard, and there is at least one");
-        let requests = gather(front.requests);
-        let responses = gather(front.responses);
+        // `(ts, src)` pairs that compare equal are equal: no tie to break.
+        front.sanitized.arrivals.sort_unstable();
 
         // Deterministic session order regardless of close order or
         // shard interleaving.
         sort_sessions(&mut front.request_sessions);
         sort_sessions(&mut front.response_sessions);
         sort_sessions(&mut front.common_sessions);
+        front.attack_tallies.sort_by_key(|t| (t.start, t.src));
         let (ingest, mut stats) = (front.ingest, front.stats);
 
         // 3b. CID-keyed migration linking on the merged request
@@ -432,13 +651,25 @@ impl<'a> AnalysisDriver<'a> {
         // land in different shards.
         let migrations = link_migrations(&mut front.request_sessions, config.session_timeout);
 
-        // 4. DoS inference.
+        // 4. DoS inference. The tallies were kept for exactly the
+        // response sessions the thresholds match, so in `(start, src)`
+        // order they line up with the attacks.
         let detect_start = Instant::now();
         let quic_attacks = detect_attacks(
             &front.response_sessions,
             AttackProtocol::Quic,
             &config.thresholds,
         );
+        assert_eq!(quic_attacks.len(), front.attack_tallies.len());
+        let attack_tallies = front
+            .attack_tallies
+            .into_iter()
+            .zip(&quic_attacks)
+            .map(|(kept, attack)| {
+                assert_eq!((kept.start, kept.src), (attack.start, attack.victim));
+                kept.tally
+            })
+            .collect();
         let common_attacks = detect_attacks(
             &front.common_sessions,
             AttackProtocol::TcpIcmp,
@@ -449,10 +680,8 @@ impl<'a> AnalysisDriver<'a> {
         // evidence: Retry backscatter per victim and the endpoints of
         // every migration link.
         let mut signals = VectorSignals::empty();
-        for obs in &responses {
-            if obs.dissected.has_retry() {
-                signals.record_retry(obs.src);
-            }
+        for victim in &front.sanitized.retry_victims {
+            signals.record_retry(*victim);
         }
         for link in &migrations {
             signals.record_migration(link.from);
@@ -482,19 +711,24 @@ impl<'a> AnalysisDriver<'a> {
         metrics.stages.observe_detect(stats.detect_ms);
         metrics.stages.set_totals(&stats);
 
+        let (research, sanitized) = (front.research, front.sanitized);
         Analysis {
             ingest,
-            research_sources: front.research_sources,
-            research_hourly: front.research_hourly,
-            request_hourly: front.request_hourly,
-            response_hourly: front.response_hourly,
-            research_packets: front.research_packets,
-            requests,
-            responses,
+            research_sources: research.sources,
+            research_hourly: research.hourly,
+            request_hourly: sanitized.request_hourly,
+            response_hourly: sanitized.response_hourly,
+            research_packets: research.packets,
+            request_packets: sanitized.request_packets,
+            response_packets: sanitized.response_packets,
+            empty_dcid_responses: sanitized.empty_dcid_responses,
+            retry_victims: sanitized.retry_victims,
+            arrivals: sanitized.arrivals,
             request_sessions: front.request_sessions,
             migrations,
             response_sessions: front.response_sessions,
             quic_attacks,
+            attack_tallies,
             common_sessions: front.common_sessions,
             common_attacks,
             multivector,
@@ -645,15 +879,6 @@ impl Analysis {
     pub fn victims(&self) -> HashSet<Ipv4Addr> {
         self.quic_attacks.iter().map(|a| a.victim).collect()
     }
-
-    /// The response observations attributable to one attack (victim +
-    /// time window).
-    pub fn attack_observations<'a>(&'a self, attack: &Attack) -> Vec<&'a QuicObservation> {
-        self.responses
-            .iter()
-            .filter(|o| o.src == attack.victim && o.ts >= attack.start && o.ts <= attack.end)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -691,8 +916,13 @@ mod tests {
         let (scenario, a) = analysis();
         // Garbage packets fail dissection, so sanitized counts equal
         // truth counts exactly.
-        assert_eq!(a.requests.len() as u64, scenario.truth.request_packets);
-        assert_eq!(a.responses.len() as u64, scenario.truth.response_packets);
+        assert_eq!(a.request_packets, scenario.truth.request_packets);
+        assert_eq!(a.response_packets, scenario.truth.response_packets);
+        assert_eq!(
+            a.arrivals.len() as u64,
+            a.request_packets + a.response_packets
+        );
+        assert!(a.arrivals.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(
             a.ingest.quic_false_positives,
             scenario.truth.garbage_packets
@@ -763,14 +993,14 @@ mod tests {
     }
 
     #[test]
-    fn attack_observations_are_scoped() {
+    fn attack_tallies_are_scoped() {
         let (_, a) = analysis();
-        let attack = &a.quic_attacks[0];
-        let obs = a.attack_observations(attack);
-        assert!(!obs.is_empty());
-        assert_eq!(obs.len() as u64, attack.packet_count);
-        for o in obs {
-            assert_eq!(o.src, attack.victim);
+        assert_eq!(a.attack_tallies.len(), a.quic_attacks.len());
+        for (attack, tally) in a.quic_attacks.iter().zip(&a.attack_tallies) {
+            assert_eq!(tally.resources.packets, attack.packet_count);
+            let versioned: u64 = tally.versions.iter().map(|(_, n)| n).sum();
+            assert!(versioned > 0 && versioned <= attack.packet_count);
+            assert!(tally.messages.total >= attack.packet_count);
         }
     }
 
@@ -801,8 +1031,15 @@ mod tests {
             assert_eq!(parallel.request_hourly, sequential.request_hourly);
             assert_eq!(parallel.response_hourly, sequential.response_hourly);
             assert_eq!(parallel.research_packets, sequential.research_packets);
-            assert_eq!(parallel.requests, sequential.requests);
-            assert_eq!(parallel.responses, sequential.responses);
+            assert_eq!(parallel.request_packets, sequential.request_packets);
+            assert_eq!(parallel.response_packets, sequential.response_packets);
+            assert_eq!(
+                parallel.empty_dcid_responses,
+                sequential.empty_dcid_responses
+            );
+            assert_eq!(parallel.retry_victims, sequential.retry_victims);
+            assert_eq!(parallel.arrivals, sequential.arrivals);
+            assert_eq!(parallel.attack_tallies, sequential.attack_tallies);
             assert_eq!(parallel.request_sessions, sequential.request_sessions);
             assert_eq!(parallel.response_sessions, sequential.response_sessions);
             assert_eq!(parallel.common_sessions, sequential.common_sessions);
@@ -933,8 +1170,19 @@ mod tests {
                 let at = format!("{threads} shards, slices of {chunk}");
                 assert_eq!(sliced.ingest, whole.ingest, "{at}");
                 assert_eq!(sliced.research_sources, whole.research_sources, "{at}");
-                assert_eq!(sliced.requests, whole.requests, "{at}");
-                assert_eq!(sliced.responses, whole.responses, "{at}");
+                assert_eq!(sliced.research_hourly, whole.research_hourly, "{at}");
+                assert_eq!(sliced.request_hourly, whole.request_hourly, "{at}");
+                assert_eq!(sliced.response_hourly, whole.response_hourly, "{at}");
+                assert_eq!(sliced.research_packets, whole.research_packets, "{at}");
+                assert_eq!(sliced.request_packets, whole.request_packets, "{at}");
+                assert_eq!(sliced.response_packets, whole.response_packets, "{at}");
+                assert_eq!(
+                    sliced.empty_dcid_responses, whole.empty_dcid_responses,
+                    "{at}"
+                );
+                assert_eq!(sliced.retry_victims, whole.retry_victims, "{at}");
+                assert_eq!(sliced.arrivals, whole.arrivals, "{at}");
+                assert_eq!(sliced.attack_tallies, whole.attack_tallies, "{at}");
                 assert_eq!(sliced.request_sessions, whole.request_sessions, "{at}");
                 assert_eq!(sliced.response_sessions, whole.response_sessions, "{at}");
                 assert_eq!(sliced.common_sessions, whole.common_sessions, "{at}");
@@ -949,6 +1197,279 @@ mod tests {
                 assert_eq!(stages.ingest_walltime.count(), threads as u64, "{at}");
                 assert_eq!(stages.sessionize_walltime.count(), threads as u64, "{at}");
                 assert_eq!(stages.detect_walltime.count(), 1, "{at}");
+            }
+        }
+    }
+
+    /// ~2 900 records around the research thresholds of 50 packets to
+    /// 40 destinations: an education scanner that crosses both halfway
+    /// through its sweep, an education source that ends one packet and
+    /// one destination short of them (ten probes, then a QUIC flood of
+    /// its own), a source outside any education network far above both,
+    /// and a Google victim whose QUIC flood (Retry packets in it)
+    /// interleaves with its TCP flood and an ICMP flood.
+    fn threshold_capture() -> Vec<PacketRecord> {
+        use quicsand_intel::Provider;
+        use quicsand_net::{IcmpKind, TcpFlags};
+        use quicsand_traffic::backscatter::BackscatterBuilder;
+        use quicsand_traffic::research::research_probe_payload;
+        use quicsand_wire::packet::Packet;
+        use quicsand_wire::{ConnectionId, Version};
+
+        let at = |millis: u64| Timestamp::from_micros(millis * 1_000);
+        let sink = |i: u64| Ipv4Addr::new(128, (i >> 8) as u8, i as u8, 3);
+        let mut records = Vec::new();
+        let probes = |records: &mut Vec<PacketRecord>, src, count, from, step, dsts| {
+            for i in 0..count {
+                let payload = research_probe_payload(i);
+                let ts = at(from + i * step);
+                let dst = sink(i % dsts);
+                records.push(PacketRecord::udp(ts, src, dst, 40_000, 443, payload));
+            }
+        };
+        // Crosses 50 packets and 40 destinations with its 51st probe.
+        probes(
+            &mut records,
+            Ipv4Addr::new(138, 246, 253, 13),
+            120,
+            50_000,
+            9_000,
+            120,
+        );
+        // Never anything but education traffic is research.
+        probes(
+            &mut records,
+            Ipv4Addr::new(10, 9, 8, 7),
+            90,
+            70_000,
+            7_000,
+            90,
+        );
+        // 10 probes and 40 responses to 40 destinations: 50 packets.
+        let near = Ipv4Addr::new(137, 226, 224, 77);
+        probes(&mut records, near, 10, 200_000, 3_000, 10);
+        let mut backscatter = BackscatterBuilder::new(Provider::Other, Version::V1.to_wire(), 9);
+        for i in 0..40 {
+            let payload = backscatter.respond().datagrams[0].clone();
+            let ts = at(300_000 + i * 1_600);
+            records.push(PacketRecord::udp(ts, near, sink(i), 443, 40_000, payload));
+        }
+
+        let victim = Ipv4Addr::new(142, 250, 0, 1);
+        let mut backscatter = BackscatterBuilder::new(Provider::Google, Version::V1.to_wire(), 5);
+        for i in 0..400 {
+            let payload = if i % 97 == 13 {
+                let retry = Packet::Retry {
+                    version: Version::V1,
+                    dcid: ConnectionId::from_u64(i),
+                    scid: ConnectionId::from_u64(i + 1),
+                    token: bytes::Bytes::from(vec![7u8; 32]),
+                    original_dcid: ConnectionId::from_u64(i + 2),
+                };
+                bytes::Bytes::from(retry.encode(None).expect("retry encodes"))
+            } else {
+                backscatter.respond().datagrams[(i % 2) as usize].clone()
+            };
+            let ts = at(100_000 + i * 400);
+            records.push(PacketRecord::udp(ts, victim, sink(i), 443, 40_000, payload));
+            let ts = at(100_200 + i * 400);
+            let flags = TcpFlags::SYN_ACK;
+            records.push(PacketRecord::tcp(ts, victim, sink(i), 443, 50_000, flags));
+        }
+        for i in 0..200 {
+            let src = Ipv4Addr::new(203, 0, 113, 7);
+            let ts = at(600_000 + i * 500);
+            records.push(PacketRecord::icmp(ts, src, sink(i), IcmpKind::EchoReply));
+        }
+        for source in 0..60u32 {
+            let src = Ipv4Addr::from(0x3C00_0000 + source * 7);
+            for packet in 0..25u64 {
+                let payload = backscatter.respond().datagrams[0].clone();
+                let ts = at(u64::from(source) * 9_000 + packet * 40_000);
+                records.push(PacketRecord::udp(
+                    ts,
+                    src,
+                    sink(packet),
+                    443,
+                    40_000,
+                    payload,
+                ));
+            }
+        }
+        records.sort_by_key(|r| r.ts);
+        records
+    }
+
+    /// The QUIC products of the design the admit-loop fold replaced:
+    /// every admitted observation kept to the end, research detection
+    /// over all of them, one sessionizer per channel in capture order,
+    /// and each attack's tally gathered from the responses of its victim
+    /// within its window.
+    #[derive(Debug, PartialEq)]
+    struct Buffered {
+        research_sources: HashSet<Ipv4Addr>,
+        research_hourly: HourlySeries,
+        request_hourly: HourlySeries,
+        response_hourly: HourlySeries,
+        research_packets: u64,
+        request_packets: u64,
+        response_packets: u64,
+        empty_dcid_responses: u64,
+        retry_victims: HashSet<Ipv4Addr>,
+        arrivals: Vec<(Timestamp, Ipv4Addr)>,
+        request_sessions: Vec<Session>,
+        migrations: Vec<MigrationLink>,
+        response_sessions: Vec<Session>,
+        quic_attacks: Vec<Attack>,
+        attack_tallies: Vec<AttackTally>,
+    }
+
+    impl Buffered {
+        fn of(analysis: Analysis) -> Self {
+            Buffered {
+                research_sources: analysis.research_sources,
+                research_hourly: analysis.research_hourly,
+                request_hourly: analysis.request_hourly,
+                response_hourly: analysis.response_hourly,
+                research_packets: analysis.research_packets,
+                request_packets: analysis.request_packets,
+                response_packets: analysis.response_packets,
+                empty_dcid_responses: analysis.empty_dcid_responses,
+                retry_victims: analysis.retry_victims,
+                arrivals: analysis.arrivals,
+                request_sessions: analysis.request_sessions,
+                migrations: analysis.migrations,
+                response_sessions: analysis.response_sessions,
+                quic_attacks: analysis.quic_attacks,
+                attack_tallies: analysis.attack_tallies,
+            }
+        }
+
+        fn reference(records: &[PacketRecord], asdb: &AsDatabase, config: &AnalysisConfig) -> Self {
+            use quicsand_telescope::ResearchFilter;
+            let mut pipeline = TelescopePipeline::with_guard(config.guard);
+            for record in records {
+                pipeline.ingest(record);
+            }
+            let (observations, _, _) = pipeline.finish();
+            let filter = ResearchFilter::detect_with_asdb(
+                &observations,
+                asdb,
+                config.research_min_packets,
+                config.research_min_dsts,
+            );
+            let (research, sanitized): (Vec<_>, Vec<_>) = observations
+                .into_iter()
+                .partition(|obs| filter.is_research(obs.src));
+            let (requests, responses): (Vec<_>, Vec<_>) = sanitized
+                .into_iter()
+                .partition(|obs| obs.direction == Direction::Request);
+            let hourly = |observations: &[QuicObservation]| {
+                let mut series = HourlySeries::new();
+                observations.iter().for_each(|obs| series.add(obs.ts));
+                series
+            };
+
+            let mut request_sessionizer = Sessionizer::new(config.session());
+            for obs in &requests {
+                let key = obs.dissected.client_cid_key();
+                request_sessionizer.offer_keyed(obs.ts, obs.src, key);
+            }
+            let mut request_sessions = request_sessionizer.finish();
+            let migrations = link_migrations(&mut request_sessions, config.session_timeout);
+            let mut response_sessionizer = Sessionizer::new(config.session());
+            for obs in &responses {
+                response_sessionizer.offer(obs.ts, obs.src);
+            }
+            let response_sessions = response_sessionizer.finish();
+            let quic_attacks =
+                detect_attacks(&response_sessions, AttackProtocol::Quic, &config.thresholds);
+            let attack_tallies = quic_attacks
+                .iter()
+                .map(|attack| {
+                    let mut tally = AttackTally::default();
+                    responses
+                        .iter()
+                        .filter(|o| o.src == attack.victim)
+                        .filter(|o| o.ts >= attack.start && o.ts <= attack.end)
+                        .for_each(|obs| tally.add(obs));
+                    tally
+                })
+                .collect();
+            let mut arrivals: Vec<(Timestamp, Ipv4Addr)> = requests
+                .iter()
+                .chain(&responses)
+                .map(|obs| (obs.ts, obs.src))
+                .collect();
+            // Fig. 4 sorted by time alone; its sweep reads the same
+            // stream in either order.
+            arrivals.sort();
+
+            Buffered {
+                research_sources: filter.sources().clone(),
+                research_hourly: hourly(&research),
+                request_hourly: hourly(&requests),
+                response_hourly: hourly(&responses),
+                research_packets: research.len() as u64,
+                request_packets: requests.len() as u64,
+                response_packets: responses.len() as u64,
+                empty_dcid_responses: responses
+                    .iter()
+                    .filter(|obs| obs.dissected.all_dcids_empty())
+                    .count() as u64,
+                retry_victims: responses
+                    .iter()
+                    .filter(|obs| obs.dissected.has_retry())
+                    .map(|obs| obs.src)
+                    .collect(),
+                arrivals,
+                request_sessions,
+                migrations,
+                response_sessions,
+                quic_attacks,
+                attack_tallies,
+            }
+        }
+    }
+
+    #[test]
+    fn folding_at_admit_matches_the_buffered_design() {
+        let records = threshold_capture();
+        let world = quicsand_intel::SyntheticInternet::build(&Default::default());
+        let config = |threads: usize| AnalysisConfig {
+            threads,
+            research_min_packets: 50,
+            research_min_dsts: 40,
+            ..AnalysisConfig::default()
+        };
+        let reference = Buffered::reference(&records, &world.asdb, &config(1));
+        assert_eq!(
+            reference.research_sources,
+            HashSet::from([Ipv4Addr::new(138, 246, 253, 13)])
+        );
+        let near = Ipv4Addr::new(137, 226, 224, 77);
+        let victim = Ipv4Addr::new(142, 250, 0, 1);
+        let victims: Vec<Ipv4Addr> = reference.quic_attacks.iter().map(|a| a.victim).collect();
+        assert!(
+            victims.contains(&near) && victims.contains(&victim),
+            "{victims:?}"
+        );
+        assert_eq!(reference.retry_victims, HashSet::from([victim]));
+        assert!(reference.empty_dcid_responses < reference.response_packets);
+
+        for threads in [1usize, 2, 3, 8] {
+            for chunk in [usize::MAX, 1, 7, 4096] {
+                let mut driver = AnalysisDriver::new(&world.asdb, &config(threads));
+                for slice in records.chunks(chunk) {
+                    driver.offer(slice);
+                }
+                let analysis = driver.finish();
+                let at = format!("{threads} shards, slices of {chunk}");
+                analysis
+                    .verify_metrics()
+                    .unwrap_or_else(|e| panic!("{at}: {e:?}"));
+                assert_eq!(analysis.common_attacks.len(), 2, "{at}");
+                assert_eq!(Buffered::of(analysis), reference, "{at}");
             }
         }
     }
@@ -1038,6 +1559,6 @@ mod tests {
     #[test]
     fn no_retry_in_the_wild() {
         let (_, a) = analysis();
-        assert!(a.responses.iter().all(|o| !o.dissected.has_retry()));
+        assert!(a.retry_victims.is_empty());
     }
 }

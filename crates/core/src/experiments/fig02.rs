@@ -19,7 +19,7 @@ pub fn run(scenario: &Scenario, analysis: &Analysis) -> (Report, Vec<Plot>) {
     .with_columns(["hour", "research", "other"]);
 
     let hours = u64::from(scenario.config.days) * 24;
-    let other_total = (analysis.requests.len() + analysis.responses.len()) as u64;
+    let other_total = analysis.request_packets + analysis.response_packets;
     let (mut research_series, mut other_series) = (Vec::new(), Vec::new());
     for hour in 0..hours {
         let research = analysis.research_hourly.get(hour);

@@ -32,8 +32,8 @@ pub fn run(scenario: &Scenario, analysis: &Analysis) -> (Report, Vec<Plot>) {
         response_series.push((hour as f64, responses as f64));
     }
 
-    let requests = analysis.requests.len() as f64;
-    let responses = analysis.responses.len() as f64;
+    let requests = analysis.request_packets as f64;
+    let responses = analysis.response_packets as f64;
     let total = requests + responses;
     report.push_finding(
         "request share of sanitized packets",

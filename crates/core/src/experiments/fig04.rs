@@ -8,9 +8,8 @@ use super::Plot;
 use crate::analysis::Analysis;
 use crate::plot::PlotSpec;
 use crate::report::Report;
-use quicsand_net::{Duration, Timestamp};
+use quicsand_net::Duration;
 use quicsand_sessions::session::timeout_sweep;
-use std::net::Ipv4Addr;
 
 /// Runs the experiment; plots the sweep over its `timeout = ∞` floor.
 pub fn run(analysis: &Analysis) -> (Report, Vec<Plot>) {
@@ -20,18 +19,10 @@ pub fn run(analysis: &Analysis) -> (Report, Vec<Plot>) {
     )
     .with_columns(["timeout_min", "sessions"]);
 
-    // Merge requests and responses into one time-ordered stream, as the
-    // paper sessionizes the whole sanitized trace.
-    let mut stream: Vec<(Timestamp, Ipv4Addr)> = analysis
-        .requests
-        .iter()
-        .chain(analysis.responses.iter())
-        .map(|o| (o.ts, o.src))
-        .collect();
-    stream.sort_unstable_by_key(|(ts, _)| *ts);
-
+    // Requests and responses as one time-ordered stream, as the paper
+    // sessionizes the whole sanitized trace.
     let timeouts: Vec<Duration> = (1..=60).map(Duration::from_mins).collect();
-    let sweep = timeout_sweep(stream, &timeouts);
+    let sweep = timeout_sweep(analysis.arrivals.iter().copied(), &timeouts);
     let mut points = Vec::with_capacity(sweep.counts.len());
     for (timeout, count) in &sweep.counts {
         let minutes = timeout.as_secs() / 60;

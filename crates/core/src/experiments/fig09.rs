@@ -9,9 +9,7 @@
 
 use crate::analysis::Analysis;
 use crate::report::{fmt_f64, fmt_percent, Report};
-use quicsand_dissect::stats::VictimResourceStats;
 use quicsand_intel::Provider;
-use quicsand_sessions::dos::Attack;
 use quicsand_traffic::Scenario;
 use quicsand_wire::Version;
 use std::collections::HashMap;
@@ -33,29 +31,28 @@ pub struct AttackResources {
     pub version: Option<u32>,
 }
 
+/// The version with the highest count; of several, the lowest version
+/// number — so the pick does not depend on the order counts come in.
+fn dominant(counts: impl IntoIterator<Item = (u32, u64)>) -> Option<(u32, u64)> {
+    counts
+        .into_iter()
+        .max_by(|(v1, c1), (v2, c2)| c1.cmp(c2).then(v2.cmp(v1)))
+}
+
 /// Computes per-attack resources for all detected QUIC attacks.
 pub fn attack_resources(scenario: &Scenario, analysis: &Analysis) -> Vec<AttackResources> {
     analysis
         .quic_attacks
         .iter()
-        .map(|attack: &Attack| {
-            let mut stats = VictimResourceStats::default();
-            let mut version_counts: HashMap<u32, u64> = HashMap::new();
-            for obs in analysis.attack_observations(attack) {
-                stats.add(&obs.dissected, obs.dst, obs.dst_port);
-                if let Some(v) = obs.dissected.version() {
-                    *version_counts.entry(v).or_default() += 1;
-                }
-            }
+        .zip(&analysis.attack_tallies)
+        .map(|(attack, tally)| {
+            let stats = &tally.resources;
             let provider = scenario
                 .world
                 .servers
                 .provider(attack.victim)
                 .unwrap_or(Provider::Other);
-            let version = version_counts
-                .into_iter()
-                .max_by_key(|(_, c)| *c)
-                .map(|(v, _)| v);
+            let version = dominant(tally.versions.iter().copied()).map(|(v, _)| v);
             AttackResources {
                 provider,
                 packets: stats.packets,
@@ -116,17 +113,13 @@ pub fn run(scenario: &Scenario, analysis: &Analysis) -> Report {
         for r in rs.iter().filter_map(|r| r.version) {
             *version_counts.entry(r).or_default() += 1;
         }
-        let dominant =
-            version_counts
-                .iter()
-                .max_by_key(|(_, c)| **c)
-                .map_or("-".to_string(), |(v, c)| {
-                    format!(
-                        "{} ({})",
-                        Version::from_wire(*v).label(),
-                        fmt_percent(*c as f64 / rs.len() as f64)
-                    )
-                });
+        let dominant = dominant(version_counts).map_or("-".to_string(), |(v, c)| {
+            format!(
+                "{} ({})",
+                Version::from_wire(v).label(),
+                fmt_percent(c as f64 / rs.len() as f64)
+            )
+        });
         report.push_row([
             provider.label().to_string(),
             rs.len().to_string(),
@@ -194,15 +187,11 @@ pub fn run(scenario: &Scenario, analysis: &Analysis) -> Report {
     );
 
     // The §5.2 validity check: backscatter DCIDs have length zero.
-    let valid_dcids = analysis
-        .responses
-        .iter()
-        .filter(|o| o.dissected.all_dcids_empty())
-        .count();
+    let valid_dcids = analysis.empty_dcid_responses as f64;
     report.push_finding(
         "backscatter with zero-length DCIDs",
         "all (validity check)",
-        &fmt_percent(valid_dcids as f64 / analysis.responses.len().max(1) as f64),
+        &fmt_percent(valid_dcids / analysis.response_packets.max(1) as f64),
     );
     report
 }
@@ -212,6 +201,17 @@ mod tests {
     use super::*;
     use crate::analysis::AnalysisConfig;
     use quicsand_traffic::ScenarioConfig;
+
+    #[test]
+    fn a_tied_dominant_version_is_the_lower_one() {
+        let (draft29, v1) = (Version::Draft29.to_wire(), Version::V1.to_wire());
+        assert!(draft29 > v1);
+        for counts in [[(draft29, 3), (v1, 3)], [(v1, 3), (draft29, 3)]] {
+            assert_eq!(dominant(counts), Some((v1, 3)), "{counts:?}");
+        }
+        assert_eq!(dominant([(v1, 2), (draft29, 3)]), Some((draft29, 3)));
+        assert_eq!(dominant([]), None);
+    }
 
     #[test]
     fn provider_shares_and_scid_load() {

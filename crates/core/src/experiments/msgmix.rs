@@ -21,10 +21,8 @@ pub fn run(analysis: &Analysis) -> Report {
     // Restrict to packets belonging to detected attacks, as §6 does
     // ("Captured QUIC events that are suspect to DoS").
     let mut stats = MessageMixStats::new();
-    for attack in &analysis.quic_attacks {
-        for obs in analysis.attack_observations(attack) {
-            stats.add(&obs.dissected);
-        }
+    for tally in &analysis.attack_tallies {
+        stats.merge(&tally.messages);
     }
 
     for kind in [

@@ -130,6 +130,14 @@ pub enum MessageKind {
 }
 
 impl MessageKind {
+    /// Number of kinds (`OneRtt` is the last variant).
+    pub(crate) const COUNT: usize = MessageKind::OneRtt as usize + 1;
+
+    /// A dense index in `0..COUNT`, for per-kind arrays.
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+
     /// Figure label.
     pub fn label(self) -> &'static str {
         match self {

@@ -8,14 +8,15 @@
 use crate::quic::{DissectedPacket, MessageKind};
 use quicsand_wire::ConnectionId;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
-/// Counts of QUIC message types over a traffic aggregate.
+/// Counts of QUIC message types over a traffic aggregate. Counting
+/// allocates nothing: the counts sit in a fixed array indexed by kind.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MessageMixStats {
-    /// Messages per kind.
-    pub counts: HashMap<String, u64>,
+    /// Messages per kind, indexed by [`MessageKind::index`].
+    counts: [u64; MessageKind::COUNT],
     /// Total messages.
     pub total: u64,
     /// Initials that carried a visible Client Hello.
@@ -31,7 +32,7 @@ impl MessageMixStats {
     /// Folds one dissected datagram into the stats.
     pub fn add(&mut self, dissected: &DissectedPacket) {
         for m in &dissected.messages {
-            *self.counts.entry(m.kind.label().to_string()).or_default() += 1;
+            self.counts[m.kind.index()] += 1;
             self.total += 1;
             if m.kind == MessageKind::Initial && m.has_client_hello {
                 self.initials_with_client_hello += 1;
@@ -39,9 +40,18 @@ impl MessageMixStats {
         }
     }
 
+    /// Adds another aggregate's counts to these.
+    pub fn merge(&mut self, other: &MessageMixStats) {
+        for (count, more) in self.counts.iter_mut().zip(other.counts) {
+            *count += more;
+        }
+        self.total += other.total;
+        self.initials_with_client_hello += other.initials_with_client_hello;
+    }
+
     /// Count for one kind.
     pub fn count(&self, kind: MessageKind) -> u64 {
-        self.counts.get(kind.label()).copied().unwrap_or(0)
+        self.counts[kind.index()]
     }
 
     /// Share of one kind in the total (0 when empty).
@@ -62,7 +72,7 @@ impl MessageMixStats {
 /// Per-victim resource proxies for Fig. 9: packet counts and the unique
 /// client addresses, client ports and server SCIDs observed in the
 /// backscatter a victim emits.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VictimResourceStats {
     /// Backscatter packets observed.
     pub packets: u64,
@@ -137,6 +147,27 @@ mod tests {
         assert!((stats.share(MessageKind::Handshake) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(stats.share(MessageKind::Retry), 0.0);
         assert!(!stats.any_retry());
+    }
+
+    #[test]
+    fn merge_adds_every_count() {
+        let mut left = MessageMixStats::new();
+        left.add(&dissected(&[(MessageKind::Initial, true)]));
+        let mut right = MessageMixStats::new();
+        right.add(&dissected(&[
+            (MessageKind::Initial, false),
+            (MessageKind::Retry, false),
+        ]));
+        let mut both = MessageMixStats::new();
+        both.add(&dissected(&[(MessageKind::Initial, true)]));
+        both.add(&dissected(&[
+            (MessageKind::Initial, false),
+            (MessageKind::Retry, false),
+        ]));
+        left.merge(&right);
+        assert_eq!(left, both);
+        assert_eq!(left.count(MessageKind::Initial), 2);
+        assert_eq!(left.initials_with_client_hello, 1);
     }
 
     #[test]

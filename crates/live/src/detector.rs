@@ -73,11 +73,11 @@ impl Default for LiveConfig {
 /// Checkpoint shape of [`VictimState::minute_counts`]: the sorted cell
 /// vector is written as the `{minute: {count, first, last}}` map the
 /// format has always had, so old checkpoints resume and new ones are
-/// byte-identical to them (`tests/golden/checkpoint-v2.json`).
+/// byte-identical to them (`tests/golden/checkpoint-v2.json`). The
+/// vector is written and read as it stands, with no map in between.
 mod minute_map {
     use super::{ProfileCell, Timestamp};
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::collections::BTreeMap;
+    use serde::{Access, Compound, Decimal, Deserialize, Deserializer, Serialize, Serializer};
 
     #[derive(Serialize, Deserialize)]
     struct MinuteCell {
@@ -86,34 +86,71 @@ mod minute_map {
         last: Timestamp,
     }
 
-    pub fn serialize<S: Serializer>(cells: &[ProfileCell], s: S) -> Result<S::Ok, S::Error> {
-        let map: BTreeMap<u64, MinuteCell> = cells
-            .iter()
-            .map(|cell| {
-                let slot = MinuteCell {
-                    count: cell.count,
-                    first: cell.first,
-                    last: cell.last,
-                };
-                (cell.minute, slot)
-            })
-            .collect();
-        map.serialize(s)
+    impl MinuteCell {
+        fn of(cell: &ProfileCell) -> Self {
+            MinuteCell {
+                count: cell.count,
+                first: cell.first,
+                last: cell.last,
+            }
+        }
     }
 
-    /// Going through the ordered map is what makes the vector sorted
-    /// and duplicate-free whatever the JSON says.
+    fn key(cell: &ProfileCell) -> Decimal {
+        Decimal::of_u64(cell.minute)
+    }
+
+    /// Every map is written in the order of its keys as strings
+    /// (`"10" < "9"`). The cells are sorted by minute, and minutes of
+    /// one digit count are in that order already — a profile spans
+    /// minutes, not powers of ten — so only a profile across a power of
+    /// ten sorts an index.
+    pub fn serialize<S: Serializer>(cells: &[ProfileCell], s: S) -> Result<S::Ok, S::Error> {
+        let digits = |cell: &ProfileCell| key(cell).as_str().len();
+        let mut map = s.serialize_map(cells.len())?;
+        match (cells.first(), cells.last()) {
+            (Some(first), Some(last)) if digits(first) != digits(last) => {
+                let mut order: Vec<(Decimal, &ProfileCell)> =
+                    cells.iter().map(|cell| (key(cell), cell)).collect();
+                order.sort_unstable_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
+                for (key, cell) in order {
+                    map.entry(key.as_str(), &MinuteCell::of(cell))?;
+                }
+            }
+            _ => {
+                for cell in cells {
+                    map.entry(key(cell).as_str(), &MinuteCell::of(cell))?;
+                }
+            }
+        }
+        map.end()
+    }
+
+    /// Cells are read in the order written; the vector is sorted and
+    /// freed of repeated minutes, the last one kept, only when the text
+    /// was not in minute order.
     pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Vec<ProfileCell>, D::Error> {
-        let map = BTreeMap::<u64, MinuteCell>::deserialize(d)?;
-        Ok(map
-            .into_iter()
-            .map(|(minute, slot)| ProfileCell {
+        let mut map = d.map("map")?;
+        let mut cells: Vec<ProfileCell> = Vec::new();
+        let mut sorted = true;
+        while let Some(minute) = map.key_as::<u64>()? {
+            let slot: MinuteCell = map.value()?;
+            sorted &= cells.last().is_none_or(|last| last.minute < minute);
+            cells.push(ProfileCell {
                 minute,
                 count: slot.count,
                 first: slot.first,
                 last: slot.last,
-            })
-            .collect())
+            });
+        }
+        if !sorted {
+            // Reversed first, so the stable sort puts the last cell of
+            // a minute first and the dedup keeps it.
+            cells.reverse();
+            cells.sort_by_key(|cell| cell.minute);
+            cells.dedup_by_key(|cell| cell.minute);
+        }
+        Ok(cells)
     }
 }
 
@@ -1459,5 +1496,82 @@ mod tests {
         assert_eq!(b.events_in, 17);
         assert_eq!(b.peak_tracked, 8);
         assert_eq!(b.evictions, 2);
+    }
+
+    /// A profile written through `minute_map`.
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Profile {
+        #[serde(with = "minute_map")]
+        cells: Vec<ProfileCell>,
+    }
+
+    /// The same profile through an ordered map, as the format was
+    /// once written.
+    #[derive(Serialize)]
+    struct Slot {
+        count: u64,
+        first: Timestamp,
+        last: Timestamp,
+    }
+
+    #[test]
+    fn minute_profiles_across_powers_of_ten_keep_their_bytes() {
+        let cell = |minute: u64, count: u64| ProfileCell {
+            minute,
+            count,
+            first: Timestamp::from_secs(minute * 60),
+            last: Timestamp::from_secs(minute * 60 + 59),
+        };
+        for minutes in [
+            vec![],
+            vec![7],
+            vec![12, 13, 14],
+            vec![8, 9, 10, 11],
+            vec![98, 99, 100, 101],
+            vec![9, 10, 99, 100, 1_000],
+        ] {
+            let cells: Vec<ProfileCell> = minutes.iter().map(|&m| cell(m, m + 1)).collect();
+            let text = serde_json::to_string(&Profile {
+                cells: cells.clone(),
+            })
+            .expect("serializes");
+            let by_map: BTreeMap<&str, BTreeMap<u64, Slot>> = BTreeMap::from([(
+                "cells",
+                cells
+                    .iter()
+                    .map(|c| {
+                        let slot = Slot {
+                            count: c.count,
+                            first: c.first,
+                            last: c.last,
+                        };
+                        (c.minute, slot)
+                    })
+                    .collect(),
+            )]);
+            assert_eq!(
+                text,
+                serde_json::to_string(&by_map).expect("serializes"),
+                "{minutes:?}"
+            );
+            let read: Profile = serde_json::from_str(&text).expect("reads back");
+            assert_eq!(read.cells, cells, "{minutes:?}");
+        }
+
+        // Out of minute order, one minute twice: sorted, the last kept.
+        let slot = |count: u64, minute: u64| {
+            let (first, last) = (minute * 60_000_000, minute * 60_000_000 + 1);
+            format!(r#"{{"count":{count},"first":{first},"last":{last}}}"#)
+        };
+        let text = format!(
+            r#"{{"cells":{{"100":{},"99":{},"100":{},"9":{}}}}}"#,
+            slot(1, 100),
+            slot(2, 99),
+            slot(3, 100),
+            slot(4, 9)
+        );
+        let read: Profile = serde_json::from_str(&text).expect("reads");
+        let counts: Vec<(u64, u64)> = read.cells.iter().map(|c| (c.minute, c.count)).collect();
+        assert_eq!(counts, [(9, 4), (99, 2), (100, 3)]);
     }
 }

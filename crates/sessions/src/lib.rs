@@ -38,6 +38,6 @@ pub use multivector::{
     VectorKind, VectorSignals,
 };
 pub use session::{
-    link_migrations, MigrationLink, Session, SessionConfig, Sessionizer, SessionizerCounters,
+    link_migrations, MigrationLink, Session, SessionConfig, Sessionizer, SessionizerCounters, Tally,
 };
 pub use window::{CloseReason, Closed, Counted, ProfileCell, SessionTable, Steps, Window};

@@ -12,6 +12,7 @@
 //! in [`crate::window`]; this module turns closed windows into
 //! [`Session`]s, counts them and emits the `session_*` events.
 
+use crate::dos::DosThresholds;
 use crate::window::{CloseReason, Closed, Counted, ProfileCell, SessionTable, Steps};
 use quicsand_events::{
     EventMeta, NoopSubscriber, SessionClosed, SessionOpened, SessionWidened, Subscriber,
@@ -104,13 +105,38 @@ impl Session {
 /// key, uncapped: memory is bounded by the table's idle sweep alone, so
 /// one-shot sources (the overwhelming majority at a telescope) do not
 /// accumulate for the whole capture.
+///
+/// Beside the key, every open session carries a tally `T` that the
+/// caller folds each of its packets into ([`Sessionizer::offer_tallied`]).
+/// A [`Sessionizer::tallying`] sessionizer keeps the tallies of the
+/// sessions that close as attacks and drops the rest; a plain one
+/// ([`Sessionizer::new`]) carries `()`.
 #[derive(Debug)]
-pub struct Sessionizer {
-    table: SessionTable<Option<u64>>,
+pub struct Sessionizer<T = ()> {
+    table: KeyedTable<T>,
     closed: Vec<Session>,
+    /// The tallies kept so far, and the rule that keeps them.
+    tallies: Vec<Tally<T>>,
+    keep: Option<DosThresholds>,
     /// Cumulative lifecycle counters, the sessionizer's contribution to
     /// the metrics layer.
     counters: SessionizerCounters,
+}
+
+/// A sessionizer's open windows, each with its sticky connection-ID key
+/// and its tally.
+type KeyedTable<T> = SessionTable<(Option<u64>, T)>;
+
+/// The tally of one session that closed as an attack, named by the
+/// session's `(start, src)` — unique within one sessionizer.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Tally<T> {
+    /// The session's first packet.
+    pub start: Timestamp,
+    /// The session's source.
+    pub src: Ipv4Addr,
+    /// What the caller folded the session's packets into.
+    pub tally: T,
 }
 
 /// Cumulative session-lifecycle counts over a [`Sessionizer`]'s life.
@@ -145,27 +171,32 @@ impl SessionizerCounters {
 }
 
 /// Where a [`Sessionizer`] puts what its table reports: the closed
-/// buffer and counters, and the event stream.
-struct Sink<'a, S> {
+/// buffer, the kept tallies and the counters, and the event stream.
+struct Sink<'a, S, T, F> {
     closed: &'a mut Vec<Session>,
+    tallies: &'a mut Vec<Tally<T>>,
+    keep: Option<&'a DosThresholds>,
     counters: &'a mut SessionizerCounters,
     /// The connection-ID key of the packet being offered, if any.
     cid_key: Option<u64>,
+    /// Folds the packet being offered into its session's tally.
+    count: Option<F>,
     channel: &'a str,
     meta: &'a EventMeta,
     subscriber: &'a mut S,
 }
 
-impl<S: Subscriber> Steps<Option<u64>> for Sink<'_, S> {
-    /// Buffers one closed window as a [`Session`] and emits its
-    /// `session_closed` (flagged `expired` only for a sweep close).
-    fn closed(&mut self, closed: Closed<Option<u64>>) {
+impl<S: Subscriber, T, F: FnOnce(&mut T)> Steps<(Option<u64>, T)> for Sink<'_, S, T, F> {
+    /// Buffers one closed window as a [`Session`] (keeping its tally if
+    /// it is an attack) and emits its `session_closed` (flagged
+    /// `expired` only for a sweep close).
+    fn closed(&mut self, closed: Closed<(Option<u64>, T)>) {
         let Closed {
             why,
             at,
             src,
             window,
-            payload: cid_key,
+            payload: (cid_key, tally),
         } = closed;
         let expired = why == CloseReason::Expired;
         if self.subscriber.enabled() {
@@ -181,14 +212,25 @@ impl<S: Subscriber> Steps<Option<u64>> for Sink<'_, S> {
                 },
             );
         }
-        self.closed.push(Session {
+        let session = Session {
             src,
             start: window.start,
             end: window.last,
             packet_count: window.packet_count,
             minute_counts: window.profile,
             cid_key,
-        });
+        };
+        if self
+            .keep
+            .is_some_and(|thresholds| thresholds.matches(&session))
+        {
+            self.tallies.push(Tally {
+                start: session.start,
+                src,
+                tally,
+            });
+        }
+        self.closed.push(session);
         self.counters.closed += 1;
         self.counters.expired += u64::from(expired);
     }
@@ -198,17 +240,20 @@ impl<S: Subscriber> Steps<Option<u64>> for Sink<'_, S> {
     /// to move the window's start backwards. The first key a session
     /// sees sticks to it.
     #[inline]
-    fn counted(&mut self, counted: Counted<'_, Option<u64>>) {
+    fn counted(&mut self, counted: Counted<'_, (Option<u64>, T)>) {
         let Counted {
             at,
             src,
             opened,
             lead,
-            payload,
+            payload: (cid_key, tally),
             ..
         } = counted;
-        if payload.is_none() {
-            *payload = self.cid_key;
+        if cid_key.is_none() {
+            *cid_key = self.cid_key;
+        }
+        if let Some(count) = self.count.take() {
+            count(tally);
         }
         self.counters.opened += u64::from(opened);
         if !self.subscriber.enabled() {
@@ -237,28 +282,50 @@ impl<S: Subscriber> Steps<Option<u64>> for Sink<'_, S> {
     }
 }
 
+/// The tally fold of an offer that folds nothing.
+type NoCount<T> = fn(&mut T);
+
 impl Sessionizer {
     /// Creates a sessionizer.
     pub fn new(config: SessionConfig) -> Self {
+        Sessionizer::build(config, None)
+    }
+}
+
+impl<T: Default> Sessionizer<T> {
+    /// Creates a sessionizer whose sessions carry a `T`, kept at close
+    /// for every session that `thresholds` match (an attack) and
+    /// dropped for every other.
+    pub fn tallying(config: SessionConfig, thresholds: DosThresholds) -> Self {
+        Sessionizer::build(config, Some(thresholds))
+    }
+
+    fn build(config: SessionConfig, keep: Option<DosThresholds>) -> Self {
         Sessionizer {
             table: SessionTable::new(config, usize::MAX),
             closed: Vec::new(),
+            tallies: Vec::new(),
+            keep,
             counters: SessionizerCounters::default(),
         }
     }
 
     /// The table beside the sink its steps go to.
-    fn parts<'a, S>(
+    fn parts<'a, S, F>(
         &'a mut self,
         cid_key: Option<u64>,
+        count: Option<F>,
         channel: &'a str,
         meta: &'a EventMeta,
         subscriber: &'a mut S,
-    ) -> (&'a mut SessionTable<Option<u64>>, Sink<'a, S>) {
+    ) -> (&'a mut KeyedTable<T>, Sink<'a, S, T, F>) {
         let sink = Sink {
             closed: &mut self.closed,
+            tallies: &mut self.tallies,
+            keep: self.keep.as_ref(),
             counters: &mut self.counters,
             cid_key,
+            count,
             channel,
             meta,
             subscriber,
@@ -270,6 +337,15 @@ impl Sessionizer {
     /// contract on the input).
     pub fn offer(&mut self, ts: Timestamp, src: Ipv4Addr) {
         self.offer_keyed(ts, src, None);
+    }
+
+    /// [`Sessionizer::offer`] that also folds the packet into its
+    /// session's tally: `count` runs once, on the tally of the session
+    /// the packet was counted into (a fresh `T` when it opened one).
+    pub fn offer_tallied(&mut self, ts: Timestamp, src: Ipv4Addr, count: impl FnOnce(&mut T)) {
+        let (meta, mut subscriber) = (EventMeta::lifecycle(), NoopSubscriber);
+        let (table, mut sink) = self.parts(None, Some(count), "", &meta, &mut subscriber);
+        table.offer(ts, src, || (None, T::default()), &mut sink);
     }
 
     /// [`Sessionizer::offer`] carrying an optional connection-ID key
@@ -309,8 +385,8 @@ impl Sessionizer {
         meta: &EventMeta,
         subscriber: &mut S,
     ) {
-        let (table, mut sink) = self.parts(cid_key, channel, meta, subscriber);
-        table.offer(ts, src, || cid_key, &mut sink);
+        let (table, mut sink) = self.parts(cid_key, None::<NoCount<T>>, channel, meta, subscriber);
+        table.offer(ts, src, || (cid_key, T::default()), &mut sink);
     }
 
     /// Closes every open session whose source has been idle longer than
@@ -328,7 +404,7 @@ impl Sessionizer {
     /// [`Sessionizer::offer_keyed_with`].
     pub fn expire(&mut self, now: Timestamp) {
         let (meta, mut subscriber) = (EventMeta::lifecycle(), NoopSubscriber);
-        let (table, mut sink) = self.parts(None, "", &meta, &mut subscriber);
+        let (table, mut sink) = self.parts(None, None::<NoCount<T>>, "", &meta, &mut subscriber);
         table.expire(now, &mut |closed| sink.closed(closed));
     }
 
@@ -351,16 +427,32 @@ impl Sessionizer {
     /// flush emits `session_closed` (not `expired` — the stream ended)
     /// for every still-open session, in `(start, src)` order.
     pub fn finish_with<S: Subscriber>(
-        mut self,
+        self,
         channel: &str,
         meta: &EventMeta,
         subscriber: &mut S,
     ) -> Vec<Session> {
-        let (table, mut sink) = self.parts(None, channel, meta, subscriber);
+        self.finish_tallied_with(channel, meta, subscriber).0
+    }
+
+    /// [`Sessionizer::finish`] that also returns the kept tallies, both
+    /// in `(start, src)` order.
+    pub fn finish_tallied(self) -> (Vec<Session>, Vec<Tally<T>>) {
+        self.finish_tallied_with("", &EventMeta::lifecycle(), &mut NoopSubscriber)
+    }
+
+    fn finish_tallied_with<S: Subscriber>(
+        mut self,
+        channel: &str,
+        meta: &EventMeta,
+        subscriber: &mut S,
+    ) -> (Vec<Session>, Vec<Tally<T>>) {
+        let (table, mut sink) = self.parts(None, None::<NoCount<T>>, channel, meta, subscriber);
         table.flush(&mut |closed| sink.closed(closed));
         // The whole output in one order, not only the flushed tail.
         self.closed.sort_by_key(|s| (s.start, s.src));
-        self.closed
+        self.tallies.sort_by_key(|t| (t.start, t.src));
+        (self.closed, self.tallies)
     }
 
     /// Number of currently open sessions.
@@ -603,6 +695,31 @@ mod tests {
         assert_eq!(s.src, ip(1));
         assert_eq!(s.packet_count, 10);
         assert_eq!(s.duration().as_secs(), 90);
+    }
+
+    #[test]
+    fn a_tallying_sessionizer_keeps_the_tallies_of_attacks_only() {
+        // One 2-pps flood of 240 packets (two minutes), then a trickle
+        // from the same source after a gap, and one other source.
+        let mut sessionizer = Sessionizer::<Vec<u64>>::tallying(cfg(300), DosThresholds::moore());
+        let mut offer = |secs_x2: u64, src: Ipv4Addr, n: u64| {
+            sessionizer.offer_tallied(Timestamp::from_micros(secs_x2 * 500_000), src, |t| {
+                t.push(n)
+            });
+        };
+        for i in 0..240 {
+            offer(i, ip(1), i);
+        }
+        for i in 0..5 {
+            offer(10_000 + i, ip(1), 1_000 + i);
+            offer(10_000 + i, ip(2), 2_000 + i);
+        }
+        let (sessions, tallies) = sessionizer.finish_tallied();
+        assert_eq!(sessions.len(), 3);
+        assert_eq!(tallies.len(), 1, "only the flood is an attack");
+        let kept = &tallies[0];
+        assert_eq!((kept.start, kept.src), (Timestamp::EPOCH, ip(1)));
+        assert_eq!(kept.tally, (0..240).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -149,7 +149,8 @@ impl StageMetrics {
         const HIST_NAME: &str = "quicsand_stage_walltime_micros";
         const HIST_HELP: &str =
             "Per-shard (batch) or per-chunk (live) stage wall time, microseconds; \
-             batch ingest includes TCP/ICMP sessionization, batch sessionize is the QUIC channels";
+             batch ingest includes sanitization and sessionization, \
+             batch sanitize and sessionize are the end-of-run passes";
         let hist = |stage: &'static str| {
             registry.histogram_with(
                 HIST_NAME,
@@ -161,7 +162,8 @@ impl StageMetrics {
         };
         const TOTAL_NAME: &str = "quicsand_stage_total_micros";
         const TOTAL_HELP: &str = "Whole-run stage wall time, microseconds; \
-             batch ingest includes TCP/ICMP sessionization, batch sessionize is the QUIC channels";
+             batch ingest includes sanitization and sessionization, \
+             batch sanitize and sessionize are the end-of-run passes";
         let total = |stage: &'static str| {
             registry.gauge_with(
                 TOTAL_NAME,

@@ -382,17 +382,17 @@ pub struct PipelineStats {
     /// Ingest stage (guard + classify + dissect) wall time, ms. In the
     /// parallel path this is the slowest shard (critical path), each
     /// shard's time summed over every slice it was offered. In batch
-    /// mode it includes sessionizing the TCP/ICMP channel, which happens
-    /// inside the admit loop.
+    /// mode it includes sanitizing and sessionizing every packet that
+    /// can be as it is admitted, which happens inside the admit loop.
     pub ingest_ms: f64,
-    /// Sanitize stage (research-scanner detection + split) wall time,
-    /// ms. Zero in live mode (sanitization is inherently two-pass).
+    /// Sanitize stage wall time, ms. In batch mode: the end-of-stream
+    /// pass over the packets of education sources that stayed below the
+    /// research thresholds. Zero in live mode.
     pub sanitize_ms: f64,
-    /// Sessionization wall time, ms. In batch mode: the two QUIC
-    /// channels (requests, responses) and the end-of-stream flush of all
-    /// three — the TCP/ICMP channel's offers are in `ingest_ms`. In live
-    /// mode: time spent in incremental detector offers (sessionize +
-    /// threshold checks).
+    /// Sessionization wall time, ms. In batch mode: the end-of-stream
+    /// flush of every sessionizer — the offers are in `ingest_ms` and
+    /// `sanitize_ms`. In live mode: time spent in incremental detector
+    /// offers (sessionize + threshold checks).
     pub sessionize_ms: f64,
     /// DoS inference + multi-vector correlation wall time, ms. In live
     /// mode: the end-of-stream flush (expiry + final correlation).

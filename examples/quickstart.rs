@@ -37,8 +37,8 @@ fn main() {
     );
     println!(
         "Sanitized traffic: {} requests / {} responses ({} request sessions, {} response sessions)",
-        analysis.requests.len(),
-        analysis.responses.len(),
+        analysis.request_packets,
+        analysis.response_packets,
         analysis.request_sessions.len(),
         analysis.response_sessions.len()
     );
@@ -68,12 +68,10 @@ fn main() {
         analysis.multivector.share(MultiVectorClass::Sequential) * 100.0,
         analysis.multivector.share(MultiVectorClass::Isolated) * 100.0
     );
-    let retries = analysis
-        .responses
-        .iter()
-        .filter(|o| o.dissected.has_retry())
-        .count();
-    println!("RETRY packets observed in backscatter: {retries} (defence not deployed)");
+    println!(
+        "Victims whose backscatter carried a RETRY: {} (defence not deployed)",
+        analysis.retry_victims.len()
+    );
 
     println!("\nReproduce every figure/table with:");
     println!("  cargo run --release -- experiments --scale demo");

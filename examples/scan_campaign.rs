@@ -27,7 +27,7 @@ fn main() {
     // 1. Research bias.
     let factor = config.research_subsample_factor();
     let research_full = analysis.research_packets as f64 * factor;
-    let other = (analysis.requests.len() + analysis.responses.len()) as f64;
+    let other = (analysis.request_packets + analysis.response_packets) as f64;
     println!("Research scanners (full-sweep equivalents): {research_full:.0} packets");
     println!("All other QUIC traffic:                     {other:.0} packets");
     println!(

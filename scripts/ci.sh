@@ -127,6 +127,7 @@ experiments_smoke() {
   # SVGs pinned under tests/golden/, byte for byte.
   echo "==> experiments-smoke: every paper artifact regenerates"
   runner_pin
+  fold_pin
   local exp_dir profile ids id written pinned stem
   profile="${profile_flag---release}"
   exp_dir="$(mktemp -d)"
@@ -190,9 +191,37 @@ runner_pin() {
   fi
 }
 
+fold_pin() {
+  echo "==> fold pin: the batch analysis keeps no QUIC observation per packet"
+  # `Analysis` holds per-source, per-session and per-attack state plus one
+  # `(ts, src)` arrival per sanitized packet. A field of the observations
+  # themselves (56 B and a heap message list each) is what the admit-loop
+  # fold replaced, and `attack_observations` was the reader that needed it.
+  local analysis fields users
+  analysis="$(sed -n '/^pub struct Analysis {/,/^}/p' crates/core/src/analysis.rs)"
+  if [[ -z "$analysis" ]]; then
+    echo "fold pin: no \`pub struct Analysis\` in crates/core/src/analysis.rs" >&2
+    exit 1
+  fi
+  fields="$(echo "$analysis" | grep -E 'Vec<[^;]*QuicObservation' || true)"
+  if [[ -n "$fields" ]]; then
+    echo "fold pin: \`Analysis\` declares a field of QUIC observations:" >&2
+    echo "$fields" >&2
+    exit 1
+  fi
+  users="$(grep -rlF --include='*.rs' --exclude-dir=target --exclude-dir=.git \
+    'attack_observations' . || true)"
+  if [[ -n "$users" ]]; then
+    echo "fold pin: \`attack_observations\` is back, in:" >&2
+    echo "$users" >&2
+    exit 1
+  fi
+}
+
 rss_smoke() {
   # `analyze` and `live` stream the capture: what stays resident is the
-  # capture arena and the QUIC observations (or the detector state),
+  # capture arena and per-source, per-session and per-attack state plus
+  # one 16-byte arrival per sanitized QUIC packet (or the detector state),
   # never a decoded copy of the capture and never a second arena. The
   # process's own peak-RSS gauge (Linux VmHWM) must therefore stay below
   # arena + one decoded copy — capture bytes + 48 B per record (the size
@@ -362,8 +391,9 @@ fi
 
 echo "==> streaming batch path: no decoded-capture vector comes back"
 # The CLI feeds the pipeline `read_batch` slices and the pipeline keeps
-# only QUIC observations; a `read_to_end` in the CLI or a record vector
-# in the analysis is the copy this pins out.
+# no record (nor, `fold_pin` holds, a QUIC observation list); a
+# `read_to_end` in the CLI or a record vector in the analysis is the copy
+# this pins out.
 if nontest_code src/main.rs | grep -n 'read_to_end'; then
   echo "streaming pin: src/main.rs must not call read_to_end" >&2
   exit 1

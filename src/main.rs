@@ -698,8 +698,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     }
     println!(
         "sanitized: {} requests / {} responses after removing {} research packets from {} scanner(s)",
-        analysis.requests.len(),
-        analysis.responses.len(),
+        analysis.request_packets,
+        analysis.response_packets,
         analysis.research_packets,
         analysis.research_sources.len()
     );
