@@ -438,40 +438,30 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use quicsand_wire::crypto::Direction as CryptoDir;
-    use quicsand_wire::packet::{Packet, PacketPayload};
+    use quicsand_wire::packet::{seal_client_initial, Packet, PacketPayload};
     use quicsand_wire::tls::{cipher_suite, ClientHello, ServerHello};
 
-    fn client_hello_bytes() -> Bytes {
-        Bytes::from(
-            ClientHello {
-                random: [1u8; 32],
-                cipher_suites: vec![cipher_suite::AES_128_GCM_SHA256],
-                server_name: Some("www.google.com".into()),
-                alpn: vec!["h3-29".into()],
-                key_share: Bytes::from_static(&[2u8; 32]),
-            }
-            .encode(),
-        )
+    fn client_hello() -> ClientHello {
+        ClientHello {
+            random: [1u8; 32],
+            cipher_suites: vec![cipher_suite::AES_128_GCM_SHA256],
+            server_name: Some("www.google.com".into()),
+            alpn: vec!["h3-29".into()],
+            key_share: Bytes::from_static(&[2u8; 32]),
+        }
     }
 
     /// A faithful client first flight: Initial protected under keys
     /// derived from its own DCID.
-    fn client_initial() -> Vec<u8> {
-        let dcid = ConnectionId::from_u64(0xdddd);
-        let keys = InitialSecrets::derive(Version::Draft29, &dcid);
-        Packet::Initial {
-            version: Version::Draft29,
-            dcid,
-            scid: ConnectionId::from_u64(0xcccc),
-            token: Bytes::new(),
-            packet_number: 0,
-            payload: PacketPayload::new(vec![Frame::Crypto {
-                offset: 0,
-                data: client_hello_bytes(),
-            }]),
-        }
-        .encode_padded(Some(keys.client), 1200)
-        .unwrap()
+    fn client_initial() -> Bytes {
+        seal_client_initial(
+            Version::Draft29,
+            ConnectionId::from_u64(0xdddd),
+            ConnectionId::from_u64(0xcccc),
+            Bytes::new(),
+            0,
+            &client_hello(),
+        )
     }
 
     /// A server reply to a *spoofed* client: Initial (Server Hello) +

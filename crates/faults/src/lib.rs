@@ -218,12 +218,6 @@ impl FaultSummary {
         self.injected.iter().sum()
     }
 
-    /// Faults the pipeline must *quarantine* (everything except
-    /// tolerated jitter).
-    pub fn quarantinable(&self) -> u64 {
-        self.total_injected() - self.count(FaultKind::Jitter)
-    }
-
     /// The exact additional quarantine counters a hardened pipeline
     /// (with the plan's [`GuardConfig`]) must report on the faulted
     /// stream, relative to the same pipeline over the clean stream.

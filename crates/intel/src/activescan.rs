@@ -7,7 +7,6 @@
 //! version its deployment speaks — which determines the version observed
 //! in backscatter (mvfst-draft-27 for Facebook, draft-29 for Google).
 
-use quicsand_net::Ipv4Prefix;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -86,13 +85,6 @@ impl QuicServerRegistry {
         self.servers.insert(addr, info);
     }
 
-    /// Registers every address in `prefix` (used for provider blocks).
-    pub fn register_prefix(&mut self, prefix: Ipv4Prefix, info: &ServerInfo) {
-        for i in 0..prefix.size() {
-            self.servers.insert(prefix.nth(i), info.clone());
-        }
-    }
-
     /// Looks up a server.
     pub fn lookup(&self, addr: Ipv4Addr) -> Option<&ServerInfo> {
         self.servers.get(&addr)
@@ -121,23 +113,6 @@ impl QuicServerRegistry {
     /// Iterates over all servers.
     pub fn iter(&self) -> impl Iterator<Item = (&Ipv4Addr, &ServerInfo)> {
         self.servers.iter()
-    }
-
-    /// Share of `victims` that are known QUIC servers.
-    pub fn known_share<'a, I: IntoIterator<Item = &'a Ipv4Addr>>(&self, victims: I) -> f64 {
-        let mut total = 0usize;
-        let mut known = 0usize;
-        for v in victims {
-            total += 1;
-            if self.is_known_server(*v) {
-                known += 1;
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            known as f64 / total as f64
-        }
     }
 }
 
@@ -168,41 +143,6 @@ mod tests {
         );
         assert!(!reg.is_known_server(Ipv4Addr::new(1, 1, 1, 1)));
         assert_eq!(reg.len(), 1);
-    }
-
-    #[test]
-    fn register_prefix_covers_block() {
-        let mut reg = QuicServerRegistry::new();
-        let prefix: Ipv4Prefix = "31.13.64.0/28".parse().unwrap();
-        reg.register_prefix(
-            prefix,
-            &ServerInfo {
-                provider: Provider::Facebook,
-                version_wire: Version::MvfstDraft27.to_wire(),
-                sends_retry: false,
-            },
-        );
-        assert_eq!(reg.len(), 16);
-        assert_eq!(
-            reg.provider(Ipv4Addr::new(31, 13, 64, 15)),
-            Some(Provider::Facebook)
-        );
-        assert!(!reg.is_known_server(Ipv4Addr::new(31, 13, 64, 16)));
-    }
-
-    #[test]
-    fn known_share_computation() {
-        let mut reg = QuicServerRegistry::new();
-        reg.register(Ipv4Addr::new(10, 0, 0, 1), google_info());
-        reg.register(Ipv4Addr::new(10, 0, 0, 2), google_info());
-        let victims = [
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
-            Ipv4Addr::new(10, 0, 0, 3),
-            Ipv4Addr::new(10, 0, 0, 4),
-        ];
-        assert!((reg.known_share(victims.iter()) - 0.5).abs() < 1e-12);
-        assert_eq!(reg.known_share(std::iter::empty()), 0.0);
     }
 
     #[test]

@@ -146,11 +146,6 @@ impl AsDatabase {
     pub fn as_count(&self) -> usize {
         self.as_info.len()
     }
-
-    /// Number of announced prefixes.
-    pub fn prefix_count(&self) -> usize {
-        self.by_len.values().map(HashMap::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -231,7 +226,6 @@ mod tests {
     fn counts() {
         let db = db();
         assert_eq!(db.as_count(), 3);
-        assert_eq!(db.prefix_count(), 3);
     }
 
     #[test]
@@ -249,7 +243,6 @@ mod tests {
         db.announce("10.0.0.0/8".parse().unwrap(), 1);
         db.announce("10.0.0.0/8".parse().unwrap(), 2);
         assert_eq!(db.lookup_asn(Ipv4Addr::new(10, 0, 0, 1)), Some(2));
-        assert_eq!(db.prefix_count(), 1);
     }
 
     #[test]

@@ -84,12 +84,6 @@ impl GreyNoise {
             .is_some_and(|a| a.class == ActorClass::Benign)
     }
 
-    /// Whether the address carries any known-actor tag (the 2.3 % bucket
-    /// in §5.2).
-    pub fn is_tagged(&self, addr: Ipv4Addr) -> bool {
-        self.classify(addr).is_some_and(|a| !a.tags.is_empty())
-    }
-
     /// Number of recorded actors.
     pub fn len(&self) -> usize {
         self.actors.len()
@@ -182,11 +176,8 @@ mod tests {
         let mut gn = GreyNoise::new();
         gn.observe(ip(1), ActorClass::Malicious, vec![ActorTag::Eternalblue]);
         gn.observe(ip(2), ActorClass::Benign, vec![]);
-        assert!(gn.is_tagged(ip(1)));
         assert!(!gn.is_benign(ip(1)));
         assert!(gn.is_benign(ip(2)));
-        assert!(!gn.is_tagged(ip(2)));
-        assert!(!gn.is_tagged(ip(50)));
         assert!(!gn.is_benign(ip(50)));
     }
 

@@ -77,12 +77,6 @@ impl Ipv4Prefix {
         1u64 << (32 - self.len)
     }
 
-    /// The fraction of the IPv4 space this prefix covers. A /9 returns
-    /// 1/512.
-    pub fn share_of_ipv4(&self) -> f64 {
-        1.0 / (1u64 << self.len) as f64
-    }
-
     /// Whether `addr` falls inside the prefix.
     pub fn contains(&self, addr: Ipv4Addr) -> bool {
         u32::from(addr) & mask(self.len) == self.base
@@ -189,7 +183,6 @@ mod tests {
         let t = telescope_prefix();
         assert_eq!(t.len(), 9);
         assert_eq!(t.size(), 1 << 23);
-        assert!((t.share_of_ipv4() - 1.0 / 512.0).abs() < 1e-12);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! reproduction.
 //!
 //! The paper's measurement apparatus is a passive /9 telescope plus a
-//! local testbed. Both are reproduced on top of this crate:
+//! local testbed. Both reproductions stand on this crate:
 //!
-//! * [`time`] — microsecond timestamps and a virtual clock; every
-//!   simulation is fully deterministic and wall-clock independent.
+//! * [`time`] — microsecond timestamps and durations in virtual time;
+//!   every simulation is fully deterministic and wall-clock independent.
 //! * [`ip`] — IPv4 prefixes, subnet arithmetic and address sampling
 //!   (the `/9` telescope covers 1/512 of the address space; spoofed
 //!   floods land in it with exactly that probability).
@@ -15,8 +15,6 @@
 //!   stores and the analyses consume (pcap stand-in).
 //! * [`capture`] — a length-prefixed binary capture format with
 //!   streaming reader/writer, so scenarios can be persisted and replayed.
-//! * [`link`] — a rate-limited, lossy link model for the Table 1
-//!   testbed (client ↔ server over "Gigabit Ethernet").
 //! * [`l3`] — IPv4/UDP/TCP/ICMP header serialization with checksums,
 //!   so records can be lowered to real wire bytes.
 //! * [`pcap`] — classic libpcap export (LINKTYPE_RAW), opening every
@@ -39,7 +37,6 @@
 pub mod capture;
 pub mod ip;
 pub mod l3;
-pub mod link;
 pub mod multi;
 pub mod pcap;
 pub mod record;

@@ -157,15 +157,6 @@ mod serde_bytes_shim {
 }
 
 impl Transport {
-    /// Protocol name as the analyses label it.
-    pub fn protocol_name(&self) -> &'static str {
-        match self {
-            Transport::Udp { .. } => "UDP",
-            Transport::Tcp { .. } => "TCP",
-            Transport::Icmp { .. } => "ICMP",
-        }
-    }
-
     /// Source port if the transport has one.
     pub fn src_port(&self) -> Option<u16> {
         match self {
@@ -295,7 +286,6 @@ mod tests {
             443,
             Bytes::from_static(b"quic"),
         );
-        assert_eq!(udp.transport.protocol_name(), "UDP");
         assert_eq!(udp.transport.src_port(), Some(5555));
         assert_eq!(udp.transport.dst_port(), Some(443));
         assert_eq!(udp.udp_payload().unwrap().as_ref(), b"quic");
@@ -308,7 +298,6 @@ mod tests {
             1234,
             TcpFlags::SYN_ACK,
         );
-        assert_eq!(tcp.transport.protocol_name(), "TCP");
         assert!(tcp.udp_payload().is_none());
 
         let icmp = PacketRecord::icmp(
@@ -317,7 +306,6 @@ mod tests {
             ip(128, 2, 2, 2),
             IcmpKind::EchoReply,
         );
-        assert_eq!(icmp.transport.protocol_name(), "ICMP");
         assert_eq!(icmp.transport.src_port(), None);
         assert_eq!(icmp.transport.dst_port(), None);
     }

@@ -67,44 +67,6 @@ pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
     weights.len() - 1
 }
 
-/// Samples from a Zipf-like distribution over `n` items with exponent
-/// `s` (used for heavy-tailed victim popularity, Fig. 6).
-pub fn zipf<R: Rng + ?Sized>(rng: &mut R, n: usize, s: f64) -> usize {
-    assert!(n > 0, "zipf needs at least one item");
-    // Direct inverse-CDF over the normalized harmonic weights; n is at
-    // most a few thousand in our scenarios so O(n) is fine.
-    let norm: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
-    let mut target = rng.gen_range(0.0..norm);
-    for k in 1..=n {
-        let w = 1.0 / (k as f64).powf(s);
-        if target < w {
-            return k - 1;
-        }
-        target -= w;
-    }
-    n - 1
-}
-
-/// Samples a binomial(n, p) count — how many of `n` spoofed packets land
-/// inside a telescope covering share `p` of the address space. Uses a
-/// normal approximation above a size threshold for month-scale n.
-pub fn binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
-    if n == 0 || p <= 0.0 {
-        return 0;
-    }
-    if p >= 1.0 {
-        return n;
-    }
-    let mean = n as f64 * p;
-    if n > 1000 && mean > 30.0 {
-        // Normal approximation with continuity clamp.
-        let sd = (n as f64 * p * (1.0 - p)).sqrt();
-        let sample = mean + sd * standard_normal(rng);
-        return sample.round().clamp(0.0, n as f64) as u64;
-    }
-    (0..n).filter(|_| rng.gen_bool(p)).count() as u64
-}
-
 /// Samples a Poisson(lambda) count via Knuth's method (fine for the
 /// per-second event rates of this project, lambda ≲ 50); falls back to
 /// a normal approximation for large lambda.
@@ -210,36 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn zipf_is_heavy_headed() {
-        let mut r = rng();
-        let mut counts = vec![0usize; 100];
-        for _ in 0..50_000 {
-            counts[zipf(&mut r, 100, 1.2)] += 1;
-        }
-        assert!(counts[0] > counts[10] && counts[10] > counts[70]);
-        // Rank 1 should dominate clearly.
-        assert!(counts[0] as f64 / 50_000.0 > 0.15);
-    }
-
-    #[test]
-    fn binomial_small_and_large_paths_agree_in_mean() {
-        let mut r = rng();
-        // Small path.
-        let small: u64 = (0..200).map(|_| binomial(&mut r, 500, 0.1)).sum();
-        let small_mean = small as f64 / 200.0;
-        assert!((small_mean - 50.0).abs() < 3.0, "small_mean={small_mean}");
-        // Large path (normal approximation).
-        let large: u64 = (0..200)
-            .map(|_| binomial(&mut r, 512_000, 1.0 / 512.0))
-            .sum();
-        let large_mean = large as f64 / 200.0;
-        assert!(
-            (large_mean - 1000.0).abs() < 20.0,
-            "large_mean={large_mean}"
-        );
-    }
-
-    #[test]
     fn poisson_mean_converges() {
         let mut r = rng();
         let n = 20_000;
@@ -257,13 +189,5 @@ mod tests {
         let mut r = rng();
         assert_eq!(poisson(&mut r, 0.0), 0);
         assert_eq!(poisson(&mut r, -1.0), 0);
-    }
-
-    #[test]
-    fn binomial_edges() {
-        let mut r = rng();
-        assert_eq!(binomial(&mut r, 0, 0.5), 0);
-        assert_eq!(binomial(&mut r, 100, 0.0), 0);
-        assert_eq!(binomial(&mut r, 100, 1.0), 100);
     }
 }

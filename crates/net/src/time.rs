@@ -202,50 +202,6 @@ impl fmt::Display for Duration {
     }
 }
 
-/// A monotonically advancing virtual clock.
-#[derive(Debug, Clone)]
-pub struct SimClock {
-    now: Timestamp,
-}
-
-impl SimClock {
-    /// Creates a clock at the epoch.
-    pub fn new() -> Self {
-        SimClock {
-            now: Timestamp::EPOCH,
-        }
-    }
-
-    /// Creates a clock at a specific time.
-    pub fn starting_at(now: Timestamp) -> Self {
-        SimClock { now }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> Timestamp {
-        self.now
-    }
-
-    /// Advances the clock by `d`.
-    pub fn advance(&mut self, d: Duration) {
-        self.now += d;
-    }
-
-    /// Advances the clock *to* `t`; ignores attempts to move backwards
-    /// (the clock is monotonic).
-    pub fn advance_to(&mut self, t: Timestamp) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-}
-
-impl Default for SimClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,20 +258,6 @@ mod tests {
         assert_eq!(Duration::from_secs(255).to_string(), "255.000s");
         let t = Timestamp::from_secs(SECS_PER_DAY + 6 * 3600 + 61);
         assert_eq!(t.to_string(), "d1+06:01:01.000000");
-    }
-
-    #[test]
-    fn clock_is_monotonic() {
-        let mut clock = SimClock::new();
-        assert_eq!(clock.now(), Timestamp::EPOCH);
-        clock.advance(Duration::from_secs(5));
-        assert_eq!(clock.now().as_secs(), 5);
-        clock.advance_to(Timestamp::from_secs(3)); // backwards: ignored
-        assert_eq!(clock.now().as_secs(), 5);
-        clock.advance_to(Timestamp::from_secs(8));
-        assert_eq!(clock.now().as_secs(), 8);
-        let c2 = SimClock::starting_at(Timestamp::from_secs(100));
-        assert_eq!(c2.now().as_secs(), 100);
     }
 
     #[test]

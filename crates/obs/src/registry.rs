@@ -88,7 +88,7 @@ impl Counter {
     }
 }
 
-/// Last-write-wins (or high-water / accumulating) gauge over `u64`.
+/// Last-write-wins (or accumulating) gauge over `u64`.
 #[derive(Clone, Debug, Default)]
 pub struct Gauge(Arc<AtomicU64>);
 
@@ -107,11 +107,6 @@ impl Gauge {
         if v != 0 {
             self.0.fetch_add(v, Ordering::Relaxed);
         }
-    }
-
-    #[inline]
-    pub fn set_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
     }
 
     #[inline]
@@ -519,11 +514,9 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_max_is_high_water() {
+    fn gauge_add_accumulates() {
         let g = Gauge::detached();
-        g.set_max(5);
-        g.set_max(3);
-        assert_eq!(g.get(), 5);
+        g.set(5);
         g.add(2);
         assert_eq!(g.get(), 7);
     }

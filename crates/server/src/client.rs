@@ -11,11 +11,11 @@ use bytes::Bytes;
 use quicsand_net::Timestamp;
 use quicsand_wire::crypto::{handshake_key, Direction, InitialSecrets};
 use quicsand_wire::packet::{
-    parse_datagram, verify_parsed_retry, Packet, PacketPayload, ParsedHeader,
+    parse_datagram, seal_client_initial, verify_parsed_retry, Packet, PacketPayload, ParsedHeader,
 };
 use quicsand_wire::siphash::SipKey;
 use quicsand_wire::tls::{cipher_suite, ClientHello, Finished, ServerHello};
-use quicsand_wire::{ConnectionId, Frame, Version, MIN_INITIAL_SIZE};
+use quicsand_wire::{ConnectionId, Frame, Version};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use std::net::Ipv4Addr;
@@ -130,7 +130,6 @@ impl QuicClient {
         // §5.2); the token carries the original DCID for the server's
         // address-validation bookkeeping.
         let dcid = self.server_scid.unwrap_or(self.original_dcid);
-        let keys = InitialSecrets::derive(self.version, &dcid);
         let hello = ClientHello {
             random: self.rng.gen(),
             cipher_suites: vec![cipher_suite::AES_128_GCM_SHA256],
@@ -138,22 +137,17 @@ impl QuicClient {
             alpn: vec!["h3".into()],
             key_share: self.key_share.clone(),
         };
-        let wire = Packet::Initial {
-            version: self.version,
+        let wire = seal_client_initial(
+            self.version,
             dcid,
-            scid: self.scid,
-            token: self.token.clone(),
-            packet_number: u64::from(self.round_trips),
-            payload: PacketPayload::new(vec![Frame::Crypto {
-                offset: 0,
-                data: Bytes::from(hello.encode()),
-            }]),
-        }
-        .encode_padded(Some(keys.client), MIN_INITIAL_SIZE)
-        .expect("client initial encodes");
+            self.scid,
+            self.token.clone(),
+            u64::from(self.round_trips),
+            &hello,
+        );
         self.state = ClientState::AwaitingServerHello;
         self.round_trips += 1;
-        Bytes::from(wire)
+        wire
     }
 
     /// Processes a server datagram; returns the client's next datagram
@@ -266,54 +260,6 @@ impl QuicClient {
         self.state = ClientState::AwaitingConfirmation;
         Bytes::from(wire)
     }
-}
-
-/// Runs a handshake across lossy [`Link`]s with client-driven
-/// retransmission: if an exchange stalls (lost Initial, lost server
-/// flight, lost Finished or lost HANDSHAKE_DONE), the client re-sends
-/// its last datagram; the server resends its stored flight or
-/// re-confirms. Returns whether the handshake completed within
-/// `max_attempts` retransmission rounds.
-///
-/// [`Link`]: quicsand_net::link::Link
-#[allow(clippy::too_many_arguments)]
-pub fn run_handshake_over_link<R: rand::Rng + ?Sized>(
-    server: &mut QuicServerSim,
-    client: &mut QuicClient,
-    c2s: &mut quicsand_net::link::Link,
-    s2c: &mut quicsand_net::link::Link,
-    src_ip: Ipv4Addr,
-    src_port: u16,
-    start: Timestamp,
-    rng: &mut R,
-    max_attempts: u32,
-) -> bool {
-    let mut now = start;
-    let mut last = client.initial_datagram();
-    for _ in 0..max_attempts {
-        let mut queue = vec![last.clone()];
-        while let Some(datagram) = queue.pop() {
-            let Some(arrival) = c2s.send(now, datagram.len(), rng) else {
-                continue; // lost on the way to the server
-            };
-            for response in server.handle_datagram(arrival, src_ip, src_port, &datagram) {
-                let Some(delivery) = s2c.send(response.at, response.payload.len(), rng) else {
-                    continue; // lost on the way back
-                };
-                now = now.max(delivery);
-                if let Some(next) = client.handle_datagram(&response.payload) {
-                    last = next.clone();
-                    queue.push(next);
-                }
-                if client.is_established() {
-                    return true;
-                }
-            }
-        }
-        // Retransmission timeout: try the last flight again.
-        now += quicsand_net::Duration::from_millis(200);
-    }
-    client.is_established()
 }
 
 fn extract_server_hello(frames: &[Frame]) -> Option<ServerHello> {
@@ -507,68 +453,6 @@ mod tests {
         .unwrap();
         assert!(client.handle_datagram(&vn).is_none());
         assert_eq!(client.negotiations_seen(), 0);
-    }
-
-    #[test]
-    fn handshake_survives_lossy_links() {
-        use quicsand_net::link::{Link, LinkConfig};
-        use rand::SeedableRng;
-        let mut completed = 0;
-        let mut retransmissions = 0;
-        for seed in 0..20u64 {
-            let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
-            let mut server = QuicServerSim::new(ServerConfig::default(), seed);
-            let mut client = QuicClient::new(1000 + seed);
-            let lossy = LinkConfig {
-                loss: 0.25,
-                ..LinkConfig::default()
-            };
-            let mut c2s = Link::new(lossy);
-            let mut s2c = Link::new(lossy);
-            if run_handshake_over_link(
-                &mut server,
-                &mut client,
-                &mut c2s,
-                &mut s2c,
-                ip(),
-                (4000 + seed) as u16,
-                Timestamp::from_secs(1),
-                &mut rng,
-                40,
-            ) {
-                completed += 1;
-            }
-            retransmissions += server.stats().flight_retransmissions + server.stats().duplicates;
-        }
-        assert_eq!(completed, 20, "all handshakes must recover from 25% loss");
-        assert!(
-            retransmissions > 0,
-            "at 25% loss some retransmission must have happened"
-        );
-    }
-
-    #[test]
-    fn lossless_link_handshake_is_single_attempt() {
-        use quicsand_net::link::{Link, LinkConfig};
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(9);
-        let mut server = QuicServerSim::new(ServerConfig::default(), 9);
-        let mut client = QuicClient::new(9);
-        let mut c2s = Link::new(LinkConfig::default());
-        let mut s2c = Link::new(LinkConfig::default());
-        assert!(run_handshake_over_link(
-            &mut server,
-            &mut client,
-            &mut c2s,
-            &mut s2c,
-            ip(),
-            4242,
-            Timestamp::from_secs(1),
-            &mut rng,
-            1,
-        ));
-        assert_eq!(client.round_trips(), 1);
-        assert_eq!(server.stats().flight_retransmissions, 0);
     }
 
     #[test]

@@ -173,6 +173,41 @@ struct Connection {
     flight: Vec<Bytes>,
 }
 
+impl Connection {
+    /// The confirmation flight: HANDSHAKE_DONE plus a NEW_TOKEN the
+    /// client can present on its next visit to skip a future RETRY
+    /// round trip (the §6 session-resumption alleviation).
+    fn confirmation(
+        &self,
+        minter: &TokenMinter,
+        version: Version,
+        now: Timestamp,
+        src_ip: Ipv4Addr,
+        packet_number: u64,
+    ) -> ResponseDatagram {
+        let token = minter.mint(now.as_secs(), u32::from(src_ip), &self.scid);
+        let done = Packet::Handshake {
+            version,
+            dcid: ConnectionId::EMPTY,
+            scid: self.scid,
+            packet_number,
+            payload: PacketPayload::new(vec![
+                Frame::HandshakeDone,
+                Frame::NewToken {
+                    token: Bytes::from(token),
+                },
+            ]),
+        };
+        let payload = done
+            .encode(Some(self.hs_send_key))
+            .expect("handshake done encodes");
+        ResponseDatagram {
+            at: now,
+            payload: Bytes::from(payload),
+        }
+    }
+}
+
 /// The simulated server.
 #[derive(Debug)]
 pub struct QuicServerSim {
@@ -552,62 +587,17 @@ impl QuicServerSim {
         if !finished {
             return Vec::new();
         }
-        if conn.established {
-            // Duplicate Finished: our HANDSHAKE_DONE was lost — confirm
-            // again (idempotent, no counter bump).
-            let scid = conn.scid;
-            let hs_send_key = conn.hs_send_key;
-            let resumption_token =
-                self.resumption_minter
-                    .mint(now.as_secs(), u32::from(src_ip), &scid);
-            let done_packet = Packet::Handshake {
-                version,
-                dcid: ConnectionId::EMPTY,
-                scid,
-                packet_number: 11,
-                payload: PacketPayload::new(vec![
-                    Frame::HandshakeDone,
-                    Frame::NewToken {
-                        token: Bytes::from(resumption_token),
-                    },
-                ]),
-            };
-            let payload = done_packet
-                .encode(Some(hs_send_key))
-                .expect("handshake done encodes");
-            return vec![ResponseDatagram {
-                at: now,
-                payload: Bytes::from(payload),
-            }];
-        }
-        conn.established = true;
-        conn.expiry = now + config_hold;
-        self.stats.completed += 1;
-        // Confirmation flight: HANDSHAKE_DONE plus a NEW_TOKEN the
-        // client can present on its next visit to skip a future RETRY
-        // round trip (the §6 session-resumption alleviation).
-        let resumption_token =
-            self.resumption_minter
-                .mint(now.as_secs(), u32::from(src_ip), &conn.scid);
-        let done_packet = Packet::Handshake {
-            version,
-            dcid: ConnectionId::EMPTY,
-            scid: conn.scid,
-            packet_number: 10,
-            payload: PacketPayload::new(vec![
-                Frame::HandshakeDone,
-                Frame::NewToken {
-                    token: Bytes::from(resumption_token),
-                },
-            ]),
+        // A duplicate Finished means our HANDSHAKE_DONE was lost: confirm
+        // again (idempotent, no counter bump).
+        let packet_number = if conn.established {
+            11
+        } else {
+            conn.established = true;
+            conn.expiry = now + config_hold;
+            self.stats.completed += 1;
+            10
         };
-        let payload = done_packet
-            .encode(Some(conn.hs_send_key))
-            .expect("handshake done encodes");
-        vec![ResponseDatagram {
-            at: now,
-            payload: Bytes::from(payload),
-        }]
+        vec![conn.confirmation(&self.resumption_minter, version, now, src_ip, packet_number)]
     }
 
     fn send_retry(
@@ -675,27 +665,17 @@ fn extract_client_hello(frames: &[Frame]) -> Option<ClientHello> {
     })
 }
 
-/// Opens a server Handshake response for tests/clients: convenience to
-/// decrypt with the handshake receive key.
-pub fn open_handshake_payload(
-    key: SipKey,
-    datagram_packet: &quicsand_wire::packet::ParsedPacket,
-    aad: &[u8],
-) -> Option<Vec<Frame>> {
-    datagram_packet.open(key, None, aad).ok().map(|(_, f)| f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quicsand_wire::MIN_INITIAL_SIZE;
+    use crate::client::QuicClient;
+    use quicsand_wire::packet::seal_client_initial;
 
-    fn client_initial(seed: u64, token: Bytes) -> (Vec<u8>, ConnectionId, Bytes) {
+    fn client_initial(seed: u64, token: Bytes) -> (Bytes, ConnectionId, Bytes) {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let dcid = ConnectionId::from_u64(rng.gen());
         let scid = ConnectionId::from_u64(rng.gen());
         let key_share = Bytes::from(rng.gen::<[u8; 32]>().to_vec());
-        let keys = InitialSecrets::derive(Version::V1, &dcid);
         let hello = ClientHello {
             random: rng.gen(),
             cipher_suites: vec![cipher_suite::AES_128_GCM_SHA256],
@@ -703,19 +683,7 @@ mod tests {
             alpn: vec!["h3".into()],
             key_share: key_share.clone(),
         };
-        let wire = Packet::Initial {
-            version: Version::V1,
-            dcid,
-            scid,
-            token,
-            packet_number: 0,
-            payload: PacketPayload::new(vec![Frame::Crypto {
-                offset: 0,
-                data: Bytes::from(hello.encode()),
-            }]),
-        }
-        .encode_padded(Some(keys.client), MIN_INITIAL_SIZE)
-        .unwrap();
+        let wire = seal_client_initial(Version::V1, dcid, scid, token, 0, &hello);
         (wire, dcid, key_share)
     }
 
@@ -735,6 +703,75 @@ mod tests {
         // First datagram: Initial + Handshake coalesced.
         let parsed = parse_datagram(&responses[0].payload, 8).unwrap();
         assert_eq!(parsed.len(), 2);
+    }
+
+    /// Sends `client`'s Initial from `(ip(1), 5000)` at 1 s and feeds it
+    /// the server's first flight; returns the Initial and the Finished
+    /// the flight elicits.
+    fn handshake_up_to_finished(
+        server: &mut QuicServerSim,
+        client: &mut QuicClient,
+    ) -> (Bytes, Bytes) {
+        let initial = client.initial_datagram();
+        let flight = server.handle_datagram(Timestamp::from_secs(1), ip(1), 5000, &initial);
+        let finished = flight
+            .iter()
+            .find_map(|r| client.handle_datagram(&r.payload))
+            .expect("the first flight elicits a Finished");
+        (initial, finished)
+    }
+
+    #[test]
+    fn duplicate_initial_before_establishment_resends_the_flight() {
+        let mut server = QuicServerSim::new(ServerConfig::default(), 30);
+        let (wire, _, _) = client_initial(30, Bytes::new());
+        let first = server.handle_datagram(Timestamp::from_secs(1), ip(1), 5000, &wire);
+        let again = server.handle_datagram(Timestamp::from_secs(2), ip(1), 5000, &wire);
+        let payloads = |responses: &[ResponseDatagram]| {
+            responses
+                .iter()
+                .map(|r| r.payload.clone())
+                .collect::<Vec<_>>()
+        };
+        // The stored flight is the Initial+Handshake and Handshake
+        // datagrams, byte for byte; the keep-alive PINGs are not re-sent.
+        assert_eq!(payloads(&again), payloads(&first[..2]));
+        assert_eq!(server.stats().accepted, 1);
+        assert_eq!(server.open_connections(), 1);
+        assert_eq!(server.stats().duplicates, 1);
+        assert_eq!(server.stats().flight_retransmissions, 1);
+    }
+
+    #[test]
+    fn duplicate_initial_after_establishment_gets_no_response() {
+        let mut server = QuicServerSim::new(ServerConfig::default(), 31);
+        let mut client = QuicClient::new(31);
+        let (initial, finished) = handshake_up_to_finished(&mut server, &mut client);
+        let confirmation = server.handle_datagram(Timestamp::from_secs(2), ip(1), 5000, &finished);
+        assert_eq!(confirmation.len(), 1);
+        assert_eq!(server.stats().completed, 1);
+        assert!(server
+            .handle_datagram(Timestamp::from_secs(3), ip(1), 5000, &initial)
+            .is_empty());
+        assert_eq!(server.stats().duplicates, 1);
+        assert_eq!(server.stats().flight_retransmissions, 0);
+    }
+
+    #[test]
+    fn duplicate_finished_is_confirmed_again() {
+        let mut server = QuicServerSim::new(ServerConfig::default(), 32);
+        let mut client = QuicClient::new(32);
+        let (_, finished) = handshake_up_to_finished(&mut server, &mut client);
+        // The first confirmation is lost on its way to the client.
+        let lost = server.handle_datagram(Timestamp::from_secs(2), ip(1), 5000, &finished);
+        assert_eq!(lost.len(), 1);
+        let again = server.handle_datagram(Timestamp::from_secs(3), ip(1), 5000, &finished);
+        assert_eq!(again.len(), 1);
+        assert_eq!(server.stats().completed, 1);
+        // The re-sent confirmation alone establishes the client.
+        assert!(client.handle_datagram(&again[0].payload).is_none());
+        assert!(client.is_established());
+        assert!(client.resumption_token().is_some());
     }
 
     #[test]
@@ -1071,18 +1108,21 @@ mod tests {
         let mut server = QuicServerSim::new(ServerConfig::default(), 9);
         // Build an Initial with a grease version - parseable but
         // unsupported.
-        let dcid = ConnectionId::from_u64(1);
-        let keys = InitialSecrets::derive(Version::Grease(0x1a2a_3a4a), &dcid);
-        let wire = Packet::Initial {
-            version: Version::Grease(0x1a2a_3a4a),
-            dcid,
-            scid: ConnectionId::from_u64(2),
-            token: Bytes::new(),
-            packet_number: 0,
-            payload: PacketPayload::new(vec![Frame::Ping]),
-        }
-        .encode_padded(Some(keys.client), quicsand_wire::MIN_INITIAL_SIZE)
-        .unwrap();
+        let hello = ClientHello {
+            random: [0; 32],
+            cipher_suites: vec![cipher_suite::AES_128_GCM_SHA256],
+            server_name: None,
+            alpn: vec![],
+            key_share: Bytes::from_static(&[1; 32]),
+        };
+        let wire = seal_client_initial(
+            Version::Grease(0x1a2a_3a4a),
+            ConnectionId::from_u64(1),
+            ConnectionId::from_u64(2),
+            Bytes::new(),
+            0,
+            &hello,
+        );
         let responses = server.handle_datagram(Timestamp::from_secs(1), ip(1), 5000, &wire);
         // RFC 9000 Â§6: a stateless Version Negotiation reply, no state.
         assert_eq!(responses.len(), 1);

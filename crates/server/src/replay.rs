@@ -11,10 +11,9 @@
 use crate::model::{QuicServerSim, ServerConfig};
 use bytes::Bytes;
 use quicsand_net::{Duration, Timestamp};
-use quicsand_wire::crypto::InitialSecrets;
-use quicsand_wire::packet::{Packet, PacketPayload};
+use quicsand_wire::packet::seal_client_initial;
 use quicsand_wire::tls::{cipher_suite, ClientHello};
-use quicsand_wire::{ConnectionId, Frame, Version, MIN_INITIAL_SIZE};
+use quicsand_wire::{ConnectionId, Version};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
@@ -59,7 +58,6 @@ impl Iterator for InitialStream {
 fn make_initial(rng: &mut ChaCha12Rng) -> RecordedInitial {
     let dcid = ConnectionId::from_u64(rng.gen());
     let scid = ConnectionId::from_u64(rng.gen());
-    let keys = InitialSecrets::derive(Version::V1, &dcid);
     let hello = ClientHello {
         random: rng.gen(),
         cipher_suites: vec![cipher_suite::AES_128_GCM_SHA256],
@@ -67,23 +65,11 @@ fn make_initial(rng: &mut ChaCha12Rng) -> RecordedInitial {
         alpn: vec!["h3".into()],
         key_share: Bytes::from(rng.gen::<[u8; 32]>().to_vec()),
     };
-    let wire = Packet::Initial {
-        version: Version::V1,
-        dcid,
-        scid,
-        token: Bytes::new(),
-        packet_number: 0,
-        payload: PacketPayload::new(vec![Frame::Crypto {
-            offset: 0,
-            data: Bytes::from(hello.encode()),
-        }]),
-    }
-    .encode_padded(Some(keys.client), MIN_INITIAL_SIZE)
-    .expect("corpus initial encodes");
+    let wire = seal_client_initial(Version::V1, dcid, scid, Bytes::new(), 0, &hello);
     RecordedInitial {
         src_ip: Ipv4Addr::from(rng.gen::<u32>()),
         src_port: rng.gen_range(1_024..65_000),
-        datagram: Bytes::from(wire),
+        datagram: wire,
     }
 }
 
@@ -185,6 +171,7 @@ pub fn paper_table_rows() -> Vec<(u64, bool, usize, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quicsand_wire::MIN_INITIAL_SIZE;
 
     fn server_config(workers: usize, retry: bool) -> ServerConfig {
         ServerConfig {

@@ -91,15 +91,6 @@ impl Cdf {
         }
         points
     }
-
-    /// Renders the CDF as fixed quantile rows for textual reports
-    /// (10 %, 25 %, 50 %, 75 %, 90 %, 99 %).
-    pub fn summary_rows(&self) -> Vec<(f64, f64)> {
-        [0.10, 0.25, 0.50, 0.75, 0.90, 0.99]
-            .iter()
-            .filter_map(|q| self.quantile(*q).map(|v| (*q, v)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +120,6 @@ mod tests {
         assert_eq!(cdf.mean(), None);
         assert_eq!(cdf.fraction_at_or_below(10.0), 0.0);
         assert!(cdf.points().is_empty());
-        assert!(cdf.summary_rows().is_empty());
     }
 
     #[test]
@@ -158,17 +148,6 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_rejected() {
         Cdf::new(vec![1.0, f64::NAN]);
-    }
-
-    #[test]
-    fn summary_rows_are_monotone() {
-        let cdf = Cdf::new((1..=100).map(|i| i as f64).collect());
-        let rows = cdf.summary_rows();
-        assert_eq!(rows.len(), 6);
-        for w in rows.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert_eq!(rows[2], (0.5, 50.0));
     }
 
     proptest! {

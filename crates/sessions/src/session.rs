@@ -85,16 +85,6 @@ impl Session {
             .map(|cell| cell.count as f64 / 60.0)
             .fold(0.0, f64::max)
     }
-
-    /// Mean packet rate over the whole session (packets / duration).
-    pub fn mean_pps(&self) -> f64 {
-        let secs = self.duration().as_secs_f64();
-        if secs == 0.0 {
-            self.packet_count as f64
-        } else {
-            self.packet_count as f64 / secs
-        }
-    }
 }
 
 /// Streaming sessionizer. Feed packets in non-decreasing time order;
@@ -774,19 +764,6 @@ mod tests {
         assert_eq!(sessions.len(), 1);
         let s = &sessions[0];
         assert!((s.max_pps() - 2.0).abs() < 1e-9, "max_pps={}", s.max_pps());
-    }
-
-    #[test]
-    fn mean_pps() {
-        let packets = vec![
-            (Timestamp::from_secs(0), ip(1)),
-            (Timestamp::from_secs(10), ip(1)),
-        ];
-        let sessions = sessionize(packets, cfg(300));
-        assert!((sessions[0].mean_pps() - 0.2).abs() < 1e-9);
-        // Single-packet session: duration 0, mean = count.
-        let single = sessionize(vec![(Timestamp::from_secs(0), ip(2))], cfg(300));
-        assert_eq!(single[0].mean_pps(), 1.0);
     }
 
     #[test]

@@ -140,9 +140,6 @@ pub struct StageMetrics {
     pub peak_open_sessions: Gauge,
 }
 
-/// Stage label values, in [`StageMetrics::totals`] order.
-pub const STAGE_LABELS: [&str; 4] = ["ingest", "sanitize", "sessionize", "detect"];
-
 impl StageMetrics {
     /// Registers the stage-timing family on `registry`.
     pub fn register(registry: &MetricsRegistry) -> Self {

@@ -16,10 +16,9 @@ use bytes::Bytes;
 use quicsand_intel::{ActorClass, ActorTag, SyntheticInternet};
 use quicsand_net::rng::substream;
 use quicsand_net::{Duration, PacketRecord, Timestamp};
-use quicsand_wire::crypto::InitialSecrets;
-use quicsand_wire::packet::{Packet, PacketPayload};
+use quicsand_wire::packet::seal_client_initial;
 use quicsand_wire::tls::{cipher_suite, ClientHello};
-use quicsand_wire::{ConnectionId, Frame, Version, MIN_INITIAL_SIZE, QUIC_PORT};
+use quicsand_wire::{ConnectionId, Version, QUIC_PORT};
 use rand::Rng;
 
 /// Builds the single-probe payload a research scanner reuses for a
@@ -28,7 +27,6 @@ pub fn research_probe_payload(sweep_seed: u64) -> Bytes {
     let mut rng = substream(sweep_seed, "research-probe");
     let dcid = ConnectionId::from_u64(rng.gen());
     let scid = ConnectionId::from_u64(rng.gen());
-    let keys = InitialSecrets::derive(Version::V1, &dcid);
     let hello = ClientHello {
         random: rng.gen(),
         cipher_suites: vec![cipher_suite::AES_128_GCM_SHA256],
@@ -36,20 +34,7 @@ pub fn research_probe_payload(sweep_seed: u64) -> Bytes {
         alpn: vec!["h3".to_string()],
         key_share: Bytes::from(rng.gen::<[u8; 32]>().to_vec()),
     };
-    let wire = Packet::Initial {
-        version: Version::V1,
-        dcid,
-        scid,
-        token: Bytes::new(),
-        packet_number: 0,
-        payload: PacketPayload::new(vec![Frame::Crypto {
-            offset: 0,
-            data: Bytes::from(hello.encode()),
-        }]),
-    }
-    .encode_padded(Some(keys.client), MIN_INITIAL_SIZE)
-    .expect("static initial encodes");
-    Bytes::from(wire)
+    seal_client_initial(Version::V1, dcid, scid, Bytes::new(), 0, &hello)
 }
 
 /// Generates all research-scan records into `out` and registers the
@@ -112,6 +97,7 @@ mod tests {
     use super::*;
     use quicsand_dissect::{dissect_udp_payload, MessageKind};
     use quicsand_intel::TopologyConfig;
+    use quicsand_wire::MIN_INITIAL_SIZE;
 
     fn small_world() -> SyntheticInternet {
         SyntheticInternet::build(&TopologyConfig {

@@ -11,10 +11,9 @@ use bytes::Bytes;
 use quicsand_intel::{ActorClass, ActorTag, SyntheticInternet};
 use quicsand_net::rng::{exponential, substream, weighted_index};
 use quicsand_net::{Duration, PacketRecord, Timestamp};
-use quicsand_wire::crypto::InitialSecrets;
-use quicsand_wire::packet::{Packet, PacketPayload};
+use quicsand_wire::packet::seal_client_initial;
 use quicsand_wire::tls::{cipher_suite, ClientHello};
-use quicsand_wire::{ConnectionId, Frame, Version, QUIC_PORT};
+use quicsand_wire::{ConnectionId, Version, QUIC_PORT};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
@@ -38,7 +37,6 @@ fn sample_start(rng: &mut ChaCha12Rng, days: u32) -> Timestamp {
 /// browsers — no SNI, single suite), freshly keyed per source.
 fn scan_probe(rng: &mut ChaCha12Rng) -> Bytes {
     let dcid = ConnectionId::from_u64(rng.gen());
-    let keys = InitialSecrets::derive(Version::V1, &dcid);
     let hello = ClientHello {
         random: rng.gen(),
         cipher_suites: vec![cipher_suite::AES_128_GCM_SHA256],
@@ -46,20 +44,8 @@ fn scan_probe(rng: &mut ChaCha12Rng) -> Bytes {
         alpn: vec!["h3".to_string()],
         key_share: Bytes::from(rng.gen::<[u8; 32]>().to_vec()),
     };
-    let wire = Packet::Initial {
-        version: Version::V1,
-        dcid,
-        scid: ConnectionId::from_u64(rng.gen::<u32>() as u64),
-        token: Bytes::new(),
-        packet_number: 0,
-        payload: PacketPayload::new(vec![Frame::Crypto {
-            offset: 0,
-            data: Bytes::from(hello.encode()),
-        }]),
-    }
-    .encode_padded(Some(keys.client), quicsand_wire::MIN_INITIAL_SIZE)
-    .expect("initial encodes");
-    Bytes::from(wire)
+    let scid = ConnectionId::from_u64(rng.gen::<u32>() as u64);
+    seal_client_initial(Version::V1, dcid, scid, Bytes::new(), 0, &hello)
 }
 
 /// Mean scan bursts (≈ sessions) per source; bots rescan, which is

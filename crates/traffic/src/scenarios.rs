@@ -39,10 +39,9 @@ use crate::streaming::{member_source, splitmix, Flow, FlowMerge, Pool};
 use bytes::Bytes;
 use quicsand_net::rng::{exponential, poisson, substream};
 use quicsand_net::{Duration, Ipv4Prefix, PacketRecord, Timestamp};
-use quicsand_wire::crypto::InitialSecrets;
-use quicsand_wire::packet::{Packet, PacketPayload};
+use quicsand_wire::packet::{seal_client_initial, Packet};
 use quicsand_wire::tls::{cipher_suite, ClientHello};
-use quicsand_wire::{ConnectionId, Frame, Version, MIN_INITIAL_SIZE, QUIC_PORT};
+use quicsand_wire::{ConnectionId, Version, QUIC_PORT};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use std::fmt;
@@ -142,7 +141,6 @@ pub fn generate(kind: ScenarioKind, config: &ScenarioConfig) -> Scenario {
 /// flows must pin it while everything else stays randomized).
 fn probe_with(rng: &mut ChaCha12Rng, version: Version, scid: ConnectionId) -> Bytes {
     let dcid = ConnectionId::from_u64(rng.gen());
-    let keys = InitialSecrets::derive(version, &dcid);
     let hello = ClientHello {
         random: rng.gen(),
         cipher_suites: vec![cipher_suite::AES_128_GCM_SHA256],
@@ -150,20 +148,7 @@ fn probe_with(rng: &mut ChaCha12Rng, version: Version, scid: ConnectionId) -> By
         alpn: vec!["h3".to_string()],
         key_share: Bytes::from(rng.gen::<[u8; 32]>().to_vec()),
     };
-    let wire = Packet::Initial {
-        version,
-        dcid,
-        scid,
-        token: Bytes::new(),
-        packet_number: 0,
-        payload: PacketPayload::new(vec![Frame::Crypto {
-            offset: 0,
-            data: Bytes::from(hello.encode()),
-        }]),
-    }
-    .encode_padded(Some(keys.client), MIN_INITIAL_SIZE)
-    .expect("initial encodes");
-    Bytes::from(wire)
+    seal_client_initial(version, dcid, scid, Bytes::new(), 0, &hello)
 }
 
 // ---------------------------------------------------------------------

@@ -446,15 +446,6 @@ impl Frame {
             .map(|frame| frame.map(FrameRef::into_owned))
             .collect()
     }
-
-    /// Whether this frame is ack-eliciting (RFC 9002 §2): everything but
-    /// ACK, PADDING and CONNECTION_CLOSE.
-    pub fn is_ack_eliciting(&self) -> bool {
-        !matches!(
-            self,
-            Frame::Ack { .. } | Frame::Padding { .. } | Frame::ConnectionClose { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -583,7 +574,6 @@ mod tests {
             token: Bytes::from_static(b"resume me later"),
         };
         assert_eq!(roundtrip(&frame), frame);
-        assert!(frame.is_ack_eliciting());
     }
 
     #[test]
@@ -660,25 +650,6 @@ mod tests {
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[0], Frame::Ping);
         assert_eq!(frames[2], Frame::Padding { len: 5 });
-    }
-
-    #[test]
-    fn ack_eliciting_classification() {
-        assert!(Frame::Ping.is_ack_eliciting());
-        assert!(Frame::HandshakeDone.is_ack_eliciting());
-        assert!(!Frame::Padding { len: 1 }.is_ack_eliciting());
-        assert!(!Frame::Ack {
-            largest: 0,
-            delay: 0,
-            ranges: vec![AckRange { start: 0, end: 0 }]
-        }
-        .is_ack_eliciting());
-        assert!(!Frame::ConnectionClose {
-            error_code: 0,
-            frame_type: 0,
-            reason: Bytes::new()
-        }
-        .is_ack_eliciting());
     }
 
     proptest! {

@@ -223,13 +223,6 @@ pub enum Header {
     Short(ShortHeader),
 }
 
-impl Header {
-    /// True if the first byte of a datagram announces a long header.
-    pub fn is_long(first_byte: u8) -> bool {
-        first_byte & FORM_BIT != 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,12 +373,6 @@ mod tests {
             ShortHeader::decode(&mut no_fixed, 2),
             Err(WireError::FixedBitUnset)
         );
-    }
-
-    #[test]
-    fn form_bit_classifier() {
-        assert!(Header::is_long(0xc3));
-        assert!(!Header::is_long(0x43));
     }
 
     proptest! {

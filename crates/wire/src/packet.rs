@@ -19,13 +19,14 @@
 //! see DESIGN.md §2.
 
 use crate::cid::ConnectionId;
-use crate::crypto::{open_into, seal, TAG_LEN};
+use crate::crypto::{open_into, seal, InitialSecrets, TAG_LEN};
 use crate::error::{WireError, WireResult};
 use crate::frame::{take, Frame};
 use crate::header::{LongHeader, LongPacketType, ShortHeader, FIXED_BIT, FORM_BIT};
 use crate::pktnum::{decode_packet_number, read_packet_number, write_packet_number};
 use crate::retry::{compute_retry_tag, verify_retry_tag, RETRY_TAG_LEN};
 use crate::siphash::SipKey;
+use crate::tls::ClientHello;
 use crate::varint::{read_varint, varint_len, write_varint};
 use crate::version::Version;
 use bytes::{BufMut, Bytes};
@@ -296,6 +297,38 @@ impl Packet {
     }
 }
 
+/// Seals the client Initial every client here sends: one CRYPTO frame at
+/// offset 0 carrying `hello`, under the client Initial key derived from
+/// `dcid` (RFC 9001 §5.2), padded to [`MIN_INITIAL_SIZE`].
+///
+/// [`MIN_INITIAL_SIZE`]: crate::MIN_INITIAL_SIZE
+pub fn seal_client_initial(
+    version: Version,
+    dcid: ConnectionId,
+    scid: ConnectionId,
+    token: Bytes,
+    packet_number: u64,
+    hello: &ClientHello,
+) -> Bytes {
+    let wire = Packet::Initial {
+        version,
+        dcid,
+        scid,
+        token,
+        packet_number,
+        payload: PacketPayload::new(vec![Frame::Crypto {
+            offset: 0,
+            data: Bytes::from(hello.encode()),
+        }]),
+    }
+    .encode_padded(
+        Some(InitialSecrets::derive(version, &dcid).client),
+        crate::MIN_INITIAL_SIZE,
+    )
+    .expect("a client Initial with one CRYPTO frame encodes");
+    Bytes::from(wire)
+}
+
 fn encode_protected(
     hdr: &LongHeader,
     extra_after_scid: &[u8],
@@ -399,15 +432,6 @@ pub enum ParsedHeader<D = Bytes, V = Vec<Version>> {
 pub type HeaderView<'a> = ParsedHeader<&'a [u8], &'a [u8]>;
 
 impl<D, V> ParsedHeader<D, V> {
-    /// The long-header packet type, if any.
-    pub fn long_type(&self) -> Option<LongPacketType> {
-        match self {
-            ParsedHeader::Long { ty, .. } => Some(*ty),
-            ParsedHeader::Retry { .. } => Some(LongPacketType::Retry),
-            _ => None,
-        }
-    }
-
     /// The QUIC version, if the header carries one.
     pub fn version(&self) -> Option<Version> {
         match self {
@@ -999,14 +1023,20 @@ mod tests {
 
         let packets = parse_datagram(&datagram, 8).unwrap();
         assert_eq!(packets.len(), 2);
-        assert_eq!(
-            packets[0].0.header.long_type(),
-            Some(LongPacketType::Initial)
-        );
-        assert_eq!(
-            packets[1].0.header.long_type(),
-            Some(LongPacketType::Handshake)
-        );
+        assert!(matches!(
+            packets[0].0.header,
+            ParsedHeader::Long {
+                ty: LongPacketType::Initial,
+                ..
+            }
+        ));
+        assert!(matches!(
+            packets[1].0.header,
+            ParsedHeader::Long {
+                ty: LongPacketType::Handshake,
+                ..
+            }
+        ));
         let (_, frames) = packets[1]
             .0
             .open(secrets.server, None, &packets[1].1)
@@ -1123,7 +1153,6 @@ mod tests {
         let wire = sample_initial().encode(Some(key)).unwrap();
         let packets = parse_datagram(&wire, 8).unwrap();
         let header = &packets[0].0.header;
-        assert_eq!(header.long_type(), Some(LongPacketType::Initial));
         assert_eq!(header.version(), Some(Version::V1));
         assert_eq!(header.scid(), Some(ConnectionId::from_u64(0x1234)));
         assert_eq!(header.dcid(), ConnectionId::from_u64(0xabcd));

@@ -80,56 +80,6 @@ pub fn read_varint<B: Buf>(buf: &mut B) -> WireResult<u64> {
     Ok(value)
 }
 
-/// Encodes `value` forcing a specific width (`1`, `2`, `4` or `8`).
-///
-/// QUIC permits non-minimal encodings; senders use them to reserve space
-/// (e.g. for the Length field of an Initial packet that is filled in after
-/// the payload is known).
-///
-/// # Errors
-/// [`WireError::InvalidValue`] if `value` does not fit in `width` bytes or
-/// `width` is not a legal varint width.
-pub fn write_varint_with_width<B: BufMut>(buf: &mut B, value: u64, width: usize) -> WireResult<()> {
-    let fits = match width {
-        1 => value <= 0x3f,
-        2 => value <= 0x3fff,
-        4 => value <= 0x3fff_ffff,
-        8 => value <= MAX_VARINT,
-        _ => false,
-    };
-    if !fits {
-        return Err(WireError::InvalidValue {
-            what: "varint width",
-        });
-    }
-    match width {
-        1 => {
-            debug_assert!(value <= 0x3f, "1-byte varint out of range: {value:#x}");
-            buf.put_u8(value as u8)
-        }
-        2 => {
-            debug_assert!(value <= 0x3fff, "2-byte varint out of range: {value:#x}");
-            buf.put_u16((value as u16) | 0x4000)
-        }
-        4 => {
-            debug_assert!(
-                value <= 0x3fff_ffff,
-                "4-byte varint out of range: {value:#x}"
-            );
-            buf.put_u32((value as u32) | 0x8000_0000)
-        }
-        8 => {
-            debug_assert!(
-                value <= MAX_VARINT,
-                "8-byte varint out of range: {value:#x}"
-            );
-            buf.put_u64(value | 0xc000_0000_0000_0000)
-        }
-        _ => unreachable!("validated above"),
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,22 +162,9 @@ mod tests {
     }
 
     #[test]
-    fn forced_width_roundtrips_and_consumes_width() {
-        for width in [1usize, 2, 4, 8] {
-            let mut buf = Vec::new();
-            write_varint_with_width(&mut buf, 17, width).unwrap();
-            assert_eq!(buf.len(), width);
-            let mut slice = &buf[..];
-            assert_eq!(read_varint(&mut slice).unwrap(), 17);
-            assert!(slice.is_empty());
-        }
-    }
-
-    #[test]
     fn boundary_values_per_length_class() {
         // Lowest and highest value of each length class, checked against
-        // the exact wire encoding, for both the minimal and forced-width
-        // encoders. A narrowing bug at any class boundary (value as u8 /
+        // the exact wire encoding. A narrowing bug at any class boundary (value as u8 /
         // u16 / u32) would corrupt exactly these values.
         let classes: &[(u64, u64, usize)] = &[
             (0, 0x3f, 1),
@@ -249,25 +186,8 @@ mod tests {
                 assert_eq!(buf, expected, "wire bytes of {value:#x}");
                 let mut slice = &buf[..];
                 assert_eq!(read_varint(&mut slice).unwrap(), value);
-
-                let mut forced = Vec::new();
-                write_varint_with_width(&mut forced, value, width).unwrap();
-                assert_eq!(forced, buf, "forced width {width} of {value:#x}");
-            }
-            // One past the top of the class no longer fits this width.
-            if width < 8 {
-                let mut buf = Vec::new();
-                assert!(write_varint_with_width(&mut buf, hi + 1, width).is_err());
             }
         }
-    }
-
-    #[test]
-    fn forced_width_rejects_misfit() {
-        let mut buf = Vec::new();
-        assert!(write_varint_with_width(&mut buf, 0x40, 1).is_err());
-        assert!(write_varint_with_width(&mut buf, 0x4000, 2).is_err());
-        assert!(write_varint_with_width(&mut buf, 5, 3).is_err());
     }
 
     proptest! {

@@ -6,7 +6,6 @@
 //! Version Negotiation packets carry version 0, and greased versions use
 //! the `0x?a?a?a?a` reserved pattern (RFC 9000 §15).
 
-use crate::error::{WireError, WireResult};
 use std::fmt;
 
 /// A QUIC version identifier as carried in long headers.
@@ -87,16 +86,6 @@ impl Version {
         )
     }
 
-    /// Validates that this version can appear in a non-negotiation long
-    /// header that we want to *generate* (dissection accepts anything).
-    pub fn expect_supported(self) -> WireResult<Self> {
-        if self.is_supported() {
-            Ok(self)
-        } else {
-            Err(WireError::UnsupportedVersion(self.to_wire()))
-        }
-    }
-
     /// The label the paper uses for this version (Fig. 9 legend).
     pub fn label(self) -> String {
         match self {
@@ -167,11 +156,6 @@ mod tests {
         assert!(!Version::Negotiation.is_supported());
         assert!(!Version::Grease(0x0a0a_0a0a).is_supported());
         assert!(!Version::Unknown(0xdead_beef).is_supported());
-        assert!(Version::V1.expect_supported().is_ok());
-        assert_eq!(
-            Version::Unknown(0xdead_beef).expect_supported(),
-            Err(WireError::UnsupportedVersion(0xdead_beef))
-        );
     }
 
     #[test]

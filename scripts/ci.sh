@@ -420,7 +420,7 @@ if nontest_code crates/telescope/src/pipeline.rs | grep -nF 'Baseline(record.clo
   exit 1
 fi
 
-echo "==> one implementation per input job: one capture reader, one flow-merge core"
+echo "==> one implementation per input job: one capture reader, one flow-merge core, one client-Initial encoder"
 # `ZeroCopyCaptureReader` is the one QSCP decoder; a second reader is a
 # second copy of the format's error contract, held to the first only by
 # tests. The lazy trace models are flows merged by `traffic::streaming`;
@@ -436,6 +436,17 @@ for file in crates/traffic/src/*.rs; do
     exit 1
   fi
 done
+# Every client Initial (scan probes, research probes, scenario probes,
+# the Table 1 corpus, the handshake client, their test fixtures) is
+# sealed by `packet::seal_client_initial`; an `encode_padded(` outside
+# crates/wire/src/packet.rs is another copy of that encoder.
+users="$(grep -rlF --include='*.rs' 'encode_padded(' crates src examples tests \
+  | grep -vx 'crates/wire/src/packet.rs' || true)"
+if [[ -n "$users" ]]; then
+  echo "client-Initial pin: \`encode_padded(\` outside crates/wire/src/packet.rs, in:" >&2
+  echo "$users" >&2
+  exit 1
+fi
 
 echo "==> one live front end: alert slices come from the live run's own engine"
 # `live --forensics-out` writes the slices from the engine that raised the

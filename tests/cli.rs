@@ -1073,3 +1073,180 @@ fn forensics_out_slices_are_identical_across_shards_chunks_checkpoints_and_feeds
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs `quicsand` with `args`, fails the test on a non-zero exit, and
+/// returns its stdout.
+fn run_ok(args: &[&str]) -> String {
+    let output = Command::new(bin())
+        .args(args)
+        .output()
+        .expect("run quicsand");
+    assert!(
+        output.status.success(),
+        "quicsand {}: {}",
+        args.join(" "),
+        String::from_utf8_lossy(&output.stderr)
+    );
+    String::from_utf8(output.stdout).expect("stdout is UTF-8")
+}
+
+/// Writes the seed-7 test-scale capture (with `extra` generate flags,
+/// e.g. a `--scenario`) to `dir/name` and returns its path as a string.
+fn seed7_capture(dir: &std::path::Path, name: &str, extra: &[&str]) -> String {
+    let capture = dir.join(name).to_str().unwrap().to_string();
+    let mut args = vec![
+        "generate", "--out", &capture, "--scale", "test", "--seed", "7",
+    ];
+    args.extend_from_slice(extra);
+    run_ok(&args);
+    capture
+}
+
+/// The alert lines of a `live` stdout: every line but the summary.
+fn alert_lines(stdout: &str) -> Vec<&str> {
+    stdout
+        .lines()
+        .filter(|l| !l.starts_with("live: ") && !l.starts_with("sources: "))
+        .collect()
+}
+
+/// The event records of a qlog JSON-SEQ file: `(name, record text)`.
+fn qlog_events(path: &std::path::Path) -> Vec<(String, String)> {
+    let text = std::fs::read_to_string(path).unwrap();
+    // Every record starts with the separator; the first is the header.
+    text.split('\x1e')
+        .skip(2)
+        .map(|record| {
+            let value: serde::Value = serde_json::from_str(record).expect("qlog record is JSON");
+            let Some(serde::Value::Str(name)) = value.get("name") else {
+                panic!("qlog event without a name: {record}");
+            };
+            (name.clone(), record.to_string())
+        })
+        .collect()
+}
+
+/// `analyze --events-out` and `live --events-out` share every
+/// record-tied event — wire rejections, Retry and Version Negotiation
+/// sightings — byte for byte. Beyond those, `analyze` adds session
+/// lifecycle and migration events and `live` adds alert lifecycle
+/// events.
+#[test]
+fn analyze_and_live_events_out_share_every_record_tied_event() {
+    const RECORD_TIED: [&str; 3] = [
+        "quicsand:wire_rejected",
+        "quicsand:retry_observed",
+        "quicsand:version_negotiation",
+    ];
+    let dir = std::env::temp_dir().join("quicsand-cli-events-shared");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (scenario, must_carry) in [
+        (None, "quicsand:wire_rejected"),
+        (Some("retry-amplification"), "quicsand:retry_observed"),
+        (Some("version-drift"), "quicsand:version_negotiation"),
+    ] {
+        let name = scenario.unwrap_or("plain");
+        let extra = scenario.map_or(vec![], |kind| vec!["--scenario", kind]);
+        let capture = seed7_capture(&dir, &format!("{name}.qscp"), &extra);
+        let (batch, live) = (dir.join("analyze.qlog"), dir.join("live.qlog"));
+        run_ok(&["analyze", &capture, "--events-out", batch.to_str().unwrap()]);
+        run_ok(&[
+            "live",
+            &capture,
+            "--shards",
+            "2",
+            "--events-out",
+            live.to_str().unwrap(),
+        ]);
+        let split = |events: Vec<(String, String)>| -> (Vec<_>, Vec<_>) {
+            events
+                .into_iter()
+                .partition(|(name, _)| RECORD_TIED.contains(&name.as_str()))
+        };
+        let (batch_shared, batch_own) = split(qlog_events(&batch));
+        let (live_shared, live_own) = split(qlog_events(&live));
+        assert!(
+            batch_shared.iter().any(|(name, _)| name == must_carry),
+            "{name}: no {must_carry} event"
+        );
+        assert!(
+            batch_shared == live_shared,
+            "{name}: the record-tied events differ between analyze and live"
+        );
+        for (name, _) in &batch_own {
+            assert!(
+                name.starts_with("quicsand:session_"),
+                "analyze emitted {name}"
+            );
+        }
+        for (name, _) in &live_own {
+            assert!(name.starts_with("quicsand:alert_"), "live emitted {name}");
+        }
+        std::fs::remove_file(&capture).ok();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `live --alert-format json` prints one parseable `LiveEvent` per text
+/// alert line, and the feed-shaping flags (`--source-batch`,
+/// `--source-queue`, `--source-rate`) change no alert line.
+#[test]
+fn live_alert_format_json_and_source_flags_keep_the_alert_lines() {
+    let dir = std::env::temp_dir().join("quicsand-cli-alert-format");
+    std::fs::create_dir_all(&dir).unwrap();
+    let capture = seed7_capture(&dir, "seed7.qscp", &[]);
+    let text = run_ok(&["live", &capture, "--shards", "2"]);
+    let text_alerts = alert_lines(&text);
+    assert!(!text_alerts.is_empty(), "no alert in: {text}");
+
+    let json = run_ok(&["live", &capture, "--shards", "2", "--alert-format", "json"]);
+    let json_alerts = alert_lines(&json);
+    assert_eq!(json_alerts.len(), text_alerts.len());
+    for (json_line, text_line) in json_alerts.iter().zip(&text_alerts) {
+        let event: quicsand_live::LiveEvent = serde_json::from_str(json_line)
+            .unwrap_or_else(|e| panic!("unparseable alert line {json_line}: {e}"));
+        assert_eq!(event.render_text(), *text_line);
+    }
+
+    let shaped = run_ok(&[
+        "live",
+        &capture,
+        "--shards",
+        "2",
+        "--source-batch",
+        "7",
+        "--source-queue",
+        "3",
+        "--source-rate",
+        "20000000",
+    ]);
+    assert!(
+        alert_lines(&shaped) == text_alerts,
+        "--source-batch/--source-queue/--source-rate changed the alert lines"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `metrics --format json --stable-only` prints one JSON object whose
+/// every series is stable.
+#[test]
+fn metrics_json_stable_only_is_one_object_of_stable_series() {
+    let dir = std::env::temp_dir().join("quicsand-cli-metrics-json");
+    std::fs::create_dir_all(&dir).unwrap();
+    let capture = seed7_capture(&dir, "seed7.qscp", &[]);
+    let stdout = run_ok(&["metrics", &capture, "--format", "json", "--stable-only"]);
+    let value: serde::Value = serde_json::from_str(&stdout).expect("one JSON document");
+    assert!(value.as_map().is_some(), "not an object: {stdout}");
+    let series = value
+        .get("metrics")
+        .and_then(serde::Value::as_seq)
+        .expect("a `metrics` array");
+    assert!(!series.is_empty());
+    for entry in series {
+        assert!(
+            matches!(entry.get("stability"), Some(serde::Value::Str(s)) if s == "stable"),
+            "a volatile series under --stable-only: {entry:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
