@@ -8,6 +8,7 @@ use super::Plot;
 use crate::analysis::Analysis;
 use crate::plot::PlotSpec;
 use crate::report::{fmt_f64, Report};
+use quicsand_sessions::dos::GLOBAL_RATE_FACTOR;
 use quicsand_sessions::Cdf;
 
 /// Runs the experiment; plots the duration (a) and intensity (b) CDFs.
@@ -81,7 +82,10 @@ pub fn run(analysis: &Analysis) -> (Report, Vec<Plot>) {
     report.push_finding(
         "estimated global rate at median (512x)",
         "~512 pps",
-        &format!("{} pps", fmt_f64(quic_pps.median().unwrap_or(0.0) * 512.0)),
+        &format!(
+            "{} pps",
+            fmt_f64(quic_pps.median().unwrap_or(0.0) * GLOBAL_RATE_FACTOR)
+        ),
     );
     report.push_finding(
         "TCP/ICMP attacks detected",

@@ -15,6 +15,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
+/// Internet-wide packets per packet the telescope captures: the /9
+/// covers 1/512 of IPv4, so a victim's global rate is ≈ 512 × its
+/// observed one (§5.2).
+pub const GLOBAL_RATE_FACTOR: f64 = 512.0;
+
 /// Attack-inference thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DosThresholds {
@@ -138,13 +143,6 @@ impl Attack {
     /// Attack duration.
     pub fn duration(&self) -> Duration {
         self.end.saturating_since(self.start)
-    }
-
-    /// Estimated Internet-wide packet rate towards the victim: the
-    /// telescope covers 1/512 of IPv4, so global ≈ 512 × observed
-    /// (§5.2).
-    pub fn estimated_global_pps(&self) -> f64 {
-        self.max_pps * 512.0
     }
 
     /// Whether two attacks (typically different protocols) on the same
@@ -276,7 +274,6 @@ mod tests {
         assert_eq!(a.victim, ip(1));
         assert_eq!(a.protocol, AttackProtocol::Quic);
         assert!(a.max_pps > 0.5);
-        assert!((a.estimated_global_pps() - a.max_pps * 512.0).abs() < 1e-9);
     }
 
     #[test]

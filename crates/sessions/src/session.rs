@@ -391,7 +391,8 @@ impl<T: Default> Sessionizer<T> {
     /// No event-emitting twin: an explicit sweep only happens between
     /// offers ([`Sessionizer::drain`]), where no subscriber is at hand;
     /// the sweeps that emit `session_closed { expired }` run inside
-    /// [`Sessionizer::offer_keyed_with`].
+    /// [`Sessionizer::offer_keyed_with`]. An explicit sweep is one
+    /// O(open) pass; only tests call it, or `drain`.
     pub fn expire(&mut self, now: Timestamp) {
         let (meta, mut subscriber) = (EventMeta::lifecycle(), NoopSubscriber);
         let (table, mut sink) = self.parts(None, None::<NoCount<T>>, "", &meta, &mut subscriber);
@@ -402,7 +403,8 @@ impl<T: Default> Sessionizer<T> {
     /// session already idle past the timeout at the current watermark.
     /// A source that times out therefore shows up here without waiting
     /// for its next packet (which may never come) or for
-    /// [`Sessionizer::finish`].
+    /// [`Sessionizer::finish`]. The sweep is one O(open) pass (see
+    /// [`Sessionizer::expire`]).
     pub fn drain(&mut self) -> Vec<Session> {
         self.expire(self.table.watermark());
         std::mem::take(&mut self.closed)

@@ -197,7 +197,8 @@ pub trait Steps<X> {
 /// advancing packet-time watermark drives an idle sweep
 /// ([`SessionTable::expire`]), so a source that goes silent is closed
 /// out even if it never sends again, and at most `cap` sources are held
-/// at once.
+/// at once. Only the cap needs an order over the sources; an uncapped
+/// table (the batch sessionizer's) never builds one.
 #[derive(Debug)]
 pub struct SessionTable<X> {
     config: SessionConfig,
@@ -205,13 +206,16 @@ pub struct SessionTable<X> {
     /// Keyed by attacker-chosen addresses, so this map stays on std's
     /// randomly keyed SipHash: that is the HashDoS defence of this layer.
     open: HashMap<Ipv4Addr, (Window, X)>,
-    /// Lazy last-activity index, a min-heap of `(key, src)` holding
-    /// *exactly one entry per open source* with `key <= last`. A packet
-    /// joining an open window does not touch it; the key is brought up
-    /// to the source's actual `last` only when the entry surfaces in a
-    /// sweep or an eviction ([`Self::pop_idle`]). A window that restarts
-    /// in place after a gap keeps its entry: the old key is still a
-    /// lower bound.
+    /// Lazy last-activity index for eviction, a min-heap of `(key, src)`
+    /// that is either *empty* or holds *exactly one entry per open
+    /// source* with `key <= last`. It is built from the map, with exact
+    /// keys, only when a new source finds the table full
+    /// ([`Self::make_room`]), and dropped by every sweep. While built, a
+    /// new source pushes its entry; a packet joining an open window does
+    /// not touch it, and the key is brought up to the source's actual
+    /// `last` only when the entry surfaces in an eviction
+    /// ([`Self::pop_idle`]). A window that restarts in place after a gap
+    /// keeps its entry: the old key is still a lower bound.
     index: BinaryHeap<Reverse<(Timestamp, Ipv4Addr)>>,
     watermark: Timestamp,
     last_sweep: Timestamp,
@@ -220,6 +224,9 @@ pub struct SessionTable<X> {
     /// number of joins).
     #[cfg(test)]
     rekeys: u64,
+    /// Index entries popped so far: one per eviction, nothing else.
+    #[cfg(test)]
+    pops: u64,
 }
 
 impl<X> SessionTable<X> {
@@ -235,12 +242,15 @@ impl<X> SessionTable<X> {
             peak_open: 0,
             #[cfg(test)]
             rekeys: 0,
+            #[cfg(test)]
+            pops: 0,
         }
     }
 
-    /// Rebuilds a table from the parts a checkpoint keeps. The index is
-    /// derived from the restored *map* (exact keys), so the two cannot
-    /// disagree even if `open` repeats a source.
+    /// Rebuilds a table from the parts a checkpoint keeps. The index
+    /// starts empty: the first eviction derives it from the restored
+    /// *map* (exact keys), so the two cannot disagree even if `open`
+    /// repeats a source.
     pub fn restore(
         config: SessionConfig,
         cap: usize,
@@ -256,11 +266,6 @@ impl<X> SessionTable<X> {
         for (src, window, payload) in open {
             table.open.insert(src, (window, payload));
         }
-        table.index = table
-            .open
-            .iter()
-            .map(|(src, (window, _))| Reverse((window.last, *src)))
-            .collect();
         table
     }
 
@@ -314,7 +319,9 @@ impl<X> SessionTable<X> {
             }
             None => {
                 self.make_room(ts, on);
-                self.index.push(Reverse((ts, src)));
+                if !self.index.is_empty() {
+                    self.index.push(Reverse((ts, src)));
+                }
                 self.peak_open = self.peak_open.max(self.open.len() + 1);
                 let opened = (Window::opened_by(ts), fresh());
                 (true, Duration::ZERO, self.open.entry(src).or_insert(opened))
@@ -333,10 +340,19 @@ impl<X> SessionTable<X> {
     /// Evicts until a source the table does not hold fits under the cap:
     /// the least recently active source's window is force-closed *now*;
     /// if that source speaks again a new window opens, so its boundaries
-    /// may differ from an uncapped run.
+    /// may differ from an uncapped run. Builds the index if it is empty,
+    /// in O(open): at most once per sweep, since otherwise only a cap of
+    /// one (an index of one entry) runs it empty.
     fn make_room(&mut self, ts: Timestamp, on: &mut impl Steps<X>) {
         while self.open.len() >= self.cap {
-            let evictee = self.pop_idle(|_| true).expect("index tracks open");
+            if self.index.is_empty() {
+                self.index.extend(
+                    self.open
+                        .iter()
+                        .map(|(src, (window, _))| Reverse((window.last, *src))),
+                );
+            }
+            let evictee = self.pop_idle();
             let (window, payload) = self.open.remove(&evictee).expect("evictee open");
             on.closed(Closed {
                 why: CloseReason::Evicted,
@@ -348,29 +364,28 @@ impl<X> SessionTable<X> {
         }
     }
 
-    /// Pops the least recently active source if its last activity is
-    /// `idle` (a predicate that holds for every earlier time too): the
+    /// Pops the least recently active source from the built index: the
     /// exact minimum `(last, src)` over all open sources, which is what
     /// an eagerly maintained ordered set would hand out.
     ///
     /// A top entry whose key is stale is re-keyed to its source's actual
     /// `last` and sinks. Every other entry's actual `(last, src)` is
     /// ≥ its key ≥ the top's, so a top whose key *is* exact is the true
-    /// minimum, ties included; and if even the top's lower bound is not
-    /// idle, nobody is. A re-key happens only after a join advanced
-    /// `last` past the key, so index work is amortised O(log n) per
-    /// packet at worst and zero on the join path.
-    fn pop_idle(&mut self, idle: impl Fn(Timestamp) -> bool) -> Option<Ipv4Addr> {
+    /// minimum, ties included. A re-key happens only after a join
+    /// advanced `last` past the key, so index work is amortised
+    /// O(log n) per packet at worst and zero on the join path.
+    fn pop_idle(&mut self) -> Ipv4Addr {
         loop {
-            let mut top = self.index.peek_mut()?;
+            let mut top = self.index.peek_mut().expect("index tracks open");
             let Reverse((key, src)) = *top;
-            if !idle(key) {
-                return None;
-            }
             let last = self.open[&src].0.last;
             if last == key {
                 PeekMut::pop(top);
-                return Some(src);
+                #[cfg(test)]
+                {
+                    self.pops += 1;
+                }
+                return src;
             }
             top.0 .0 = last;
             #[cfg(test)]
@@ -386,29 +401,62 @@ impl<X> SessionTable<X> {
     /// watermark still finds its window open, whatever the sweep
     /// schedule — so expiry only changes *when* state is released, never
     /// where a session's boundaries fall.
+    ///
+    /// One pass over the open sources, and the index is dropped. From
+    /// [`Self::offer`] that is amortised O(1) per packet: a sweep runs at
+    /// most once per `timeout` of event time, and each source it scans
+    /// either expires (its insertion pays) or was active since the
+    /// previous sweep, or within `skew_tolerance` before it (that packet
+    /// pays, for two scans at most). An explicit call costs the full
+    /// pass.
     pub fn expire(&mut self, now: Timestamp, on: &mut impl FnMut(Closed<X>)) {
         // Micros arithmetic avoids an intermediate `Duration` overflow.
         let horizon = self.config.timeout.as_micros() + self.config.skew_tolerance.as_micros();
         self.last_sweep = now;
-        let mut expired = Vec::new();
-        while let Some(src) = self.pop_idle(|last| now.saturating_since(last).as_micros() > horizon)
-        {
-            let (window, payload) = self.open.remove(&src).expect("expired source open");
-            expired.push((src, window, payload));
-        }
-        close_in_order(expired, CloseReason::Expired, Some(now), on);
+        let idle = self
+            .open
+            .iter()
+            .filter(|(_, (window, _))| now.saturating_since(window.last).as_micros() > horizon)
+            .map(|(src, (window, _))| (window.start, *src))
+            .collect();
+        self.close_in_order(idle, CloseReason::Expired, Some(now), on);
     }
 
     /// Closes every remaining source in `(start, src)` order — the
     /// end-of-stream flush.
     pub fn flush(&mut self, on: &mut impl FnMut(Closed<X>)) {
-        self.index.clear();
         let remaining = self
             .open
-            .drain()
-            .map(|(src, (window, payload))| (src, window, payload))
+            .iter()
+            .map(|(src, (window, _))| (window.start, *src))
             .collect();
-        close_in_order(remaining, CloseReason::Flushed, None, on);
+        self.close_in_order(remaining, CloseReason::Flushed, None, on);
+    }
+
+    /// Closes the open sources named by their `(start, src)` keys in
+    /// that order, whatever order the map listed them in, and drops the
+    /// index. `at` is the close time, or `None` for each window's own
+    /// last packet. Sorting the keys rather than the closing windows
+    /// moves 16 bytes per source, not a window and its payload.
+    fn close_in_order(
+        &mut self,
+        mut closing: Vec<(Timestamp, Ipv4Addr)>,
+        why: CloseReason,
+        at: Option<Timestamp>,
+        on: &mut impl FnMut(Closed<X>),
+    ) {
+        self.index.clear();
+        closing.sort_unstable();
+        for (_, src) in closing {
+            let (window, payload) = self.open.remove(&src).expect("closing source open");
+            on(Closed {
+                why,
+                at: at.unwrap_or(window.last),
+                src,
+                window,
+                payload,
+            });
+        }
     }
 
     /// The open windows with their payloads, in no particular order.
@@ -445,32 +493,11 @@ impl<X> SessionTable<X> {
     }
 }
 
-/// Closes already-removed windows in deterministic `(start, src)` order,
-/// whatever order the map or the index gave them up in. `at` is the
-/// close time, or `None` for each window's own last packet.
-fn close_in_order<X>(
-    mut closing: Vec<(Ipv4Addr, Window, X)>,
-    why: CloseReason,
-    at: Option<Timestamp>,
-    on: &mut impl FnMut(Closed<X>),
-) {
-    closing.sort_unstable_by_key(|(src, window, _)| (window.start, *src));
-    for (src, window, payload) in closing {
-        on(Closed {
-            why,
-            at: at.unwrap_or(window.last),
-            src,
-            window,
-            payload,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn ip(last: u8) -> Ipv4Addr {
         Ipv4Addr::new(203, 0, 113, last)
@@ -547,6 +574,18 @@ mod tests {
     }
 
     impl Oracle {
+        fn new(config: SessionConfig, cap: usize) -> Self {
+            Oracle {
+                config,
+                cap,
+                open: BTreeMap::new(),
+                watermark: Timestamp::EPOCH,
+                last_sweep: Timestamp::EPOCH,
+                peak_open: 0,
+                joins: 0,
+            }
+        }
+
         fn close(&mut self, why: CloseReason, at: Timestamp, src: Ipv4Addr, seen: &mut Vec<Seen>) {
             let gone = self.open.remove(&src).expect("scanned");
             seen.push(Seen::Closed(Closed {
@@ -641,9 +680,9 @@ mod tests {
         /// that jitter backwards within the skew tolerance and now and
         /// then jump past the timeout, a cap from tight to unbounded
         /// (the batch configuration), one restore from parts somewhere
-        /// in the middle (exact index keys after it, stale ones before)
-        /// — and must report the identical steps, sizes and peaks
-        /// throughout, with the index invariants holding at every step.
+        /// in the middle (an empty index after it) — and must report the
+        /// identical steps, sizes and peaks throughout, with the index
+        /// invariants holding at every step and one pop per eviction.
         #[test]
         fn prop_table_matches_a_naive_oracle(
             steps in proptest::collection::vec((0u8..12, 0u64..20_000, 0u8..100), 1..400),
@@ -659,21 +698,14 @@ mod tests {
             };
             let cap = [1, 2, 5, usize::MAX][cap];
             let mut table = SessionTable::<u64>::new(config, cap);
-            let mut oracle = Oracle {
-                config,
-                cap,
-                open: BTreeMap::new(),
-                watermark: Timestamp::EPOCH,
-                last_sweep: Timestamp::EPOCH,
-                peak_open: 0,
-                joins: 0,
-            };
+            let mut oracle = Oracle::new(config, cap);
             let restore_at = restore_at % steps.len();
-            let mut rekeys = 0;
+            let (mut rekeys, mut pops, mut evictions) = (0, 0, 0);
             let mut now_ms = 1_000_000u64;
             for (i, &(raw_src, advance_ms, mode)) in steps.iter().enumerate() {
                 if i == restore_at {
                     rekeys += table.rekeys;
+                    pops += table.pops;
                     let open: Vec<_> = table
                         .iter()
                         .map(|(src, window, payload)| (src, window.clone(), *payload))
@@ -705,13 +737,16 @@ mod tests {
                 table.offer(ts, src, || fresh, &mut got);
                 oracle.offer(ts, src, fresh, &mut want);
                 prop_assert!(got == want, "step {i}: got {got:?}, want {want:?}");
+                evictions += closes(&got, CloseReason::Evicted);
                 prop_assert_eq!(table.len(), oracle.open.len());
                 prop_assert_eq!(table.peak_open(), oracle.peak_open);
                 prop_assert_eq!(table.watermark(), oracle.watermark);
                 prop_assert_eq!(table.last_sweep(), oracle.last_sweep);
-                // One index entry per open source, keyed at or before
-                // its actual last activity.
-                prop_assert_eq!(table.index.len(), table.open.len());
+                // The index is empty, or one entry per open source keyed
+                // at or before its actual last activity.
+                let indexed: BTreeSet<_> = table.index.iter().map(|Reverse((_, src))| *src).collect();
+                prop_assert!(table.index.is_empty() || table.index.len() == table.open.len());
+                prop_assert_eq!(indexed.len(), table.index.len());
                 prop_assert!(table.index.iter().all(|Reverse((key, src))| {
                     table.open.get(src).is_some_and(|(w, _)| *key <= w.last)
                 }));
@@ -722,9 +757,154 @@ mod tests {
             prop_assert!(got == want, "flush: got {got:?}, want {want:?}");
             prop_assert!(table.is_empty());
             prop_assert_eq!(table.index.len(), 0);
-            // Every re-key is paid for by a join since the key was set.
+            // Every re-key is paid for by a join since the key was set,
+            // and the index is popped by evictions only.
             rekeys += table.rekeys;
             prop_assert!(rekeys <= oracle.joins, "{rekeys} re-keys > {} joins", oracle.joins);
+            prop_assert_eq!(pops + table.pops, evictions);
+        }
+    }
+
+    /// How many of `seen` are closes for `reason`.
+    fn closes(seen: &[Seen], reason: CloseReason) -> u64 {
+        seen.iter()
+            .filter(|step| matches!(step, Seen::Closed(closed) if closed.why == reason))
+            .count() as u64
+    }
+
+    fn five_minutes() -> SessionConfig {
+        SessionConfig {
+            timeout: Duration::from_secs(300),
+            skew_tolerance: Duration::from_secs(5),
+        }
+    }
+
+    /// A distinct address per `i` (an odd multiplier is a bijection on
+    /// 24 bits), as `victim_churn` spoofs them.
+    fn spoofed(i: u64) -> Ipv4Addr {
+        Ipv4Addr::from(0x0b00_0000 | (i as u32).wrapping_mul(0x9E_37_79) & 0x00FF_FFFF)
+    }
+
+    /// Offers `(micros, src)` packets in time order.
+    fn offer_sorted(table: &mut SessionTable<u64>, mut packets: Vec<(u64, Ipv4Addr)>) -> Vec<Seen> {
+        packets.sort_unstable();
+        let mut seen = Vec::new();
+        for (ts, src) in packets {
+            table.offer(Timestamp::from_micros(ts), src, || 0, &mut seen);
+        }
+        seen
+    }
+
+    #[test]
+    fn an_uncapped_table_never_builds_its_heap() {
+        // The batch configuration through joins, gap restarts, a sweep of
+        // thousands, a restore and a flush: no heap entry is ever pushed,
+        // popped or even allocated.
+        let mut table = SessionTable::<u64>::new(five_minutes(), usize::MAX);
+        let s = 1_000_000;
+        let mut packets = Vec::new();
+        for i in 0..3_000 {
+            let start = 1_000 * s + i * 50_000;
+            packets.extend([(start, spoofed(i)), (start + 2 * s, spoofed(i))]);
+            if i < 100 {
+                // Back after 301 s, before a sweep could expire it.
+                packets.push((start + 303 * s, spoofed(i)));
+            }
+        }
+        let seen = offer_sorted(&mut table, packets);
+        assert_eq!(closes(&seen, CloseReason::Gap), 100);
+        assert_eq!(table.len(), 3_000);
+        assert_eq!(table.index.capacity(), 0);
+
+        let seen = offer_sorted(&mut table, vec![(2_000 * s, ip(1))]);
+        assert_eq!(seen.len(), 3_001, "3 000 expired, then the packet");
+        assert_eq!(table.len(), 1);
+        assert_eq!(table.index.capacity(), 0);
+
+        let open: Vec<_> = table
+            .iter()
+            .map(|(src, window, payload)| (src, window.clone(), *payload))
+            .collect();
+        let mut table = SessionTable::restore(
+            five_minutes(),
+            usize::MAX,
+            table.watermark(),
+            table.last_sweep(),
+            table.peak_open(),
+            open,
+        );
+        let packets = (0..500).map(|i| (2_001 * s + i, spoofed(i))).collect();
+        offer_sorted(&mut table, packets);
+        let mut flushed = 0;
+        table.flush(&mut |_| flushed += 1);
+        assert_eq!(flushed, 501);
+        assert_eq!(table.index.capacity(), 0);
+        assert_eq!((table.rekeys, table.pops), (0, 0));
+    }
+
+    #[test]
+    fn churn_evicts_with_one_pop_per_eviction() {
+        // `victim_churn` scaled down: 2 000 spoofed sources of 6 packets
+        // 0.5 s apart, their starts spread over 240 s (inside the timeout,
+        // so no sweep runs), against a cap of 1 024. The heap is built
+        // once, when source 1 024 arrives, with exact keys. Every evictee
+        // had sent its last packet before that, so no entry is re-keyed
+        // and every pop is an eviction.
+        let mut table = SessionTable::<u64>::new(five_minutes(), 1_024);
+        let packets = (0..2_000)
+            .flat_map(|i| {
+                (0..6).map(move |k| (1_000_000_000 + i * 120_000 + k * 500_000, spoofed(i)))
+            })
+            .collect();
+        let seen = offer_sorted(&mut table, packets);
+        assert_eq!(closes(&seen, CloseReason::Evicted), 2_000 - 1_024);
+        assert_eq!(table.rekeys, 0);
+        assert_eq!(table.pops, 2_000 - 1_024);
+        assert_eq!(table.index.len(), table.len());
+    }
+
+    #[test]
+    fn a_mass_sweep_closes_what_the_oracle_closes() {
+        // 5 000 sources of two packets, 50 that keep sending every minute,
+        // then a sweep that expires every two-packet source still open at
+        // once, then 3 500 new sources (which, under a cap, rebuild the
+        // heap the sweep dropped).
+        let s = 1_000_000;
+        let mut packets = Vec::new();
+        for i in 0..5_000 {
+            let start = 1_000 * s + i * 20_000;
+            packets.extend([(start, spoofed(i)), (start + s, spoofed(i))]);
+        }
+        for p in 0..50 {
+            packets.extend((0..15).map(|k| (1_000 * s + k * 60 * s + p * 100_000, ip(p as u8))));
+        }
+        for i in 5_000..8_500 {
+            packets.push((1_700 * s + (i - 5_000) * 10_000, spoofed(i)));
+        }
+        packets.sort_unstable();
+        for cap in [usize::MAX, 3_000] {
+            let mut table = SessionTable::<u64>::new(five_minutes(), cap);
+            let mut oracle = Oracle::new(five_minutes(), cap);
+            let mut largest_sweep = 0;
+            for (i, &(ts, src)) in packets.iter().enumerate() {
+                let ts = Timestamp::from_micros(ts);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                table.offer(ts, src, || 0, &mut got);
+                oracle.offer(ts, src, 0, &mut want);
+                assert!(
+                    got == want,
+                    "cap {cap}, packet {i}: got {got:?}, want {want:?}"
+                );
+                largest_sweep = largest_sweep.max(closes(&got, CloseReason::Expired));
+            }
+            assert!(
+                largest_sweep >= 2_000,
+                "cap {cap}: largest sweep {largest_sweep}"
+            );
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            table.flush(&mut |closed| got.push(Seen::Closed(closed)));
+            oracle.flush(&mut want);
+            assert!(got == want, "cap {cap}: flush differs");
         }
     }
 

@@ -16,9 +16,10 @@ use quicsand_events::{
 };
 use quicsand_net::{Duration, PacketRecord, Timestamp, Transport};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::net::Ipv4Addr;
 
 /// One validated QUIC packet observation, carrying what the admit
@@ -455,12 +456,22 @@ fn hash_mix(a: u64, b: u64) -> u64 {
 
 /// Build-hasher for the per-source guard map: one folded multiply over
 /// the address bytes instead of the std SipHash, since the map is probed
-/// once per ingested record.
-#[derive(Clone, Copy, Debug, Default)]
-struct SourceMapHasherBuilder;
+/// once per ingested record. The map is keyed by attacker-chosen source
+/// addresses, so the multiply starts from a secret drawn once per map
+/// from std's [`RandomState`]: without it, a spoofer could pick addresses
+/// that share a bucket chain (HashDoS). The secret never reaches a
+/// snapshot, which lists guards sorted by source.
+#[derive(Clone, Copy, Debug)]
+struct SourceMapHasherBuilder(u64);
+
+impl Default for SourceMapHasherBuilder {
+    fn default() -> Self {
+        SourceMapHasherBuilder(RandomState::new().hash_one(0u64))
+    }
+}
 
 /// Hasher state for [`SourceMapHasherBuilder`].
-#[derive(Clone, Default)]
+#[derive(Clone)]
 struct SourceMapHasher(u64);
 
 impl std::hash::Hasher for SourceMapHasher {
@@ -479,7 +490,7 @@ impl std::hash::Hasher for SourceMapHasher {
 impl std::hash::BuildHasher for SourceMapHasherBuilder {
     type Hasher = SourceMapHasher;
     fn build_hasher(&self) -> SourceMapHasher {
-        SourceMapHasher(0)
+        SourceMapHasher(self.0)
     }
 }
 
@@ -1150,6 +1161,36 @@ mod tests {
         assert_eq!(table.len(), 9);
         assert_eq!(table[0].0, "truncated");
         assert_eq!(format!("{}", IngestError::BadCid(21)), "bad-cid(21)");
+    }
+
+    #[test]
+    fn guard_map_hash_is_keyed_per_pipeline_and_snapshots_do_not_show_it() {
+        let (mut a, mut b) = (TelescopePipeline::new(), TelescopePipeline::new());
+        let src = Ipv4Addr::new(198, 51, 100, 7);
+        assert_ne!(
+            a.guards.hasher().hash_one(src),
+            b.guards.hasher().hash_one(src)
+        );
+        // The same records into both maps, bucketed differently: the
+        // snapshots serialize to the same bytes, guards sorted by source.
+        for i in 0..1_000u32 {
+            let record = PacketRecord::tcp(
+                Timestamp::from_secs(u64::from(i)),
+                Ipv4Addr::from(0x0b00_0000 | i.wrapping_mul(0x9E_37_79) & 0x00FF_FFFF),
+                ip(2),
+                443,
+                5_000,
+                TcpFlags::SYN_ACK,
+            );
+            a.ingest(&record);
+            b.ingest(&record);
+        }
+        let snapshot = a.snapshot();
+        assert!(snapshot.guards.windows(2).all(|w| w[0].src < w[1].src));
+        assert_eq!(
+            serde_json::to_string(&snapshot).unwrap(),
+            serde_json::to_string(&b.snapshot()).unwrap()
+        );
     }
 
     #[test]

@@ -12,6 +12,8 @@
 #   scripts/ci.sh rss-smoke [quicsand-binary]
 #                              # only the analyze + live peak-RSS gate (on
 #                              # another build's binary when one is named)
+#   scripts/ci.sh table-model  # only the session-table model oracles, at
+#                              # 1024 cases each
 #
 # The repo vendors all third-party dependencies (vendor/), so this runs
 # without network access.
@@ -218,6 +220,31 @@ fold_pin() {
   fi
 }
 
+table_model() {
+  # The session table's eviction index and sweep are held by two
+  # model-based proptests against naive full-scan oracles: one on the
+  # table itself, one a level up on the live detector across a JSON
+  # checkpoint. A tier-1 run gives each the default case count; this
+  # lane gives both a longer hunt.
+  echo "==> table-model: session-table and live-channel model oracles, 1024 cases each"
+  local crate test out
+  for crate_test in "quicsand-sessions window::tests::prop_table_matches_a_naive_oracle" \
+    "quicsand-live detector::tests::prop_channel_matches_a_naive_oracle"; do
+    read -r crate test <<<"$crate_test"
+    out="$(PROPTEST_CASES=1024 cargo test -q --release -p "$crate" --lib "$test" -- --exact 2>&1)" || {
+      echo "$out" >&2
+      exit 1
+    }
+    # A renamed test would match nothing and pass silently.
+    echo "$out" | grep -q '^test result: ok\. 1 passed' || {
+      echo "table-model: \`$test\` did not run in $crate" >&2
+      echo "$out" >&2
+      exit 1
+    }
+  done
+  echo "table-model: both oracles agree over 1024 cases — OK"
+}
+
 rss_smoke() {
   # `analyze` and `live` stream the capture: what stays resident is the
   # capture arena and per-source, per-session and per-attack state plus
@@ -291,6 +318,11 @@ fi
 
 if [[ "${1:-}" == "rss-smoke" ]]; then
   rss_smoke "${2:-}"
+  exit 0
+fi
+
+if [[ "${1:-}" == "table-model" ]]; then
+  table_model
   exit 0
 fi
 
@@ -555,8 +587,9 @@ echo "==> live-smoke: eviction leg (4-victim cap on the same capture)"
 # Under a cap the capture overflows, the engine must still exit 0, count
 # its evictions, and close the same alerts whatever the chunking and
 # whether or not it was checkpointed and restored on the way: a restored
-# engine's activity index holds exact keys, a running one stale ones,
-# and that difference must be invisible.
+# engine starts with no activity index and builds it, with exact keys, at
+# its next eviction, while a running one keeps the index it built after
+# the last sweep, with stale keys; that difference must be invisible.
 evict_run() {
   cargo run -q $profile_flag -- live "$smoke_dir/smoke.qscp" \
     --shards 1 --max-victims 4 "$@" 2>/dev/null
@@ -620,6 +653,8 @@ done
 echo "metrics-smoke: exposition complete, counters reconcile, exit 0 — OK"
 
 rss_smoke
+
+table_model
 
 events_smoke
 
