@@ -23,7 +23,10 @@
 //!    into, kept only if the session closes as an attack. The TCP/ICMP
 //!    channel was already sessionized in stage 1.
 //! 4. **Infer DoS** — Moore et al. thresholds on response sessions
-//!    (QUIC) and on TCP/ICMP baseline sessions.
+//!    (QUIC) and on TCP/ICMP baseline sessions, applied by each
+//!    sessionizer as a session closes: it keeps the [`Attack`] the
+//!    session qualified as ([`DosThresholds::attack`], the mapping
+//!    `detect_attacks` uses too), and `finish` merges what was kept.
 //! 5. **Correlate** — multi-vector classification of QUIC floods
 //!    against common floods.
 //!
@@ -48,7 +51,7 @@ use quicsand_events::{EventMeta, NoopSubscriber, SessionMigrated, Subscriber};
 use quicsand_intel::{AsDatabase, NetworkType};
 use quicsand_net::{Duration, PacketRecord, Timestamp};
 use quicsand_obs::MetricsRegistry;
-use quicsand_sessions::dos::{detect_attacks, Attack, AttackProtocol, DosThresholds};
+use quicsand_sessions::dos::{Attack, AttackProtocol, DosThresholds};
 use quicsand_sessions::multivector::{classify_multivector_with, MultiVectorReport, VectorSignals};
 use quicsand_sessions::session::{
     link_migrations, MigrationLink, Session, SessionConfig, Sessionizer, SessionizerCounters, Tally,
@@ -281,7 +284,11 @@ impl Channels {
     fn new(config: &AnalysisConfig) -> Self {
         Channels {
             requests: Sessionizer::new(config.session()),
-            responses: Sessionizer::tallying(config.session(), config.thresholds),
+            responses: Sessionizer::tallying(
+                config.session(),
+                config.thresholds,
+                AttackProtocol::Quic,
+            ),
         }
     }
 }
@@ -410,6 +417,7 @@ struct ShardProducts {
     response_sessions: Vec<Session>,
     attack_tallies: Vec<Tally<AttackTally>>,
     common_sessions: Vec<Session>,
+    common_attacks: Vec<Attack>,
     /// Stage walltimes: one shard's, or the slowest shard's per stage.
     stats: PipelineStats,
     /// Sessionizer lifecycle counters, summed over every sessionizer
@@ -431,6 +439,7 @@ impl ShardProducts {
         self.response_sessions.extend(shard.response_sessions);
         self.attack_tallies.extend(shard.attack_tallies);
         self.common_sessions.extend(shard.common_sessions);
+        self.common_attacks.extend(shard.common_attacks);
         self.stats.max_stage(&shard.stats);
         self.session_counters.merge(&shard.session_counters);
         self.sessions_open_at_flush += shard.sessions_open_at_flush;
@@ -447,7 +456,8 @@ impl ShardProducts {
 /// unsharded, unsliced run sees.
 struct Shard {
     pipeline: TelescopePipeline,
-    /// The TCP/ICMP baseline channel, fed from inside the admit loop.
+    /// The TCP/ICMP baseline channel, fed from inside the admit loop;
+    /// it keeps the attacks its sessions close as.
     common: Sessionizer,
     /// The QUIC channels, fed from inside the admit loop.
     quic: QuicFold,
@@ -529,7 +539,7 @@ impl Shard {
         let (late_sessions, late_tallies) = late.responses.finish_tallied();
         response_sessions.extend(late_sessions);
         attack_tallies.extend(late_tallies);
-        let common_sessions = self.common.finish();
+        let (common_sessions, common_attacks) = self.common.finish_tallied();
         stats.sessionize_ms = ms(sessionize_start);
         stats.peak_open_sessions = lifecycle.peak_open;
 
@@ -541,6 +551,7 @@ impl Shard {
             response_sessions,
             attack_tallies,
             common_sessions,
+            common_attacks: common_attacks.into_iter().map(|kept| kept.attack).collect(),
             stats,
             session_counters: lifecycle.counters,
             sessions_open_at_flush: lifecycle.open,
@@ -591,7 +602,11 @@ impl<'a> AnalysisDriver<'a> {
         let shards = (0..config.threads.max(1))
             .map(|_| Shard {
                 pipeline: TelescopePipeline::with_guard(config.guard),
-                common: Sessionizer::new(config.session()),
+                common: Sessionizer::tallying(
+                    config.session(),
+                    config.thresholds,
+                    AttackProtocol::TcpIcmp,
+                ),
                 quic: QuicFold::new(config),
                 ingest_ms: 0.0,
             })
@@ -642,7 +657,10 @@ impl<'a> AnalysisDriver<'a> {
         sort_sessions(&mut front.request_sessions);
         sort_sessions(&mut front.response_sessions);
         sort_sessions(&mut front.common_sessions);
-        front.attack_tallies.sort_by_key(|t| (t.start, t.src));
+        front
+            .attack_tallies
+            .sort_by_key(|t| (t.attack.start, t.attack.victim));
+        front.common_attacks.sort_by_key(|a| (a.start, a.victim));
         let (ingest, mut stats) = (front.ingest, front.stats);
 
         // 3b. CID-keyed migration linking on the merged request
@@ -651,30 +669,14 @@ impl<'a> AnalysisDriver<'a> {
         // land in different shards.
         let migrations = link_migrations(&mut front.request_sessions, config.session_timeout);
 
-        // 4. DoS inference. The tallies were kept for exactly the
-        // response sessions the thresholds match, so in `(start, src)`
-        // order they line up with the attacks.
+        // 4. DoS inference: each sessionizer kept the attacks its
+        // sessions closed as, in `(start, victim)` order now.
         let detect_start = Instant::now();
-        let quic_attacks = detect_attacks(
-            &front.response_sessions,
-            AttackProtocol::Quic,
-            &config.thresholds,
-        );
-        assert_eq!(quic_attacks.len(), front.attack_tallies.len());
-        let attack_tallies = front
+        let (quic_attacks, attack_tallies): (Vec<Attack>, Vec<AttackTally>) = front
             .attack_tallies
             .into_iter()
-            .zip(&quic_attacks)
-            .map(|(kept, attack)| {
-                assert_eq!((kept.start, kept.src), (attack.start, attack.victim));
-                kept.tally
-            })
-            .collect();
-        let common_attacks = detect_attacks(
-            &front.common_sessions,
-            AttackProtocol::TcpIcmp,
-            &config.thresholds,
-        );
+            .map(|kept| (kept.attack, kept.tally))
+            .unzip();
 
         // 5. Multi-vector correlation, fed the packet-level vector
         // evidence: Retry backscatter per victim and the endpoints of
@@ -687,7 +689,7 @@ impl<'a> AnalysisDriver<'a> {
             signals.record_migration(link.from);
             signals.record_migration(link.to);
         }
-        let multivector = classify_multivector_with(&quic_attacks, &common_attacks, &signals);
+        let multivector = classify_multivector_with(&quic_attacks, &front.common_attacks, &signals);
         stats.detect_ms = ms(detect_start);
         stats.threads = threads;
         stats.records = ingest.total;
@@ -704,7 +706,7 @@ impl<'a> AnalysisDriver<'a> {
             .add_final(front.session_counters, front.sessions_open_at_flush);
         metrics.sessions.migrated_total.add(migrations.len() as u64);
         metrics.dos.observe_attacks(&quic_attacks);
-        metrics.dos.observe_attacks(&common_attacks);
+        metrics.dos.observe_attacks(&front.common_attacks);
         for shard in &shard_stats {
             metrics.stages.observe_frontend(shard);
         }
@@ -730,7 +732,7 @@ impl<'a> AnalysisDriver<'a> {
             quic_attacks,
             attack_tallies,
             common_sessions: front.common_sessions,
-            common_attacks,
+            common_attacks: front.common_attacks,
             multivector,
             stats,
             config,
@@ -884,6 +886,7 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quicsand_sessions::dos::detect_attacks;
     use quicsand_traffic::ScenarioConfig;
     use std::sync::OnceLock;
 
@@ -990,6 +993,18 @@ mod tests {
         assert_eq!(a.multivector.attacks.len(), a.quic_attacks.len());
         let total: usize = a.multivector.class_counts.values().sum();
         assert_eq!(total, a.quic_attacks.len());
+    }
+
+    #[test]
+    fn kept_attacks_equal_a_threshold_pass_over_the_sessions() {
+        let (_, a) = analysis();
+        let thresholds = &a.config.thresholds;
+        let quic = detect_attacks(&a.response_sessions, AttackProtocol::Quic, thresholds);
+        let common = detect_attacks(&a.common_sessions, AttackProtocol::TcpIcmp, thresholds);
+        assert!(!quic.is_empty() && !common.is_empty());
+        assert_eq!(a.quic_attacks, quic);
+        assert_eq!(a.common_attacks, common);
+        assert_eq!(a.attack_tallies.len(), quic.len());
     }
 
     #[test]

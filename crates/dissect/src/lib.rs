@@ -25,13 +25,11 @@
 #![warn(missing_docs)]
 
 pub mod classify;
-pub mod corpus;
 pub mod metrics;
 pub mod quic;
 pub mod stats;
 
 pub use classify::{classify_record, Classification, Direction};
-pub use corpus::{adversarial_corpus, CorpusEntry, CorpusExpect};
 pub use metrics::DissectMetrics;
 pub use quic::{
     check_udp_payload, dissect_udp_payload, DissectError, DissectedPacket, Extraction, MessageKind,

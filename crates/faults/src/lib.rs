@@ -50,8 +50,6 @@ use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
 
-pub mod source;
-
 /// The kinds of fault the injector can apply to a record stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FaultKind {

@@ -27,6 +27,7 @@
 //! [`LiveStats::evictions`]).
 
 use crate::alert::{EvidencePacket, LiveEvent, LiveEventKind};
+use crate::forensics::SliceChannel;
 use quicsand_net::{Duration, Timestamp};
 use quicsand_sessions::dos::{Attack, AttackProtocol, DosThresholds};
 use quicsand_sessions::multivector::{self, MultiVectorClass};
@@ -265,23 +266,6 @@ impl LiveStats {
     }
 }
 
-/// A closed qualifying session, before classification.
-#[derive(Debug, PartialEq)]
-struct ClosedAlert {
-    attack: Attack,
-    profile: Vec<ProfileCell>,
-    evidence: Vec<EvidencePacket>,
-    evicted: bool,
-}
-
-/// What one channel emits for one offered packet (or sweep).
-#[derive(Debug, PartialEq)]
-enum ChannelEvent {
-    Opened { at: Timestamp, victim: Ipv4Addr },
-    Escalated { at: Timestamp, victim: Ipv4Addr },
-    Closed(ClosedAlert),
-}
-
 /// One victim's state in a [`ChannelSnapshot`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct VictimEntry {
@@ -302,7 +286,9 @@ struct ChannelSnapshot {
 }
 
 /// What one offered packet does to a channel's alerts: the [`Steps`] of
-/// [`ChannelDetector::offer`].
+/// [`ChannelDetector::offer`]. Every lifecycle event is pushed where the
+/// table reports it, and a close is recorded in the detector's
+/// [`ClosedFloods`] on the spot.
 struct Alerts<'a> {
     protocol: AttackProtocol,
     thresholds: &'a DosThresholds,
@@ -314,12 +300,13 @@ struct Alerts<'a> {
     dst: Ipv4Addr,
     bytes: u64,
     stats: &'a mut LiveStats,
-    out: &'a mut Vec<ChannelEvent>,
+    floods: &'a mut ClosedFloods,
+    out: &'a mut Vec<LiveEvent>,
 }
 
 impl Steps<AlertState> for Alerts<'_> {
     fn closed(&mut self, closed: Closed<AlertState>) {
-        ChannelDetector::close_state(self.protocol, self.stats, closed, self.out);
+        close_state(self.protocol, self.stats, self.floods, closed, self.out);
     }
 
     /// Records the packet as evidence (once a close could emit it) and
@@ -350,15 +337,68 @@ impl Steps<AlertState> for Alerts<'_> {
         {
             state.phase = AlertPhase::Open;
             self.stats.opened += 1;
-            self.out.push(ChannelEvent::Opened { at, victim });
+            self.out.push(plain_event(
+                at,
+                self.protocol,
+                victim,
+                LiveEventKind::Opened,
+            ));
         }
         if state.phase == AlertPhase::Open
             && self.escalation.matches_measures(packets, duration, max_pps)
         {
             state.phase = AlertPhase::Escalated;
             self.stats.escalated += 1;
-            self.out.push(ChannelEvent::Escalated { at, victim });
+            self.out.push(plain_event(
+                at,
+                self.protocol,
+                victim,
+                LiveEventKind::Escalated,
+            ));
         }
+    }
+}
+
+/// Closes a window the table gave up: a qualifying session becomes a
+/// closed flood in `floods`, which emits its `Closed` (and, for a common
+/// flood, any `Reclassified`); a quiet one vanishes (exactly the sessions
+/// batch `detect_attacks` would filter out). An eviction is the one
+/// documented divergence from batch, counted and flagged on the event.
+fn close_state(
+    protocol: AttackProtocol,
+    stats: &mut LiveStats,
+    floods: &mut ClosedFloods,
+    closed: Closed<AlertState>,
+    out: &mut Vec<LiveEvent>,
+) {
+    let Closed {
+        why,
+        src: victim,
+        window,
+        payload: state,
+        ..
+    } = closed;
+    let evicted = why == CloseReason::Evicted;
+    stats.evictions += u64::from(evicted);
+    if state.phase == AlertPhase::Quiet {
+        return;
+    }
+    stats.closed += 1;
+    let flood = SliceChannel {
+        attack: Attack {
+            victim,
+            protocol,
+            start: window.start,
+            end: window.last,
+            packet_count: window.packet_count,
+            max_pps: window.max_pps(),
+        },
+        evidence: state.evidence_chronological(),
+        profile: window.profile,
+    };
+    match protocol {
+        AttackProtocol::Quic => floods.close_quic(flood, evicted, out),
+        AttackProtocol::TcpIcmp => floods.close_common(flood, evicted, out),
     }
 }
 
@@ -406,7 +446,8 @@ impl ChannelDetector {
         victim: Ipv4Addr,
         dst: Ipv4Addr,
         bytes: u64,
-        out: &mut Vec<ChannelEvent>,
+        floods: &mut ClosedFloods,
+        out: &mut Vec<LiveEvent>,
     ) {
         self.stats.events_in += 1;
         let mut alerts = Alerts {
@@ -418,56 +459,18 @@ impl ChannelDetector {
             dst,
             bytes,
             stats: &mut self.stats,
+            floods,
             out,
         };
         self.table.offer(ts, victim, AlertState::fresh, &mut alerts);
         self.stats.peak_tracked = self.table.peak_open();
     }
 
-    /// Closes a window the table gave up: qualifying sessions become
-    /// `Closed` alerts, quiet ones vanish (exactly the sessions batch
-    /// `detect_attacks` would filter out). An eviction is the one
-    /// documented divergence from batch, counted and flagged on the
-    /// event.
-    fn close_state(
-        protocol: AttackProtocol,
-        stats: &mut LiveStats,
-        closed: Closed<AlertState>,
-        out: &mut Vec<ChannelEvent>,
-    ) {
-        let Closed {
-            why,
-            src: victim,
-            window,
-            payload: state,
-            ..
-        } = closed;
-        let evicted = why == CloseReason::Evicted;
-        stats.evictions += u64::from(evicted);
-        if state.phase == AlertPhase::Quiet {
-            return;
-        }
-        stats.closed += 1;
-        out.push(ChannelEvent::Closed(ClosedAlert {
-            attack: Attack {
-                victim,
-                protocol,
-                start: window.start,
-                end: window.last,
-                packet_count: window.packet_count,
-                max_pps: window.max_pps(),
-            },
-            evidence: state.evidence_chronological(),
-            profile: window.profile,
-            evicted,
-        }));
-    }
-
     /// Closes every remaining victim at end of stream.
-    fn flush(&mut self, out: &mut Vec<ChannelEvent>) {
+    fn flush(&mut self, floods: &mut ClosedFloods, out: &mut Vec<LiveEvent>) {
         let (protocol, stats) = (self.protocol, &mut self.stats);
         self.table
-            .flush(&mut |closed| Self::close_state(protocol, stats, closed, out));
+            .flush(&mut |closed| close_state(protocol, stats, floods, closed, out));
     }
 
     fn snapshot(&self) -> ChannelSnapshot {
@@ -562,11 +565,11 @@ pub struct ClassifiedAttack {
 }
 
 impl ClassifiedAttack {
-    fn new(attack: Attack, profile: Vec<ProfileCell>, evidence: Vec<EvidencePacket>) -> Self {
+    fn new(flood: SliceChannel) -> Self {
         ClassifiedAttack {
-            attack,
-            profile,
-            evidence,
+            attack: flood.attack,
+            profile: flood.profile,
+            evidence: flood.evidence,
             best_overlap: Duration::ZERO,
             min_gap: None,
         }
@@ -601,6 +604,110 @@ impl ClassifiedAttack {
     pub fn class(&self) -> MultiVectorClass {
         self.verdict().0
     }
+
+    /// Its `Closed` or `Reclassified` event at `at`, with its verdict.
+    fn event(&self, at: Timestamp, kind: LiveEventKind) -> LiveEvent {
+        let (class, share, gap) = self.verdict();
+        LiveEvent {
+            class: Some(class),
+            overlap_share: share,
+            gap_secs: gap.map(|g| g.as_secs_f64()),
+            attack: Some(self.attack.clone()),
+            ..plain_event(at, AttackProtocol::Quic, self.attack.victim, kind)
+        }
+    }
+}
+
+/// Every flood a detector has closed, each recorded once, as it closes,
+/// and correlated per victim: a closing QUIC flood is classified against
+/// the common floods closed so far, and a closing common flood
+/// re-examines the QUIC floods closed so far.
+#[derive(Debug, Default)]
+struct ClosedFloods {
+    /// Closed QUIC attacks with live verdicts, in close order.
+    quic: Vec<ClassifiedAttack>,
+    /// Closed common floods, in close order.
+    common: Vec<SliceChannel>,
+    /// Victim → indices into `quic` (for reclassification).
+    quic_index: HashMap<Ipv4Addr, Vec<usize>>,
+    /// Victim → indices into `common` (for classify-at-close and
+    /// forensic slices).
+    common_index: HashMap<Ipv4Addr, Vec<usize>>,
+    reclassified: u64,
+}
+
+impl ClosedFloods {
+    /// The closed floods of a checkpoint, with both per-victim indices
+    /// rebuilt (they are derived state and never serialized).
+    fn restore(quic: Vec<ClassifiedAttack>, common: Vec<SliceChannel>, reclassified: u64) -> Self {
+        let mut floods = ClosedFloods {
+            reclassified,
+            ..ClosedFloods::default()
+        };
+        for (i, classified) in quic.iter().enumerate() {
+            let victim = classified.attack.victim;
+            floods.quic_index.entry(victim).or_default().push(i);
+        }
+        for (i, flood) in common.iter().enumerate() {
+            let victim = flood.attack.victim;
+            floods.common_index.entry(victim).or_default().push(i);
+        }
+        floods.quic = quic;
+        floods.common = common;
+        floods
+    }
+
+    /// A QUIC flood closes: classify it against the common floods
+    /// closed so far, emit its `Closed` and keep it for later
+    /// reclassification.
+    fn close_quic(&mut self, flood: SliceChannel, evicted: bool, out: &mut Vec<LiveEvent>) {
+        let victim = flood.attack.victim;
+        let mut classified = ClassifiedAttack::new(flood);
+        for common in self.common_on(victim) {
+            classified.absorb(&common.attack);
+        }
+        out.push(LiveEvent {
+            evicted,
+            evidence: classified.evidence.clone(),
+            ..classified.event(classified.attack.end, LiveEventKind::Closed)
+        });
+        self.quic_index
+            .entry(victim)
+            .or_default()
+            .push(self.quic.len());
+        self.quic.push(classified);
+    }
+
+    /// A common flood closes: emit its own `Closed`, then re-examine
+    /// every already-closed QUIC flood on the same victim — verdicts
+    /// that change surface as `Reclassified` (Fig. 8 kept current).
+    fn close_common(&mut self, flood: SliceChannel, evicted: bool, out: &mut Vec<LiveEvent>) {
+        let (victim, at) = (flood.attack.victim, flood.attack.end);
+        out.push(LiveEvent {
+            attack: Some(flood.attack.clone()),
+            evicted,
+            evidence: flood.evidence.clone(),
+            ..plain_event(at, AttackProtocol::TcpIcmp, victim, LiveEventKind::Closed)
+        });
+        for &i in self.quic_index.get(&victim).into_iter().flatten() {
+            let classified = &mut self.quic[i];
+            if classified.absorb(&flood.attack) {
+                self.reclassified += 1;
+                out.push(classified.event(at, LiveEventKind::Reclassified));
+            }
+        }
+        self.common_index
+            .entry(victim)
+            .or_default()
+            .push(self.common.len());
+        self.common.push(flood);
+    }
+
+    /// The common floods closed on `victim`, in close order.
+    fn common_on(&self, victim: Ipv4Addr) -> impl Iterator<Item = &SliceChannel> {
+        let indices = self.common_index.get(&victim).into_iter().flatten();
+        indices.map(|&i| &self.common[i])
+    }
 }
 
 /// Serializable checkpoint of a whole detector (both channels plus the
@@ -610,11 +717,10 @@ pub struct DetectorSnapshot {
     quic: ChannelSnapshot,
     common: ChannelSnapshot,
     closed_quic: Vec<ClassifiedAttack>,
+    /// The closed common floods, written as three arrays of one entry
+    /// per flood: attacks, arrival profiles and evidence rings.
     closed_common: Vec<Attack>,
-    /// Arrival profiles parallel to `closed_common` (kept out of the
-    /// `Attack` records the equivalence tests compare against batch).
     common_profiles: Vec<Vec<ProfileCell>>,
-    /// Evidence rings parallel to `closed_common`.
     common_evidence: Vec<Vec<EvidencePacket>>,
     reclassified: u64,
 }
@@ -663,6 +769,25 @@ impl DetectorSnapshot {
         }
         Ok(())
     }
+
+    /// Rejects closed common floods whose three arrays disagree in
+    /// length: a restored detector rebuilds flood `i` from entry `i` of
+    /// each, so a short array would drop the floods past its end.
+    pub(crate) fn require_common_floods_whole(&self) -> Result<(), String> {
+        let floods = self.closed_common.len();
+        for (field, len) in [
+            ("common_profiles", self.common_profiles.len()),
+            ("common_evidence", self.common_evidence.len()),
+        ] {
+            if len != floods {
+                return Err(format!(
+                    "checkpoint field `{field}` lists {len} entry(ies), \
+                     but `closed_common` lists {floods} closed flood(s)"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The streaming flood detector: a QUIC-response channel and a
@@ -672,19 +797,7 @@ pub struct LiveDetector {
     config: LiveConfig,
     quic: ChannelDetector,
     common: ChannelDetector,
-    /// Closed QUIC attacks with live verdicts, in close order.
-    closed_quic: Vec<ClassifiedAttack>,
-    /// Closed common attacks, in close order.
-    closed_common: Vec<Attack>,
-    /// Arrival profiles parallel to `closed_common`.
-    common_profiles: Vec<Vec<ProfileCell>>,
-    /// Evidence rings parallel to `closed_common`.
-    common_evidence: Vec<Vec<EvidencePacket>>,
-    /// Victim → indices into `closed_quic` (for reclassification).
-    quic_index: HashMap<Ipv4Addr, Vec<usize>>,
-    /// Victim → indices into `closed_common` (for classify-at-close).
-    common_index: HashMap<Ipv4Addr, Vec<usize>>,
-    reclassified: u64,
+    floods: ClosedFloods,
 }
 
 impl LiveDetector {
@@ -694,13 +807,7 @@ impl LiveDetector {
             quic: ChannelDetector::new(AttackProtocol::Quic, &config),
             common: ChannelDetector::new(AttackProtocol::TcpIcmp, &config),
             config,
-            closed_quic: Vec::new(),
-            closed_common: Vec::new(),
-            common_profiles: Vec::new(),
-            common_evidence: Vec::new(),
-            quic_index: HashMap::new(),
-            common_index: HashMap::new(),
-            reclassified: 0,
+            floods: ClosedFloods::default(),
         }
     }
 
@@ -713,9 +820,10 @@ impl LiveDetector {
         dst: Ipv4Addr,
         bytes: u64,
     ) -> Vec<LiveEvent> {
-        let mut raw = Vec::new();
-        self.quic.offer(ts, victim, dst, bytes, &mut raw);
-        self.settle(raw, AttackProtocol::Quic)
+        let mut events = Vec::new();
+        let floods = &mut self.floods;
+        self.quic.offer(ts, victim, dst, bytes, floods, &mut events);
+        events
     }
 
     /// Offers one TCP/ICMP baseline packet.
@@ -726,9 +834,11 @@ impl LiveDetector {
         dst: Ipv4Addr,
         bytes: u64,
     ) -> Vec<LiveEvent> {
-        let mut raw = Vec::new();
-        self.common.offer(ts, victim, dst, bytes, &mut raw);
-        self.settle(raw, AttackProtocol::TcpIcmp)
+        let mut events = Vec::new();
+        let floods = &mut self.floods;
+        self.common
+            .offer(ts, victim, dst, bytes, floods, &mut events);
+        events
     }
 
     /// Flushes both channels at end of stream. Commons close first so
@@ -737,142 +847,31 @@ impl LiveDetector {
     /// this ordering just minimizes trailing `Reclassified` noise.
     pub fn finish(&mut self) -> Vec<LiveEvent> {
         let mut events = Vec::new();
-        let mut raw = Vec::new();
-        self.common.flush(&mut raw);
-        events.extend(self.settle(raw, AttackProtocol::TcpIcmp));
-        let mut raw = Vec::new();
-        self.quic.flush(&mut raw);
-        events.extend(self.settle(raw, AttackProtocol::Quic));
-        events
-    }
-
-    /// Turns raw channel events into lifecycle events, running the
-    /// correlation bookkeeping for every close.
-    fn settle(&mut self, raw: Vec<ChannelEvent>, protocol: AttackProtocol) -> Vec<LiveEvent> {
-        let mut events = Vec::new();
-        for event in raw {
-            match event {
-                ChannelEvent::Opened { at, victim } => {
-                    events.push(plain_event(at, protocol, victim, LiveEventKind::Opened));
-                }
-                ChannelEvent::Escalated { at, victim } => {
-                    events.push(plain_event(at, protocol, victim, LiveEventKind::Escalated));
-                }
-                ChannelEvent::Closed(alert) => match protocol {
-                    AttackProtocol::Quic => events.push(self.close_quic(alert)),
-                    AttackProtocol::TcpIcmp => {
-                        events.extend(self.close_common(alert));
-                    }
-                },
-            }
-        }
-        events
-    }
-
-    /// A QUIC alert closes: classify it against the common floods
-    /// closed so far and record it for future reclassification.
-    fn close_quic(&mut self, alert: ClosedAlert) -> LiveEvent {
-        let victim = alert.attack.victim;
-        let mut classified =
-            ClassifiedAttack::new(alert.attack.clone(), alert.profile, alert.evidence.clone());
-        if let Some(indices) = self.common_index.get(&victim) {
-            for &i in indices {
-                classified.absorb(&self.closed_common[i]);
-            }
-        }
-        let (class, share, gap) = classified.verdict();
-        self.quic_index
-            .entry(victim)
-            .or_default()
-            .push(self.closed_quic.len());
-        self.closed_quic.push(classified);
-        LiveEvent {
-            at: alert.attack.end,
-            protocol: AttackProtocol::Quic,
-            victim,
-            kind: LiveEventKind::Closed,
-            attack: Some(alert.attack),
-            class: Some(class),
-            overlap_share: share,
-            gap_secs: gap.map(|g| g.as_secs_f64()),
-            evicted: alert.evicted,
-            evidence: alert.evidence,
-        }
-    }
-
-    /// A common alert closes: emit its own `Closed`, then re-examine
-    /// every already-closed QUIC alert on the same victim — verdicts
-    /// that change surface as `Reclassified` (Fig. 8 kept current).
-    fn close_common(&mut self, alert: ClosedAlert) -> Vec<LiveEvent> {
-        let victim = alert.attack.victim;
-        let mut events = vec![LiveEvent {
-            at: alert.attack.end,
-            protocol: AttackProtocol::TcpIcmp,
-            victim,
-            kind: LiveEventKind::Closed,
-            attack: Some(alert.attack.clone()),
-            class: None,
-            overlap_share: None,
-            gap_secs: None,
-            evicted: alert.evicted,
-            evidence: alert.evidence.clone(),
-        }];
-        self.common_index
-            .entry(victim)
-            .or_default()
-            .push(self.closed_common.len());
-        self.closed_common.push(alert.attack.clone());
-        self.common_profiles.push(alert.profile);
-        self.common_evidence.push(alert.evidence.clone());
-        if let Some(indices) = self.quic_index.get(&victim).cloned() {
-            for i in indices {
-                let changed = self.closed_quic[i].absorb(&alert.attack);
-                if changed {
-                    self.reclassified += 1;
-                    let (class, share, gap) = self.closed_quic[i].verdict();
-                    events.push(LiveEvent {
-                        at: alert.attack.end,
-                        protocol: AttackProtocol::Quic,
-                        victim,
-                        kind: LiveEventKind::Reclassified,
-                        attack: Some(self.closed_quic[i].attack.clone()),
-                        class: Some(class),
-                        overlap_share: share,
-                        gap_secs: gap.map(|g| g.as_secs_f64()),
-                        evicted: false,
-                        evidence: Vec::new(),
-                    });
-                }
-            }
-        }
+        self.common.flush(&mut self.floods, &mut events);
+        self.quic.flush(&mut self.floods, &mut events);
         events
     }
 
     /// Closed QUIC attacks with their current verdicts, in close order.
     pub fn closed_quic(&self) -> &[ClassifiedAttack] {
-        &self.closed_quic
+        &self.floods.quic
     }
 
-    /// Closed common attacks, in close order.
-    pub fn closed_common(&self) -> &[Attack] {
-        &self.closed_common
+    /// Closed common floods, in close order.
+    pub fn closed_common(&self) -> &[SliceChannel] {
+        &self.floods.common
     }
 
-    /// Arrival profiles parallel to [`LiveDetector::closed_common`].
-    pub fn common_profiles(&self) -> &[Vec<ProfileCell>] {
-        &self.common_profiles
-    }
-
-    /// Evidence rings parallel to [`LiveDetector::closed_common`].
-    pub fn common_evidence(&self) -> &[Vec<EvidencePacket>] {
-        &self.common_evidence
+    /// The common floods closed on `victim`, in close order.
+    pub(crate) fn common_on(&self, victim: Ipv4Addr) -> impl Iterator<Item = &SliceChannel> {
+        self.floods.common_on(victim)
     }
 
     /// Aggregated counters across both channels.
     pub fn stats(&self) -> LiveStats {
         let mut stats = self.quic.stats;
         stats.merge(&self.common.stats);
-        stats.reclassified = self.reclassified;
+        stats.reclassified = self.floods.reclassified;
         stats
     }
 
@@ -885,43 +884,44 @@ impl LiveDetector {
     /// emits the exact same events for the rest of the stream as this
     /// one would.
     pub fn snapshot(&self) -> DetectorSnapshot {
+        let common = &self.floods.common;
         DetectorSnapshot {
             quic: self.quic.snapshot(),
             common: self.common.snapshot(),
-            closed_quic: self.closed_quic.clone(),
-            closed_common: self.closed_common.clone(),
-            common_profiles: self.common_profiles.clone(),
-            common_evidence: self.common_evidence.clone(),
-            reclassified: self.reclassified,
+            closed_quic: self.floods.quic.clone(),
+            closed_common: common.iter().map(|f| f.attack.clone()).collect(),
+            common_profiles: common.iter().map(|f| f.profile.clone()).collect(),
+            common_evidence: common.iter().map(|f| f.evidence.clone()).collect(),
+            reclassified: self.floods.reclassified,
         }
     }
 
     /// Rebuilds a detector from a checkpoint (the correlation indices
     /// and the tables' activity indexes are derived state and are
-    /// reconstructed, not serialized).
+    /// reconstructed, not serialized). Closed common flood `i` is entry
+    /// `i` of the snapshot's three common arrays, which
+    /// [`crate::parse_checkpoint`] holds to one length.
     pub fn restore(config: LiveConfig, snapshot: &DetectorSnapshot) -> Self {
-        let mut quic_index: HashMap<Ipv4Addr, Vec<usize>> = HashMap::new();
-        for (i, classified) in snapshot.closed_quic.iter().enumerate() {
-            quic_index
-                .entry(classified.attack.victim)
-                .or_default()
-                .push(i);
-        }
-        let mut common_index: HashMap<Ipv4Addr, Vec<usize>> = HashMap::new();
-        for (i, attack) in snapshot.closed_common.iter().enumerate() {
-            common_index.entry(attack.victim).or_default().push(i);
-        }
+        let common = snapshot
+            .closed_common
+            .iter()
+            .zip(&snapshot.common_profiles)
+            .zip(&snapshot.common_evidence)
+            .map(|((attack, profile), evidence)| SliceChannel {
+                attack: attack.clone(),
+                profile: profile.clone(),
+                evidence: evidence.clone(),
+            })
+            .collect();
         LiveDetector {
             quic: ChannelDetector::restore(AttackProtocol::Quic, &config, &snapshot.quic),
             common: ChannelDetector::restore(AttackProtocol::TcpIcmp, &config, &snapshot.common),
             config,
-            closed_quic: snapshot.closed_quic.clone(),
-            closed_common: snapshot.closed_common.clone(),
-            common_profiles: snapshot.common_profiles.clone(),
-            common_evidence: snapshot.common_evidence.clone(),
-            quic_index,
-            common_index,
-            reclassified: snapshot.reclassified,
+            floods: ClosedFloods::restore(
+                snapshot.closed_quic.clone(),
+                common,
+                snapshot.reclassified,
+            ),
         }
     }
 
@@ -1244,6 +1244,7 @@ mod tests {
         watermark: Timestamp,
         last_sweep: Timestamp,
         stats: LiveStats,
+        floods: ClosedFloods,
     }
 
     struct OracleState {
@@ -1263,7 +1264,7 @@ mod tests {
             victim: Ipv4Addr,
             state: OracleState,
             evicted: bool,
-            out: &mut Vec<ChannelEvent>,
+            out: &mut Vec<LiveEvent>,
         ) {
             if state.phase == AlertPhase::Quiet {
                 return;
@@ -1274,7 +1275,7 @@ mod tests {
                 .evidence
                 .len()
                 .saturating_sub(self.config.evidence_capacity);
-            out.push(ChannelEvent::Closed(ClosedAlert {
+            let flood = SliceChannel {
                 attack: Attack {
                     victim,
                     protocol: Self::PROTOCOL,
@@ -1294,11 +1295,11 @@ mod tests {
                     })
                     .collect(),
                 evidence: state.evidence[keep..].to_vec(),
-                evicted,
-            }));
+            };
+            self.floods.close_quic(flood, evicted, out);
         }
 
-        fn offer(&mut self, packet: EvidencePacket, victim: Ipv4Addr, out: &mut Vec<ChannelEvent>) {
+        fn offer(&mut self, packet: EvidencePacket, victim: Ipv4Addr, out: &mut Vec<LiveEvent>) {
             let ts = packet.ts;
             let session = self.config.session;
             self.stats.events_in += 1;
@@ -1368,18 +1369,28 @@ mod tests {
             {
                 state.phase = AlertPhase::Open;
                 self.stats.opened += 1;
-                out.push(ChannelEvent::Opened { at: ts, victim });
+                out.push(plain_event(
+                    ts,
+                    Self::PROTOCOL,
+                    victim,
+                    LiveEventKind::Opened,
+                ));
             }
             if state.phase == AlertPhase::Open
                 && tier.matches_measures(state.packets, duration, max_pps)
             {
                 state.phase = AlertPhase::Escalated;
                 self.stats.escalated += 1;
-                out.push(ChannelEvent::Escalated { at: ts, victim });
+                out.push(plain_event(
+                    ts,
+                    Self::PROTOCOL,
+                    victim,
+                    LiveEventKind::Escalated,
+                ));
             }
         }
 
-        fn flush(&mut self, out: &mut Vec<ChannelEvent>) {
+        fn flush(&mut self, out: &mut Vec<LiveEvent>) {
             let mut remaining: Vec<(Timestamp, Ipv4Addr)> = self
                 .states
                 .iter()
@@ -1435,7 +1446,9 @@ mod tests {
                 watermark: Timestamp::EPOCH,
                 last_sweep: Timestamp::EPOCH,
                 stats: LiveStats::default(),
+                floods: ClosedFloods::default(),
             };
+            let mut floods = ClosedFloods::default();
             let checkpoint_at = checkpoint_at % steps.len();
             let mut now_ms = 1_000_000u64;
             for (i, &(raw_victim, advance_ms, mode)) in steps.iter().enumerate() {
@@ -1462,16 +1475,18 @@ mod tests {
                 };
                 let victim = ip(raw_victim % victims);
                 let (mut got, mut want) = (Vec::new(), Vec::new());
-                channel.offer(packet.ts, victim, packet.dst, packet.bytes, &mut got);
+                channel.offer(packet.ts, victim, packet.dst, packet.bytes, &mut floods, &mut got);
                 oracle.offer(packet, victim, &mut want);
                 prop_assert!(got == want, "step {i}: got {got:?}, want {want:?}");
                 prop_assert_eq!(channel.stats, oracle.stats);
+                prop_assert_eq!(&floods.quic, &oracle.floods.quic, "step {}", i);
             }
             let (mut got, mut want) = (Vec::new(), Vec::new());
-            channel.flush(&mut got);
+            channel.flush(&mut floods, &mut got);
             oracle.flush(&mut want);
             prop_assert!(got == want, "flush: got {got:?}, want {want:?}");
             prop_assert_eq!(channel.stats, oracle.stats);
+            prop_assert_eq!(&floods.quic, &oracle.floods.quic);
             prop_assert_eq!(channel.tracked(), 0);
         }
     }

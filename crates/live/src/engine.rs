@@ -369,9 +369,10 @@ impl LiveEngine {
     /// accept records and process none), with an evidence cursor outside
     /// its ring (a detector that would panic on its next close), with a
     /// ring longer than `evidence_capacity` (one that would close with
-    /// its evidence out of order) or with
-    /// counters that contradict each other (an engine that would fail
-    /// its own [`LiveEngine::verify_metrics`]).
+    /// its evidence out of order), with closed common floods whose
+    /// three arrays differ in length (one that would drop floods) or
+    /// with counters that contradict each other (an engine that would
+    /// fail its own [`LiveEngine::verify_metrics`]).
     pub fn restore(snapshot: &LiveSnapshot) -> Self {
         let registry = MetricsRegistry::new();
         let metrics = LiveMetrics::register(&registry);
@@ -410,8 +411,8 @@ impl LiveEngine {
             for classified in shard.detector.closed_quic() {
                 engine.metrics.dos.observe_attack(&classified.attack);
             }
-            for attack in shard.detector.closed_common() {
-                engine.metrics.dos.observe_attack(attack);
+            for flood in shard.detector.closed_common() {
+                engine.metrics.dos.observe_attack(&flood.attack);
             }
         }
         engine.sync_metrics();
@@ -469,7 +470,7 @@ impl LiveEngine {
         let mut attacks: Vec<Attack> = self
             .shards
             .iter()
-            .flat_map(|s| s.detector.closed_common().iter().cloned())
+            .flat_map(|s| s.detector.closed_common().iter().map(|f| f.attack.clone()))
             .collect();
         attacks.sort_by_key(|a| (a.start, a.victim));
         attacks

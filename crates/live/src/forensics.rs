@@ -251,7 +251,7 @@ pub fn replay_slice(slice: &AlertSlice, packets: &[SlicePacket]) -> Result<Repla
         ));
     }
     let want_commons: Vec<&Attack> = slice.commons.iter().map(|c| &c.attack).collect();
-    let got_commons: Vec<&Attack> = detector.closed_common().iter().collect();
+    let got_commons: Vec<&Attack> = detector.closed_common().iter().map(|c| &c.attack).collect();
     if got_commons != want_commons {
         return Err(format!(
             "replayed common floods diverge:\n  got  {:?}\n  want {:?}",
@@ -276,20 +276,12 @@ pub fn replay_slice(slice: &AlertSlice, packets: &[SlicePacket]) -> Result<Repla
 
 impl LiveDetector {
     /// Builds the self-contained forensic slice for closed QUIC alert
-    /// `index` (close order), or `None` if out of range.
+    /// `index` (close order), or `None` if out of range. The victim's
+    /// common floods come from the detector's per-victim index.
     pub fn alert_slice(&self, index: usize) -> Option<AlertSlice> {
         let classified = self.closed_quic().get(index)?;
         let victim = classified.attack.victim;
-        let mut commons = Vec::new();
-        for (i, attack) in self.closed_common().iter().enumerate() {
-            if attack.victim == victim {
-                commons.push(SliceChannel {
-                    attack: attack.clone(),
-                    profile: self.common_profiles()[i].clone(),
-                    evidence: self.common_evidence()[i].clone(),
-                });
-            }
-        }
+        let commons = self.common_on(victim).cloned().collect();
         let (class, overlap_share, gap) = classified.verdict();
         Some(AlertSlice {
             alert_index: index,

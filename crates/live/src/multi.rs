@@ -145,6 +145,7 @@ pub fn parse_checkpoint(json: &str) -> Result<MultiSnapshot, String> {
     for detector in snapshot.engine.detectors() {
         detector.require_sound_rings(snapshot.engine.config.evidence_capacity)?;
         detector.require_closed_listed()?;
+        detector.require_common_floods_whole()?;
     }
     Ok(snapshot)
 }

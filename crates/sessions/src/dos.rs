@@ -67,6 +67,19 @@ impl DosThresholds {
         self.matches_measures(session.packet_count, session.duration(), session.max_pps())
     }
 
+    /// The attack `session` qualifies as, if it does: the one mapping
+    /// from a backscatter session to an [`Attack`].
+    pub fn attack(&self, session: &Session, protocol: AttackProtocol) -> Option<Attack> {
+        self.matches(session).then(|| Attack {
+            victim: session.src,
+            protocol,
+            start: session.start,
+            end: session.end,
+            packet_count: session.packet_count,
+            max_pps: session.max_pps(),
+        })
+    }
+
     /// [`Self::matches`] over raw measures, for callers that track the
     /// three quantities incrementally instead of holding a [`Session`]
     /// (the streaming detector). All three measures are monotone
@@ -180,15 +193,7 @@ pub fn detect_attacks(
 ) -> Vec<Attack> {
     sessions
         .iter()
-        .filter(|s| thresholds.matches(s))
-        .map(|s| Attack {
-            victim: s.src,
-            protocol,
-            start: s.start,
-            end: s.end,
-            packet_count: s.packet_count,
-            max_pps: s.max_pps(),
-        })
+        .filter_map(|s| thresholds.attack(s, protocol))
         .collect()
 }
 

@@ -12,7 +12,7 @@
 //! in [`crate::window`]; this module turns closed windows into
 //! [`Session`]s, counts them and emits the `session_*` events.
 
-use crate::dos::DosThresholds;
+use crate::dos::{Attack, AttackProtocol, DosThresholds};
 use crate::window::{CloseReason, Closed, Counted, ProfileCell, SessionTable, Steps};
 use quicsand_events::{
     EventMeta, NoopSubscriber, SessionClosed, SessionOpened, SessionWidened, Subscriber,
@@ -98,16 +98,17 @@ impl Session {
 ///
 /// Beside the key, every open session carries a tally `T` that the
 /// caller folds each of its packets into ([`Sessionizer::offer_tallied`]).
-/// A [`Sessionizer::tallying`] sessionizer keeps the tallies of the
-/// sessions that close as attacks and drops the rest; a plain one
-/// ([`Sessionizer::new`]) carries `()`.
+/// A [`Sessionizer::tallying`] sessionizer decides at each close whether
+/// the session is an attack, and keeps the [`Attack`] with its tally; it
+/// drops the tallies of the rest. A plain one ([`Sessionizer::new`])
+/// carries `()` and keeps nothing.
 #[derive(Debug)]
 pub struct Sessionizer<T = ()> {
     table: KeyedTable<T>,
     closed: Vec<Session>,
     /// The tallies kept so far, and the rule that keeps them.
     tallies: Vec<Tally<T>>,
-    keep: Option<DosThresholds>,
+    keep: Option<(DosThresholds, AttackProtocol)>,
     /// Cumulative lifecycle counters, the sessionizer's contribution to
     /// the metrics layer.
     counters: SessionizerCounters,
@@ -117,14 +118,12 @@ pub struct Sessionizer<T = ()> {
 /// and its tally.
 type KeyedTable<T> = SessionTable<(Option<u64>, T)>;
 
-/// The tally of one session that closed as an attack, named by the
-/// session's `(start, src)` — unique within one sessionizer.
+/// One session that closed as an attack: the attack it qualified as
+/// (its `(start, victim)` unique within one sessionizer) and its tally.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tally<T> {
-    /// The session's first packet.
-    pub start: Timestamp,
-    /// The session's source.
-    pub src: Ipv4Addr,
+    /// The attack, as [`DosThresholds::attack`] maps the session.
+    pub attack: Attack,
     /// What the caller folded the session's packets into.
     pub tally: T,
 }
@@ -165,7 +164,7 @@ impl SessionizerCounters {
 struct Sink<'a, S, T, F> {
     closed: &'a mut Vec<Session>,
     tallies: &'a mut Vec<Tally<T>>,
-    keep: Option<&'a DosThresholds>,
+    keep: Option<&'a (DosThresholds, AttackProtocol)>,
     counters: &'a mut SessionizerCounters,
     /// The connection-ID key of the packet being offered, if any.
     cid_key: Option<u64>,
@@ -210,15 +209,10 @@ impl<S: Subscriber, T, F: FnOnce(&mut T)> Steps<(Option<u64>, T)> for Sink<'_, S
             minute_counts: window.profile,
             cid_key,
         };
-        if self
-            .keep
-            .is_some_and(|thresholds| thresholds.matches(&session))
-        {
-            self.tallies.push(Tally {
-                start: session.start,
-                src,
-                tally,
-            });
+        if let Some((thresholds, protocol)) = self.keep {
+            let attack = thresholds.attack(&session, *protocol);
+            self.tallies
+                .extend(attack.map(|attack| Tally { attack, tally }));
         }
         self.closed.push(session);
         self.counters.closed += 1;
@@ -284,13 +278,17 @@ impl Sessionizer {
 
 impl<T: Default> Sessionizer<T> {
     /// Creates a sessionizer whose sessions carry a `T`, kept at close
-    /// for every session that `thresholds` match (an attack) and
-    /// dropped for every other.
-    pub fn tallying(config: SessionConfig, thresholds: DosThresholds) -> Self {
-        Sessionizer::build(config, Some(thresholds))
+    /// beside its `protocol` [`Attack`] for every session that
+    /// `thresholds` match and dropped for every other.
+    pub fn tallying(
+        config: SessionConfig,
+        thresholds: DosThresholds,
+        protocol: AttackProtocol,
+    ) -> Self {
+        Sessionizer::build(config, Some((thresholds, protocol)))
     }
 
-    fn build(config: SessionConfig, keep: Option<DosThresholds>) -> Self {
+    fn build(config: SessionConfig, keep: Option<(DosThresholds, AttackProtocol)>) -> Self {
         Sessionizer {
             table: SessionTable::new(config, usize::MAX),
             closed: Vec::new(),
@@ -428,7 +426,7 @@ impl<T: Default> Sessionizer<T> {
     }
 
     /// [`Sessionizer::finish`] that also returns the kept tallies, both
-    /// in `(start, src)` order.
+    /// in `(start, src)` order (an attack's `src` is its victim).
     pub fn finish_tallied(self) -> (Vec<Session>, Vec<Tally<T>>) {
         self.finish_tallied_with("", &EventMeta::lifecycle(), &mut NoopSubscriber)
     }
@@ -443,7 +441,8 @@ impl<T: Default> Sessionizer<T> {
         table.flush(&mut |closed| sink.closed(closed));
         // The whole output in one order, not only the flushed tail.
         self.closed.sort_by_key(|s| (s.start, s.src));
-        self.tallies.sort_by_key(|t| (t.start, t.src));
+        self.tallies
+            .sort_by_key(|t| (t.attack.start, t.attack.victim));
         (self.closed, self.tallies)
     }
 
@@ -693,7 +692,8 @@ mod tests {
     fn a_tallying_sessionizer_keeps_the_tallies_of_attacks_only() {
         // One 2-pps flood of 240 packets (two minutes), then a trickle
         // from the same source after a gap, and one other source.
-        let mut sessionizer = Sessionizer::<Vec<u64>>::tallying(cfg(300), DosThresholds::moore());
+        let (thresholds, protocol) = (DosThresholds::moore(), AttackProtocol::Quic);
+        let mut sessionizer = Sessionizer::<Vec<u64>>::tallying(cfg(300), thresholds, protocol);
         let mut offer = |secs_x2: u64, src: Ipv4Addr, n: u64| {
             sessionizer.offer_tallied(Timestamp::from_micros(secs_x2 * 500_000), src, |t| {
                 t.push(n)
@@ -710,7 +710,12 @@ mod tests {
         assert_eq!(sessions.len(), 3);
         assert_eq!(tallies.len(), 1, "only the flood is an attack");
         let kept = &tallies[0];
-        assert_eq!((kept.start, kept.src), (Timestamp::EPOCH, ip(1)));
+        let flood = thresholds.attack(&sessions[0], protocol);
+        assert_eq!(Some(&kept.attack), flood.as_ref());
+        assert_eq!(
+            (kept.attack.start, kept.attack.victim),
+            (Timestamp::EPOCH, ip(1))
+        );
         assert_eq!(kept.tally, (0..240).collect::<Vec<u64>>());
     }
 

@@ -7,6 +7,7 @@
 //! and `common_attack_subsample_factor`). Distribution *shapes* are never
 //! sub-sampled.
 
+use quicsand_intel::{SyntheticInternet, TopologyConfig};
 use serde::{Deserialize, Serialize};
 
 /// Complete scenario configuration.
@@ -221,6 +222,20 @@ impl ScenarioConfig {
             (0.0..=1.0).contains(&self.full_overlap_share),
             "full-overlap share must be a probability"
         );
+    }
+
+    /// The synthetic Internet a scenario of this configuration is
+    /// generated in, as it stands before generation populates GreyNoise.
+    /// [`Scenario::generate`](crate::Scenario::generate) builds on it, and
+    /// an analysis of a capture rebuilds it to look sources up.
+    pub fn world(&self) -> SyntheticInternet {
+        SyntheticInternet::build(&TopologyConfig {
+            seed: self.seed,
+            // The victim pool must fit inside the provider server
+            // registry with slack for provider-mix sampling.
+            servers_per_provider: (self.victim_pool * 2).max(48),
+            ..TopologyConfig::default()
+        })
     }
 }
 

@@ -9,7 +9,7 @@
 use crate::config::ScenarioConfig;
 use crate::{floods, misconfig, research, scanners};
 use bytes::Bytes;
-use quicsand_intel::{SyntheticInternet, TopologyConfig};
+use quicsand_intel::SyntheticInternet;
 use quicsand_net::rng::substream;
 use quicsand_net::{PacketRecord, Timestamp};
 use quicsand_wire::QUIC_PORT;
@@ -52,14 +52,7 @@ impl Scenario {
     /// Generates the scenario for `config`.
     pub fn generate(config: &ScenarioConfig) -> Scenario {
         config.validate();
-        let topo = TopologyConfig {
-            seed: config.seed,
-            // The victim pool must fit inside the provider server
-            // registry with slack for provider-mix sampling.
-            servers_per_provider: (config.victim_pool * 2).max(48),
-            ..TopologyConfig::default()
-        };
-        let mut world = SyntheticInternet::build(&topo);
+        let mut world = config.world();
         let mut records = Vec::new();
 
         research::generate(&mut world, config, &mut records);

@@ -76,7 +76,23 @@ events_smoke() {
   # One slice is itself a valid JSON-SEQ document.
   first_slice="$(find "$events_dir/slices" -name 'alert-*.qlog' | sort | head -1)"
   cargo run -q $profile -- forensics check "$first_slice" >/dev/null
-  echo "events-smoke: qlog framing valid, every closed alert replayed — OK"
+  # The same slices from an engine that continued from its own restored
+  # checkpoints (4 on this capture of ~440 k records): a restored
+  # detector rebuilds every closed flood and its per-victim index.
+  restored_out="$(cargo run -q $profile -- live "$events_dir/ref.qscp" \
+    --shards 2 --checkpoint-every 100000 \
+    --forensics-out "$events_dir/slices-restored" 2>&1)"
+  checkpoints="$(echo "$restored_out" | sed -nE 's/.* ([0-9]+) checkpoint\(s\) verified$/\1/p')"
+  if [[ "${checkpoints:-0}" -lt 2 ]]; then
+    echo "events-smoke: the checkpointed leg took ${checkpoints:-no} checkpoint(s), want at least 2" >&2
+    echo "$restored_out" | tail -5 >&2
+    exit 1
+  fi
+  diff -r "$events_dir/slices" "$events_dir/slices-restored" || {
+    echo "events-smoke: slices differ after $checkpoints checkpoint/restore cycle(s)" >&2
+    exit 1
+  }
+  echo "events-smoke: qlog framing valid, every closed alert replayed, slices checkpoint-invariant — OK"
 }
 
 scenario_smoke() {
@@ -420,6 +436,20 @@ if nontest_code crates/live/src/detector.rs | sed -n '/fn fresh(/,/^    }/p' | g
   echo "evidence pin: \`AlertState::fresh\` calls \`with_capacity\` in crates/live/src/detector.rs" >&2
   exit 1
 fi
+
+echo "==> live detector: a closed flood is recorded once, where it closes"
+# The table's close step settles a close: it pushes the lifecycle events
+# and records the flood in the detector's `ClosedFloods`, one record per
+# flood. An event relay (`ChannelEvent` + `settle`) is a second pass over
+# every close; index-aligned close arrays (`common_profiles` beside
+# `closed_common`) are three copies of one flood's order, held together
+# by nothing. The checkpoint keeps the arrays; the runtime does not.
+for needle in 'enum ChannelEvent' 'fn settle' 'fn common_profiles'; do
+  if nontest_code crates/live/src/detector.rs | grep -nF "$needle"; then
+    echo "close pin: \`$needle\` in non-test code of crates/live/src/detector.rs" >&2
+    exit 1
+  fi
+done
 
 echo "==> streaming batch path: no decoded-capture vector comes back"
 # The CLI feeds the pipeline `read_batch` slices and the pipeline keeps

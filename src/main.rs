@@ -527,11 +527,7 @@ fn run_pipeline<S: Subscriber>(
     let reader = ZeroCopyCaptureReader::from_path(path).map_err(|e| format!("read {path}: {e}"))?;
     // The world is rebuilt deterministically; AS/provider lookups for a
     // *foreign* capture will classify unknown sources as `other`.
-    let world = quicsand_intel::SyntheticInternet::build(&quicsand_intel::TopologyConfig {
-        seed: config.seed,
-        servers_per_provider: (config.victim_pool * 2).max(48),
-        ..quicsand_intel::TopologyConfig::default()
-    });
+    let world = config.world();
 
     eprintln!("streaming {path} through the pipeline...");
     let mut driver = AnalysisDriver::new(&world.asdb, &analysis_cfg);

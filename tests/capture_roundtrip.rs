@@ -3,14 +3,17 @@
 //! The writer is the reference for the one reader: whatever it wrote,
 //! the reader decodes back unchanged.
 
+use corpus::{adversarial_corpus, assert_expected};
 use quicsand_core::{Analysis, AnalysisConfig};
-use quicsand_dissect::corpus::{adversarial_corpus, assert_expected};
 use quicsand_net::capture::{self, CaptureWriter};
 use quicsand_net::{PacketRecord, Timestamp, ZeroCopyCaptureReader};
 use quicsand_traffic::{Scenario, ScenarioConfig};
 use std::fs::File;
 use std::io::BufWriter;
 use std::net::Ipv4Addr;
+
+#[path = "common/corpus.rs"]
+mod corpus;
 
 #[test]
 fn file_roundtrip_preserves_analysis() {

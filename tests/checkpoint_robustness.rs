@@ -8,12 +8,19 @@
 //! golden schema-v2 file, its bare `engine` object (which is the v1
 //! form) and a churned detector's — damaged the ways files get damaged.
 //!
+//! A restored engine must also build its forensic slices: a checkpoint
+//! whose closed-flood arrays disagree is refused, not sliced past.
+//!
 //! Damage that changes no meaning (a duplicate *behind* the entry it
 //! repeats, top-level entries in another order, an unknown field) must
 //! also change no result.
 
 use proptest::prelude::*;
-use quicsand_live::{parse_checkpoint, LiveEngine, MultiSnapshot};
+use quicsand_live::{
+    parse_checkpoint, LiveConfig, LiveEngine, MultiSnapshot, CHECKPOINT_SCHEMA_VERSION,
+};
+use quicsand_telescope::GuardConfig;
+use quicsand_traffic::{Scenario, ScenarioConfig};
 use serde::Value;
 use serde_json::MAX_DEPTH;
 use std::sync::OnceLock;
@@ -40,14 +47,76 @@ fn corpus() -> &'static [String] {
 }
 
 /// The contract: an error with a message, or a snapshot that restores
-/// into an engine whose counters reconcile.
+/// into an engine whose counters reconcile and whose forensic slices
+/// (`live --forensics-out`) can be built.
 fn read(text: &str) -> Result<MultiSnapshot, String> {
     let snapshot = parse_checkpoint(text)?;
     let mut engine = LiveEngine::restore(&snapshot.engine);
     if let Err(errors) = engine.verify_metrics() {
         panic!("a checkpoint that parsed restores unreconciled: {errors:?}");
     }
+    engine.alert_slices();
     Ok(snapshot)
+}
+
+/// A one-shard engine run to the end of the test scenario, and its
+/// schema-v2 checkpoint: most of its QUIC alerts share their victim with
+/// a closed common flood, so their slices carry common floods.
+fn scenario_run() -> (LiveEngine, String) {
+    let records = Scenario::generate(&ScenarioConfig::test()).records;
+    let mut engine = LiveEngine::new(LiveConfig::default(), GuardConfig::default(), 1);
+    for chunk in records.chunks(4096) {
+        engine.offer_chunk(chunk);
+    }
+    engine.finish();
+    let snapshot = MultiSnapshot {
+        version: CHECKPOINT_SCHEMA_VERSION,
+        engine: engine.snapshot(),
+        cursors: vec![records.len() as u64],
+    };
+    let text = serde_json::to_string(&snapshot).expect("snapshot serializes");
+    (engine, text)
+}
+
+/// The value at `path` of a tree of maps and sequences.
+fn at<'t>(tree: &'t mut Value, path: &[&str]) -> &'t mut Value {
+    path.iter().fold(tree, |node, step| match node {
+        Value::Map(entries) => {
+            let entry = entries.iter_mut().find(|(key, _)| key == step);
+            &mut entry.expect("the path exists").1
+        }
+        Value::Seq(items) => &mut items[step.parse::<usize>().expect("an index")],
+        _ => panic!("no container at {step}"),
+    })
+}
+
+/// A closed common flood is written as three arrays of one entry each.
+/// A checkpoint that lists fewer profiles or evidence rings than floods
+/// is no checkpoint a detector writes: it is refused by name, before a
+/// restored engine can lose floods or slice past the short array.
+#[test]
+fn closed_common_floods_listed_unevenly_are_refused() {
+    let (engine, whole) = scenario_run();
+    let slices = engine.alert_slices();
+    assert!(slices.iter().any(|slice| !slice.commons.is_empty()));
+    let snapshot = read(&whole).expect("as written");
+    let restored = LiveEngine::restore(&snapshot.engine);
+    assert_eq!(restored.alert_slices(), slices);
+
+    let floods = engine.closed_common().len();
+    assert!(floods > 0);
+    for field in ["common_profiles", "common_evidence"] {
+        let mut damaged = tree(&whole);
+        *at(&mut damaged, &["engine", "shards", "0", "detector", field]) = Value::Seq(Vec::new());
+        let error = read(&text(&damaged)).expect_err(field);
+        assert_eq!(
+            error,
+            format!(
+                "checkpoint field `{field}` lists 0 entry(ies), \
+                 but `closed_common` lists {floods} closed flood(s)"
+            )
+        );
+    }
 }
 
 fn tree(text: &str) -> Value {

@@ -3,13 +3,16 @@
 //! Hand-crafted hostile payloads of the kind a darknet actually receives
 //! — truncations at every field boundary, oversized CID lengths,
 //! reserved-bit violations, bogus versions — each annotated with the
-//! *typed error* (or success) it must dissect to. The corpus backs two
-//! test suites: the dissector's own typed-error conformance test, and
-//! the capture round-trip test that writes every entry to a capture,
-//! reads it back and dissects each payload as a view into the reader's
-//! arena.
+//! *typed error* (or success) it must dissect to. The corpus backs three
+//! suites: the dissector's own typed-error conformance test, the
+//! differential test that holds `check_udp_payload` to
+//! `dissect_udp_payload`, and the capture round-trip test that writes
+//! every entry to a capture, reads it back and dissects each payload as
+//! a view into the reader's arena. Include it with
+//! `#[path = "common/corpus.rs"] mod corpus;`.
 
 use bytes::Bytes;
+use quicsand_dissect::{DissectError, DissectedPacket, MessageKind};
 use quicsand_wire::crypto::{seal, InitialSecrets, TAG_LEN};
 use quicsand_wire::header::{LongHeader, LongPacketType};
 use quicsand_wire::tls::{cipher_suite, ClientHello};
@@ -47,7 +50,8 @@ pub struct CorpusEntry {
     pub name: &'static str,
     /// The hostile UDP payload.
     pub payload: Vec<u8>,
-    /// The outcome [`crate::dissect_udp_payload`] must produce.
+    /// The outcome `quicsand_dissect::dissect_udp_payload` must produce.
+    #[allow(dead_code)] // the differential suite compares, not expects
     pub expect: CorpusExpect,
 }
 
@@ -410,17 +414,17 @@ pub fn adversarial_corpus() -> Vec<CorpusEntry> {
 
 /// Asserts that `result` matches `expect`, with `name` in the failure
 /// message. Shared by every suite that replays the corpus.
+#[allow(dead_code)] // every suite but the differential one
 pub fn assert_expected(
     name: &str,
     expect: CorpusExpect,
-    result: &Result<crate::DissectedPacket, crate::DissectError>,
+    result: &Result<DissectedPacket, DissectError>,
 ) {
-    use crate::DissectError;
     match expect {
         CorpusExpect::Ok => assert!(result.is_ok(), "{name}: expected Ok, got {result:?}"),
         CorpusExpect::ClientHello(verdict) => assert!(
             matches!(result, Ok(d) if matches!(d.messages.as_slice(),
-                [m] if m.kind == crate::MessageKind::Initial && m.has_client_hello == verdict)),
+                [m] if m.kind == MessageKind::Initial && m.has_client_hello == verdict)),
             "{name}: expected one Initial with has_client_hello == {verdict}, got {result:?}"
         ),
         CorpusExpect::Empty => assert!(
@@ -444,20 +448,5 @@ pub fn assert_expected(
             "{name}: expected NotQuic, got {result:?}"
         ),
         CorpusExpect::AnyErr => assert!(result.is_err(), "{name}: expected an error, got Ok"),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn corpus_entries_have_unique_names() {
-        let corpus = adversarial_corpus();
-        assert_eq!(corpus.len(), 45);
-        let mut names: Vec<_> = corpus.iter().map(|e| e.name).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), corpus.len(), "entry names must be unique");
     }
 }

@@ -1,17 +1,20 @@
 //! Fuzz-style adversarial corpus for the dissector and header parser.
 //!
-//! The corpus itself lives in `quicsand_dissect::corpus` — each entry is
+//! The corpus itself lives in `tests/common/corpus.rs` — each entry is
 //! a hand-crafted hostile payload of the kind a darknet actually
 //! receives, and each must produce the *right typed error*: never a
 //! panic, never a false success, and never a coarser error than the
 //! malformation deserves (the quarantine taxonomy depends on the
 //! distinction). The same corpus is replayed through the capture layer
-//! by `tests/zerocopy_differential.rs`.
+//! by `tests/capture_roundtrip.rs`.
 
-use quicsand_dissect::corpus::{adversarial_corpus, assert_expected};
+use corpus::{adversarial_corpus, assert_expected};
 use quicsand_dissect::dissect_udp_payload;
 use quicsand_wire::header::{LongHeader, ShortHeader};
 use quicsand_wire::WireError;
+
+#[path = "common/corpus.rs"]
+mod corpus;
 
 #[test]
 fn adversarial_corpus_gets_the_right_typed_error() {
@@ -148,4 +151,14 @@ fn header_layer_corpus() {
             "header prefix of {cut} bytes must not decode"
         );
     }
+}
+
+#[test]
+fn corpus_entries_have_unique_names() {
+    let corpus = adversarial_corpus();
+    assert_eq!(corpus.len(), 45);
+    let mut names: Vec<_> = corpus.iter().map(|e| e.name).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), corpus.len(), "entry names must be unique");
 }

@@ -17,7 +17,7 @@
 //! exactly the dissection's message kinds, and exactly its
 //! `DissectError` when it rejects.
 
-use quicsand_dissect::corpus::adversarial_corpus;
+use corpus::adversarial_corpus;
 use quicsand_dissect::{
     check_udp_payload, classify_record, dissect_udp_payload, Classification, DissectError,
     DissectedPacket, MessageKind, MessageMeta,
@@ -30,6 +30,9 @@ use quicsand_wire::header::LongPacketType;
 use quicsand_wire::packet::{parse_datagram, ParsedHeader};
 use quicsand_wire::tls::{peek_handshake_type, HandshakeType};
 use quicsand_wire::{Frame, Version, WireError};
+
+#[path = "common/corpus.rs"]
+mod corpus;
 
 fn classify_wire_error(e: WireError) -> DissectError {
     match e {

@@ -8,14 +8,18 @@
 //! checkpoint/restore taken while a feed is flaky, and sources that are
 //! empty or hit EOF instantly.
 
-use quicsand_faults::source::{FlakyFactory, FlakyPlan};
+use flaky::{FlakyFactory, FlakyPlan};
 use quicsand_live::{parse_checkpoint, LiveConfig, LiveEngine, LiveEvent, MultiSourceLive};
 use quicsand_net::multi::{
     capture_file_factory, memory_factory, merge_records, SourceFactory, SourceSet, SourceSetConfig,
 };
-use quicsand_net::PacketRecord;
+use quicsand_net::{PacketRecord, TcpFlags, Timestamp};
 use quicsand_telescope::GuardConfig;
 use quicsand_traffic::{Scenario, ScenarioConfig};
+use std::net::Ipv4Addr;
+
+#[path = "common/flaky.rs"]
+mod flaky;
 
 /// A prefix of the deterministic scenario trace: long enough to close
 /// floods on both channels, short enough to keep the matrix fast.
@@ -275,4 +279,98 @@ fn empty_and_instantly_eof_sources_are_tolerated() {
         assert!(!empty.dead, "source {i} was drained, not abandoned");
     }
     std::fs::remove_file(&empty_file).ok();
+}
+
+/// One SYN-ACK at `ts` µs from a source numbered by `ts`: a feed for
+/// the flaky-source fixture's own tests.
+fn tcp_record(ts: u64) -> PacketRecord {
+    PacketRecord::tcp(
+        Timestamp::from_micros(ts),
+        Ipv4Addr::new(10, 1, (ts >> 8) as u8, ts as u8),
+        Ipv4Addr::new(192, 0, 2, 9),
+        443,
+        6000,
+        TcpFlags::SYN_ACK,
+    )
+}
+
+#[test]
+fn plan_is_seeded_sorted_and_strictly_increasing() {
+    let plan = FlakyPlan::new(42, 5, 10_000);
+    assert_eq!(plan, FlakyPlan::new(42, 5, 10_000));
+    assert_ne!(plan, FlakyPlan::new(43, 5, 10_000));
+    assert_eq!(plan.points().len(), 5);
+    assert!(plan.points().windows(2).all(|w| w[0] < w[1]));
+}
+
+#[test]
+fn flaky_source_dies_at_the_planned_position_then_stays_dead() {
+    let records: Vec<_> = (0..100).map(tcp_record).collect();
+    let plan = FlakyPlan {
+        points: vec![7, 30],
+    };
+    let mut factory = FlakyFactory::new(memory_factory(records), plan);
+    let mut session = factory.open().unwrap();
+    for _ in 0..7 {
+        assert!(matches!(session.next_record(), Some(Ok(_))));
+    }
+    for _ in 0..3 {
+        let error = session.next_record().unwrap().unwrap_err();
+        assert!(error.to_string().contains("injected source failure"));
+    }
+    // The next session dies strictly later: guaranteed progress.
+    let mut session = factory.open().unwrap();
+    for _ in 0..30 {
+        assert!(matches!(session.next_record(), Some(Ok(_))));
+    }
+    assert!(matches!(session.next_record(), Some(Err(_))));
+    // Past the plan, sessions run clean to EOF.
+    let mut session = factory.open().unwrap();
+    let mut n = 0;
+    while let Some(r) = session.next_record() {
+        r.unwrap();
+        n += 1;
+    }
+    assert_eq!(n, 100);
+    assert_eq!(factory.opens(), 3);
+}
+
+#[test]
+fn a_chunked_pull_hands_over_the_records_then_the_failure() {
+    let records: Vec<_> = (0..100).map(tcp_record).collect();
+    let plan = FlakyPlan { points: vec![7] };
+    let mut session = FlakyFactory::new(memory_factory(records.clone()), plan)
+        .open()
+        .unwrap();
+    assert_eq!(session.pull_chunk(64).unwrap(), records[..7]);
+    for _ in 0..2 {
+        assert!(session.pull_chunk(64).is_err(), "the failure is not an end");
+    }
+}
+
+#[test]
+fn flaky_feed_delivers_the_unbroken_sequence_through_a_source_set() {
+    let all: Vec<_> = (0..400).map(tcp_record).collect();
+    let splits = vec![
+        all.iter().step_by(2).cloned().collect::<Vec<_>>(),
+        all.iter().skip(1).step_by(2).cloned().collect::<Vec<_>>(),
+    ];
+    let reference = merge_records(&splits);
+    let plan = FlakyPlan::new(7, 4, splits[0].len() as u64);
+    assert!(!plan.points().is_empty());
+    let factories: Vec<Box<dyn SourceFactory>> = vec![
+        Box::new(FlakyFactory::new(memory_factory(splits[0].clone()), plan)),
+        Box::new(memory_factory(splits[1].clone())),
+    ];
+    let mut set = SourceSet::spawn(factories, &SourceSetConfig::default());
+    let mut merged = Vec::new();
+    while let Some(r) = set.next_merged() {
+        merged.push(r);
+    }
+    assert_eq!(merged, reference, "failures are invisible to the merge");
+    let stats = set.stats();
+    assert_eq!(stats[0].reconnects, 4);
+    assert_eq!(stats[0].drops, 4);
+    assert!(stats[0].eof && !stats[0].dead);
+    assert_eq!(stats[1].reconnects, 0);
 }

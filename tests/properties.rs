@@ -20,6 +20,9 @@ use quicsand_wire::packet::{parse_datagram, Packet, PacketPayload};
 use quicsand_wire::{ConnectionId, Frame, Version};
 use std::net::Ipv4Addr;
 
+#[path = "common/flaky.rs"]
+mod flaky;
+
 fn ip(last: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 77, 0, last)
 }
@@ -510,7 +513,7 @@ proptest! {
         seed in any::<u64>(),
         cut in 0.0f64..1.0,
     ) {
-        use quicsand_faults::source::{FlakyFactory, FlakyPlan};
+        use flaky::{FlakyFactory, FlakyPlan};
         use quicsand_net::multi::{
             memory_factory, merge_records, SourceFactory, SourceSet, SourceSetConfig,
         };
