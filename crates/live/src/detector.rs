@@ -33,7 +33,9 @@ use quicsand_sessions::dos::{Attack, AttackProtocol, DosThresholds};
 use quicsand_sessions::multivector::{self, MultiVectorClass};
 use quicsand_sessions::session::SessionConfig;
 pub use quicsand_sessions::window::ProfileCell;
-use quicsand_sessions::window::{CloseReason, Closed, Counted, SessionTable, Steps, Window};
+use quicsand_sessions::window::{
+    check_profile, CloseReason, Closed, Counted, SessionTable, Steps, Window,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -71,90 +73,6 @@ impl Default for LiveConfig {
     }
 }
 
-/// Checkpoint shape of [`VictimState::minute_counts`]: the sorted cell
-/// vector is written as the `{minute: {count, first, last}}` map the
-/// format has always had, so old checkpoints resume and new ones are
-/// byte-identical to them (`tests/golden/checkpoint-v2.json`). The
-/// vector is written and read as it stands, with no map in between.
-mod minute_map {
-    use super::{ProfileCell, Timestamp};
-    use serde::{Access, Compound, Decimal, Deserialize, Deserializer, Serialize, Serializer};
-
-    #[derive(Serialize, Deserialize)]
-    struct MinuteCell {
-        count: u64,
-        first: Timestamp,
-        last: Timestamp,
-    }
-
-    impl MinuteCell {
-        fn of(cell: &ProfileCell) -> Self {
-            MinuteCell {
-                count: cell.count,
-                first: cell.first,
-                last: cell.last,
-            }
-        }
-    }
-
-    fn key(cell: &ProfileCell) -> Decimal {
-        Decimal::of_u64(cell.minute)
-    }
-
-    /// Every map is written in the order of its keys as strings
-    /// (`"10" < "9"`). The cells are sorted by minute, and minutes of
-    /// one digit count are in that order already — a profile spans
-    /// minutes, not powers of ten — so only a profile across a power of
-    /// ten sorts an index.
-    pub fn serialize<S: Serializer>(cells: &[ProfileCell], s: S) -> Result<S::Ok, S::Error> {
-        let digits = |cell: &ProfileCell| key(cell).as_str().len();
-        let mut map = s.serialize_map(cells.len())?;
-        match (cells.first(), cells.last()) {
-            (Some(first), Some(last)) if digits(first) != digits(last) => {
-                let mut order: Vec<(Decimal, &ProfileCell)> =
-                    cells.iter().map(|cell| (key(cell), cell)).collect();
-                order.sort_unstable_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
-                for (key, cell) in order {
-                    map.entry(key.as_str(), &MinuteCell::of(cell))?;
-                }
-            }
-            _ => {
-                for cell in cells {
-                    map.entry(key(cell).as_str(), &MinuteCell::of(cell))?;
-                }
-            }
-        }
-        map.end()
-    }
-
-    /// Cells are read in the order written; the vector is sorted and
-    /// freed of repeated minutes, the last one kept, only when the text
-    /// was not in minute order.
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Vec<ProfileCell>, D::Error> {
-        let mut map = d.map("map")?;
-        let mut cells: Vec<ProfileCell> = Vec::new();
-        let mut sorted = true;
-        while let Some(minute) = map.key_as::<u64>()? {
-            let slot: MinuteCell = map.value()?;
-            sorted &= cells.last().is_none_or(|last| last.minute < minute);
-            cells.push(ProfileCell {
-                minute,
-                count: slot.count,
-                first: slot.first,
-                last: slot.last,
-            });
-        }
-        if !sorted {
-            // Reversed first, so the stable sort puts the last cell of
-            // a minute first and the dedup keeps it.
-            cells.reverse();
-            cells.sort_by_key(|cell| cell.minute);
-            cells.dedup_by_key(|cell| cell.minute);
-        }
-        Ok(cells)
-    }
-}
-
 /// Where a victim's alert currently stands. Monotone: transitions only
 /// ever move rightwards (Quiet → Open → Escalated), because every
 /// threshold measure is non-decreasing while the session is open.
@@ -168,29 +86,14 @@ enum AlertPhase {
     Escalated,
 }
 
-/// Checkpoint shape of one open victim: its [`Window`] and
-/// [`AlertState`] side by side, field for field what the format has
-/// always had (the vendored serde has no `flatten`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct VictimState {
-    start: Timestamp,
-    last: Timestamp,
-    packet_count: u64,
-    #[serde(with = "minute_map")]
-    minute_counts: Vec<ProfileCell>,
-    max_minute: u64,
-    phase: AlertPhase,
-    evidence: Vec<EvidencePacket>,
-    cursor: usize,
-}
-
 /// What a channel attaches to a victim's open [`Window`]: where its
 /// alert stands and the most recent packets a close could emit.
 #[derive(Debug, Clone, PartialEq)]
 struct AlertState {
     phase: AlertPhase,
-    /// Evidence ring, managed through `cursor`. Snapshots normalize it
-    /// to chronological order (see [`ChannelDetector::snapshot`]).
+    /// Evidence ring, managed through `cursor`. Snapshots write it in
+    /// chronological order and restore it with `cursor` 0, its oldest
+    /// slot (see [`ChannelDetector::restore`]).
     evidence: Vec<EvidencePacket>,
     cursor: usize,
 }
@@ -266,11 +169,14 @@ impl LiveStats {
     }
 }
 
-/// One victim's state in a [`ChannelSnapshot`].
+/// One open victim in a [`ChannelSnapshot`]: its [`Window`] and its
+/// [`AlertState`], with the evidence ring oldest first.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct VictimEntry {
     src: Ipv4Addr,
-    state: VictimState,
+    window: Window,
+    phase: AlertPhase,
+    evidence: Vec<EvidencePacket>,
 }
 
 /// Serializable checkpoint of one channel.
@@ -279,9 +185,8 @@ struct ChannelSnapshot {
     watermark: Timestamp,
     last_sweep: Timestamp,
     stats: LiveStats,
-    /// Open victims sorted by address; evidence rings normalized to
-    /// chronological order so identical logical state always
-    /// serializes identically.
+    /// Open victims sorted by address; evidence rings in chronological
+    /// order, so identical logical state always serializes identically.
     states: Vec<VictimEntry>,
 }
 
@@ -479,21 +384,9 @@ impl ChannelDetector {
             .iter()
             .map(|(src, window, alert)| VictimEntry {
                 src,
-                state: VictimState {
-                    start: window.start,
-                    last: window.last,
-                    packet_count: window.packet_count,
-                    minute_counts: window.profile.clone(),
-                    max_minute: window.max_minute,
-                    phase: alert.phase,
-                    // Normalize the evidence ring to chronological
-                    // order with cursor 0 (the oldest slot), so
-                    // identical logical state snapshots identically
-                    // regardless of history, and future overwrites keep
-                    // hitting the oldest entry.
-                    evidence: alert.evidence_chronological(),
-                    cursor: 0,
-                },
+                window: window.clone(),
+                phase: alert.phase,
+                evidence: alert.evidence_chronological(),
             })
             .collect();
         states.sort_unstable_by_key(|entry| entry.src);
@@ -505,22 +398,17 @@ impl ChannelDetector {
         }
     }
 
+    /// The ring restores oldest first with `cursor` 0, so identical
+    /// logical state resumes identically whatever its history, and the
+    /// next overwrite hits the oldest entry.
     fn restore(protocol: AttackProtocol, config: &LiveConfig, snapshot: &ChannelSnapshot) -> Self {
         let open = snapshot.states.iter().map(|entry| {
-            let state = &entry.state;
-            let window = Window {
-                start: state.start,
-                last: state.last,
-                packet_count: state.packet_count,
-                profile: state.minute_counts.clone(),
-                max_minute: state.max_minute,
-            };
             let alert = AlertState {
-                phase: state.phase,
-                evidence: state.evidence.clone(),
-                cursor: state.cursor,
+                phase: entry.phase,
+                evidence: entry.evidence.clone(),
+                cursor: 0,
             };
-            (entry.src, window, alert)
+            (entry.src, entry.window.clone(), alert)
         });
         ChannelDetector {
             table: SessionTable::restore(
@@ -717,40 +605,61 @@ pub struct DetectorSnapshot {
     quic: ChannelSnapshot,
     common: ChannelSnapshot,
     closed_quic: Vec<ClassifiedAttack>,
-    /// The closed common floods, written as three arrays of one entry
-    /// per flood: attacks, arrival profiles and evidence rings.
-    closed_common: Vec<Attack>,
-    common_profiles: Vec<Vec<ProfileCell>>,
-    common_evidence: Vec<Vec<EvidencePacket>>,
+    closed_common: Vec<SliceChannel>,
     reclassified: u64,
 }
 
 impl DetectorSnapshot {
     /// Rejects an open victim whose evidence ring a detector with ring
     /// `capacity` cannot have written. [`AlertState`] appends while the
-    /// ring holds fewer than `capacity` packets and overwrites slot
-    /// `cursor` after, so a longer ring keeps its stale tail and closes
-    /// out of order. A `cursor` outside the ring panics the next close
-    /// or snapshot, which slice the ring there.
+    /// ring holds fewer than `capacity` packets and overwrites its oldest
+    /// slot after, so a longer ring keeps its stale tail and closes out
+    /// of order.
     pub(crate) fn require_sound_rings(&self, capacity: usize) -> Result<(), String> {
         for (channel, snapshot) in [("quic", &self.quic), ("common", &self.common)] {
-            for VictimEntry { src, state } in &snapshot.states {
-                if state.evidence.len() > capacity {
+            for VictimEntry { src, evidence, .. } in &snapshot.states {
+                if evidence.len() > capacity {
                     return Err(format!(
                         "checkpoint field `evidence` of {channel} victim {src} holds {} \
                          packet(s), more than `evidence_capacity` {capacity}",
-                        state.evidence.len()
-                    ));
-                }
-                if state.cursor != 0 && state.cursor >= state.evidence.len() {
-                    return Err(format!(
-                        "checkpoint field `cursor` of {channel} victim {src} is {}, \
-                         outside its evidence ring of {} packet(s)",
-                        state.cursor,
-                        state.evidence.len()
+                        evidence.len()
                     ));
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Rejects an arrival profile no window can have built
+    /// ([`check_profile`]), open or closed, and an open window whose
+    /// `max_minute` is not its busiest cell's count: a restored window
+    /// joins its next packet by binary search over the cells, and a
+    /// slice replays each cell's `first..=last`.
+    pub(crate) fn require_sound_profiles(&self) -> Result<(), String> {
+        for (channel, snapshot) in [("quic", &self.quic), ("common", &self.common)] {
+            for VictimEntry { src, window, .. } in &snapshot.states {
+                let busiest = check_profile(&window.profile)
+                    .map_err(|e| format!("checkpoint profile of {channel} victim {src}: {e}"))?;
+                if window.max_minute != busiest {
+                    return Err(format!(
+                        "checkpoint field `max_minute` of {channel} victim {src} is {}, \
+                         but its busiest minute counts {busiest}",
+                        window.max_minute
+                    ));
+                }
+            }
+        }
+        let closed = self.closed_quic.iter().map(|c| (&c.attack, &c.profile));
+        let closed = closed.chain(self.closed_common.iter().map(|f| (&f.attack, &f.profile)));
+        for (attack, profile) in closed {
+            check_profile(profile).map_err(|e| {
+                format!(
+                    "checkpoint profile of the {} flood closed on {} at {}: {e}",
+                    attack.protocol.label(),
+                    attack.victim,
+                    attack.end.as_micros()
+                )
+            })?;
         }
         Ok(())
     }
@@ -766,25 +675,6 @@ impl DetectorSnapshot {
                 "checkpoint field `closed` counts {counted} alert(s), \
                  but {listed} closed attack(s) are listed"
             ));
-        }
-        Ok(())
-    }
-
-    /// Rejects closed common floods whose three arrays disagree in
-    /// length: a restored detector rebuilds flood `i` from entry `i` of
-    /// each, so a short array would drop the floods past its end.
-    pub(crate) fn require_common_floods_whole(&self) -> Result<(), String> {
-        let floods = self.closed_common.len();
-        for (field, len) in [
-            ("common_profiles", self.common_profiles.len()),
-            ("common_evidence", self.common_evidence.len()),
-        ] {
-            if len != floods {
-                return Err(format!(
-                    "checkpoint field `{field}` lists {len} entry(ies), \
-                     but `closed_common` lists {floods} closed flood(s)"
-                ));
-            }
         }
         Ok(())
     }
@@ -884,42 +774,26 @@ impl LiveDetector {
     /// emits the exact same events for the rest of the stream as this
     /// one would.
     pub fn snapshot(&self) -> DetectorSnapshot {
-        let common = &self.floods.common;
         DetectorSnapshot {
             quic: self.quic.snapshot(),
             common: self.common.snapshot(),
             closed_quic: self.floods.quic.clone(),
-            closed_common: common.iter().map(|f| f.attack.clone()).collect(),
-            common_profiles: common.iter().map(|f| f.profile.clone()).collect(),
-            common_evidence: common.iter().map(|f| f.evidence.clone()).collect(),
+            closed_common: self.floods.common.clone(),
             reclassified: self.floods.reclassified,
         }
     }
 
     /// Rebuilds a detector from a checkpoint (the correlation indices
     /// and the tables' activity indexes are derived state and are
-    /// reconstructed, not serialized). Closed common flood `i` is entry
-    /// `i` of the snapshot's three common arrays, which
-    /// [`crate::parse_checkpoint`] holds to one length.
+    /// reconstructed, not serialized).
     pub fn restore(config: LiveConfig, snapshot: &DetectorSnapshot) -> Self {
-        let common = snapshot
-            .closed_common
-            .iter()
-            .zip(&snapshot.common_profiles)
-            .zip(&snapshot.common_evidence)
-            .map(|((attack, profile), evidence)| SliceChannel {
-                attack: attack.clone(),
-                profile: profile.clone(),
-                evidence: evidence.clone(),
-            })
-            .collect();
         LiveDetector {
             quic: ChannelDetector::restore(AttackProtocol::Quic, &config, &snapshot.quic),
             common: ChannelDetector::restore(AttackProtocol::TcpIcmp, &config, &snapshot.common),
             config,
             floods: ClosedFloods::restore(
                 snapshot.closed_quic.clone(),
-                common,
+                snapshot.closed_common.clone(),
                 snapshot.reclassified,
             ),
         }
@@ -1222,7 +1096,7 @@ mod tests {
         d.offer_response(Timestamp::from_secs(10), ip(1), dst(), 60);
         let mut snapshot = d.snapshot();
         let mut twin = snapshot.quic.states[0].clone();
-        twin.state.last = Timestamp::from_secs(20);
+        twin.window.last = Timestamp::from_secs(20);
         snapshot.quic.states.push(twin);
 
         let mut restored = LiveDetector::restore(config(), &snapshot);
@@ -1511,82 +1385,5 @@ mod tests {
         assert_eq!(b.events_in, 17);
         assert_eq!(b.peak_tracked, 8);
         assert_eq!(b.evictions, 2);
-    }
-
-    /// A profile written through `minute_map`.
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
-    struct Profile {
-        #[serde(with = "minute_map")]
-        cells: Vec<ProfileCell>,
-    }
-
-    /// The same profile through an ordered map, as the format was
-    /// once written.
-    #[derive(Serialize)]
-    struct Slot {
-        count: u64,
-        first: Timestamp,
-        last: Timestamp,
-    }
-
-    #[test]
-    fn minute_profiles_across_powers_of_ten_keep_their_bytes() {
-        let cell = |minute: u64, count: u64| ProfileCell {
-            minute,
-            count,
-            first: Timestamp::from_secs(minute * 60),
-            last: Timestamp::from_secs(minute * 60 + 59),
-        };
-        for minutes in [
-            vec![],
-            vec![7],
-            vec![12, 13, 14],
-            vec![8, 9, 10, 11],
-            vec![98, 99, 100, 101],
-            vec![9, 10, 99, 100, 1_000],
-        ] {
-            let cells: Vec<ProfileCell> = minutes.iter().map(|&m| cell(m, m + 1)).collect();
-            let text = serde_json::to_string(&Profile {
-                cells: cells.clone(),
-            })
-            .expect("serializes");
-            let by_map: BTreeMap<&str, BTreeMap<u64, Slot>> = BTreeMap::from([(
-                "cells",
-                cells
-                    .iter()
-                    .map(|c| {
-                        let slot = Slot {
-                            count: c.count,
-                            first: c.first,
-                            last: c.last,
-                        };
-                        (c.minute, slot)
-                    })
-                    .collect(),
-            )]);
-            assert_eq!(
-                text,
-                serde_json::to_string(&by_map).expect("serializes"),
-                "{minutes:?}"
-            );
-            let read: Profile = serde_json::from_str(&text).expect("reads back");
-            assert_eq!(read.cells, cells, "{minutes:?}");
-        }
-
-        // Out of minute order, one minute twice: sorted, the last kept.
-        let slot = |count: u64, minute: u64| {
-            let (first, last) = (minute * 60_000_000, minute * 60_000_000 + 1);
-            format!(r#"{{"count":{count},"first":{first},"last":{last}}}"#)
-        };
-        let text = format!(
-            r#"{{"cells":{{"100":{},"99":{},"100":{},"9":{}}}}}"#,
-            slot(1, 100),
-            slot(2, 99),
-            slot(3, 100),
-            slot(4, 9)
-        );
-        let read: Profile = serde_json::from_str(&text).expect("reads");
-        let counts: Vec<(u64, u64)> = read.cells.iter().map(|c| (c.minute, c.count)).collect();
-        assert_eq!(counts, [(9, 4), (99, 2), (100, 3)]);
     }
 }

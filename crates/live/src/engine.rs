@@ -70,7 +70,7 @@ struct ShardSnapshot {
 pub struct LiveSnapshot {
     /// Detector configuration in effect.
     pub config: LiveConfig,
-    /// Ingest guard thresholds in effect.
+    /// Ingest guard thresholds in effect, for every shard's pipeline.
     pub guard: GuardConfig,
     /// Records offered before the checkpoint.
     pub offered: u64,
@@ -366,11 +366,10 @@ impl LiveEngine {
     /// Infallible, so it trusts its argument: a snapshot read from
     /// outside the program goes through [`crate::parse_checkpoint`]
     /// first, which rejects one with no shards (an engine that would
-    /// accept records and process none), with an evidence cursor outside
-    /// its ring (a detector that would panic on its next close), with a
-    /// ring longer than `evidence_capacity` (one that would close with
-    /// its evidence out of order), with closed common floods whose
-    /// three arrays differ in length (one that would drop floods) or
+    /// accept records and process none), with a ring longer than
+    /// `evidence_capacity` (a detector that would close with its
+    /// evidence out of order), with an arrival profile no window builds
+    /// (one that would mis-join a packet, or panic rendering a slice) or
     /// with counters that contradict each other (an engine that would
     /// fail its own [`LiveEngine::verify_metrics`]).
     pub fn restore(snapshot: &LiveSnapshot) -> Self {
@@ -391,7 +390,7 @@ impl LiveEngine {
                 .shards
                 .iter()
                 .map(|shard| Shard {
-                    pipeline: TelescopePipeline::restore(&shard.pipeline),
+                    pipeline: TelescopePipeline::restore(snapshot.guard, &shard.pipeline),
                     detector: LiveDetector::restore(snapshot.config, &shard.detector),
                 })
                 .collect(),

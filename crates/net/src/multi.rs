@@ -645,7 +645,7 @@ impl SourceSet {
     }
 
     /// Per-source resume cursors (absolute records delivered), the
-    /// payload of a schema-v2 checkpoint. Records still buffered in a
+    /// payload of a live checkpoint. Records still buffered in a
     /// head batch are *not* counted — only what the consumer actually
     /// pulled — so a checkpoint taken mid-batch restores exactly.
     pub fn cursors(&self) -> Vec<u64> {
@@ -984,7 +984,7 @@ mod tests {
     fn cursors_exclude_records_held_in_the_head_batch() {
         // Pull a prefix that ends mid-batch: the cursor must count only
         // the emitted records, and the held remainder must show up as
-        // buffered depth — the invariant v2 checkpoints rest on.
+        // buffered depth — the invariant checkpoints rest on.
         let records: Vec<_> = (0..100).map(record).collect();
         let factories = vec![boxed(memory_factory(records.clone()))];
         let mut set = SourceSet::spawn(factories, &SourceSetConfig::default());

@@ -24,7 +24,6 @@ mod events;
 mod export;
 mod process;
 mod registry;
-mod source;
 
 pub use events::EventsMetrics;
 pub use process::{peak_rss_bytes, publish_peak_rss};
@@ -32,6 +31,5 @@ pub use registry::{
     Counter, Gauge, Histogram, MetricKind, MetricsRegistry, Sample, Stability,
     ATTACK_DURATION_MICROS_BUCKETS, ATTACK_PACKETS_BUCKETS, STAGE_WALLTIME_MICROS_BUCKETS,
 };
-pub use source::{source_label, SourceFeedMetrics, SourceSample, SourceSetMetrics};
 
 pub const METRICS_JSON_SCHEMA: &str = "quicsand.metrics/v1";

@@ -50,7 +50,7 @@ impl ProfileCell {
 
 /// One source's open session: bounds, packet count and per-minute
 /// arrival profile.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Window {
     /// Timestamp of the earliest packet.
     pub start: Timestamp,
@@ -123,6 +123,40 @@ impl Window {
     pub fn duration(&self) -> Duration {
         self.last.saturating_since(self.start)
     }
+}
+
+/// Checks what every profile a [`Window`] builds holds, and what
+/// `Window::join` (a binary search by minute) and the replay of a
+/// forensic slice (`last - first` per cell) rely on: cells strictly
+/// increase by minute, and each counts at least one packet, with
+/// `first <= last`, both inside its minute. Returns the busiest cell's
+/// count, which is the window's `max_minute`.
+pub fn check_profile(profile: &[ProfileCell]) -> Result<u64, String> {
+    let mut busiest = 0;
+    let mut previous: Option<u64> = None;
+    for cell in profile {
+        let minute = cell.minute;
+        if let Some(before) = previous.filter(|&before| before >= minute) {
+            return Err(format!("cell of minute {minute} follows minute {before}"));
+        }
+        if cell.count == 0 {
+            return Err(format!("cell of minute {minute} counts no packet"));
+        }
+        let (first, last) = (cell.first.as_micros(), cell.last.as_micros());
+        if first > last {
+            return Err(format!(
+                "cell of minute {minute} has `first` {first} after `last` {last}"
+            ));
+        }
+        if cell.first.minute_bucket() != minute || cell.last.minute_bucket() != minute {
+            return Err(format!(
+                "cell of minute {minute} holds arrivals outside it ({first}..={last})"
+            ));
+        }
+        busiest = busiest.max(cell.count);
+        previous = Some(minute);
+    }
+    Ok(busiest)
 }
 
 /// Why a window closed.
@@ -682,7 +716,8 @@ mod tests {
         /// (the batch configuration), one restore from parts somewhere
         /// in the middle (an empty index after it) — and must report the
         /// identical steps, sizes and peaks throughout, with the index
-        /// invariants holding at every step and one pop per eviction.
+        /// invariants holding at every step and one pop per eviction, and
+        /// every open profile passing [`check_profile`].
         #[test]
         fn prop_table_matches_a_naive_oracle(
             steps in proptest::collection::vec((0u8..12, 0u64..20_000, 0u8..100), 1..400),
@@ -750,6 +785,11 @@ mod tests {
                 prop_assert!(table.index.iter().all(|Reverse((key, src))| {
                     table.open.get(src).is_some_and(|(w, _)| *key <= w.last)
                 }));
+                // Every profile a window builds is one a checkpoint reader
+                // accepts, its busiest cell counted in `max_minute`.
+                for (_, window, _) in table.iter() {
+                    prop_assert_eq!(check_profile(&window.profile), Ok(window.max_minute));
+                }
             }
             let (mut got, mut want) = (Vec::new(), Vec::new());
             table.flush(&mut |closed| got.push(Seen::Closed(closed)));

@@ -250,22 +250,6 @@ pub fn merge_shards(
     (gather(quic), gather(baseline), stats)
 }
 
-/// Ingests a capture across `threads` shards ([`scatter`]) and merges
-/// them deterministically. Output is byte-identical at any thread
-/// count.
-pub fn ingest_parallel_with(
-    records: &[PacketRecord],
-    threads: usize,
-    guard: GuardConfig,
-) -> (Vec<QuicObservation>, Vec<PacketRecord>, IngestStats) {
-    // Each shard's pipeline is built inside `ingest_shard`; the slots
-    // only say how many there are.
-    let mut slots = vec![(); threads.max(1)];
-    merge_shards(scatter(records, &mut slots, |(), part| {
-        ingest_shard(part, guard)
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,24 +317,6 @@ mod tests {
         // Capture order within each bucket.
         for bucket in &buckets {
             assert!(bucket.windows(2).all(|w| w[0] < w[1]));
-        }
-    }
-
-    #[test]
-    fn parallel_ingest_matches_sequential_exactly() {
-        let records = mixed_capture(1_000);
-        let mut sequential = TelescopePipeline::new();
-        sequential.ingest_all(&records);
-        let (seq_quic, seq_baseline, seq_stats) = sequential.finish();
-        for threads in [1usize, 2, 3, 8] {
-            let (quic, baseline, stats) =
-                ingest_parallel_with(&records, threads, GuardConfig::default());
-            assert_eq!(quic, seq_quic, "quic mismatch at {threads} threads");
-            assert_eq!(
-                baseline, seq_baseline,
-                "baseline mismatch at {threads} threads"
-            );
-            assert_eq!(stats, seq_stats, "stats mismatch at {threads} threads");
         }
     }
 

@@ -355,11 +355,10 @@ pub struct GuardEntry {
 /// snapshot exists for the streaming path ([`TelescopePipeline::admit`]),
 /// where records are handed to the caller instead of buffered and those
 /// vectors stay empty. Entries are sorted by source so identical state
-/// always serializes identically.
+/// always serializes identically. The guard thresholds are not part of
+/// it: the owner of the pipelines holds them once, for all of them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineSnapshot {
-    /// Guard thresholds in effect.
-    pub guard: GuardConfig,
     /// Per-source guard state, sorted by source address.
     pub guards: Vec<GuardEntry>,
     /// Ingest counters at checkpoint time.
@@ -609,14 +608,14 @@ impl TelescopePipeline {
         }
     }
 
-    /// Creates a pipeline resuming from a streaming checkpoint: guard
-    /// state and counters are restored, batch buffers start empty (see
-    /// [`PipelineSnapshot`]). A restored pipeline makes the exact same
-    /// admit/quarantine decisions on the remaining stream as the
-    /// original would have.
-    pub fn restore(snapshot: &PipelineSnapshot) -> Self {
+    /// Creates a pipeline resuming from a streaming checkpoint under the
+    /// `guard` thresholds it was taken with: guard state and counters are
+    /// restored, batch buffers start empty (see [`PipelineSnapshot`]). A
+    /// restored pipeline makes the exact same admit/quarantine decisions
+    /// on the remaining stream as the original would have.
+    pub fn restore(guard: GuardConfig, snapshot: &PipelineSnapshot) -> Self {
         TelescopePipeline {
-            guard: snapshot.guard,
+            guard,
             guards: snapshot
                 .guards
                 .iter()
@@ -636,8 +635,8 @@ impl TelescopePipeline {
         }
     }
 
-    /// Checkpoints the streaming state (guard config, per-source guard
-    /// watermarks, counters). See [`PipelineSnapshot`] for what is and
+    /// Checkpoints the streaming state (per-source guard watermarks,
+    /// counters). See [`PipelineSnapshot`] for what is and
     /// is not captured.
     pub fn snapshot(&self) -> PipelineSnapshot {
         let mut guards: Vec<GuardEntry> = self
@@ -651,7 +650,6 @@ impl TelescopePipeline {
             .collect();
         guards.sort_unstable_by_key(|e| e.src);
         PipelineSnapshot {
-            guard: self.guard,
             guards,
             stats: self.stats.clone(),
         }

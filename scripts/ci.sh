@@ -9,6 +9,9 @@
 #                              # only the post-2021 scenario-tier gate
 #   scripts/ci.sh experiments-smoke
 #                              # only the paper-artifact runner gate
+#   scripts/ci.sh paper-smoke  # only the paper-scale reproduction gate:
+#                              # EXPERIMENTS.md and figures/ regenerate
+#                              # byte for byte (~75 s, release)
 #   scripts/ci.sh rss-smoke [quicsand-binary]
 #                              # only the analyze + live peak-RSS gate (on
 #                              # another build's binary when one is named)
@@ -181,6 +184,38 @@ experiments_smoke() {
     "$(echo "$written" | wc -l) SVG figures identical to tests/golden — OK"
 }
 
+paper_smoke() {
+  # The published reproduction is what this tree produces: EXPERIMENTS.md
+  # and figures/*.svg regenerate byte for byte with EXPERIMENTS.md's own
+  # command, at the paper scale the PR-level gates never run. Always in
+  # release (a paper-scale debug run takes many minutes).
+  echo "==> paper-smoke: EXPERIMENTS.md and figures/ are what this tree produces"
+  local paper_dir written committed stem
+  paper_dir="$(mktemp -d)"
+  # shellcheck disable=SC2064
+  trap "rm -rf '$paper_dir'" RETURN
+  cargo run -q --release -- experiments --scale paper --seed 0x20210401 \
+    --out "$paper_dir" >/dev/null 2>&1
+  diff EXPERIMENTS.md "$paper_dir/EXPERIMENTS.md" >&2 || {
+    echo "paper-smoke: EXPERIMENTS.md (<) differs from what this tree produces (>)" >&2
+    exit 1
+  }
+  committed="$(find figures -name '*.svg' -printf '%f\n' | sort)"
+  written="$({ find "$paper_dir/figures" -name '*.svg' -printf '%f\n' 2>/dev/null || true; } | sort)"
+  if [[ -z "$written" || "$written" != "$committed" ]]; then
+    echo "paper-smoke: the SVGs written (<) are not the committed figures/ (>):" >&2
+    diff <(echo "$written") <(echo "$committed") >&2 || true
+    exit 1
+  fi
+  for stem in $written; do
+    cmp "$paper_dir/figures/$stem" "figures/$stem" >&2 || {
+      echo "paper-smoke: figures/$stem differs from what this tree produces" >&2
+      exit 1
+    }
+  done
+  echo "paper-smoke: EXPERIMENTS.md and $(echo "$written" | wc -l) SVG figures regenerate byte for byte — OK"
+}
+
 runner_pin() {
   echo "==> one experiment runner: the catalog is the only list of artifact runners"
   # `experiments::CATALOG` maps every artifact id to its runner, and
@@ -332,6 +367,11 @@ if [[ "${1:-}" == "experiments-smoke" ]]; then
   exit 0
 fi
 
+if [[ "${1:-}" == "paper-smoke" ]]; then
+  paper_smoke
+  exit 0
+fi
+
 if [[ "${1:-}" == "rss-smoke" ]]; then
   rss_smoke "${2:-}"
   exit 0
@@ -443,13 +483,37 @@ echo "==> live detector: a closed flood is recorded once, where it closes"
 # flood. An event relay (`ChannelEvent` + `settle`) is a second pass over
 # every close; index-aligned close arrays (`common_profiles` beside
 # `closed_common`) are three copies of one flood's order, held together
-# by nothing. The checkpoint keeps the arrays; the runtime does not.
+# by nothing.
 for needle in 'enum ChannelEvent' 'fn settle' 'fn common_profiles'; do
   if nontest_code crates/live/src/detector.rs | grep -nF "$needle"; then
     echo "close pin: \`$needle\` in non-test code of crates/live/src/detector.rs" >&2
     exit 1
   fi
 done
+# The checkpoint (schema v3) writes the state in the shape the runtime
+# holds it, each fact once, and reads it in one typed pass: a victim is
+# its `Window` (no `VictimState` copy of its fields, no `minute_map` of
+# its profile), a closed common flood one record (no `common_evidence`
+# array beside `closed_common`), the version read where it stands (no
+# `VersionProbe` pass first), and the guard thresholds written once in
+# `LiveSnapshot` (no `guard` in each shard's `PipelineSnapshot`).
+for file in crates/live/src/*.rs; do
+  for needle in 'mod minute_map' 'struct VictimState' 'VersionProbe' 'common_evidence'; do
+    if nontest_code "$file" | grep -nF "$needle"; then
+      echo "checkpoint pin: \`$needle\` in non-test code of $file" >&2
+      exit 1
+    fi
+  done
+done
+pipeline_snapshot="$(sed -n '/^pub struct PipelineSnapshot {/,/^}/p' crates/telescope/src/pipeline.rs)"
+if [[ -z "$pipeline_snapshot" ]]; then
+  echo "checkpoint pin: no \`pub struct PipelineSnapshot\` in crates/telescope/src/pipeline.rs" >&2
+  exit 1
+fi
+if echo "$pipeline_snapshot" | grep -nE '^ *pub guard:'; then
+  echo "checkpoint pin: \`PipelineSnapshot\` has a \`guard\` field again; \`LiveSnapshot.guard\` is the one copy" >&2
+  exit 1
+fi
 
 echo "==> streaming batch path: no decoded-capture vector comes back"
 # The CLI feeds the pipeline `read_batch` slices and the pipeline keeps
@@ -531,7 +595,7 @@ for file in crates/live/src/engine.rs crates/live/src/multi.rs; do
     exit 1
   fi
 done
-for file in crates/telescope/src/metrics.rs crates/live/src/metrics.rs crates/obs/src/source.rs; do
+for file in crates/telescope/src/metrics.rs crates/live/src/metrics.rs; do
   if nontest_code "$file" | grep -nE 'fn add_delta|fn verify\('; then
     echo "metrics pin: \`fn add_delta\` or \`fn verify(\` in non-test code of $file" >&2
     exit 1
@@ -643,7 +707,7 @@ echo "live-smoke: $(echo "$evict_out" | grep -oE '[0-9]+ eviction\(s\)'), CLOSE 
 echo "==> multi-source-smoke: the same capture through the multiplexer"
 # Splitting the ingest across feeds must be invisible: the same capture
 # plus an empty feed yields exactly the live-smoke alert count, the
-# per-feed summary reports both feeds (one empty), and the v2
+# per-feed summary reports both feeds (one empty), and the v3
 # checkpoint still self-verifies.
 : > "$smoke_dir/empty.qscp"
 multi_out="$(cargo run -q $profile_flag -- live \
@@ -691,9 +755,10 @@ events_smoke
 experiments_smoke
 
 if [[ $quick -eq 0 ]]; then
+  paper_smoke
   bench_smoke
 else
-  echo "==> bench-smoke skipped (--quick)"
+  echo "==> paper-smoke and bench-smoke skipped (--quick)"
 fi
 
 echo "CI green."

@@ -239,10 +239,9 @@ USAGE:
         (records; batches never change the merged order);
         --max-victims caps tracked victims per channel (LRU eviction);
         --checkpoint-every N snapshots engine + per-source cursors
-        every N records (schema v2; v1 engine-only checkpoints still
-        restore), round-trips through JSON, and resumes every feed
-        from the restored copy — proving the checkpoint is lossless
-        mid-run. --metrics-out writes the engine's metrics registry as
+        every N records (schema v3, the only one read back),
+        round-trips through JSON, and resumes every feed from the
+        restored copy — proving the checkpoint is lossless mid-run. --metrics-out writes the engine's metrics registry as
         canonical JSON after the run (stable series survive
         checkpoint/restore unchanged). --evidence-ring N keeps the
         last N packets of every alert that closes as replayable
@@ -866,7 +865,7 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
         let due =
             checkpoint_every.is_some_and(|every| live.offered() - offered_at_checkpoint >= every);
         if due {
-            // Self-verifying checkpoint: serialize the v2 snapshot
+            // Self-verifying checkpoint: serialize the v3 snapshot
             // (engine + per-source cursors), parse it back, restore a
             // fresh engine *and* fresh feeds resumed past the cursors,
             // prove the round trip is lossless, and continue from the

@@ -72,7 +72,7 @@ fn check_cycle(text: &str) -> u64 {
 
 #[test]
 fn the_golden_checkpoint_moves_in_and_streams_out() {
-    let golden = include_str!("golden/checkpoint-v2.json");
+    let golden = include_str!("golden/checkpoint-v3.json");
     assert!(check_cycle(golden.trim_end()) > 0);
 }
 

@@ -1,20 +1,13 @@
-//! Checkpoint format golden: "old checkpoints still resume".
+//! Checkpoint format golden.
 //!
-//! `tests/golden/checkpoint-v2.json` is the schema-v2 checkpoint the
+//! `tests/golden/checkpoint-v3.json` is the schema-v3 checkpoint the
 //! detector writes at a fixed record of a fixed trace, and the current
-//! code must write it byte for byte. Restructuring the per-victim state
-//! (lazy expiry heap, flat minute profile) left it byte-identical. It
-//! changed once since, in content and not in shape: an evidence ring now
-//! starts filling only once its session is within `evidence_capacity`
-//! packets of the base thresholds' packet floor, because no earlier
-//! packet can be in a closed alert's evidence. So the two one-packet
-//! victims (198.51.100.113 and .114) hold `"evidence":[]` where they held
-//! their one packet. No field was added, removed or retyped, and a ring
-//! that holds such early packets still restores and has them overwritten
-//! before any close could emit them. That is why this is no schema
-//! change. `tests/golden/checkpoint-v2-full-rings.json` is the file as
-//! written before, and proves it: both files must restore losslessly and
-//! replay the remainder to exactly the uncheckpointed run's events.
+//! code must write it byte for byte. Schema v3 writes the engine's state
+//! in the shape the runtime holds it: an open victim is its `window`
+//! (bounds, count, the arrival profile as an array of minute cells in
+//! minute order, `max_minute`), its alert `phase` and its evidence ring
+//! oldest first; a closed common flood is one record; the guard
+//! thresholds are written once, for every shard.
 //!
 //! The trace is small and hand-built to put every shape the format can
 //! take into the snapshot: a capped channel (`max_victims: 4`) that has
@@ -23,9 +16,16 @@
 //! that opens a slot *earlier* than any the victim had, and closed
 //! alerts (evicted and not) with their profiles and evidence rings.
 //!
-//! Re-bless only for an intentional change to what is written. A change
-//! of shape needs a schema version bump; a change of content, like the
-//! one above, keeps the old file as a resume fixture:
+//! An evidence ring fills only once its session is within
+//! `evidence_capacity` packets of the base thresholds' packet floor, so
+//! the two one-packet victims (198.51.100.113 and .114) hold
+//! `"evidence":[]`. A ring that holds such early packets is still a ring
+//! a detector can resume: it has them overwritten before any close could
+//! emit them. The test builds that "full rings" form from the golden and
+//! holds it to the same replay.
+//!
+//! Re-bless only for an intentional change to what is written; a change
+//! of shape needs a schema version bump:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test checkpoint_golden
@@ -36,6 +36,7 @@ use quicsand_net::multi::{memory_factory, SourceFactory, SourceSet, SourceSetCon
 use quicsand_net::{PacketRecord, TcpFlags, Timestamp};
 use quicsand_sessions::SessionConfig;
 use quicsand_telescope::GuardConfig;
+use serde::Value;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 
@@ -68,9 +69,8 @@ fn syn_ack(ts_micros: u64, src: Ipv4Addr) -> PacketRecord {
 /// only within the guard's 2 s reorder tolerance).
 fn trace() -> Vec<PacketRecord> {
     const SEC: u64 = 1_000_000;
-    // Start in minute 8 so the flood's slots are 8..=13: the map keys
-    // serialize in *string* order ("10" before "8"), which the flat
-    // profile's shim has to reproduce.
+    // Start in minute 8 so the flood's slots, 8..=13, cross from one
+    // digit to two.
     const BASE: u64 = 480 * SEC;
     let mut records = Vec::new();
     for tick in 0..720u64 {
@@ -158,12 +158,12 @@ fn checkpoint_bytes_and_resume_match_the_golden() {
     let mut rendered = serde_json::to_string(&live.snapshot()).expect("snapshot serializes");
     rendered.push('\n');
 
-    let path = golden_path("checkpoint-v2.json");
+    let path = golden_path("checkpoint-v3.json");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(&path, &rendered).expect("write checkpoint golden");
     }
     let golden = std::fs::read_to_string(&path).expect(
-        "tests/golden/checkpoint-v2.json (UPDATE_GOLDEN=1 cargo test --test checkpoint_golden)",
+        "tests/golden/checkpoint-v3.json (UPDATE_GOLDEN=1 cargo test --test checkpoint_golden)",
     );
 
     // The trace really exercises what the golden is there to pin.
@@ -187,11 +187,15 @@ fn checkpoint_bytes_and_resume_match_the_golden() {
         golden.len()
     );
 
-    // Resume from each *file*, not from the snapshot in memory.
-    for name in ["checkpoint-v2.json", "checkpoint-v2-full-rings.json"] {
-        let text = std::fs::read_to_string(golden_path(name)).expect(name);
-        let parsed = parse_checkpoint(text.trim_end()).expect(name);
-        assert_eq!(parsed.version, 2);
+    // Resume from the *file*, not from the snapshot in memory, and from
+    // its full-rings form.
+    let full_rings = with_full_rings(golden.trim_end());
+    for (name, text) in [
+        ("checkpoint-v3.json", golden.trim_end()),
+        ("full rings", &full_rings),
+    ] {
+        let parsed = parse_checkpoint(text).expect(name);
+        assert_eq!(parsed.version, 3);
         let mut restored =
             MultiSourceLive::restore(&parsed, feed(&records), &SourceSetConfig::default())
                 .expect(name);
@@ -204,4 +208,44 @@ fn checkpoint_bytes_and_resume_match_the_golden() {
             .verify_metrics()
             .unwrap_or_else(|errors| panic!("{name}: restored run unreconciled: {errors:?}"));
     }
+}
+
+/// The checkpoint as a detector that recorded evidence from a session's
+/// first packet would have written it: each one-packet victim's ring
+/// holds that packet.
+fn with_full_rings(golden: &str) -> String {
+    fn field<'t>(entries: &'t mut [(String, Value)], name: &str) -> &'t mut Value {
+        let entry = entries.iter_mut().find(|(key, _)| key == name);
+        &mut entry.unwrap_or_else(|| panic!("a field `{name}`")).1
+    }
+    fn fill(node: &mut Value, filled: &mut usize) {
+        match node {
+            Value::Map(entries) if entries.iter().any(|(key, _)| key == "window") => {
+                let Value::Map(window) = field(entries, "window") else {
+                    panic!("a window is a map")
+                };
+                if *field(window, "packet_count") != Value::U64(1) {
+                    return;
+                }
+                let start = field(window, "start").clone();
+                let packet = Value::Map(vec![
+                    ("ts".into(), start),
+                    ("dst".into(), Value::Str("10.0.0.7".into())),
+                    ("bytes".into(), Value::U64(40)),
+                ]);
+                *field(entries, "evidence") = Value::Seq(vec![packet]);
+                *filled += 1;
+            }
+            Value::Map(entries) => entries
+                .iter_mut()
+                .for_each(|(_, inner)| fill(inner, filled)),
+            Value::Seq(items) => items.iter_mut().for_each(|inner| fill(inner, filled)),
+            _ => {}
+        }
+    }
+    let mut tree: Value = serde_json::from_str(golden).expect("the golden is JSON");
+    let mut filled = 0;
+    fill(&mut tree, &mut filled);
+    assert_eq!(filled, 2, "the golden holds two one-packet victims");
+    serde_json::to_string(&tree).expect("a tree serializes")
 }

@@ -7,7 +7,7 @@ use quicsand_net::{PacketRecord, TcpFlags, Timestamp};
 use quicsand_telescope::GuardConfig;
 use std::net::Ipv4Addr;
 
-/// The schema-v2 text of a one-shard engine after `sources` spoofed
+/// The schema-v3 text of a one-shard engine after `sources` spoofed
 /// sources with six SYN-ACKs each, tracking at most `max_victims`.
 pub fn churn_checkpoint(sources: u32, max_victims: usize) -> String {
     const PACKETS_PER_SOURCE: u64 = 6;

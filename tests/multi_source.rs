@@ -4,12 +4,14 @@
 //! feeds directly — identical events, identical closed alerts, and a
 //! byte-identical stable metrics exposition — at any source count, any
 //! shard count, and any chunk size. The contract must survive seeded
-//! mid-stream source failures (reconnect-with-resume), a schema-v2
+//! mid-stream source failures (reconnect-with-resume), a schema-v3
 //! checkpoint/restore taken while a feed is flaky, and sources that are
 //! empty or hit EOF instantly.
 
 use flaky::{FlakyFactory, FlakyPlan};
-use quicsand_live::{parse_checkpoint, LiveConfig, LiveEngine, LiveEvent, MultiSourceLive};
+use quicsand_live::{
+    parse_checkpoint, LiveConfig, LiveEngine, LiveEvent, MultiSourceLive, CHECKPOINT_SCHEMA_VERSION,
+};
 use quicsand_net::multi::{
     capture_file_factory, memory_factory, merge_records, SourceFactory, SourceSet, SourceSetConfig,
 };
@@ -221,8 +223,8 @@ fn checkpoint_restore_across_a_source_failure_is_lossless() {
 
     // Phase 2: restore from the JSON with fresh (still flaky)
     // factories and run to completion.
-    let snapshot = parse_checkpoint(&json).expect("v2 checkpoint parses");
-    assert_eq!(snapshot.version, 2);
+    let snapshot = parse_checkpoint(&json).expect("the checkpoint parses");
+    assert_eq!(snapshot.version, CHECKPOINT_SCHEMA_VERSION);
     assert_eq!(snapshot.cursors.len(), 2);
     assert_eq!(
         snapshot.cursors.iter().sum::<u64>(),

@@ -9,9 +9,7 @@ use quicsand_net::{Duration, IcmpKind, PacketRecord, TcpFlags, Timestamp};
 use quicsand_obs::MetricsRegistry;
 use quicsand_sessions::dos::{detect_attacks, AttackProtocol, DosThresholds};
 use quicsand_sessions::session::{sessionize, timeout_sweep, SessionConfig, Sessionizer};
-use quicsand_telescope::{
-    ingest_parallel_with, shard_of, IngestMetrics, IngestStats, TelescopePipeline,
-};
+use quicsand_telescope::{shard_of, GuardConfig, IngestMetrics, IngestStats, TelescopePipeline};
 use quicsand_traffic::scenarios::ScannerFlow;
 use quicsand_traffic::streaming::{Flow, FlowMerge, Pool, VictimFlow};
 use quicsand_traffic::{EvolvingScanConfig, StreamConfig};
@@ -22,6 +20,9 @@ use std::net::Ipv4Addr;
 
 #[path = "common/flaky.rs"]
 mod flaky;
+#[path = "common/parallel_ingest.rs"]
+mod parallel_ingest;
+use parallel_ingest::ingest_parallel_with;
 
 fn ip(last: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 77, 0, last)
@@ -41,6 +42,51 @@ fn assert_conservation(stats: &IngestStats) {
             + stats.quarantine.total(),
         "records must be conserved across classification buckets: {stats:?}"
     );
+}
+
+/// Every fifth record of each kind the classifier tells apart: research
+/// QUIC probes, SYN-ACKs, ICMP replies, UDP/443 that is no QUIC, DNS.
+fn mixed_capture(n: u64) -> Vec<PacketRecord> {
+    use quicsand_traffic::research::research_probe_payload;
+    (0..n)
+        .map(|i| {
+            let src = Ipv4Addr::from(0x0a00_0000 + (i % 251) as u32 * 7);
+            let dst = Ipv4Addr::new(192, 0, 2, (i % 200) as u8);
+            let ts = Timestamp::from_secs(i);
+            match i % 5 {
+                0 => PacketRecord::udp(ts, src, dst, 40_000, 443, research_probe_payload(i)),
+                1 => PacketRecord::tcp(ts, src, dst, 443, 5_000, TcpFlags::SYN_ACK),
+                2 => PacketRecord::icmp(ts, src, dst, IcmpKind::EchoReply),
+                3 => PacketRecord::udp(
+                    ts,
+                    src,
+                    dst,
+                    40_000,
+                    443,
+                    Bytes::from_static(&[0x12, 0x34, 0x00]),
+                ),
+                _ => PacketRecord::udp(ts, src, dst, 53, 53, Bytes::from_static(b"dns")),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn parallel_ingest_matches_sequential_exactly() {
+    let records = mixed_capture(1_000);
+    let mut sequential = TelescopePipeline::new();
+    sequential.ingest_all(&records);
+    let (seq_quic, seq_baseline, seq_stats) = sequential.finish();
+    for threads in [1usize, 2, 3, 8] {
+        let (quic, baseline, stats) =
+            ingest_parallel_with(&records, threads, GuardConfig::default());
+        assert_eq!(quic, seq_quic, "quic mismatch at {threads} threads");
+        assert_eq!(
+            baseline, seq_baseline,
+            "baseline mismatch at {threads} threads"
+        );
+        assert_eq!(stats, seq_stats, "stats mismatch at {threads} threads");
+    }
 }
 
 /// Drives ≥10k records from a generated scenario through the fault
