@@ -47,7 +47,7 @@
 use crate::metrics::AnalysisMetrics;
 use quicsand_dissect::stats::VictimResourceStats;
 use quicsand_dissect::{Direction, MessageKinds, MessageMixStats};
-use quicsand_events::{EventMeta, NoopSubscriber, SessionMigrated, Subscriber};
+use quicsand_events::{Event, EventMeta, NoopSubscriber, SessionMigrated, Subscriber};
 use quicsand_intel::{AsDatabase, NetworkType};
 use quicsand_net::{Duration, PacketRecord, Timestamp};
 use quicsand_obs::MetricsRegistry;
@@ -799,17 +799,15 @@ impl EventReplay<'_> {
         self.responses.finish_with("quic", &meta, subscriber);
         self.commons.finish_with("tcp_icmp", &meta, subscriber);
         for link in &self.analysis.migrations {
-            subscriber.on_session_migrated(
-                &meta,
-                &SessionMigrated {
-                    at: link.at,
-                    from: link.from,
-                    to: link.to,
-                    channel: "quic_request".to_string(),
-                    cid_key: link.cid_key,
-                    gap: link.gap,
-                },
-            );
+            let event = SessionMigrated {
+                at: link.at,
+                from: link.from,
+                to: link.to,
+                channel: "quic_request".to_string(),
+                cid_key: link.cid_key,
+                gap: link.gap,
+            };
+            subscriber.on(meta, Event::SessionMigrated(event));
         }
     }
 }
@@ -1491,10 +1489,9 @@ mod tests {
 
     #[test]
     fn event_repass_mirrors_sessions_and_ignores_thread_count() {
-        use quicsand_events::{Event, VecSubscriber};
         let scenario = Scenario::generate(&ScenarioConfig::test());
         let run = |threads: usize| {
-            let mut events = VecSubscriber::new();
+            let mut events: Vec<(EventMeta, Event)> = Vec::new();
             let analysis = Analysis::run(
                 &scenario,
                 &AnalysisConfig {
@@ -1510,7 +1507,6 @@ mod tests {
         let (sequential, events) = run(1);
         let closed = |channel: &str| {
             events
-                .events
                 .iter()
                 .filter(|(_, e)| matches!(e, Event::SessionClosed(c) if c.channel == channel))
                 .count()
@@ -1522,7 +1518,6 @@ mod tests {
         );
         assert_eq!(closed("tcp_icmp"), sequential.common_sessions.len());
         let rejected = events
-            .events
             .iter()
             .filter(|(_, e)| matches!(e, Event::WireRejected(_)))
             .count() as u64;
@@ -1534,7 +1529,7 @@ mod tests {
             "the forensic re-pass is single-threaded by construction"
         );
 
-        let mut sliced_events = VecSubscriber::new();
+        let mut sliced_events = Vec::new();
         let mut replay = sequential.event_replay();
         for slice in scenario.records.chunks(4096) {
             replay.offer(slice, &mut sliced_events);

@@ -5,15 +5,20 @@
 //! sessionization transitions and the live alert lifecycle are all
 //! surfaced as typed event structs delivered to a [`Subscriber`].
 //!
-//! The design follows s2n-quic's `s2n-events` codegen layer: a single
-//! [`events!`] definition derives the event structs, the [`Event`]
-//! enum, and a `Subscriber` trait whose methods all default to no-ops.
-//! Emission sites are generic over `S: Subscriber` and guard event
-//! construction behind [`Subscriber::enabled`]; [`NoopSubscriber`]
-//! returns a compile-time `false` there, so every `*_with` entry point
-//! monomorphizes down to exactly the subscriber-free machine code — an
-//! absent subscriber costs nothing, which is why the bench gates are
-//! required not to move.
+//! The design borrows s2n-quic's `s2n-events` codegen layer for the
+//! taxonomy — a single [`events!`] definition derives the event structs
+//! and the [`Event`] enum over them — but delivers through one hook:
+//! [`Subscriber::on`] takes each event as an [`Event`], built once at
+//! its emission site and moved in, so a subscriber (or a wrapper around
+//! one) is two methods whatever the number of kinds. Emission sites are
+//! generic over `S: Subscriber` and guard event construction behind
+//! [`Subscriber::enabled`]; [`NoopSubscriber`] returns a compile-time
+//! `false` there, so every `*_with` entry point monomorphizes down to
+//! exactly the subscriber-free machine code — an absent subscriber
+//! costs nothing, which is why the bench gates are required not to
+//! move. A `Vec<(EventMeta, Event)>` is itself a subscriber that
+//! collects: the per-shard buffer sharded emission merges by record
+//! index.
 //!
 //! [`qlog::QlogWriter`] is the shipping subscriber: it serializes the
 //! stream as qlog 0.4 JSON-SEQ (RFC 7464 framing) with one trace per
@@ -57,17 +62,15 @@ impl EventMeta {
     }
 }
 
-/// Defines the event taxonomy: structs, the [`Event`] enum, the
-/// [`Subscriber`] trait (one default no-op method per event), and the
-/// built-in subscribers ([`NoopSubscriber`], [`VecSubscriber`], the
-/// qlog writer impl).
+/// Defines the event taxonomy: one struct per event and the [`Event`]
+/// enum over them, with its qlog name, time and payload accessors.
 ///
 /// Every event struct carries an `at: Timestamp` field (its event
 /// time); the macro relies on that to generate [`Event::at`].
 macro_rules! events {
     ($(
         $(#[$doc:meta])*
-        $qname:literal => $name:ident / $method:ident {
+        $qname:literal => $name:ident {
             $( $(#[$fdoc:meta])* $field:ident : $ty:ty ),* $(,)?
         }
     )*) => {
@@ -81,8 +84,8 @@ macro_rules! events {
             }
         )*
 
-        /// Every event kind, as one enum — what [`VecSubscriber`]
-        /// collects and what sharded emission merges before re-dispatch.
+        /// Every event kind, as one enum — what [`Subscriber::on`]
+        /// receives and what sharded emission merges by record index.
         #[derive(Debug, Clone, PartialEq)]
         #[allow(missing_docs)]
         pub enum Event {
@@ -112,75 +115,6 @@ macro_rules! events {
                         .expect("event structs always serialize"), )*
                 }
             }
-
-            /// Re-dispatches this event to `subscriber`'s typed method
-            /// — used when replaying a merged per-shard collection into
-            /// the run's real subscriber.
-            pub fn dispatch<S: Subscriber + ?Sized>(&self, meta: &EventMeta, subscriber: &mut S) {
-                match self {
-                    $( Event::$name(e) => subscriber.$method(meta, e), )*
-                }
-            }
-        }
-
-        /// Receives typed pipeline events.
-        ///
-        /// Every method defaults to a no-op, so implementors override
-        /// only what they care about. Emission sites must guard event
-        /// construction behind [`Subscriber::enabled`]; with
-        /// [`NoopSubscriber`] that guard is a compile-time `false` and
-        /// the whole emission path folds away.
-        pub trait Subscriber {
-            /// Whether this subscriber wants events at all. Emission
-            /// sites skip event construction when this is `false`.
-            #[inline]
-            fn enabled(&self) -> bool {
-                true
-            }
-
-            $(
-                /// Typed delivery hook (default: no-op).
-                #[inline]
-                fn $method(&mut self, meta: &EventMeta, event: &$name) {
-                    let _ = (meta, event);
-                }
-            )*
-        }
-
-        impl Subscriber for VecSubscriber {
-            $(
-                #[inline]
-                fn $method(&mut self, meta: &EventMeta, event: &$name) {
-                    self.events.push((*meta, Event::$name(event.clone())));
-                }
-            )*
-        }
-
-        impl Subscriber for qlog::QlogWriter {
-            $(
-                fn $method(&mut self, meta: &EventMeta, event: &$name) {
-                    self.sink(meta, &Event::$name(event.clone()));
-                }
-            )*
-        }
-
-        /// `None` behaves like [`NoopSubscriber`] (disabled, so emission
-        /// sites skip event construction); `Some(s)` delegates to `s`.
-        /// This is the toggle the CLI uses for optional `--events-out`.
-        impl<S: Subscriber> Subscriber for Option<S> {
-            #[inline]
-            fn enabled(&self) -> bool {
-                self.as_ref().is_some_and(Subscriber::enabled)
-            }
-
-            $(
-                #[inline]
-                fn $method(&mut self, meta: &EventMeta, event: &$name) {
-                    if let Some(inner) = self {
-                        inner.$method(meta, event);
-                    }
-                }
-            )*
         }
     };
 }
@@ -188,14 +122,14 @@ macro_rules! events {
 events! {
     /// A record the ingest guard or the QUIC dissector rejected; the
     /// reason is the `IngestError` quarantine label.
-    "quicsand:wire_rejected" => WireRejected / on_wire_rejected {
+    "quicsand:wire_rejected" => WireRejected {
         /// Quarantine-taxonomy label (e.g. `truncated`, `duplicate`).
         reason: String,
     }
 
     /// A dissected QUIC Retry — the paper's unused defence (§6); any
     /// sighting on a telescope is noteworthy.
-    "quicsand:retry_observed" => RetryObserved / on_retry_observed {
+    "quicsand:retry_observed" => RetryObserved {
         /// Packet source.
         src: Ipv4Addr,
         /// Packet destination (telescope address).
@@ -204,7 +138,7 @@ events! {
 
     /// A dissected QUIC Version Negotiation packet (scan responses and
     /// version-mix probes).
-    "quicsand:version_negotiation" => VersionNegotiationObserved / on_version_negotiation {
+    "quicsand:version_negotiation" => VersionNegotiationObserved {
         /// Packet source.
         src: Ipv4Addr,
         /// Packet destination (telescope address).
@@ -212,7 +146,7 @@ events! {
     }
 
     /// A sessionizer opened a fresh per-source session.
-    "quicsand:session_opened" => SessionOpened / on_session_opened {
+    "quicsand:session_opened" => SessionOpened {
         /// Session source address.
         src: Ipv4Addr,
         /// Which channel the session lives on (`quic` / `tcp_icmp`).
@@ -221,7 +155,7 @@ events! {
 
     /// A late packet widened an open session's bounds backwards —
     /// admissible reordering, surfaced because it moves session start.
-    "quicsand:session_widened" => SessionWidened / on_session_widened {
+    "quicsand:session_widened" => SessionWidened {
         /// Session source address.
         src: Ipv4Addr,
         /// Which channel the session lives on.
@@ -231,7 +165,7 @@ events! {
     }
 
     /// A session closed (gap, watermark expiry, or end of stream).
-    "quicsand:session_closed" => SessionClosed / on_session_closed {
+    "quicsand:session_closed" => SessionClosed {
         /// Session source address.
         src: Ipv4Addr,
         /// Which channel the session lived on.
@@ -247,7 +181,7 @@ events! {
     /// A CID-keyed migration link re-joined two address-split session
     /// halves: the same connection continued from a new source address
     /// within the session timeout (Buchet-style migration).
-    "quicsand:session_migrated" => SessionMigrated / on_session_migrated {
+    "quicsand:session_migrated" => SessionMigrated {
         /// Source address before the migration (the canonical one the
         /// merged session keeps).
         from: Ipv4Addr,
@@ -262,7 +196,7 @@ events! {
     }
 
     /// A live alert crossed the detection threshold (lifecycle: Open).
-    "quicsand:alert_opened" => AlertOpened / on_alert_opened {
+    "quicsand:alert_opened" => AlertOpened {
         /// Flood victim.
         victim: Ipv4Addr,
         /// Attack protocol label (`quic` / `tcp_icmp`).
@@ -270,7 +204,7 @@ events! {
     }
 
     /// A live alert crossed the escalation tier.
-    "quicsand:alert_escalated" => AlertEscalated / on_alert_escalated {
+    "quicsand:alert_escalated" => AlertEscalated {
         /// Flood victim.
         victim: Ipv4Addr,
         /// Attack protocol label.
@@ -279,7 +213,7 @@ events! {
 
     /// A live alert closed, with its attack measures and (for QUIC)
     /// the multi-vector verdict at close time.
-    "quicsand:alert_closed" => AlertClosed / on_alert_closed {
+    "quicsand:alert_closed" => AlertClosed {
         /// Flood victim.
         victim: Ipv4Addr,
         /// Attack protocol label.
@@ -302,7 +236,7 @@ events! {
     }
 
     /// A later TCP/ICMP flood upgraded a closed QUIC alert's verdict.
-    "quicsand:alert_reclassified" => AlertReclassified / on_alert_reclassified {
+    "quicsand:alert_reclassified" => AlertReclassified {
         /// Flood victim.
         victim: Ipv4Addr,
         /// Attack protocol label.
@@ -316,6 +250,23 @@ events! {
     }
 }
 
+/// Receives pipeline events, each built once and moved in.
+///
+/// Emission sites must guard event construction behind
+/// [`Subscriber::enabled`]; with [`NoopSubscriber`] that guard is a
+/// compile-time `false` and the whole emission path folds away.
+pub trait Subscriber {
+    /// Whether this subscriber wants events at all. Emission sites skip
+    /// event construction when this is `false`.
+    #[inline]
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    /// Delivers one event with its per-emission context.
+    fn on(&mut self, meta: EventMeta, event: Event);
+}
+
 /// The zero-cost subscriber: [`Subscriber::enabled`] is a compile-time
 /// `false`, so generic emission paths instantiated with it carry no
 /// event code at all.
@@ -327,28 +278,33 @@ impl Subscriber for NoopSubscriber {
     fn enabled(&self) -> bool {
         false
     }
+
+    #[inline(always)]
+    fn on(&mut self, _: EventMeta, _: Event) {}
 }
 
-/// Collects every event into a vector — the per-shard collection
+/// Collects every event in emission order — the per-shard collection
 /// buffer (merged by record index afterwards) and the test harness.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct VecSubscriber {
-    /// Collected `(meta, event)` pairs, in emission order.
-    pub events: Vec<(EventMeta, Event)>,
+impl Subscriber for Vec<(EventMeta, Event)> {
+    #[inline]
+    fn on(&mut self, meta: EventMeta, event: Event) {
+        self.push((meta, event));
+    }
 }
 
-impl VecSubscriber {
-    /// A fresh, empty collector.
-    pub fn new() -> Self {
-        Self::default()
+/// `None` behaves like [`NoopSubscriber`] (disabled, so emission sites
+/// skip event construction); `Some(s)` delegates to `s`. This is the
+/// toggle the CLI uses for optional `--events-out`.
+impl<S: Subscriber> Subscriber for Option<S> {
+    #[inline]
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(Subscriber::enabled)
     }
 
-    /// Drains the collection, re-dispatching every event into
-    /// `subscriber` — how merged per-shard buffers reach the run's
-    /// real subscriber.
-    pub fn replay_into<S: Subscriber>(&mut self, subscriber: &mut S) {
-        for (meta, event) in self.events.drain(..) {
-            event.dispatch(&meta, subscriber);
+    #[inline]
+    fn on(&mut self, meta: EventMeta, event: Event) {
+        if let Some(inner) = self {
+            inner.on(meta, event);
         }
     }
 }
@@ -365,39 +321,58 @@ mod tests {
         })
     }
 
-    #[test]
-    fn noop_subscriber_is_disabled() {
-        assert!(!NoopSubscriber.enabled());
-        assert!(VecSubscriber::new().enabled());
+    /// Three events of different kinds, each with a different meta.
+    fn sample_stream() -> Vec<(EventMeta, Event)> {
+        vec![
+            (
+                EventMeta::record(3),
+                Event::WireRejected(WireRejected {
+                    at: Timestamp::from_secs(1),
+                    reason: "truncated".into(),
+                }),
+            ),
+            (EventMeta::record(1), sample_event()),
+            (
+                EventMeta::lifecycle(),
+                Event::AlertOpened(AlertOpened {
+                    at: Timestamp::from_secs(3),
+                    victim: Ipv4Addr::new(10, 0, 0, 2),
+                    protocol: "quic".into(),
+                }),
+            ),
+        ]
+    }
+
+    fn feed<S: Subscriber>(subscriber: &mut S) {
+        for (meta, event) in sample_stream() {
+            subscriber.on(meta, event);
+        }
     }
 
     #[test]
-    fn vec_subscriber_collects_in_order_and_replays() {
-        let mut vec = VecSubscriber::new();
-        vec.on_wire_rejected(
-            &EventMeta::record(3),
-            &WireRejected {
-                at: Timestamp::from_secs(1),
-                reason: "truncated".into(),
-            },
-        );
-        vec.on_session_opened(
-            &EventMeta::record(1),
-            &SessionOpened {
-                at: Timestamp::from_secs(2),
-                src: Ipv4Addr::new(10, 0, 0, 1),
-                channel: "quic".into(),
-            },
-        );
-        vec.on_alert_opened(
-            &EventMeta::lifecycle(),
-            &AlertOpened {
-                at: Timestamp::from_secs(3),
-                victim: Ipv4Addr::new(10, 0, 0, 2),
-                protocol: "quic".into(),
-            },
-        );
-        let names: Vec<&str> = vec.events.iter().map(|(_, e)| e.name()).collect();
+    fn noop_subscriber_is_disabled() {
+        assert!(!NoopSubscriber.enabled());
+        feed(&mut NoopSubscriber);
+        let mut none: Option<Vec<(EventMeta, Event)>> = None;
+        assert!(!none.enabled());
+        feed(&mut none);
+        assert_eq!(none, None);
+        // `Some` of a disabled subscriber is disabled too.
+        assert!(!Some(NoopSubscriber).enabled());
+    }
+
+    #[test]
+    fn collectors_receive_every_event_in_order_with_its_meta() {
+        let mut bare: Vec<(EventMeta, Event)> = Vec::new();
+        assert!(bare.enabled());
+        feed(&mut bare);
+        assert_eq!(bare, sample_stream());
+
+        let mut some = Some(Vec::new());
+        assert!(some.enabled());
+        feed(&mut some);
+        assert_eq!(some, Some(sample_stream()));
+        let names: Vec<&str> = bare.iter().map(|(_, e)| e.name()).collect();
         assert_eq!(
             names,
             [
@@ -406,12 +381,6 @@ mod tests {
                 "quicsand:alert_opened"
             ]
         );
-
-        let mut sink = VecSubscriber::new();
-        let want = vec.clone();
-        vec.replay_into(&mut sink);
-        assert!(vec.events.is_empty());
-        assert_eq!(sink, want);
     }
 
     #[test]
@@ -422,15 +391,5 @@ mod tests {
         let data = event.data_value();
         assert!(data.get("src").is_some());
         assert!(data.get("channel").is_some());
-    }
-
-    #[test]
-    fn dispatch_routes_to_the_typed_method() {
-        let mut sink = VecSubscriber::new();
-        let event = sample_event();
-        event.dispatch(&EventMeta::record(9), &mut sink);
-        assert_eq!(sink.events.len(), 1);
-        assert_eq!(sink.events[0].0, EventMeta::record(9));
-        assert_eq!(sink.events[0].1, event);
     }
 }

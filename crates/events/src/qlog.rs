@@ -8,7 +8,7 @@
 //! format and its streaming readers expect: a crashed run still leaves
 //! every completed record parseable.
 
-use crate::{Event, EventMeta};
+use crate::{Event, EventMeta, Subscriber};
 use quicsand_net::Timestamp;
 use serde::Value;
 use std::io::Write;
@@ -111,39 +111,22 @@ impl QlogWriter {
         Ok(())
     }
 
-    /// Appends one event record. Errors are latched for
-    /// [`QlogWriter::finish`] rather than propagated per event.
-    pub fn sink(&mut self, meta: &EventMeta, event: &Event) {
+    /// Appends one record outside the typed event taxonomy — the
+    /// forensic slice writer uses this for its `quicsand:slice_*`
+    /// records. The name must stay in the `quicsand:` namespace for the
+    /// file to validate. Errors are latched exactly like an event's.
+    pub fn raw_record(&mut self, at: Timestamp, name: &str, data: Value) {
+        self.append(at, name, data, None);
+    }
+
+    /// Appends one `{"time", "name", "data"[, "record_index"]}` record.
+    /// Errors are latched for [`QlogWriter::finish`] rather than
+    /// propagated per record.
+    fn append(&mut self, at: Timestamp, name: &str, data: Value, record_index: Option<u64>) {
         if self.error.is_some() {
             return;
         }
         let mut fields = vec![
-            (
-                "time".to_string(),
-                Value::F64(event.at().as_micros() as f64 / 1_000.0),
-            ),
-            ("name".to_string(), Value::Str(event.name().to_string())),
-            ("data".to_string(), event.data_value()),
-        ];
-        if let Some(index) = meta.record_index {
-            fields.push(("record_index".to_string(), Value::U64(index)));
-        }
-        match self.write_record(&Value::Map(fields)) {
-            Ok(()) => self.events_written += 1,
-            Err(e) => self.error = Some(e),
-        }
-    }
-
-    /// Appends one record outside the typed event taxonomy — the
-    /// forensic slice writer uses this for its `quicsand:slice_*`
-    /// records. The name must stay in the `quicsand:` namespace for the
-    /// file to validate. Errors are latched exactly like
-    /// [`QlogWriter::sink`].
-    pub fn raw_record(&mut self, at: Timestamp, name: &str, data: Value) {
-        if self.error.is_some() {
-            return;
-        }
-        let fields = vec![
             (
                 "time".to_string(),
                 Value::F64(at.as_micros() as f64 / 1_000.0),
@@ -151,6 +134,9 @@ impl QlogWriter {
             ("name".to_string(), Value::Str(name.to_string())),
             ("data".to_string(), data),
         ];
+        if let Some(index) = record_index {
+            fields.push(("record_index".to_string(), Value::U64(index)));
+        }
         match self.write_record(&Value::Map(fields)) {
             Ok(()) => self.events_written += 1,
             Err(e) => self.error = Some(e),
@@ -175,6 +161,17 @@ impl QlogWriter {
         }
         self.out.flush().map_err(|e| format!("qlog flush: {e}"))?;
         Ok((self.events_written, self.bytes_written))
+    }
+}
+
+impl Subscriber for QlogWriter {
+    fn on(&mut self, meta: EventMeta, event: Event) {
+        self.append(
+            event.at(),
+            event.name(),
+            event.data_value(),
+            meta.record_index,
+        );
     }
 }
 
@@ -310,7 +307,7 @@ pub fn validate_qlog(bytes: &[u8]) -> Result<QlogSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SessionOpened, Subscriber, WireRejected};
+    use crate::{SessionOpened, WireRejected};
     use quicsand_net::Timestamp;
     use std::net::Ipv4Addr;
 
@@ -338,20 +335,20 @@ mod tests {
     #[test]
     fn events_round_trip_through_framing() {
         let (mut writer, buffer) = QlogWriter::to_buffer("run", &feeds()).expect("writer");
-        writer.on_session_opened(
-            &EventMeta::record(5),
-            &SessionOpened {
+        writer.on(
+            EventMeta::record(5),
+            Event::SessionOpened(SessionOpened {
                 at: Timestamp::from_secs(3),
                 src: Ipv4Addr::new(10, 0, 0, 1),
                 channel: "quic".into(),
-            },
+            }),
         );
-        writer.on_wire_rejected(
-            &EventMeta::record(6),
-            &WireRejected {
+        writer.on(
+            EventMeta::record(6),
+            Event::WireRejected(WireRejected {
                 at: Timestamp::from_secs(4),
                 reason: "truncated".into(),
-            },
+            }),
         );
         let (events, _) = writer.finish().expect("finish");
         assert_eq!(events, 2);
@@ -374,6 +371,34 @@ mod tests {
             .and_then(|v| v.get("feeds"))
             .expect("feeds");
         assert_eq!(feeds_value.as_seq().map(<[Value]>::len), Some(2));
+    }
+
+    #[test]
+    fn a_writer_fed_through_option_writes_the_same_bytes() {
+        let events = [
+            (EventMeta::lifecycle(), "quic"),
+            (EventMeta::record(9), "tcp_icmp"),
+        ]
+        .map(|(meta, channel)| {
+            let event = Event::SessionOpened(SessionOpened {
+                at: Timestamp::from_micros(2_500),
+                src: Ipv4Addr::new(10, 0, 0, 7),
+                channel: channel.into(),
+            });
+            (meta, event)
+        });
+        let (mut direct, direct_bytes) = QlogWriter::to_buffer("run", &feeds()).expect("writer");
+        let (wrapped, wrapped_bytes) = QlogWriter::to_buffer("run", &feeds()).expect("writer");
+        let mut wrapped = Some(wrapped);
+        for (meta, event) in events {
+            direct.on(meta, event.clone());
+            wrapped.on(meta, event);
+        }
+        let direct = direct.finish().expect("finish");
+        let wrapped = wrapped.expect("some").finish().expect("finish");
+        assert_eq!(direct, (2, direct_bytes.contents().len() as u64));
+        assert_eq!(wrapped, direct);
+        assert_eq!(wrapped_bytes.contents(), direct_bytes.contents());
     }
 
     #[test]

@@ -17,8 +17,8 @@ use crate::forensics::AlertSlice;
 use crate::metrics::LiveMetrics;
 use quicsand_dissect::{Direction, MessageKinds};
 use quicsand_events::{
-    AlertClosed, AlertEscalated, AlertOpened, AlertReclassified, EventMeta, NoopSubscriber,
-    Subscriber, VecSubscriber,
+    AlertClosed, AlertEscalated, AlertOpened, AlertReclassified, Event, EventMeta, NoopSubscriber,
+    Subscriber,
 };
 use quicsand_net::PacketRecord;
 use quicsand_obs::MetricsRegistry;
@@ -157,9 +157,9 @@ impl LiveEngine {
     ///
     /// When the subscriber is enabled, each shard collects its
     /// record-tied events (wire rejections, Retry / Version Negotiation
-    /// sightings) into a [`VecSubscriber`] tagged with the record's
-    /// absolute stream index; [`gather`] merges the buffers by that
-    /// index and they are replayed into `subscriber`, so the delivered
+    /// sightings) into a `Vec<(EventMeta, Event)>` tagged with the
+    /// record's absolute stream index; [`gather`] merges the buffers by
+    /// that index and hands them to `subscriber`, so the delivered
     /// stream is identical at any shard count and chunk size. Alert
     /// lifecycle events are then derived from the chunk's (already
     /// deterministic) [`LiveEvent`] output. The collector type is chosen
@@ -174,16 +174,15 @@ impl LiveEngine {
             return Vec::new();
         }
         let events = if subscriber.enabled() {
-            let (events, collectors) = self.scatter_chunk::<VecSubscriber>(records);
+            let (events, collectors) = self.scatter_chunk::<Vec<(EventMeta, Event)>>(records);
             let record_tied = collectors
                 .into_iter()
-                .flat_map(|collector| collector.events)
+                .flatten()
                 .map(|(meta, event)| (meta.record_index, (meta, event)))
                 .collect();
-            let mut merged = VecSubscriber {
-                events: gather(record_tied),
-            };
-            merged.replay_into(subscriber);
+            for (meta, event) in gather(record_tied) {
+                subscriber.on(meta, event);
+            }
             emit_alert_events(&events, subscriber);
             events
         } else {
@@ -570,56 +569,45 @@ fn detect(
 /// and ride *after* the chunk's record-tied events — a position that is
 /// itself deterministic because the [`LiveEvent`] stream is.
 fn emit_alert_events<S: Subscriber>(events: &[LiveEvent], subscriber: &mut S) {
-    let meta = EventMeta::lifecycle();
     for event in events {
+        let (at, victim) = (event.at, event.victim);
         let protocol = event.protocol.label().to_string();
-        match event.kind {
-            LiveEventKind::Opened => subscriber.on_alert_opened(
-                &meta,
-                &AlertOpened {
-                    at: event.at,
-                    victim: event.victim,
-                    protocol,
-                },
-            ),
-            LiveEventKind::Escalated => subscriber.on_alert_escalated(
-                &meta,
-                &AlertEscalated {
-                    at: event.at,
-                    victim: event.victim,
-                    protocol,
-                },
-            ),
+        let typed = match event.kind {
+            LiveEventKind::Opened => Event::AlertOpened(AlertOpened {
+                at,
+                victim,
+                protocol,
+            }),
+            LiveEventKind::Escalated => Event::AlertEscalated(AlertEscalated {
+                at,
+                victim,
+                protocol,
+            }),
             LiveEventKind::Closed => {
                 let attack = event.attack.as_ref().expect("Closed events carry attacks");
-                subscriber.on_alert_closed(
-                    &meta,
-                    &AlertClosed {
-                        at: event.at,
-                        victim: event.victim,
-                        protocol,
-                        start: attack.start,
-                        packet_count: attack.packet_count,
-                        max_pps: attack.max_pps,
-                        class: event.class.map(|c| c.label().to_string()),
-                        overlap_share: event.overlap_share,
-                        gap_secs: event.gap_secs,
-                        evicted: event.evicted,
-                    },
-                );
-            }
-            LiveEventKind::Reclassified => subscriber.on_alert_reclassified(
-                &meta,
-                &AlertReclassified {
-                    at: event.at,
-                    victim: event.victim,
+                Event::AlertClosed(AlertClosed {
+                    at,
+                    victim,
                     protocol,
+                    start: attack.start,
+                    packet_count: attack.packet_count,
+                    max_pps: attack.max_pps,
                     class: event.class.map(|c| c.label().to_string()),
                     overlap_share: event.overlap_share,
                     gap_secs: event.gap_secs,
-                },
-            ),
-        }
+                    evicted: event.evicted,
+                })
+            }
+            LiveEventKind::Reclassified => Event::AlertReclassified(AlertReclassified {
+                at,
+                victim,
+                protocol,
+                class: event.class.map(|c| c.label().to_string()),
+                overlap_share: event.overlap_share,
+                gap_secs: event.gap_secs,
+            }),
+        };
+        subscriber.on(EventMeta::lifecycle(), typed);
     }
 }
 

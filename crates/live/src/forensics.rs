@@ -25,6 +25,7 @@ use quicsand_events::qlog::{parse_json_seq, validate_qlog, QlogWriter};
 use quicsand_net::Timestamp;
 use quicsand_sessions::dos::{Attack, AttackProtocol};
 use quicsand_sessions::multivector::MultiVectorClass;
+use quicsand_sessions::window::check_profile;
 use serde::{Deserialize, Serialize, Value};
 use std::net::Ipv4Addr;
 
@@ -174,9 +175,12 @@ impl AlertSlice {
 
 /// Parses a slice qlog file back into the slice and its replay stream.
 ///
-/// Validates RFC 7464 framing and the qlog header first; the replay
-/// stream is taken from the `quicsand:slice_packet` records, so the
-/// replay really consumes what the file carries.
+/// Validates RFC 7464 framing and the qlog header first, and every
+/// channel's arrival profile last ([`check_profile`]: a cell out of
+/// order or with `first` after `last` is refused here, by channel and
+/// minute, rather than underflowing a later [`synthesize_packets`]);
+/// the replay stream is taken from the `quicsand:slice_packet` records,
+/// so the replay really consumes what the file carries.
 pub fn parse_slice_qlog(bytes: &[u8]) -> Result<(AlertSlice, Vec<SlicePacket>), String> {
     validate_qlog(bytes)?;
     let records = parse_json_seq(bytes)?;
@@ -210,6 +214,11 @@ pub fn parse_slice_qlog(bytes: &[u8]) -> Result<(AlertSlice, Vec<SlicePacket>), 
         }
     }
     let slice = slice.ok_or("no alert_slice record in file")?;
+    check_profile(&slice.quic.profile).map_err(|e| format!("alert_slice QUIC profile: {e}"))?;
+    for (i, common) in slice.commons.iter().enumerate() {
+        check_profile(&common.profile)
+            .map_err(|e| format!("alert_slice common flood {i} profile: {e}"))?;
+    }
     Ok((slice, packets))
 }
 
@@ -425,6 +434,63 @@ mod tests {
         assert_eq!(parsed, slice);
         assert_eq!(packets, slice.replay_packets());
         replay_slice(&parsed, &packets).expect("replay from file");
+    }
+
+    #[test]
+    fn a_slice_with_a_malformed_profile_is_refused_at_parse() {
+        let mut d = LiveDetector::new(LiveConfig::default());
+        flood(&mut d, ip(7), 0, 180);
+        // Offset from the QUIC flood, so no cell of the two profiles
+        // encodes the same.
+        for i in 0..(120 * 2) {
+            let ts = Timestamp::from_micros(70 * 1_000_000 + i * 500_000);
+            d.offer_baseline(ts, ip(7), dst(), 60);
+        }
+        d.finish();
+        let slice = d.alert_slice(0).expect("slice");
+        let text = String::from_utf8(slice.to_qlog().expect("serialize")).expect("utf-8");
+        let json = |cells: &[ProfileCell]| {
+            let cells: Vec<String> = cells
+                .iter()
+                .map(|c| serde_json::to_string(c).expect("cell encodes"))
+                .collect();
+            cells.join(",")
+        };
+        let tamper = |from: &[ProfileCell], to: &[ProfileCell]| {
+            let (from, to) = (json(from), json(to));
+            assert_eq!(
+                text.matches(&from).count(),
+                1,
+                "{from} once in the slice text"
+            );
+            text.replacen(&from, &to, 1).into_bytes()
+        };
+
+        // One busy QUIC cell with `first` and `last` swapped.
+        let busy = slice.quic.profile[1];
+        assert!(busy.count > 1 && busy.first < busy.last);
+        let swapped = ProfileCell {
+            first: busy.last,
+            last: busy.first,
+            ..busy
+        };
+        let err = parse_slice_qlog(&tamper(&[busy], &[swapped])).expect_err("first > last");
+        assert!(err.contains("QUIC profile"), "{err}");
+        assert!(err.contains(&format!("minute {}", busy.minute)), "{err}");
+
+        // Two cells of the common flood in the wrong order.
+        let cells = &slice.commons[0].profile[..2];
+        let err = parse_slice_qlog(&tamper(cells, &[cells[1], cells[0]])).expect_err("order");
+        assert!(err.contains("common flood 0 profile"), "{err}");
+        assert!(
+            err.contains(&format!("minute {}", cells[0].minute)),
+            "{err}"
+        );
+
+        // The untouched text still parses and replays.
+        let (parsed, packets) = parse_slice_qlog(text.as_bytes()).expect("parse");
+        assert_eq!(parsed, slice);
+        replay_slice(&parsed, &packets).expect("replay");
     }
 
     #[test]

@@ -631,17 +631,9 @@ impl SourceSet {
     /// every live source has a head to compare. `None` once all sources
     /// are exhausted.
     pub fn next_merged(&mut self) -> Option<PacketRecord> {
-        self.prime();
-        let Reverse((_, index)) = self.heap.pop()?;
-        let record = self.heads[index].next().expect("heap entry has a head");
-        self.delivered[index] += 1;
-        if self.heads[index].as_slice().is_empty() {
-            self.refill(index);
-        } else {
-            let ts = self.heads[index].as_slice()[0].ts;
-            self.heap.push(Reverse((ts, index)));
-        }
-        Some(record)
+        let mut one = Vec::with_capacity(1);
+        self.merge_into(&mut one, 1);
+        one.pop()
     }
 
     /// Per-source resume cursors (absolute records delivered), the

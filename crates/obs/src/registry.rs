@@ -181,44 +181,6 @@ impl Histogram {
     pub fn bounds(&self) -> &[u64] {
         &self.0.bounds
     }
-
-    /// Bucket-interpolated quantile estimate (`0.0 ..= 1.0`), in the
-    /// histogram's native unit. Observations in the overflow bucket
-    /// saturate to the largest finite bound. Returns `None` when empty.
-    ///
-    /// The rank is continuous (`q * count`), not rounded to a whole
-    /// observation: with few samples per bucket an integer rank makes
-    /// every quantile collapse to the bucket's upper bound (at one
-    /// observation, p50 == p99 structurally). Continuous interpolation
-    /// keeps distinct quantiles distinct wherever the bounds allow.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = q.clamp(0.0, 1.0) * total as f64;
-        let counts = self.bucket_counts();
-        let mut cum = 0u64;
-        for (idx, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let prev_cum = cum;
-            cum += c;
-            if cum as f64 >= rank {
-                let lower = if idx == 0 { 0 } else { self.0.bounds[idx - 1] };
-                let upper = self
-                    .0
-                    .bounds
-                    .get(idx)
-                    .copied()
-                    .unwrap_or_else(|| self.0.bounds.last().copied().unwrap_or(0));
-                let within = ((rank - prev_cum as f64) / c as f64).clamp(0.0, 1.0);
-                return Some(lower as f64 + (upper.saturating_sub(lower)) as f64 * within);
-            }
-        }
-        self.0.bounds.last().map(|&b| b as f64)
-    }
 }
 
 /// Stage-walltime buckets (microseconds): 25 µs … 60 s, roughly
@@ -522,7 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_quantiles() {
+    fn histogram_buckets_count_and_sum() {
         let h = Histogram::detached(&[10, 100, 1000]);
         for v in [1, 5, 50, 500, 5000] {
             h.observe(v);
@@ -530,27 +492,6 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 5556);
         assert_eq!(h.bucket_counts(), vec![2, 1, 1, 1]);
-        // Median (rank 3) lands in the (10, 100] bucket.
-        let p50 = h.quantile(0.5).unwrap();
-        assert!(p50 > 10.0 && p50 <= 100.0, "p50={p50}");
-        // p99 lands in the overflow bucket -> saturates at 1000.
-        assert_eq!(h.quantile(0.99).unwrap(), 1000.0);
-    }
-
-    #[test]
-    fn sparse_histogram_quantiles_stay_distinguishable() {
-        // One observation per stage is the batch pipeline's normal
-        // case; the continuous rank must still spread p50 and p99
-        // across the bucket instead of collapsing both to its upper
-        // bound.
-        let h = Histogram::detached(&[10, 100, 1000]);
-        h.observe(50);
-        let p50 = h.quantile(0.5).unwrap();
-        let p99 = h.quantile(0.99).unwrap();
-        assert!(p50 < p99, "p50={p50} p99={p99}");
-        assert!(p50 > 10.0 && p99 <= 100.0, "both stay in (10, 100]");
-        // Quantiles remain monotone in q.
-        assert!(h.quantile(0.01).unwrap() <= p50);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::dos::{Attack, AttackProtocol, DosThresholds};
 use crate::window::{CloseReason, Closed, Counted, ProfileCell, SessionTable, Steps};
 use quicsand_events::{
-    EventMeta, NoopSubscriber, SessionClosed, SessionOpened, SessionWidened, Subscriber,
+    Event, EventMeta, NoopSubscriber, SessionClosed, SessionOpened, SessionWidened, Subscriber,
 };
 use quicsand_net::{Duration, Timestamp};
 use serde::{Deserialize, Serialize};
@@ -189,17 +189,15 @@ impl<S: Subscriber, T, F: FnOnce(&mut T)> Steps<(Option<u64>, T)> for Sink<'_, S
         } = closed;
         let expired = why == CloseReason::Expired;
         if self.subscriber.enabled() {
-            self.subscriber.on_session_closed(
-                self.meta,
-                &SessionClosed {
-                    at,
-                    src,
-                    channel: self.channel.to_string(),
-                    start: window.start,
-                    packet_count: window.packet_count,
-                    expired,
-                },
-            );
+            let event = SessionClosed {
+                at,
+                src,
+                channel: self.channel.to_string(),
+                start: window.start,
+                packet_count: window.packet_count,
+                expired,
+            };
+            self.subscriber.on(*self.meta, Event::SessionClosed(event));
         }
         let session = Session {
             src,
@@ -240,29 +238,21 @@ impl<S: Subscriber, T, F: FnOnce(&mut T)> Steps<(Option<u64>, T)> for Sink<'_, S
             count(tally);
         }
         self.counters.opened += u64::from(opened);
-        if !self.subscriber.enabled() {
+        if !self.subscriber.enabled() || !(opened || lead > Duration::ZERO) {
             return;
         }
-        if opened {
-            self.subscriber.on_session_opened(
-                self.meta,
-                &SessionOpened {
-                    at,
-                    src,
-                    channel: self.channel.to_string(),
-                },
-            );
-        } else if lead > Duration::ZERO {
-            self.subscriber.on_session_widened(
-                self.meta,
-                &SessionWidened {
-                    at,
-                    src,
-                    channel: self.channel.to_string(),
-                    lead,
-                },
-            );
-        }
+        let channel = self.channel.to_string();
+        let event = if opened {
+            Event::SessionOpened(SessionOpened { at, src, channel })
+        } else {
+            Event::SessionWidened(SessionWidened {
+                at,
+                src,
+                channel,
+                lead,
+            })
+        };
+        self.subscriber.on(*self.meta, event);
     }
 }
 
@@ -998,8 +988,7 @@ mod tests {
 
     #[test]
     fn session_events_cover_the_lifecycle() {
-        use quicsand_events::{Event, VecSubscriber};
-        let mut sub = VecSubscriber::new();
+        let mut sub: Vec<(EventMeta, Event)> = Vec::new();
         let mut s = Sessionizer::new(cfg(10));
         let meta = EventMeta::lifecycle();
         // Fresh open, then a backwards widening by a late packet.
@@ -1061,7 +1050,7 @@ mod tests {
         let sessions = s.finish_with("quic", &meta, &mut sub);
         assert_eq!(sessions.len(), 4);
 
-        let names: Vec<&str> = sub.events.iter().map(|(_, e)| e.name()).collect();
+        let names: Vec<&str> = sub.iter().map(|(_, e)| e.name()).collect();
         assert_eq!(
             names,
             [
@@ -1077,12 +1066,12 @@ mod tests {
             ]
         );
         // The widening reports how far the start moved.
-        let Event::SessionWidened(w) = &sub.events[1].1 else {
+        let Event::SessionWidened(w) = &sub[1].1 else {
             panic!("expected widened event");
         };
         assert_eq!(w.lead, Duration::from_secs(3));
         // The gap close is not an expiry; the sweep closes are.
-        let Event::SessionClosed(gap) = &sub.events[3].1 else {
+        let Event::SessionClosed(gap) = &sub[3].1 else {
             panic!("expected closed event");
         };
         assert!(!gap.expired);
@@ -1090,14 +1079,14 @@ mod tests {
         assert_eq!(gap.start, Timestamp::from_secs(2));
         assert_eq!(gap.packet_count, 2);
         for i in [5, 6] {
-            let Event::SessionClosed(swept) = &sub.events[i].1 else {
+            let Event::SessionClosed(swept) = &sub[i].1 else {
                 panic!("expected closed event");
             };
             assert!(swept.expired);
         }
         // Expiry order is deterministic: by (start, src).
-        assert!(sub.events[5].1.data_value().get("src").is_some());
-        let Event::SessionClosed(flush) = &sub.events[8].1 else {
+        assert!(sub[5].1.data_value().get("src").is_some());
+        let Event::SessionClosed(flush) = &sub[8].1 else {
             panic!("expected closed event");
         };
         assert!(!flush.expired);

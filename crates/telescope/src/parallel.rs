@@ -368,9 +368,8 @@ mod tests {
 
     #[test]
     fn admit_each_tags_events_with_the_stream_position() {
-        use quicsand_events::VecSubscriber;
         let records = mixed_capture(50);
-        let mut events = VecSubscriber::new();
+        let mut events: Vec<(EventMeta, quicsand_events::Event)> = Vec::new();
         let mut seen = Vec::new();
         admit_each(
             &mut TelescopePipeline::new(),
@@ -385,7 +384,6 @@ mod tests {
             .all(|(index, tag)| *tag == Some(1_000 + *index as u64)));
         // `i % 5 == 3` payloads fail dissection: one rejection each.
         let rejected: Vec<u64> = events
-            .events
             .iter()
             .map(|(meta, _)| meta.record_index.expect("record-tied"))
             .collect();

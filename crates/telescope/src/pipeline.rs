@@ -12,7 +12,8 @@ use quicsand_dissect::{
     MessageKind,
 };
 use quicsand_events::{
-    EventMeta, NoopSubscriber, RetryObserved, Subscriber, VersionNegotiationObserved, WireRejected,
+    Event, EventMeta, NoopSubscriber, RetryObserved, Subscriber, VersionNegotiationObserved,
+    WireRejected,
 };
 use quicsand_net::{Duration, PacketRecord, Timestamp, Transport};
 use serde::{Deserialize, Serialize};
@@ -682,7 +683,7 @@ impl TelescopePipeline {
     /// cross-crate call per record there, inlined only in this crate's
     /// own `admit`.
     #[inline]
-    fn guard_check(&mut self, record: &PacketRecord) -> Option<IngestError> {
+    fn guard_check(&mut self, record: &PacketRecord) -> Result<(), IngestError> {
         let hash = record_hash(record);
         match self.guards.entry(record.src) {
             Entry::Vacant(slot) => {
@@ -690,7 +691,7 @@ impl TelescopePipeline {
                     max_ts: record.ts,
                     last_hash: hash,
                 });
-                None
+                Ok(())
             }
             Entry::Occupied(mut slot) => {
                 let state = slot.get_mut();
@@ -701,13 +702,13 @@ impl TelescopePipeline {
                 }
                 state.last_hash = hash;
                 if duplicate {
-                    Some(IngestError::Duplicate)
+                    Err(IngestError::Duplicate)
                 } else if backwards.as_micros() > self.guard.skew_horizon.as_micros() {
-                    Some(IngestError::ClockSkew { backwards })
+                    Err(IngestError::ClockSkew { backwards })
                 } else if backwards.as_micros() > self.guard.reorder_tolerance.as_micros() {
-                    Some(IngestError::Reordered { backwards })
+                    Err(IngestError::Reordered { backwards })
                 } else {
-                    None
+                    Ok(())
                 }
             }
         }
@@ -770,119 +771,91 @@ impl TelescopePipeline {
         subscriber: &mut S,
     ) -> Admitted<'r, D> {
         self.stats.total += 1;
-        if let Some(error) = self.guard_check(record) {
-            self.stats.quarantine.record(&error);
-            if subscriber.enabled() {
-                subscriber.on_wire_rejected(
-                    meta,
-                    &WireRejected {
+        match self.admit_step(record, classification, meta, subscriber) {
+            Ok(admitted) => admitted,
+            Err(error) => {
+                self.stats.quarantine.record(&error);
+                if subscriber.enabled() {
+                    let event = WireRejected {
                         at: record.ts,
                         reason: error.label().to_string(),
-                    },
-                );
+                    };
+                    subscriber.on(*meta, Event::WireRejected(event));
+                }
+                Admitted::Dropped
             }
-            return Admitted::Dropped;
         }
+    }
+
+    /// One record through guard → classification → dissection; a
+    /// quarantine decision is the `Err`, recorded and announced by the
+    /// caller in one place.
+    #[inline]
+    fn admit_step<'r, D: Extraction, S: Subscriber>(
+        &mut self,
+        record: &'r PacketRecord,
+        classification: Classification,
+        meta: &EventMeta,
+        subscriber: &mut S,
+    ) -> Result<Admitted<'r, D>, IngestError> {
+        self.guard_check(record)?;
         match classification {
             Classification::QuicCandidate(direction) => {
                 self.stats.quic_candidates += 1;
-                let (payload, src_port, dst_port) = match (
+                let (Some(payload), Some(src_port), Some(dst_port)) = (
                     record.udp_payload(),
                     record.transport.src_port(),
                     record.transport.dst_port(),
-                ) {
-                    (Some(payload), Some(src_port), Some(dst_port)) => {
-                        (payload, src_port, dst_port)
-                    }
-                    _ => {
-                        // Classification disagrees with the transport:
-                        // degrade gracefully instead of panicking.
-                        self.stats
-                            .quarantine
-                            .record(&IngestError::TransportMismatch);
-                        if subscriber.enabled() {
-                            subscriber.on_wire_rejected(
-                                meta,
-                                &WireRejected {
-                                    at: record.ts,
-                                    reason: IngestError::TransportMismatch.label().to_string(),
-                                },
-                            );
-                        }
-                        return Admitted::Dropped;
-                    }
+                ) else {
+                    // Classification disagrees with the transport:
+                    // degrade gracefully instead of panicking.
+                    return Err(IngestError::TransportMismatch);
                 };
-                match D::extract(payload) {
-                    Ok(dissected) => {
-                        self.stats.quic_valid += 1;
-                        if subscriber.enabled() {
-                            let kinds = dissected.kinds();
-                            if kinds.contains(MessageKind::Retry) {
-                                subscriber.on_retry_observed(
-                                    meta,
-                                    &RetryObserved {
-                                        at: record.ts,
-                                        src: record.src,
-                                        dst: record.dst,
-                                    },
-                                );
-                            }
-                            if kinds.contains(MessageKind::VersionNegotiation) {
-                                subscriber.on_version_negotiation(
-                                    meta,
-                                    &VersionNegotiationObserved {
-                                        at: record.ts,
-                                        src: record.src,
-                                        dst: record.dst,
-                                    },
-                                );
-                            }
-                        }
-                        Admitted::Quic(QuicObservation {
-                            ts: record.ts,
-                            src: record.src,
-                            dst: record.dst,
-                            src_port,
-                            dst_port,
-                            direction,
-                            dissected,
-                        })
+                let dissected = D::extract(payload).map_err(|error| {
+                    // Every dissector rejection remains a port-filter
+                    // false positive (the paper's §4.1 scalar); the
+                    // quarantine taxonomy is the finer breakdown.
+                    self.stats.quic_false_positives += 1;
+                    IngestError::from_dissect(&error)
+                })?;
+                self.stats.quic_valid += 1;
+                if subscriber.enabled() {
+                    let kinds = dissected.kinds();
+                    let (at, src, dst) = (record.ts, record.src, record.dst);
+                    if kinds.contains(MessageKind::Retry) {
+                        let event = RetryObserved { at, src, dst };
+                        subscriber.on(*meta, Event::RetryObserved(event));
                     }
-                    Err(error) => {
-                        // Every dissector rejection remains a port-filter
-                        // false positive (the paper's §4.1 scalar); the
-                        // quarantine taxonomy is the finer breakdown.
-                        self.stats.quic_false_positives += 1;
-                        let ingest_error = IngestError::from_dissect(&error);
-                        self.stats.quarantine.record(&ingest_error);
-                        if subscriber.enabled() {
-                            subscriber.on_wire_rejected(
-                                meta,
-                                &WireRejected {
-                                    at: record.ts,
-                                    reason: ingest_error.label().to_string(),
-                                },
-                            );
-                        }
-                        Admitted::Dropped
+                    if kinds.contains(MessageKind::VersionNegotiation) {
+                        let event = VersionNegotiationObserved { at, src, dst };
+                        subscriber.on(*meta, Event::VersionNegotiationObserved(event));
                     }
                 }
+                Ok(Admitted::Quic(QuicObservation {
+                    ts: record.ts,
+                    src: record.src,
+                    dst: record.dst,
+                    src_port,
+                    dst_port,
+                    direction,
+                    dissected,
+                }))
             }
             Classification::Tcp => {
                 self.stats.tcp += 1;
-                Admitted::Baseline(record)
+                Ok(Admitted::Baseline(record))
             }
             Classification::Icmp => {
                 self.stats.icmp += 1;
-                Admitted::Baseline(record)
+                Ok(Admitted::Baseline(record))
             }
             Classification::OtherUdp => {
                 self.stats.other_udp += 1;
-                Admitted::Dropped
+                Ok(Admitted::Dropped)
             }
             Classification::AmbiguousBothPorts => {
                 self.stats.ambiguous += 1;
-                Admitted::Dropped
+                Ok(Admitted::Dropped)
             }
         }
     }

@@ -95,7 +95,22 @@ events_smoke() {
     echo "events-smoke: slices differ after $checkpoints checkpoint/restore cycle(s)" >&2
     exit 1
   }
-  echo "events-smoke: qlog framing valid, every closed alert replayed, slices checkpoint-invariant — OK"
+  # The batch event re-pass on the same capture: one thread and two
+  # write the same bytes, and the stream is framing-valid qlog.
+  for threads in 1 2; do
+    cargo run -q $profile -- analyze "$events_dir/ref.qscp" --threads "$threads" \
+      --events-out "$events_dir/analyze-$threads.qlog" >/dev/null
+  done
+  cmp "$events_dir/analyze-1.qlog" "$events_dir/analyze-2.qlog" || {
+    echo "events-smoke: analyze --events-out differs between --threads 1 and 2" >&2
+    exit 1
+  }
+  cargo run -q $profile -- forensics check "$events_dir/analyze-2.qlog" \
+    | grep -q 'valid qlog JSON-SEQ' || {
+    echo "events-smoke: analyze --events-out failed framing validation" >&2
+    exit 1
+  }
+  echo "events-smoke: qlog framing valid, every closed alert replayed, slices checkpoint-invariant, analyze events thread-invariant — OK"
 }
 
 scenario_smoke() {
@@ -573,6 +588,18 @@ if [[ -n "$users" ]]; then
   echo "$users" >&2
   exit 1
 fi
+
+echo "==> one event hook: each event is built once, as an \`Event\`, and handed to \`Subscriber::on\`"
+# A typed hook per event kind (\`fn on_*\`) makes every subscriber and
+# every wrapper around one forward each kind by hand, and a collector
+# type with a replay (\`VecSubscriber\`, \`fn dispatch\`) clones each
+# event back into an \`Event\` it already was.
+for file in crates/*/src/*.rs src/*.rs; do
+  if nontest_code "$file" | grep -nE 'fn on_|VecSubscriber|fn dispatch|replay_into'; then
+    echo "event-hook pin: a typed hook or a replaying collector in non-test code of $file" >&2
+    exit 1
+  fi
+done
 
 echo "==> one live front end: alert slices come from the live run's own engine"
 # `live --forensics-out` writes the slices from the engine that raised the

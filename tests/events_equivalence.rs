@@ -10,12 +10,15 @@
 //! must be self-contained — feeding it back through a fresh detector
 //! reproduces the same attack and multi-vector verdict.
 
-use quicsand_events::{Event, VecSubscriber};
+use quicsand_events::{Event, EventMeta};
 use quicsand_live::{parse_slice_qlog, replay_slice, LiveConfig, LiveEngine, LiveSnapshot};
 use quicsand_net::PacketRecord;
 use quicsand_sessions::SessionConfig;
 use quicsand_telescope::GuardConfig;
 use quicsand_traffic::{Scenario, ScenarioConfig};
+
+/// A collected event stream: every `(meta, event)` in delivery order.
+type Events = Vec<(EventMeta, Event)>;
 
 /// The deterministic fig06-style scenario trace (capture order).
 fn scenario_records() -> Vec<PacketRecord> {
@@ -41,9 +44,9 @@ fn collect_events(
     config: LiveConfig,
     shards: usize,
     chunk: usize,
-) -> VecSubscriber {
+) -> Events {
     let mut engine = LiveEngine::new(config, guard, shards);
-    let mut subscriber = VecSubscriber::new();
+    let mut subscriber = Events::new();
     for part in records.chunks(chunk) {
         let _ = engine.offer_chunk_with(part, &mut subscriber);
     }
@@ -52,22 +55,27 @@ fn collect_events(
 }
 
 /// Counts events in a collection whose qlog name matches `name`.
-fn count(subscriber: &VecSubscriber, name: &str) -> usize {
-    subscriber
-        .events
-        .iter()
-        .filter(|(_, e)| e.name() == name)
-        .count()
+fn count(events: &Events, name: &str) -> usize {
+    events.iter().filter(|(_, e)| e.name() == name).count()
 }
 
 /// The lifecycle subsequence (events with no record index), in
 /// stream order.
-fn lifecycle(subscriber: &VecSubscriber) -> Vec<Event> {
-    subscriber
-        .events
+fn lifecycle(events: &Events) -> Vec<Event> {
+    events
         .iter()
         .filter(|(meta, _)| meta.record_index.is_none())
         .map(|(_, e)| e.clone())
+        .collect()
+}
+
+/// The record-tied subsequence (events with a record index), in
+/// stream order.
+fn record_tied(events: &Events) -> Events {
+    events
+        .iter()
+        .filter(|(meta, _)| meta.record_index.is_some())
+        .cloned()
         .collect()
 }
 
@@ -202,13 +210,6 @@ fn event_stream_is_shard_invariant_in_payload_and_per_victim_order() {
          test to mean anything"
     );
 
-    let record_tied = |s: &VecSubscriber| -> Vec<(quicsand_events::EventMeta, Event)> {
-        s.events
-            .iter()
-            .filter(|(meta, _)| meta.record_index.is_some())
-            .cloned()
-            .collect()
-    };
     let baseline_records = record_tied(&baseline);
     let baseline_lifecycle = lifecycle(&baseline);
 
@@ -237,15 +238,6 @@ fn record_and_lifecycle_projections_are_chunk_invariant() {
     records.truncate(40_000);
     let guard = GuardConfig::default();
     let config = live_config(&guard);
-
-    let record_tied = |subscriber: &VecSubscriber| -> Vec<(quicsand_events::EventMeta, Event)> {
-        subscriber
-            .events
-            .iter()
-            .filter(|(meta, _)| meta.record_index.is_some())
-            .cloned()
-            .collect()
-    };
 
     let baseline = collect_events(&records, guard, config, 2, 1024);
     let baseline_records = record_tied(&baseline);
@@ -280,7 +272,7 @@ fn event_stream_survives_mid_run_checkpoint_restore() {
     // indices are absolute (the restored engine resumes its offered
     // count), so the merged event order must not move.
     let mut engine = LiveEngine::new(config, guard, 2);
-    let mut subscriber = VecSubscriber::new();
+    let mut subscriber = Events::new();
     let mut since = 0usize;
     for part in records.chunks(1024) {
         let _ = engine.offer_chunk_with(part, &mut subscriber);
@@ -295,13 +287,12 @@ fn event_stream_survives_mid_run_checkpoint_restore() {
     let _ = engine.finish_with(&mut subscriber);
 
     assert_eq!(
-        subscriber.events, straight.events,
+        subscriber, straight,
         "event stream diverged across checkpoint/restore"
     );
     // Each close fires exactly once even though the detector's open
     // alerts crossed a restore boundary.
     let closes = subscriber
-        .events
         .iter()
         .filter(|(_, e)| matches!(e, Event::AlertClosed(_)))
         .count();
