@@ -57,9 +57,9 @@ use quicsand_sessions::session::{
     link_migrations, MigrationLink, Session, SessionConfig, Sessionizer, SessionizerCounters, Tally,
 };
 use quicsand_telescope::parallel::{admit_each, scatter, ShardRecords};
-pub use quicsand_telescope::PipelineStats;
 use quicsand_telescope::{
-    Admitted, GuardConfig, HourlySeries, IngestStats, QuicObservation, TelescopePipeline,
+    Admitted, GuardConfig, HourlySeries, IngestStats, QuicObservation, StageMetrics,
+    TelescopePipeline,
 };
 use quicsand_traffic::Scenario;
 use serde::{Deserialize, Serialize};
@@ -118,10 +118,6 @@ impl Default for AnalysisConfig {
             guard: GuardConfig::default(),
         }
     }
-}
-
-fn ms(since: Instant) -> f64 {
-    since.elapsed().as_secs_f64() * 1_000.0
 }
 
 /// Deterministic session order at any thread count: `(start, src)` is
@@ -207,9 +203,6 @@ pub struct Analysis {
     pub common_attacks: Vec<Attack>,
     /// Multi-vector correlation.
     pub multivector: MultiVectorReport,
-    /// Wall-clock/memory telemetry (non-deterministic; not part of any
-    /// report).
-    pub stats: PipelineStats,
     /// The configuration used.
     pub config: AnalysisConfig,
     /// The per-run metric registry every counter below is registered
@@ -219,7 +212,9 @@ pub struct Analysis {
     pub registry: Arc<MetricsRegistry>,
     /// Handles to the published metric families (published from the
     /// products above; [`Analysis::verify_metrics`] checks the
-    /// identities between independently counted ones).
+    /// identities between independently counted ones). Its
+    /// [`StageMetrics`] is the run's one record of stage wall times, the
+    /// only part of an analysis that varies run to run.
     pub metrics: AnalysisMetrics,
 }
 
@@ -418,8 +413,6 @@ struct ShardProducts {
     attack_tallies: Vec<Tally<AttackTally>>,
     common_sessions: Vec<Session>,
     common_attacks: Vec<Attack>,
-    /// Stage walltimes: one shard's, or the slowest shard's per stage.
-    stats: PipelineStats,
     /// Sessionizer lifecycle counters, summed over every sessionizer
     /// (read *before* `finish()`, which consumes the sessionizer).
     session_counters: SessionizerCounters,
@@ -440,7 +433,6 @@ impl ShardProducts {
         self.attack_tallies.extend(shard.attack_tallies);
         self.common_sessions.extend(shard.common_sessions);
         self.common_attacks.extend(shard.common_attacks);
-        self.stats.max_stage(&shard.stats);
         self.session_counters.merge(&shard.session_counters);
         self.sessions_open_at_flush += shard.sessions_open_at_flush;
         self
@@ -462,7 +454,7 @@ struct Shard {
     /// The QUIC channels, fed from inside the admit loop.
     quic: QuicFold,
     /// Admit-loop wall time, summed over every `offer`.
-    ingest_ms: f64,
+    ingest: std::time::Duration,
 }
 
 impl Shard {
@@ -488,17 +480,13 @@ impl Shard {
                 Admitted::Dropped => {}
             },
         );
-        self.ingest_ms += ms(start);
+        self.ingest += start.elapsed();
     }
 
     /// Ends the shard's stream: sanitizes what its education sources
     /// below the research thresholds still hold, then closes every
-    /// session.
-    fn finish(self, config: &AnalysisConfig) -> ShardProducts {
-        let mut stats = PipelineStats {
-            ingest_ms: self.ingest_ms,
-            ..PipelineStats::default()
-        };
+    /// session. Records the shard's stage wall times in `stages`.
+    fn finish(self, config: &AnalysisConfig, stages: &StageMetrics) -> ShardProducts {
         let (_, _, ingest) = self.pipeline.finish();
         let QuicFold {
             candidates,
@@ -523,9 +511,10 @@ impl Shard {
         for (_, obs) in held {
             sanitized.fold(&obs, &mut late);
         }
-        stats.sanitize_ms = ms(sanitize_start);
+        let sanitize = sanitize_start.elapsed();
 
-        // 3. Close this shard's sessions.
+        // 3. Close this shard's sessions, the QUIC channels' and the
+        // TCP/ICMP channel's.
         let sessionize_start = Instant::now();
         let mut lifecycle = Lifecycle::default();
         for pair in [&channels, &late] {
@@ -540,8 +529,8 @@ impl Shard {
         response_sessions.extend(late_sessions);
         attack_tallies.extend(late_tallies);
         let (common_sessions, common_attacks) = self.common.finish_tallied();
-        stats.sessionize_ms = ms(sessionize_start);
-        stats.peak_open_sessions = lifecycle.peak_open;
+        stages.record_shard(self.ingest, sanitize, sessionize_start.elapsed());
+        stages.peak_open_sessions.add(lifecycle.peak_open as u64);
 
         ShardProducts {
             ingest,
@@ -552,7 +541,6 @@ impl Shard {
             attack_tallies,
             common_sessions,
             common_attacks: common_attacks.into_iter().map(|kept| kept.attack).collect(),
-            stats,
             session_counters: lifecycle.counters,
             sessions_open_at_flush: lifecycle.open,
         }
@@ -583,8 +571,8 @@ impl Lifecycle {
 /// Stages 1–3 are sharded by `hash(src) % config.threads` (one shard
 /// runs inline, more on scoped worker threads); the merge is
 /// deterministic, so every analysis product is byte-identical at any
-/// thread count and however the capture is cut into slices (only
-/// [`Analysis::stats`] differs).
+/// thread count and however the capture is cut into slices (only the
+/// stage wall times differ).
 pub struct AnalysisDriver<'a> {
     asdb: &'a AsDatabase,
     config: AnalysisConfig,
@@ -608,7 +596,7 @@ impl<'a> AnalysisDriver<'a> {
                     AttackProtocol::TcpIcmp,
                 ),
                 quic: QuicFold::new(config),
-                ingest_ms: 0.0,
+                ingest: std::time::Duration::ZERO,
             })
             .collect();
         AnalysisDriver {
@@ -633,18 +621,19 @@ impl<'a> AnalysisDriver<'a> {
     /// Ends the stream: each shard's end of stages 2–3 (each on its own
     /// worker), then the merge and stages 4–5.
     pub fn finish(self) -> Analysis {
-        let (config, threads) = (self.config, self.shards.len());
+        let config = self.config;
+        // A fresh per-run registry; the shards record their stage wall
+        // times into it as they finish, the rest is published below.
+        let registry = MetricsRegistry::new();
+        let metrics = AnalysisMetrics::register(&registry);
+        metrics.stages.threads.set(self.shards.len() as u64);
         // An empty slice makes `scatter` the bare fan-out; each slot is
         // visited once and gives its shard up by value.
         let mut slots: Vec<Option<Shard>> = self.shards.into_iter().map(Some).collect();
         let shards = scatter(&[], &mut slots, |slot, _| {
             let shard = slot.take().expect("scatter visits each shard once");
-            shard.finish(&config)
+            shard.finish(&config, &metrics.stages)
         });
-        // One `PipelineStats` per shard so the stage-walltime histograms
-        // get one observation per shard per run, however many slices
-        // were offered.
-        let shard_stats: Vec<PipelineStats> = shards.iter().map(|s| s.stats.clone()).collect();
         let mut front = shards
             .into_iter()
             .reduce(ShardProducts::absorb)
@@ -661,7 +650,7 @@ impl<'a> AnalysisDriver<'a> {
             .attack_tallies
             .sort_by_key(|t| (t.attack.start, t.attack.victim));
         front.common_attacks.sort_by_key(|a| (a.start, a.victim));
-        let (ingest, mut stats) = (front.ingest, front.stats);
+        let ingest = front.ingest;
 
         // 3b. CID-keyed migration linking on the merged request
         // sessions. Running after the cross-shard merge keeps the pass
@@ -690,16 +679,11 @@ impl<'a> AnalysisDriver<'a> {
             signals.record_migration(link.to);
         }
         let multivector = classify_multivector_with(&quic_attacks, &front.common_attacks, &signals);
-        stats.detect_ms = ms(detect_start);
-        stats.threads = threads;
-        stats.records = ingest.total;
-        stats.quarantined = ingest.quarantine.total();
+        metrics.stages.record_detect(detect_start.elapsed());
 
-        // Publish everything into a fresh per-run registry at this
-        // single-threaded tail: counters catch up to the merged stats,
-        // so they equal them by construction at any thread count.
-        let registry = MetricsRegistry::new();
-        let metrics = AnalysisMetrics::register(&registry);
+        // Publish the counters at this single-threaded tail: they catch
+        // up to the merged stats, so they equal them by construction at
+        // any thread count.
         metrics.ingest.publish(&ingest);
         metrics
             .sessions
@@ -707,11 +691,6 @@ impl<'a> AnalysisDriver<'a> {
         metrics.sessions.migrated_total.add(migrations.len() as u64);
         metrics.dos.observe_attacks(&quic_attacks);
         metrics.dos.observe_attacks(&front.common_attacks);
-        for shard in &shard_stats {
-            metrics.stages.observe_frontend(shard);
-        }
-        metrics.stages.observe_detect(stats.detect_ms);
-        metrics.stages.set_totals(&stats);
 
         let (research, sanitized) = (front.research, front.sanitized);
         Analysis {
@@ -734,7 +713,6 @@ impl<'a> AnalysisDriver<'a> {
             common_sessions: front.common_sessions,
             common_attacks: front.common_attacks,
             multivector,
-            stats,
             config,
             registry,
             metrics,
@@ -885,6 +863,7 @@ impl Analysis {
 mod tests {
     use super::*;
     use quicsand_sessions::dos::detect_attacks;
+    use quicsand_telescope::Stage;
     use quicsand_traffic::ScenarioConfig;
     use std::sync::OnceLock;
 
@@ -1062,7 +1041,7 @@ mod tests {
                 parallel.multivector.class_counts,
                 sequential.multivector.class_counts
             );
-            assert_eq!(parallel.stats.threads, threads);
+            assert_eq!(parallel.metrics.stages.threads.get(), threads as u64);
         }
     }
 
@@ -1203,13 +1182,14 @@ mod tests {
                 assert_eq!(sliced.common_attacks, whole.common_attacks, "{at}");
                 assert_eq!(sliced.multivector, whole.multivector, "{at}");
                 assert_eq!(sliced.registry.render_prometheus(true), stable, "{at}");
-                assert_eq!(sliced.stats.threads, threads);
                 // Stage walltimes: one observation per shard per run,
                 // however many slices the shard admitted.
                 let stages = &sliced.metrics.stages;
-                assert_eq!(stages.ingest_walltime.count(), threads as u64, "{at}");
-                assert_eq!(stages.sessionize_walltime.count(), threads as u64, "{at}");
-                assert_eq!(stages.detect_walltime.count(), 1, "{at}");
+                assert_eq!(stages.threads.get(), threads as u64, "{at}");
+                for stage in [Stage::Ingest, Stage::Sanitize, Stage::Sessionize] {
+                    assert_eq!(stages.walltime(stage).count(), threads as u64, "{at}");
+                }
+                assert_eq!(stages.walltime(Stage::Detect).count(), 1, "{at}");
             }
         }
     }
@@ -1544,9 +1524,10 @@ mod tests {
     #[test]
     fn pipeline_stats_are_populated() {
         let (_, a) = analysis();
-        assert_eq!(a.stats.records, a.ingest.total);
-        assert!(a.stats.peak_open_sessions > 0);
-        assert!(a.stats.ingest_records_per_sec() > 0.0);
+        let stages = &a.metrics.stages;
+        assert!(stages.peak_open_sessions.get() > 0);
+        assert!(stages.total_micros(Stage::Ingest) > 0);
+        assert!(stages.ingest_rate(a.ingest.total) > 0.0);
     }
 
     #[test]

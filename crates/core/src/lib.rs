@@ -47,6 +47,6 @@ pub mod metrics;
 pub mod plot;
 pub mod report;
 
-pub use analysis::{default_threads, Analysis, AnalysisConfig, AnalysisDriver, PipelineStats};
+pub use analysis::{default_threads, Analysis, AnalysisConfig, AnalysisDriver};
 pub use metrics::AnalysisMetrics;
 pub use report::{Finding, Report};

@@ -5,6 +5,8 @@
 //! embedded callers stay hermetic) and publishes every stage's counters
 //! into it at the single-threaded merge point, each from the product it
 //! mirrors, so they equal the public stats structs at any thread count.
+//! The stage wall times go in where they are measured: each shard's as
+//! it finishes, detection's as it ends.
 //! [`Analysis::verify_metrics`](crate::Analysis::verify_metrics) checks
 //! what publishing cannot guarantee (identities between independently
 //! counted quantities) and is called by the CLI before any export.
@@ -24,7 +26,8 @@ pub struct AnalysisMetrics {
     pub sessions: SessionMetrics,
     /// Detected-attack counters and distributions, by protocol family.
     pub dos: DosMetrics,
-    /// Per-shard stage walltime histograms and end-of-run totals.
+    /// The run's stage wall times: per-shard histograms and whole-run
+    /// totals.
     pub stages: StageMetrics,
 }
 

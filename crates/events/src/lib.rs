@@ -63,7 +63,8 @@ impl EventMeta {
 }
 
 /// Defines the event taxonomy: one struct per event and the [`Event`]
-/// enum over them, with its qlog name, time and payload accessors.
+/// enum over them, with its qlog name and time accessors; the enum
+/// serializes as the payload it holds.
 ///
 /// Every event struct carries an `at: Timestamp` field (its event
 /// time); the macro relies on that to generate [`Event::at`].
@@ -107,12 +108,13 @@ macro_rules! events {
                 }
             }
 
-            /// The event payload as a serde value tree (the qlog
-            /// `data` member).
-            pub fn data_value(&self) -> serde::Value {
+        }
+
+        /// An event serializes as its payload: the qlog `data` member.
+        impl Serialize for Event {
+            fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
                 match self {
-                    $( Event::$name(e) => serde::to_value(e)
-                        .expect("event structs always serialize"), )*
+                    $( Event::$name(e) => e.serialize(serializer), )*
                 }
             }
         }
@@ -388,7 +390,7 @@ mod tests {
         let event = sample_event();
         assert_eq!(event.name(), "quicsand:session_opened");
         assert_eq!(event.at(), Timestamp::from_secs(12));
-        let data = event.data_value();
+        let data = serde::to_value(&event).expect("an event serializes as its payload");
         assert!(data.get("src").is_some());
         assert!(data.get("channel").is_some());
     }

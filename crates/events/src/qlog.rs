@@ -10,7 +10,7 @@
 
 use crate::{Event, EventMeta, Subscriber};
 use quicsand_net::Timestamp;
-use serde::Value;
+use serde::{Compound, Serialize, Serializer, Value};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -99,7 +99,7 @@ impl QlogWriter {
         Ok((writer, buffer))
     }
 
-    fn write_record(&mut self, value: &Value) -> Result<(), String> {
+    fn write_record<T: Serialize>(&mut self, value: &T) -> Result<(), String> {
         let json = serde_json::to_string(value).map_err(|e| format!("qlog encode: {e}"))?;
         let write = |out: &mut dyn Write| -> std::io::Result<()> {
             out.write_all(&[RECORD_SEPARATOR])?;
@@ -115,29 +115,22 @@ impl QlogWriter {
     /// forensic slice writer uses this for its `quicsand:slice_*`
     /// records. The name must stay in the `quicsand:` namespace for the
     /// file to validate. Errors are latched exactly like an event's.
-    pub fn raw_record(&mut self, at: Timestamp, name: &str, data: Value) {
-        self.append(at, name, data, None);
+    pub fn raw_record(&mut self, at: Timestamp, name: &str, data: &impl Serialize) {
+        self.append(&EventRecord {
+            at,
+            name,
+            data,
+            record_index: None,
+        });
     }
 
-    /// Appends one `{"time", "name", "data"[, "record_index"]}` record.
-    /// Errors are latched for [`QlogWriter::finish`] rather than
-    /// propagated per record.
-    fn append(&mut self, at: Timestamp, name: &str, data: Value, record_index: Option<u64>) {
+    /// Appends one record. Errors are latched for
+    /// [`QlogWriter::finish`] rather than propagated per record.
+    fn append<T: Serialize>(&mut self, record: &EventRecord<'_, T>) {
         if self.error.is_some() {
             return;
         }
-        let mut fields = vec![
-            (
-                "time".to_string(),
-                Value::F64(at.as_micros() as f64 / 1_000.0),
-            ),
-            ("name".to_string(), Value::Str(name.to_string())),
-            ("data".to_string(), data),
-        ];
-        if let Some(index) = record_index {
-            fields.push(("record_index".to_string(), Value::U64(index)));
-        }
-        match self.write_record(&Value::Map(fields)) {
+        match self.write_record(record) {
             Ok(()) => self.events_written += 1,
             Err(e) => self.error = Some(e),
         }
@@ -166,12 +159,36 @@ impl QlogWriter {
 
 impl Subscriber for QlogWriter {
     fn on(&mut self, meta: EventMeta, event: Event) {
-        self.append(
-            event.at(),
-            event.name(),
-            event.data_value(),
-            meta.record_index,
-        );
+        self.append(&EventRecord {
+            at: event.at(),
+            name: event.name(),
+            data: &event,
+            record_index: meta.record_index,
+        });
+    }
+}
+
+/// One `{"time", "name", "data"[, "record_index"]}` event record, its
+/// payload written straight from its type; `record_index` is left out
+/// when there is none.
+struct EventRecord<'a, T> {
+    at: Timestamp,
+    name: &'a str,
+    data: &'a T,
+    record_index: Option<u64>,
+}
+
+impl<T: Serialize> Serialize for EventRecord<'_, T> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let fields = 3 + usize::from(self.record_index.is_some());
+        let mut record = serializer.serialize_map(fields)?;
+        record.entry("time", &(self.at.as_micros() as f64 / 1_000.0))?;
+        record.entry("name", self.name)?;
+        record.entry("data", self.data)?;
+        if let Some(index) = &self.record_index {
+            record.entry("record_index", index)?;
+        }
+        record.end()
     }
 }
 
@@ -262,6 +279,16 @@ pub struct QlogSummary {
 /// Validates framing and qlog shape: RFC 7464 records, a well-formed
 /// header first, and `time` + `name` members on every event record.
 pub fn validate_qlog(bytes: &[u8]) -> Result<QlogSummary, String> {
+    let records = parse_qlog(bytes)?;
+    Ok(QlogSummary {
+        records: records.len(),
+        events: records.len() - 1,
+    })
+}
+
+/// Parses a qlog JSON-SEQ file into its records, validated as
+/// [`validate_qlog`] does, header first.
+pub fn parse_qlog(bytes: &[u8]) -> Result<Vec<Value>, String> {
     let records = parse_json_seq(bytes)?;
     let Some(header) = records.first() else {
         return Err("no header record".into());
@@ -298,10 +325,7 @@ pub fn validate_qlog(bytes: &[u8]) -> Result<QlogSummary, String> {
             }
         }
     }
-    Ok(QlogSummary {
-        records: records.len(),
-        events: records.len() - 1,
-    })
+    Ok(records)
 }
 
 #[cfg(test)]

@@ -25,24 +25,16 @@ use quicsand_obs::MetricsRegistry;
 use quicsand_sessions::dos::Attack;
 use quicsand_telescope::parallel::{admit_each, gather, scatter, ShardRecords};
 use quicsand_telescope::{
-    Admitted, GuardConfig, IngestMetrics, IngestStats, PipelineSnapshot, PipelineStats,
-    StageMetrics, TelescopePipeline,
+    Admitted, GuardConfig, IngestMetrics, IngestStats, PipelineSnapshot, StageMetrics,
+    TelescopePipeline,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn ms(since: Instant) -> f64 {
-    since.elapsed().as_secs_f64() * 1_000.0
-}
-
-fn to_micros(ms: f64) -> u64 {
-    (ms * 1_000.0).round().max(0.0) as u64
-}
-
 /// One shard's chunk output: record-index-tagged events plus the wall
-/// milliseconds its admit and detect phases took.
-type ShardChunk = (Vec<(usize, LiveEvent)>, f64, f64);
+/// time its admit and detect phases took.
+type ShardChunk = (Vec<(usize, LiveEvent)>, Duration, Duration);
 
 /// Admitted records the detector is handed at a time: the admit loop
 /// fills a buffer this long and the detector drains it, so a chunk of
@@ -101,7 +93,6 @@ pub struct LiveEngine {
     guard: GuardConfig,
     shards: Vec<Shard>,
     offered: u64,
-    stats: PipelineStats,
     /// Per-engine metrics registry (never process-global: restore gets
     /// a fresh one re-seeded from the snapshot, tests stay hermetic).
     registry: Arc<MetricsRegistry>,
@@ -113,27 +104,28 @@ pub struct LiveEngine {
 impl LiveEngine {
     /// Creates an engine with `shards` parallel detector shards.
     pub fn new(config: LiveConfig, guard: GuardConfig, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let mut stats = PipelineStats {
-            threads: shards,
-            ..PipelineStats::default()
-        };
-        stats.records = 0;
+        let shards = (0..shards.max(1))
+            .map(|_| Shard {
+                pipeline: TelescopePipeline::with_guard(guard),
+                detector: LiveDetector::new(config),
+            })
+            .collect();
+        Self::assemble(config, guard, 0, shards)
+    }
+
+    /// An engine over `shards`, with `offered` records behind it and a
+    /// fresh registry.
+    fn assemble(config: LiveConfig, guard: GuardConfig, offered: u64, shards: Vec<Shard>) -> Self {
         let registry = MetricsRegistry::new();
         let metrics = LiveMetrics::register(&registry);
         let ingest_metrics = IngestMetrics::register(&registry);
         let stages = StageMetrics::register(&registry);
+        stages.threads.set(shards.len() as u64);
         LiveEngine {
-            shards: (0..shards)
-                .map(|_| Shard {
-                    pipeline: TelescopePipeline::with_guard(guard),
-                    detector: LiveDetector::new(config),
-                })
-                .collect(),
             config,
             guard,
-            offered: 0,
-            stats,
+            shards,
+            offered,
             registry,
             metrics,
             ingest_metrics,
@@ -203,7 +195,6 @@ impl LiveEngine {
     ) -> (Vec<LiveEvent>, Vec<C>) {
         let base = self.offered;
         self.offered += records.len() as u64;
-        self.stats.records = self.offered;
         let results = scatter(records, &mut self.shards, |shard, part| {
             let mut collector = C::default();
             (
@@ -211,25 +202,18 @@ impl LiveEngine {
                 collector,
             )
         });
-        // Critical-path timing: the slowest shard bounds the chunk.
-        let mut chunk_ingest: f64 = 0.0;
-        let mut chunk_detect: f64 = 0.0;
+        // Detector offers are the live "sessionize" stage (incremental
+        // session upkeep + threshold checks).
+        let times = results
+            .iter()
+            .map(|((_, ingest, detect), _)| (*ingest, *detect));
+        self.stages.record_chunk(times);
         let mut tagged: Vec<(usize, LiveEvent)> = Vec::new();
         let mut collectors = Vec::with_capacity(results.len());
-        for ((events, ingest_ms, detect_ms), collector) in results {
-            chunk_ingest = chunk_ingest.max(ingest_ms);
-            chunk_detect = chunk_detect.max(detect_ms);
+        for ((events, _, _), collector) in results {
             tagged.extend(events);
             collectors.push(collector);
         }
-        self.stats.ingest_ms += chunk_ingest;
-        self.stats.sessionize_ms += chunk_detect;
-        // Detector offers are the live "sessionize" stage (incremental
-        // session upkeep + threshold checks).
-        self.stages.ingest_walltime.observe(to_micros(chunk_ingest));
-        self.stages
-            .sessionize_walltime
-            .observe(to_micros(chunk_detect));
         // A record can emit several events; `gather` is stable, so they
         // stay in emission order.
         (gather(tagged), collectors)
@@ -254,11 +238,9 @@ impl LiveEngine {
         // `(at, victim)` come from the same shard and the stable sort
         // preserves their emission order.
         events.sort_by_key(|e| (e.at, e.victim));
-        self.stats.detect_ms += ms(flush_start);
-        self.stats.peak_open_sessions = self.live_stats().peak_tracked;
-        self.stages
-            .detect_walltime
-            .observe(to_micros(self.stats.detect_ms));
+        self.stages.record_detect(flush_start.elapsed());
+        let peak = self.live_stats().peak_tracked;
+        self.stages.peak_open_sessions.set(peak as u64);
         if subscriber.enabled() {
             emit_alert_events(&events, subscriber);
         }
@@ -288,7 +270,6 @@ impl LiveEngine {
         self.ingest_metrics.publish(&self.ingest_stats());
         self.metrics.publish(&self.live_stats());
         self.metrics.tracked.set(self.tracked() as u64);
-        self.stages.set_totals(&self.stats);
     }
 
     /// Publishes the current readings, then checks the identities
@@ -338,6 +319,13 @@ impl LiveEngine {
         &self.metrics
     }
 
+    /// The run's stage wall times. A restored engine's series start at
+    /// zero; a process that carries on from one adds the earlier
+    /// engine's in with [`StageMetrics::carry`].
+    pub fn stages(&self) -> &StageMetrics {
+        &self.stages
+    }
+
     /// Checkpoints the engine (guard state, open victims, closed-attack
     /// sets, counters). Shard states are captured independently, so the
     /// snapshot is only restorable at the same shard count — which
@@ -360,7 +348,7 @@ impl LiveEngine {
 
     /// Rebuilds an engine from a checkpoint. The restored engine emits
     /// the exact same events for the rest of the stream as the
-    /// snapshotted one would have (timing telemetry restarts at zero).
+    /// snapshotted one would have (its stage wall times start at zero).
     ///
     /// Infallible, so it trusts its argument: a snapshot read from
     /// outside the program goes through [`crate::parse_checkpoint`]
@@ -372,32 +360,15 @@ impl LiveEngine {
     /// with counters that contradict each other (an engine that would
     /// fail its own [`LiveEngine::verify_metrics`]).
     pub fn restore(snapshot: &LiveSnapshot) -> Self {
-        let registry = MetricsRegistry::new();
-        let metrics = LiveMetrics::register(&registry);
-        let ingest_metrics = IngestMetrics::register(&registry);
-        let stages = StageMetrics::register(&registry);
-        let engine = LiveEngine {
-            config: snapshot.config,
-            guard: snapshot.guard,
-            offered: snapshot.offered,
-            stats: PipelineStats {
-                threads: snapshot.shards.len(),
-                records: snapshot.offered,
-                ..PipelineStats::default()
-            },
-            shards: snapshot
-                .shards
-                .iter()
-                .map(|shard| Shard {
-                    pipeline: TelescopePipeline::restore(snapshot.guard, &shard.pipeline),
-                    detector: LiveDetector::restore(snapshot.config, &shard.detector),
-                })
-                .collect(),
-            registry,
-            metrics,
-            ingest_metrics,
-            stages,
-        };
+        let shards = snapshot
+            .shards
+            .iter()
+            .map(|shard| Shard {
+                pipeline: TelescopePipeline::restore(snapshot.guard, &shard.pipeline),
+                detector: LiveDetector::restore(snapshot.config, &shard.detector),
+            })
+            .collect();
+        let engine = Self::assemble(snapshot.config, snapshot.guard, snapshot.offered, shards);
         // Re-seed the fresh registry from the restored state: counters
         // from the snapshot's stats (the first publish into a fresh
         // registry carries them whole), attack distributions by
@@ -433,11 +404,6 @@ impl LiveEngine {
             stats.merge(&shard.detector.stats());
         }
         stats
-    }
-
-    /// Wall-clock telemetry (`--verbose` material; non-deterministic).
-    pub fn pipeline_stats(&self) -> &PipelineStats {
-        &self.stats
     }
 
     /// Victims currently tracked across all shards and channels.
@@ -518,7 +484,7 @@ fn shard_chunk<S: Subscriber>(
     // the flood victim; requests are scan traffic, not flood evidence).
     let mut offers: Vec<(usize, bool)> = Vec::with_capacity(part.len().min(OFFER_BATCH));
     let mut events: Vec<(usize, LiveEvent)> = Vec::new();
-    let mut detect_ms = 0.0;
+    let mut detect_time = Duration::ZERO;
     admit_each(
         pipeline,
         part,
@@ -532,22 +498,26 @@ fn shard_chunk<S: Subscriber>(
             };
             offers.push((index, quic));
             if offers.len() == OFFER_BATCH {
-                detect_ms += detect(detector, records, &mut offers, &mut events);
+                detect_time += detect(detector, records, &mut offers, &mut events);
             }
         },
     );
-    detect_ms += detect(detector, records, &mut offers, &mut events);
-    (events, ms(start) - detect_ms, detect_ms)
+    detect_time += detect(detector, records, &mut offers, &mut events);
+    (
+        events,
+        start.elapsed().saturating_sub(detect_time),
+        detect_time,
+    )
 }
 
 /// Drains `offers` into the detector, tagging what it emits with the
-/// record index; returns the wall milliseconds it took.
+/// record index; returns the wall time it took.
 fn detect(
     detector: &mut LiveDetector,
     records: &[PacketRecord],
     offers: &mut Vec<(usize, bool)>,
     events: &mut Vec<(usize, LiveEvent)>,
-) -> f64 {
+) -> Duration {
     let start = Instant::now();
     for (index, quic) in offers.drain(..) {
         let record = &records[index];
@@ -559,7 +529,7 @@ fn detect(
         };
         events.extend(emitted.into_iter().map(|event| (index, event)));
     }
-    ms(start)
+    start.elapsed()
 }
 
 /// Translates the merged, deterministic [`LiveEvent`] stream into the
@@ -616,6 +586,7 @@ mod tests {
     use super::*;
     use crate::alert::LiveEventKind;
     use quicsand_net::{TcpFlags, Timestamp};
+    use quicsand_telescope::Stage;
     use std::net::Ipv4Addr;
 
     fn victim(last: u8) -> Ipv4Addr {
@@ -769,6 +740,31 @@ mod tests {
         assert_eq!(second.closed_common(), straight.closed_common());
         assert_eq!(second.live_stats(), straight.live_stats());
         assert_eq!(second.ingest_stats(), straight.ingest_stats());
+    }
+
+    #[test]
+    fn each_chunk_is_one_ingest_and_one_sessionize_observation() {
+        let records = trace(&[victim(11), victim(12), victim(13)], 30);
+        for shards in [1, 2] {
+            let mut engine = LiveEngine::new(LiveConfig::default(), GuardConfig::default(), shards);
+            let mut chunks = 0;
+            for chunk in records.chunks(16) {
+                engine.offer_chunk(chunk);
+                chunks += 1;
+            }
+            engine.finish();
+            let stages = engine.stages();
+            assert_eq!(stages.threads.get(), shards as u64);
+            for (stage, count) in [
+                (Stage::Ingest, chunks),
+                (Stage::Sanitize, 0),
+                (Stage::Sessionize, chunks),
+                (Stage::Detect, 1),
+            ] {
+                let observed = stages.walltime(stage).count();
+                assert_eq!(observed, count, "{stage:?} at {shards} shard(s)");
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::alert::EvidencePacket;
 use crate::detector::{LiveConfig, LiveDetector, ProfileCell};
-use quicsand_events::qlog::{parse_json_seq, validate_qlog, QlogWriter};
+use quicsand_events::qlog::{parse_qlog, QlogWriter};
 use quicsand_net::Timestamp;
 use quicsand_sessions::dos::{Attack, AttackProtocol};
 use quicsand_sessions::multivector::MultiVectorClass;
@@ -153,11 +153,9 @@ impl AlertSlice {
         );
         let (mut writer, buffer) =
             QlogWriter::to_buffer(&title, &[format!("alert-{}", self.alert_index)])?;
-        let data = serde::to_value(self).map_err(|e| format!("slice encode: {e}"))?;
-        writer.raw_record(self.quic.attack.start, "quicsand:alert_slice", data);
+        writer.raw_record(self.quic.attack.start, "quicsand:alert_slice", self);
         for packet in self.replay_packets() {
-            let data = serde::to_value(&packet).map_err(|e| format!("packet encode: {e}"))?;
-            writer.raw_record(packet.at, "quicsand:slice_packet", data);
+            writer.raw_record(packet.at, "quicsand:slice_packet", &packet);
         }
         for evidence in self
             .quic
@@ -165,8 +163,7 @@ impl AlertSlice {
             .iter()
             .chain(self.commons.iter().flat_map(|c| c.evidence.iter()))
         {
-            let data = serde::to_value(evidence).map_err(|e| format!("evidence encode: {e}"))?;
-            writer.raw_record(evidence.ts, "quicsand:slice_evidence", data);
+            writer.raw_record(evidence.ts, "quicsand:slice_evidence", evidence);
         }
         writer.finish()?;
         Ok(buffer.contents())
@@ -182,8 +179,7 @@ impl AlertSlice {
 /// the replay stream is taken from the `quicsand:slice_packet` records,
 /// so the replay really consumes what the file carries.
 pub fn parse_slice_qlog(bytes: &[u8]) -> Result<(AlertSlice, Vec<SlicePacket>), String> {
-    validate_qlog(bytes)?;
-    let records = parse_json_seq(bytes)?;
+    let records = parse_qlog(bytes)?;
     let mut slice: Option<AlertSlice> = None;
     let mut packets: Vec<SlicePacket> = Vec::new();
     for record in records.iter().skip(1) {

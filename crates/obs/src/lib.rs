@@ -6,8 +6,8 @@
 //! Handles are shared across shards by cloning, so totals are exact at
 //! any shard count — the reconciliation invariant the rest of the
 //! workspace builds on is that every exported counter equals the
-//! corresponding `IngestStats`/`QuarantineStats`/`PipelineStats`/
-//! `LiveStats` field, bit for bit.
+//! corresponding `IngestStats`/`QuarantineStats`/`LiveStats` field,
+//! bit for bit.
 //!
 //! Two expositions are supported:
 //! - Prometheus text format ([`MetricsRegistry::render_prometheus`])

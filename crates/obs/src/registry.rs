@@ -109,6 +109,12 @@ impl Gauge {
         }
     }
 
+    /// Raises the gauge to `v` when it is below: a running maximum.
+    #[inline]
+    pub fn raise(&self, v: u64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
+    }
+
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -180,6 +186,18 @@ impl Histogram {
 
     pub fn bounds(&self) -> &[u64] {
         &self.0.bounds
+    }
+
+    /// Adds every observation of `other`, a histogram over the same
+    /// bounds, to this one.
+    pub fn absorb(&self, other: &Histogram) {
+        assert_eq!(self.bounds(), other.bounds(), "absorbing other buckets");
+        let inner = &*self.0;
+        for (bucket, count) in inner.buckets.iter().zip(other.bucket_counts()) {
+            bucket.fetch_add(count, Ordering::Relaxed);
+        }
+        inner.count.fetch_add(other.count(), Ordering::Relaxed);
+        inner.sum.fetch_add(other.sum(), Ordering::Relaxed);
     }
 }
 

@@ -206,48 +206,6 @@ pub fn attacks_per_victim(attacks: &[Attack]) -> HashMap<Ipv4Addr, u64> {
     counts
 }
 
-/// Summary of the excluded (non-attack) backscatter sessions, reported
-/// in Appendix B: low-volume events pointing to misconfigurations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExcludedSessionsSummary {
-    /// Excluded session count.
-    pub count: usize,
-    /// Median max pps of excluded sessions.
-    pub median_max_pps: f64,
-    /// Median duration (seconds).
-    pub median_duration_secs: f64,
-    /// Median packet count.
-    pub median_packets: f64,
-}
-
-/// Summarizes the sessions the thresholds excluded.
-pub fn summarize_excluded(
-    sessions: &[Session],
-    thresholds: &DosThresholds,
-) -> ExcludedSessionsSummary {
-    let excluded: Vec<&Session> = sessions.iter().filter(|s| !thresholds.matches(s)).collect();
-    let median = |mut v: Vec<f64>| -> f64 {
-        if v.is_empty() {
-            return 0.0;
-        }
-        // total_cmp: a NaN-rate session quarantined upstream must never
-        // panic the percentile sort (NaNs order after every number).
-        v.sort_by(f64::total_cmp);
-        v[(v.len() - 1) / 2]
-    };
-    ExcludedSessionsSummary {
-        count: excluded.len(),
-        median_max_pps: median(excluded.iter().map(|s| s.max_pps()).collect()),
-        median_duration_secs: median(
-            excluded
-                .iter()
-                .map(|s| s.duration().as_secs_f64())
-                .collect(),
-        ),
-        median_packets: median(excluded.iter().map(|s| s.packet_count as f64).collect()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,19 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn excluded_summary() {
-        let sessions = vec![
-            flood_session(ip(1), 2.0, 120), // attack
-            flood_session(ip(2), 0.1, 50),  // excluded: 5 pkts
-            flood_session(ip(3), 0.2, 40),  // excluded: 8 pkts
-        ];
-        let summary = summarize_excluded(&sessions, &DosThresholds::moore());
-        assert_eq!(summary.count, 2);
-        assert!(summary.median_packets < 10.0);
-        assert!(summary.median_max_pps < 0.5);
-    }
-
-    #[test]
     fn protocol_labels() {
         assert_eq!(AttackProtocol::Quic.label(), "QUIC");
         assert_eq!(AttackProtocol::TcpIcmp.label(), "TCP/ICMP");
@@ -416,8 +361,5 @@ mod tests {
     fn empty_inputs() {
         assert!(detect_attacks(&[], AttackProtocol::Quic, &DosThresholds::moore()).is_empty());
         assert!(attacks_per_victim(&[]).is_empty());
-        let summary = summarize_excluded(&[], &DosThresholds::moore());
-        assert_eq!(summary.count, 0);
-        assert_eq!(summary.median_max_pps, 0.0);
     }
 }

@@ -1085,7 +1085,8 @@ mod tests {
             assert!(swept.expired);
         }
         // Expiry order is deterministic: by (start, src).
-        assert!(sub[5].1.data_value().get("src").is_some());
+        let swept = serde::to_value(&sub[5].1).expect("an event serializes");
+        assert!(swept.get("src").is_some());
         let Event::SessionClosed(flush) = &sub[8].1 else {
             panic!("expected closed event");
         };

@@ -25,9 +25,9 @@ pub mod pipeline;
 
 pub use binning::HourlySeries;
 pub use filter::ResearchFilter;
-pub use metrics::{IngestMetrics, StageMetrics};
+pub use metrics::{IngestMetrics, Stage, StageMetrics};
 pub use parallel::shard_of;
 pub use pipeline::{
-    record_hash, Admitted, GuardConfig, IngestError, IngestStats, PipelineSnapshot, PipelineStats,
+    record_hash, Admitted, GuardConfig, IngestError, IngestStats, PipelineSnapshot,
     QuarantineStats, QuicObservation, TelescopePipeline,
 };

@@ -8,11 +8,12 @@
 //! at zero, and `counter == stats field` holds by construction at every
 //! export point, at any shard count.
 
-use crate::pipeline::{IngestStats, PipelineStats, QuarantineStats};
+use crate::pipeline::{IngestStats, QuarantineStats};
 use quicsand_dissect::DissectMetrics;
 use quicsand_obs::{
     Counter, Gauge, Histogram, MetricsRegistry, Stability, STAGE_WALLTIME_MICROS_BUCKETS,
 };
+use std::time::Duration;
 
 /// Counter bundle mirroring [`IngestStats`] (and, nested, the
 /// quarantine taxonomy and per-dissect-kind rejections).
@@ -115,28 +116,55 @@ impl IngestMetrics {
     }
 }
 
-/// Stage-timing metrics over [`PipelineStats`]: walltime histograms
-/// (one observation per shard per run in batch mode — however many
-/// slices the run was offered in — and per chunk in live mode)
-/// plus end-of-run total gauges. All `Volatile` except the peak-session
-/// high-water mark, which is a pure function of the trace.
+/// A pipeline stage: ingest (guard + classify + dissect; in batch mode
+/// it also sanitizes and sessionizes every packet it can as the packet
+/// is admitted), sanitize, sessionize and detect. The discriminant
+/// indexes [`StageMetrics`]' series, in the order the `stages:` line
+/// lists them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Batch: a shard's admit loop. Live: a chunk's admit loop.
+    Ingest,
+    /// Batch: a shard's end-of-stream pass over the packets of
+    /// education sources that stayed below the research thresholds.
+    /// Never observed in live mode.
+    Sanitize,
+    /// Batch: a shard's end-of-stream flush of every sessionizer, the
+    /// QUIC channels' and the TCP/ICMP channel's (the offers are in
+    /// `ingest` and `sanitize`). Live: a chunk's detector offers
+    /// (session upkeep + threshold checks).
+    Sessionize,
+    /// Batch: DoS inference + multi-vector correlation on the merged
+    /// products. Live: the end-of-stream flush.
+    Detect,
+}
+
+/// The `stage` label of each [`Stage`], in discriminant order.
+const LABELS: [&str; 4] = ["ingest", "sanitize", "sessionize", "detect"];
+
+/// The one record of the pipeline's stage wall times: the batch shards
+/// and the live chunks hand it their durations where each timer stops,
+/// and the CLI's `pipeline:` and `stages:` lines are read back from it.
+///
+/// Each stage has a walltime histogram — one observation per shard per
+/// run in batch mode, however many slices the run was offered in, one
+/// per chunk in live mode, one per run for `detect` — and a whole-run
+/// total gauge. The shards of a batch run or of a live chunk run in
+/// parallel, so the slowest one is the critical path: a batch total is
+/// the slowest shard's, a live total the sum of each chunk's slowest
+/// shard. All `Volatile`: timings vary run to run, and the peak-session
+/// sum depends on the shard count.
 #[derive(Debug, Clone)]
 pub struct StageMetrics {
-    /// `quicsand_stage_walltime_micros{stage="ingest"}`.
-    pub ingest_walltime: Histogram,
-    /// `{stage="sanitize"}` — zero observations in live mode.
-    pub sanitize_walltime: Histogram,
-    /// `{stage="sessionize"}`.
-    pub sessionize_walltime: Histogram,
-    /// `{stage="detect"}`.
-    pub detect_walltime: Histogram,
-    /// `quicsand_stage_total_micros{stage=...}` gauges, same order as
-    /// the histograms.
-    pub totals: [Gauge; 4],
+    /// `quicsand_stage_walltime_micros{stage=...}`, by [`Stage`].
+    walltime: [Histogram; 4],
+    /// `quicsand_stage_total_micros{stage=...}`, by [`Stage`].
+    totals: [Gauge; 4],
     /// `quicsand_pipeline_threads` — worker threads / shards used.
     pub threads: Gauge,
-    /// `quicsand_pipeline_peak_open_sessions` ==
-    /// [`PipelineStats::peak_open_sessions`].
+    /// `quicsand_pipeline_peak_open_sessions` — the sum of the
+    /// sessionizers'/detectors' open-state high-water marks, an upper
+    /// bound on simultaneously held per-source state.
     pub peak_open_sessions: Gauge,
 }
 
@@ -170,23 +198,13 @@ impl StageMetrics {
             )
         };
         StageMetrics {
-            ingest_walltime: hist("ingest"),
-            sanitize_walltime: hist("sanitize"),
-            sessionize_walltime: hist("sessionize"),
-            detect_walltime: hist("detect"),
-            totals: [
-                total("ingest"),
-                total("sanitize"),
-                total("sessionize"),
-                total("detect"),
-            ],
+            walltime: LABELS.map(hist),
+            totals: LABELS.map(total),
             threads: registry.gauge(
                 "quicsand_pipeline_threads",
                 "Worker threads (batch) or shards (live) used",
                 Stability::Volatile,
             ),
-            // Volatile: per-shard peaks are summed, so the value depends
-            // on the shard count, not only on the trace.
             peak_open_sessions: registry.gauge(
                 "quicsand_pipeline_peak_open_sessions",
                 "Sum of per-sessionizer/per-detector open-state high-water marks",
@@ -195,43 +213,91 @@ impl StageMetrics {
         }
     }
 
-    /// Records one shard's frontend stage walltimes
-    /// (ingest/sanitize/sessionize) into the distribution histograms —
-    /// detection runs once after the merge and is observed separately
-    /// via [`StageMetrics::observe_detect`]. Zero-length stages still
-    /// count — a too-fast-to-measure stage is an observation, not a gap.
-    pub fn observe_frontend(&self, stats: &PipelineStats) {
-        self.ingest_walltime.observe(ms_to_micros(stats.ingest_ms));
-        self.sanitize_walltime
-            .observe(ms_to_micros(stats.sanitize_ms));
-        self.sessionize_walltime
-            .observe(ms_to_micros(stats.sessionize_ms));
+    /// A stage's walltime histogram.
+    pub fn walltime(&self, stage: Stage) -> &Histogram {
+        &self.walltime[stage as usize]
     }
 
-    /// Records a detect-stage walltime (milliseconds) on its own.
-    pub fn observe_detect(&self, detect_ms: f64) {
-        self.detect_walltime.observe(ms_to_micros(detect_ms));
+    /// A stage's whole-run total, microseconds.
+    pub fn total_micros(&self, stage: Stage) -> u64 {
+        self.totals[stage as usize].get()
     }
 
-    /// Publishes end-of-run totals (gauges are last-write-wins, so this
-    /// is safe to call repeatedly as a run progresses).
-    pub fn set_totals(&self, stats: &PipelineStats) {
-        let values = [
-            stats.ingest_ms,
-            stats.sanitize_ms,
-            stats.sessionize_ms,
-            stats.detect_ms,
+    /// Records one batch shard's run as the shard finishes: one
+    /// ingest, sanitize and sessionize observation each, every total
+    /// raised to the slowest shard's.
+    pub fn record_shard(&self, ingest: Duration, sanitize: Duration, sessionize: Duration) {
+        let shard = [
+            (Stage::Ingest, ingest),
+            (Stage::Sanitize, sanitize),
+            (Stage::Sessionize, sessionize),
         ];
-        for (gauge, ms) in self.totals.iter().zip(values) {
-            gauge.set(ms_to_micros(ms));
+        for (stage, elapsed) in shard {
+            let us = micros(elapsed);
+            self.walltime[stage as usize].observe(us);
+            self.totals[stage as usize].raise(us);
         }
-        self.threads.set(stats.threads as u64);
-        self.peak_open_sessions.set(stats.peak_open_sessions as u64);
+    }
+
+    /// Records one live chunk from its shards' `(ingest, sessionize)`
+    /// times: one observation of the slowest shard per stage, added to
+    /// the run's totals.
+    pub fn record_chunk(&self, shards: impl IntoIterator<Item = (Duration, Duration)>) {
+        let (mut ingest, mut sessionize) = (Duration::ZERO, Duration::ZERO);
+        for (shard_ingest, shard_sessionize) in shards {
+            ingest = ingest.max(shard_ingest);
+            sessionize = sessionize.max(shard_sessionize);
+        }
+        self.add(Stage::Ingest, ingest);
+        self.add(Stage::Sessionize, sessionize);
+    }
+
+    /// Records the detect stage, which runs once, after the shards.
+    pub fn record_detect(&self, elapsed: Duration) {
+        self.add(Stage::Detect, elapsed);
+    }
+
+    fn add(&self, stage: Stage, elapsed: Duration) {
+        let us = micros(elapsed);
+        self.walltime[stage as usize].observe(us);
+        self.totals[stage as usize].add(us);
+    }
+
+    /// Carries an earlier live engine's series into this one, for a run
+    /// that goes on from a restored engine: every observation and every
+    /// total so far is added in, so the series cover the whole run.
+    pub fn carry(&self, earlier: &StageMetrics) {
+        for (histogram, old) in self.walltime.iter().zip(&earlier.walltime) {
+            histogram.absorb(old);
+        }
+        for (total, old) in self.totals.iter().zip(&earlier.totals) {
+            total.add(old.get());
+        }
+    }
+
+    /// Ingest throughput: `records` over the ingest total, per second.
+    pub fn ingest_rate(&self, records: u64) -> f64 {
+        match self.total_micros(Stage::Ingest) {
+            0 => 0.0,
+            micros => records as f64 * 1e6 / micros as f64,
+        }
+    }
+
+    /// The `stages: ingest …ms / sanitize …ms / sessionize …ms / detect
+    /// …ms` line of `--verbose`, from the totals.
+    pub fn summary(&self) -> String {
+        let stages: Vec<String> = LABELS
+            .iter()
+            .zip(&self.totals)
+            .map(|(stage, total)| format!("{stage} {:.1}ms", total.get() as f64 / 1e3))
+            .collect();
+        format!("stages: {}", stages.join(" / "))
     }
 }
 
-fn ms_to_micros(ms: f64) -> u64 {
-    (ms * 1_000.0).round().max(0.0) as u64
+/// A wall time in whole microseconds, the unit of every stage series.
+fn micros(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -320,25 +386,45 @@ mod tests {
 
     #[test]
     fn stage_metrics_convert_ms_to_micros() {
-        let registry = MetricsRegistry::new();
-        let stages = StageMetrics::register(&registry);
-        let stats = PipelineStats {
-            threads: 2,
-            records: 10,
-            ingest_ms: 1.5,
-            sanitize_ms: 0.0,
-            sessionize_ms: 0.25,
-            detect_ms: 3.0,
-            peak_open_sessions: 7,
-            quarantined: 0,
-        };
-        stages.observe_frontend(&stats);
-        stages.observe_detect(stats.detect_ms);
-        stages.set_totals(&stats);
-        assert_eq!(stages.ingest_walltime.sum(), 1_500);
-        assert_eq!(stages.totals[3].get(), 3_000);
-        assert_eq!(stages.peak_open_sessions.get(), 7);
-        assert_eq!(stages.threads.get(), 2);
-        assert_eq!(stages.sanitize_walltime.count(), 1);
+        let stages = StageMetrics::register(&MetricsRegistry::new());
+        let us = Duration::from_micros;
+        // Two batch shards: one observation each, every total the
+        // slowest shard's.
+        stages.record_shard(us(1_500), Duration::ZERO, us(250));
+        stages.record_shard(us(900), us(40), us(600));
+        stages.record_detect(Duration::from_millis(3));
+        assert_eq!(stages.walltime(Stage::Ingest).count(), 2);
+        assert_eq!(stages.walltime(Stage::Ingest).sum(), 2_400);
+        assert_eq!(stages.walltime(Stage::Detect).count(), 1);
+        let all = [
+            Stage::Ingest,
+            Stage::Sanitize,
+            Stage::Sessionize,
+            Stage::Detect,
+        ];
+        assert_eq!(all.map(|s| stages.total_micros(s)), [1_500, 40, 600, 3_000]);
+        assert_eq!(
+            stages.summary(),
+            "stages: ingest 1.5ms / sanitize 0.0ms / sessionize 0.6ms / detect 3.0ms"
+        );
+        assert_eq!(stages.ingest_rate(3_000), 2_000_000.0);
+    }
+
+    #[test]
+    fn a_chunk_records_its_slowest_shard_and_a_carry_adds_the_earlier_run() {
+        let us = Duration::from_micros;
+        let earlier = StageMetrics::register(&MetricsRegistry::new());
+        earlier.record_chunk([(us(300), us(100)), (us(200), us(400))]);
+        let later = StageMetrics::register(&MetricsRegistry::new());
+        later.record_chunk([(us(50), us(60))]);
+        later.carry(&earlier);
+        for stage in [Stage::Ingest, Stage::Sessionize] {
+            assert_eq!(later.walltime(stage).count(), 2);
+            assert_eq!(later.walltime(stage).bucket_counts().iter().sum::<u64>(), 2);
+        }
+        assert_eq!(later.walltime(Stage::Sanitize).count(), 0);
+        assert_eq!(later.total_micros(Stage::Ingest), 350);
+        assert_eq!(later.walltime(Stage::Sessionize).sum(), 460);
+        assert_eq!(later.total_micros(Stage::Sessionize), 460);
     }
 }

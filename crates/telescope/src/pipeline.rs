@@ -366,80 +366,6 @@ pub struct PipelineSnapshot {
     pub stats: IngestStats,
 }
 
-/// Wall-clock telemetry for the pipeline stages, surfaced by
-/// `quicsand analyze --verbose` / `quicsand live --verbose`.
-///
-/// Timings vary run to run, so this struct is deliberately *not* part
-/// of the deterministic analysis products (reports never include it).
-/// The batch path fills `sanitize_ms`; the live path runs detection
-/// incrementally and fills `sessionize_ms`/`detect_ms` with the
-/// detector-offer and final-flush times instead.
-#[derive(Debug, Clone, Default)]
-pub struct PipelineStats {
-    /// Worker threads (batch) or shards (live) actually used.
-    pub threads: usize,
-    /// Records ingested.
-    pub records: u64,
-    /// Ingest stage (guard + classify + dissect) wall time, ms. In the
-    /// parallel path this is the slowest shard (critical path), each
-    /// shard's time summed over every slice it was offered. In batch
-    /// mode it includes sanitizing and sessionizing every packet that
-    /// can be as it is admitted, which happens inside the admit loop.
-    pub ingest_ms: f64,
-    /// Sanitize stage wall time, ms. In batch mode: the end-of-stream
-    /// pass over the packets of education sources that stayed below the
-    /// research thresholds. Zero in live mode.
-    pub sanitize_ms: f64,
-    /// Sessionization wall time, ms. In batch mode: the end-of-stream
-    /// flush of every sessionizer — the offers are in `ingest_ms` and
-    /// `sanitize_ms`. In live mode: time spent in incremental detector
-    /// offers (sessionize + threshold checks).
-    pub sessionize_ms: f64,
-    /// DoS inference + multi-vector correlation wall time, ms. In live
-    /// mode: the end-of-stream flush (expiry + final correlation).
-    pub detect_ms: f64,
-    /// Sum of the sessionizers'/detectors' open-state high-water marks —
-    /// an upper bound on simultaneously held per-source state, the
-    /// quantity the watermark expiry (batch) or LRU cap (live) bounds.
-    pub peak_open_sessions: usize,
-    /// Records the ingest guard + dissector quarantined, all kinds
-    /// summed (the per-kind breakdown lives in
-    /// [`IngestStats::quarantine`]).
-    pub quarantined: u64,
-}
-
-impl PipelineStats {
-    /// Ingest throughput in records per second.
-    pub fn ingest_records_per_sec(&self) -> f64 {
-        if self.ingest_ms <= 0.0 {
-            0.0
-        } else {
-            self.records as f64 / (self.ingest_ms / 1_000.0)
-        }
-    }
-
-    /// Merges another shard's timings: per-stage maxima (the critical
-    /// path under parallel execution) and summed peak open state.
-    pub fn max_stage(&mut self, other: &PipelineStats) {
-        self.ingest_ms = self.ingest_ms.max(other.ingest_ms);
-        self.sanitize_ms = self.sanitize_ms.max(other.sanitize_ms);
-        self.sessionize_ms = self.sessionize_ms.max(other.sessionize_ms);
-        self.detect_ms = self.detect_ms.max(other.detect_ms);
-        self.peak_open_sessions += other.peak_open_sessions;
-    }
-
-    /// One-line per-stage walltime summary (the `--verbose` line). In
-    /// batch mode `ingest` contains the TCP/ICMP channel's sessionization
-    /// and `sessionize` covers the two QUIC channels only (see the
-    /// fields).
-    pub fn stage_summary(&self) -> String {
-        format!(
-            "stages: ingest {:.1}ms / sanitize {:.1}ms / sessionize {:.1}ms / detect {:.1}ms",
-            self.ingest_ms, self.sanitize_ms, self.sessionize_ms, self.detect_ms
-        )
-    }
-}
-
 /// Multiply-fold constants for [`record_hash`] (the two 64-bit primes
 /// popularized by wyhash; any pair of odd constants with good bit
 /// dispersion would do).

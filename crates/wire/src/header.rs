@@ -213,16 +213,6 @@ impl ShortHeader {
     }
 }
 
-/// Either header form, as classified from the first byte of a datagram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Header {
-    /// A long header (Initial, 0-RTT, Handshake, Retry or Version
-    /// Negotiation).
-    Long(LongHeader),
-    /// A short (1-RTT) header.
-    Short(ShortHeader),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

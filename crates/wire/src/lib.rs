@@ -57,7 +57,7 @@ pub mod version;
 pub use cid::ConnectionId;
 pub use error::WireError;
 pub use frame::Frame;
-pub use header::{Header, LongHeader, LongPacketType, ShortHeader};
+pub use header::{LongHeader, LongPacketType, ShortHeader};
 pub use packet::{Packet, PacketPayload};
 pub use version::Version;
 

@@ -629,6 +629,21 @@ for file in crates/telescope/src/metrics.rs crates/live/src/metrics.rs; do
   fi
 done
 
+echo "==> one stage clock: the stage wall times are recorded once, where they are measured"
+# `StageMetrics` (crates/telescope/src/metrics.rs) holds the stage labels
+# and the slowest-shard rule; the batch shards and the live chunks record
+# into it, and the CLI prints its `pipeline:` and `stages:` lines from it.
+# A `PipelineStats` struct beside it (with its `max_stage` merge and its
+# `stage_summary` line) and an `observe_frontend` copy step are a second
+# record of the same times, and drift from the first. A `data_value` is a
+# serde tree built per qlog record only to be written out and dropped.
+for file in crates/*/src/*.rs src/*.rs; do
+  if nontest_code "$file" | grep -nE 'PipelineStats|max_stage|stage_summary|observe_frontend|data_value'; then
+    echo "stage-clock pin: a second stage record or a per-record qlog tree in non-test code of $file" >&2
+    exit 1
+  fi
+done
+
 if [[ $quick -eq 0 ]]; then
   echo "==> checkpoint allocation pin"
   # The counts the tree-free reader and the tree-free writer are held

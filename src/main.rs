@@ -675,19 +675,19 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     if stats.quarantine.total() > 0 {
         println!("quarantine: {}", nonzero_rows(&stats.quarantine.as_table()));
     }
-    let pipeline = &analysis.stats;
+    let stages = &analysis.metrics.stages;
     println!(
         "pipeline: {} thread(s), {:.0} records/s ingest; peak open sessions {}",
-        pipeline.threads,
-        pipeline.ingest_records_per_sec(),
-        pipeline.peak_open_sessions
+        stages.threads.get(),
+        stages.ingest_rate(stats.total),
+        stages.peak_open_sessions.get()
     );
     if has_flag(args, "--verbose") {
         // Keep the `pipeline:` prefix: walltime lines are excluded from
         // cross-thread determinism comparisons by that prefix.
         println!(
             "pipeline: {}{}",
-            pipeline.stage_summary(),
+            stages.summary(),
             peak_rss_suffix(peak_rss)
         );
     }
@@ -886,16 +886,18 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
                 ));
             }
             let verified_at = Instant::now();
-            live = restored;
+            let earlier = std::mem::replace(&mut live, restored);
             checkpoints += 1;
             checkpoint_bytes += encoded.len() as u64;
             checkpoint_time += verified_at - started;
             // restore() rebuilds the registry from the snapshot, which
-            // carries no checkpoint telemetry — re-seed the cumulative
-            // totals so the exported counters cover the whole run, not
-            // just the stretch since the last resume.
+            // carries no wall-clock telemetry — re-seed the cumulative
+            // checkpoint totals and carry the stage series over, so the
+            // exported series cover the whole run, not just the stretch
+            // since the last resume.
             live.engine()
                 .record_checkpoint(checkpoints, checkpoint_bytes, checkpoint_time);
+            live.engine().stages().carry(earlier.engine().stages());
             offered_at_checkpoint = live.offered();
             if verbose {
                 let ms = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1e3;
@@ -954,12 +956,12 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
         sources.iter().filter(|s| s.eof && s.delivered == 0).count()
     );
     if verbose {
-        let pipeline = live.engine().pipeline_stats();
+        let stages = live.engine().stages();
         println!(
             "live: {} shard(s), {:.0} records/s ingest; {}; peak tracked victims {}{}",
-            shards,
-            pipeline.ingest_records_per_sec(),
-            pipeline.stage_summary(),
+            stages.threads.get(),
+            stages.ingest_rate(live.offered()),
+            stages.summary(),
             stats.peak_tracked,
             peak_rss_suffix(peak_rss)
         );

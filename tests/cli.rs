@@ -1250,3 +1250,133 @@ fn metrics_json_stable_only_is_one_object_of_stable_series() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The series `name` of the `--metrics-out` file at `path`, as
+/// `(stage label, count or value)` sorted by label: a histogram by its
+/// observation count, a gauge by its value.
+fn stage_series(path: &std::path::Path, name: &str) -> Vec<(String, u64)> {
+    let text = std::fs::read_to_string(path).unwrap();
+    let metrics: serde::Value = serde_json::from_str(&text).expect("--metrics-out is JSON");
+    let series = metrics.get("metrics").and_then(serde::Value::as_seq);
+    let series = series.expect("a `metrics` list");
+    let reading = |field: &str, entry: &serde::Value| match entry.get(field) {
+        Some(serde::Value::U64(n)) => Some(*n),
+        _ => None,
+    };
+    let mut found: Vec<(String, u64)> = series
+        .iter()
+        .filter(|entry| entry.get("name") == Some(&serde::Value::Str(name.to_string())))
+        .map(|entry| {
+            let stage = match entry.get("labels").and_then(|l| l.get("stage")) {
+                Some(serde::Value::Str(stage)) => stage.clone(),
+                _ => String::new(),
+            };
+            let value = reading("count", entry).or_else(|| reading("value", entry));
+            (stage, value.expect("a count or a value"))
+        })
+        .collect();
+    found.sort();
+    found
+}
+
+/// The `stages: ingest …ms / sanitize …ms / …` part of a stage line, as
+/// `(stage, ms)` in stage order.
+fn printed_stages(line: &str) -> Vec<(String, f64)> {
+    let stages = line.split("stages: ").nth(1).expect("a `stages:` part");
+    let stages = stages.split(';').next().unwrap();
+    stages
+        .split(" / ")
+        .map(|stage| {
+            let (name, ms) = stage.split_once(' ').expect("`<stage> <ms>ms`");
+            let ms = ms.strip_suffix("ms").expect("an `ms` suffix");
+            (name.to_string(), ms.parse().expect("ms is a number"))
+        })
+        .collect()
+}
+
+/// The `pipeline:` / `live: N shard(s)` lines of `analyze` and `live`
+/// are read from the run's registry: every printed stage time is its
+/// `quicsand_stage_total_micros` gauge in milliseconds, and the printed
+/// thread or shard count is `quicsand_pipeline_threads`.
+#[test]
+fn the_stage_lines_print_the_registry_s_stage_totals() {
+    let dir = std::env::temp_dir().join("quicsand-cli-stage-lines");
+    std::fs::create_dir_all(&dir).unwrap();
+    let capture = seed7_capture(&dir, "seed7.qscp", &[]);
+    let metrics = dir.join("metrics.json");
+    let metrics_out = metrics.to_str().unwrap();
+    let runs = [
+        ("analyze", "--threads", "pipeline: 2 thread(s)"),
+        ("live", "--shards", "live: 2 shard(s)"),
+    ];
+    for (command, count_flag, count_line) in runs {
+        let stdout = run_ok(&[
+            command,
+            &capture,
+            count_flag,
+            "2",
+            "--verbose",
+            "--metrics-out",
+            metrics_out,
+        ]);
+        assert!(stdout.contains(count_line), "{command}: {stdout}");
+        let threads = stage_series(&metrics, "quicsand_pipeline_threads");
+        assert_eq!(threads, [(String::new(), 2)], "{command}");
+        let line = stdout
+            .lines()
+            .find(|l| l.contains("stages: ingest"))
+            .unwrap_or_else(|| panic!("{command}: no stage line in {stdout}"));
+        let printed = printed_stages(line);
+        let stages: Vec<&str> = printed.iter().map(|(stage, _)| stage.as_str()).collect();
+        let order = ["ingest", "sanitize", "sessionize", "detect"];
+        assert_eq!(stages, order, "{command}: {line}");
+        let totals = stage_series(&metrics, "quicsand_stage_total_micros");
+        let totals: std::collections::BTreeMap<_, _> = totals.into_iter().collect();
+        for (stage, ms) in &printed {
+            let micros = totals[stage];
+            let gauge_ms = micros as f64 / 1_000.0;
+            assert!(
+                (ms - gauge_ms).abs() <= 0.1,
+                "{command} {stage}: printed {ms} ms, gauge {micros} µs"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `live --checkpoint-every` run goes on from a restored engine after
+/// each checkpoint, and its stage clock goes on with it: the stage
+/// histograms count every chunk of the run, as they do without
+/// checkpoints — one ingest and one sessionize observation per
+/// 1 024-record chunk.
+#[test]
+fn a_checkpointed_live_run_clocks_every_chunk_of_the_run() {
+    let dir = std::env::temp_dir().join("quicsand-cli-checkpoint-clock");
+    std::fs::create_dir_all(&dir).unwrap();
+    let capture = seed7_capture(&dir, "seed7.qscp", &[]);
+    let counts = |name: &str, flags: &[&str]| {
+        let metrics = dir.join(name);
+        let mut args = vec!["live", &capture, "--metrics-out", metrics.to_str().unwrap()];
+        args.extend_from_slice(flags);
+        let stdout = run_ok(&args);
+        let records: u64 = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("live: ")?.split_once(" records in"))
+            .map(|(records, _)| records.parse().expect("a record count"))
+            .unwrap_or_else(|| panic!("no record count in {stdout}"));
+        let histograms = stage_series(&metrics, "quicsand_stage_walltime_micros");
+        (records, histograms)
+    };
+    let (records, straight) = counts("straight.json", &[]);
+    let (_, checkpointed) = counts("checkpointed.json", &["--checkpoint-every", "50000"]);
+    let chunks = records.div_ceil(1_024);
+    let expected = [
+        ("detect".to_string(), 1),
+        ("ingest".to_string(), chunks),
+        ("sanitize".to_string(), 0),
+        ("sessionize".to_string(), chunks),
+    ];
+    assert_eq!(straight, expected);
+    assert_eq!(checkpointed, straight);
+    std::fs::remove_dir_all(&dir).ok();
+}
