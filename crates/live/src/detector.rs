@@ -75,8 +75,10 @@ impl Default for LiveConfig {
 
 /// Where a victim's alert currently stands. Monotone: transitions only
 /// ever move rightwards (Quiet → Open → Escalated), because every
-/// threshold measure is non-decreasing while the session is open.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// threshold measure is non-decreasing while the session is open. So
+/// it is a function of the window ([`AlertPhase::of`]), and a
+/// checkpoint does not write it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AlertPhase {
     /// Below the base thresholds.
     Quiet,
@@ -84,6 +86,24 @@ enum AlertPhase {
     Open,
     /// Crossed the escalation tier.
     Escalated,
+}
+
+impl AlertPhase {
+    /// The phase [`Alerts::counted`] leaves `window` in: it moves a
+    /// phase on at every packet as far as the window's measures allow,
+    /// and the measures never decrease while the window is open, so
+    /// where they stand now is where every step has taken it.
+    fn of(window: &Window, thresholds: &DosThresholds, escalation: &DosThresholds) -> Self {
+        let (packets, duration, max_pps) =
+            (window.packet_count, window.duration(), window.max_pps());
+        if !thresholds.matches_measures(packets, duration, max_pps) {
+            AlertPhase::Quiet
+        } else if escalation.matches_measures(packets, duration, max_pps) {
+            AlertPhase::Escalated
+        } else {
+            AlertPhase::Open
+        }
+    }
 }
 
 /// What a channel attaches to a victim's open [`Window`]: where its
@@ -169,13 +189,15 @@ impl LiveStats {
     }
 }
 
-/// One open victim in a [`ChannelSnapshot`]: its [`Window`] and its
-/// [`AlertState`], with the evidence ring oldest first.
+/// One open victim in a [`ChannelSnapshot`]: its window's arrival
+/// profile and its evidence ring, oldest first. The rest of the
+/// [`Window`] and the [`AlertPhase`] are rebuilt from the profile
+/// ([`ChannelDetector::restore`]), so nothing written can disagree
+/// with it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct VictimEntry {
     src: Ipv4Addr,
-    window: Window,
-    phase: AlertPhase,
+    profile: Vec<ProfileCell>,
     evidence: Vec<EvidencePacket>,
 }
 
@@ -384,8 +406,7 @@ impl ChannelDetector {
             .iter()
             .map(|(src, window, alert)| VictimEntry {
                 src,
-                window: window.clone(),
-                phase: alert.phase,
+                profile: window.profile.clone(),
                 evidence: alert.evidence_chronological(),
             })
             .collect();
@@ -398,17 +419,23 @@ impl ChannelDetector {
         }
     }
 
-    /// The ring restores oldest first with `cursor` 0, so identical
-    /// logical state resumes identically whatever its history, and the
-    /// next overwrite hits the oldest entry.
+    /// Each window is rebuilt from its profile and its phase from the
+    /// window, under `config`'s thresholds. The ring restores oldest
+    /// first with `cursor` 0, so identical logical state resumes
+    /// identically whatever its history, and the next overwrite hits the
+    /// oldest entry.
     fn restore(protocol: AttackProtocol, config: &LiveConfig, snapshot: &ChannelSnapshot) -> Self {
+        let fresh = ChannelDetector::new(protocol, config);
+        let (thresholds, escalation) = (fresh.thresholds, fresh.escalation);
         let open = snapshot.states.iter().map(|entry| {
+            let window = Window::from_profile(entry.profile.clone())
+                .expect("`parse_checkpoint` refuses a profile with no cell");
             let alert = AlertState {
-                phase: entry.phase,
+                phase: AlertPhase::of(&window, &thresholds, &escalation),
                 evidence: entry.evidence.clone(),
                 cursor: 0,
             };
-            (entry.src, entry.window.clone(), alert)
+            (entry.src, window, alert)
         });
         ChannelDetector {
             table: SessionTable::restore(
@@ -420,7 +447,7 @@ impl ChannelDetector {
                 open,
             ),
             stats: snapshot.stats,
-            ..ChannelDetector::new(protocol, config)
+            ..fresh
         }
     }
 
@@ -631,35 +658,55 @@ impl DetectorSnapshot {
     }
 
     /// Rejects an arrival profile no window can have built
-    /// ([`check_profile`]), open or closed, and an open window whose
-    /// `max_minute` is not its busiest cell's count: a restored window
-    /// joins its next packet by binary search over the cells, and a
-    /// slice replays each cell's `first..=last`.
+    /// ([`check_profile`]), open or closed, and a
+    /// closed flood whose `attack` is not what its profile's window
+    /// ([`Window::from_profile`]) closes as: a restored window joins its
+    /// next packet by binary search over the cells, and a slice replays
+    /// each cell's `first..=last` and must close as its attack.
     pub(crate) fn require_sound_profiles(&self) -> Result<(), String> {
         for (channel, snapshot) in [("quic", &self.quic), ("common", &self.common)] {
-            for VictimEntry { src, window, .. } in &snapshot.states {
-                let busiest = check_profile(&window.profile)
+            for VictimEntry { src, profile, .. } in &snapshot.states {
+                check_profile(profile)
                     .map_err(|e| format!("checkpoint profile of {channel} victim {src}: {e}"))?;
-                if window.max_minute != busiest {
-                    return Err(format!(
-                        "checkpoint field `max_minute` of {channel} victim {src} is {}, \
-                         but its busiest minute counts {busiest}",
-                        window.max_minute
-                    ));
-                }
             }
         }
         let closed = self.closed_quic.iter().map(|c| (&c.attack, &c.profile));
         let closed = closed.chain(self.closed_common.iter().map(|f| (&f.attack, &f.profile)));
         for (attack, profile) in closed {
-            check_profile(profile).map_err(|e| {
-                format!(
-                    "checkpoint profile of the {} flood closed on {} at {}: {e}",
-                    attack.protocol.label(),
-                    attack.victim,
-                    attack.end.as_micros()
-                )
-            })?;
+            let flood = format!(
+                "the {} flood closed on {} at {}",
+                attack.protocol.label(),
+                attack.victim,
+                attack.end.as_micros()
+            );
+            check_profile(profile).map_err(|e| format!("checkpoint profile of {flood}: {e}"))?;
+            let window =
+                Window::from_profile(profile.clone()).expect("a checked profile has a cell");
+            // Compared as written: an `f64`'s text is its shortest
+            // round trip, so distinct values have distinct texts.
+            let micros = |ts: Timestamp| ts.as_micros().to_string();
+            let fields = [
+                ("start", micros(attack.start), micros(window.start)),
+                ("end", micros(attack.end), micros(window.last)),
+                (
+                    "packet_count",
+                    attack.packet_count.to_string(),
+                    window.packet_count.to_string(),
+                ),
+                (
+                    "max_pps",
+                    attack.max_pps.to_string(),
+                    window.max_pps().to_string(),
+                ),
+            ];
+            let disagreement = fields
+                .into_iter()
+                .find(|(_, written, rebuilt)| written != rebuilt);
+            if let Some((field, written, rebuilt)) = disagreement {
+                return Err(format!(
+                    "checkpoint field `{field}` of {flood} is {written}, but its profile gives {rebuilt}"
+                ));
+            }
         }
         Ok(())
     }
@@ -1096,7 +1143,7 @@ mod tests {
         d.offer_response(Timestamp::from_secs(10), ip(1), dst(), 60);
         let mut snapshot = d.snapshot();
         let mut twin = snapshot.quic.states[0].clone();
-        twin.window.last = Timestamp::from_secs(20);
+        twin.profile[0].last = Timestamp::from_secs(20);
         snapshot.quic.states.push(twin);
 
         let mut restored = LiveDetector::restore(config(), &snapshot);
@@ -1278,6 +1325,53 @@ mod tests {
         }
     }
 
+    const TOLERANCE_MS: u64 = 5_000;
+    const TIMEOUT_MS: u64 = 120_000;
+
+    /// The configuration of the model tests: thresholds a few packets
+    /// cross, a victim cap from tight to unbounded.
+    fn model_config(escalation_weight: f64, evidence_capacity: usize, cap: usize) -> LiveConfig {
+        LiveConfig {
+            thresholds: DosThresholds {
+                min_packets: 3.0,
+                min_duration: Duration::from_secs(20),
+                min_max_pps: 0.04,
+            },
+            session: SessionConfig {
+                timeout: Duration::from_micros(TIMEOUT_MS * 1_000),
+                skew_tolerance: Duration::from_micros(TOLERANCE_MS * 1_000),
+            },
+            escalation_weight,
+            evidence_capacity,
+            max_victims: [1, 2, 5, usize::MAX][cap],
+        }
+    }
+
+    /// The timestamp of a model stream's next packet: mostly forwards,
+    /// sometimes back within the reorder tolerance, now and then past
+    /// the timeout.
+    fn model_ts(now_ms: &mut u64, advance_ms: u64, mode: u8) -> Timestamp {
+        let ts_ms = match mode {
+            0..=74 => {
+                *now_ms += advance_ms;
+                *now_ms
+            }
+            75..=91 => *now_ms - advance_ms % (TOLERANCE_MS + 1),
+            _ => {
+                *now_ms += TIMEOUT_MS + TOLERANCE_MS + advance_ms;
+                *now_ms
+            }
+        };
+        Timestamp::from_micros(ts_ms * 1_000)
+    }
+
+    /// A channel written to JSON, read back and restored.
+    fn json_cycle(channel: &ChannelDetector, config: &LiveConfig) -> ChannelDetector {
+        let json = serde_json::to_string(&channel.snapshot()).unwrap();
+        let parsed: ChannelSnapshot = serde_json::from_str(&json).unwrap();
+        ChannelDetector::restore(channel.protocol, config, &parsed)
+    }
+
     proptest! {
         /// Model-based equivalence: the indexed detector and the naive
         /// oracle see the same random stream — few victims, timestamps
@@ -1297,22 +1391,7 @@ mod tests {
             ring in 0usize..3,
             checkpoint_at in 0usize..400,
         ) {
-            const TOLERANCE_MS: u64 = 5_000;
-            const TIMEOUT_MS: u64 = 120_000;
-            let config = LiveConfig {
-                thresholds: DosThresholds {
-                    min_packets: 3.0,
-                    min_duration: Duration::from_secs(20),
-                    min_max_pps: 0.04,
-                },
-                session: SessionConfig {
-                    timeout: Duration::from_micros(TIMEOUT_MS * 1_000),
-                    skew_tolerance: Duration::from_micros(TOLERANCE_MS * 1_000),
-                },
-                escalation_weight: 2.0,
-                evidence_capacity: [1, 3, 8][ring],
-                max_victims: [1, 2, 5, usize::MAX][cap],
-            };
+            let config = model_config(2.0, [1, 3, 8][ring], cap);
             let mut channel = ChannelDetector::new(Oracle::PROTOCOL, &config);
             let mut oracle = Oracle {
                 config,
@@ -1327,23 +1406,10 @@ mod tests {
             let mut now_ms = 1_000_000u64;
             for (i, &(raw_victim, advance_ms, mode)) in steps.iter().enumerate() {
                 if i == checkpoint_at {
-                    let json = serde_json::to_string(&channel.snapshot()).unwrap();
-                    let parsed: ChannelSnapshot = serde_json::from_str(&json).unwrap();
-                    channel = ChannelDetector::restore(Oracle::PROTOCOL, &config, &parsed);
+                    channel = json_cycle(&channel, &config);
                 }
-                let ts_ms = match mode {
-                    0..=74 => {
-                        now_ms += advance_ms;
-                        now_ms
-                    }
-                    75..=91 => now_ms - advance_ms % (TOLERANCE_MS + 1),
-                    _ => {
-                        now_ms += TIMEOUT_MS + TOLERANCE_MS + advance_ms;
-                        now_ms
-                    }
-                };
                 let packet = EvidencePacket {
-                    ts: Timestamp::from_micros(ts_ms * 1_000),
+                    ts: model_ts(&mut now_ms, advance_ms, mode),
                     dst: dst(),
                     bytes: i as u64,
                 };
@@ -1362,6 +1428,46 @@ mod tests {
             prop_assert_eq!(channel.stats, oracle.stats);
             prop_assert_eq!(&floods.quic, &oracle.floods.quic);
             prop_assert_eq!(channel.tracked(), 0);
+        }
+
+        /// The phase a checkpoint does not write is the phase a channel
+        /// holds: after every packet of a random stream, at escalation
+        /// weights 0.5 (the tier below the base thresholds), 1 and 4,
+        /// each open victim's phase is [`AlertPhase::of`] its window. And
+        /// a channel written to JSON and restored every 97th packet emits
+        /// what the uninterrupted one emits.
+        #[test]
+        fn prop_the_held_phase_is_the_phase_of_the_window(
+            steps in proptest::collection::vec((0u8..12, 0u64..20_000, 0u8..100), 1..400),
+            victims in 1u8..=12,
+            weight in 0usize..3,
+            cap in 0usize..4,
+        ) {
+            let config = model_config([0.5, 1.0, 4.0][weight], 8, cap);
+            let mut straight = ChannelDetector::new(AttackProtocol::TcpIcmp, &config);
+            let mut resumed = ChannelDetector::new(AttackProtocol::TcpIcmp, &config);
+            let (mut floods, mut resumed_floods) = (ClosedFloods::default(), ClosedFloods::default());
+            let mut now_ms = 1_000_000u64;
+            for (i, &(raw_victim, advance_ms, mode)) in steps.iter().enumerate() {
+                if i % 97 == 96 {
+                    resumed = json_cycle(&resumed, &config);
+                }
+                let (ts, victim) = (model_ts(&mut now_ms, advance_ms, mode), ip(raw_victim % victims));
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                straight.offer(ts, victim, dst(), i as u64, &mut floods, &mut want);
+                resumed.offer(ts, victim, dst(), i as u64, &mut resumed_floods, &mut got);
+                prop_assert!(got == want, "step {i}: got {got:?}, want {want:?}");
+                for (src, window, alert) in straight.table.iter() {
+                    let rebuilt = AlertPhase::of(window, &straight.thresholds, &straight.escalation);
+                    prop_assert_eq!(alert.phase, rebuilt, "step {}, victim {}", i, src);
+                }
+            }
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            straight.flush(&mut floods, &mut want);
+            resumed.flush(&mut resumed_floods, &mut got);
+            prop_assert!(got == want, "flush: got {got:?}, want {want:?}");
+            prop_assert_eq!(resumed.stats, straight.stats);
+            prop_assert_eq!(&resumed_floods.common, &floods.common);
         }
     }
 

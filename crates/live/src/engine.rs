@@ -356,9 +356,11 @@ impl LiveEngine {
     /// accept records and process none), with a ring longer than
     /// `evidence_capacity` (a detector that would close with its
     /// evidence out of order), with an arrival profile no window builds
-    /// (one that would mis-join a packet, or panic rendering a slice) or
-    /// with counters that contradict each other (an engine that would
-    /// fail its own [`LiveEngine::verify_metrics`]).
+    /// (one that would mis-join a packet, panic rendering a slice, or
+    /// panic here, having no cell to rebuild its window from), with a
+    /// closed attack its profile does not close as, or with counters
+    /// that contradict each other (an engine that would fail its own
+    /// [`LiveEngine::verify_metrics`]).
     pub fn restore(snapshot: &LiveSnapshot) -> Self {
         let shards = snapshot
             .shards

@@ -173,7 +173,7 @@ impl AlertSlice {
 /// Parses a slice qlog file back into the slice and its replay stream.
 ///
 /// Validates RFC 7464 framing and the qlog header first, and every
-/// channel's arrival profile last ([`check_profile`]: a cell out of
+/// channel's arrival profile last ([`check_profile`]: no cell, a cell out of
 /// order or with `first` after `last` is refused here, by channel and
 /// minute, rather than underflowing a later [`synthesize_packets`]);
 /// the replay stream is taken from the `quicsand:slice_packet` records,

@@ -11,7 +11,7 @@
 //!   (volatile: feed layout is deployment shape, not trace content),
 //! * the conservation invariant `sum(source cursors) == records
 //!   offered`, checked by [`MultiSourceLive::verify_metrics`], and
-//! * [`MultiSnapshot`] — checkpoint schema v3. Because the merge holds
+//! * [`MultiSnapshot`] — checkpoint schema v4. Because the merge holds
 //!   exactly one head per source, its future output is a pure function
 //!   of the per-source remaining suffixes; restoring the engine state
 //!   and re-opening every feed past its cursor therefore reproduces the
@@ -29,9 +29,9 @@ use serde::{Access, Deserialize, Deserializer, Kind, Scalar, Serialize};
 
 /// Current checkpoint schema version ([`MultiSnapshot::version`]), the
 /// only one [`parse_checkpoint`] reads.
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 3;
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 4;
 
-/// Checkpoint schema v3: the engine snapshot plus one resume cursor
+/// Checkpoint schema v4: the engine snapshot plus one resume cursor
 /// (absolute records consumed) per source.
 ///
 /// Read, it refuses any `version` but [`CHECKPOINT_SCHEMA_VERSION`] by
@@ -99,12 +99,12 @@ impl<'de> Deserialize<'de> for Version {
     }
 }
 
-/// Parses a schema-v3 checkpoint in one typed read, then checks what
+/// Parses a schema-v4 checkpoint in one typed read, then checks what
 /// the types cannot: a restored engine built from what it returns
 /// reconciles, closes in order and renders its slices.
 ///
 /// A text that is not JSON is `checkpoint is not JSON: …`; one that is
-/// JSON but no v3 checkpoint is `invalid checkpoint: …`, naming the
+/// JSON but no v4 checkpoint is `invalid checkpoint: …`, naming the
 /// version it claims or the field that does not fit.
 pub fn parse_checkpoint(json: &str) -> Result<MultiSnapshot, String> {
     let snapshot: MultiSnapshot = serde_json::from_str(json).map_err(|e| {
@@ -247,7 +247,7 @@ impl MultiSourceLive {
         events
     }
 
-    /// Takes a schema-v3 checkpoint of engine and source cursors.
+    /// Takes a schema-v4 checkpoint of engine and source cursors.
     pub fn snapshot(&self) -> MultiSnapshot {
         MultiSnapshot {
             version: CHECKPOINT_SCHEMA_VERSION,
@@ -430,10 +430,10 @@ mod tests {
         let mut snapshot = live.snapshot();
         snapshot.version = CHECKPOINT_SCHEMA_VERSION + 1;
         let encoded = serde_json::to_string(&snapshot).unwrap();
-        let error = parse_checkpoint(&encoded).expect_err("v4 rejected");
+        let error = parse_checkpoint(&encoded).expect_err("v5 rejected");
         assert_eq!(
             error,
-            "invalid checkpoint: unsupported checkpoint schema v4 (this build reads v3)"
+            "invalid checkpoint: unsupported checkpoint schema v5 (this build reads v4)"
         );
     }
 

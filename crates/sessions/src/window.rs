@@ -49,8 +49,10 @@ impl ProfileCell {
 }
 
 /// One source's open session: bounds, packet count and per-minute
-/// arrival profile.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// arrival profile. The profile is the whole of it; every other field
+/// is derived from the profile ([`Window::from_profile`]) and kept to
+/// answer the per-packet questions in O(1).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Window {
     /// Timestamp of the earliest packet.
     pub start: Timestamp,
@@ -79,6 +81,29 @@ impl Window {
         };
         window.join(ts);
         window
+    }
+
+    /// The window whose arrival profile is `profile`, the rest rebuilt
+    /// from it: `start` is the first cell's `first`, `last` the last
+    /// cell's `last`, `packet_count` the sum of the counts and
+    /// `max_minute` the busiest cell's count. For a profile a window
+    /// built, that is the window itself. `None` for an empty profile,
+    /// which no window holds.
+    ///
+    /// Trusts the rest of `profile` ([`check_profile`] is the check): a
+    /// checkpoint writes an open window as its profile alone.
+    pub fn from_profile(profile: Vec<ProfileCell>) -> Option<Self> {
+        let start = profile.first()?.first;
+        let last = profile.last()?.last;
+        let packet_count = profile.iter().map(|cell| cell.count).sum();
+        let max_minute = profile.iter().map(|cell| cell.count).max()?;
+        Some(Window {
+            start,
+            last,
+            packet_count,
+            profile,
+            max_minute,
+        })
     }
 
     /// Counts one more packet. Bounds only widen (a late packet
@@ -126,13 +151,16 @@ impl Window {
 }
 
 /// Checks what every profile a [`Window`] builds holds, and what
-/// `Window::join` (a binary search by minute) and the replay of a
-/// forensic slice (`last - first` per cell) rely on: cells strictly
-/// increase by minute, and each counts at least one packet, with
-/// `first <= last`, both inside its minute. Returns the busiest cell's
-/// count, which is the window's `max_minute`.
-pub fn check_profile(profile: &[ProfileCell]) -> Result<u64, String> {
-    let mut busiest = 0;
+/// `Window::join` (a binary search by minute), [`Window::from_profile`]
+/// and the replay of a forensic slice (`last - first` per cell) rely on:
+/// there is a cell, cells strictly increase by minute, and each counts
+/// at least one packet, with `first <= last`, both inside its minute;
+/// and the counts sum to no more than `u64::MAX`.
+pub fn check_profile(profile: &[ProfileCell]) -> Result<(), String> {
+    if profile.is_empty() {
+        return Err("no cell, but a window counts at least one packet".into());
+    }
+    let mut total: u64 = 0;
     let mut previous: Option<u64> = None;
     for cell in profile {
         let minute = cell.minute;
@@ -153,10 +181,15 @@ pub fn check_profile(profile: &[ProfileCell]) -> Result<u64, String> {
                 "cell of minute {minute} holds arrivals outside it ({first}..={last})"
             ));
         }
-        busiest = busiest.max(cell.count);
+        total = total.checked_add(cell.count).ok_or_else(|| {
+            format!(
+                "cells up to minute {minute} count more than {} packets",
+                u64::MAX
+            )
+        })?;
         previous = Some(minute);
     }
-    Ok(busiest)
+    Ok(())
 }
 
 /// Why a window closed.
@@ -717,7 +750,8 @@ mod tests {
         /// in the middle (an empty index after it) — and must report the
         /// identical steps, sizes and peaks throughout, with the index
         /// invariants holding at every step and one pop per eviction, and
-        /// every open profile passing [`check_profile`].
+        /// every open profile passing [`check_profile`] and rebuilding
+        /// its window ([`Window::from_profile`]).
         #[test]
         fn prop_table_matches_a_naive_oracle(
             steps in proptest::collection::vec((0u8..12, 0u64..20_000, 0u8..100), 1..400),
@@ -786,9 +820,11 @@ mod tests {
                     table.open.get(src).is_some_and(|(w, _)| *key <= w.last)
                 }));
                 // Every profile a window builds is one a checkpoint reader
-                // accepts, its busiest cell counted in `max_minute`.
+                // accepts, and the whole window: the rest rebuilds from it.
                 for (_, window, _) in table.iter() {
-                    prop_assert_eq!(check_profile(&window.profile), Ok(window.max_minute));
+                    prop_assert_eq!(check_profile(&window.profile), Ok(()));
+                    let rebuilt = Window::from_profile(window.profile.clone());
+                    prop_assert_eq!(rebuilt.as_ref(), Some(window));
                 }
             }
             let (mut got, mut want) = (Vec::new(), Vec::new());
@@ -946,6 +982,37 @@ mod tests {
             oracle.flush(&mut want);
             assert!(got == want, "cap {cap}: flush differs");
         }
+    }
+
+    #[test]
+    fn a_profile_with_no_cell_or_more_packets_than_a_u64_is_refused() {
+        assert_eq!(
+            check_profile(&[]),
+            Err("no cell, but a window counts at least one packet".into())
+        );
+        let cell = |minute: u64| ProfileCell {
+            minute,
+            count: u64::MAX / 2 + 1,
+            first: Timestamp::from_secs(minute * 60),
+            last: Timestamp::from_secs(minute * 60),
+        };
+        assert_eq!(check_profile(&[cell(0)]), Ok(()));
+        assert_eq!(
+            check_profile(&[cell(0), cell(1)]),
+            Err(format!(
+                "cells up to minute 1 count more than {} packets",
+                u64::MAX
+            ))
+        );
+    }
+
+    #[test]
+    fn an_empty_profile_rebuilds_no_window() {
+        assert_eq!(Window::from_profile(Vec::new()), None);
+        let mut window = Window::opened_by(Timestamp::from_secs(61));
+        window.join(Timestamp::from_secs(59));
+        window.join(Timestamp::from_secs(200));
+        assert_eq!(Window::from_profile(window.profile.clone()), Some(window));
     }
 
     #[test]

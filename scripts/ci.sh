@@ -15,7 +15,7 @@
 #   scripts/ci.sh rss-smoke [quicsand-binary]
 #                              # only the analyze + live peak-RSS gate (on
 #                              # another build's binary when one is named)
-#   scripts/ci.sh table-model  # only the session-table model oracles, at
+#   scripts/ci.sh table-model  # only the session-table model tests, at
 #                              # 1024 cases each
 #
 # The repo vendors all third-party dependencies (vendor/), so this runs
@@ -290,12 +290,14 @@ table_model() {
   # The session table's eviction index and sweep are held by two
   # model-based proptests against naive full-scan oracles: one on the
   # table itself, one a level up on the live detector across a JSON
-  # checkpoint. A tier-1 run gives each the default case count; this
-  # lane gives both a longer hunt.
+  # checkpoint. A third holds the alert phase a checkpoint rebuilds to
+  # the one a channel holds. A tier-1 run gives each the default case
+  # count; this lane gives all three a longer hunt.
   echo "==> table-model: session-table and live-channel model oracles, 1024 cases each"
   local crate test out
   for crate_test in "quicsand-sessions window::tests::prop_table_matches_a_naive_oracle" \
-    "quicsand-live detector::tests::prop_channel_matches_a_naive_oracle"; do
+    "quicsand-live detector::tests::prop_channel_matches_a_naive_oracle" \
+    "quicsand-live detector::tests::prop_the_held_phase_is_the_phase_of_the_window"; do
     read -r crate test <<<"$crate_test"
     out="$(PROPTEST_CASES=1024 cargo test -q --release -p "$crate" --lib "$test" -- --exact 2>&1)" || {
       echo "$out" >&2
@@ -308,7 +310,7 @@ table_model() {
       exit 1
     }
   done
-  echo "table-model: both oracles agree over 1024 cases — OK"
+  echo "table-model: all three model tests agree over 1024 cases — OK"
 }
 
 rss_smoke() {
@@ -505,10 +507,10 @@ for needle in 'enum ChannelEvent' 'fn settle' 'fn common_profiles'; do
     exit 1
   fi
 done
-# The checkpoint (schema v3) writes the state in the shape the runtime
+# The checkpoint (schema v4) writes the state in the shape the runtime
 # holds it, each fact once, and reads it in one typed pass: a victim is
-# its `Window` (no `VictimState` copy of its fields, no `minute_map` of
-# its profile), a closed common flood one record (no `common_evidence`
+# its window's profile (no `VictimState` copy of its fields, no
+# `minute_map` of its profile), a closed common flood one record (no `common_evidence`
 # array beside `closed_common`), the version read where it stands (no
 # `VersionProbe` pass first), and the guard thresholds written once in
 # `LiveSnapshot` (no `guard` in each shard's `PipelineSnapshot`).
@@ -520,6 +522,25 @@ for file in crates/live/src/*.rs; do
     fi
   done
 done
+# An open victim is its profile and evidence ring: the rest of its
+# window and its alert phase are derived from the profile and rebuilt on
+# restore, so `VictimEntry` has no `window` or `phase` field to disagree
+# with it, and `AlertPhase` no serde form to write one with.
+victim_entry="$(nontest_code crates/live/src/detector.rs | sed -n '/^struct VictimEntry {/,/^}/p')"
+if [[ -z "$victim_entry" ]]; then
+  echo "checkpoint pin: no \`struct VictimEntry\` in crates/live/src/detector.rs" >&2
+  exit 1
+fi
+if echo "$victim_entry" | grep -nE '^ *(pub(\([a-z]+\))? )?(window|phase):'; then
+  echo "checkpoint pin: \`VictimEntry\` has a \`window\` or \`phase\` field again; both are rebuilt from its profile" >&2
+  exit 1
+fi
+if nontest_code crates/live/src/detector.rs \
+  | grep -B3 -E '^(pub(\([a-z]+\))? )?enum AlertPhase' | grep -nE 'derive\(.*(Serialize|Deserialize)' \
+  || nontest_code crates/live/src/detector.rs | grep -nE 'impl.*(Serialize|Deserialize).* for AlertPhase'; then
+  echo "checkpoint pin: \`AlertPhase\` has a serde form again; a checkpoint does not write the phase" >&2
+  exit 1
+fi
 pipeline_snapshot="$(sed -n '/^pub struct PipelineSnapshot {/,/^}/p' crates/telescope/src/pipeline.rs)"
 if [[ -z "$pipeline_snapshot" ]]; then
   echo "checkpoint pin: no \`pub struct PipelineSnapshot\` in crates/telescope/src/pipeline.rs" >&2

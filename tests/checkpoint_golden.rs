@@ -1,13 +1,13 @@
 //! Checkpoint format golden.
 //!
-//! `tests/golden/checkpoint-v3.json` is the schema-v3 checkpoint the
+//! `tests/golden/checkpoint-v4.json` is the schema-v4 checkpoint the
 //! detector writes at a fixed record of a fixed trace, and the current
-//! code must write it byte for byte. Schema v3 writes the engine's state
-//! in the shape the runtime holds it: an open victim is its `window`
-//! (bounds, count, the arrival profile as an array of minute cells in
-//! minute order, `max_minute`), its alert `phase` and its evidence ring
-//! oldest first; a closed common flood is one record; the guard
-//! thresholds are written once, for every shard.
+//! code must write it byte for byte. Schema v4 writes each fact of the
+//! engine's state once: an open victim is its arrival profile (an array
+//! of minute cells in minute order) and its evidence ring oldest first,
+//! and its window's bounds, count and busiest minute and its alert phase
+//! are rebuilt from the profile on restore; a closed common flood is one
+//! record; the guard thresholds are written once, for every shard.
 //!
 //! The trace is small and hand-built to put every shape the format can
 //! take into the snapshot: a capped channel (`max_victims: 4`) that has
@@ -31,95 +31,23 @@
 //! UPDATE_GOLDEN=1 cargo test --test checkpoint_golden
 //! ```
 
-use quicsand_live::{parse_checkpoint, LiveConfig, LiveEvent, LiveEventKind, MultiSourceLive};
+use quicsand_live::{
+    parse_checkpoint, LiveEngine, LiveEvent, LiveEventKind, MultiSnapshot, MultiSourceLive,
+    CHECKPOINT_SCHEMA_VERSION,
+};
 use quicsand_net::multi::{memory_factory, SourceFactory, SourceSet, SourceSetConfig};
-use quicsand_net::{PacketRecord, TcpFlags, Timestamp};
-use quicsand_sessions::SessionConfig;
-use quicsand_telescope::GuardConfig;
+use quicsand_net::PacketRecord;
 use serde::Value;
-use std::net::Ipv4Addr;
 use std::path::PathBuf;
 
-/// Records pumped per chunk, and chunks pumped before the checkpoint.
-const CHUNK: usize = 64;
-const CHUNKS_BEFORE_CHECKPOINT: usize = 9;
+#[path = "common/golden_trace.rs"]
+mod golden_trace;
+use golden_trace::{config, trace, CHUNK, CHUNKS_BEFORE_CHECKPOINT};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name)
-}
-
-fn victim(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(198, 51, 100, last)
-}
-
-fn syn_ack(ts_micros: u64, src: Ipv4Addr) -> PacketRecord {
-    PacketRecord::tcp(
-        Timestamp::from_micros(ts_micros),
-        src,
-        Ipv4Addr::new(10, 0, 0, 7),
-        443,
-        50_000,
-        TcpFlags::SYN_ACK,
-    )
-}
-
-/// The fixed trace, in capture order (per-source timestamps regress
-/// only within the guard's 2 s reorder tolerance).
-fn trace() -> Vec<PacketRecord> {
-    const SEC: u64 = 1_000_000;
-    // Start in minute 8 so the flood's slots, 8..=13, cross from one
-    // digit to two.
-    const BASE: u64 = 480 * SEC;
-    let mut records = Vec::new();
-    for tick in 0..720u64 {
-        let now = BASE + tick * SEC / 2;
-        // Victim 1: a 2 pps flood over the whole six minutes.
-        records.push(syn_ack(now, victim(1)));
-        // Right after its first packet of minute 2 and of minute 4, a
-        // tolerated straggler from the previous minute's last second:
-        // absorbed into a slot that is no longer the newest.
-        if tick == 240 || tick == 480 {
-            records.push(syn_ack(now - 700_000, victim(1)));
-        }
-        // Victim 2: floods for 100 s, then falls silent and is evicted
-        // with its alert open once four fresher victims are tracked.
-        if tick < 200 {
-            records.push(syn_ack(now + 1, victim(2)));
-        }
-        // Victim 3: starts one second into the flood's minute 2; its
-        // second packet is stamped in minute 1, a slot earlier than any
-        // it had.
-        if tick == 242 {
-            records.push(syn_ack(now + 2, victim(3)));
-            records.push(syn_ack(now + 2 - 1_500_000, victim(3)));
-        }
-        if (243..420).contains(&tick) {
-            records.push(syn_ack(now + 2, victim(3)));
-        }
-        // Spoofed one-packet sources every 10 s churn the remaining
-        // slots of the 4-victim cap.
-        if tick % 20 == 7 {
-            records.push(syn_ack(now + 3, victim(100 + (tick / 20) as u8)));
-        }
-    }
-    // A lone packet 20 minutes on: the sweep expires everything idle.
-    records.push(syn_ack(BASE + 1_560 * SEC, victim(250)));
-    records
-}
-
-fn config() -> (LiveConfig, GuardConfig) {
-    let guard = GuardConfig::default();
-    let config = LiveConfig {
-        max_victims: 4,
-        session: SessionConfig {
-            skew_tolerance: guard.reorder_tolerance,
-            ..SessionConfig::default()
-        },
-        ..LiveConfig::default()
-    };
-    (config, guard)
 }
 
 fn feed(records: &[PacketRecord]) -> Vec<Box<dyn SourceFactory>> {
@@ -158,12 +86,12 @@ fn checkpoint_bytes_and_resume_match_the_golden() {
     let mut rendered = serde_json::to_string(&live.snapshot()).expect("snapshot serializes");
     rendered.push('\n');
 
-    let path = golden_path("checkpoint-v3.json");
+    let path = golden_path("checkpoint-v4.json");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(&path, &rendered).expect("write checkpoint golden");
     }
     let golden = std::fs::read_to_string(&path).expect(
-        "tests/golden/checkpoint-v3.json (UPDATE_GOLDEN=1 cargo test --test checkpoint_golden)",
+        "tests/golden/checkpoint-v4.json (UPDATE_GOLDEN=1 cargo test --test checkpoint_golden)",
     );
 
     // The trace really exercises what the golden is there to pin.
@@ -191,11 +119,11 @@ fn checkpoint_bytes_and_resume_match_the_golden() {
     // its full-rings form.
     let full_rings = with_full_rings(golden.trim_end());
     for (name, text) in [
-        ("checkpoint-v3.json", golden.trim_end()),
+        ("checkpoint-v4.json", golden.trim_end()),
         ("full rings", &full_rings),
     ] {
         let parsed = parse_checkpoint(text).expect(name);
-        assert_eq!(parsed.version, 3);
+        assert_eq!(parsed.version, 4);
         let mut restored =
             MultiSourceLive::restore(&parsed, feed(&records), &SourceSetConfig::default())
                 .expect(name);
@@ -210,6 +138,45 @@ fn checkpoint_bytes_and_resume_match_the_golden() {
     }
 }
 
+/// Schema v4 writes an open victim as its profile and ring alone and
+/// rebuilds its window and alert phase: a run that goes through a
+/// written, parsed and restored checkpoint every 97 records (open,
+/// escalated and quiet victims, mid-flood and mid-eviction) emits the
+/// uninterrupted run's event log.
+#[test]
+fn a_checkpoint_every_97_records_resumes_to_the_uninterrupted_log() {
+    const EVERY: usize = 97;
+    let records = trace();
+    let (config, guard) = config();
+    let mut straight = LiveEngine::new(config, guard, 1);
+    let mut want = Vec::new();
+    for part in records.chunks(EVERY) {
+        want.extend(straight.offer_chunk(part));
+    }
+    want.extend(straight.finish());
+    let stats = straight.live_stats();
+    assert!(stats.escalated > 0 && stats.evictions > 0, "{stats:?}");
+
+    let mut engine = LiveEngine::new(config, guard, 1);
+    let mut got = Vec::new();
+    for part in records.chunks(EVERY) {
+        got.extend(engine.offer_chunk(part));
+        let snapshot = MultiSnapshot {
+            version: CHECKPOINT_SCHEMA_VERSION,
+            engine: engine.snapshot(),
+            cursors: vec![engine.offered()],
+        };
+        let text = serde_json::to_string(&snapshot).expect("snapshot serializes");
+        let parsed = parse_checkpoint(&text).expect("a written checkpoint parses");
+        engine = LiveEngine::restore(&parsed.engine);
+        assert_eq!(engine.snapshot(), snapshot.engine, "restore is lossless");
+    }
+    got.extend(engine.finish());
+    assert_eq!(got, want);
+    assert_eq!(engine.live_stats(), stats);
+    engine.verify_metrics().expect("the resumed run reconciles");
+}
+
 /// The checkpoint as a detector that recorded evidence from a session's
 /// first packet would have written it: each one-packet victim's ring
 /// holds that packet.
@@ -220,14 +187,21 @@ fn with_full_rings(golden: &str) -> String {
     }
     fn fill(node: &mut Value, filled: &mut usize) {
         match node {
-            Value::Map(entries) if entries.iter().any(|(key, _)| key == "window") => {
-                let Value::Map(window) = field(entries, "window") else {
-                    panic!("a window is a map")
+            Value::Map(entries)
+                if ["src", "profile"]
+                    .iter()
+                    .all(|name| entries.iter().any(|(key, _)| key == name)) =>
+            {
+                let Value::Seq(profile) = field(entries, "profile") else {
+                    panic!("a profile is a sequence")
                 };
-                if *field(window, "packet_count") != Value::U64(1) {
+                let [Value::Map(cell)] = &mut profile[..] else {
+                    return;
+                };
+                if *field(cell, "count") != Value::U64(1) {
                     return;
                 }
-                let start = field(window, "start").clone();
+                let start = field(cell, "first").clone();
                 let packet = Value::Map(vec![
                     ("ts".into(), start),
                     ("dst".into(), Value::Str("10.0.0.7".into())),

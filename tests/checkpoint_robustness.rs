@@ -5,14 +5,16 @@
 //! Whatever the text, [`parse_checkpoint`] returns a typed error or a
 //! snapshot whose restored engine reconciles its own metrics and renders
 //! every forensic slice — never a panic, never a stack overflow. The
-//! texts are real checkpoints — the golden schema-v3 file and a churned
+//! texts are real checkpoints — the golden schema-v4 file and a churned
 //! detector's — damaged the ways files get damaged.
 //!
 //! Every arrival profile a checkpoint carries, open or closed, is checked
-//! as a window builds it, not repaired: a profile out of minute order, a
-//! cell with no packet, with `first` after `last` or outside its minute,
-//! or an open window whose `max_minute` is not its busiest cell is
-//! refused by name.
+//! as a window builds it, not repaired: a profile with no cell, out of
+//! minute order, a cell with no packet, with `first` after `last` or
+//! outside its minute, or a closed flood whose attack is not what its
+//! profile closes as is refused by name. An open victim is its profile
+//! and ring: its window's bounds and count and its alert phase are
+//! rebuilt, so no text can make them disagree with the profile.
 //!
 //! Damage that changes no meaning (a duplicate *behind* the entry it
 //! repeats, top-level entries in another order, an unknown field) must
@@ -20,7 +22,7 @@
 
 use proptest::prelude::*;
 use quicsand_live::{
-    parse_checkpoint, LiveConfig, LiveEngine, MultiSnapshot, CHECKPOINT_SCHEMA_VERSION,
+    parse_checkpoint, LiveConfig, LiveEngine, LiveEvent, MultiSnapshot, CHECKPOINT_SCHEMA_VERSION,
 };
 use quicsand_telescope::GuardConfig;
 use quicsand_traffic::{Scenario, ScenarioConfig};
@@ -30,8 +32,10 @@ use std::sync::OnceLock;
 
 #[path = "common/churn_checkpoint.rs"]
 mod churn_checkpoint;
+#[path = "common/golden_trace.rs"]
+mod golden_trace;
 
-const GOLDEN: &str = include_str!("golden/checkpoint-v3.json");
+const GOLDEN: &str = include_str!("golden/checkpoint-v4.json");
 
 /// The two real checkpoints, as text.
 fn corpus() -> &'static [String] {
@@ -237,31 +241,28 @@ fn a_closed_profile_a_window_cannot_build_is_refused() {
 }
 
 /// An open window joins its next packet by binary search over its cells
-/// and measures its rate by `max_minute`: both are checked, on the
-/// golden's open flood (victim 198.51.100.1, minutes 8, 9 and 10).
+/// and is rebuilt from them: a profile with no cell, or with one minute
+/// twice, is refused on the golden's open flood (victim 198.51.100.1,
+/// minutes 8, 9 and 10).
 #[test]
 fn an_open_window_a_detector_cannot_hold_is_refused() {
     let golden = GOLDEN.trim_end();
     read(golden).expect("as written");
     let victim = ["engine", "shards", "0", "detector", "common", "states", "0"];
-    let window = [&victim[..], &["window"]].concat();
-    let profile = [&window[..], &["profile"]].concat();
+    let profile = [&victim[..], &["profile"]].concat();
     let mut pristine = tree(golden);
     assert_eq!(
         at(&mut pristine, &[&victim[..], &["src"]].concat()),
         &Value::Str("198.51.100.1".into())
     );
-    let busiest = u64_at(&mut pristine, &[&window[..], &["max_minute"]].concat());
 
+    // No cell: no window to rebuild, no start, no last.
     let mut damaged = tree(golden);
-    *at(&mut damaged, &[&window[..], &["max_minute"]].concat()) = Value::U64(busiest - 1);
+    *at(&mut damaged, &profile) = Value::Seq(Vec::new());
     assert_eq!(
-        read(&text(&damaged)).expect_err("a stale max_minute"),
-        format!(
-            "checkpoint field `max_minute` of common victim 198.51.100.1 is {}, \
-             but its busiest minute counts {busiest}",
-            busiest - 1
-        )
+        read(&text(&damaged)).expect_err("an empty profile"),
+        "checkpoint profile of common victim 198.51.100.1: \
+         no cell, but a window counts at least one packet"
     );
 
     // The same minute twice: a binary search would find either.
@@ -270,6 +271,160 @@ fn an_open_window_a_detector_cannot_hold_is_refused() {
     assert_eq!(
         read(&text(&damaged)).expect_err("a minute twice"),
         "checkpoint profile of common victim 198.51.100.1: cell of minute 8 follows minute 8"
+    );
+}
+
+/// What a run restored from `text` emits: at once at `finish`, and
+/// resumed over the rest of the trace the golden was taken on.
+fn outcomes(text: &str) -> (Vec<LiveEvent>, Vec<LiveEvent>) {
+    let snapshot = read(text).expect("the checkpoint parses");
+    let mut finished = LiveEngine::restore(&snapshot.engine);
+    let at_once = finished.finish();
+    let mut resumed = LiveEngine::restore(&snapshot.engine);
+    let records = golden_trace::trace();
+    let mut events = Vec::new();
+    for part in records[snapshot.cursors[0] as usize..].chunks(golden_trace::CHUNK) {
+        events.extend(resumed.offer_chunk(part));
+    }
+    events.extend(resumed.finish());
+    (at_once, events)
+}
+
+/// Schema v3 wrote an open victim's alert phase and its window's bounds
+/// and count beside its profile, and read them back unchecked: the
+/// golden's quiet victim 198.51.100.3 (59 packets over 30 s, under the
+/// 60 s floor) with `"phase":"Open"` restored as an open alert and
+/// closed as a 30 s flood, a forged `packet_count` or `start` moved its
+/// alert, and a forged `last` was accepted. Schema v4 rebuilds all of
+/// them from the profile, so the same fields beside it are read past
+/// and change nothing.
+#[test]
+fn a_written_phase_or_window_cannot_move_an_alert() {
+    let golden = GOLDEN.trim_end();
+    let victim = ["engine", "shards", "0", "detector", "common", "states", "1"];
+    let mut pristine = tree(golden);
+    assert_eq!(
+        at(&mut pristine, &[&victim[..], &["src"]].concat()),
+        &Value::Str("198.51.100.3".into())
+    );
+    let Value::Seq(cells) = at(&mut pristine, &[&victim[..], &["profile"]].concat()).clone() else {
+        panic!("a profile is a sequence")
+    };
+    let (want_at_once, want_resumed) = outcomes(golden);
+    let quiet = golden_trace::victim(3);
+    assert!(
+        want_at_once.iter().all(|e| e.victim != quiet),
+        "a quiet victim closes silently"
+    );
+    assert!(
+        want_resumed.iter().any(|e| e.victim == quiet),
+        "198.51.100.3 alerts later in the trace"
+    );
+    // The v3 `window` of that victim, one field forged.
+    let window = |field: &str, value: u64| {
+        let mut entries = vec![
+            ("start".to_string(), Value::U64(599_500_002)),
+            ("last".to_string(), Value::U64(629_500_002)),
+            ("packet_count".to_string(), Value::U64(59)),
+            ("profile".to_string(), Value::Seq(cells.clone())),
+            ("max_minute".to_string(), Value::U64(30)),
+        ];
+        entries
+            .iter_mut()
+            .find(|(key, _)| key == field)
+            .expect("a window field")
+            .1 = Value::U64(value);
+        Value::Map(entries)
+    };
+    for (field, value) in [
+        ("phase", Value::Str("Open".into())),
+        ("phase", Value::Str("Escalated".into())),
+        ("window", window("packet_count", 5)),
+        ("window", window("packet_count", 5_000)),
+        ("window", window("start", 629_000_000)),
+        ("window", window("last", 600_000_000)),
+    ] {
+        let mut forged = pristine.clone();
+        let Value::Map(entries) = at(&mut forged, &victim) else {
+            panic!("a victim is a map")
+        };
+        entries.insert(1, (field.to_string(), value.clone()));
+        let (at_once, resumed) = outcomes(&text(&forged));
+        assert_eq!(at_once, want_at_once, "{field}: {value:?}");
+        assert_eq!(resumed, want_resumed, "{field}: {value:?}");
+    }
+}
+
+/// A restored closed flood is what its slice replays and what the
+/// restored engine reports: its attack must be the one its profile
+/// closes as ([`quicsand_sessions::Window::from_profile`]), field by
+/// field, on either channel.
+#[test]
+fn a_closed_attack_that_disagrees_with_its_profile_is_refused() {
+    let golden = GOLDEN.trim_end();
+    let attack = |field: &str| flood("closed_common", 0, &["attack", field]);
+    let named = |end: u64| format!("the TCP/ICMP flood closed on 198.51.100.2 at {end}");
+    let mut pristine = tree(golden);
+    let (start, end) = (
+        u64_at(&mut pristine, &attack("start")),
+        u64_at(&mut pristine, &attack("end")),
+    );
+    assert_eq!((start, end), (480_000_001, 579_500_001));
+    for (field, forged, message) in [
+        (
+            "packet_count",
+            Value::U64(20_000),
+            format!(
+                "`packet_count` of {} is 20000, but its profile gives 200",
+                named(end)
+            ),
+        ),
+        (
+            "start",
+            Value::U64(300_000_000),
+            format!(
+                "`start` of {} is 300000000, but its profile gives {start}",
+                named(end)
+            ),
+        ),
+        (
+            "end",
+            Value::U64(end + 1),
+            format!(
+                "`end` of {} is {}, but its profile gives {end}",
+                named(end + 1),
+                end + 1
+            ),
+        ),
+        (
+            "max_pps",
+            Value::F64(9.0),
+            format!("`max_pps` of {} is 9, but its profile gives 2", named(end)),
+        ),
+    ] {
+        let mut damaged = tree(golden);
+        *at(&mut damaged, &attack(field)) = forged;
+        assert_eq!(
+            read(&text(&damaged)).expect_err(field),
+            format!("checkpoint field {message}")
+        );
+    }
+
+    // The same rule for a closed QUIC flood.
+    let (engine, whole) = scenario_run();
+    assert!(!engine.closed_quic().is_empty());
+    let mut damaged = tree(&whole);
+    let count = flood("closed_quic", 0, &["attack", "packet_count"]);
+    let packets = u64_at(&mut damaged, &count);
+    *at(&mut damaged, &count) = Value::U64(packets + 1);
+    let error = read(&text(&damaged)).expect_err("one packet more");
+    assert_eq!(
+        error,
+        format!(
+            "checkpoint field `packet_count` of {} is {}, but its profile gives {packets}",
+            closed_profile(&whole, "closed_quic", 0).trim_start_matches("checkpoint profile of "),
+            packets + 1
+        )
     );
 }
 
@@ -296,9 +451,9 @@ fn a_ring_longer_than_its_capacity_is_refused() {
 #[test]
 fn another_schema_is_refused_before_its_engine_is_read() {
     let refused = |claim: u64| {
-        format!("invalid checkpoint: unsupported checkpoint schema v{claim} (this build reads v3)")
+        format!("invalid checkpoint: unsupported checkpoint schema v{claim} (this build reads v4)")
     };
-    for claim in [1, 2, 4] {
+    for claim in [1, 2, 3, 5] {
         let hollow = format!(r#"{{"version":{claim},"engine":{{"not":"an engine"}},"cursors":7}}"#);
         assert_eq!(read(&hollow), Err(refused(claim)));
         let mut last = tree(GOLDEN.trim_end());
@@ -385,7 +540,7 @@ proptest! {
             ("0", "unsupported checkpoint schema v0"),
             ("1", "unsupported checkpoint schema v1"),
             ("2", "unsupported checkpoint schema v2"),
-            ("4", "unsupported checkpoint schema v4"),
+            ("3", "unsupported checkpoint schema v3"),
             ("18446744073709551615", "unsupported checkpoint schema v18446744073709551615"),
             ("18446744073709551616", "checkpoint is not JSON"),
             ("-2", "`version` must be an integer, got i64"),
@@ -399,7 +554,7 @@ proptest! {
         ];
         let (claim, message) = CLAIMS[claim];
         let rest = corpus()[which]
-            .strip_prefix("{\"version\":3,")
+            .strip_prefix("{\"version\":4,")
             .expect("every writer puts `version` first");
         let error = read(&format!("{{\"version\":{claim},{rest}")).expect_err(claim);
         prop_assert!(error.contains(message), "{}: {}", claim, error);

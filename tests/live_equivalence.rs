@@ -291,9 +291,11 @@ fn live_metrics_equal_batch_metrics_including_across_checkpoints() {
     }
 
     // Same stream with a JSON checkpoint/restore cycle every 15k
-    // records, mirroring the `quicsand live --checkpoint-every` flow.
+    // records, mirroring the `quicsand live --checkpoint-every` flow: a
+    // restored engine counts from zero, so it is given the run's totals.
     let mut engine = LiveEngine::new(config, guard, 2);
     let mut since = 0usize;
+    let (mut cycles, mut bytes, mut spent) = (0u64, 0u64, std::time::Duration::ZERO);
     for part in records.chunks(1024) {
         let _ = engine.offer_chunk(part);
         since += part.len();
@@ -303,16 +305,19 @@ fn live_metrics_equal_batch_metrics_including_across_checkpoints() {
             let json = serde_json::to_string(&engine.snapshot()).expect("snapshot serializes");
             let parsed: LiveSnapshot = serde_json::from_str(&json).expect("snapshot parses");
             engine = LiveEngine::restore(&parsed);
-            engine.record_checkpoint(1, json.len() as u64, started.elapsed());
+            cycles += 1;
+            bytes += json.len() as u64;
+            spent += started.elapsed();
+            engine.record_checkpoint(cycles, bytes, spent);
         }
     }
     let _ = engine.finish();
+    assert!(cycles >= 3, "checkpoint cadence fired {cycles} time(s)");
+    let metrics = engine.metrics();
+    assert_eq!(metrics.checkpoints_total.get(), cycles);
+    assert_eq!(metrics.checkpoint_bytes_total.get(), bytes);
     assert!(
-        engine.metrics().checkpoints_total.get() > 0,
-        "checkpoint cadence never fired"
-    );
-    assert!(
-        engine.metrics().checkpoint_micros_total.get() > 0,
+        metrics.checkpoint_micros_total.get() > 0,
         "a checkpoint cycle was counted without its cost"
     );
     assert_metrics_match_batch(

@@ -4,7 +4,7 @@
 //! feeds directly — identical events, identical closed alerts, and a
 //! byte-identical stable metrics exposition — at any source count, any
 //! shard count, and any chunk size. The contract must survive seeded
-//! mid-stream source failures (reconnect-with-resume), a schema-v3
+//! mid-stream source failures (reconnect-with-resume), a schema-v4
 //! checkpoint/restore taken while a feed is flaky, and sources that are
 //! empty or hit EOF instantly.
 
