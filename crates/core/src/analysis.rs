@@ -6,7 +6,10 @@
 //! [`Analysis`]. State persists between slices, records do not:
 //!
 //! 1. **Ingest** — port filter + dissection ([`quicsand_telescope`]),
-//!    inside `offer`. An admitted TCP/ICMP record goes straight from the
+//!    inside `offer`. The dissection trial-decrypts a response's
+//!    Initials, whose Client Hello verdict the §6 message mix reads,
+//!    and leaves a request's sealed (verdict `None`): nothing reads a
+//!    scanner's. An admitted TCP/ICMP record goes straight from the
 //!    admit loop into its shard's baseline sessionizer and is gone; an
 //!    admitted QUIC observation goes on to stages 2–3 in the same loop.
 //! 2. **Sanitize** — behavioural research-scanner detection corroborated
@@ -862,6 +865,7 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quicsand_dissect::MessageKind;
     use quicsand_sessions::dos::detect_attacks;
     use quicsand_telescope::Stage;
     use quicsand_traffic::ScenarioConfig;
@@ -994,6 +998,41 @@ mod tests {
             assert!(versioned > 0 && versioned <= attack.packet_count);
             assert!(tally.messages.total >= attack.packet_count);
         }
+    }
+
+    /// The §6 check reads the Client Hello verdict of backscatter
+    /// Initials only, so ingest opens a response's Initials and leaves a
+    /// request's sealed: the same sealed client Initial, admitted both
+    /// ways, is `None` as a scan and a real Client Hello as backscatter.
+    #[test]
+    fn only_a_response_initial_is_opened_for_the_client_hello_check() {
+        let initial = quicsand_traffic::research::research_probe_payload(7);
+        let admit = |src_port, dst_port| {
+            let record = PacketRecord::udp(
+                Timestamp::from_secs(1),
+                Ipv4Addr::new(192, 0, 2, 7),
+                Ipv4Addr::new(44, 0, 0, 1),
+                src_port,
+                dst_port,
+                initial.clone(),
+            );
+            match TelescopePipeline::new().admit(&record) {
+                Admitted::Quic(obs) => obs,
+                _ => panic!("a sealed client initial is admitted as QUIC"),
+            }
+        };
+        let request = admit(40_000, 443);
+        assert_eq!(request.direction, Direction::Request);
+        assert_eq!(request.dissected.messages[0].has_client_hello, None);
+        let response = admit(443, 40_000);
+        assert_eq!(response.direction, Direction::Response);
+        assert_eq!(response.dissected.messages[0].has_client_hello, Some(true));
+
+        let mut tally = AttackTally::default();
+        tally.add(&response);
+        tally.add(&request);
+        assert_eq!(tally.messages.count(MessageKind::Initial), 2);
+        assert_eq!(tally.messages.initials_with_client_hello, 1);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!    connection IDs and message types and — like Wireshark — derives
 //!    Initial keys from the destination connection ID to detect whether
 //!    an Initial carries an unencrypted TLS Client Hello (the §6
-//!    backscatter-validity heuristic); the batch figures read all of it.
+//!    backscatter-validity heuristic); the batch figures read all of it,
+//!    and their extraction opens only a response's Initials, the
+//!    backscatter that heuristic reads (a request's verdict is `None`).
 //!    [`check_udp_payload`] returns only the [`MessageKinds`] bitset,
 //!    with no trial decryption and no allocation: what the live detector
 //!    needs. Both accept and reject exactly the same payloads.

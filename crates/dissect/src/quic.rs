@@ -7,11 +7,15 @@
 //!
 //! One walk decides whether a payload is QUIC; what it extracts is the
 //! caller's choice of type ([`Extraction`]). [`dissect_udp_payload`]
-//! builds the full [`DissectedPacket`] for the batch figures;
+//! builds the full [`DissectedPacket`] and trial-decrypts every Initial;
+//! the batch extraction ([`DissectedPacket`]'s [`Extraction`]) builds the
+//! same packet but opens an Initial only in the response direction, the
+//! backscatter whose Client Hello verdict the §6 check reads — a
+//! scanner's request Initial keeps no verdict (`None`).
 //! [`check_udp_payload`] returns only the [`MessageKinds`] — all the
-//! live detector reads besides the port-derived direction — and skips
-//! the trial decryption below, which costs a keyed tag over every
-//! Initial. Same walk, same verdict, same [`DissectError`].
+//! live detector reads besides the port-derived direction — and opens
+//! nothing. Opening costs a keyed tag over the whole Initial. Same walk,
+//! same verdict, same [`DissectError`].
 //!
 //! The Client Hello check works exactly as it does for Wireshark on the
 //! real wire: Initial keys are derivable by any passive observer from
@@ -23,6 +27,7 @@
 //! (unencrypted) TLS Client Hello") and is attributed to an encrypted
 //! Server Hello reply — the §6 backscatter signature.
 
+use crate::classify::Direction;
 use quicsand_wire::crypto::InitialSecrets;
 use quicsand_wire::header::LongPacketType;
 use quicsand_wire::packet::{walk_datagram, HeaderView, PacketView, ParsedHeader};
@@ -162,9 +167,12 @@ pub struct MessageMeta {
     pub scid: Option<ConnectionId>,
     /// Destination connection ID.
     pub dcid: ConnectionId,
-    /// Whether the (Initial) payload decrypted to a TLS Client Hello
-    /// under passively derivable keys.
-    pub has_client_hello: bool,
+    /// Whether the message is an Initial whose payload decrypted to a
+    /// TLS Client Hello under passively derivable keys. `None` for an
+    /// Initial the extraction did not open (a request under the batch
+    /// extraction), so that an unopened Initial never reads as "no
+    /// Client Hello"; `Some(false)` for every other kind of message.
+    pub has_client_hello: Option<bool>,
     /// Wire length of the message.
     pub wire_len: usize,
 }
@@ -258,25 +266,31 @@ impl FromIterator<MessageKind> for MessageKinds {
 
 /// What an admit caller extracts from a UDP payload the dissector
 /// accepts, chosen by the caller's type: the batch path keeps the full
-/// [`DissectedPacket`] (the figures read its connection IDs and Client
-/// Hello verdicts), the live path only the [`MessageKinds`]. Both come
-/// from the same walk, so they accept and reject exactly the same
-/// payloads with the same [`DissectError`].
+/// [`DissectedPacket`] (the figures read its connection IDs, and the §6
+/// check the Client Hello verdicts of backscatter Initials), the live
+/// path only the [`MessageKinds`]. Both come from the same walk, so they
+/// accept and reject exactly the same payloads with the same
+/// [`DissectError`].
 pub trait Extraction: Sized {
-    /// Validates `payload` as QUIC and extracts `Self` from it.
+    /// Validates `payload` as QUIC and extracts `Self` from it;
+    /// `direction` is the port-derived direction of the datagram.
     ///
     /// # Errors
     /// The payload's [`DissectError`].
-    fn extract(payload: &[u8]) -> Result<Self, DissectError>;
+    fn extract(payload: &[u8], direction: Direction) -> Result<Self, DissectError>;
 
     /// The message kinds present (Retry / Version Negotiation events
     /// read these on every path).
     fn kinds(&self) -> MessageKinds;
 }
 
+/// Opens Initials only in the response direction: the Client Hello
+/// verdict's one reader is the §6 check over backscatter, so a request
+/// Initial is left sealed and its verdict is `None`. Otherwise
+/// [`dissect_udp_payload`]'s result.
 impl Extraction for DissectedPacket {
-    fn extract(payload: &[u8]) -> Result<Self, DissectError> {
-        dissect_udp_payload(payload)
+    fn extract(payload: &[u8], direction: Direction) -> Result<Self, DissectError> {
+        dissect(payload, direction == Direction::Response)
     }
 
     fn kinds(&self) -> MessageKinds {
@@ -286,7 +300,7 @@ impl Extraction for DissectedPacket {
 
 impl Extraction for MessageKinds {
     #[inline]
-    fn extract(payload: &[u8]) -> Result<Self, DissectError> {
+    fn extract(payload: &[u8], _: Direction) -> Result<Self, DissectError> {
         check_udp_payload(payload)
     }
 
@@ -326,13 +340,19 @@ fn walk(
     }
 }
 
-/// Dissects a UDP payload as QUIC.
+/// Dissects a UDP payload as QUIC, trial-decrypting every Initial.
 ///
 /// # Errors
 /// [`DissectError`] when the payload is not structurally valid QUIC —
 /// the caller (telescope pipeline) counts these as non-QUIC false
 /// positives of the port filter and quarantines them per error kind.
 pub fn dissect_udp_payload(payload: &[u8]) -> Result<DissectedPacket, DissectError> {
+    dissect(payload, true)
+}
+
+/// The dissection behind both [`DissectedPacket`] extractions: opens the
+/// Initials when `open`, and leaves their verdict `None` otherwise.
+fn dissect(payload: &[u8], open: bool) -> Result<DissectedPacket, DissectError> {
     SCRATCH.with(|scratch| {
         let Scratch {
             plaintext,
@@ -340,6 +360,7 @@ pub fn dissect_udp_payload(payload: &[u8]) -> Result<DissectedPacket, DissectErr
         } = &mut *scratch.borrow_mut();
         messages.clear();
         walk(payload, |packet, kind| {
+            let plaintext = open.then_some(&mut *plaintext);
             messages.push(message_meta(packet, kind, plaintext));
         })?;
         Ok(DissectedPacket {
@@ -376,11 +397,12 @@ fn message_kind(header: &HeaderView<'_>) -> MessageKind {
     }
 }
 
-/// The metadata of one structurally valid packet of a known version.
+/// The metadata of one structurally valid packet of a known version;
+/// an Initial is opened into `plaintext` when there is one.
 fn message_meta(
     packet: &PacketView<'_>,
     kind: MessageKind,
-    plaintext: &mut Vec<u8>,
+    plaintext: Option<&mut Vec<u8>>,
 ) -> MessageMeta {
     let header = &packet.header;
     let has_client_hello = match header {
@@ -389,8 +411,9 @@ fn message_meta(
             version,
             dcid,
             ..
-        } => initial_carries_client_hello(packet, *version, dcid, plaintext),
-        _ => false,
+        } => plaintext
+            .map(|plaintext| initial_carries_client_hello(packet, *version, dcid, plaintext)),
+        _ => Some(false),
     };
     MessageMeta {
         kind,
@@ -519,7 +542,11 @@ mod tests {
         let m = &dissected.messages[0];
         assert_eq!(m.kind, MessageKind::Initial);
         assert_eq!(m.version, Some(Version::Draft29.to_wire()));
-        assert!(m.has_client_hello, "passively derivable CH must be seen");
+        assert_eq!(
+            m.has_client_hello,
+            Some(true),
+            "passively derivable CH must be seen"
+        );
     }
 
     #[test]
@@ -527,8 +554,9 @@ mod tests {
         let dissected = dissect_udp_payload(&server_backscatter()).unwrap();
         assert_eq!(dissected.messages.len(), 2);
         assert_eq!(dissected.messages[0].kind, MessageKind::Initial);
-        assert!(
-            !dissected.messages[0].has_client_hello,
+        assert_eq!(
+            dissected.messages[0].has_client_hello,
+            Some(false),
             "server initial must be opaque to the telescope"
         );
         assert_eq!(dissected.messages[1].kind, MessageKind::Handshake);

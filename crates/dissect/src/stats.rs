@@ -19,7 +19,8 @@ pub struct MessageMixStats {
     counts: [u64; MessageKind::COUNT],
     /// Total messages.
     pub total: u64,
-    /// Initials that carried a visible Client Hello.
+    /// Initials that were opened and carried a visible Client Hello
+    /// (an unopened Initial, verdict `None`, is not counted).
     pub initials_with_client_hello: u64,
 }
 
@@ -34,7 +35,7 @@ impl MessageMixStats {
         for m in &dissected.messages {
             self.counts[m.kind.index()] += 1;
             self.total += 1;
-            if m.kind == MessageKind::Initial && m.has_client_hello {
+            if m.has_client_hello == Some(true) {
                 self.initials_with_client_hello += 1;
             }
         }
@@ -116,7 +117,7 @@ mod tests {
     use super::*;
     use crate::quic::MessageMeta;
 
-    fn dissected(kinds: &[(MessageKind, bool)]) -> DissectedPacket {
+    fn dissected(kinds: &[(MessageKind, Option<bool>)]) -> DissectedPacket {
         DissectedPacket {
             messages: kinds
                 .iter()
@@ -136,10 +137,10 @@ mod tests {
     fn mix_counts_and_shares() {
         let mut stats = MessageMixStats::new();
         stats.add(&dissected(&[
-            (MessageKind::Initial, false),
-            (MessageKind::Handshake, false),
+            (MessageKind::Initial, Some(false)),
+            (MessageKind::Handshake, Some(false)),
         ]));
-        stats.add(&dissected(&[(MessageKind::Handshake, false)]));
+        stats.add(&dissected(&[(MessageKind::Handshake, Some(false))]));
         assert_eq!(stats.total, 3);
         assert_eq!(stats.count(MessageKind::Initial), 1);
         assert_eq!(stats.count(MessageKind::Handshake), 2);
@@ -152,17 +153,17 @@ mod tests {
     #[test]
     fn merge_adds_every_count() {
         let mut left = MessageMixStats::new();
-        left.add(&dissected(&[(MessageKind::Initial, true)]));
+        left.add(&dissected(&[(MessageKind::Initial, Some(true))]));
         let mut right = MessageMixStats::new();
         right.add(&dissected(&[
-            (MessageKind::Initial, false),
-            (MessageKind::Retry, false),
+            (MessageKind::Initial, Some(false)),
+            (MessageKind::Retry, Some(false)),
         ]));
         let mut both = MessageMixStats::new();
-        both.add(&dissected(&[(MessageKind::Initial, true)]));
+        both.add(&dissected(&[(MessageKind::Initial, Some(true))]));
         both.add(&dissected(&[
-            (MessageKind::Initial, false),
-            (MessageKind::Retry, false),
+            (MessageKind::Initial, Some(false)),
+            (MessageKind::Retry, Some(false)),
         ]));
         left.merge(&right);
         assert_eq!(left, both);
@@ -173,15 +174,17 @@ mod tests {
     #[test]
     fn client_hello_counting() {
         let mut stats = MessageMixStats::new();
-        stats.add(&dissected(&[(MessageKind::Initial, true)]));
-        stats.add(&dissected(&[(MessageKind::Initial, false)]));
+        stats.add(&dissected(&[(MessageKind::Initial, Some(true))]));
+        stats.add(&dissected(&[(MessageKind::Initial, Some(false))]));
+        stats.add(&dissected(&[(MessageKind::Initial, None)]));
+        assert_eq!(stats.count(MessageKind::Initial), 3);
         assert_eq!(stats.initials_with_client_hello, 1);
     }
 
     #[test]
     fn retry_flag() {
         let mut stats = MessageMixStats::new();
-        stats.add(&dissected(&[(MessageKind::Retry, false)]));
+        stats.add(&dissected(&[(MessageKind::Retry, Some(false))]));
         assert!(stats.any_retry());
     }
 
@@ -201,7 +204,7 @@ mod tests {
                 version: Some(1),
                 scid: Some(ConnectionId::from_u64(1)),
                 dcid: ConnectionId::EMPTY,
-                has_client_hello: false,
+                has_client_hello: Some(false),
                 wire_len: 100,
             }],
         };
@@ -211,7 +214,7 @@ mod tests {
                 version: Some(1),
                 scid: Some(ConnectionId::from_u64(2)),
                 dcid: ConnectionId::EMPTY,
-                has_client_hello: false,
+                has_client_hello: Some(false),
                 wire_len: 100,
             }],
         };

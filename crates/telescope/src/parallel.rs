@@ -137,7 +137,8 @@ pub fn scatter<S: Send, R: Send>(
 ///
 /// `D` is what an admitted QUIC payload's dissection extracts, chosen by
 /// the sink's parameter type: the batch run keeps whole
-/// [`DissectedPacket`](quicsand_dissect::DissectedPacket)s, a caller
+/// [`DissectedPacket`](quicsand_dissect::DissectedPacket)s (Initials
+/// opened in responses only), a caller
 /// that reads only the direction takes
 /// [`MessageKinds`](quicsand_dissect::MessageKinds) and skips the Client
 /// Hello trial decryption. Counters and events do not depend on `D`.

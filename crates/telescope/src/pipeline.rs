@@ -40,8 +40,8 @@ pub struct QuicObservation<D = DissectedPacket> {
     pub dst_port: u16,
     /// Request (to 443) or response (from 443).
     pub direction: Direction,
-    /// The dissected QUIC messages (or, for a caller that extracts
-    /// less, only what it extracted).
+    /// The dissected QUIC messages, Initials opened only in a response
+    /// (or, for a caller that extracts less, only what it extracted).
     pub dissected: D,
 }
 
@@ -737,7 +737,7 @@ impl TelescopePipeline {
                     // degrade gracefully instead of panicking.
                     return Err(IngestError::TransportMismatch);
                 };
-                let dissected = D::extract(payload).map_err(|error| {
+                let dissected = D::extract(payload, direction).map_err(|error| {
                     // Every dissector rejection remains a port-filter
                     // false positive (the paper's §4.1 scalar); the
                     // quarantine taxonomy is the finer breakdown.
@@ -1120,6 +1120,6 @@ mod tests {
         ));
         let obs = &p.quic_observations()[0];
         assert_eq!(obs.direction, Direction::Response);
-        assert!(!obs.dissected.messages[0].has_client_hello);
+        assert_eq!(obs.dissected.messages[0].has_client_hello, Some(false));
     }
 }

@@ -247,7 +247,11 @@ mod tests {
         let d = dissect_udp_payload(&r.datagrams[0]).unwrap();
         assert_eq!(d.messages.len(), 2);
         assert_eq!(d.messages[0].kind, MessageKind::Initial);
-        assert!(!d.messages[0].has_client_hello, "must be opaque");
+        assert_eq!(
+            d.messages[0].has_client_hello,
+            Some(false),
+            "must be opaque"
+        );
         assert_eq!(d.messages[1].kind, MessageKind::Handshake);
         assert!(d.all_dcids_empty(), "server replies to empty client SCID");
         assert_eq!(d.messages[0].scid, Some(r.scid));

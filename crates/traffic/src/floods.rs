@@ -730,7 +730,7 @@ mod tests {
         }
         // Dissectable as opaque server responses.
         let d = quicsand_dissect::dissect_udp_payload(out[0].udp_payload().unwrap()).unwrap();
-        assert!(!d.messages[0].has_client_hello);
+        assert_eq!(d.messages[0].has_client_hello, Some(false));
     }
 
     #[test]

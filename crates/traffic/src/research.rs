@@ -112,7 +112,7 @@ mod tests {
         assert!(payload.len() >= MIN_INITIAL_SIZE);
         let d = dissect_udp_payload(&payload).unwrap();
         assert_eq!(d.messages[0].kind, MessageKind::Initial);
-        assert!(d.messages[0].has_client_hello);
+        assert_eq!(d.messages[0].has_client_hello, Some(true));
     }
 
     #[test]

@@ -161,7 +161,7 @@ mod tests {
         let (_, out, _) = generated();
         let d = dissect_udp_payload(out[0].udp_payload().unwrap()).unwrap();
         assert_eq!(d.messages[0].kind, MessageKind::Initial);
-        assert!(d.messages[0].has_client_hello);
+        assert_eq!(d.messages[0].has_client_hello, Some(true));
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl InitialSecrets {
     }
 
     /// Derives only the client-to-server Initial key — the one key a
-    /// passive observer trial-decrypts with, once per candidate Initial.
+    /// passive observer trial-decrypts with, once per Initial it opens.
     /// Equal to `derive(..).client`.
     pub fn client_key(version: Version, client_dcid: &ConnectionId) -> SipKey {
         let (base, seed) = Self::seed(version, client_dcid);
@@ -131,7 +131,7 @@ pub fn seal(key: SipKey, packet_number: u64, header: &[u8], plaintext: &[u8]) ->
 
 /// Opens a sealed payload produced by [`seal`] into a caller-owned
 /// buffer: `out` is overwritten with the plaintext and keeps its
-/// capacity, so a dissector that trial-decrypts every candidate Initial
+/// capacity, so a dissector that trial-decrypts Initial after Initial
 /// does so without allocating. The tag is verified over the borrowed
 /// `header` and `sealed` before anything is written; on failure `out` is
 /// left as it was.

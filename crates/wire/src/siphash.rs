@@ -210,7 +210,7 @@ impl SipHasher128 {
 /// dissector, as on the real wire. Relative to the previous formulation
 /// (a full SipHash-2-4 evaluation of `nonce || counter` per word) this
 /// costs 2 rounds per 8 output bytes instead of 10, which matters on the
-/// ingest hot path where every candidate Initial is trial-decrypted.
+/// ingest hot path where every backscatter Initial is trial-decrypted.
 pub struct KeyStream {
     base: [u64; 4],
     counter: u64,

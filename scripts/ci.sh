@@ -483,6 +483,15 @@ if [[ "$walks" -ne 1 ]]; then
   echo "dissect pin: $walks \`walk_datagram(\` call(s) in non-test code of crates/dissect/src/quic.rs, want exactly 1" >&2
   exit 1
 fi
+# An Initial is opened in one place, the visitor that `open` gates (the
+# batch extraction opens backscatter only, `dissect_udp_payload` every
+# Initial); a second call opens Initials on a path that never reads them.
+opens="$(nontest_code crates/dissect/src/quic.rs | { grep -v 'fn initial_carries_client_hello(' || true; } \
+  | { grep -oF 'initial_carries_client_hello(' || true; } | wc -l)"
+if [[ "$opens" -ne 1 ]]; then
+  echo "dissect pin: $opens \`initial_carries_client_hello(\` call(s) in non-test code of crates/dissect/src/quic.rs, want exactly 1" >&2
+  exit 1
+fi
 
 echo "==> live detector: a victim's evidence ring waits for evidence a close could emit"
 # Every spoofed source is a tracked victim and almost none qualifies, so

@@ -424,7 +424,7 @@ pub fn assert_expected(
         CorpusExpect::Ok => assert!(result.is_ok(), "{name}: expected Ok, got {result:?}"),
         CorpusExpect::ClientHello(verdict) => assert!(
             matches!(result, Ok(d) if matches!(d.messages.as_slice(),
-                [m] if m.kind == MessageKind::Initial && m.has_client_hello == verdict)),
+                [m] if m.kind == MessageKind::Initial && m.has_client_hello == Some(verdict))),
             "{name}: expected one Initial with has_client_hello == {verdict}, got {result:?}"
         ),
         CorpusExpect::Empty => assert!(

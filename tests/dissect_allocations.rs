@@ -34,8 +34,9 @@ fn dissecting_allocates_only_the_returned_messages() {
 
     let (dissected, allocations) = allocations_during(|| dissect_udp_payload(&client_initial));
     let dissected = dissected.expect("client initial dissects");
-    assert!(
+    assert_eq!(
         dissected.messages[0].has_client_hello,
+        Some(true),
         "the initial must have been opened and its frames walked"
     );
     assert_eq!(allocations, 1, "padded client initial");
@@ -43,7 +44,7 @@ fn dissecting_allocates_only_the_returned_messages() {
     let (dissected, allocations) = allocations_during(|| dissect_udp_payload(backscatter));
     let dissected = dissected.expect("backscatter dissects");
     assert_eq!(dissected.messages.len(), 2, "initial + handshake");
-    assert!(!dissected.messages[0].has_client_hello);
+    assert_eq!(dissected.messages[0].has_client_hello, Some(false));
     assert_eq!(allocations, 1, "coalesced backscatter datagram");
 }
 

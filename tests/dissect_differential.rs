@@ -15,12 +15,15 @@
 //! Over the same payloads, `check_udp_payload` — the live path's
 //! extraction, the same walk without the trial decryption — must return
 //! exactly the dissection's message kinds, and exactly its
-//! `DissectError` when it rejects.
+//! `DissectError` when it rejects. The batch path's extraction must
+//! return the dissection itself for a response, and for a request the
+//! dissection with every Initial left unopened (verdict `None`), with
+//! the same `DissectError`.
 
 use corpus::adversarial_corpus;
 use quicsand_dissect::{
-    check_udp_payload, classify_record, dissect_udp_payload, Classification, DissectError,
-    DissectedPacket, MessageKind, MessageMeta,
+    check_udp_payload, classify_record, dissect_udp_payload, Classification, Direction,
+    DissectError, DissectedPacket, Extraction, MessageKind, MessageMeta,
 };
 use quicsand_faults::{FaultPlan, FaultProfile};
 use quicsand_net::PacketRecord;
@@ -76,16 +79,18 @@ fn reference_dissect(payload: &[u8]) -> Result<DissectedPacket, DissectError> {
                                     if peek_handshake_type(data) == Ok(HandshakeType::ClientHello))
                             })
                         });
-                (kind, opened)
+                (kind, Some(opened))
             }
             ParsedHeader::Retry { version, .. } => {
                 if let Version::Unknown(v) = version {
                     return Err(DissectError::BadVersion(*v));
                 }
-                (MessageKind::Retry, false)
+                (MessageKind::Retry, Some(false))
             }
-            ParsedHeader::VersionNegotiation { .. } => (MessageKind::VersionNegotiation, false),
-            ParsedHeader::Short { .. } => (MessageKind::OneRtt, false),
+            ParsedHeader::VersionNegotiation { .. } => {
+                (MessageKind::VersionNegotiation, Some(false))
+            }
+            ParsedHeader::Short { .. } => (MessageKind::OneRtt, Some(false)),
         };
         messages.push(MessageMeta {
             kind,
@@ -99,6 +104,17 @@ fn reference_dissect(payload: &[u8]) -> Result<DissectedPacket, DissectError> {
     Ok(DissectedPacket { messages })
 }
 
+/// `dissected` with every Initial's verdict set to `None`: what the
+/// batch extraction keeps of a request, whose Initials it leaves sealed.
+fn unopened(mut dissected: DissectedPacket) -> DissectedPacket {
+    for m in &mut dissected.messages {
+        if m.kind == MessageKind::Initial {
+            m.has_client_hello = None;
+        }
+    }
+    dissected
+}
+
 #[track_caller]
 fn assert_same_verdict(what: &str, payload: &[u8]) {
     let got = dissect_udp_payload(payload);
@@ -107,6 +123,18 @@ fn assert_same_verdict(what: &str, payload: &[u8]) {
         got,
         want,
         "{what}: verdicts differ on a {}-byte payload",
+        payload.len()
+    );
+    assert_eq!(
+        DissectedPacket::extract(payload, Direction::Response),
+        got,
+        "{what}: the response extraction and the dissection differ on a {}-byte payload",
+        payload.len()
+    );
+    assert_eq!(
+        DissectedPacket::extract(payload, Direction::Request),
+        got.clone().map(unopened),
+        "{what}: the request extraction is not the unopened dissection on a {}-byte payload",
         payload.len()
     );
     assert_eq!(
@@ -172,12 +200,13 @@ fn truncations_and_bit_flips_equal_the_reference() {
             .to_vec()
     };
     let client_initial = find("a padded client initial", |d| {
-        d.messages.len() == 1 && d.messages[0].has_client_hello
+        d.messages.len() == 1 && d.messages[0].has_client_hello == Some(true)
     });
     assert!(client_initial.len() >= quicsand_wire::MIN_INITIAL_SIZE);
     let backscatter = find("a coalesced backscatter datagram", |d| {
         let kinds: Vec<_> = d.messages.iter().map(|m| m.kind).collect();
-        kinds == [MessageKind::Initial, MessageKind::Handshake] && !d.messages[0].has_client_hello
+        kinds == [MessageKind::Initial, MessageKind::Handshake]
+            && d.messages[0].has_client_hello == Some(false)
     });
 
     for (what, wire) in [
